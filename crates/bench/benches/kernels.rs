@@ -1,6 +1,6 @@
 //! Microbenchmarks of the compute kernels the halo exchange overlaps with:
 //! non-bonded forces, bonded forces, pack/unpack-style gathers, and the
-//! atomicAdd force accumulation primitive.
+//! force-unpack accumulation primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halox_md::cluster::{compute_nonbonded_clusters_aos, ClusterPairList};
@@ -73,16 +73,18 @@ fn bench_pack_gather(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_atomic_accumulate(c: &mut Criterion) {
-    // The force-unpack primitive: atomicAdd into a symmetric force buffer.
+fn bench_accumulate(c: &mut Criterion) {
+    // The force-unpack primitive: single-writer load+store accumulation
+    // into a symmetric force buffer (`exec::fused::fused_comm_unpack_f`).
     let buf = SymVec3::alloc(1, 8_192);
     let index: Vec<u32> = (0..4_096u32).map(|i| i * 2).collect();
-    let mut group = c.benchmark_group("force_unpack_atomic_add");
+    let mut group = c.benchmark_group("force_unpack_accumulate");
     group.throughput(Throughput::Elements(index.len() as u64));
     group.bench_function("4k_adds", |b| {
         b.iter(|| {
             for &i in &index {
-                buf.add(0, i as usize, Vec3::new(0.1, 0.2, 0.3));
+                let sum = buf.get(0, i as usize) + Vec3::new(0.1, 0.2, 0.3);
+                buf.set(0, i as usize, sum);
             }
         })
     });
@@ -133,7 +135,7 @@ criterion_group!(
     bench_nonbonded,
     bench_bonded,
     bench_pack_gather,
-    bench_atomic_accumulate,
+    bench_accumulate,
     bench_cluster_kernel
 );
 criterion_main!(benches);

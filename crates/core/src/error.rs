@@ -30,9 +30,6 @@ pub enum ExchangePhase {
     /// Epoch fence: waiting for consumers to ack this rank's published
     /// force regions before returning.
     ForceAckFence,
-    /// Intra-rank DEP_MGMT: waiting for a later pulse's local unpack to
-    /// complete before releasing a region upstream.
-    UnpackDep,
 }
 
 impl ExchangePhase {
@@ -43,7 +40,6 @@ impl ExchangePhase {
             ExchangePhase::CoordArrival => "coord-arrival",
             ExchangePhase::ForceData => "force-data",
             ExchangePhase::ForceAckFence => "force-ack-fence",
-            ExchangePhase::UnpackDep => "unpack-dep",
         }
     }
 }
@@ -231,7 +227,6 @@ impl Wire for ExchangePhase {
             ExchangePhase::CoordArrival => 2,
             ExchangePhase::ForceData => 3,
             ExchangePhase::ForceAckFence => 4,
-            ExchangePhase::UnpackDep => 5,
         };
         tag.encode(out);
     }
@@ -243,7 +238,6 @@ impl Wire for ExchangePhase {
             2 => ExchangePhase::CoordArrival,
             3 => ExchangePhase::ForceData,
             4 => ExchangePhase::ForceAckFence,
-            5 => ExchangePhase::UnpackDep,
             t => return Err(WireError::malformed(format!("bad ExchangePhase tag {t}"))),
         })
     }
@@ -435,7 +429,7 @@ mod tests {
         let errs = vec![
             ExchangeError::Stall(Box::new(StallReport {
                 rank: 2,
-                phase: ExchangePhase::UnpackDep,
+                phase: ExchangePhase::ForceAckFence,
                 pulse: 1,
                 slot: 5,
                 expected: 7,

@@ -11,8 +11,8 @@
 
 use crate::ctx::CommContext;
 use crate::error::{ExchangeError, ExchangePhase, Watchdog};
-use crate::exec::fused::FusedBuffers;
-use crate::exec::wait_or_stall;
+use crate::exec::fused::{fused_comm_unpack_f, FusedBuffers};
+use crate::exec::{wait_or_stall, Wait};
 use halox_shmem::Pe;
 use halox_trace::{record_opt, span_opt, Payload, Region};
 
@@ -46,29 +46,12 @@ pub fn coordinate_exchange(
         }
         // Cross-step fence: dst may still be reading the halo we wrote
         // last step.
-        wait_or_stall(
-            pe,
-            ctx,
-            wd,
-            ExchangePhase::CoordAckFence,
-            p,
-            ctx.coord_ack_slot(p),
-            sig_val.saturating_sub(1),
-            Some(dst),
-        )?;
+        let fence = Wait::new(ctx, ExchangePhase::CoordAckFence, p, sig_val);
+        wait_or_stall(pe, ctx, wd, fence)?;
         // Event dependency: forwarded entries need the earlier pulses'
         // arrivals (serialized pulses make this the only wait).
         for &k in &pd.dep_pulses {
-            wait_or_stall(
-                pe,
-                ctx,
-                wd,
-                ExchangePhase::CoordDep,
-                p,
-                ctx.coord_slot(k),
-                sig_val,
-                Some(ctx.pulses[k].recv_rank),
-            )?;
+            wait_or_stall(pe, ctx, wd, Wait::dep(ctx, p, k, sig_val))?;
         }
         record_opt(
             pe.trace(),
@@ -90,10 +73,10 @@ pub fn coordinate_exchange(
     Ok(())
 }
 
-/// Serialized-pulse force exchange with direct reads. Reverse pulse order;
-/// by the time pulse `p` is announced upstream, this rank has already
-/// unpacked every later pulse (serial execution provides the DEP_MGMT
-/// guarantee for free).
+/// Serialized-pulse force exchange with direct reads: the fused reverse
+/// pulse loop (serial execution provides the DEP_MGMT guarantee for free)
+/// on a world where every peer is directly reachable, which is checked up
+/// front — an unreachable peer is a typed [`ExchangeError::Unreachable`].
 ///
 /// Self-fencing across steps like [`crate::exec::fused::fused_comm_unpack_f`]:
 /// returns only after every published force region has been acked by its
@@ -105,63 +88,18 @@ pub fn force_exchange(
     sig_val: u64,
     wd: &Watchdog,
 ) -> Result<(), ExchangeError> {
-    for p in (0..ctx.total_pulses).rev() {
-        let pd = &ctx.pulses[p];
-        let _span = span_opt(pe.trace(), ctx.rank as u32, "tmpi_unpack_f", p as i32);
-        for peer in [pd.recv_rank, pd.send_rank] {
-            if !pe.nvlink_reachable(peer) {
-                return Err(ExchangeError::Unreachable {
-                    rank: ctx.rank,
-                    peer,
-                    backend: "thread-MPI",
-                });
-            }
-        }
-        // Region p is final: later pulses were unpacked in earlier loop
-        // iterations.
-        pe.signal(pd.recv_rank, ctx.force_slot(p), sig_val);
-        // Consume the forces computed downstream for the atoms we sent.
-        wait_or_stall(
-            pe,
-            ctx,
-            wd,
-            ExchangePhase::ForceData,
-            p,
-            ctx.force_slot(p),
-            sig_val,
-            Some(pd.send_rank),
-        )?;
-        record_opt(
-            pe.trace(),
-            ctx.rank as u32,
-            Payload::RegionRead {
-                owner: pd.send_rank as u32,
-                region: Region::Forces,
-                lo: pd.remote_recv_offset as u32,
-                hi: (pd.remote_recv_offset + pd.send_index.len()) as u32,
-            },
-        );
-        for (k, &i) in pd.send_index.iter().enumerate() {
-            let v = bufs.forces.get(pd.send_rank, pd.remote_recv_offset + k);
-            bufs.forces.add(ctx.rank, i as usize, v);
-        }
-        // Completion ack: the producer's force region is free for reuse.
-        pe.signal(pd.send_rank, ctx.force_ack_slot(p), sig_val);
+    let mut peers = ctx
+        .pulses
+        .iter()
+        .flat_map(|pd| [pd.recv_rank, pd.send_rank]);
+    if let Some(peer) = peers.find(|&peer| !pe.nvlink_reachable(peer)) {
+        return Err(ExchangeError::Unreachable {
+            rank: ctx.rank,
+            peer,
+            backend: "thread-MPI",
+        });
     }
-    // Epoch fence: wait until this rank's own published regions are acked.
-    for p in 0..ctx.total_pulses {
-        wait_or_stall(
-            pe,
-            ctx,
-            wd,
-            ExchangePhase::ForceAckFence,
-            p,
-            ctx.force_ack_slot(p),
-            sig_val,
-            Some(ctx.pulses[p].recv_rank),
-        )?;
-    }
-    Ok(())
+    fused_comm_unpack_f(pe, ctx, bufs, sig_val, wd)
 }
 
 #[cfg(test)]
@@ -240,8 +178,7 @@ mod tests {
         for r in &part.ranks {
             let got = bufs.forces.snapshot(r.rank);
             for i in 0..r.n_home {
-                let w = expect[r.rank][i];
-                assert!((got[i] - w).norm() <= 1e-4 * w.norm().max(1.0));
+                assert_eq!(got[i], expect[r.rank][i]);
             }
         }
     }

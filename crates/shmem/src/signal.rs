@@ -98,9 +98,13 @@ impl SignalSet {
         }
     }
 
-    /// One step of the spin → yield → sleep escalation ladder.
+    /// One step of the spin → yield → sleep escalation ladder, for the
+    /// `rounds`-th consecutive unsatisfied probe. Returns true once the spin
+    /// rung is exhausted — the point from which a bounded wait consults its
+    /// clock. Waits that poll several slots at once (the fused exchange's
+    /// pulse scheduler) walk the same ladder between sweeps.
     #[inline]
-    fn backoff(rounds: u32) {
+    pub fn backoff(rounds: u32) -> bool {
         if rounds < SPIN_BOUND {
             std::hint::spin_loop();
         } else if rounds < YIELD_BOUND {
@@ -110,12 +114,20 @@ impl SignalSet {
         } else {
             std::thread::sleep(PARK_SLEEP);
         }
+        rounds >= SPIN_BOUND
     }
 
     /// Non-blocking acquire probe.
     #[inline]
     pub fn try_acquire(&self, slot: usize, val: u64) -> bool {
-        self.slots[slot].load(Ordering::Acquire) >= val
+        self.probe(slot, val).is_some()
+    }
+
+    /// [`SignalSet::try_acquire`] returning the value the acquire load saw.
+    #[inline]
+    pub(crate) fn probe(&self, slot: usize, val: u64) -> Option<u64> {
+        let observed = self.slots[slot].load(Ordering::Acquire);
+        (observed >= val).then_some(observed)
     }
 
     /// Acquire-wait with a deadline; returns false on timeout. Used by

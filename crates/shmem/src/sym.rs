@@ -89,25 +89,6 @@ impl SymVec3 {
         s[b + 2].store(v.z.to_bits(), Ordering::Relaxed);
     }
 
-    /// Atomic `+= v` on element `idx` of PE `pe` — CUDA `atomicAdd` per
-    /// component (CAS loops).
-    #[inline]
-    pub fn add(&self, pe: usize, idx: usize, v: Vec3) {
-        let s = &self.segs[pe];
-        let b = idx * 3;
-        for (k, comp) in [v.x, v.y, v.z].into_iter().enumerate() {
-            let cell = &s[b + k];
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let new = (f32::from_bits(cur) + comp).to_bits();
-                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-    }
-
     /// Bulk copy `src` into PE `pe` starting at `offset` (relaxed stores) —
     /// the data half of a put.
     pub fn write_slice(&self, pe: usize, offset: usize, src: &[Vec3]) {
@@ -220,23 +201,6 @@ mod tests {
         let mut dst = vec![Vec3::ZERO; 5];
         b.read_slice(1, 3, &mut dst);
         assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn concurrent_atomic_add_is_exact() {
-        let b = SymVec3::alloc(1, 1);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..4096 {
-                        b.add(0, 0, Vec3::new(1.0, 0.5, 0.25));
-                    }
-                });
-            }
-        });
-        let v = b.get(0, 0);
-        // All sums are powers of two: exactly representable.
-        assert_eq!(v, Vec3::new(32768.0, 16384.0, 8192.0));
     }
 
     #[test]

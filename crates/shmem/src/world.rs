@@ -1286,9 +1286,20 @@ impl<'w> Pe<'w> {
         }
     }
 
-    /// Non-blocking probe of one of my slots.
+    /// Non-blocking probe of one of my slots. A successful probe is a
+    /// completed acquire, so it records the same `SignalWaitDone` a blocking
+    /// wait would; a failed one records nothing.
     pub fn try_signal(&self, slot: usize, val: u64) -> bool {
-        self.world.signals[self.id].try_acquire(slot, val)
+        let observed = self.world.signals[self.id].probe(slot, val);
+        if let Some(observed) = observed {
+            let done = Payload::SignalWaitDone {
+                slot: slot as u32,
+                required: val,
+                observed,
+            };
+            halox_trace::record_opt(self.trace(), self.id as u32, done);
+        }
+        observed.is_some()
     }
 
     /// Device-initiated get: read a peer's segment directly. NVLink only —
@@ -1492,6 +1503,27 @@ mod tests {
             let m = pe.allreduce_max(pe.id as f64);
             assert_eq!(m, 3.0);
         });
+    }
+
+    #[test]
+    fn empty_runs_never_lose_the_proxy_wakeup() {
+        // Regression: the vendored channel's `Sender::drop` notified without
+        // the queue lock, so a proxy between its `senders` check and its
+        // park slept forever — about one launch in a few thousand when the
+        // PE closure returns at once. On a helper thread, so that a relapse
+        // fails here instead of hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let w = ShmemWorld::new(Topology::all_nvlink(2), 1);
+            for _ in 0..20_000 {
+                w.run(|_| ());
+            }
+            done.send(()).expect("test thread waits for the helper");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("an empty world.run hung: lost wake-up on proxy disconnect");
+        helper.join().expect("helper panicked");
     }
 
     #[test]
