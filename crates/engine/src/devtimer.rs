@@ -27,11 +27,17 @@ impl PhaseTimer {
     pub fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
-        let dt = t0.elapsed();
+        self.add(phase, t0.elapsed());
+        out
+    }
+
+    /// Book one invocation of `phase` that took `dt` — for an interval
+    /// [`PhaseTimer::time`] cannot wrap, such as one with a nested phase
+    /// subtracted.
+    pub(crate) fn add(&mut self, phase: &'static str, dt: Duration) {
         let e = self.acc.entry(phase).or_insert((Duration::ZERO, 0));
         e.0 += dt;
         e.1 += 1;
-        out
     }
 
     /// Total time spent in a phase.

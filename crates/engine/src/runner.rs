@@ -1,38 +1,30 @@
 //! The domain-decomposed MD engine: multi-PE time stepping over a halo
 //! exchange backend.
 //!
-//! One PE (thread) per DD rank executes the GPU-resident step skeleton of
-//! the paper's Algorithm 2, functionally:
-//!
-//! 1. coordinate halo exchange (fused NVSHMEM-style or serialized MPI-style)
-//! 2. bonded + non-bonded forces on home+halo copies (zone-pair rule)
-//! 3. force halo exchange (+ accumulation)
-//! 4. leapfrog integration of home atoms
-//!
-//! Every `nstlist` steps the decomposition is rebuilt centrally (the role of
-//! GROMACS' neighbour-search / DD repartition step), coordinates are gathered
-//! and re-scattered, and PEs get fresh index maps.
+//! This module is the run loop around the step program of [`crate::step`]
+//! (the GPU-resident step skeleton of the paper's Algorithm 2): every
+//! `nstlist` steps the decomposition is rebuilt centrally (the role of
+//! GROMACS' neighbour-search / DD repartition step), each rank runs the
+//! segment — one PE per DD rank over a `ShmemWorld`, or every rank on the
+//! calling thread under [`RunMode::Serial`] — and home atoms are gathered
+//! back into the global system. Around that sit the recovery ladder (retry
+//! → transport downgrade → checkpoint rewind) and the run statistics.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint, StatsSnapshot};
 use crate::config::{DlbMode, EngineConfig, ExchangeBackend, RunMode};
 use crate::devtimer::PhaseTimer;
 use crate::dlb::DlbController;
 use crate::health::HealthBoard;
-use crate::nb::NbEvaluator;
-use halox_core::{build_contexts, exec, CommContext, FusedBuffers};
-use halox_core::{ExchangeError, StallReport, Watchdog};
+use crate::step::{self, PeTransport, RankResult, ReferenceTransport};
+use halox_core::{build_contexts, CommContext, ExchangeError, FusedBuffers, StallReport, Watchdog};
 use halox_dd::{
-    reference_coordinate_exchange, reference_force_exchange, try_build_partition_with,
-    try_choose_grid, DdGrid, DdPartition, GridError, GridOptions, PlanError,
+    try_build_partition_with, try_choose_grid, DdGrid, DdPartition, GridError, GridOptions,
+    PlanError,
 };
-use halox_md::forces::{angle_virial, bond_virial, compute_angles, compute_bonds, NonbondedParams};
-use halox_md::pairlist::eighth_shell_rule;
-use halox_md::{integrate, EnergyReport, Frame, System, Vec3};
+use halox_md::{EnergyReport, System};
 use halox_shmem::{
-    ChaosEngine, ProxyConfig, ShmemWorld, TwoSidedComm, Wire, WireError, WireReader, WorldKey,
-    WorldLease,
+    ChaosEngine, ProxyConfig, ShmemWorld, TwoSidedComm, WireError, WorldKey, WorldLease,
 };
-use halox_trace::{record_opt, span_opt, Payload, Region};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -192,44 +184,15 @@ enum SegmentFailure {
     Ranks(Vec<ExchangeError>),
 }
 
-/// Degradation-ladder counters accumulated while segments run.
+/// Degradation-ladder accounting accumulated while segments run: the
+/// durable counters (seeded from a checkpoint on resume, see
+/// [`StatsSnapshot`]) plus the diagnostic vectors, which restart per
+/// process.
 #[derive(Default)]
 struct RecoveryLog {
-    retries: usize,
+    durable: StatsSnapshot,
     downgrades: Vec<Downgrade>,
     stall_reports: Vec<StallReport>,
-    degraded_steps: usize,
-    repromotions: usize,
-    recoveries: usize,
-    rewound_steps: usize,
-    checkpoints_written: usize,
-}
-
-impl RecoveryLog {
-    /// Seed the durable counters from a checkpoint's snapshot; the
-    /// diagnostic vectors restart per process (see [`StatsSnapshot`]).
-    fn seeded(s: StatsSnapshot) -> Self {
-        RecoveryLog {
-            retries: s.retries,
-            degraded_steps: s.degraded_steps,
-            repromotions: s.repromotions,
-            recoveries: s.recoveries,
-            rewound_steps: s.rewound_steps,
-            checkpoints_written: s.checkpoints_written,
-            ..RecoveryLog::default()
-        }
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            retries: self.retries,
-            degraded_steps: self.degraded_steps,
-            repromotions: self.repromotions,
-            recoveries: self.recoveries,
-            rewound_steps: self.rewound_steps,
-            checkpoints_written: self.checkpoints_written,
-        }
-    }
 }
 
 /// Mid-trajectory state a resumed engine starts from.
@@ -242,47 +205,6 @@ struct ResumeSeed {
     stats: StatsSnapshot,
     /// Corrupt files skipped while resolving the resume point.
     corrupt_skipped: usize,
-}
-
-/// Per-rank state carried across a segment and returned to the gatherer.
-struct RankResult {
-    home_ids: Vec<u32>,
-    positions: Vec<Vec3>,
-    velocities: Vec<Vec3>,
-    energies: Vec<EnergyReport>,
-    phases: PhaseTimer,
-    /// Deterministic work units this rank executed over the segment: pair
-    /// interactions in its list plus owned atoms, per force round.
-    work: u64,
-    /// Wall-clock microseconds this rank's segment loop took (the
-    /// `DlbMode::Wallclock` load metric; nondeterministic by nature).
-    wall_us: u64,
-}
-
-/// Wire encoding so rank results can cross the process boundary of the
-/// `procs` world backend (fields in declaration order).
-impl Wire for RankResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.home_ids.encode(out);
-        self.positions.encode(out);
-        self.velocities.encode(out);
-        self.energies.encode(out);
-        self.phases.encode(out);
-        self.work.encode(out);
-        self.wall_us.encode(out);
-    }
-
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(RankResult {
-            home_ids: Wire::decode(r)?,
-            positions: Wire::decode(r)?,
-            velocities: Wire::decode(r)?,
-            energies: Wire::decode(r)?,
-            phases: Wire::decode(r)?,
-            work: u64::decode(r)?,
-            wall_us: u64::decode(r)?,
-        })
-    }
 }
 
 /// The engine owns the global system and runs it decomposed over `grid`.
@@ -301,8 +223,8 @@ pub struct Engine {
     /// run keeps operation counters — and thus fault schedules —
     /// deterministic across segment boundaries.
     chaos: Option<Arc<ChaosEngine>>,
-    /// Per-peer degradation ladder, built lazily with the chaos engine.
-    health: Option<HealthBoard>,
+    /// Per-peer degradation ladder, one entry per DD rank.
+    health: HealthBoard,
     /// Set by [`Engine::resume_from`]/[`Engine::resume_latest`]: the next
     /// `try_run*` continues the trajectory from this state instead of
     /// step 0, and is refreshed at run end so repeated runs keep extending
@@ -353,6 +275,7 @@ impl std::fmt::Debug for Engine {
 impl Engine {
     pub fn new(system: System, grid: DdGrid, config: EngineConfig) -> Self {
         let dlb = DlbController::new(&grid, system.pbc.lengths(), config.r_comm());
+        let health = HealthBoard::new(grid.dims.iter().product());
         Engine {
             system,
             grid,
@@ -360,7 +283,7 @@ impl Engine {
             cached_buffers: None,
             realloc_count: 0,
             chaos: None,
-            health: None,
+            health,
             resume: None,
             last_ckpt: None,
             phases: PhaseTimer::new(),
@@ -549,8 +472,8 @@ impl Engine {
         })
     }
 
-    /// Install a pre-built chaos engine ahead of the lazy construction in
-    /// `ensure_run_state`. A service job that is rescheduled across engines
+    /// Install a pre-built chaos engine ahead of the lazy construction at
+    /// the first segment. A service job that is rescheduled across engines
     /// must carry ONE chaos engine for its whole lifetime: operation
     /// counters live in the engine, so a one-shot fault trigger consumed
     /// before a reschedule stays consumed instead of re-firing in every
@@ -582,14 +505,14 @@ impl Engine {
             step,
             system: self.system.clone(),
             energies: energies.to_vec(),
-            stats: recovery.snapshot(),
+            stats: recovery.durable,
             bounds: self.dlb.bounds.clone(),
         }
     }
 
-    /// Peer health after a run (None before the first segment).
-    pub fn health(&self) -> Option<&HealthBoard> {
-        self.health.as_ref()
+    /// Peer health: every peer `Healthy` until a run records otherwise.
+    pub fn health(&self) -> &HealthBoard {
+        &self.health
     }
 
     /// Step-phase timings of the most recent run (also in
@@ -656,7 +579,10 @@ impl Engine {
                 seed.step as usize,
                 seed.energies,
                 seed.corrupt_skipped,
-                RecoveryLog::seeded(seed.stats),
+                RecoveryLog {
+                    durable: seed.stats,
+                    ..RecoveryLog::default()
+                },
             ),
             None => (0, Vec::new(), 0, RecoveryLog::default()),
         };
@@ -678,7 +604,7 @@ impl Engine {
             if self.last_ckpt.is_none() {
                 // Counter first: a snapshot counts itself, so the tally
                 // stays exact across resumes.
-                recovery.checkpoints_written += 1;
+                recovery.durable.checkpoints_written += 1;
                 let ck = self.make_checkpoint(base as u64, &energies, &recovery);
                 ck.write_atomic(&cfg.dir).map_err(EngineError::Checkpoint)?;
                 self.last_ckpt = Some(ck);
@@ -697,7 +623,7 @@ impl Engine {
                     observer(done, &self.system);
                     if let Some(cfg) = &ckpt_cfg {
                         if seg_index.is_multiple_of(cfg.every_segments.max(1)) {
-                            recovery.checkpoints_written += 1;
+                            recovery.durable.checkpoints_written += 1;
                             let ck = self.make_checkpoint(done as u64, &energies, &recovery);
                             ck.write_atomic(&cfg.dir).map_err(EngineError::Checkpoint)?;
                             Checkpoint::prune(&cfg.dir, cfg.keep.max(1));
@@ -705,8 +631,9 @@ impl Engine {
                         }
                     }
                 }
-                Err(e @ EngineError::SegmentFailed { .. })
-                    if recoveries_left > 0 && self.last_ckpt.is_some() =>
+                Err(EngineError::SegmentFailed { .. })
+                    if recoveries_left > 0
+                        && let Some(ck) = &self.last_ckpt =>
                 {
                     // Supervised rewind-and-replay: the last rung of the
                     // failure ladder (DESIGN.md §3.6). The failed segment
@@ -718,11 +645,9 @@ impl Engine {
                     // op counters are NOT reset — one-shot fault triggers
                     // stay consumed, so kill schedules advance rather than
                     // re-killing every replay.
-                    let _ = e;
-                    let ck = self.last_ckpt.clone().expect("guarded by is_some");
                     recoveries_left -= 1;
-                    recovery.recoveries += 1;
-                    recovery.rewound_steps += done - ck.step as usize;
+                    recovery.durable.recoveries += 1;
+                    recovery.durable.rewound_steps += done - ck.step as usize;
                     done = ck.step as usize;
                     seg_index = 0;
                     self.system = ck.system.clone();
@@ -731,9 +656,7 @@ impl Engine {
                     // replay must repartition exactly as the first pass did.
                     self.dlb.bounds = ck.bounds.clone();
                     self.cached_buffers = None;
-                    if let Some(h) = self.health.as_mut() {
-                        h.recover_failed();
-                    }
+                    self.health.recover_failed();
                     if let Some(c) = &self.chaos {
                         c.revive_all();
                     }
@@ -751,7 +674,7 @@ impl Engine {
             self.resume = Some(ResumeSeed {
                 step: done as u64,
                 energies: energies.clone(),
-                stats: recovery.snapshot(),
+                stats: recovery.durable,
                 corrupt_skipped,
             });
         }
@@ -764,15 +687,15 @@ impl Engine {
                 0.0
             },
             energies,
-            retries: recovery.retries,
+            retries: recovery.durable.retries,
             downgrades: recovery.downgrades,
             stall_reports: recovery.stall_reports,
-            degraded_steps: recovery.degraded_steps,
-            repromotions: recovery.repromotions,
+            degraded_steps: recovery.durable.degraded_steps,
+            repromotions: recovery.durable.repromotions,
             faults_injected: self.chaos.as_ref().map_or(0, |c| c.report().total()),
-            recoveries: recovery.recoveries,
-            rewound_steps: recovery.rewound_steps,
-            checkpoints_written: recovery.checkpoints_written,
+            recoveries: recovery.durable.recoveries,
+            rewound_steps: recovery.durable.rewound_steps,
+            checkpoints_written: recovery.durable.checkpoints_written,
             corrupt_checkpoints_skipped: corrupt_skipped,
             orphan_tmp_swept: self.orphans_swept.unwrap_or(0),
             phases: self.phases.clone(),
@@ -782,54 +705,40 @@ impl Engine {
         })
     }
 
-    /// Make sure the lazily-built chaos engine and health board exist.
-    fn ensure_run_state(&mut self, n_ranks: usize) {
-        if self.health.is_none() {
-            self.health = Some(HealthBoard::new(n_ranks));
-        }
-        if self.chaos.is_none() {
-            if let Some(plan) = &self.config.chaos {
-                self.chaos = Some(Arc::new(ChaosEngine::new(plan.clone(), n_ranks)));
-            }
-        }
-    }
-
     /// One segment through the degradation ladder: attempt on the
     /// health-selected transport, retry with backoff on diagnosed stalls,
-    /// downgrade to the fallback, and only then give up.
+    /// downgrade to the fallback, and only then give up. Vacuous under
+    /// [`RunMode::Serial`]: the reference transport performs no deliveries,
+    /// so nothing can stall or be faulted.
     fn run_segment_with_recovery(
         &mut self,
         steps: usize,
         at_step: usize,
         recovery: &mut RecoveryLog,
     ) -> Result<Vec<EnergyReport>, EngineError> {
-        if self.config.run_mode == RunMode::Serial {
-            // The reference driver performs no deliveries, so nothing can
-            // stall or be faulted: the recovery ladder is vacuous.
-            return self.run_segment_serial(steps);
+        // The chaos engine is built lazily, once per engine (unless preset).
+        if let (None, Some(plan)) = (&self.chaos, &self.config.chaos) {
+            let n_ranks = self.grid.dims.iter().product();
+            self.chaos = Some(Arc::new(ChaosEngine::new(plan.clone(), n_ranks)));
         }
-        let n_ranks = self.grid.dims.iter().product::<usize>();
-        self.ensure_run_state(n_ranks);
         let primary = self.config.backend;
         let wd_cfg = self.config.watchdog;
         let fallback = wd_cfg.fallback;
 
-        let mut backend =
-            if primary != fallback && self.health.as_ref().is_some_and(|h| h.needs_fallback()) {
-                fallback
-            } else {
-                primary
-            };
+        let mut backend = if primary != fallback && self.health.needs_fallback() {
+            fallback
+        } else {
+            primary
+        };
         let mut attempt = 0;
         loop {
             match self.run_segment(steps, backend) {
                 Ok(seg_energies) => {
-                    let health = self.health.as_mut().expect("health board initialized");
                     if backend == primary {
-                        recovery.repromotions += health.record_primary_success();
+                        recovery.durable.repromotions += self.health.record_primary_success();
                     } else {
-                        recovery.degraded_steps += steps;
-                        health.record_fallback_success(wd_cfg.repromote_after);
+                        recovery.durable.degraded_steps += steps;
+                        self.health.record_fallback_success(wd_cfg.repromote_after);
                     }
                     return Ok(seg_energies);
                 }
@@ -865,7 +774,7 @@ impl Engine {
                     suspects.dedup();
                     died.sort_unstable();
                     died.dedup();
-                    let health = self.health.as_mut().expect("health board initialized");
+                    let health = &mut self.health;
                     for &p in &suspects {
                         health.record_stall(p);
                     }
@@ -878,7 +787,7 @@ impl Engine {
                     }
                     if died.is_empty() && attempt < wd_cfg.max_retries {
                         attempt += 1;
-                        recovery.retries += 1;
+                        recovery.durable.retries += 1;
                         std::thread::sleep(wd_cfg.backoff);
                         continue;
                     }
@@ -908,10 +817,10 @@ impl Engine {
         }
     }
 
-    /// One neighbour-search segment on one transport: partition,
-    /// exchange/step loop, gather. A failed attempt leaves `self.system`
-    /// untouched (home atoms are gathered only when every rank succeeds),
-    /// so the caller can retry on a fresh world.
+    /// One neighbour-search segment on one transport: partition, the step
+    /// program of [`crate::step`] on every rank, gather. A failed attempt
+    /// leaves `self.system` untouched (home atoms are gathered only when
+    /// every rank succeeds), so the caller can retry on a fresh world.
     fn run_segment(
         &mut self,
         steps: usize,
@@ -927,10 +836,55 @@ impl Engine {
             self.min_pulses(),
         )
         .map_err(SegmentFailure::Plan)?;
-        let ctxs = build_contexts(&part);
         let n_ranks = part.n_ranks();
-        let system = Arc::new(self.system.clone());
-        let total_pulses = part.total_pulses();
+        let ranks = match cfg.run_mode {
+            // Every rank on this thread, phase by phase, over the reference
+            // exchanges: no world, and `backend` plays no part.
+            RunMode::Serial => {
+                let transport = ReferenceTransport::new(&part, &cfg);
+                step::run_segment(&transport, &part, 0..n_ranks, &self.system, &cfg, steps)
+                    .map_err(|e| SegmentFailure::Ranks(vec![e]))?
+            }
+            RunMode::Threaded => self.run_pes(&part, &cfg, steps)?,
+        };
+
+        // Gather home atoms back into the global system, folding energies
+        // and loads in rank order.
+        let mut energies = vec![EnergyReport::default(); steps];
+        let mut loads = Vec::with_capacity(n_ranks);
+        for (plan, r) in part.ranks.iter().zip(&ranks) {
+            self.phases.merge(&r.phases);
+            loads.push(match cfg.dlb {
+                DlbMode::Wallclock => r.wall_us,
+                _ => r.work,
+            });
+            for (k, &g) in plan.global_ids[..plan.n_home].iter().enumerate() {
+                self.system.positions[g as usize] = self.system.pbc.wrap(r.positions[k]);
+                self.system.velocities[g as usize] = r.velocities[k];
+            }
+            for (s, e) in r.energies.iter().enumerate() {
+                energies[s].nonbonded += e.nonbonded;
+                energies[s].bonds += e.bonds;
+                energies[s].angles += e.angles;
+                energies[s].kinetic += e.kinetic;
+                energies[s].virial += e.virial;
+            }
+        }
+        self.note_segment_loads(&loads);
+        Ok(energies)
+    }
+
+    /// The [`RunMode::Threaded`] executor of one segment attempt: one PE
+    /// per DD rank over a (leased or fresh) world, each advancing its own
+    /// rank. Returns the ranks' results in rank order, or every PE's error.
+    fn run_pes(
+        &mut self,
+        part: &DdPartition,
+        cfg: &EngineConfig,
+        steps: usize,
+    ) -> Result<Vec<RankResult>, SegmentFailure> {
+        let ctxs = build_contexts(part);
+        let n_ranks = part.n_ranks();
 
         // Backend first: for `Procs` building the world flips symmetric
         // allocation to the shared heap, which must happen before
@@ -940,7 +894,7 @@ impl Engine {
         let key = WorldKey {
             backend: cfg.world_backend,
             topology: cfg.topology(n_ranks),
-            n_signal_slots: CommContext::slots_needed(total_pulses),
+            n_signal_slots: CommContext::slots_needed(part.total_pulses()),
         };
         // Modeled interconnect latency: the proxy thread pays it per
         // inter-node message, asynchronously to PE compute (the serial
@@ -1000,649 +954,66 @@ impl Engine {
         };
         let comm = TwoSidedComm::new(n_ranks);
 
-        let part_ref = &part;
-        let ctxs_ref = &ctxs;
-        let bufs_ref = &bufs;
-        let comm_ref = &comm;
-        let sys_ref = &system;
-
+        let system = &self.system;
         let run = world.try_run(|pe| {
-            rank_segment(
+            let seg_t0 = Instant::now();
+            let transport = PeTransport {
                 pe,
-                &part_ref.ranks[pe.id],
-                &ctxs_ref[pe.id],
-                bufs_ref,
-                comm_ref,
-                sys_ref,
-                &cfg,
-                steps,
-                part_ref,
-            )
+                ctx: &ctxs[pe.id],
+                bufs: &bufs,
+                comm: &comm,
+                cfg,
+                wd: Watchdog::new(cfg.watchdog.deadline),
+            };
+            let mut advanced =
+                step::run_segment(&transport, part, pe.id..pe.id + 1, system, cfg, steps)?;
+            // A PE owns its thread, so its `DlbMode::Wallclock` load is the
+            // whole segment (see `RankResult::wall_us`).
+            for r in &mut advanced {
+                r.wall_us = seg_t0.elapsed().as_micros() as u64;
+            }
+            Ok(advanced)
         });
 
         // Capacity survives a failed attempt, so cache either way.
         self.cached_buffers = Some((bufs.clone(), bufs.coords.len(), bufs.force_stage.len()));
 
-        let results = match run {
-            Ok(r) => r,
-            Err(world_err) => {
-                // A PE died (process exit, or an uncaught panic): report one
-                // PeDied per failure so the recovery ladder can mark the
-                // peer Failed and flip to the fallback — never a hang, never
-                // an engine panic.
-                return Err(SegmentFailure::Ranks(
-                    world_err
-                        .failures
-                        .into_iter()
-                        .map(|(pe, cause)| ExchangeError::PeDied {
-                            rank: pe,
-                            peer: pe,
-                            detail: cause.to_string(),
-                        })
-                        .collect(),
-                ));
-            }
-        };
-
-        let errors: Vec<ExchangeError> = results
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect();
-        if !errors.is_empty() {
-            return Err(SegmentFailure::Ranks(errors));
-        }
-
-        // Gather home atoms back into the global system.
-        let mut energies = vec![EnergyReport::default(); steps];
-        let mut loads = vec![0u64; n_ranks];
-        for (idx, r) in results
-            .into_iter()
-            .map(|r| r.expect("errors handled above"))
-            .enumerate()
-        {
-            self.phases.merge(&r.phases);
-            loads[idx] = match cfg.dlb {
-                DlbMode::Wallclock => r.wall_us,
-                _ => r.work,
-            };
-            for (k, &g) in r.home_ids.iter().enumerate() {
-                self.system.positions[g as usize] = self.system.pbc.wrap(r.positions[k]);
-                self.system.velocities[g as usize] = r.velocities[k];
-            }
-            for (s, e) in r.energies.iter().enumerate() {
-                energies[s].nonbonded += e.nonbonded;
-                energies[s].bonds += e.bonds;
-                energies[s].angles += e.angles;
-                energies[s].kinetic += e.kinetic;
-                energies[s].virial += e.virial;
+        // A PE died (process exit, or an uncaught panic): report one PeDied
+        // per failure so the recovery ladder can mark the peer Failed and
+        // flip to the fallback — never a hang, never an engine panic.
+        let outcomes = run.map_err(|world_err| {
+            SegmentFailure::Ranks(
+                world_err
+                    .failures
+                    .into_iter()
+                    .map(|(pe, cause)| ExchangeError::PeDied {
+                        rank: pe,
+                        peer: pe,
+                        detail: cause.to_string(),
+                    })
+                    .collect(),
+            )
+        })?;
+        let mut ranks = Vec::with_capacity(n_ranks);
+        let mut errors = Vec::new();
+        for outcome in outcomes {
+            match outcome {
+                Ok(advanced) => ranks.extend(advanced),
+                Err(e) => errors.push(e),
             }
         }
-        self.note_segment_loads(&loads);
-        Ok(energies)
-    }
-
-    /// One neighbour-search segment under [`RunMode::Serial`]: a single
-    /// host thread advances every rank phase-by-phase — exchange all
-    /// coordinates, compute all forces, exchange all forces, integrate —
-    /// using the serial reference exchanges from `halox_dd`. No world, no
-    /// signal protocol, no chaos deliveries: deterministic by construction,
-    /// and required to be bitwise-identical to what the threaded executor
-    /// produces (DESIGN.md §3.3 spells out the ordering rules that make
-    /// that hold).
-    ///
-    /// When `link_delay_us` is set the driver sleeps the delay inline once
-    /// per inter-node message — the host-driven blocking baseline against
-    /// which `halox-bench threads` measures latency overlap.
-    fn run_segment_serial(&mut self, steps: usize) -> Result<Vec<EnergyReport>, EngineError> {
-        let cfg = self.config.clone();
-        let part = try_build_partition_with(
-            &self.system,
-            &self.grid,
-            &self.dlb.bounds,
-            cfg.r_comm(),
-            self.min_pulses(),
-        )
-        .map_err(EngineError::PlanFailed)?;
-        let n_ranks = part.n_ranks();
-        let system = self.system.clone();
-        let params = NonbondedParams::new(cfg.cutoff);
-        let frame = Frame::for_decomposition(&system.pbc, part.grid.dims);
-        let topology = cfg.topology(n_ranks);
-
-        // Blocking-baseline latency model: one delay per message that
-        // crosses a node boundary (the mirror-image force pulse sends the
-        // same messages, so one count serves both exchanges).
-        let inter_node_msgs = part
-            .ranks
-            .iter()
-            .flat_map(|r| r.pulses.iter().map(move |pd| (r.rank, pd)))
-            .filter(|(src, pd)| {
-                pd.send_count() > 0 && !topology.nvlink_reachable(*src, pd.send_rank)
-            })
-            .count() as u32;
-        let exchange_delay = (cfg.link_delay_us > 0 && inter_node_msgs > 0)
-            .then(|| Duration::from_micros(cfg.link_delay_us) * inter_node_msgs);
-
-        // Per-rank state, in rank order (the threaded executor's PE order).
-        let mut positions: Vec<Vec<Vec3>> = part
-            .ranks
-            .iter()
-            .map(|p| p.build_positions.clone())
-            .collect();
-        let mut velocities: Vec<Vec<Vec3>> = part
-            .ranks
-            .iter()
-            .map(|p| {
-                p.global_ids[..p.n_home]
-                    .iter()
-                    .map(|&g| system.velocities[g as usize])
-                    .collect()
-            })
-            .collect();
-        let mut forces: Vec<Vec<Vec3>> = part
-            .ranks
-            .iter()
-            .map(|p| vec![Vec3::ZERO; p.n_local()])
-            .collect();
-        let mut nbs: Vec<NbEvaluator> = (0..n_ranks)
-            .map(|_| NbEvaluator::new(cfg.nb_kernel))
-            .collect();
-        let mut timer = PhaseTimer::new();
-        let mut per_rank_energies: Vec<Vec<EnergyReport>> =
-            (0..n_ranks).map(|_| Vec::with_capacity(steps)).collect();
-        let ndf = 3.0 * system.n_atoms() as f64 - 3.0;
-        // DLB load accounting, mirroring `rank_segment`: deterministic work
-        // units per rank, and per-rank wall time of the force computation
-        // (the only per-rank-attributable phase a serialized driver has).
-        let mut rank_work = vec![0u64; n_ranks];
-        let mut rank_wall_us = vec![0u64; n_ranks];
-
-        // Exchange + force round over all ranks; returns per-rank
-        // (nonbonded, bonds, angles, virial) in rank order. Mirrors
-        // `rank_segment`'s `force_round!` phase-for-phase.
-        macro_rules! serial_force_round {
-            () => {{
-                reference_coordinate_exchange(&part, &mut positions);
-                if let Some(d) = exchange_delay {
-                    std::thread::sleep(d);
-                }
-                let mut terms = Vec::with_capacity(n_ranks);
-                for (r, plan) in part.ranks.iter().enumerate() {
-                    let round_t0 = Instant::now();
-                    let n_local = plan.n_local();
-                    let disp = &plan.displacement;
-                    let ids = &plan.global_ids;
-                    let sys = &system;
-                    let rule = move |i: usize, j: usize| {
-                        eighth_shell_rule(disp, i, j)
-                            && !sys.is_excluded(ids[i] as usize, ids[j] as usize)
-                    };
-                    forces[r].clear();
-                    forces[r].resize(n_local, Vec3::ZERO);
-                    // Same evaluator, same single staleness decision per
-                    // round as the threaded executor — local tiles, then
-                    // halo tiles, folded in the same order (no overlap
-                    // window here, but the arithmetic is identical).
-                    let (nonbonded, w_nb) = nbs[r].compute(
-                        &frame,
-                        &positions[r],
-                        &plan.kinds,
-                        plan.n_home,
-                        cfg.r_comm(),
-                        cfg.buffer,
-                        &rule,
-                        &params,
-                        &mut forces[r],
-                        &mut timer,
-                    );
-                    let local_ident = |g: u32| Some(g);
-                    let bonds = compute_bonds(
-                        &system.pbc,
-                        &positions[r],
-                        &plan.bonds,
-                        &local_ident,
-                        &mut forces[r],
-                    );
-                    let angles = compute_angles(
-                        &system.pbc,
-                        &positions[r],
-                        &plan.angles,
-                        &local_ident,
-                        &mut forces[r],
-                    );
-                    let virial = w_nb
-                        + bond_virial(&system.pbc, &positions[r], &plan.bonds)
-                        + angle_virial(&system.pbc, &positions[r], &plan.angles);
-                    rank_work[r] += nbs[r].last_pair_count() + plan.n_home as u64;
-                    rank_wall_us[r] += round_t0.elapsed().as_micros() as u64;
-                    terms.push((nonbonded, bonds, angles, virial));
-                }
-                reference_force_exchange(&part, &mut forces);
-                if let Some(d) = exchange_delay {
-                    std::thread::sleep(d);
-                }
-                terms
-            }};
-        }
-
-        // Global KE exactly as the threaded allreduce computes it: fold
-        // from zero in PE index order.
-        let global_ke = |ks: &[f64]| ks.iter().fold(0.0f64, |acc, &k| acc + k);
-
-        match cfg.integrator {
-            crate::config::Integrator::Leapfrog => {
-                for _step in 0..steps {
-                    let terms = serial_force_round!();
-                    let kinetics: Vec<f64> = part
-                        .ranks
-                        .iter()
-                        .enumerate()
-                        .map(|(r, plan)| {
-                            integrate::kinetic_energy(&velocities[r], &plan.inv_mass[..plan.n_home])
-                        })
-                        .collect();
-                    let ke = global_ke(&kinetics);
-                    for (r, plan) in part.ranks.iter().enumerate() {
-                        let (nonbonded, bonds, angles, virial) = terms[r];
-                        per_rank_energies[r].push(EnergyReport {
-                            nonbonded,
-                            bonds,
-                            angles,
-                            kinetic: kinetics[r],
-                            virial,
-                        });
-                        if let Some(t) = cfg.thermostat {
-                            integrate::berendsen_scale(
-                                &mut velocities[r],
-                                ke,
-                                ndf,
-                                t.t_ref,
-                                t.tau_ps,
-                                cfg.dt_ps as f64,
-                            );
-                        }
-                        integrate::leapfrog_step(
-                            &mut positions[r][..plan.n_home],
-                            &mut velocities[r],
-                            &forces[r][..plan.n_home],
-                            &plan.inv_mass[..plan.n_home],
-                            cfg.dt_ps,
-                        );
-                    }
-                }
-            }
-            crate::config::Integrator::VelocityVerlet => {
-                let _ = serial_force_round!();
-                for _step in 0..steps {
-                    for (r, plan) in part.ranks.iter().enumerate() {
-                        integrate::velocity_verlet_start(
-                            &mut positions[r][..plan.n_home],
-                            &mut velocities[r],
-                            &forces[r][..plan.n_home],
-                            &plan.inv_mass[..plan.n_home],
-                            cfg.dt_ps,
-                        );
-                    }
-                    let terms = serial_force_round!();
-                    let kinetics: Vec<f64> = part
-                        .ranks
-                        .iter()
-                        .enumerate()
-                        .map(|(r, plan)| {
-                            integrate::velocity_verlet_finish(
-                                &mut velocities[r],
-                                &forces[r][..plan.n_home],
-                                &plan.inv_mass[..plan.n_home],
-                                cfg.dt_ps,
-                            );
-                            integrate::kinetic_energy(&velocities[r], &plan.inv_mass[..plan.n_home])
-                        })
-                        .collect();
-                    let ke = global_ke(&kinetics);
-                    for (r, _plan) in part.ranks.iter().enumerate() {
-                        let (nonbonded, bonds, angles, virial) = terms[r];
-                        per_rank_energies[r].push(EnergyReport {
-                            nonbonded,
-                            bonds,
-                            angles,
-                            kinetic: kinetics[r],
-                            virial,
-                        });
-                        if let Some(t) = cfg.thermostat {
-                            integrate::berendsen_scale(
-                                &mut velocities[r],
-                                ke,
-                                ndf,
-                                t.t_ref,
-                                t.tau_ps,
-                                cfg.dt_ps as f64,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        self.phases.merge(&timer);
-
-        // Gather — same loop, same accumulation order as the threaded path.
-        let mut energies = vec![EnergyReport::default(); steps];
-        for (r, plan) in part.ranks.iter().enumerate() {
-            for (k, &g) in plan.global_ids[..plan.n_home].iter().enumerate() {
-                self.system.positions[g as usize] = self.system.pbc.wrap(positions[r][k]);
-                self.system.velocities[g as usize] = velocities[r][k];
-            }
-            for (s, e) in per_rank_energies[r].iter().enumerate() {
-                energies[s].nonbonded += e.nonbonded;
-                energies[s].bonds += e.bonds;
-                energies[s].angles += e.angles;
-                energies[s].kinetic += e.kinetic;
-                energies[s].virial += e.virial;
-            }
-        }
-        let loads = match cfg.dlb {
-            DlbMode::Wallclock => rank_wall_us,
-            _ => rank_work,
-        };
-        self.note_segment_loads(&loads);
-        Ok(energies)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rank_segment(
-    pe: &halox_shmem::Pe,
-    plan: &halox_dd::RankPlan,
-    ctx: &CommContext,
-    bufs: &FusedBuffers,
-    comm: &TwoSidedComm,
-    system: &Arc<System>,
-    cfg: &EngineConfig,
-    steps: usize,
-    part: &DdPartition,
-) -> Result<RankResult, ExchangeError> {
-    let n_home = plan.n_home;
-    let n_local = plan.n_local();
-    let params = NonbondedParams::new(cfg.cutoff);
-    let frame = Frame::for_decomposition(&system.pbc, part.grid.dims);
-    let wd = Watchdog::new(cfg.watchdog.deadline);
-    let wd = &wd;
-
-    // Local state: DD-frame positions (home + halo), home velocities.
-    let mut positions = plan.build_positions.clone();
-    let mut velocities: Vec<Vec3> = plan.global_ids[..n_home]
-        .iter()
-        .map(|&g| system.velocities[g as usize])
-        .collect();
-    let mut forces = vec![Vec3::ZERO; n_local];
-    let mut energies = Vec::with_capacity(steps);
-
-    // Pair rule: eighth-shell zone pairs minus intramolecular exclusions.
-    let disp = &plan.displacement;
-    let ids = &plan.global_ids;
-    let sys = system.as_ref();
-    let rule = move |i: usize, j: usize| {
-        eighth_shell_rule(disp, i, j) && !sys.is_excluded(ids[i] as usize, ids[j] as usize)
-    };
-
-    let mut nb = NbEvaluator::new(cfg.nb_kernel);
-    let mut timer = PhaseTimer::new();
-
-    // DLB load accounting: deterministic work units (pairs + owned atoms
-    // per force round) and the segment's wall time on this PE.
-    let mut work: u64 = 0;
-    let seg_t0 = Instant::now();
-
-    // One signal value per exchange round (coordinate and force slots are
-    // disjoint, so a round shares one value); also used as the two-sided
-    // message tag. Monotone within the segment's world.
-    let mut sig: u64 = 0;
-
-    // Exchange + force-computation round shared by both integrators.
-    macro_rules! force_round {
-        () => {{
-            sig += 1;
-            // Overlap window eligibility: the one-sided transports expose a
-            // post-send / pre-wait gap; with the cluster kernel and a
-            // retained list the local (home–home) tile partition runs inside
-            // it, off home coordinates only — arrivals touch the halo tail.
-            let overlap = cfg.nb_overlap
-                && nb.can_overlap()
-                && matches!(
-                    cfg.backend,
-                    ExchangeBackend::NvshmemFused | ExchangeBackend::ThreadMpi
-                );
-            // --- Coordinate halo exchange ---
-            match cfg.backend {
-                ExchangeBackend::NvshmemFused => {
-                    bufs.coords.write_slice(ctx.rank, 0, &positions[..n_home]);
-                    exec::fused_pack_comm_x(pe, ctx, bufs, sig, wd)?;
-                    if overlap {
-                        let _s = span_opt(pe.trace(), ctx.rank as u32, "nb_local_overlap", -1);
-                        nb.compute_local_overlapped(&frame, &positions, &params, &mut timer);
-                    }
-                    exec::wait_coordinate_arrivals(pe, ctx, sig, wd)?;
-                    bufs.coords
-                        .read_slice(ctx.rank, n_home, &mut positions[n_home..]);
-                    // Completion ack: senders may overwrite our halo regions
-                    // next step only after this (cross-step reuse fence).
-                    exec::ack_coordinate_consumed(pe, ctx, sig);
-                }
-                ExchangeBackend::ThreadMpi => {
-                    bufs.coords.write_slice(ctx.rank, 0, &positions[..n_home]);
-                    exec::tmpi::coordinate_exchange(pe, ctx, bufs, sig, wd)?;
-                    if overlap {
-                        let _s = span_opt(pe.trace(), ctx.rank as u32, "nb_local_overlap", -1);
-                        nb.compute_local_overlapped(&frame, &positions, &params, &mut timer);
-                    }
-                    exec::wait_coordinate_arrivals(pe, ctx, sig, wd)?;
-                    bufs.coords
-                        .read_slice(ctx.rank, n_home, &mut positions[n_home..]);
-                    exec::ack_coordinate_consumed(pe, ctx, sig);
-                }
-                ExchangeBackend::Mpi => {
-                    // Two-sided blocking exchange: no window to overlap.
-                    exec::mpi::coordinate_exchange(
-                        comm,
-                        ctx,
-                        sig,
-                        &mut positions,
-                        cfg.trace.as_deref(),
-                    )?;
-                }
-            }
-
-            // --- Forces: the evaluator makes this round's single staleness
-            // decision (the list is rebuilt locally if a fast atom exhausts
-            // the Verlet buffer early; halo *membership* stays fixed until
-            // the next repartition, exactly GROMACS' behaviour between
-            // neighbour-search steps), folds any overlapped local partial,
-            // and runs the remaining tile partitions. ---
-            forces.clear();
-            forces.resize(n_local, Vec3::ZERO);
-            let (nonbonded, w_nb) = {
-                let _s = span_opt(pe.trace(), ctx.rank as u32, "nb_forces", -1);
-                nb.compute(
-                    &frame,
-                    &positions,
-                    &plan.kinds,
-                    n_home,
-                    cfg.r_comm(),
-                    cfg.buffer,
-                    &rule,
-                    &params,
-                    &mut forces,
-                    &mut timer,
-                )
-            };
-            work += nb.last_pair_count() + n_home as u64;
-            let local_ident = |g: u32| Some(g);
-            let bonds = compute_bonds(
-                &system.pbc,
-                &positions,
-                &plan.bonds,
-                &local_ident,
-                &mut forces,
-            );
-            let angles = compute_angles(
-                &system.pbc,
-                &positions,
-                &plan.angles,
-                &local_ident,
-                &mut forces,
-            );
-            // Pairs and bonded terms are each computed on exactly one rank,
-            // so per-rank virials sum to the global one.
-            let virial = w_nb
-                + bond_virial(&system.pbc, &positions, &plan.bonds)
-                + angle_virial(&system.pbc, &positions, &plan.angles);
-
-            // --- Force halo exchange ---
-            match cfg.backend {
-                ExchangeBackend::NvshmemFused => {
-                    // This overwrite of the whole symmetric force buffer is
-                    // exactly the cross-step hazard the ack protocol fences:
-                    // the previous step's `fused_comm_unpack_f` returned only
-                    // after every downstream reader acked.
-                    record_opt(
-                        pe.trace(),
-                        ctx.rank as u32,
-                        Payload::RegionWrite {
-                            owner: ctx.rank as u32,
-                            region: Region::Forces,
-                            lo: 0,
-                            hi: n_local as u32,
-                        },
-                    );
-                    bufs.forces.load_from(ctx.rank, &forces);
-                    exec::fused_comm_unpack_f(pe, ctx, bufs, sig, wd)?;
-                    bufs.forces.read_slice(ctx.rank, 0, &mut forces[..n_home]);
-                }
-                ExchangeBackend::ThreadMpi => {
-                    record_opt(
-                        pe.trace(),
-                        ctx.rank as u32,
-                        Payload::RegionWrite {
-                            owner: ctx.rank as u32,
-                            region: Region::Forces,
-                            lo: 0,
-                            hi: n_local as u32,
-                        },
-                    );
-                    bufs.forces.load_from(ctx.rank, &forces);
-                    exec::tmpi::force_exchange(pe, ctx, bufs, sig, wd)?;
-                    bufs.forces.read_slice(ctx.rank, 0, &mut forces[..n_home]);
-                }
-                ExchangeBackend::Mpi => {
-                    exec::mpi::force_exchange(comm, ctx, sig, &mut forces, cfg.trace.as_deref())?;
-                }
-            }
-            (nonbonded, bonds, angles, virial)
-        }};
-    }
-
-    macro_rules! apply_thermostat {
-        ($kinetic:expr) => {
-            if let Some(t) = cfg.thermostat {
-                // Global kinetic energy via the PGAS all-reduce; every rank
-                // derives the same (bitwise-identical, PE-index-order
-                // reduced) scaling factor. Bounded like every other wait:
-                // a crashed peer expires the collective instead of hanging
-                // the world, so thermostatted runs ride the same recovery
-                // ladder as plain ones.
-                let armed = Instant::now();
-                let global_ke = pe
-                    .allreduce_sum_deadline($kinetic, armed + wd.deadline)
-                    .ok_or_else(|| ExchangeError::CollectiveTimeout {
-                        rank: ctx.rank,
-                        what: "allreduce-sum(kinetic)",
-                        waited_ms: armed.elapsed().as_millis() as u64,
-                    })?;
-                let ndf = 3.0 * system.n_atoms() as f64 - 3.0;
-                integrate::berendsen_scale(
-                    &mut velocities,
-                    global_ke,
-                    ndf,
-                    t.t_ref,
-                    t.tau_ps,
-                    cfg.dt_ps as f64,
-                );
-            } else {
-                let _ = $kinetic;
-            }
-        };
-    }
-
-    match cfg.integrator {
-        crate::config::Integrator::Leapfrog => {
-            for _step in 0..steps {
-                let (nonbonded, bonds, angles, virial) = force_round!();
-                let kinetic = integrate::kinetic_energy(&velocities, &plan.inv_mass[..n_home]);
-                energies.push(EnergyReport {
-                    nonbonded,
-                    bonds,
-                    angles,
-                    kinetic,
-                    virial,
-                });
-                apply_thermostat!(kinetic);
-                integrate::leapfrog_step(
-                    &mut positions[..n_home],
-                    &mut velocities,
-                    &forces[..n_home],
-                    &plan.inv_mass[..n_home],
-                    cfg.dt_ps,
-                );
-            }
-        }
-        crate::config::Integrator::VelocityVerlet => {
-            // Bootstrap: forces at the segment's initial coordinates.
-            let _ = force_round!();
-            for _step in 0..steps {
-                integrate::velocity_verlet_start(
-                    &mut positions[..n_home],
-                    &mut velocities,
-                    &forces[..n_home],
-                    &plan.inv_mass[..n_home],
-                    cfg.dt_ps,
-                );
-                let (nonbonded, bonds, angles, virial) = force_round!();
-                integrate::velocity_verlet_finish(
-                    &mut velocities,
-                    &forces[..n_home],
-                    &plan.inv_mass[..n_home],
-                    cfg.dt_ps,
-                );
-                // Positions and velocities are synchronous: record the
-                // proper conserved energy of this step.
-                let kinetic = integrate::kinetic_energy(&velocities, &plan.inv_mass[..n_home]);
-                energies.push(EnergyReport {
-                    nonbonded,
-                    bonds,
-                    angles,
-                    kinetic,
-                    virial,
-                });
-                apply_thermostat!(kinetic);
-            }
+        if errors.is_empty() {
+            Ok(ranks)
+        } else {
+            Err(SegmentFailure::Ranks(errors))
         }
     }
-
-    Ok(RankResult {
-        home_ids: plan.global_ids[..n_home].to_vec(),
-        positions: positions[..n_home].to_vec(),
-        velocities,
-        energies,
-        phases: timer,
-        work,
-        wall_us: seg_t0.elapsed().as_micros() as u64,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halox_md::{GrappaBuilder, MinimizeOptions, ReferenceSimulation};
+    use halox_md::{GrappaBuilder, MinimizeOptions, ReferenceSimulation, Vec3};
 
     fn relaxed_system(n: usize, seed: u64) -> System {
         let mut sys = GrappaBuilder::new(n).seed(seed).temperature(200.0).build();
@@ -1905,6 +1276,49 @@ mod tests {
     }
 
     #[test]
+    fn both_executors_time_the_same_phases() {
+        use crate::config::{Integrator, NbKernel, RunMode};
+        // Each phase exists once in the step program, so both executors
+        // report the same phase names (the overlap window adds
+        // `pack_overlap` on a PE) and, for the per-round phases, one
+        // invocation per rank per force round.
+        let sys = relaxed_system(1500, 93);
+        let (steps, nstlist, ranks) = (10, 5, 2);
+        for integrator in [Integrator::Leapfrog, Integrator::VelocityVerlet] {
+            let phases = |mode: RunMode| {
+                let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+                cfg.nstlist = nstlist;
+                cfg.run_mode = mode;
+                cfg.integrator = integrator;
+                cfg.nb_kernel = NbKernel::Cluster;
+                let mut engine = Engine::new(sys.clone(), DdGrid::new([ranks, 1, 1]), cfg);
+                engine.run(steps).phases
+            };
+            let (serial, threaded) = (phases(RunMode::Serial), phases(RunMode::Threaded));
+            let names = |t: &PhaseTimer| -> Vec<&str> {
+                let all = t.iter().map(|(name, _, _)| name);
+                all.filter(|&name| name != "pack_overlap").collect()
+            };
+            assert_eq!(names(&serial), names(&threaded), "{integrator:?}");
+            let count = |t: &PhaseTimer, phase: &str| {
+                let found = t.iter().find(|(name, _, _)| *name == phase);
+                found.map_or(0, |(_, _, n)| n as usize)
+            };
+            // Velocity Verlet bootstraps each segment with one more round.
+            let rounds = match integrator {
+                Integrator::Leapfrog => steps,
+                Integrator::VelocityVerlet => steps + steps / nstlist,
+            };
+            for phase in ["halo_x", "nb_halo", "bonded", "halo_f"] {
+                assert_eq!(count(&serial, phase), ranks * rounds, "{phase}");
+                assert_eq!(count(&threaded, phase), ranks * rounds, "{phase}");
+            }
+            assert!(count(&serial, "integrate") >= ranks * steps);
+            assert_eq!(count(&serial, "integrate"), count(&threaded, "integrate"));
+        }
+    }
+
+    #[test]
     fn fault_free_run_reports_no_recovery_activity() {
         let sys = relaxed_system(3000, 87);
         let (_, stats) = run_engine(&sys, [2, 2, 1], ExchangeBackend::NvshmemFused, 10);
@@ -1977,7 +1391,7 @@ mod tests {
         assert_eq!(d.to, ExchangeBackend::Mpi);
         assert!(!d.suspects.is_empty());
         assert!(stats.degraded_steps > 0);
-        let health = engine.health().expect("health board built");
+        let health = engine.health();
         assert!(d
             .suspects
             .iter()
@@ -2012,7 +1426,7 @@ mod tests {
         let stats = engine.try_run(10).expect("run must complete");
         assert_eq!(stats.downgrades.len(), 1);
         assert!(stats.repromotions >= 1, "suspect peer must be re-promoted");
-        let health = engine.health().expect("health board built");
+        let health = engine.health();
         for p in 0..2 {
             assert_eq!(health.state(p), crate::health::PeerState::Healthy);
         }
@@ -2241,7 +1655,7 @@ mod tests {
             &stats.energies,
         );
         // The revived peer served its probation and is healthy again.
-        let health = engine.health().expect("health board built");
+        let health = engine.health();
         assert_eq!(health.state(1), crate::health::PeerState::Healthy);
         let _ = std::fs::remove_dir_all(&dir);
     }

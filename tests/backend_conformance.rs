@@ -559,7 +559,7 @@ fn killed_pe_process_recovers_via_rewind_on_procs() {
         &(engine.system.clone(), stats),
         &reference,
     );
-    let health = engine.health().expect("health board built");
+    let health = engine.health();
     assert_eq!(health.state(1), PeerState::Healthy, "victim rehabilitated");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -211,7 +211,7 @@ fn permanent_crash_reports_full_diagnosis() {
         "at least one diagnosis must finger the crashed PE {victim}"
     );
     // The victim is off the fused path for good.
-    let health = engine.health().expect("health board built");
+    let health = engine.health();
     assert!(
         !matches!(health.state(victim), halox::engine::PeerState::Healthy),
         "crashed peer must not be considered healthy"

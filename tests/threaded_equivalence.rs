@@ -149,16 +149,26 @@ fn kernel_and_overlap_choices_stay_bitwise_between_executors() {
 #[test]
 fn threaded_matches_serial_bitwise_velocity_verlet() {
     // Velocity Verlet runs an extra force round per segment with its own
-    // signal sequencing; it must stay bitwise-deterministic too.
+    // signal sequencing (two-sided: its own message tags); it must stay
+    // bitwise-deterministic too, on every transport.
     let sys = relaxed_system(402, 2400);
-    let mk = |mode| {
-        let mut cfg = config(ExchangeBackend::NvshmemFused, Some(2), mode);
+    let mk = |backend, gpus, mode| {
+        let mut cfg = config(backend, gpus, mode);
         cfg.integrator = Integrator::VelocityVerlet;
         cfg
     };
-    let serial = run(&sys, [2, 2, 1], mk(RunMode::Serial), 8);
-    let threaded = run(&sys, [2, 2, 1], mk(RunMode::Threaded), 8);
-    assert_bitwise("velocity-verlet", &serial, &threaded);
+    let fused = ExchangeBackend::NvshmemFused;
+    let serial = run(&sys, [2, 2, 1], mk(fused, Some(2), RunMode::Serial), 8);
+    for (backend, gpus) in [
+        (fused, Some(2)),
+        (ExchangeBackend::ThreadMpi, None), // single NVLink island only
+        (ExchangeBackend::Mpi, None),
+    ] {
+        let threaded = run(&sys, [2, 2, 1], mk(backend, gpus, RunMode::Threaded), 8);
+        let label = format!("velocity-verlet {backend:?}");
+        assert_bitwise(&label, &serial, &threaded);
+        assert!(threaded.1.downgrades.is_empty(), "{label}: no downgrade");
+    }
 }
 
 #[test]
