@@ -1,8 +1,8 @@
 //! `halox-bench backends` — threads vs procs world-backend sweep.
 //!
 //! Measures the put-with-signal round-trip of the two PGAS world backends
-//! (in-process threads vs forked processes over the `memfd` symmetric
-//! heap, DESIGN.md §3.5) on both delivery paths — direct NVLink-style
+//! (in-process threads vs forked processes, DESIGN.md §3.5) on both
+//! delivery paths — direct NVLink-style
 //! stores and proxied "IB" puts through the per-PE proxy (threads) or
 //! Unix-socket engine (procs) — across message sizes, and writes the
 //! table to `results/backends.json`. An engine-level row compares full

@@ -886,11 +886,9 @@ impl Engine {
         let ctxs = build_contexts(part);
         let n_ranks = part.n_ranks();
 
-        // Backend first: for `Procs` building the world flips symmetric
-        // allocation to the shared heap, which must happen before
-        // FusedBuffers / TwoSidedComm below allocate anything the forked
-        // PEs will touch. (Reusing a leased procs world means the heap flip
-        // already happened at its construction — the flip is sticky.)
+        // The backend only picks how PEs are launched: the buffers and comm
+        // below are fork-shared whichever it is, and need only exist before
+        // `try_run`.
         let key = WorldKey {
             backend: cfg.world_backend,
             topology: cfg.topology(n_ranks),

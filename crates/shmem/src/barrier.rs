@@ -12,8 +12,8 @@ use std::time::Instant;
 pub struct BarrierTimeout;
 
 /// Reusable barrier for a fixed number of participants. The two cells
-/// (arrival count, generation) live in `Slots` storage so the process
-/// backend's forked PEs rendezvous on the same physical words.
+/// (arrival count, generation) live in `Slots` storage so forked PEs
+/// rendezvous on the same physical words as PE threads do.
 #[derive(Debug)]
 pub struct SenseBarrier {
     n: usize,
@@ -26,7 +26,7 @@ impl SenseBarrier {
         assert!(n >= 1);
         SenseBarrier {
             n,
-            cells: Slots::alloc(2),
+            cells: Slots::alloc(2).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 

@@ -31,10 +31,11 @@
 //! a fault-free operation: with no chaos attached the hot paths are
 //! untouched.
 
+use crate::shared;
 use crate::signal::SignalSet;
-use crate::sym::SymVec3;
+use crate::sym::{store_vec3s, SymVec3};
 use halox_md::Vec3;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -141,6 +142,15 @@ impl FaultPlan {
         }
     }
 
+    /// The fault-plan seed the test suites sweep: `HALOX_CHAOS_SEED`, or 1.
+    /// The only reader of that variable.
+    pub fn env_seed() -> u64 {
+        std::env::var("HALOX_CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1)
+    }
+
     /// The built-in adversarial sweep: one plan per fault class, with the
     /// victim PE and trigger position derived deterministically from
     /// `seed`. `stall` sizes the bounded-stall plans; pass a value above
@@ -215,11 +225,14 @@ pub enum Delivery {
         signal: Option<(usize, u64)>,
     },
     /// A put whose target arrived over the socket proxy as a raw symmetric
-    /// segment name (base address already validated against the shared
-    /// mapping by `shared::shared_words`). The words are the same physical
-    /// memory `Delivery::Put` would address through its `SymVec3` handle.
+    /// segment name (base address + word count). Only a name: the words —
+    /// the same physical memory `Delivery::Put` would address through its
+    /// `SymVec3` handle — are resolved against the live mappings at the
+    /// moment of the write, because a delivery held for reordering can
+    /// outlive its target.
     PutRaw {
-        seg: &'static [std::sync::atomic::AtomicU32],
+        addr: usize,
+        words: usize,
         dst_pe: usize,
         offset: usize,
         payload: Vec<Vec3>,
@@ -242,8 +255,10 @@ impl Delivery {
 
     /// Apply this delivery to the destination PE's memory and signal set.
     /// `drop_signal` swallows the signal component (lost-doorbell faults).
-    pub fn apply(self, signals: &[Arc<SignalSet>], drop_signal: bool) {
-        match self {
+    /// False for a raw put whose target is not (or no longer) live: it lands
+    /// nowhere, signal included.
+    pub fn apply(self, signals: &[Arc<SignalSet>], drop_signal: bool) -> bool {
+        let (dst_pe, signal) = match self {
             Delivery::Put {
                 buf,
                 dst_pe,
@@ -252,37 +267,28 @@ impl Delivery {
                 signal,
             } => {
                 buf.write_slice(dst_pe, offset, &payload);
-                if let Some((slot, val)) = signal {
-                    if !drop_signal {
-                        signals[dst_pe].release_max(slot, val);
-                    }
-                }
+                (dst_pe, signal)
             }
             Delivery::PutRaw {
-                seg,
+                addr,
+                words,
                 dst_pe,
                 offset,
                 payload,
                 signal,
             } => {
-                for (k, v) in payload.iter().enumerate() {
-                    let b = (offset + k) * 3;
-                    seg[b].store(v.x.to_bits(), Ordering::Relaxed);
-                    seg[b + 1].store(v.y.to_bits(), Ordering::Relaxed);
-                    seg[b + 2].store(v.z.to_bits(), Ordering::Relaxed);
+                let write = |seg: &[AtomicU32]| store_vec3s(&seg[offset * 3..], &payload);
+                if shared::with_live_words(addr, words, write).is_none() {
+                    return false;
                 }
-                if let Some((slot, val)) = signal {
-                    if !drop_signal {
-                        signals[dst_pe].release_max(slot, val);
-                    }
-                }
+                (dst_pe, signal)
             }
-            Delivery::Signal { dst_pe, slot, val } => {
-                if !drop_signal {
-                    signals[dst_pe].release_max(slot, val);
-                }
-            }
+            Delivery::Signal { dst_pe, slot, val } => (dst_pe, Some((slot, val))),
+        };
+        if let (Some((slot, val)), false) = (signal, drop_signal) {
+            signals[dst_pe].release_max(slot, val);
         }
+        true
     }
 }
 

@@ -92,7 +92,7 @@ pub struct Collectives {
 impl Collectives {
     pub fn new(npes: usize) -> Self {
         Collectives {
-            slots: Slots::alloc(npes),
+            slots: Slots::alloc(npes).unwrap_or_else(|e| panic!("{e}")),
             barrier: SenseBarrier::new(npes),
         }
     }

@@ -4,9 +4,11 @@
 //! semantics without NVSHMEM hardware: a partitioned global address space,
 //! one-sided puts/gets, put-with-signal, acquire/release signal ordering,
 //! and the NVLink-direct vs network-proxy transport split. PEs are OS
-//! threads; "GPU memory" is per-PE segments of relaxed atomic words; all
-//! inter-PE ordering flows through release/acquire signals, mirroring the
-//! paper's use of PTX `st.release.sys` / acquire loads (§5.2).
+//! threads (or forked processes); "GPU memory" is per-PE segments of relaxed
+//! atomic words in fork-shared mappings their owner frees on drop
+//! ([`shared`]); all inter-PE ordering flows through release/acquire
+//! signals, mirroring the paper's use of PTX `st.release.sys` / acquire
+//! loads (§5.2).
 //!
 //! Also provided: a two-sided message fabric ([`twosided`]) as the GPU-aware
 //! MPI stand-in for the baseline halo exchange, a sense-reversing barrier,
@@ -52,11 +54,11 @@ pub use barrier::{BarrierTimeout, SenseBarrier};
 pub use chaos::{ChaosEngine, ChaosReport, FaultKind, FaultOp, FaultPlan, FaultRule};
 pub use collectives::{AtomicF64, Collectives};
 pub use pool::{PoolStats, WorldKey, WorldLease, WorldPool};
-pub use shared::{enable_shared_heap, shared_heap_enabled, Slots};
+pub use shared::{Slots, SymAllocError};
 pub use signal::SignalSet;
 pub use sym::{SymF32, SymVec3};
 pub use team::{Team, TeamSymVec3};
-pub use twosided::{Message, TwoSidedComm};
+pub use twosided::TwoSidedComm;
 pub use wire::{crc32, Wire, WireError, WireReader};
 pub use world::{
     Fabric, Pe, PeFailure, ProxyConfig, ShmemWorld, Topology, WorldBackend, WorldError,

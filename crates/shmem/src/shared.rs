@@ -1,24 +1,21 @@
-//! Cross-process symmetric heap: a `memfd_create` + `mmap(MAP_SHARED)`
-//! arena, plus the tiny process-control FFI surface the `procs` world
-//! backend needs (`fork`, `waitpid`, `_exit`).
+//! The symmetric heap — owned, fork-shared mappings — plus the tiny
+//! process-control FFI surface the `procs` world backend needs (`fork`,
+//! `waitpid`, `_exit`).
 //!
-//! The threaded backend shares one heap for free; forked PEs do not. When
-//! the process backend is selected (env `HALOX_BACKEND=procs` or
-//! [`enable_shared_heap`]), every symmetric allocation — signal slots, ack
-//! slots, collective deposit slots, barrier cells, `SymVec3` segments and
-//! the two-sided ring buffers — is carved out of a single file-backed
-//! shared mapping instead of the process heap. The mapping is created
-//! *before* any fork, so parent and children see the same virtual
-//! addresses: a raw segment pointer is a valid cross-process name for a
-//! symmetric region, which is exactly how the socket proxy frames name
+//! Every symmetric allocation — signal slots, collective deposit slots,
+//! barrier cells, `SymVec3` segments, the two-sided rings, the procs trace
+//! shadow — is one [`Slots`]: a zero-filled `mmap(MAP_SHARED |
+//! MAP_ANONYMOUS)` region that is `munmap`ped when its owner drops it. A
+//! mapping made at any time *before* a fork is inherited by the forked PEs
+//! at the same virtual address, so PE threads and PE processes address the
+//! same physical words and a raw segment pointer is a valid cross-process
+//! name for a symmetric region — which is how the socket proxy frames name
 //! their put targets (DESIGN.md §3.5).
 //!
-//! Allocation is a bump cursor stored *inside* the mapping itself, so
-//! post-fork allocations (e.g. a team split inside a PE) still reserve
-//! globally disjoint ranges. Memory is never freed — the arena outlives
-//! every world, mirroring NVSHMEM's symmetric-heap lifetime. The mapping
-//! reserves a large virtual range; physical pages materialize on first
-//! touch, so the reservation itself costs nothing.
+//! A mapping made *inside* a forked PE would be private to that process, a
+//! ghost no peer can see, so [`Slots::alloc`] refuses there
+//! ([`SymAllocError::InForkedPe`]): allocation is sealed at the fork, the
+//! way `nvshmem_malloc` is collective.
 //!
 //! We declare the handful of libc entry points ourselves instead of
 //! depending on the `libc` crate: std already links glibc, and glibc's
@@ -26,21 +23,22 @@
 //! makes allocating in a child forked from a multithreaded test harness
 //! safe — a raw `SYS_fork` would not be.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Once, RwLock};
 
 mod ffi {
-    use std::os::raw::{c_char, c_int, c_uint, c_void};
+    use std::os::raw::{c_int, c_void};
 
     pub const PROT_READ: c_int = 1;
     pub const PROT_WRITE: c_int = 2;
     pub const MAP_SHARED: c_int = 1;
+    pub const MAP_ANONYMOUS: c_int = 0x20;
     pub const EINTR: c_int = 4;
     pub const SIGKILL: c_int = 9;
 
     extern "C" {
-        pub fn memfd_create(name: *const c_char, flags: c_uint) -> c_int;
-        pub fn ftruncate(fd: c_int, length: i64) -> c_int;
         pub fn mmap(
             addr: *mut c_void,
             len: usize,
@@ -49,7 +47,7 @@ mod ffi {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn close(fd: c_int) -> c_int;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub fn fork() -> c_int;
         pub fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
         pub fn kill(pid: c_int, sig: c_int) -> c_int;
@@ -58,187 +56,214 @@ mod ffi {
     }
 }
 
-/// Virtual size of the arena. Pages are demand-allocated; tier-1 runs touch
-/// a few tens of megabytes at most.
-const ARENA_BYTES: usize = 1 << 30;
-/// Every allocation is aligned to (and padded to a multiple of) this, which
-/// also keeps hot slots on distinct cache lines.
-const ALIGN: usize = 128;
+/// Set in the child by [`fork_pe`] and never cleared: a PE leaves via
+/// [`exit_now`].
+static IN_FORKED_PE: AtomicBool = AtomicBool::new(false);
 
-struct SharedArena {
-    base: *mut u8,
-    size: usize,
+/// The live mappings of this process: base address → bytes of cells.
+/// Written by [`Slots::alloc`] and `Drop`, read only by the socket proxy
+/// ([`with_live_words`]). Never locked inside a forked PE — the fork may
+/// have snapshotted it while another thread held it.
+static LIVE: RwLock<BTreeMap<usize, usize>> = RwLock::new(BTreeMap::new());
+
+fn in_forked_pe() -> bool {
+    IN_FORKED_PE.load(Ordering::Relaxed)
 }
 
-// The arena hands out references to atomics only; the base pointer itself
-// is never aliased mutably.
-unsafe impl Send for SharedArena {}
-unsafe impl Sync for SharedArena {}
-
-static ARENA: OnceLock<SharedArena> = OnceLock::new();
-static FORCED: AtomicBool = AtomicBool::new(false);
-
-fn env_selects_procs() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("HALOX_BACKEND")
-            .map(|v| v.eq_ignore_ascii_case("procs"))
-            .unwrap_or(false)
-    })
+/// How many symmetric mappings this process holds right now — flat across
+/// build/drop cycles when nothing leaks.
+pub fn live_mappings() -> usize {
+    LIVE.read().unwrap_or_else(|p| p.into_inner()).len()
 }
 
-/// True when symmetric allocations should land in the shared mapping.
-pub fn shared_heap_enabled() -> bool {
-    FORCED.load(Ordering::Relaxed) || env_selects_procs()
+/// Why a symmetric allocation was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SymAllocError {
+    /// Called inside a forked PE, where the mapping would be private to
+    /// that one process. Allocate before `ShmemWorld::run`.
+    InForkedPe,
+    /// `cells * size_of::<T>()` does not fit a mapping.
+    TooLarge { cells: usize },
+    /// `mmap` failed (address space or `vm.max_map_count` exhausted).
+    MapFailed { bytes: usize, errno: i32 },
 }
 
-/// Programmatically switch symmetric allocation to the shared mapping (the
-/// env-free way tests opt into the `procs` backend). Sticky for the
-/// process lifetime; existing heap-backed allocations stay valid. Also
-/// eagerly maps the arena so it exists before any fork.
-pub fn enable_shared_heap() {
-    FORCED.store(true, Ordering::Relaxed);
-    arena();
-}
-
-fn arena() -> &'static SharedArena {
-    ARENA.get_or_init(|| unsafe {
-        let fd = ffi::memfd_create(c"halox-symheap".as_ptr(), 0);
-        assert!(fd >= 0, "memfd_create failed (errno path)");
-        assert_eq!(
-            ffi::ftruncate(fd, ARENA_BYTES as i64),
-            0,
-            "ftruncate({ARENA_BYTES}) failed"
-        );
-        let p = ffi::mmap(
-            std::ptr::null_mut(),
-            ARENA_BYTES,
-            ffi::PROT_READ | ffi::PROT_WRITE,
-            ffi::MAP_SHARED,
-            fd,
-            0,
-        );
-        assert!(
-            p as isize != -1 && !p.is_null(),
-            "mmap of shared symmetric heap failed"
-        );
-        ffi::close(fd);
-        // First ALIGN bytes are the arena header: the bump cursor lives in
-        // the mapping so forked children allocate disjoint ranges too.
-        let cursor = &*(p as *const AtomicUsize);
-        cursor.store(ALIGN, Ordering::Relaxed);
-        SharedArena {
-            base: p as *mut u8,
-            size: ARENA_BYTES,
-        }
-    })
-}
-
-/// Types that are valid when their backing bytes are all zero — what the
-/// fresh memfd pages provide. Implemented only for the atomic cells the
-/// symmetric heap stores.
-///
-/// # Safety
-/// Implementors must be valid for the all-zero bit pattern and tolerate
-/// concurrent access through shared references (atomics).
-pub unsafe trait Zeroable {}
-
-unsafe impl Zeroable for AtomicU32 {}
-unsafe impl Zeroable for std::sync::atomic::AtomicU64 {}
-unsafe impl Zeroable for AtomicUsize {}
-unsafe impl Zeroable for crossbeam::utils::CachePadded<std::sync::atomic::AtomicU64> {}
-unsafe impl Zeroable for crate::atomicf32::AtomicF32 {}
-unsafe impl Zeroable for crate::collectives::AtomicF64 {}
-
-/// Allocate `n` zeroed cells of `T` from the shared mapping.
-pub fn alloc_shared<T: Zeroable>(n: usize) -> &'static [T] {
-    assert!(std::mem::align_of::<T>() <= ALIGN);
-    let a = arena();
-    let bytes = n
-        .checked_mul(std::mem::size_of::<T>())
-        .expect("shared allocation size overflow");
-    let padded = bytes.div_ceil(ALIGN) * ALIGN;
-    let cursor = unsafe { &*(a.base as *const AtomicUsize) };
-    let start = cursor.fetch_add(padded, Ordering::AcqRel);
-    assert!(
-        start + padded <= a.size,
-        "shared symmetric heap exhausted ({} bytes requested at offset {start})",
-        padded
-    );
-    unsafe { std::slice::from_raw_parts(a.base.add(start) as *const T, n) }
-}
-
-/// Storage for an array of symmetric cells: process-heap by default,
-/// shared-mapping when the process backend is (or may be) in play. Both
-/// variants deref to `[T]`; the shared variant's cells are visible at the
-/// same address in every forked PE.
-pub enum Slots<T: 'static> {
-    Heap(Box<[T]>),
-    Shared(&'static [T]),
-}
-
-impl<T: Zeroable + Default> Slots<T> {
-    /// Allocate `n` zeroed cells in whichever storage the selected backend
-    /// requires.
-    pub fn alloc(n: usize) -> Self {
-        if shared_heap_enabled() {
-            Slots::Shared(alloc_shared(n))
-        } else {
-            Slots::Heap((0..n).map(|_| T::default()).collect())
+impl std::fmt::Display for SymAllocError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SymAllocError::InForkedPe => write!(
+                f,
+                "symmetric allocation inside a forked PE (no peer could see it); \
+                 allocate before the world runs"
+            ),
+            SymAllocError::TooLarge { cells } => {
+                write!(f, "symmetric allocation of {cells} cells overflows")
+            }
+            SymAllocError::MapFailed { bytes, errno } => {
+                write!(f, "mmap of {bytes} symmetric bytes failed (errno {errno})")
+            }
         }
     }
 }
 
-impl<T> Slots<T> {
-    pub fn is_shared(&self) -> bool {
-        matches!(self, Slots::Shared(_))
+impl std::error::Error for SymAllocError {}
+
+/// Types that are valid when their backing bytes are all zero — what a
+/// fresh mapping provides. Implemented only for the atomic cells the
+/// symmetric heap stores.
+///
+/// # Safety
+/// Implementors must be valid for the all-zero bit pattern, tolerate
+/// concurrent access through shared references (atomics), and need no
+/// `Drop`: cells are unmapped, never dropped.
+pub unsafe trait Zeroable {}
+
+unsafe impl Zeroable for AtomicU32 {}
+unsafe impl Zeroable for AtomicU64 {}
+unsafe impl Zeroable for AtomicUsize {}
+unsafe impl Zeroable for crossbeam::utils::CachePadded<AtomicU64> {}
+unsafe impl Zeroable for crate::atomicf32::AtomicF32 {}
+unsafe impl Zeroable for crate::collectives::AtomicF64 {}
+
+/// An owned array of symmetric cells: one fork-shared mapping, visible at
+/// the same address in every PE forked while it lives, given back to the
+/// kernel on drop. Derefs to `[T]`.
+pub struct Slots<T> {
+    cells: NonNull<T>,
+    len: usize,
+}
+
+// SAFETY: a `Slots` owns its mapping and hands out only `&T`, so sending it
+// moves the unmap and sharing it shares `&T` — both sound for `T: Sync`.
+unsafe impl<T: Sync> Send for Slots<T> {}
+unsafe impl<T: Sync> Sync for Slots<T> {}
+
+impl<T: Zeroable> Slots<T> {
+    /// Map `n` zeroed cells. The kernel rounds the mapping to whole pages,
+    /// which also aligns it for any `T` the heap stores.
+    pub fn alloc(n: usize) -> Result<Self, SymAllocError> {
+        const { assert!(!std::mem::needs_drop::<T>() && std::mem::align_of::<T>() <= 4096) };
+        if in_forked_pe() {
+            return Err(SymAllocError::InForkedPe);
+        }
+        let bytes = n
+            .checked_mul(std::mem::size_of::<T>())
+            .filter(|&b| b < isize::MAX as usize)
+            .ok_or(SymAllocError::TooLarge { cells: n })?;
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing this process owns.
+        let p = unsafe {
+            ffi::mmap(
+                std::ptr::null_mut(),
+                bytes.max(1),
+                ffi::PROT_READ | ffi::PROT_WRITE,
+                ffi::MAP_SHARED | ffi::MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        let Some(cells) = NonNull::new(p.cast::<T>()).filter(|_| p as isize != -1) else {
+            // SAFETY: glibc's thread-local errno slot is always readable.
+            let errno = unsafe { *ffi::__errno_location() };
+            return Err(SymAllocError::MapFailed { bytes, errno });
+        };
+        LIVE.write()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(p as usize, bytes);
+        Ok(Slots { cells, len: n })
+    }
+}
+
+impl<T> Drop for Slots<T> {
+    fn drop(&mut self) {
+        // A forked PE's mappings die with its process, and its copy of the
+        // index must not be locked.
+        if in_forked_pe() {
+            return;
+        }
+        // Unmapped under the write lock: a proxy that validated a name
+        // finishes its stores before the pages go, and a mapping the kernel
+        // places at this address next cannot be indexed before this entry
+        // is gone.
+        let mut live = LIVE.write().unwrap_or_else(|p| p.into_inner());
+        live.remove(&(self.cells.as_ptr() as usize));
+        let bytes = (self.len * std::mem::size_of::<T>()).max(1);
+        // SAFETY: exactly the range `alloc` mapped; `&mut self` proves no
+        // borrow of the cells is left.
+        unsafe { ffi::munmap(self.cells.as_ptr().cast(), bytes) };
     }
 }
 
 impl<T> std::ops::Deref for Slots<T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        match self {
-            Slots::Heap(b) => b,
-            Slots::Shared(s) => s,
-        }
+        // SAFETY: `cells` heads a mapping of `len` cells that only `Drop`
+        // unmaps, and zero-filled cells are valid `T` (`Zeroable`).
+        unsafe { std::slice::from_raw_parts(self.cells.as_ptr(), self.len) }
     }
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for Slots<T> {
+impl<T> std::fmt::Debug for Slots<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tag = if self.is_shared() { "shared" } else { "heap" };
-        write!(f, "Slots<{tag}>({} cells)", self.len())
+        write!(f, "Slots({} cells)", self.len)
     }
 }
 
-/// Reconstruct a symmetric word segment from its cross-process name (base
-/// address + word count), validating that the range lies inside the shared
-/// mapping. `None` means the address is not a symmetric-heap pointer — the
-/// socket proxy rejects such puts instead of scribbling on arbitrary
-/// memory.
-pub fn shared_words(addr: usize, words: usize) -> Option<&'static [AtomicU32]> {
-    let a = ARENA.get()?;
-    let base = a.base as usize;
-    let bytes = words.checked_mul(4)?;
+/// Resolve a symmetric word segment from its cross-process name (base
+/// address + word count) and run `f` on it. `None` means the range does
+/// not lie inside one *live* symmetric mapping — never was one, or its
+/// owner dropped it — and the socket proxy rejects such puts instead of
+/// scribbling on arbitrary memory. The mapping cannot be dropped while `f`
+/// runs. Parent side only.
+pub fn with_live_words<R>(
+    addr: usize,
+    words: usize,
+    f: impl FnOnce(&[AtomicU32]) -> R,
+) -> Option<R> {
+    let end = addr.checked_add(words.checked_mul(4)?)?;
     if !addr.is_multiple_of(std::mem::align_of::<AtomicU32>()) {
         return None;
     }
-    if addr < base || addr.checked_add(bytes)? > base + a.size {
+    let live = LIVE.read().unwrap_or_else(|p| p.into_inner());
+    let (&base, &bytes) = live.range(..=addr).next_back()?;
+    if end > base + bytes {
         return None;
     }
-    Some(unsafe { std::slice::from_raw_parts(addr as *const AtomicU32, words) })
+    // SAFETY: the range lies inside a mapping that stays mapped while the
+    // read guard is held (`Drop` unmaps under the write lock); it is
+    // 4-aligned and every bit pattern is a valid `AtomicU32`.
+    Some(f(unsafe {
+        std::slice::from_raw_parts(addr as *const AtomicU32, words)
+    }))
 }
 
 /// `fork()` via glibc (atfork handlers run). Returns 0 in the child, the
-/// child pid in the parent.
+/// child pid in the parent. The child is a forked PE from here on:
+/// symmetric allocation is sealed in it.
 ///
 /// # Safety
 /// Caller owns all post-fork hygiene: the child must only touch
-/// fork-inherited state it knows is safe (shared-mapping atomics, its own
+/// fork-inherited state it knows is safe (symmetric atomics, its own
 /// socket) and must leave via [`exit_now`].
 pub unsafe fn fork_pe() -> i32 {
-    ffi::fork()
+    // A forked PE's panic is *reported* over its socket, so the hook stays
+    // quiet there. Installed from the parent, once: `set_hook` in the child
+    // would wait forever on the hook lock if the fork snapshotted it while
+    // another thread was panicking.
+    static QUIET_IN_PES: Once = Once::new();
+    QUIET_IN_PES.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !in_forked_pe() {
+                prev(info)
+            }
+        }));
+    });
+    let pid = unsafe { ffi::fork() };
+    if pid == 0 {
+        IN_FORKED_PE.store(true, Ordering::Relaxed);
+    }
+    pid
 }
 
 /// `_exit`: leave the child without running destructors or atexit handlers
@@ -289,57 +314,74 @@ pub fn describe_wait_status(status: i32) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn heap_slots_by_default_then_shared_after_enable() {
-        // Default allocation mode depends on the environment; after the
-        // explicit enable it must be shared.
-        enable_shared_heap();
-        let s: Slots<AtomicU32> = Slots::alloc(8);
-        assert!(s.is_shared());
-        assert_eq!(s.len(), 8);
-        assert!(s.iter().all(|c| c.load(Ordering::Relaxed) == 0));
+    fn words(n: usize) -> Slots<AtomicU32> {
+        Slots::alloc(n).expect("symmetric allocation")
     }
 
     #[test]
-    fn shared_allocations_are_disjoint_and_zeroed() {
-        enable_shared_heap();
-        let a = alloc_shared::<AtomicU32>(100);
-        let b = alloc_shared::<AtomicU32>(100);
+    fn allocations_are_disjoint_and_zeroed() {
+        let (a, b) = (words(100), words(100));
         let (pa, pb) = (a.as_ptr() as usize, b.as_ptr() as usize);
-        assert_ne!(pa, pb);
         assert!(pa.abs_diff(pb) >= 400);
+        assert!(a
+            .iter()
+            .chain(b.iter())
+            .all(|c| c.load(Ordering::Relaxed) == 0));
         a[99].store(7, Ordering::Relaxed);
         assert_eq!(b[99].load(Ordering::Relaxed), 0);
+        // No cells is a valid (empty) allocation, and an impossible size is
+        // a value, not an abort.
+        assert!(words(0).is_empty());
+        assert_eq!(
+            Slots::<AtomicU64>::alloc(usize::MAX / 4).unwrap_err(),
+            SymAllocError::TooLarge {
+                cells: usize::MAX / 4
+            }
+        );
     }
 
     #[test]
-    fn shared_words_validates_bounds() {
-        enable_shared_heap();
-        let a = alloc_shared::<AtomicU32>(16);
+    fn live_words_validates_against_the_live_index() {
+        // 32 MiB of untouched address space: larger than any one mapping a
+        // concurrently running test makes, so once it is dropped nothing
+        // can bring the whole name back to life.
+        const N: usize = 8 << 20;
+        let a = words(N);
         let addr = a.as_ptr() as usize;
-        let back = shared_words(addr, 16).expect("in-arena pointer accepted");
-        back[3].store(42, Ordering::Relaxed);
+        with_live_words(addr, N, |back| back[3].store(42, Ordering::Relaxed))
+            .expect("live symmetric name accepted");
         assert_eq!(a[3].load(Ordering::Relaxed), 42);
-        // A stack pointer is not a symmetric-heap name.
-        let local = 0u32;
-        assert!(shared_words(&local as *const u32 as usize, 1).is_none());
-        // Length overflowing the arena is rejected.
-        assert!(shared_words(addr, ARENA_BYTES).is_none());
+        assert!(with_live_words(addr + 4 * (N - 1), 1, |_| ()).is_some());
+        // A stack pointer is not a symmetric name.
+        let local = AtomicU32::new(0);
+        assert!(with_live_words(&local as *const AtomicU32 as usize, 1, |_| ()).is_none());
+        // Lengths that run past the cells, or overflow the address space.
+        assert!(with_live_words(addr, N + 1, |_| ()).is_none());
+        assert!(with_live_words(addr, usize::MAX / 2, |_| ()).is_none());
+        // One past the end, and a misaligned interior address.
+        assert!(with_live_words(addr + 4 * N, 1, |_| ()).is_none());
+        assert!(with_live_words(addr + 2, 1, |_| ()).is_none());
+        // A dropped buffer's name dies with it.
+        drop(a);
+        assert!(with_live_words(addr, N, |_| ()).is_none());
     }
 
     #[test]
     fn fork_shares_the_mapping() {
-        enable_shared_heap();
-        let cell = &alloc_shared::<AtomicU32>(1)[0];
+        let cell = words(1);
         let pid = unsafe { fork_pe() };
         if pid == 0 {
-            cell.store(1234, Ordering::SeqCst);
+            cell[0].store(1234, Ordering::SeqCst);
             exit_now(0);
         }
         assert!(pid > 0, "fork failed");
         let status = wait_child(pid).expect("child reaped");
         assert_eq!(status, 0, "{}", describe_wait_status(status));
-        assert_eq!(cell.load(Ordering::SeqCst), 1234, "child write not shared");
+        assert_eq!(
+            cell[0].load(Ordering::SeqCst),
+            1234,
+            "child write not shared"
+        );
     }
 
     #[test]

@@ -24,9 +24,8 @@ const YIELD_BOUND: u32 = 4096;
 /// burning a core, short enough to add negligible latency to recovery.
 const PARK_SLEEP: Duration = Duration::from_micros(50);
 
-/// A fixed-size array of signal slots owned by one PE. Under the process
-/// backend the slots live in the shared mapping, so forked PEs spin on and
-/// release the same physical words.
+/// A fixed-size array of signal slots owned by one PE, in symmetric storage
+/// so PE threads and forked PEs spin on and release the same physical words.
 #[derive(Debug)]
 pub struct SignalSet {
     slots: Slots<CachePadded<AtomicU64>>,
@@ -35,7 +34,7 @@ pub struct SignalSet {
 impl SignalSet {
     pub fn new(n_slots: usize) -> Self {
         SignalSet {
-            slots: Slots::alloc(n_slots),
+            slots: Slots::alloc(n_slots).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 

@@ -3,11 +3,12 @@
 //! NVSHMEM requires collective symmetric allocation — every PE allocates the
 //! same buffer at the same (virtual) offset, and any PE can address any
 //! peer's copy ([`SymVec3::set`]/[`get`] ≙ `nvshmem_ptr` direct access over
-//! NVLink). We realize the symmetric heap as one `Vec` of per-PE segments of
-//! relaxed `AtomicU32` words: every remote access is a relaxed atomic on the
-//! word, and ordering/visibility come exclusively from the signal protocol
-//! (release store after data, acquire wait before reads) — the same
-//! discipline the paper's kernels follow via PTX `st.release.sys` et al.
+//! NVLink). A symmetric buffer here is one [`Slots`] mapping holding every
+//! PE's segment of relaxed `AtomicU32` words: every remote access is a
+//! relaxed atomic on the word, and ordering/visibility come exclusively from
+//! the signal protocol (release store after data, acquire wait before reads)
+//! — the same discipline the paper's kernels follow via PTX
+//! `st.release.sys` et al.
 //!
 //! The symmetric-allocation constraint the paper hits with rank
 //! specialization (§5.3) is enforced here too: a buffer always has a segment
@@ -19,39 +20,50 @@ use halox_md::Vec3;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+/// Segments start on distinct 128-byte lines, so neighbouring PEs' edge
+/// elements never false-share.
+const SEG_ALIGN_CELLS: usize = 32;
+
 /// A symmetric array of `Vec3` (3 words per element), one segment per PE.
 ///
-/// Cloning is cheap (Arc); all clones address the same storage. When the
-/// process backend is selected, segments live in the shared mapping
-/// (`shared::Slots`), so forked PEs address the same physical words at the
-/// same virtual address.
+/// Cloning is cheap (Arc); all clones address the same storage, which is
+/// unmapped when the last clone drops. PEs forked while it lives address
+/// the same physical words at the same virtual address.
 #[derive(Clone)]
 pub struct SymVec3 {
-    segs: Arc<Vec<Slots<AtomicU32>>>,
+    /// PE `p`'s segment is `cells[p * stride..][..3 * len]`.
+    cells: Arc<Slots<AtomicU32>>,
+    stride: usize,
+    npes: usize,
     len: usize,
 }
 
 impl SymVec3 {
     /// Collectively allocate `len` elements on each of `npes` PEs,
-    /// zero-initialized.
+    /// zero-initialized. Panics where [`Slots::alloc`] refuses (inside a
+    /// forked PE, or out of address space).
     pub fn alloc(npes: usize, len: usize) -> Self {
-        let segs = (0..npes).map(|_| Slots::alloc(len * 3)).collect();
+        let stride = (len * 3).next_multiple_of(SEG_ALIGN_CELLS);
+        let cells = Slots::alloc(npes * stride)
+            .unwrap_or_else(|e| panic!("SymVec3::alloc({npes}, {len}): {e}"));
         SymVec3 {
-            segs: Arc::new(segs),
+            cells: Arc::new(cells),
+            stride,
+            npes,
             len,
         }
     }
 
-    /// True when the segments live in the cross-process shared mapping.
-    pub fn is_shared(&self) -> bool {
-        self.segs.iter().all(|s| s.is_shared())
+    #[inline]
+    fn seg(&self, pe: usize) -> &[AtomicU32] {
+        &self.cells[pe * self.stride..][..self.len * 3]
     }
 
     /// Cross-process name of PE `pe`'s segment: (base address, word count).
-    /// Only meaningful for shared-backed buffers — the proxy validates the
-    /// address against the arena before writing through it.
+    /// The socket proxy validates it against the live mappings before
+    /// writing through it.
     pub fn seg_addr(&self, pe: usize) -> (usize, usize) {
-        let s: &[AtomicU32] = &self.segs[pe];
+        let s = self.seg(pe);
         (s.as_ptr() as usize, s.len())
     }
 
@@ -64,44 +76,33 @@ impl SymVec3 {
     }
 
     pub fn npes(&self) -> usize {
-        self.segs.len()
+        self.npes
     }
 
     /// Read element `idx` on PE `pe` (relaxed).
     #[inline]
     pub fn get(&self, pe: usize, idx: usize) -> Vec3 {
-        let s = &self.segs[pe];
-        let b = idx * 3;
-        Vec3::new(
-            f32::from_bits(s[b].load(Ordering::Relaxed)),
-            f32::from_bits(s[b + 1].load(Ordering::Relaxed)),
-            f32::from_bits(s[b + 2].load(Ordering::Relaxed)),
-        )
+        load_vec3(&self.seg(pe)[idx * 3..][..3])
     }
 
     /// Write element `idx` on PE `pe` (relaxed).
     #[inline]
     pub fn set(&self, pe: usize, idx: usize, v: Vec3) {
-        let s = &self.segs[pe];
-        let b = idx * 3;
-        s[b].store(v.x.to_bits(), Ordering::Relaxed);
-        s[b + 1].store(v.y.to_bits(), Ordering::Relaxed);
-        s[b + 2].store(v.z.to_bits(), Ordering::Relaxed);
+        store_vec3s(&self.seg(pe)[idx * 3..], &[v]);
     }
 
     /// Bulk copy `src` into PE `pe` starting at `offset` (relaxed stores) —
     /// the data half of a put.
     pub fn write_slice(&self, pe: usize, offset: usize, src: &[Vec3]) {
-        for (k, &v) in src.iter().enumerate() {
-            self.set(pe, offset + k, v);
-        }
+        store_vec3s(&self.seg(pe)[offset * 3..], src);
     }
 
     /// Bulk copy from PE `pe` starting at `offset` into `dst` (relaxed
     /// loads) — the data half of a get.
     pub fn read_slice(&self, pe: usize, offset: usize, dst: &mut [Vec3]) {
-        for (k, v) in dst.iter_mut().enumerate() {
-            *v = self.get(pe, offset + k);
+        let words = &self.seg(pe)[offset * 3..][..dst.len() * 3];
+        for (w, v) in words.chunks_exact(3).zip(dst) {
+            *v = load_vec3(w);
         }
     }
 
@@ -123,9 +124,31 @@ impl SymVec3 {
 
     /// Zero a PE's segment.
     pub fn clear(&self, pe: usize) {
-        for i in 0..self.len * 3 {
-            self.segs[pe][i].store(0, Ordering::Relaxed);
+        for w in self.seg(pe) {
+            w.store(0, Ordering::Relaxed);
         }
+    }
+}
+
+/// Relaxed-load the element at the head of `words`.
+#[inline]
+fn load_vec3(words: &[AtomicU32]) -> Vec3 {
+    Vec3::new(
+        f32::from_bits(words[0].load(Ordering::Relaxed)),
+        f32::from_bits(words[1].load(Ordering::Relaxed)),
+        f32::from_bits(words[2].load(Ordering::Relaxed)),
+    )
+}
+
+/// Relaxed-store `src` into the head of `words` (3 per element; panics if
+/// they do not fit) — what a put does to its target, whether that is named
+/// by a [`SymVec3`] handle or by a validated cross-process address.
+#[inline]
+pub(crate) fn store_vec3s(words: &[AtomicU32], src: &[Vec3]) {
+    for (w, v) in words[..src.len() * 3].chunks_exact(3).zip(src) {
+        w[0].store(v.x.to_bits(), Ordering::Relaxed);
+        w[1].store(v.y.to_bits(), Ordering::Relaxed);
+        w[2].store(v.z.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -134,17 +157,27 @@ impl SymVec3 {
 /// standalone).
 #[derive(Clone)]
 pub struct SymF32 {
-    segs: Arc<Vec<Slots<AtomicF32>>>,
+    /// PE `p`'s segment is `cells[p * stride..][..len]`.
+    cells: Arc<Slots<AtomicF32>>,
+    stride: usize,
     len: usize,
 }
 
 impl SymF32 {
     pub fn alloc(npes: usize, len: usize) -> Self {
-        let segs = (0..npes).map(|_| Slots::alloc(len)).collect();
+        let stride = len.next_multiple_of(SEG_ALIGN_CELLS);
+        let cells = Slots::alloc(npes * stride)
+            .unwrap_or_else(|e| panic!("SymF32::alloc({npes}, {len}): {e}"));
         SymF32 {
-            segs: Arc::new(segs),
+            cells: Arc::new(cells),
+            stride,
             len,
         }
+    }
+
+    #[inline]
+    fn seg(&self, pe: usize) -> &[AtomicF32] {
+        &self.cells[pe * self.stride..][..self.len]
     }
 
     pub fn len(&self) -> usize {
@@ -157,17 +190,17 @@ impl SymF32 {
 
     #[inline]
     pub fn load(&self, pe: usize, idx: usize) -> f32 {
-        self.segs[pe][idx].load(Ordering::Relaxed)
+        self.seg(pe)[idx].load(Ordering::Relaxed)
     }
 
     #[inline]
     pub fn store(&self, pe: usize, idx: usize, v: f32) {
-        self.segs[pe][idx].store(v, Ordering::Relaxed);
+        self.seg(pe)[idx].store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn fetch_add(&self, pe: usize, idx: usize, v: f32) -> f32 {
-        self.segs[pe][idx].fetch_add(v, Ordering::Relaxed)
+        self.seg(pe)[idx].fetch_add(v, Ordering::Relaxed)
     }
 }
 

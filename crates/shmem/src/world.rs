@@ -20,21 +20,23 @@
 //!
 //! * **threads** (default) — PEs are OS threads; the proxy is a thread fed
 //!   over a channel.
-//! * **procs** — PEs are *forked child processes*; the symmetric heap
-//!   (signal slots, ack slots, collective deposit slots, barriers,
-//!   `SymVec3` segments) lives in a `memfd_create` + `mmap(MAP_SHARED)`
-//!   arena mapped before the fork, and the IBRC proxy analog is real
-//!   kernel-mediated I/O: proxied puts/signals are framed over a Unix
-//!   domain socket to a per-PE proxy loop in the parent. NVLink-direct
-//!   operations stay direct loads/stores on the shared mapping. With a
-//!   chaos engine attached, children route *every* delivery through the
-//!   socket so the parent-owned engine remains the single fault choke
-//!   point. See DESIGN.md §3.5.
+//! * **procs** — PEs are *forked child processes*, and the IBRC proxy
+//!   analog is real kernel-mediated I/O: proxied puts/signals are framed
+//!   over a Unix domain socket to a per-PE proxy loop in the parent.
+//!   NVLink-direct operations stay direct loads/stores. With a chaos engine
+//!   attached, children route *every* delivery through the socket so the
+//!   parent-owned engine remains the single fault choke point. See
+//!   DESIGN.md §3.5.
+//!
+//! The backend chooses how PEs are launched and nothing else: symmetric
+//! memory (signal slots, collective deposit slots, barriers, `SymVec3`
+//! segments) is the same fork-shared [`shared::Slots`] mapping on both, so
+//! anything allocated before a run is visible to that run's PEs.
 
 use crate::barrier::SenseBarrier;
-use crate::chaos::{ChaosEngine, Decision, Delivery};
+use crate::chaos::{ChaosEngine, Decision, Delivery, OpKind};
 use crate::collectives::Collectives;
-use crate::shared;
+use crate::shared::{self, Slots};
 use crate::signal::SignalSet;
 use crate::sym::SymVec3;
 use crate::wire::{Wire, WireReader};
@@ -43,7 +45,7 @@ use halox_md::Vec3;
 use halox_trace::{Payload, Recorder, DRIVER_PE};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -53,8 +55,8 @@ pub enum WorldBackend {
     /// One OS thread per PE in this process (the default).
     #[default]
     Threads,
-    /// One forked child process per PE over the shared symmetric heap,
-    /// with the proxy path carried over Unix domain sockets.
+    /// One forked child process per PE, with the proxy path carried over
+    /// Unix domain sockets.
     Procs,
 }
 
@@ -190,26 +192,42 @@ pub struct ProxyConfig {
 }
 
 enum ProxyCmd {
-    /// Staged put (+ optional signal on the destination PE's signal set).
-    Put {
-        buf: SymVec3,
-        dst_pe: usize,
-        offset: usize,
-        payload: Vec<Vec3>,
-        signal: Option<(usize, u64)>,
+    /// A staged delivery: a put (+ optional signal on the destination PE's
+    /// signal set) or a pure remote signal.
+    Deliver {
+        d: Delivery,
         /// Recorder timestamp at enqueue (0 when tracing is off); lets the
         /// proxy report time-in-queue.
         enqueued_us: u64,
     },
-    /// Pure remote signal.
-    Signal {
-        dst_pe: usize,
-        slot: usize,
-        val: u64,
-        enqueued_us: u64,
-    },
     /// Completion fence: ack when everything queued before has been applied.
     Flush(Sender<()>),
+}
+
+/// The stress knobs of a [`ProxyConfig`], paid once per proxied operation.
+struct ProxyDelays {
+    cfg: ProxyConfig,
+    /// Tiny xorshift so the random knob needs no external RNG dependency.
+    rng: u64,
+}
+
+impl ProxyDelays {
+    fn new(cfg: ProxyConfig, salt: u64) -> Self {
+        let rng = cfg.random_delay.map_or(1, |(seed, _)| (seed ^ salt) | 1);
+        ProxyDelays { cfg, rng }
+    }
+
+    fn pay(&mut self) {
+        if let Some(d) = self.cfg.injected_delay {
+            std::thread::sleep(d);
+        }
+        if let Some((_, max_us)) = self.cfg.random_delay.filter(|&(_, max_us)| max_us > 0) {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            std::thread::sleep(Duration::from_micros(self.rng % max_us));
+        }
+    }
 }
 
 /// The shared world state.
@@ -222,23 +240,32 @@ pub struct ShmemWorld {
     proxy_config: ProxyConfig,
     trace: Option<Arc<Recorder>>,
     /// Procs backend only: shadow recorder whose cursor and slots live in
-    /// the shared arena, so forked children append through the same
+    /// symmetric memory, so forked children append through the same
     /// `fetch_add` cursor as threads would (events recorded into `trace`
     /// inside a child would be copy-on-write ghosts, lost at `_exit`).
-    /// Paired with the user recorder's timestamp at creation so drained
-    /// events land on the user's clock. Lazily built on the first traced
-    /// procs run; `proc_trace_copied` / `proc_trace_dropped` make the
-    /// post-join drain incremental across runs on a reused world.
-    proc_trace: OnceLock<(Arc<Recorder>, u64)>,
+    /// Lazily built on the first traced procs run; `proc_trace_copied` /
+    /// `proc_trace_dropped` make the post-join drain incremental across
+    /// runs on a reused world.
+    proc_trace: OnceLock<ProcTrace>,
     proc_trace_copied: AtomicUsize,
     proc_trace_dropped: AtomicUsize,
     chaos: Option<Arc<ChaosEngine>>,
 }
 
-/// Capacity (events) of the per-world shared-arena shadow recorder: ~4 MiB
-/// of the 1 GiB arena per traced procs world, plenty for the per-segment
-/// worlds the engine forks while still bounded under chaos sweeps.
+/// Capacity (events) of the per-world shadow recorder: a ~4 MiB mapping per
+/// traced procs world, plenty for the per-segment worlds the engine forks
+/// while still bounded under chaos sweeps.
 const PROC_TRACE_CAP: usize = 1 << 16;
+
+/// The procs shadow recorder and the mapping it records into, owned (and
+/// freed) together by the world.
+struct ProcTrace {
+    // Declared first so it drops first: it points into `_backing`.
+    shadow: Recorder,
+    /// The user recorder's clock at creation, so drained events land on it.
+    t0: u64,
+    _backing: Slots<AtomicU64>,
+}
 
 impl ShmemWorld {
     /// Create a world with `n_signal_slots` signal slots per PE, on the
@@ -247,20 +274,14 @@ impl ShmemWorld {
         Self::new_with_backend(WorldBackend::from_env(), topology, n_signal_slots)
     }
 
-    /// Create a world on an explicit backend. For [`WorldBackend::Procs`]
-    /// this switches symmetric allocation to the shared mapping *before*
-    /// allocating the world's own signal/barrier/collective state, so all
-    /// of it is fork-visible; symmetric buffers the PEs will touch must be
-    /// allocated after this point (or after an explicit
-    /// [`shared::enable_shared_heap`]).
+    /// Create a world on an explicit backend. Symmetric buffers its PEs
+    /// will touch may be allocated before or after this call — only before
+    /// the run that uses them.
     pub fn new_with_backend(
         backend: WorldBackend,
         topology: Topology,
         n_signal_slots: usize,
     ) -> Self {
-        if backend == WorldBackend::Procs {
-            shared::enable_shared_heap();
-        }
         let signals = (0..topology.npes)
             .map(|_| Arc::new(SignalSet::new(n_signal_slots)))
             .collect();
@@ -462,8 +483,8 @@ impl ShmemWorld {
         collect_outcomes(outcomes)
     }
 
-    /// The process backend: fork one child per PE over the shared
-    /// symmetric heap; the parent runs one socket proxy/collector loop per
+    /// The process backend: fork one child per PE; the parent runs one
+    /// socket proxy/collector loop per
     /// child (the per-node proxy of DESIGN.md §3.5), then reaps every
     /// child via `waitpid` — a dead child is a reported failure, never a
     /// hang on the parent side.
@@ -473,7 +494,7 @@ impl ShmemWorld {
         F: Fn(&Pe) -> R + Sync,
     {
         let npes = self.npes();
-        // Shadow recorder in the shared arena, built *before* forking so
+        // Shadow recorder in symmetric memory, built *before* forking so
         // every child inherits the mapping. A timestamp-sorted merge of
         // per-child logs would not do: the checker replays in seq order
         // and µs ties between a release and the acquire that observed it
@@ -482,13 +503,19 @@ impl ShmemWorld {
         if let Some(user) = &self.trace {
             self.proc_trace.get_or_init(|| {
                 let bytes = Recorder::shared_layout_bytes(PROC_TRACE_CAP);
-                let words = shared::alloc_shared::<std::sync::atomic::AtomicU64>(bytes.div_ceil(8));
-                // Safety: arena allocations are zero-filled, 128-byte
-                // aligned, MAP_SHARED, and never reclaimed ('static).
+                let backing = Slots::<AtomicU64>::alloc(bytes.div_ceil(8))
+                    .unwrap_or_else(|e| panic!("procs trace shadow: {e}"));
+                // SAFETY: a fresh `Slots` mapping is zero-filled,
+                // page-aligned and MAP_SHARED, and `ProcTrace` keeps it
+                // mapped for as long as the recorder exists.
                 let shadow = unsafe {
-                    Recorder::from_shared_zeroed(PROC_TRACE_CAP, words.as_ptr() as *mut u8)
+                    Recorder::from_shared_zeroed(PROC_TRACE_CAP, backing.as_ptr() as *mut u8)
                 };
-                (Arc::new(shadow), user.now_us())
+                ProcTrace {
+                    shadow,
+                    t0: user.now_us(),
+                    _backing: backing,
+                }
             });
         }
         let mut child_socks: Vec<Option<UnixStream>> = Vec::with_capacity(npes);
@@ -567,13 +594,14 @@ impl ShmemWorld {
         collect_outcomes(outcomes)
     }
 
-    /// Copy events the forked children appended to the shared shadow
-    /// recorder into the user's recorder, in shared-cursor (seq) order,
+    /// Copy events the forked children appended to the shadow recorder
+    /// into the user's recorder, in shared-cursor (seq) order,
     /// with timestamps offset onto the user recorder's clock. Runs after
     /// every procs join, once all children have exited (quiesced), so the
     /// interleaving with driver-recorded `WorldStart` boundaries is exact.
     fn drain_proc_trace(&self) {
-        let (Some(user), Some((shadow, t0))) = (&self.trace, self.proc_trace.get()) else {
+        let (Some(user), Some(ProcTrace { shadow, t0, .. })) = (&self.trace, self.proc_trace.get())
+        else {
             return;
         };
         let tr = shadow.drain();
@@ -625,11 +653,12 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 /// two adjacent operations rather than parking one forever. A second hold
 /// before the first is flushed displaces it — the displaced op is
 /// delivered immediately, keeping at most one op in flight per PE.
-/// Returns `true` when the decision was [`Decision::Kill`]: the delivery
-/// was swallowed and the source PE is now dead. The procs parent proxy
-/// reacts by severing the child's socket (the process dies for real); the
-/// in-process paths have no process to kill, so a kill there degrades to
-/// crash semantics (this op and everything after it is dropped).
+/// Returns `true` when the source PE's link must be severed: the decision
+/// was [`Decision::Kill`] (the delivery was swallowed and the PE is now
+/// dead), or the delivery named a target that is not live. The procs parent
+/// proxy reacts by closing the child's socket (the process dies for real);
+/// the in-process paths have no process to kill, so a kill there degrades
+/// to crash semantics (this op and everything after it is dropped).
 fn chaos_deliver(
     chaos: &ChaosEngine,
     signals: &[Arc<SignalSet>],
@@ -637,13 +666,13 @@ fn chaos_deliver(
     d: Delivery,
 ) -> bool {
     let decision = chaos.decide(src_pe, d.op_kind());
-    match decision {
+    let landed = match decision {
         Decision::Deliver => d.apply(signals, false),
         Decision::DropSignal => d.apply(signals, true),
-        Decision::Drop | Decision::Kill => drop(d),
+        Decision::Drop | Decision::Kill => true,
         Decision::Delay(dur) => {
             std::thread::sleep(dur);
-            d.apply(signals, false);
+            d.apply(signals, false)
         }
         Decision::Hold => {
             if let Some(displaced) = chaos.hold(src_pe, d) {
@@ -651,11 +680,27 @@ fn chaos_deliver(
             }
             return false; // the held op flushes on the *next* operation
         }
-    }
+    };
     if let Some(held) = chaos.take_held(src_pe) {
         held.apply(signals, false);
     }
-    decision == Decision::Kill
+    decision == Decision::Kill || !landed
+}
+
+/// Land one delivery — through the chaos choke point when an engine is
+/// attached, straight otherwise — with the monotone release, so a proxied
+/// signal can never regress a slot a direct NVLink sender already advanced.
+/// True when the source PE's link must be severed (see [`chaos_deliver`]).
+fn deliver(
+    chaos: Option<&ChaosEngine>,
+    signals: &[Arc<SignalSet>],
+    src_pe: usize,
+    d: Delivery,
+) -> bool {
+    match chaos {
+        Some(c) => chaos_deliver(c, signals, src_pe, d),
+        None => !d.apply(signals, false),
+    }
 }
 
 fn proxy_main(
@@ -666,14 +711,7 @@ fn proxy_main(
     trace: Option<Arc<Recorder>>,
     chaos: Option<Arc<ChaosEngine>>,
 ) {
-    // Tiny xorshift so the stress knob needs no external RNG dependency.
-    let mut rng_state: u64 = cfg.random_delay.map(|(seed, _)| seed | 1).unwrap_or(1);
-    let mut next_rand = move || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
-    };
+    let mut delays = ProxyDelays::new(cfg, 0);
     while let Ok(cmd) = rx.recv() {
         if let Some(t) = &trace {
             t.record(
@@ -683,71 +721,22 @@ fn proxy_main(
                 },
             );
         }
-        if let Some(d) = cfg.injected_delay {
-            std::thread::sleep(d);
-        }
-        if let Some((_, max_us)) = cfg.random_delay {
-            if max_us > 0 {
-                std::thread::sleep(Duration::from_micros(next_rand() % max_us));
-            }
-        }
-        // Delivery uses the monotone release so a proxied signal can never
-        // regress a slot a direct NVLink sender already advanced.
-        let service = |t: &Option<Arc<Recorder>>, kind: &'static str, enqueued_us: u64| {
-            if let Some(t) = t {
-                let now = t.now_us();
-                t.record_timed(
-                    pe as u32,
-                    now,
-                    0,
-                    Payload::ProxyService {
-                        kind,
-                        queued_us: now.saturating_sub(enqueued_us),
-                    },
-                );
-            }
-        };
+        delays.pay();
         match cmd {
-            ProxyCmd::Put {
-                buf,
-                dst_pe,
-                offset,
-                payload,
-                signal,
-                enqueued_us,
-            } => {
-                let d = Delivery::Put {
-                    buf,
-                    dst_pe,
-                    offset,
-                    payload,
-                    signal,
+            ProxyCmd::Deliver { d, enqueued_us } => {
+                let kind = match d.op_kind() {
+                    OpKind::Put => "put",
+                    OpKind::Signal => "signal",
                 };
-                match &chaos {
-                    Some(c) => {
-                        // No process to kill on the threads backend: a Kill
-                        // decision already dropped the op and marked the PE
-                        // crashed, which is all "dead" can mean in-process.
-                        chaos_deliver(c, &signals, pe, d);
-                    }
-                    None => d.apply(&signals, false),
+                // No process to kill on the threads backend: a Kill decision
+                // already dropped the op and marked the PE crashed, which is
+                // all "dead" can mean in-process.
+                deliver(chaos.as_deref(), &signals, pe, d);
+                if let Some(t) = &trace {
+                    let now = t.now_us();
+                    let queued_us = now.saturating_sub(enqueued_us);
+                    t.record_timed(pe as u32, now, 0, Payload::ProxyService { kind, queued_us });
                 }
-                service(&trace, "put", enqueued_us);
-            }
-            ProxyCmd::Signal {
-                dst_pe,
-                slot,
-                val,
-                enqueued_us,
-            } => {
-                let d = Delivery::Signal { dst_pe, slot, val };
-                match &chaos {
-                    Some(c) => {
-                        chaos_deliver(c, &signals, pe, d);
-                    }
-                    None => d.apply(&signals, false),
-                }
-                service(&trace, "signal", enqueued_us);
             }
             ProxyCmd::Flush(ack) => {
                 let _ = ack.send(());
@@ -799,6 +788,43 @@ fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
     Ok((hdr[0], body))
 }
 
+/// Decode a put/signal frame body into the delivery it asks for, plus
+/// whether it was genuinely network-proxied. `None` for a body that does
+/// not decode, and for a put whose payload does not fit the segment it
+/// names. The name itself — a raw address that crossed a process boundary —
+/// is validated against the live mappings when the delivery is applied.
+fn decode_delivery(tag: u8, body: &[u8]) -> Option<(Delivery, bool)> {
+    let r = &mut WireReader::new(body);
+    let dst_pe = usize::decode(r).ok()?;
+    if tag == TAG_SIGNAL {
+        let (slot, val) = (usize::decode(r).ok()?, u64::decode(r).ok()?);
+        return Some((
+            Delivery::Signal { dst_pe, slot, val },
+            bool::decode(r).ok()?,
+        ));
+    }
+    let offset = usize::decode(r).ok()?;
+    let (addr, words) = (usize::decode(r).ok()?, usize::decode(r).ok()?);
+    let signal = Option::<(usize, u64)>::decode(r).ok()?;
+    let proxied = bool::decode(r).ok()?;
+    let payload = Vec::<Vec3>::decode(r).ok()?;
+    let fits = (offset.checked_add(payload.len()))
+        .and_then(|end| end.checked_mul(3))
+        .is_some_and(|end| end <= words);
+    if !fits {
+        return None;
+    }
+    let d = Delivery::PutRaw {
+        addr,
+        words,
+        dst_pe,
+        offset,
+        payload,
+        signal,
+    };
+    Some((d, proxied))
+}
+
 /// Per-child proxy/collector loop in the parent: the per-node proxy. Serves
 /// put/signal/flush frames until the child's result frame (or EOF) arrives.
 ///
@@ -811,122 +837,31 @@ fn parent_proxy<R: Wire>(
     cfg: ProxyConfig,
     chaos: Option<Arc<ChaosEngine>>,
 ) -> Result<R, Option<String>> {
-    // Same xorshift stress knob as the threaded proxy, seeded per PE.
-    let mut rng_state: u64 = cfg
-        .random_delay
-        .map(|(seed, _)| (seed ^ ((pe as u64) << 32)) | 1)
-        .unwrap_or(1);
-    let mut next_rand = move || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
-    };
+    // Same stress knobs as the threaded proxy, seeded per PE.
+    let mut delays = ProxyDelays::new(cfg, (pe as u64) << 32);
     loop {
         let (tag, body) = match read_frame(&mut sock) {
             Ok(f) => f,
             Err(_) => return Err(None), // EOF without a result frame: child died
         };
-        let mut r = WireReader::new(&body);
         match tag {
-            TAG_PUT => {
-                let Ok(dst_pe) = usize::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(offset) = usize::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(addr) = usize::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(words) = usize::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(signal) = Option::<(usize, u64)>::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(proxied) = bool::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(payload) = Vec::<Vec3>::decode(&mut r) else {
+            TAG_PUT | TAG_SIGNAL => {
+                let Some((d, proxied)) = decode_delivery(tag, &body) else {
                     return Err(None);
                 };
                 // Only genuinely network-proxied ops face the proxy's delay
                 // knobs; chaos-routed NVLink ops stay full speed.
                 if proxied {
-                    if let Some(d) = cfg.injected_delay {
-                        std::thread::sleep(d);
-                    }
-                    if let Some((_, max_us)) = cfg.random_delay {
-                        if max_us > 0 {
-                            std::thread::sleep(Duration::from_micros(next_rand() % max_us));
-                        }
-                    }
+                    delays.pay();
                 }
-                // Re-validate the segment name against the shared arena —
-                // the raw address crossed a process boundary.
-                let Some(seg) = shared::shared_words(addr, words) else {
+                if deliver(chaos.as_deref(), &signals, pe, d) {
+                    // KillPe fired for this child, or its put named memory
+                    // that is not live: sever the socket. The
+                    // child dies on its next socket op (Rust ignores
+                    // SIGPIPE, so the write errors → panic → _exit) and
+                    // waitpid surfaces PeFailure::Died — the cross-process
+                    // analogue of a PE process being OOM-killed mid-run.
                     return Err(None);
-                };
-                let d = Delivery::PutRaw {
-                    seg,
-                    dst_pe,
-                    offset,
-                    payload,
-                    signal,
-                };
-                match &chaos {
-                    Some(c) => {
-                        if chaos_deliver(c, &signals, pe, d) {
-                            // KillPe fired for this child: sever the socket.
-                            // The child dies on its next socket op (Rust
-                            // ignores SIGPIPE, so the write errors → panic →
-                            // _exit) and waitpid surfaces PeFailure::Died —
-                            // the cross-process analogue of a PE process
-                            // being OOM-killed mid-run.
-                            return Err(None);
-                        }
-                    }
-                    None => d.apply(&signals, false),
-                }
-            }
-            TAG_SIGNAL => {
-                let Ok(dst_pe) = usize::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(slot) = usize::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(val) = u64::decode(&mut r) else {
-                    return Err(None);
-                };
-                let Ok(proxied) = bool::decode(&mut r) else {
-                    return Err(None);
-                };
-                if proxied {
-                    if let Some(d) = cfg.injected_delay {
-                        std::thread::sleep(d);
-                    }
-                    if let Some((_, max_us)) = cfg.random_delay {
-                        if max_us > 0 {
-                            std::thread::sleep(Duration::from_micros(next_rand() % max_us));
-                        }
-                    }
-                }
-                let d = Delivery::Signal { dst_pe, slot, val };
-                match &chaos {
-                    Some(c) => {
-                        if chaos_deliver(c, &signals, pe, d) {
-                            // KillPe fired for this child: sever the socket.
-                            // The child dies on its next socket op (Rust
-                            // ignores SIGPIPE, so the write errors → panic →
-                            // _exit) and waitpid surfaces PeFailure::Died —
-                            // the cross-process analogue of a PE process
-                            // being OOM-killed mid-run.
-                            return Err(None);
-                        }
-                    }
-                    None => d.apply(&signals, false),
                 }
             }
             TAG_FLUSH => {
@@ -953,15 +888,12 @@ fn parent_proxy<R: Wire>(
 
 /// Child-process body for one PE: run `f` under `catch_unwind` and report
 /// the outcome as the final frame on the socket. Runs inside the fork —
-/// only shared-mapping atomics, the socket, and plain malloc are touched.
+/// only symmetric atomics, the socket, and plain malloc are touched.
 fn child_serve<R, F>(world: &ShmemWorld, id: usize, sock: UnixStream, f: &F)
 where
     R: Wire,
     F: Fn(&Pe) -> R,
 {
-    // A PE panic is *reported* (frame 5 → `PeFailure::Panic`), so silence
-    // the default hook's stderr backtrace spam in the child.
-    std::panic::set_hook(Box::new(|_| {}));
     let link = PeLink::Proc(ProcLink {
         sock: Mutex::new(sock),
         route_all: world.chaos.is_some(),
@@ -1035,26 +967,20 @@ impl<'w> Pe<'w> {
     pub fn trace(&self) -> Option<&Recorder> {
         // In a forked child the user's recorder is a copy-on-write ghost —
         // anything recorded there dies with the child at `_exit`. Route to
-        // the shared-arena shadow instead; the parent drains it back into
-        // the user recorder after the join.
+        // the symmetric shadow instead; the parent drains it back into the
+        // user recorder after the join.
         if matches!(self.link, PeLink::Proc(_)) {
-            return self.world.proc_trace.get().map(|(r, _)| r.as_ref());
+            return self.world.proc_trace.get().map(|t| &t.shadow);
         }
         self.world.trace.as_deref()
     }
 
-    /// Procs backend: a heap-backed symmetric buffer in a forked child is a
-    /// copy-on-write ghost — stores would be silently invisible to every
-    /// other PE. Catch that at the call site instead.
-    #[inline]
-    fn assert_symmetric(&self, buf: &SymVec3) {
-        if matches!(self.link, PeLink::Proc(_)) {
-            assert!(
-                buf.is_shared(),
-                "SymVec3 was allocated before the shared heap was enabled; \
-                 the procs backend requires allocation after world creation"
-            );
-        }
+    /// Hand a delivery to this PE's proxy thread (threads backend).
+    fn enqueue(&self, proxy: &Sender<ProxyCmd>, d: Delivery) {
+        let enqueued_us = self.trace().map_or(0, |t| t.now_us());
+        proxy
+            .send(ProxyCmd::Deliver { d, enqueued_us })
+            .expect("proxy thread gone");
     }
 
     /// Encode and send a put frame to the parent proxy (procs backend).
@@ -1087,7 +1013,6 @@ impl<'w> Pe<'w> {
     /// Direct put: relaxed stores into the peer's segment. Use only inside
     /// an NVLink island, or when a separate signal orders visibility.
     pub fn put_vec3(&self, buf: &SymVec3, dst_pe: usize, offset: usize, src: &[Vec3]) {
-        self.assert_symmetric(buf);
         buf.write_slice(dst_pe, offset, src);
     }
 
@@ -1119,41 +1044,26 @@ impl<'w> Pe<'w> {
                 },
             );
         }
-        self.assert_symmetric(buf);
         match &self.link {
             PeLink::Thread(proxy) => {
-                if !via_proxy {
-                    if let Some(chaos) = &self.world.chaos {
-                        // Chaos-enabled direct path: materialize the store
-                        // as a Delivery (one payload copy) so NVLink stores
-                        // face the same fault plan as proxied puts.
-                        chaos_deliver(
-                            chaos,
-                            &self.world.signals,
-                            self.id,
-                            Delivery::Put {
-                                buf: buf.clone(),
-                                dst_pe,
-                                offset,
-                                payload: src.to_vec(),
-                                signal: Some((slot, val)),
-                            },
-                        );
-                    } else {
-                        buf.write_slice(dst_pe, offset, src);
-                        self.world.signals[dst_pe].release_max(slot, val);
-                    }
+                // One payload copy where a `Delivery` is needed: the proxy's
+                // staging buffer, or — chaos-enabled direct path — the store
+                // materialized so NVLink stores face the same fault plan as
+                // proxied puts.
+                let staged = || Delivery::Put {
+                    buf: buf.clone(),
+                    dst_pe,
+                    offset,
+                    payload: src.to_vec(),
+                    signal: Some((slot, val)),
+                };
+                if via_proxy {
+                    self.enqueue(proxy, staged());
+                } else if let Some(chaos) = &self.world.chaos {
+                    chaos_deliver(chaos, &self.world.signals, self.id, staged());
                 } else {
-                    proxy
-                        .send(ProxyCmd::Put {
-                            buf: buf.clone(),
-                            dst_pe,
-                            offset,
-                            payload: src.to_vec(), // the staging-buffer copy
-                            signal: Some((slot, val)),
-                            enqueued_us: self.trace().map_or(0, |t| t.now_us()),
-                        })
-                        .expect("proxy thread gone");
+                    buf.write_slice(dst_pe, offset, src);
+                    self.world.signals[dst_pe].release_max(slot, val);
                 }
             }
             PeLink::Proc(pl) => {
@@ -1161,8 +1071,8 @@ impl<'w> Pe<'w> {
                     self.frame_put(pl, buf, dst_pe, offset, src, Some((slot, val)), via_proxy);
                 } else {
                     // NVLink-direct in the procs backend: plain stores on
-                    // the shared mapping plus the monotone release signal,
-                    // no kernel round trip.
+                    // the symmetric mapping plus the monotone release
+                    // signal, no kernel round trip.
                     buf.write_slice(dst_pe, offset, src);
                     self.world.signals[dst_pe].release_max(slot, val);
                 }
@@ -1193,26 +1103,13 @@ impl<'w> Pe<'w> {
         }
         match &self.link {
             PeLink::Thread(proxy) => {
-                if !via_proxy {
-                    if let Some(chaos) = &self.world.chaos {
-                        chaos_deliver(
-                            chaos,
-                            &self.world.signals,
-                            self.id,
-                            Delivery::Signal { dst_pe, slot, val },
-                        );
-                    } else {
-                        self.world.signals[dst_pe].release_max(slot, val);
-                    }
+                let d = Delivery::Signal { dst_pe, slot, val };
+                if via_proxy {
+                    self.enqueue(proxy, d);
+                } else if let Some(chaos) = &self.world.chaos {
+                    chaos_deliver(chaos, &self.world.signals, self.id, d);
                 } else {
-                    proxy
-                        .send(ProxyCmd::Signal {
-                            dst_pe,
-                            slot,
-                            val,
-                            enqueued_us: self.trace().map_or(0, |t| t.now_us()),
-                        })
-                        .expect("proxy thread gone");
+                    self.world.signals[dst_pe].release_max(slot, val);
                 }
             }
             PeLink::Proc(pl) => {
@@ -1311,7 +1208,6 @@ impl<'w> Pe<'w> {
             self.nvlink_reachable(src_pe),
             "get from PE {src_pe} requires NVLink reachability (use put-with-signal over IB)"
         );
-        self.assert_symmetric(buf);
         buf.read_slice(src_pe, offset, dst);
     }
 
@@ -1775,7 +1671,7 @@ mod tests {
     }
 
     // ---------------------------------------------------------------
-    // Procs backend: PEs are forked processes over the shared arena.
+    // Procs backend: PEs are forked processes.
     // ---------------------------------------------------------------
 
     fn procs_world(topology: Topology, slots: usize) -> ShmemWorld {
@@ -1913,5 +1809,94 @@ mod tests {
             }
         });
         assert_eq!(chaos.report().dropped_signals, 1);
+    }
+
+    #[test]
+    fn backends_mix_in_one_process_over_buffers_allocated_first() {
+        // Symmetric memory allocated before any world exists serves forked
+        // PEs and then PE threads: the backend only picks the launcher.
+        let buf = SymVec3::alloc(2, 4);
+        let comm = crate::TwoSidedComm::new(2);
+        let (b, c) = (&buf, &comm);
+        for (round, backend) in [
+            WorldBackend::Procs,
+            WorldBackend::Threads,
+            WorldBackend::Procs,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let v = Vec3::splat(round as f32 + 1.0);
+            let w = ShmemWorld::new_with_backend(backend, Topology::all_nvlink(2), 1);
+            let got = w.run(|pe| {
+                let peer = 1 - pe.id;
+                pe.put_vec3_signal_nbi(b, peer, pe.id, &[v], 0, 1);
+                pe.wait_signal(0, 1);
+                let echoed = c.sendrecv(pe.id, peer, 9, vec![b.get(pe.id, peer)], peer, 9);
+                echoed[0].x as f64
+            });
+            assert_eq!(
+                got,
+                vec![v.x as f64; 2],
+                "{} round {round}",
+                backend.label()
+            );
+            assert_eq!(b.get(0, 1), v, "forked stores land in the parent's words");
+        }
+    }
+
+    #[test]
+    fn symmetric_allocation_inside_a_forked_pe_is_refused() {
+        let w = procs_world(Topology::all_nvlink(2), 1);
+        let refused = w.run(|_| {
+            let r = Slots::<AtomicU64>::alloc(8);
+            matches!(r, Err(shared::SymAllocError::InForkedPe)) as u64
+        });
+        assert_eq!(refused, vec![1, 1]);
+        // The wrappers turn the refusal into a reported PE panic.
+        let err = w
+            .try_run(|pe| SymVec3::alloc(2, 1).len() as u64 + pe.id as u64)
+            .expect_err("ghost buffers must not be handed out");
+        assert!(
+            matches!(&err.failures[0].1, PeFailure::Panic(m) if m.contains("forked PE")),
+            "{err}"
+        );
+        // The parent itself is not sealed.
+        assert!(Slots::<AtomicU64>::alloc(8).is_ok());
+    }
+
+    #[test]
+    fn proxied_put_naming_a_dropped_buffer_is_rejected() {
+        // 12 MiB a segment (never touched): larger than any one mapping a
+        // concurrently running test makes, so nothing can revive the name.
+        let dead = SymVec3::alloc(2, 1 << 20);
+        let (addr, words) = dead.seg_addr(1);
+        drop(dead);
+        let w = procs_world(Topology::islands(2, 1), 1);
+        let err = w
+            .try_run(|pe| {
+                if pe.id == 0 {
+                    // A put frame as `frame_put` would encode it, but for a
+                    // segment name that is no longer live.
+                    let PeLink::Proc(pl) = &pe.link else {
+                        unreachable!("procs world")
+                    };
+                    let mut body = Vec::new();
+                    1usize.encode(&mut body); // dst_pe
+                    0usize.encode(&mut body); // offset
+                    addr.encode(&mut body);
+                    words.encode(&mut body);
+                    Some((0usize, 1u64)).encode(&mut body);
+                    true.encode(&mut body); // proxied
+                    vec![Vec3::splat(9.0)].encode(&mut body);
+                    pl.send(TAG_PUT, &body);
+                }
+                pe.id as u64
+            })
+            .expect_err("the proxy must refuse the frame");
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert_eq!(err.failures[0].0, 0);
+        assert!(matches!(err.failures[0].1, PeFailure::Died { .. }), "{err}");
+        assert_eq!(w.signal_set(1).peek(0), 0, "a rejected put signals nobody");
     }
 }

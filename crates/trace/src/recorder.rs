@@ -174,11 +174,21 @@ enum Storage {
         dropped: AtomicUsize,
         slots: Box<[Slot]>,
     },
-    Shared {
-        hdr: &'static SharedHdr,
-        slots: &'static [Slot],
-    },
+    Shared(SharedPtrs),
 }
+
+/// Raw, not `&'static`: the storage is only promised to outlive the
+/// recorder ([`Recorder::from_shared_zeroed`]'s contract).
+struct SharedPtrs {
+    hdr: *const SharedHdr,
+    slots: *const [Slot],
+}
+
+// SAFETY: the pointers name storage the constructor's caller keeps alive
+// for the recorder's lifetime; what they point at — atomics and `Slot`s —
+// is `Sync`, like the owned variant's fields.
+unsafe impl Send for SharedPtrs {}
+unsafe impl Sync for SharedPtrs {}
 
 /// Lock-free fixed-capacity event recorder. See module docs.
 pub struct Recorder {
@@ -259,43 +269,45 @@ impl Recorder {
     /// `ptr` must be valid for reads and writes of
     /// [`Recorder::shared_layout_bytes`]`(capacity)` bytes, zero-filled,
     /// aligned to `align_of::<SharedHdr>()` and `align_of::<Slot>()`, and
-    /// live (and never reused) for the `'static` lifetime of the returned
-    /// recorder and its clones in forked children.
+    /// must stay mapped (and not be reused) until the returned recorder —
+    /// and every fork-inherited copy of it — has been dropped: whoever owns
+    /// the mapping owns the recorder and drops it first.
     pub unsafe fn from_shared_zeroed(capacity: usize, ptr: *mut u8) -> Self {
         debug_assert!(!ptr.is_null());
         debug_assert_eq!(ptr as usize % std::mem::align_of::<SharedHdr>(), 0);
         debug_assert_eq!(ptr as usize % std::mem::align_of::<Slot>(), 0);
-        let hdr = unsafe { &*(ptr as *const SharedHdr) };
-        let slots = unsafe {
-            std::slice::from_raw_parts(
-                ptr.add(Self::shared_slots_offset()) as *const Slot,
-                capacity,
-            )
-        };
+        let hdr = ptr as *const SharedHdr;
+        // SAFETY: the caller vouches for `shared_layout_bytes(capacity)`
+        // bytes at `ptr`, so the slot array starts inside them.
+        let first = unsafe { ptr.add(Self::shared_slots_offset()) } as *const Slot;
+        let slots = std::ptr::slice_from_raw_parts(first, capacity);
         Recorder {
             origin: Instant::now(),
-            storage: Storage::Shared { hdr, slots },
+            storage: Storage::Shared(SharedPtrs { hdr, slots }),
         }
     }
 
+    // SAFETY (the three accessors below): `from_shared_zeroed`'s caller
+    // keeps the shared storage valid, zero-initialised and aligned for as
+    // long as `self` exists, and the borrows handed out end with `&self`.
     fn cursor(&self) -> &AtomicUsize {
         match &self.storage {
             Storage::Owned { cursor, .. } => cursor,
-            Storage::Shared { hdr, .. } => &hdr.cursor,
+            Storage::Shared(p) => unsafe { &(*p.hdr).cursor },
         }
     }
 
     fn dropped_ctr(&self) -> &AtomicUsize {
         match &self.storage {
             Storage::Owned { dropped, .. } => dropped,
-            Storage::Shared { hdr, .. } => &hdr.dropped,
+            Storage::Shared(p) => unsafe { &(*p.hdr).dropped },
         }
     }
 
     fn slots(&self) -> &[Slot] {
         match &self.storage {
             Storage::Owned { slots, .. } => slots,
-            Storage::Shared { slots, .. } => slots,
+            Storage::Shared(p) => unsafe { &*p.slots },
         }
     }
 

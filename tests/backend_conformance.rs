@@ -1,6 +1,7 @@
 //! Backend conformance suite (DESIGN.md §3.5): the cross-process `procs`
-//! world — forked PEs over a `memfd` symmetric heap with socket proxies —
-//! must be observationally equivalent to the in-process `threads` world.
+//! world — forked PEs with socket proxies, over the same fork-shared
+//! symmetric mappings — must be observationally equivalent to the
+//! in-process `threads` world.
 //! Every suite here runs the same scenario on both backends and compares
 //! outcomes bitwise: the signal protocol (direct stores and proxied puts),
 //! the deterministic collectives, world reset/reuse, and full engine
@@ -12,9 +13,10 @@
 //! next world (the engine's fresh segment fork) unaffected.
 //!
 //! Backend selection is programmatic (`ShmemWorld::new_with_backend`,
-//! `EngineConfig::world_backend`) rather than via `HALOX_BACKEND`: the
-//! env lever is process-global, and this binary deliberately runs both
-//! backends side by side.
+//! `EngineConfig::world_backend`) rather than via `HALOX_BACKEND` only
+//! because this binary runs both backends side by side and one env value
+//! cannot say "both"; nothing about the symmetric heap forces it any more
+//! (it is the same owned mapping under either backend).
 
 use halox::dd::{build_partition, DdGrid};
 use halox::engine::{
@@ -33,13 +35,6 @@ use std::time::Duration;
 const BACKENDS: [WorldBackend; 2] = [WorldBackend::Threads, WorldBackend::Procs];
 const DEADLINE: Duration = Duration::from_millis(200);
 const STALL: Duration = Duration::from_millis(400);
-
-fn chaos_seed() -> u64 {
-    std::env::var("HALOX_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 /// One relaxed system shared by every engine case in this binary —
 /// minimisation dominates test wall-clock and the cases only need a
@@ -538,7 +533,7 @@ fn killed_pe_process_recovers_via_rewind_on_procs() {
     cfg.checkpoint = Some(CheckpointConfig::in_dir(&dir));
     cfg.chaos = Some(FaultPlan {
         name: "kill-child-once".into(),
-        seed: chaos_seed(),
+        seed: FaultPlan::env_seed(),
         rules: vec![FaultRule {
             pe: Some(1),
             op: FaultOp::Any,
@@ -574,7 +569,7 @@ fn killed_pe_process_recovers_via_rewind_on_procs() {
 /// hang, with the same bookkeeping invariants the threads backend obeys.
 #[test]
 fn chaos_plan_accounted_on_procs_backend() {
-    let seed = chaos_seed();
+    let seed = FaultPlan::env_seed();
     let plans = FaultPlan::builtins(seed, 4, STALL);
     let plan = plans[seed as usize % plans.len()].clone();
     let mut cfg = engine_config(ExchangeBackend::NvshmemFused, Some(2));

@@ -10,7 +10,7 @@
 //! points); CI runs a small matrix of fixed seeds.
 
 use halox::dd::DdGrid;
-use halox::engine::{Engine, EngineConfig, ExchangeBackend, RunStats};
+use halox::engine::{Engine, EngineConfig, ExchangeBackend, PeerState, RunStats};
 use halox::md::minimize::{steepest_descent, MinimizeOptions};
 use halox::md::{GrappaBuilder, System};
 use halox::shmem::{FaultKind, FaultPlan};
@@ -22,13 +22,6 @@ const DEADLINE: Duration = Duration::from_millis(200);
 /// Stall plans are sized past the deadline so StallPe exercises stall
 /// *diagnosis* (watchdog expiry → retry), not silent absorption.
 const STALL: Duration = Duration::from_millis(400);
-
-fn chaos_seed() -> u64 {
-    std::env::var("HALOX_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 fn relaxed_system(seed: u64) -> System {
     let mut sys = GrappaBuilder::new(3000)
@@ -81,10 +74,27 @@ fn run_accounted(
         );
     }
     // Degradation bookkeeping is consistent: downgrades imply degraded
-    // steps and stall diagnoses.
+    // steps, and every downgrade is diagnosed — by a stall report, or by a
+    // suspect the health board holds as `Failed` (a PE process that died
+    // surfaces as `PeDied`, which carries no stall report). Only a kill
+    // plan can take the second way.
     if !stats.downgrades.is_empty() {
         assert!(stats.degraded_steps > 0, "plan {:?}", plan.name);
-        assert!(!stats.stall_reports.is_empty(), "plan {:?}", plan.name);
+        let can_kill = plan
+            .rules
+            .iter()
+            .any(|r| matches!(r.kind, FaultKind::KillPe));
+        for d in &stats.downgrades {
+            let dead = can_kill
+                && d.suspects
+                    .iter()
+                    .any(|&p| engine.health().state(p) == PeerState::Failed);
+            assert!(
+                dead || !stats.stall_reports.is_empty(),
+                "plan {:?}: undiagnosed downgrade {d:?}",
+                plan.name
+            );
+        }
     }
     (engine, stats)
 }
@@ -102,7 +112,7 @@ fn every_builtin_plan_accounted_on_fused_mixed_topology() {
     // islands(4,2): half the edges are direct NVLink stores, half proxied
     // "IB" puts — both chaos choke points exercised.
     let sys = relaxed_system(301);
-    for plan in FaultPlan::builtins(chaos_seed(), 4, STALL) {
+    for plan in FaultPlan::builtins(FaultPlan::env_seed(), 4, STALL) {
         let crash = plan
             .rules
             .iter()
@@ -120,7 +130,7 @@ fn every_builtin_plan_accounted_on_fused_mixed_topology() {
 #[test]
 fn every_builtin_plan_accounted_on_tmpi() {
     let sys = relaxed_system(302);
-    for plan in FaultPlan::builtins(chaos_seed(), 4, STALL) {
+    for plan in FaultPlan::builtins(FaultPlan::env_seed(), 4, STALL) {
         run_accounted(&sys, ExchangeBackend::ThreadMpi, None, &plan, 20);
     }
 }
@@ -137,7 +147,7 @@ fn surviving_runs_match_fault_free_trajectory() {
         engine.run(10);
         engine.system
     };
-    for plan in FaultPlan::builtins(chaos_seed(), 4, STALL) {
+    for plan in FaultPlan::builtins(FaultPlan::env_seed(), 4, STALL) {
         let (engine, stats) =
             run_accounted(&sys, ExchangeBackend::NvshmemFused, Some(2), &plan, 10);
         let dev = max_dev_nm(&sys, &engine.system, &fault_free);
@@ -158,7 +168,7 @@ fn delay_chaos_trace_is_checker_clean() {
     // recorded event stream must replay with zero protocol violations —
     // chaos must not be able to provoke a signal-ordering bug.
     let sys = relaxed_system(304);
-    let plans = FaultPlan::builtins(chaos_seed(), 4, Duration::from_millis(10));
+    let plans = FaultPlan::builtins(FaultPlan::env_seed(), 4, Duration::from_millis(10));
     let delay_plan = plans
         .iter()
         .find(|p| p.name.contains("delay"))
@@ -185,7 +195,7 @@ fn permanent_crash_reports_full_diagnosis() {
     // diagnosis: the stuck slot, expected vs observed signal values, the
     // suspect peer, and a non-empty per-slot snapshot.
     let sys = relaxed_system(305);
-    let crash_plan = FaultPlan::builtins(chaos_seed(), 4, STALL)
+    let crash_plan = FaultPlan::builtins(FaultPlan::env_seed(), 4, STALL)
         .into_iter()
         .find(|p| p.rules.iter().any(|r| matches!(r.kind, FaultKind::CrashPe)))
         .expect("builtins include a crash plan");
@@ -213,7 +223,7 @@ fn permanent_crash_reports_full_diagnosis() {
     // The victim is off the fused path for good.
     let health = engine.health();
     assert!(
-        !matches!(health.state(victim), halox::engine::PeerState::Healthy),
+        !matches!(health.state(victim), PeerState::Healthy),
         "crashed peer must not be considered healthy"
     );
 }

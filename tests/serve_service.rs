@@ -13,8 +13,9 @@
 //!   fault-free run.
 //!
 //! Backend selection is programmatic (`EngineConfig::world_backend`), like
-//! the conformance suite: the `HALOX_BACKEND` env lever is process-global
-//! and this binary deliberately runs both backends side by side.
+//! the conformance suite: this binary runs both backends side by side,
+//! which one `HALOX_BACKEND` value cannot say. Mixing them in one process
+//! needs no care — symmetric memory is the same under either backend.
 
 use halox::dd::DdGrid;
 use halox::engine::{Engine, EngineConfig, ExchangeBackend, Thermostat, WorldBackend};

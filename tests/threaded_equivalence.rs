@@ -24,13 +24,6 @@ use std::time::{Duration, Instant};
 const DEADLINE: Duration = Duration::from_millis(200);
 const STALL: Duration = Duration::from_millis(400);
 
-fn chaos_seed() -> u64 {
-    std::env::var("HALOX_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
-
 fn relaxed_system(seed: u64, atoms: usize) -> System {
     let mut sys = GrappaBuilder::new(atoms)
         .seed(seed)
@@ -216,7 +209,7 @@ fn chaos_runs_never_deadlock_and_clean_survivors_stay_bitwise() {
         (ExchangeBackend::NvshmemFused, Some(2)),
         (ExchangeBackend::ThreadMpi, None),
     ] {
-        for plan in FaultPlan::builtins(chaos_seed(), 4, STALL) {
+        for plan in FaultPlan::builtins(FaultPlan::env_seed(), 4, STALL) {
             if plan
                 .rules
                 .iter()
@@ -260,7 +253,7 @@ fn crashed_peer_with_thermostat_recovers_instead_of_hanging() {
     // times out, the segment unwinds, and the ladder downgrades to the
     // two-sided fallback and completes — in bounded wall time.
     let sys = relaxed_system(405, 2400);
-    let crash_plan = FaultPlan::builtins(chaos_seed(), 4, STALL)
+    let crash_plan = FaultPlan::builtins(FaultPlan::env_seed(), 4, STALL)
         .into_iter()
         .find(|p| p.rules.iter().any(|r| matches!(r.kind, FaultKind::CrashPe)))
         .expect("builtins include a crash plan");
