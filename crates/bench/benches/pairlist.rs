@@ -1,9 +1,10 @@
-//! Neighbour-search benchmarks: cell binning, pair-list construction, and
-//! the central DD partition build (the per-NS-step costs of the substrate).
+//! Neighbour-search benchmarks: cell binning, pair-list and cluster-list
+//! construction, and the central DD partition build (the per-NS-step costs
+//! of the substrate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halox_dd::{build_partition, DdGrid};
-use halox_md::{CellList, GrappaBuilder, PairList};
+use halox_md::{CellList, ClusterPairList, Frame, GrappaBuilder, PairList};
 use std::hint::black_box;
 
 fn bench_cell_list(c: &mut Criterion) {
@@ -32,6 +33,32 @@ fn bench_pair_list(c: &mut Criterion) {
     group.finish();
 }
 
+/// Same systems and radius as `pair_list_build`; elements per second should
+/// hold between the two sizes (the build is linear in the cluster count).
+fn bench_cluster_list(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cluster_list_build");
+    group.sample_size(20);
+    for &n in &[12_000usize, 48_000] {
+        let sys = GrappaBuilder::new(n).seed(22).build();
+        let frame = Frame::fully_periodic(&sys.pbc);
+        let rule = |a: usize, b: usize| !sys.is_excluded(a, b);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                black_box(ClusterPairList::build(
+                    &frame,
+                    &sys.positions,
+                    &sys.kinds,
+                    n,
+                    0.8,
+                    &rule,
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_partition_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("dd_partition_build");
     group.sample_size(20);
@@ -49,6 +76,7 @@ criterion_group!(
     benches,
     bench_cell_list,
     bench_pair_list,
+    bench_cluster_list,
     bench_partition_build
 );
 criterion_main!(benches);

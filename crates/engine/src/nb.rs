@@ -114,35 +114,29 @@ impl NbEvaluator {
     ) -> (f64, f64) {
         match self.kernel {
             NbKernel::Scalar => {
-                let stale = self
-                    .pairlist
-                    .as_ref()
-                    .is_none_or(|pl| pl.needs_rebuild(positions, buffer));
-                if stale {
-                    self.pairlist = Some(timer.time("pairlist", || {
+                let pl = match &mut self.pairlist {
+                    Some(pl) if !pl.needs_rebuild(positions, buffer) => pl,
+                    slot => slot.insert(timer.time("pairlist", || {
                         PairList::build_in_frame(frame, positions, r_list, rule)
-                    }));
-                }
-                let pl = self.pairlist.as_ref().expect("pair list just ensured");
+                    })),
+                };
                 self.last_pairs = pl.n_pairs() as u64;
                 timer.time("nb_scalar", || {
                     compute_nonbonded_virial(frame, positions, kinds, pl, params, forces)
                 })
             }
             NbKernel::Cluster => {
-                let stale = self
-                    .clusters
-                    .as_ref()
-                    .is_none_or(|cl| cl.needs_rebuild(positions, buffer));
-                if stale {
-                    self.clusters = Some(timer.time("pairlist", || {
-                        ClusterPairList::build(frame, positions, kinds, n_home, r_list, rule)
-                    }));
-                    // Any overlapped partial was computed against the old
-                    // list: discard and recompute from scratch.
-                    self.pending_local = None;
-                }
-                let cl = self.clusters.as_ref().expect("cluster list just ensured");
+                let cl = match &mut self.clusters {
+                    Some(cl) if !cl.needs_rebuild(positions, buffer) => cl,
+                    slot => {
+                        // Any overlapped partial was computed against the old
+                        // list: discard and recompute from scratch.
+                        self.pending_local = None;
+                        slot.insert(timer.time("pairlist", || {
+                            ClusterPairList::build(frame, positions, kinds, n_home, r_list, rule)
+                        }))
+                    }
+                };
                 self.last_pairs = cl.n_pairs() as u64;
                 let coords = &mut self.coords;
                 let lanes = &mut self.lane_forces;

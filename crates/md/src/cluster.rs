@@ -9,14 +9,24 @@
 //!
 //! * clusters are built from cell-sorted order, **home atoms and halo
 //!   copies clustered separately** so a cluster is never mixed-ownership;
-//! * cluster pairs are found by binning cluster centres and pruned with
-//!   per-dimension axis-aligned bounding-box gaps under the [`Frame`]
-//!   metric;
+//! * cluster pairs are found in time linear in the cluster count: cluster
+//!   bounding-box centres are binned on a uniform grid whose cell is half
+//!   of `r_list`, each i-cluster range-queries the cells its box can reach
+//!   (periodic dims wrap by cell index, each cell visited once), and
+//!   candidates are pruned with per-dimension axis-aligned bounding-box gaps
+//!   under the [`Frame`] metric. The few per cent of clusters longer than
+//!   `r_list` (chunks of the sorted order that straddle a column end, up to
+//!   a box length long) stay out of the grid in a side list: each makes one
+//!   range query of its own and is tested directly against the other
+//!   side-listed clusters;
 //! * each surviving 4×4 tile carries a `u16` interaction bitmask baked at
 //!   build time (ownership rule + exclusions + `i < j` dedup + `r_list`
 //!   distance pruning), so the masked pair set is **exactly** the set a
 //!   [`PairList`](crate::pairlist::PairList) built with the same inputs
-//!   would enumerate;
+//!   would enumerate. The sixteen distance decisions of a tile are four
+//!   [`F4`] rows using the kernel's own minimum-image expression, which
+//!   matches [`Frame::displacement`] bit for bit; the rule is asked only
+//!   about pairs in range;
 //! * the tile list is split into a *local* partition (both clusters home)
 //!   and a *halo* partition (either cluster holds halo copies), letting
 //!   the engine evaluate local tiles while the coordinate halo exchange is
@@ -205,93 +215,55 @@ impl ClusterPairList {
             bb_half.push((hi - lo) * 0.5);
         }
 
-        // --- Candidate tiles: bin cluster centres with a cell wide enough
-        // that any interacting pair of "normal" clusters lands in adjacent
-        // cells. Oversized clusters (wrap-straddlers; rare) are checked
-        // against every cluster instead, so completeness never depends on
-        // the cell width.
+        // --- Tiles: per i-cluster, the clusters whose bounding box passes
+        // the gap test — gridded ones from a range query, box-spanning ones
+        // from the side list. Only those survivors are sorted, then their
+        // masks are baked.
         let r2 = r_list * r_list;
-        let mut oversize = Vec::new();
-        let mut max_half = 0.0f32;
-        for (c, h) in bb_half.iter().enumerate() {
-            let m = h.x.max(h.y).max(h.z);
-            if m > r_list {
-                oversize.push(c as u32);
-            } else {
-                max_half = max_half.max(m);
-            }
+        let near_boxes =
+            |ci: u32, cj: u32| bb_gap2(frame, &bb_center, &bb_half, ci as usize, cj as usize) < r2;
+        let grid = ClusterGrid::new(frame, &bb_center, &bb_half, r_list);
+        // Tiles between a box-spanning cluster and a gridded one, as
+        // `(ci, cj)` with `ci < cj`: one range query per spanning cluster.
+        let mut wide_tiles: Vec<(u32, u32)> = Vec::new();
+        for &w in &grid.wide {
+            grid.for_each_near(bb_center[w as usize], bb_half[w as usize], |c| {
+                if near_boxes(c, w) {
+                    wide_tiles.push((c.min(w), c.max(w)));
+                }
+            });
         }
-        let center_bins = Binning::new(frame, &bb_center, r_list + 2.0 * max_half);
+        wide_tiles.sort_unstable();
+        let mut wide_tiles = wide_tiles.into_iter().peekable();
 
+        let baker = TileBaker::new(frame, positions, &lane_atoms, r2);
         let mut local = ClusterPairsBuilder::default();
         let mut halo = ClusterPairsBuilder::default();
-        let mut neighbor_cells = Vec::with_capacity(27);
-        let mut candidates: Vec<u32> = Vec::new();
-        for ci in 0..n_clusters {
-            candidates.clear();
-            if oversize.contains(&(ci as u32)) {
-                candidates.extend(ci as u32..n_clusters as u32);
+        let mut near: Vec<u32> = Vec::new();
+        for ci in 0..n_clusters as u32 {
+            near.clear();
+            let (center, half) = (bb_center[ci as usize], bb_half[ci as usize]);
+            if is_wide(half, r_list) {
+                let later = grid.wide.partition_point(|&w| w < ci);
+                near.extend(grid.wide[later..].iter().filter(|&&cj| near_boxes(ci, cj)));
             } else {
-                neighbor_cells.clear();
-                center_bins.neighbors(center_bins.cell_of(bb_center[ci]), &mut neighbor_cells);
-                for &cell in &neighbor_cells {
-                    let lo = center_bins.starts[cell] as usize;
-                    let hi = center_bins.starts[cell + 1] as usize;
-                    for &cj in &center_bins.order[lo..hi] {
-                        if cj as usize >= ci {
-                            candidates.push(cj);
-                        }
+                grid.for_each_near(center, half, |cj| {
+                    if cj >= ci && near_boxes(ci, cj) {
+                        near.push(cj);
                     }
-                }
-                candidates.extend(oversize.iter().copied().filter(|&cj| cj as usize >= ci));
-                candidates.sort_unstable();
-                candidates.dedup();
+                });
             }
-
-            for &cj in &candidates {
-                let cj = cj as usize;
-                // Per-dim bounding-box gap under the frame metric: a lower
-                // bound on any member distance (triangle inequality; valid
-                // on the circle for periodic dims).
-                let d = frame.displacement(bb_center[ci], bb_center[cj]);
-                let mut gap2 = 0.0f32;
-                for k in 0..3 {
-                    let g = d[k].abs() - (bb_half[ci][k] + bb_half[cj][k]);
-                    if g > 0.0 {
-                        gap2 += g * g;
-                    }
-                }
-                if gap2 >= r2 {
-                    continue;
-                }
-                // Bake the interaction mask: exactly the PairList predicate.
-                let mut mask = 0u16;
-                for u in 0..CLUSTER {
-                    let a = lane_atoms[CLUSTER * ci + u];
-                    if a == PAD {
-                        continue;
-                    }
-                    let vstart = if ci == cj { u + 1 } else { 0 };
-                    for v in vstart..CLUSTER {
-                        let b = lane_atoms[CLUSTER * cj + v];
-                        if b == PAD {
-                            continue;
-                        }
-                        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                        if frame.dist2(positions[a as usize], positions[b as usize]) >= r2 {
-                            continue;
-                        }
-                        if !rule(lo as usize, hi as usize) {
-                            continue;
-                        }
-                        mask |= 1 << (u * CLUSTER + v);
-                    }
-                }
+            while let Some((_, cj)) = wide_tiles.next_if(|&(c, _)| c == ci) {
+                near.push(cj);
+            }
+            near.sort_unstable();
+            for &cj in &near {
+                let mask = baker.mask(ci as usize, cj as usize, rule);
                 if mask != 0 {
-                    if cj < n_home_clusters {
-                        local.push(ci as u32, cj as u32, mask);
+                    if (cj as usize) < n_home_clusters {
+                        local.push(ci, cj, mask);
                     } else {
-                        halo.push(ci as u32, cj as u32, mask);
+                        halo.push(ci, cj, mask);
                     }
                 }
             }
@@ -463,6 +435,288 @@ impl ClusterPairsBuilder {
     }
 }
 
+/// Squared per-dimension gap between the bounding boxes of clusters `ci`
+/// and `cj` under the frame metric: a lower bound on any member distance
+/// (triangle inequality; valid on the circle for periodic dims).
+#[inline]
+fn bb_gap2(frame: &Frame, bb_center: &[Vec3], bb_half: &[Vec3], ci: usize, cj: usize) -> f32 {
+    let d = frame.displacement(bb_center[ci], bb_center[cj]);
+    let mut gap2 = 0.0f32;
+    for k in 0..3 {
+        let g = (d[k].abs() - (bb_half[ci][k] + bb_half[cj][k])).max(0.0);
+        gap2 += g * g;
+    }
+    gap2
+}
+
+/// True for the few per cent of clusters (chunks of the cell-sorted order
+/// that straddle a column or plane boundary) whose bounding box is too long
+/// to bin by its centre; they go to [`ClusterGrid::wide`] instead.
+#[inline]
+fn is_wide(half: Vec3, r_list: f32) -> bool {
+    half.x.max(half.y).max(half.z) > 0.5 * r_list
+}
+
+/// Uniform grid over cluster bounding-box centres, range-queried for the
+/// clusters whose box can come within `r_list` of a given one.
+///
+/// The cell is `r_list / 2` wide (rounded so a whole number fits a periodic
+/// box). Box-spanning clusters stay out of the grid, so a query has to
+/// reach no further than `half_i + r_list + (largest gridded half-extent)`
+/// from the centre of cluster `i` in each dimension. Periodic dimensions
+/// wrap by cell index, so coordinates that have drifted out of the box bin
+/// like their in-box image; non-periodic ones cover the centres' extent.
+struct ClusterGrid {
+    periodic: [bool; 3],
+    dims: [usize; 3],
+    origin: Vec3,
+    inv_cell: Vec3,
+    /// `r_list` plus the largest gridded half-extent, per dimension.
+    reach: Vec3,
+    /// CSR over cells (z fastest) of gridded clusters, ascending per cell.
+    starts: Vec<u32>,
+    order: Vec<u32>,
+    /// Box-spanning clusters, ascending: tested directly by the caller.
+    wide: Vec<u32>,
+}
+
+impl ClusterGrid {
+    /// Slack, in cells, added to each end of a query range so that rounding
+    /// in the index arithmetic can never drop a boundary cell.
+    const ROUND_GUARD: f32 = 1e-3;
+
+    fn new(frame: &Frame, bb_center: &[Vec3], bb_half: &[Vec3], r_list: f32) -> ClusterGrid {
+        let mut wide = Vec::new();
+        let mut gridded = Vec::with_capacity(bb_center.len());
+        let mut max_half = Vec3::ZERO;
+        let mut lo = Vec3::splat(f32::INFINITY);
+        let mut hi = Vec3::splat(f32::NEG_INFINITY);
+        for (c, (&p, &h)) in bb_center.iter().zip(bb_half).enumerate() {
+            if is_wide(h, r_list) {
+                wide.push(c as u32);
+                continue;
+            }
+            gridded.push(c as u32);
+            for k in 0..3 {
+                max_half[k] = max_half[k].max(h[k]);
+                lo[k] = lo[k].min(p[k]);
+                hi[k] = hi[k].max(p[k]);
+            }
+        }
+        // Sparse input must not buy an unbounded cell array: at most about
+        // four cells per gridded cluster.
+        let dim_cap = ((4 * gridded.len()) as f32).cbrt() as usize + 1;
+        let mut dims = [1usize; 3];
+        let mut origin = Vec3::ZERO;
+        let mut inv_cell = Vec3::ZERO;
+        for k in 0..3 {
+            let (start, extent) = if frame.periodic[k] {
+                (0.0, frame.box_lengths[k])
+            } else {
+                (lo[k], hi[k] - lo[k])
+            };
+            // A flat (or empty) dimension keeps one cell everything maps to.
+            if extent > 0.0 {
+                origin[k] = start;
+                dims[k] = ((extent / (0.5 * r_list)) as usize).clamp(1, dim_cap);
+                inv_cell[k] = dims[k] as f32 / extent;
+            }
+        }
+
+        let mut grid = ClusterGrid {
+            periodic: frame.periodic,
+            dims,
+            origin,
+            inv_cell,
+            reach: max_half + Vec3::splat(r_list),
+            starts: vec![0; dims[0] * dims[1] * dims[2] + 1],
+            order: vec![0; gridded.len()],
+            wide,
+        };
+        // Counting sort in ascending cluster order.
+        let cells: Vec<u32> = gridded
+            .iter()
+            .map(|&c| grid.cell_of(bb_center[c as usize]) as u32)
+            .collect();
+        for &cell in &cells {
+            grid.starts[cell as usize + 1] += 1;
+        }
+        for i in 1..grid.starts.len() {
+            grid.starts[i] += grid.starts[i - 1];
+        }
+        let mut cursor = grid.starts.clone();
+        for (&c, &cell) in gridded.iter().zip(&cells) {
+            grid.order[cursor[cell as usize] as usize] = c;
+            cursor[cell as usize] += 1;
+        }
+        grid
+    }
+
+    /// Flat index of the cell holding centre `p`.
+    fn cell_of(&self, p: Vec3) -> usize {
+        let mut c = [0usize; 3];
+        for k in 0..3 {
+            let n = self.dims[k] as i64;
+            let i = ((p[k] - self.origin[k]) * self.inv_cell[k]).floor() as i64;
+            c[k] = if self.periodic[k] {
+                i.rem_euclid(n)
+            } else {
+                i.clamp(0, n - 1)
+            } as usize;
+        }
+        (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2]
+    }
+
+    /// First cell and cell count, along dimension `k`, of the range that
+    /// covers `[c - reach, c + reach]`. A periodic range that would wrap
+    /// past its own start is cut to one full turn, so no cell repeats.
+    fn span(&self, k: usize, c: f32, reach: f32) -> (usize, usize) {
+        let n = self.dims[k] as i64;
+        let cell =
+            |x: f32, guard: f32| ((x - self.origin[k]) * self.inv_cell[k] + guard).floor() as i64;
+        let a = cell(c - reach, -Self::ROUND_GUARD);
+        let b = cell(c + reach, Self::ROUND_GUARD);
+        if self.periodic[k] {
+            let count = b.saturating_sub(a).saturating_add(1);
+            (a.rem_euclid(n) as usize, count.clamp(1, n) as usize)
+        } else {
+            let (a, b) = (a.clamp(0, n - 1), b.clamp(0, n - 1));
+            (a as usize, (b - a + 1) as usize)
+        }
+    }
+
+    /// Call `visit` exactly once for every gridded cluster whose centre is
+    /// within reach of a box with this centre and half-extent.
+    fn for_each_near(&self, center: Vec3, half: Vec3, mut visit: impl FnMut(u32)) {
+        let [nx, ny, nz] = self.dims;
+        let (x0, cx) = self.span(0, center.x, half.x + self.reach.x);
+        let (y0, cy) = self.span(1, center.y, half.y + self.reach.y);
+        let (z0, cz) = self.span(2, center.z, half.z + self.reach.z);
+        // Cells consecutive in z are consecutive in `starts`: one run, or
+        // two where the range wraps.
+        let first = cz.min(nz - z0);
+        for tx in 0..cx {
+            let x = (x0 + tx) % nx;
+            for ty in 0..cy {
+                let row = (x * ny + (y0 + ty) % ny) * nz;
+                for (z, n) in [(z0, first), (0, cz - first)] {
+                    let lo = self.starts[row + z] as usize;
+                    let hi = self.starts[row + z + n] as usize;
+                    self.order[lo..hi].iter().copied().for_each(&mut visit);
+                }
+            }
+        }
+    }
+}
+
+/// Bakes one tile's interaction mask: the sixteen `d² < r_list²` decisions
+/// as four [`F4`] rows over lane-space SoA coordinates, with the kernel's
+/// own minimum-image expression ([`MinImage4`]), then `rule` on the
+/// surviving bits only — exactly the [`PairList`](crate::pairlist::PairList)
+/// predicate for finite coordinates.
+struct TileBaker<'a> {
+    lane_atoms: &'a [u32],
+    /// Lane coordinates; padded lanes hold NaN, so no comparison on them is
+    /// ever true and their bits stay clear without a validity mask.
+    lanes: SoaCoords,
+    image: [MinImage4; 3],
+    r2: F4,
+}
+
+impl<'a> TileBaker<'a> {
+    /// Bits `u * CLUSTER + v` with `u < v`, one nibble per row `u` (row 0
+    /// lowest): a self-tile lists each pair once.
+    const UPPER_TRIANGLE: u32 = 0b0000_1000_1100_1110;
+
+    fn new(frame: &Frame, positions: &[Vec3], lane_atoms: &'a [u32], r2: f32) -> Self {
+        let nan = vec![f32::NAN; lane_atoms.len()];
+        let mut lanes = SoaCoords {
+            x: nan.clone(),
+            y: nan.clone(),
+            z: nan,
+        };
+        for (l, &a) in lane_atoms.iter().enumerate() {
+            if a != PAD {
+                lanes.set(l, positions[a as usize]);
+            }
+        }
+        TileBaker {
+            lane_atoms,
+            lanes,
+            image: MinImage4::axes(frame),
+            r2: F4::splat(r2),
+        }
+    }
+
+    fn mask(&self, ci: usize, cj: usize, rule: &dyn Fn(usize, usize) -> bool) -> u16 {
+        let (ibase, jbase) = (CLUSTER * ci, CLUSTER * cj);
+        let [ix, iy, iz] = self.image;
+        let xj = F4::load(&self.lanes.x, jbase);
+        let yj = F4::load(&self.lanes.y, jbase);
+        let zj = F4::load(&self.lanes.z, jbase);
+        let mut bits = 0u32;
+        for u in 0..CLUSTER {
+            let dx = ix.apply(F4::splat(self.lanes.x[ibase + u]) - xj);
+            let dy = iy.apply(F4::splat(self.lanes.y[ibase + u]) - yj);
+            let dz = iz.apply(F4::splat(self.lanes.z[ibase + u]) - zj);
+            let d2 = dx * dx + dy * dy + dz * dz;
+            bits |= d2.lt(self.r2).movemask() << (u * CLUSTER);
+        }
+        if ci == cj {
+            bits &= Self::UPPER_TRIANGLE;
+        }
+        let mut pending = bits;
+        while pending != 0 {
+            let bit = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let a = self.lane_atoms[ibase + bit / CLUSTER] as usize;
+            let b = self.lane_atoms[jbase + bit % CLUSTER] as usize;
+            if !rule(a.min(b), a.max(b)) {
+                bits &= !(1 << bit);
+            }
+        }
+        bits as u16
+    }
+}
+
+/// Half box lengths for the branchless minimum image: in periodic dims the
+/// displacement is compared against `L/2` and shifted by `±L`; non-periodic
+/// dims get an infinite threshold (never shifts).
+fn image_half_lengths(frame: &Frame) -> [f32; 3] {
+    [0, 1, 2].map(|k| {
+        if frame.periodic[k] {
+            0.5 * frame.box_lengths[k]
+        } else {
+            f32::INFINITY
+        }
+    })
+}
+
+/// Branchless minimum image along one axis, four lanes at a time.
+/// Bitwise-matches [`Frame::displacement`].
+#[derive(Clone, Copy)]
+struct MinImage4 {
+    half: F4,
+    neg_half: F4,
+    len: F4,
+}
+
+impl MinImage4 {
+    fn axes(frame: &Frame) -> [MinImage4; 3] {
+        let half = image_half_lengths(frame);
+        [0, 1, 2].map(|k| MinImage4 {
+            half: F4::splat(half[k]),
+            neg_half: F4::splat(-half[k]),
+            len: F4::splat(frame.box_lengths[k]),
+        })
+    }
+
+    #[inline(always)]
+    fn apply(self, d: F4) -> F4 {
+        d - (d.gt(self.half).and(self.len) - d.lt(self.neg_half).and(self.len))
+    }
+}
+
 /// Pick a clustering cell so ~CLUSTER atoms land per cell (tight clusters),
 /// clamped to a sane range.
 fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
@@ -552,23 +806,7 @@ fn nb_clusters_avx2(
     assert_eq!(coords.len(), list.n_lanes());
     assert_eq!(lane_forces.len(), list.n_lanes());
     let bl = frame.box_lengths;
-    let half = [
-        if frame.periodic[0] {
-            0.5 * bl.x
-        } else {
-            f32::INFINITY
-        },
-        if frame.periodic[1] {
-            0.5 * bl.y
-        } else {
-            f32::INFINITY
-        },
-        if frame.periodic[2] {
-            0.5 * bl.z
-        } else {
-            f32::INFINITY
-        },
-    ];
+    let half = image_half_lengths(frame);
     let rc2v = F8::splat(params.cutoff * params.cutoff);
     let zero = F8::splat(0.0);
     let one = F8::splat(1.0);
@@ -776,36 +1014,11 @@ fn nb_clusters_body(
     assert_eq!(lane_forces.len(), list.n_lanes());
     let k_rf = params.k_rf;
     let c_rf = params.c_rf;
-    // Branchless minimum image: in periodic dims compare against L/2 and
-    // shift by ±L; non-periodic dims get an infinite threshold (never
-    // shifts). Bitwise-matches `Frame::displacement`.
-    let bl = frame.box_lengths;
-    let half = [
-        if frame.periodic[0] {
-            0.5 * bl.x
-        } else {
-            f32::INFINITY
-        },
-        if frame.periodic[1] {
-            0.5 * bl.y
-        } else {
-            f32::INFINITY
-        },
-        if frame.periodic[2] {
-            0.5 * bl.z
-        } else {
-            f32::INFINITY
-        },
-    ];
     // Loop-invariant lane broadcasts for the 4-wide tile arithmetic.
+    let [ix, iy, iz] = MinImage4::axes(frame);
     let rc2v = F4::splat(params.cutoff * params.cutoff);
     let zero = F4::splat(0.0);
     let one = F4::splat(1.0);
-    let (blx, bly, blz) = (F4::splat(bl.x), F4::splat(bl.y), F4::splat(bl.z));
-    let (hx, hy, hz) = (F4::splat(half[0]), F4::splat(half[1]), F4::splat(half[2]));
-    let nhx = F4::splat(-half[0]);
-    let nhy = F4::splat(-half[1]);
-    let nhz = F4::splat(-half[2]);
     let krfv = F4::splat(k_rf);
     let crfv = F4::splat(c_rf);
     let two_krf = F4::splat(2.0 * k_rf);
@@ -898,12 +1111,9 @@ fn nb_clusters_body(
                 );
                 let msk = F4::from_array(MASK_LANES[mrow as usize]);
 
-                let mut dx = pxi[u] - xj;
-                let mut dy = pyi[u] - yj;
-                let mut dz = pzi[u] - zj;
-                dx = dx - (dx.gt(hx).and(blx) - dx.lt(nhx).and(blx));
-                dy = dy - (dy.gt(hy).and(bly) - dy.lt(nhy).and(bly));
-                dz = dz - (dz.gt(hz).and(blz) - dz.lt(nhz).and(blz));
+                let dx = ix.apply(pxi[u] - xj);
+                let dy = iy.apply(pyi[u] - yj);
+                let dz = iz.apply(pzi[u] - zj);
                 let r2 = dx * dx + dy * dy + dz * dz;
 
                 // Live lanes: sel == 1.0 and r2e == r2 bitwise. Dead lanes
@@ -1034,14 +1244,243 @@ const MASK_LANES: [[f32; 4]; 16] = [
 mod tests {
     use super::*;
     use crate::forces::{compute_nonbonded, compute_nonbonded_virial};
-    use crate::pairlist::{eighth_shell_rule, PairList};
+    use crate::pairlist::{brute_force_pairs, eighth_shell_rule, PairList};
     use crate::pbc::PbcBox;
     use crate::system::GrappaBuilder;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sorted_pairs(pl: &PairList) -> Vec<(u32, u32)> {
         let mut v: Vec<_> = pl.iter_pairs().collect();
         v.sort_unstable();
         v
+    }
+
+    /// Reference tile enumeration over `list`'s clustering: every cluster
+    /// pair gap-tested, every mask bit decided by scalar [`Frame::dist2`].
+    /// Complete by construction; quadratic, so an oracle only.
+    fn all_pairs_tiles(
+        list: &ClusterPairList,
+        positions: &[Vec3],
+        rule: &dyn Fn(usize, usize) -> bool,
+    ) -> (ClusterPairs, ClusterPairs) {
+        let r2 = list.r_list * list.r_list;
+        let mut local = ClusterPairsBuilder::default();
+        let mut halo = ClusterPairsBuilder::default();
+        for ci in 0..list.n_clusters() {
+            for cj in ci..list.n_clusters() {
+                if bb_gap2(&list.frame, &list.bb_center, &list.bb_half, ci, cj) >= r2 {
+                    continue;
+                }
+                let mut mask = 0u16;
+                for u in 0..CLUSTER {
+                    let a = list.lane_atoms[CLUSTER * ci + u];
+                    if a == PAD {
+                        continue;
+                    }
+                    let vstart = if ci == cj { u + 1 } else { 0 };
+                    for v in vstart..CLUSTER {
+                        let b = list.lane_atoms[CLUSTER * cj + v];
+                        if b == PAD {
+                            continue;
+                        }
+                        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+                        if list
+                            .frame
+                            .dist2(positions[a as usize], positions[b as usize])
+                            >= r2
+                        {
+                            continue;
+                        }
+                        if !rule(lo as usize, hi as usize) {
+                            continue;
+                        }
+                        mask |= 1 << (u * CLUSTER + v);
+                    }
+                }
+                if mask != 0 {
+                    if cj < list.n_home_clusters {
+                        local.push(ci as u32, cj as u32, mask);
+                    } else {
+                        halo.push(ci as u32, cj as u32, mask);
+                    }
+                }
+            }
+        }
+        (local.finish(), halo.finish())
+    }
+
+    /// Field-by-field equality of the built tiles with the oracle's.
+    fn assert_tiles_equal_reference(
+        list: &ClusterPairList,
+        positions: &[Vec3],
+        rule: &dyn Fn(usize, usize) -> bool,
+    ) {
+        let (local, halo) = all_pairs_tiles(list, positions, rule);
+        for (got, want) in [(&list.local, &local), (&list.halo, &halo)] {
+            assert_eq!(got.i_clusters, want.i_clusters);
+            assert_eq!(got.starts, want.starts);
+            assert_eq!(got.j_clusters, want.j_clusters);
+            assert_eq!(got.masks, want.masks);
+        }
+    }
+
+    /// A random local frame on DD grid `dd`: periodic dims hold coordinates
+    /// up to 0.3 nm outside the box, decomposed dims a home half plus a
+    /// halo shell. `tight` makes the periodic edges barely over `2 r_list`,
+    /// so every grid range query wraps the whole dimension.
+    fn drifted_frame(
+        seed: u64,
+        n: usize,
+        dd: [usize; 3],
+        tight: bool,
+        r_list: f32,
+    ) -> (Frame, Vec<Vec3>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edge = (n as f32 / 100.0).cbrt().max(2.1 * r_list);
+        let mut lengths = Vec3::ZERO;
+        for k in 0..3 {
+            lengths[k] = if tight {
+                r_list * rng.gen_range(2.05f32..2.4)
+            } else {
+                edge * rng.gen_range(1.0f32..1.5)
+            };
+        }
+        let frame = Frame::for_decomposition(&PbcBox::new(lengths), dd);
+        let positions = (0..n)
+            .map(|_| {
+                let mut p = Vec3::ZERO;
+                for k in 0..3 {
+                    p[k] = if frame.periodic[k] {
+                        rng.gen_range(-0.3..lengths[k] + 0.3)
+                    } else {
+                        rng.gen_range(0.0..0.5 * lengths[k] + r_list)
+                    };
+                }
+                p
+            })
+            .collect();
+        (frame, positions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn grid_search_equals_all_pairs_reference(
+            seed in 0u64..u64::MAX,
+            atoms in 1usize..601,
+            dd in 0usize..4,
+            home in 0usize..4,
+            tight in 0usize..2,
+            r_list in 0.4f32..1.0,
+        ) {
+            let dd = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]][dd];
+            let (frame, positions) = drifted_frame(seed, atoms, dd, tight == 1, r_list);
+            let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
+            // Halo copies travelled one domain up in some decomposed dims.
+            let disp: Vec<[u8; 3]> = (0..atoms)
+                .map(|a| {
+                    [0, 1, 2]
+                        .map(|k| (a >= n_home && !frame.periodic[k] && (a >> k) & 1 == 1) as u8)
+                })
+                .collect();
+            let rule = |a: usize, b: usize| {
+                eighth_shell_rule(&disp, a, b) && (31 * a + 17 * b) % 11 < 9
+            };
+            let kinds = vec![AtomKind::Ow; atoms];
+            let list = ClusterPairList::build(&frame, &positions, &kinds, n_home, r_list, &rule);
+            assert_tiles_equal_reference(&list, &positions, &rule);
+        }
+    }
+
+    #[test]
+    fn box_spanning_cluster_is_side_listed_and_complete() {
+        // Cluster 0: four atoms strung along the whole z edge. Cluster 1:
+        // four atoms bunched one x-cell further on, in reach of two of them.
+        let pbc = PbcBox::cubic(5.0);
+        let frame = Frame::fully_periodic(&pbc);
+        let positions = vec![
+            Vec3::new(1.0, 1.0, 0.1),
+            Vec3::new(1.0, 1.0, 1.5),
+            Vec3::new(1.0, 1.0, 3.0),
+            Vec3::new(1.0, 1.0, 4.4),
+            Vec3::new(1.6, 1.0, 4.7),
+            Vec3::new(1.6, 1.05, 4.8),
+            Vec3::new(1.6, 1.0, 4.9),
+            Vec3::new(1.6, 1.05, 4.95),
+        ];
+        let kinds = vec![AtomKind::Ow; positions.len()];
+        let all = |_: usize, _: usize| true;
+        let r_list = 1.0;
+        let list = ClusterPairList::build(&frame, &positions, &kinds, 8, r_list, &all);
+        assert_eq!(list.lane_atoms, [0, 1, 2, 3, 4, 5, 6, 7]);
+        let grid = ClusterGrid::new(&frame, &list.bb_center, &list.bb_half, r_list);
+        assert_eq!(grid.wide, [0], "cluster 0 spans the box");
+        assert_eq!(grid.order, [1]);
+        assert_tiles_equal_reference(&list, &positions, &all);
+        assert_eq!(
+            list.all_pairs(),
+            brute_force_pairs(&frame, &positions, r_list, &all)
+        );
+        // Reached both directly (3-4..7) and through the wrap (0-4..7).
+        assert!(list.all_pairs().contains(&(0, 7)));
+        assert!(list.all_pairs().contains(&(3, 4)));
+    }
+
+    #[test]
+    fn drifted_cluster_bins_like_its_in_box_image() {
+        // Home cluster just inside the top x face; halo cluster drifted out
+        // through the bottom one. They pair through the wrap, and the query
+        // from the home cluster only finds the other in the top cell.
+        let pbc = PbcBox::cubic(5.0);
+        let frame = Frame::fully_periodic(&pbc);
+        let xs = [4.3, 4.32, 4.34, 4.36, -0.25, -0.24, -0.23, -0.22];
+        let positions: Vec<Vec3> = xs.iter().map(|&x| Vec3::new(x, 1.0, 1.0)).collect();
+        let kinds = vec![AtomKind::Ow; positions.len()];
+        let all = |_: usize, _: usize| true;
+        let list = ClusterPairList::build(&frame, &positions, &kinds, 4, 0.6, &all);
+        assert_tiles_equal_reference(&list, &positions, &all);
+        assert_eq!(list.local.n_pairs(), 6);
+        assert_eq!(list.halo.j_clusters, [1, 1]);
+        assert_eq!(list.halo.n_pairs(), 16 + 6);
+    }
+
+    #[test]
+    fn atoms_flung_far_out_of_a_periodic_box_do_not_overflow_the_query() {
+        // A blown-up system: one cluster reaching from -1e30 to 1e30. Its
+        // range query saturates instead of overflowing, and the pairs that
+        // are still in range are found.
+        let frame = Frame::fully_periodic(&PbcBox::cubic(5.0));
+        let xs = [-1e30, 1.0, 1.2, 1e30, 1.4, 1.5, 1.6, 1.7];
+        let positions: Vec<Vec3> = xs.iter().map(|&x| Vec3::new(x, 1.0, 1.0)).collect();
+        let kinds = vec![AtomKind::Ow; positions.len()];
+        let all = |_: usize, _: usize| true;
+        let list = ClusterPairList::build(&frame, &positions, &kinds, 4, 0.8, &all);
+        assert_tiles_equal_reference(&list, &positions, &all);
+        assert!(list.all_pairs().contains(&(1, 7)));
+    }
+
+    #[test]
+    fn empty_home_or_halo_range_builds_one_partition() {
+        let sys = GrappaBuilder::new(600).seed(43).build();
+        let frame = Frame::for_decomposition(&sys.pbc, [2, 1, 1]);
+        let all = |_: usize, _: usize| true;
+        for n_home in [sys.n_atoms(), 0] {
+            let list =
+                ClusterPairList::build(&frame, &sys.positions, &sys.kinds, n_home, 0.7, &all);
+            assert_tiles_equal_reference(&list, &sys.positions, &all);
+            let (full, empty) = if n_home == 0 {
+                (&list.halo, &list.local)
+            } else {
+                (&list.local, &list.halo)
+            };
+            assert!(full.n_tiles() > 0);
+            assert_eq!(empty.n_tiles(), 0);
+            assert_eq!(empty.starts, [0]);
+            assert_eq!(list.halo_clusters().is_empty(), n_home != 0);
+        }
     }
 
     #[test]
@@ -1290,6 +1729,20 @@ mod tests {
             cl.needs_rebuild_full(&moved, 0.2)
         );
         assert!(cl.needs_rebuild(&moved, 0.2));
+    }
+
+    #[test]
+    fn length_mismatch_is_stale() {
+        let sys = GrappaBuilder::new(300).seed(40).build();
+        let frame = Frame::fully_periodic(&sys.pbc);
+        let all = |_: usize, _: usize| true;
+        let cl =
+            ClusterPairList::build(&frame, &sys.positions, &sys.kinds, sys.n_atoms(), 0.7, &all);
+        assert!(!cl.needs_rebuild_full(&sys.positions, 0.2));
+        let mut longer = sys.positions.clone();
+        longer.push(longer[0]);
+        assert!(cl.needs_rebuild_full(&longer, 0.2));
+        assert!(cl.needs_rebuild_full(&sys.positions[1..], 0.2));
     }
 
     #[test]

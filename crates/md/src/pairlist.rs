@@ -40,8 +40,10 @@ pub struct PairList {
 }
 
 /// True if any atom's displacement from its build-time position exceeds
-/// `lim2` (squared), early-exiting on the first offender. Shared by the
-/// plain and cluster pair lists so both make identical rebuild decisions.
+/// `lim2` (squared), early-exiting on the first offender — or if the two
+/// arrays differ in length, since a list says nothing about atoms it was
+/// not built over. Shared by the plain and cluster pair lists so both make
+/// identical rebuild decisions.
 #[inline]
 pub(crate) fn any_displacement_exceeds(
     frame: &Frame,
@@ -49,6 +51,9 @@ pub(crate) fn any_displacement_exceeds(
     reference: &[Vec3],
     lim2: f32,
 ) -> bool {
+    if positions.len() != reference.len() {
+        return true;
+    }
     for (p, q) in positions.iter().zip(reference) {
         if frame.dist2(*p, *q) > lim2 {
             return true;
@@ -182,7 +187,7 @@ impl PairList {
 /// Cell binning over the local bounding extent: periodic dims wrap their
 /// neighbourhoods; non-periodic dims cover `[min, max]` of the data and
 /// clamp at the edges. Shared with the cluster-pair build (`crate::cluster`),
-/// which bins cluster centres the same way it bins atoms here.
+/// which sorts atoms into clusters with it.
 pub(crate) struct Binning {
     dims: [usize; 3],
     lo: Vec3,
@@ -462,6 +467,18 @@ mod tests {
         let mut slight = sys.positions.clone();
         slight[5].x += 0.05;
         assert!(!pl.needs_rebuild(&slight, 0.2));
+    }
+
+    #[test]
+    fn length_mismatch_is_stale() {
+        let sys = GrappaBuilder::new(300).seed(5).build();
+        let all = |_: usize, _: usize| true;
+        let pl = PairList::build(&sys.pbc, &sys.positions, 0.7, &all);
+        assert!(!pl.needs_rebuild_full(&sys.positions, 0.2));
+        let mut longer = sys.positions.clone();
+        longer.push(longer[0]);
+        assert!(pl.needs_rebuild_full(&longer, 0.2));
+        assert!(pl.needs_rebuild_full(&sys.positions[1..], 0.2));
     }
 
     #[test]

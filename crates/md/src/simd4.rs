@@ -101,6 +101,14 @@ impl F4 {
         unsafe { _mm_movemask_ps(_mm_cmpneq_ps(self.0, _mm_setzero_ps())) != 0 }
     }
 
+    /// Lane sign bits packed into the low four bits: bit `v` is set when
+    /// lane `v` of a comparison mask is true.
+    #[inline(always)]
+    pub(crate) fn movemask(self) -> u32 {
+        // SAFETY: SSE2 baseline.
+        unsafe { _mm_movemask_ps(self.0) as u32 }
+    }
+
     /// 4×4 lane transpose: rows `(a, b, c, d)` become columns.
     #[inline(always)]
     pub fn transpose(a: Self, b: Self, c: Self, d: Self) -> (Self, Self, Self, Self) {
@@ -175,6 +183,13 @@ impl F4 {
     #[inline(always)]
     pub fn any_nonzero(self) -> bool {
         self.0.iter().any(|x| *x != 0.0)
+    }
+
+    /// Lane sign bits packed into the low four bits: bit `v` is set when
+    /// lane `v` of a comparison mask is true.
+    #[inline(always)]
+    pub(crate) fn movemask(self) -> u32 {
+        (0..4).fold(0, |m, v| m | (self.0[v].to_bits() >> 31) << v)
     }
 
     /// 4×4 lane transpose: rows `(a, b, c, d)` become columns.
@@ -474,6 +489,8 @@ mod tests {
         assert_eq!(picked[3].to_bits(), 7.0f32.to_bits());
         let both = lo.gt(F4::splat(0.5)).and(m).and(F4::splat(1.0)).to_array();
         assert_eq!(both, [1.0, 0.0, 1.0, 0.0]);
+        assert_eq!(m.movemask(), 0b1101);
+        assert_eq!(F4::splat(f32::NAN).lt(hi).movemask(), 0);
     }
 
     #[test]

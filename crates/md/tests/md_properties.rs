@@ -6,8 +6,10 @@ use halox_md::cluster::{compute_nonbonded_clusters_aos, ClusterPairList, NbParti
 use halox_md::forces::{compute_nonbonded, NonbondedParams};
 use halox_md::pairlist::{brute_force_pairs, eighth_shell_rule};
 use halox_md::trajectory::{read_xyz_frame, write_xyz_frame};
-use halox_md::{Frame, GrappaBuilder, PairList, PbcBox, Vec3};
+use halox_md::{AtomKind, Frame, GrappaBuilder, PairList, PbcBox, Vec3, CLUSTER};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::BufReader;
 
 fn vec3() -> impl Strategy<Value = Vec3> {
@@ -129,6 +131,86 @@ proptest! {
         }
         for &(a, b) in &halo {
             prop_assert!((a as usize) >= n_home || (b as usize) >= n_home);
+        }
+    }
+
+    #[test]
+    fn cluster_list_matches_brute_force_on_drifted_frames(
+        seed in 0u64..u64::MAX,
+        atoms in 1usize..601,
+        dd in 0usize..4,
+        home in 0usize..4,
+        tight in 0usize..2,
+        r_list in 0.4f32..1.0,
+    ) {
+        // Everything the grid search must survive at once: fewer atoms than
+        // a cluster, an empty home or halo range, every DD frame, periodic
+        // coordinates up to 0.3 nm outside the box, and (`tight`) periodic
+        // edges barely over 2 r_list, where every range query wraps the
+        // whole dimension and must still see each cluster once.
+        let dd = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]][dd];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edge = (atoms as f32 / 100.0).cbrt().max(2.1 * r_list);
+        let mut lengths = Vec3::ZERO;
+        for k in 0..3 {
+            lengths[k] = if tight == 1 {
+                r_list * rng.gen_range(2.05f32..2.4)
+            } else {
+                edge * rng.gen_range(1.0f32..1.5)
+            };
+        }
+        let frame = Frame::for_decomposition(&PbcBox::new(lengths), dd);
+        let positions: Vec<Vec3> = (0..atoms)
+            .map(|_| {
+                let mut p = Vec3::ZERO;
+                for k in 0..3 {
+                    p[k] = if frame.periodic[k] {
+                        rng.gen_range(-0.3..lengths[k] + 0.3)
+                    } else {
+                        rng.gen_range(0.0..0.5 * lengths[k] + r_list)
+                    };
+                }
+                p
+            })
+            .collect();
+        let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
+        // Halo copies travelled one domain up in some decomposed dims.
+        let disp: Vec<[u8; 3]> = (0..atoms)
+            .map(|a| {
+                [0, 1, 2].map(|k| (a >= n_home && !frame.periodic[k] && (a >> k) & 1 == 1) as u8)
+            })
+            .collect();
+        let rule =
+            |a: usize, b: usize| eighth_shell_rule(&disp, a, b) && (31 * a + 17 * b) % 11 < 9;
+        let kinds = vec![AtomKind::Ow; atoms];
+        let cl = ClusterPairList::build(&frame, &positions, &kinds, n_home, r_list, &rule);
+
+        prop_assert_eq!(cl.n_home_clusters, n_home.div_ceil(CLUSTER));
+        prop_assert_eq!(
+            cl.n_clusters(),
+            cl.n_home_clusters + (atoms - n_home).div_ceil(CLUSTER)
+        );
+        prop_assert_eq!(
+            cl.all_pairs(),
+            brute_force_pairs(&frame, &positions, r_list, &rule)
+        );
+        // CSR shape: rows strictly ascending, each row's tiles strictly
+        // ascending from the i-cluster on (so none repeats), none empty, and
+        // the partitions split at the first halo cluster.
+        for (part, is_halo) in [(&cl.local, false), (&cl.halo, true)] {
+            prop_assert!(part.i_clusters.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(part.starts.len(), part.n_rows() + 1);
+            prop_assert_eq!(*part.starts.last().unwrap() as usize, part.n_tiles());
+            prop_assert!(part.masks.iter().all(|&m| m != 0));
+            for (row, &ci) in part.i_clusters.iter().enumerate() {
+                let (lo, hi) = (part.starts[row] as usize, part.starts[row + 1] as usize);
+                let tiles = &part.j_clusters[lo..hi];
+                prop_assert!(!tiles.is_empty() && tiles[0] >= ci);
+                prop_assert!(tiles.windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(tiles
+                    .iter()
+                    .all(|&cj| (cj as usize >= cl.n_home_clusters) == is_halo));
+            }
         }
     }
 
