@@ -1,23 +1,10 @@
-//! Neighbour-search benchmarks: cell binning, pair-list and cluster-list
-//! construction, and the central DD partition build (the per-NS-step costs
-//! of the substrate).
+//! Neighbour-search benchmarks: pair-list and cluster-list construction and
+//! the central DD partition build (the per-NS-step costs of the substrate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halox_dd::{build_partition, DdGrid};
-use halox_md::{CellList, ClusterPairList, Frame, GrappaBuilder, PairList};
+use halox_md::{ClusterPairList, Frame, GrappaBuilder, PairList};
 use std::hint::black_box;
-
-fn bench_cell_list(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cell_list_build");
-    for &n in &[12_000usize, 48_000] {
-        let sys = GrappaBuilder::new(n).seed(21).build();
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(CellList::build(&sys.pbc, &sys.positions, 0.8)))
-        });
-    }
-    group.finish();
-}
 
 fn bench_pair_list(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_list_build");
@@ -74,7 +61,6 @@ fn bench_partition_build(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_cell_list,
     bench_pair_list,
     bench_cluster_list,
     bench_partition_build

@@ -17,7 +17,7 @@
 
 use halox_dd::DdGrid;
 use halox_engine::{Engine, EngineConfig, ExchangeBackend};
-use halox_md::{minimize, GrappaBuilder, MinimizeOptions, System};
+use halox_md::System;
 use halox_shmem::FaultPlan;
 use serde::Serialize;
 use std::path::Path;
@@ -48,15 +48,6 @@ const STEPS: usize = 100;
 /// Watchdog deadline: small so diagnosis is cheap to exercise, but far
 /// above the delay-class fault magnitudes (100-500 µs).
 const DEADLINE: Duration = Duration::from_millis(250);
-
-fn base_system() -> System {
-    let mut sys = GrappaBuilder::new(6_000)
-        .seed(47)
-        .temperature(250.0)
-        .build();
-    minimize::steepest_descent(&mut sys, MinimizeOptions::default());
-    sys
-}
 
 fn config(backend: ExchangeBackend, gpus_per_node: Option<usize>) -> EngineConfig {
     let mut cfg = EngineConfig::new(backend);
@@ -143,7 +134,7 @@ fn sweep_transport(
 /// above the deadline so stall *diagnosis* engages) across the fused path
 /// on both topologies plus thread-MPI.
 pub fn sweep(seed: u64) -> Vec<ChaosRow> {
-    let sys = base_system();
+    let sys = crate::relaxed_system(6_000, 47, 250.0);
     // 4 PEs; stall well past the deadline so StallPe trips the watchdog
     // rather than being absorbed as a long delay.
     let plans = FaultPlan::builtins(seed, 4, 2 * DEADLINE);
@@ -217,11 +208,8 @@ pub fn print_table(rows: &[ChaosRow]) {
 pub fn run(results: &Path, seed: u64) {
     let rows = sweep(seed);
     print_table(&rows);
-    std::fs::create_dir_all(results).expect("create results dir");
-    let path = results.join("chaos.json");
-    let json = serde_json::to_string_pretty(&rows).expect("serialize chaos rows");
-    std::fs::write(&path, json).expect("write chaos.json");
-    println!("\nwrote {}", path.display());
+    println!();
+    crate::report::write_json(&results.join("chaos.json"), &rows).expect("write chaos.json");
     let failed = rows.iter().filter(|r| !r.completed).count();
     if failed > 0 {
         eprintln!("{failed} chaos cell(s) failed even on the fallback transport");

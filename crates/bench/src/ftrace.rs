@@ -18,7 +18,6 @@
 
 use halox_dd::DdGrid;
 use halox_engine::{Engine, EngineConfig, ExchangeBackend};
-use halox_md::{minimize, GrappaBuilder, MinimizeOptions};
 use halox_trace::{check, chrome_trace, max_proxy_depth, step_summaries, Recorder, Trace};
 use std::path::Path;
 use std::sync::Arc;
@@ -26,11 +25,7 @@ use std::sync::Arc;
 /// Run `steps` engine steps with a recorder attached; returns the drained
 /// functional trace.
 pub fn record_run(backend: ExchangeBackend, gpus_per_node: Option<usize>, steps: usize) -> Trace {
-    let mut sys = GrappaBuilder::new(6_000)
-        .seed(47)
-        .temperature(250.0)
-        .build();
-    minimize::steepest_descent(&mut sys, MinimizeOptions::default());
+    let sys = crate::relaxed_system(6_000, 47, 250.0);
     let rec = Arc::new(Recorder::new());
     let mut cfg = EngineConfig::new(backend);
     cfg.nstlist = 10;
@@ -77,12 +72,7 @@ pub fn run(results: &Path) {
     let tmpi = record_run(ExchangeBackend::ThreadMpi, None, 20);
     print_summary("thread-MPI, all-NVLink, 20 steps", &tmpi);
 
-    std::fs::create_dir_all(results).expect("create results dir");
-    let path = results.join("ftrace.json");
-    let json = serde_json::to_string_pretty(&chrome_trace(&fused)).expect("serialize trace");
-    std::fs::write(&path, json).expect("write ftrace.json");
-    println!(
-        "\nwrote {} (open in chrome://tracing or Perfetto)",
-        path.display()
-    );
+    println!();
+    crate::report::write_json(&results.join("ftrace.json"), &chrome_trace(&fused))
+        .expect("write ftrace.json");
 }

@@ -7,7 +7,6 @@ use halox_core::sched::{self, Backend, ScheduleInput};
 use halox_dd::{DdGrid, WorkloadModel};
 use halox_engine::{Engine, EngineConfig, ExchangeBackend};
 use halox_gpusim::MachineModel;
-use halox_md::{minimize, GrappaBuilder, MinimizeOptions};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -27,11 +26,7 @@ pub struct FunctionalRow {
 /// works) and collect throughput.
 pub fn run_matrix() -> Vec<FunctionalRow> {
     let mut rows = Vec::new();
-    let mut base = GrappaBuilder::new(6_000)
-        .seed(99)
-        .temperature(250.0)
-        .build();
-    minimize::steepest_descent(&mut base, MinimizeOptions::default());
+    let base = crate::relaxed_system(6_000, 99, 250.0);
     let steps = 20;
     for dims in [[2usize, 1, 1], [2, 2, 1], [2, 2, 2]] {
         for backend in [

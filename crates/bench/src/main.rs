@@ -1,10 +1,33 @@
-//! `halox-bench` — regenerate the paper's figures on the timing simulator.
+//! `halox-bench` — regenerate the paper's figures on the timing simulator
+//! and soak the functional plane for correctness. It times nothing: see
+//! `benchmarks/README.md` for the perf ledger.
 
 use halox_bench::{
-    ablation, backends, chaos, chart, dlb, figures, ftrace, functional, kernels, report, serve,
-    soak, threads, validate,
+    ablation, chaos, chart, figures, ftrace, functional, report, serve, soak, validate,
 };
 use std::path::Path;
+
+/// Every subcommand, in the order the usage text lists them.
+const SUBCOMMANDS: [&str; 18] = [
+    "all",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ablation",
+    "functional",
+    "validate",
+    "critical-path",
+    "gantt",
+    "sweep",
+    "trace",
+    "ftrace",
+    "chaos",
+    "serve",
+    "soak",
+];
 
 fn print_and_save(checks: &[halox_bench::validate::Check], results: &Path) -> bool {
     let ok = validate::print_report(checks);
@@ -143,36 +166,10 @@ fn main() {
             let seed: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
             soak::run(results, seed);
         }
-        "threads" => {
-            // halox-bench threads — serial vs threaded executor sweep.
-            threads::run(results);
-        }
-        "backends" => {
-            // halox-bench backends — threads vs procs world-backend sweep.
-            backends::run(results);
-        }
-        "dlb" => {
-            // halox-bench dlb — static vs dynamic load balancing on a
-            // skewed-density system.
-            dlb::run(results);
-        }
-        "kernels" => {
-            // halox-bench kernels [--steps N] — scalar-vs-cluster kernel
-            // and overlap sweep.
-            let steps = args
-                .iter()
-                .position(|a| a == "--steps")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(150);
-            kernels::run(results, steps);
-        }
-        "report" => {
-            // halox-bench report — summarize the JSON artifacts in results/.
-            report::print_results_summary(results);
-        }
         other => {
-            eprintln!("unknown figure: {other}");
+            eprintln!("unknown subcommand: {other}");
+            eprintln!("subcommands: {}", SUBCOMMANDS.join(" "));
+            eprintln!("timings live in the perf ledger: see benchmarks/README.md");
             std::process::exit(2);
         }
     };

@@ -1,4 +1,4 @@
-//! Table printing and CSV output for the figure harness.
+//! Table printing and the CSV / JSON writers every subcommand shares.
 
 use crate::figures::{PerfRow, TimingRow};
 use serde::Serialize;
@@ -39,6 +39,18 @@ pub fn write_csv<T: Serialize>(path: &Path, rows: &[T]) -> std::io::Result<()> {
     fs::write(path, out)
 }
 
+/// Write any serializable report as pretty JSON, creating the directory
+/// first, and say where it went.
+pub fn write_json<T: Serialize>(path: &Path, report: &T) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
+    }
+    let json = serde_json::to_string_pretty(report).expect("report serialization");
+    fs::write(path, json)?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
 pub fn print_perf_table(title: &str, rows: &[PerfRow]) {
     println!("\n== {title} ==");
     println!(
@@ -62,105 +74,6 @@ pub fn print_perf_table(title: &str, rows: &[PerfRow]) {
             r.ms_per_step,
             eff
         );
-    }
-}
-
-/// `halox-bench report` — one-screen summary of the JSON artifacts under
-/// `results/` (currently `kernels.json` and `threads.json`). Reads loosely
-/// via `serde_json::Value` so older artifacts with missing fields still
-/// print what they have.
-pub fn print_results_summary(results: &Path) {
-    let load = |name: &str| -> Option<serde_json::Value> {
-        let text = fs::read_to_string(results.join(name)).ok()?;
-        serde_json::from_str(&text).ok()
-    };
-    let num = |v: &serde_json::Value, key: &str| v.get(key).and_then(|x| x.as_f64());
-
-    println!("== results summary ({}) ==", results.display());
-    match load("kernels.json") {
-        Some(v) => {
-            if let Some(x) = num(&v, "cluster_vs_scalar_pairs_per_sec") {
-                println!("kernels: cluster vs scalar        {x:.2}x pairs/sec");
-            }
-            if let Some(x) = num(&v, "overlap_speedup_4pe") {
-                println!("kernels: overlap on/off at 4 PEs  {x:.2}x steps/sec");
-            }
-        }
-        None => println!("kernels.json: not found (run `halox-bench kernels`)"),
-    }
-    match load("threads.json") {
-        Some(v) => {
-            if let Some(x) = num(&v, "speedup_threaded_vs_serial") {
-                println!("threads: threaded vs serial       {x:.2}x steps/sec");
-            }
-            if let Some(b) = v.get("all_bitwise_identical").and_then(|x| x.as_bool()) {
-                println!("threads: executors bitwise equal  {b}");
-            }
-        }
-        None => println!("threads.json: not found (run `halox-bench threads`)"),
-    }
-    match load("backends.json") {
-        Some(v) => {
-            if let Some(b) = v.get("all_bitwise_identical").and_then(|x| x.as_bool()) {
-                println!("backends: threads≡procs bitwise   {b}");
-            }
-            if let Some(e) = v.get("engine") {
-                if let (Some(t), Some(p)) = (
-                    num(e, "threads_steps_per_sec"),
-                    num(e, "procs_steps_per_sec"),
-                ) {
-                    println!("backends: engine steps/sec        threads {t:.1}, procs {p:.1}");
-                }
-            }
-        }
-        None => println!("backends.json: not found (run `halox-bench backends`)"),
-    }
-    match load("dlb.json") {
-        Some(v) => {
-            if let Some(x) = num(&v, "modeled_time_per_step_reduction_pct") {
-                let target = v
-                    .get("meets_target")
-                    .and_then(|x| x.as_bool())
-                    .unwrap_or(false);
-                println!(
-                    "dlb: modeled time/step reduction  {x:.1}% ({})",
-                    if target {
-                        "meets target"
-                    } else {
-                        "MISSES target"
-                    }
-                );
-            }
-            if let (Some(s), Some(d)) = (num(&v, "load_ratio_static"), num(&v, "load_ratio_dlb")) {
-                println!("dlb: load max/mean static→dlb     {s:.2} → {d:.2}");
-            }
-            if let Some(b) = v.get("dlb_bitwise_identical").and_then(|x| x.as_bool()) {
-                println!("dlb: serial≡threaded bitwise      {b}");
-            }
-        }
-        None => println!("dlb.json: not found (run `halox-bench dlb`)"),
-    }
-    match load("soak.json") {
-        Some(v) => {
-            let flag = |key: &str| v.get(key).and_then(|x| x.as_bool()).unwrap_or(false);
-            println!(
-                "soak: {} — {} kill cycles ({} in-run), {} steps, rewound {}+{}, \
-                 {} corrupt skipped, bitwise {}",
-                v.get("backend").and_then(|x| x.as_str()).unwrap_or("?"),
-                num(&v, "kill_cycles").unwrap_or(0.0) as u64,
-                num(&v, "in_run_recoveries").unwrap_or(0.0) as u64,
-                num(&v, "total_steps").unwrap_or(0.0) as u64,
-                num(&v, "rewound_steps_hard").unwrap_or(0.0) as u64,
-                num(&v, "rewound_steps_in_run").unwrap_or(0.0) as u64,
-                num(&v, "corrupt_checkpoints_skipped").unwrap_or(0.0) as u64,
-                if flag("completed") && flag("bitwise_match") {
-                    "OK"
-                } else {
-                    "FAILED"
-                },
-            );
-        }
-        None => println!("soak.json: not found (run `halox-bench soak`)"),
     }
 }
 

@@ -12,22 +12,22 @@
 //! - one job carries a one-shot `KillPe` fault plan with the fallback
 //!   pinned shut, so its first slice *must* die — the service reschedules
 //!   it onto a fresh lease and it still finishes, bitwise (at least one
-//!   reschedule recorded),
-//! - throughput and queue-wait percentiles are reported.
+//!   reschedule recorded).
 //!
 //! Results go to `results/serve.json`; any violated contract exits
 //! non-zero. The PE substrate follows `HALOX_BACKEND`, which is how the CI
-//! serve job runs both worlds.
+//! soak job runs both worlds. Throughput and queue-wait percentiles are the
+//! perf ledger's (`serve_batch` `ops_per_s`, `serve.queue_wait_ms_p50/p90`).
 
 use halox_dd::DdGrid;
 use halox_engine::{Engine, EngineConfig, ExchangeBackend, RunMode, Thermostat};
-use halox_md::{minimize, EnergyReport, GrappaBuilder, MinimizeOptions, System};
+use halox_md::{EnergyReport, System};
 use halox_serve::{JobService, JobSpec, JobState, Priority, ServeConfig};
 use halox_shmem::{FaultKind, FaultOp, FaultPlan, FaultRule};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const N_BASE_SYSTEMS: usize = 6;
 const NSTLIST: usize = 5;
@@ -44,7 +44,6 @@ pub struct JobRow {
     pub steps: usize,
     pub reschedules: usize,
     pub recoveries: usize,
-    pub queue_wait_ms: f64,
     pub bitwise_vs_solo: bool,
 }
 
@@ -59,26 +58,11 @@ pub struct ServeReport {
     pub total_reschedules: usize,
     pub total_recoveries: usize,
     pub bitwise_all: bool,
-    pub throughput_jobs_per_s: f64,
-    pub throughput_steps_per_s: f64,
-    pub queue_wait_ms_p50: f64,
-    pub queue_wait_ms_p90: f64,
-    pub queue_wait_ms_p99: f64,
     pub worlds_built: usize,
     pub worlds_reused: usize,
     pub worlds_poisoned: usize,
     pub leases: usize,
-    pub wall_seconds: f64,
     pub rows: Vec<JobRow>,
-}
-
-fn base_system(which: usize) -> System {
-    let mut sys = GrappaBuilder::new(3000)
-        .seed(101 + which as u64)
-        .temperature(220.0)
-        .build();
-    minimize::steepest_descent(&mut sys, MinimizeOptions::default());
-    sys
 }
 
 /// The shared job configuration: fused transport, thermostat on (the global
@@ -137,36 +121,9 @@ fn solo_reference(sys: &System, steps: usize) -> (System, Vec<EnergyReport>) {
     (engine.system, stats.energies)
 }
 
-fn bitwise_eq(a: &System, ea: &[EnergyReport], b: &System, eb: &[EnergyReport]) -> bool {
-    ea.len() == eb.len()
-        && ea
-            .iter()
-            .zip(eb)
-            .all(|(x, y)| x.total().to_bits() == y.total().to_bits())
-        && a.positions.iter().zip(&b.positions).all(|(x, y)| {
-            x.x.to_bits() == y.x.to_bits()
-                && x.y.to_bits() == y.y.to_bits()
-                && x.z.to_bits() == y.z.to_bits()
-        })
-        && a.velocities.iter().zip(&b.velocities).all(|(x, y)| {
-            x.x.to_bits() == y.x.to_bits()
-                && x.y.to_bits() == y.y.to_bits()
-                && x.z.to_bits() == y.z.to_bits()
-        })
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
 /// The `serve` subcommand: run the load, persist `serve.json`, exit
 /// non-zero on any violated service contract.
 pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
-    let t0 = Instant::now();
     let backend = EngineConfig::new(ExchangeBackend::NvshmemFused)
         .world_backend
         .label()
@@ -178,7 +135,9 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
     );
 
     println!("  preparing {N_BASE_SYSTEMS} base systems...");
-    let bases: Vec<System> = (0..N_BASE_SYSTEMS).map(base_system).collect();
+    let bases: Vec<System> = (0..N_BASE_SYSTEMS)
+        .map(|i| crate::relaxed_system(3000, 101 + i as u64, 220.0))
+        .collect();
 
     let mut svc = JobService::new(ServeConfig {
         pool_worlds,
@@ -190,8 +149,7 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
         ..ServeConfig::default()
     });
 
-    // Submit everything up front: the queue-wait distribution is the
-    // contention signal the percentiles report.
+    // Submit everything up front, so every lease is contended.
     let mut handles = Vec::with_capacity(n_jobs);
     for i in 0..n_jobs {
         let base = i % N_BASE_SYSTEMS;
@@ -217,7 +175,6 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
     let mut failures: Vec<String> = Vec::new();
     let mut references: HashMap<(usize, usize), (System, Vec<EnergyReport>)> = HashMap::new();
     let mut rows: Vec<JobRow> = Vec::with_capacity(n_jobs);
-    let mut total_steps = 0usize;
     for (i, base, steps, handle) in &handles {
         let (status, result) = handle.wait();
         let bitwise = match (&status.state, &result) {
@@ -225,7 +182,7 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
                 let (ref_sys, ref_energies) = references
                     .entry((*base, *steps))
                     .or_insert_with(|| solo_reference(&bases[*base], *steps));
-                bitwise_eq(ref_sys, ref_energies, &res.system, &res.energies)
+                crate::same_trajectory(ref_sys, ref_energies, &res.system, &res.energies)
             }
             _ => false,
         };
@@ -242,7 +199,6 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
                 status.name
             ));
         }
-        total_steps += status.steps_done;
         rows.push(JobRow {
             id: status.id,
             name: status.name.clone(),
@@ -251,13 +207,11 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
             steps: status.steps_done,
             reschedules: status.reschedules,
             recoveries: status.recoveries,
-            queue_wait_ms: status.queue_wait.as_secs_f64() * 1e3,
             bitwise_vs_solo: bitwise,
         });
     }
     svc.shutdown();
     let pool = svc.pool_stats();
-    let wall = t0.elapsed().as_secs_f64();
 
     let total_reschedules: usize = rows.iter().map(|r| r.reschedules).sum();
     let total_recoveries: usize = rows.iter().map(|r| r.recoveries).sum();
@@ -270,8 +224,6 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
             chaos_row.name
         ));
     }
-    let mut waits: Vec<f64> = rows.iter().map(|r| r.queue_wait_ms).collect();
-    waits.sort_by(|a, b| a.total_cmp(b));
 
     let report = ServeReport {
         backend,
@@ -283,39 +235,25 @@ pub fn run(results: &Path, n_jobs: usize, pool_worlds: usize) {
         total_reschedules,
         total_recoveries,
         bitwise_all,
-        throughput_jobs_per_s: n_jobs as f64 / wall.max(1e-9),
-        throughput_steps_per_s: total_steps as f64 / wall.max(1e-9),
-        queue_wait_ms_p50: percentile(&waits, 50.0),
-        queue_wait_ms_p90: percentile(&waits, 90.0),
-        queue_wait_ms_p99: percentile(&waits, 99.0),
         worlds_built: pool.built,
         worlds_reused: pool.reused,
         worlds_poisoned: pool.poisoned,
         leases: pool.leases,
-        wall_seconds: wall,
         rows,
     };
     println!(
         "== serve done: {}/{} jobs, {} reschedules, {} worlds built / {} reused (cap {}), \
-         queue-wait p50/p90/p99 {:.0}/{:.0}/{:.0} ms, bitwise {}, {:.1}s ==",
+         bitwise {} ==",
         report.completed_jobs,
         report.jobs,
         report.total_reschedules,
         report.worlds_built,
         report.worlds_reused,
         report.pool_worlds,
-        report.queue_wait_ms_p50,
-        report.queue_wait_ms_p90,
-        report.queue_wait_ms_p99,
         if report.bitwise_all { "OK" } else { "MISMATCH" },
-        report.wall_seconds,
     );
 
-    std::fs::create_dir_all(results).expect("create results dir");
-    let path = results.join("serve.json");
-    let json = serde_json::to_string_pretty(&report).expect("serialize serve report");
-    std::fs::write(&path, json).expect("write serve.json");
-    println!("wrote {}", path.display());
+    crate::report::write_json(&results.join("serve.json"), &report).expect("write serve.json");
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("serve FAILURE: {f}");

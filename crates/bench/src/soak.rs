@@ -38,7 +38,7 @@ use halox_engine::{
     Checkpoint, CheckpointConfig, Engine, EngineConfig, EngineError, ExchangeBackend, RunMode,
     Thermostat,
 };
-use halox_md::{minimize, GrappaBuilder, MinimizeOptions, System};
+use halox_md::System;
 use halox_shmem::{FaultKind, FaultOp, FaultPlan, FaultRule};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -95,12 +95,6 @@ pub struct SoakReport {
     /// Why the soak stopped short, when it did.
     pub diagnosis: Option<String>,
     pub cycles: Vec<CycleRow>,
-}
-
-fn base_system() -> System {
-    let mut sys = GrappaBuilder::new(3000).seed(29).temperature(220.0).build();
-    minimize::steepest_descent(&mut sys, MinimizeOptions::default());
-    sys
 }
 
 /// The soaked configuration: fused transport, every edge proxied
@@ -165,7 +159,7 @@ struct SoakOutcome {
 fn soak(seed: u64, dir: &PathBuf) -> SoakOutcome {
     let t0 = Instant::now();
     let _ = std::fs::remove_dir_all(dir);
-    let sys = base_system();
+    let sys = crate::relaxed_system(3000, 29, 220.0);
     let grid = [2, 2, 1];
     let backend_label = EngineConfig::new(ExchangeBackend::NvshmemFused)
         .world_backend
@@ -355,32 +349,12 @@ fn soak(seed: u64, dir: &PathBuf) -> SoakOutcome {
         cfg.run_mode = RunMode::Serial;
         let mut reference = Engine::new(sys.clone(), DdGrid::new(grid), cfg);
         let ref_stats = reference.run(total);
-        bitwise_match = reference
-            .system
-            .positions
-            .iter()
-            .zip(&soaked_sys.positions)
-            .all(|(a, b)| {
-                a.x.to_bits() == b.x.to_bits()
-                    && a.y.to_bits() == b.y.to_bits()
-                    && a.z.to_bits() == b.z.to_bits()
-            })
-            && reference
-                .system
-                .velocities
-                .iter()
-                .zip(&soaked_sys.velocities)
-                .all(|(a, b)| {
-                    a.x.to_bits() == b.x.to_bits()
-                        && a.y.to_bits() == b.y.to_bits()
-                        && a.z.to_bits() == b.z.to_bits()
-                })
-            && ref_stats.energies.len() == soaked_energies.len()
-            && ref_stats
-                .energies
-                .iter()
-                .zip(soaked_energies)
-                .all(|(a, b)| a.total().to_bits() == b.total().to_bits());
+        bitwise_match = crate::same_trajectory(
+            &reference.system,
+            &ref_stats.energies,
+            soaked_sys,
+            soaked_energies,
+        );
         if !bitwise_match {
             failures.push("soaked trajectory diverged from the uninterrupted reference".into());
         }
@@ -441,11 +415,8 @@ pub fn run(results: &Path, seed: u64) {
             dir.display()
         );
     }
-    std::fs::create_dir_all(results).expect("create results dir");
-    let path = results.join("soak.json");
-    let json = serde_json::to_string_pretty(&outcome.report).expect("serialize soak report");
-    std::fs::write(&path, json).expect("write soak.json");
-    println!("wrote {}", path.display());
+    crate::report::write_json(&results.join("soak.json"), &outcome.report)
+        .expect("write soak.json");
     if !outcome.failures.is_empty() {
         for f in &outcome.failures {
             eprintln!("soak FAILURE: {f}");

@@ -634,6 +634,17 @@ mod tests {
             matches!(e, CheckpointError::Mismatch { field: "dlb", .. }),
             "{e}"
         );
+        // A file written under a mode that no longer exists carries a label
+        // no config can produce: still a typed mismatch, for either mode.
+        let mut retired = fp.clone();
+        retired.dlb = "wallclock".into();
+        for expected in [&fp, &ConfigFingerprint::of(&other, [2, 2, 1], 90)] {
+            let e = retired.check(expected).unwrap_err();
+            assert!(
+                matches!(e, CheckpointError::Mismatch { field: "dlb", .. }),
+                "{e}"
+            );
+        }
     }
 
     #[test]

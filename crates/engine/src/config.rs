@@ -51,19 +51,12 @@ pub enum RunMode {
 }
 
 impl RunMode {
+    const ALL: [RunMode; 2] = [RunMode::Serial, RunMode::Threaded];
+
     pub fn label(&self) -> &'static str {
         match self {
             RunMode::Serial => "serial",
             RunMode::Threaded => "threaded",
-        }
-    }
-
-    /// Default mode, overridable via `HALOX_RUN_MODE=serial|threaded` — the
-    /// lever CI uses to pin a whole test-suite run to one executor.
-    pub fn from_env() -> Self {
-        match std::env::var("HALOX_RUN_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("serial") => RunMode::Serial,
-            _ => RunMode::Threaded,
         }
     }
 }
@@ -85,29 +78,12 @@ pub enum NbKernel {
 }
 
 impl NbKernel {
+    const ALL: [NbKernel; 2] = [NbKernel::Scalar, NbKernel::Cluster];
+
     pub fn label(&self) -> &'static str {
         match self {
             NbKernel::Scalar => "scalar",
             NbKernel::Cluster => "cluster",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<NbKernel> {
-        if s.eq_ignore_ascii_case("scalar") {
-            Some(NbKernel::Scalar)
-        } else if s.eq_ignore_ascii_case("cluster") {
-            Some(NbKernel::Cluster)
-        } else {
-            None
-        }
-    }
-
-    /// Default kernel, overridable via `HALOX_NB_KERNEL=scalar|cluster` —
-    /// the lever CI uses to pin a whole test-suite run to one kernel.
-    pub fn from_env() -> Self {
-        match std::env::var("HALOX_NB_KERNEL") {
-            Ok(v) => NbKernel::parse(&v).unwrap_or(NbKernel::Cluster),
-            _ => NbKernel::Cluster,
         }
     }
 }
@@ -116,46 +92,22 @@ impl NbKernel {
 ///
 /// `Counter` feeds the boundary controller a deterministic work metric
 /// (pair interactions + owned atoms per segment), so DLB-on runs stay
-/// inside the serial ≡ threaded ≡ procs bitwise contract. `Wallclock`
-/// feeds it per-rank segment wall time — responsive to real machine skew
-/// but nondeterministic, and therefore excluded from that contract.
+/// inside the serial ≡ threaded ≡ procs bitwise contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DlbMode {
     /// Static decomposition: boundaries stay uniform (default).
     Off,
     /// Deterministic work-counter metric (bitwise-safe).
     Counter,
-    /// Per-rank wall-clock metric (opt-in, outside the bitwise contract).
-    Wallclock,
 }
 
 impl DlbMode {
+    const ALL: [DlbMode; 2] = [DlbMode::Off, DlbMode::Counter];
+
     pub fn label(&self) -> &'static str {
         match self {
             DlbMode::Off => "off",
             DlbMode::Counter => "counter",
-            DlbMode::Wallclock => "wallclock",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<DlbMode> {
-        if s.eq_ignore_ascii_case("off") {
-            Some(DlbMode::Off)
-        } else if s.eq_ignore_ascii_case("counter") {
-            Some(DlbMode::Counter)
-        } else if s.eq_ignore_ascii_case("wallclock") {
-            Some(DlbMode::Wallclock)
-        } else {
-            None
-        }
-    }
-
-    /// Default mode, overridable via `HALOX_DLB=off|counter|wallclock` —
-    /// the same process-wide lever pattern as `HALOX_NB_KERNEL`.
-    pub fn from_env() -> Self {
-        match std::env::var("HALOX_DLB") {
-            Ok(v) => DlbMode::parse(&v).unwrap_or(DlbMode::Off),
-            _ => DlbMode::Off,
         }
     }
 }
@@ -252,29 +204,60 @@ impl CheckpointConfig {
             max_recoveries: 3,
         }
     }
+}
 
-    /// Env lever: `HALOX_CKPT=<dir>[:<every_segments>]` enables
-    /// checkpointing for every engine in the process (the same pattern as
-    /// `HALOX_BACKEND` / `HALOX_RUN_MODE`).
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("HALOX_CKPT").ok()?;
-        if raw.is_empty() {
-            return None;
-        }
-        let (dir, every) = match raw.rsplit_once(':') {
-            Some((d, n)) if !d.is_empty() => match n.parse::<usize>() {
-                Ok(n) => (d.to_string(), n.max(1)),
-                // No numeric suffix: the whole value is the directory
-                // (covers paths that legitimately contain ':').
-                Err(_) => (raw.clone(), 1),
-            },
-            _ => (raw.clone(), 1),
-        };
-        Some(CheckpointConfig {
-            every_segments: every,
-            ..CheckpointConfig::in_dir(dir)
+/// Resolve one closed-set `HALOX_*` lever from the variable's value (README
+/// has the table). Unset or empty is `default`; otherwise the value must be
+/// one of `all`'s labels, ASCII case-insensitively. Anything else is a
+/// mistyped lever: a run that fell back to the default would test something
+/// other than what was asked for and still go green, so it is an error
+/// naming the variable, the value and the labels.
+fn lever<T: Copy>(
+    name: &str,
+    raw: Option<&str>,
+    all: &[T],
+    label: fn(&T) -> &'static str,
+    default: T,
+) -> Result<T, String> {
+    let Some(value) = raw.filter(|v| !v.is_empty()) else {
+        return Ok(default);
+    };
+    all.iter()
+        .copied()
+        .find(|t| value.eq_ignore_ascii_case(label(t)))
+        .ok_or_else(|| {
+            let labels: Vec<&str> = all.iter().map(label).collect();
+            format!(
+                "{name}={value:?} is not accepted (expected one of: {})",
+                labels.join(", ")
+            )
         })
-    }
+}
+
+/// [`lever`] on the process environment; a rejected value aborts here, at
+/// config time, before any PE exists.
+fn env_lever<T: Copy>(name: &str, all: &[T], label: fn(&T) -> &'static str, default: T) -> T {
+    let raw = std::env::var(name).ok();
+    lever(name, raw.as_deref(), all, label, default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The `HALOX_CKPT=<dir>[:<every_segments>]` lever: checkpointing for every
+/// engine in the process. Unset or empty is off.
+fn checkpoint_lever(raw: Option<&str>) -> Option<CheckpointConfig> {
+    let raw = raw.filter(|v| !v.is_empty())?;
+    let (dir, every) = match raw.rsplit_once(':') {
+        // No numeric suffix: the whole value is the directory (covers
+        // paths that legitimately contain ':').
+        Some((d, n)) if !d.is_empty() => match n.parse::<usize>() {
+            Ok(n) => (d, n.max(1)),
+            Err(_) => (raw, 1),
+        },
+        _ => (raw, 1),
+    };
+    Some(CheckpointConfig {
+        every_segments: every,
+        ..CheckpointConfig::in_dir(dir)
+    })
 }
 
 /// Parameters of a domain-decomposed MD run.
@@ -295,8 +278,7 @@ pub struct EngineConfig {
     pub run_mode: RunMode,
     /// Non-bonded kernel (scalar oracle vs cluster-pair SoA).
     pub nb_kernel: NbKernel,
-    /// Dynamic load balancing: off, deterministic counter metric, or
-    /// opt-in wall-clock metric (`HALOX_DLB`).
+    /// Dynamic load balancing: off, or the deterministic counter metric.
     pub dlb: DlbMode,
     /// With the cluster kernel: evaluate the local (home–home) tile
     /// partition between posting the coordinate halo sends and waiting for
@@ -311,7 +293,8 @@ pub struct EngineConfig {
     /// latency overlaps with other PEs' work). In `Serial` mode the driver
     /// sleeps it inline per message — the host-driven blocking-send
     /// baseline of the paper. Values are unaffected either way; only
-    /// wall-clock changes, which is what `halox-bench threads` measures.
+    /// wall-clock changes (`tests/threaded_equivalence.rs` pins the former
+    /// with `link_delay_us = 200` on `islands(8,4)`).
     pub link_delay_us: u64,
     /// PE fabric (NVLink islands vs all-NVLink); PEs == DD ranks.
     pub topology_gpus_per_node: Option<usize>,
@@ -327,9 +310,7 @@ pub struct EngineConfig {
     /// drains it after the run for Chrome-trace export or protocol checking.
     pub trace: Option<Arc<Recorder>>,
     /// PGAS world backend: PEs as threads (default) or forked processes
-    /// over the shared symmetric heap. Overridable via
-    /// `HALOX_BACKEND=threads|procs` — the lever the `procs` CI job uses to
-    /// pin a whole test-suite run to the cross-process backend.
+    /// over the shared symmetric heap.
     pub world_backend: WorldBackend,
     /// Bounded-wait and degradation policy.
     pub watchdog: WatchdogConfig,
@@ -338,12 +319,14 @@ pub struct EngineConfig {
     /// operation counters — and thus fault schedules — span segments).
     pub chaos: Option<FaultPlan>,
     /// Durable checkpoints + supervised rewind-and-replay recovery
-    /// (DESIGN.md §3.6). `None` disables both; the `HALOX_CKPT` env lever
-    /// provides the default.
+    /// (DESIGN.md §3.6). `None` disables both.
     pub checkpoint: Option<CheckpointConfig>,
 }
 
 impl EngineConfig {
+    /// Defaults, with `run_mode`, `nb_kernel`, `dlb`, `world_backend` and
+    /// `checkpoint` taken from the `HALOX_*` levers (README has the table).
+    /// A lever set to a value it does not accept panics here.
     pub fn new(backend: ExchangeBackend) -> Self {
         EngineConfig {
             cutoff: 0.7,
@@ -351,9 +334,19 @@ impl EngineConfig {
             dt_ps: 0.0005,
             nstlist: 10,
             backend,
-            run_mode: RunMode::from_env(),
-            nb_kernel: NbKernel::from_env(),
-            dlb: DlbMode::from_env(),
+            run_mode: env_lever(
+                "HALOX_RUN_MODE",
+                &RunMode::ALL,
+                RunMode::label,
+                RunMode::Threaded,
+            ),
+            nb_kernel: env_lever(
+                "HALOX_NB_KERNEL",
+                &NbKernel::ALL,
+                NbKernel::label,
+                NbKernel::Cluster,
+            ),
+            dlb: env_lever("HALOX_DLB", &DlbMode::ALL, DlbMode::label, DlbMode::Off),
             nb_overlap: true,
             link_delay_us: 0,
             topology_gpus_per_node: None,
@@ -363,7 +356,7 @@ impl EngineConfig {
             world_backend: WorldBackend::from_env(),
             watchdog: WatchdogConfig::default(),
             chaos: None,
-            checkpoint: CheckpointConfig::from_env(),
+            checkpoint: checkpoint_lever(std::env::var("HALOX_CKPT").ok().as_deref()),
         }
     }
 
@@ -393,5 +386,59 @@ mod tests {
             ..EngineConfig::new(ExchangeBackend::Mpi)
         };
         assert!(!c2.topology(4).nvlink_reachable(0, 3));
+    }
+
+    /// Every label a lever accepts resolves to the value that prints it, in
+    /// any case; unset and empty give the default; anything else is an
+    /// error naming the variable, the value and the labels.
+    fn check_lever<T: Copy + PartialEq + std::fmt::Debug>(
+        name: &str,
+        all: &[T],
+        label: fn(&T) -> &'static str,
+        default: T,
+    ) {
+        for t in all {
+            assert_eq!(lever(name, Some(label(t)), all, label, default), Ok(*t));
+            let upper = label(t).to_ascii_uppercase();
+            assert_eq!(lever(name, Some(&upper), all, label, default), Ok(*t));
+        }
+        assert_eq!(lever(name, None, all, label, default), Ok(default));
+        assert_eq!(lever(name, Some(""), all, label, default), Ok(default));
+        // The first label minus a letter: the kind of typo a CI file makes.
+        let typo = &label(&all[0])[1..];
+        let err = lever(name, Some(typo), all, label, default).unwrap_err();
+        assert!(err.contains(name) && err.contains(typo), "{err}");
+        for t in all {
+            assert!(err.contains(label(t)), "{err}");
+        }
+    }
+
+    #[test]
+    fn levers_accept_their_labels_and_reject_everything_else() {
+        check_lever(
+            "HALOX_RUN_MODE",
+            &RunMode::ALL,
+            RunMode::label,
+            RunMode::Threaded,
+        );
+        check_lever(
+            "HALOX_NB_KERNEL",
+            &NbKernel::ALL,
+            NbKernel::label,
+            NbKernel::Cluster,
+        );
+        check_lever("HALOX_DLB", &DlbMode::ALL, DlbMode::label, DlbMode::Off);
+    }
+
+    #[test]
+    fn checkpoint_lever_splits_directory_and_cadence() {
+        let parsed = |raw| checkpoint_lever(raw).map(|c| (c.dir, c.every_segments));
+        assert_eq!(parsed(None), None);
+        assert_eq!(parsed(Some("")), None);
+        assert_eq!(parsed(Some("/tmp/ck")), Some(("/tmp/ck".into(), 1)));
+        assert_eq!(parsed(Some("/tmp/ck:4")), Some(("/tmp/ck".into(), 4)));
+        assert_eq!(parsed(Some("/tmp/ck:0")), Some(("/tmp/ck".into(), 1)));
+        // A suffix that is no number is part of the path.
+        assert_eq!(parsed(Some("/tmp/a:b")), Some(("/tmp/a:b".into(), 1)));
     }
 }

@@ -3,19 +3,12 @@
 //! At every neighbour-search boundary the engine gathers one load figure
 //! per PE and hands it to the [`DlbController`], which shifts the movable
 //! DD cell boundaries ([`halox_dd::DdBounds`]) toward the overloaded slabs
-//! with bounded, deterministic moves. Two load metrics exist:
-//!
-//! * **Counter** (the default when DLB is on): pair interactions in the
-//!   rank's cluster/scalar list plus owned atoms, summed over the segment's
-//!   force rounds. A pure function of coordinates, so serial ≡ threaded ≡
-//!   procs feed the controller bit-identical inputs and the boundary
-//!   trajectory — hence the MD trajectory — stays inside the bitwise
-//!   contract.
-//! * **Wallclock** (opt-in via `HALOX_DLB=wallclock`): per-rank segment
-//!   wall time. Responds to real machine imbalance (a slow device, an
-//!   oversubscribed core) that no work counter can see, but is
-//!   nondeterministic by nature and therefore *excluded* from the bitwise
-//!   contract.
+//! with bounded, deterministic moves. The load metric is a work counter:
+//! pair interactions in the rank's cluster/scalar list plus owned atoms,
+//! summed over the segment's force rounds. A pure function of coordinates,
+//! so serial ≡ threaded ≡ procs feed the controller bit-identical inputs and
+//! the boundary trajectory — hence the MD trajectory — stays inside the
+//! bitwise contract.
 //!
 //! Boundary moves are clamped so no cell ever drops below `r_comm /
 //! pinned_pulses` in any dimension: the pulse counts chosen at engine
@@ -215,7 +208,6 @@ mod tests {
         assert_eq!(c.pinned_pulses(), [2, 1, 1]);
         assert_eq!(c.min_pulses(DlbMode::Off), None);
         assert_eq!(c.min_pulses(DlbMode::Counter), Some([2, 1, 1]));
-        assert_eq!(c.min_pulses(DlbMode::Wallclock), Some([2, 1, 1]));
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub(crate) struct RankResult {
     /// Deterministic work units this rank executed over the segment: pair
     /// interactions in its list plus owned atoms, per force round.
     pub work: u64,
-    /// Wall-clock microseconds attributable to this rank (the
-    /// `DlbMode::Wallclock` load metric; nondeterministic by nature).
-    /// [`run_segment`] reports the rank's force-computation time — the only
-    /// per-rank-attributable interval when one thread advances several
-    /// ranks; a PE, which owns its thread, overwrites it with the wall time
-    /// of its whole segment.
-    pub wall_us: u64,
 }
 
 /// Wire encoding so rank results can cross the process boundary of the
@@ -51,7 +44,6 @@ impl Wire for RankResult {
         self.energies.encode(out);
         self.phases.encode(out);
         self.work.encode(out);
-        self.wall_us.encode(out);
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -61,7 +53,6 @@ impl Wire for RankResult {
             energies: Wire::decode(r)?,
             phases: Wire::decode(r)?,
             work: u64::decode(r)?,
-            wall_us: u64::decode(r)?,
         })
     }
 }
@@ -197,8 +188,8 @@ pub(crate) struct ReferenceTransport<'a> {
     /// Blocking-baseline latency model: `link_delay_us` slept inline once
     /// per message that crosses a node boundary, per exchange (the
     /// mirror-image force pulse sends the same messages, so one count
-    /// serves both) — the host-driven baseline against which
-    /// `halox-bench threads` measures latency overlap.
+    /// serves both) — the host-driven baseline the threaded executor's
+    /// proxy-paid latency is the alternative to.
     exchange_delay: Option<Duration>,
 }
 
@@ -337,7 +328,6 @@ impl<'a> Segment<'a> {
             energies: Vec::with_capacity(steps),
             phases: PhaseTimer::new(),
             work: 0,
-            wall_us: 0,
         };
         Segment {
             plans,
@@ -386,7 +376,6 @@ impl<'a> Segment<'a> {
         share(&mut self.ranks, "halo_x", exchange);
 
         for (r, plan) in plans.iter().enumerate() {
-            let round_t0 = Instant::now();
             let (pos, forces) = (&self.positions[r], &mut self.forces[r]);
             let (nb, rank) = (&mut self.nbs[r], &mut self.ranks[r]);
             // Pair rule: eighth-shell zone pairs minus intramolecular
@@ -437,7 +426,6 @@ impl<'a> Segment<'a> {
                 // rank, so per-rank virials sum to the global one.
                 virial: w_nb + w_bonds + w_angles,
             };
-            rank.wall_us += round_t0.elapsed().as_micros() as u64;
         }
 
         // --- Force halo exchange ---

@@ -2,9 +2,10 @@
 //!
 //! A compact, from-scratch MD engine providing everything the halo-exchange
 //! study needs from "GROMACS": synthetic water–ethanol benchmark systems
-//! (the paper's "grappa" set), cell/Verlet pair lists, Lennard-Jones +
-//! reaction-field non-bonded forces, harmonic bonded forces, and leapfrog
-//! integration in GROMACS-style mixed precision (f32 state, f64 accumulators).
+//! (the paper's "grappa" set), binned Verlet and cluster pair lists,
+//! Lennard-Jones + reaction-field non-bonded forces, harmonic bonded forces,
+//! and leapfrog integration in GROMACS-style mixed precision (f32 state, f64
+//! accumulators).
 //!
 //! The crate is deliberately independent of the parallel layers: everything
 //! here operates on plain slices so the domain-decomposition and halo
@@ -14,7 +15,6 @@
 // kernels; clippy's iterator rewrites obscure the cross-array indexing.
 #![allow(clippy::needless_range_loop)]
 pub mod analysis;
-pub mod celllist;
 pub mod cluster;
 pub mod forces;
 pub mod frame;
@@ -31,7 +31,6 @@ pub mod trajectory;
 pub mod vec3;
 
 pub use analysis::{MsdTracker, Rdf};
-pub use celllist::CellList;
 pub use cluster::{
     compute_nonbonded_clusters, compute_nonbonded_clusters_aos, ClusterPairList, ClusterPairs,
     NbPartition, CLUSTER,

@@ -20,7 +20,9 @@
 //!   [`JobHandle::status`]/[`JobHandle::wait`].
 //!
 //! DESIGN.md §3.7 documents the lifecycle and scheduling contracts;
-//! `halox-bench serve` drives the 200-job acceptance load.
+//! `halox-bench serve` drives the 200-job acceptance load (every job `Done`
+//! and bitwise vs solo, a killed PE rescheduled), and the perf ledger's
+//! `serve_batch` workload times the service.
 
 pub mod estimator;
 pub mod job;

@@ -143,12 +143,20 @@ impl FaultPlan {
     }
 
     /// The fault-plan seed the test suites sweep: `HALOX_CHAOS_SEED`, or 1.
-    /// The only reader of that variable.
+    /// The only reader of that variable; panics on a value that is not a
+    /// `u64`, since a mistyped seed must not quietly sweep seed 1.
     pub fn env_seed() -> u64 {
-        std::env::var("HALOX_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1)
+        Self::seed_lever(std::env::var("HALOX_CHAOS_SEED").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn seed_lever(raw: Option<&str>) -> Result<u64, String> {
+        match raw.filter(|v| !v.is_empty()) {
+            None => Ok(1),
+            Some(v) => v.parse().map_err(|_| {
+                format!("HALOX_CHAOS_SEED={v:?} is not accepted (expected an unsigned integer)")
+            }),
+        }
     }
 
     /// The built-in adversarial sweep: one plan per fault class, with the
@@ -544,6 +552,18 @@ mod tests {
                 kind,
             }],
         }
+    }
+
+    #[test]
+    fn seed_lever_rejects_a_non_integer() {
+        assert_eq!(FaultPlan::seed_lever(None), Ok(1));
+        assert_eq!(FaultPlan::seed_lever(Some("")), Ok(1));
+        assert_eq!(FaultPlan::seed_lever(Some("3")), Ok(3));
+        let err = FaultPlan::seed_lever(Some("abc")).unwrap_err();
+        assert!(
+            err.contains("HALOX_CHAOS_SEED") && err.contains("\"abc\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! loads (§5.2).
 //!
 //! Also provided: a two-sided message fabric ([`twosided`]) as the GPU-aware
-//! MPI stand-in for the baseline halo exchange, a sense-reversing barrier,
-//! team-scoped allocation ([`team`]) and an `AtomicF32` (CUDA `atomicAdd`
-//! analogue).
+//! MPI stand-in for the baseline halo exchange, a sense-reversing barrier
+//! and team-scoped allocation ([`team`]).
 //!
 //! ```
 //! use halox_shmem::{ShmemWorld, SymVec3, Topology};
@@ -36,7 +35,6 @@
 // Index-based loops across parallel arrays are the dominant idiom in these
 // kernels; clippy's iterator rewrites obscure the cross-array indexing.
 #![allow(clippy::needless_range_loop)]
-pub mod atomicf32;
 pub mod barrier;
 pub mod chaos;
 pub mod collectives;
@@ -49,14 +47,13 @@ pub mod twosided;
 pub mod wire;
 pub mod world;
 
-pub use atomicf32::AtomicF32;
 pub use barrier::{BarrierTimeout, SenseBarrier};
 pub use chaos::{ChaosEngine, ChaosReport, FaultKind, FaultOp, FaultPlan, FaultRule};
 pub use collectives::{AtomicF64, Collectives};
 pub use pool::{PoolStats, WorldKey, WorldLease, WorldPool};
 pub use shared::{Slots, SymAllocError};
 pub use signal::SignalSet;
-pub use sym::{SymF32, SymVec3};
+pub use sym::SymVec3;
 pub use team::{Team, TeamSymVec3};
 pub use twosided::TwoSidedComm;
 pub use wire::{crc32, Wire, WireError, WireReader};

@@ -14,7 +14,6 @@
 //! specialization (§5.3) is enforced here too: a buffer always has a segment
 //! on *every* PE of the world, sized identically.
 
-use crate::atomicf32::AtomicF32;
 use crate::shared::Slots;
 use halox_md::Vec3;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -152,58 +151,6 @@ pub(crate) fn store_vec3s(words: &[AtomicU32], src: &[Vec3]) {
     }
 }
 
-/// A symmetric array of independent atomic floats (per-component force
-/// accumulators when the paper's `atomicAdd` unpack path is exercised
-/// standalone).
-#[derive(Clone)]
-pub struct SymF32 {
-    /// PE `p`'s segment is `cells[p * stride..][..len]`.
-    cells: Arc<Slots<AtomicF32>>,
-    stride: usize,
-    len: usize,
-}
-
-impl SymF32 {
-    pub fn alloc(npes: usize, len: usize) -> Self {
-        let stride = len.next_multiple_of(SEG_ALIGN_CELLS);
-        let cells = Slots::alloc(npes * stride)
-            .unwrap_or_else(|e| panic!("SymF32::alloc({npes}, {len}): {e}"));
-        SymF32 {
-            cells: Arc::new(cells),
-            stride,
-            len,
-        }
-    }
-
-    #[inline]
-    fn seg(&self, pe: usize) -> &[AtomicF32] {
-        &self.cells[pe * self.stride..][..self.len]
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    pub fn load(&self, pe: usize, idx: usize) -> f32 {
-        self.seg(pe)[idx].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub fn store(&self, pe: usize, idx: usize, v: f32) {
-        self.seg(pe)[idx].store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn fetch_add(&self, pe: usize, idx: usize, v: f32) -> f32 {
-        self.seg(pe)[idx].fetch_add(v, Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,15 +190,6 @@ mod tests {
         assert_eq!(b.snapshot(0)[1], Vec3::splat(2.0));
         b.clear(0);
         assert!(b.snapshot(0).iter().all(|v| *v == Vec3::ZERO));
-    }
-
-    #[test]
-    fn symf32_fetch_add() {
-        let f = SymF32::alloc(2, 2);
-        assert_eq!(f.fetch_add(1, 0, 2.5), 0.0);
-        assert_eq!(f.fetch_add(1, 0, 1.0), 2.5);
-        assert_eq!(f.load(1, 0), 3.5);
-        assert_eq!(f.load(0, 0), 0.0);
     }
 
     #[test]

@@ -61,11 +61,25 @@ pub enum WorldBackend {
 }
 
 impl WorldBackend {
-    /// Read `HALOX_BACKEND` (`threads` | `procs`); defaults to threads.
+    /// The `HALOX_BACKEND` lever. Panics on a value it does not accept: a
+    /// mistyped lever must not quietly run the default.
     pub fn from_env() -> Self {
-        match std::env::var("HALOX_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("procs") => WorldBackend::Procs,
-            _ => WorldBackend::Threads,
+        Self::lever(std::env::var("HALOX_BACKEND").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `HALOX_BACKEND`'s value to a backend: unset or empty is threads,
+    /// labels match ASCII case-insensitively.
+    fn lever(raw: Option<&str>) -> Result<Self, String> {
+        let all = [WorldBackend::Threads, WorldBackend::Procs];
+        match raw.filter(|v| !v.is_empty()) {
+            None => Ok(WorldBackend::Threads),
+            Some(v) => all
+                .into_iter()
+                .find(|b| v.eq_ignore_ascii_case(b.label()))
+                .ok_or_else(|| {
+                    format!("HALOX_BACKEND={v:?} is not accepted (expected one of: threads, procs)")
+                }),
         }
     }
 
@@ -1294,6 +1308,21 @@ mod tests {
         let all = Topology::all_nvlink(8);
         assert!(all.nvlink_reachable(0, 7));
         assert_eq!(all.node_of(7), 0);
+    }
+
+    #[test]
+    fn backend_lever_rejects_a_mistyped_value() {
+        assert_eq!(WorldBackend::lever(None), Ok(WorldBackend::Threads));
+        assert_eq!(WorldBackend::lever(Some("")), Ok(WorldBackend::Threads));
+        for b in [WorldBackend::Threads, WorldBackend::Procs] {
+            assert_eq!(WorldBackend::lever(Some(b.label())), Ok(b));
+        }
+        assert_eq!(WorldBackend::lever(Some("PROCS")), Ok(WorldBackend::Procs));
+        let err = WorldBackend::lever(Some("proc")).unwrap_err();
+        assert!(
+            err.contains("HALOX_BACKEND") && err.contains("\"proc\"") && err.contains("procs"),
+            "{err}"
+        );
     }
 
     #[test]
