@@ -1,11 +1,18 @@
 //! Timing plane: lower the halo-exchange step schedules onto the cluster
 //! simulator and extract the paper's device-side metrics.
+//!
+//! One step schedule (`step`, Algorithm 2) and three exchange lowerings
+//! (`mpi`, `tmpi`, `nvshmem`) that say only what differs between Fig 1 and
+//! Fig 2. As on the functional plane (`halox-engine::step`) the skeleton is
+//! shared by construction, so what the shape tests prove is exactly the
+//! lowerings.
 
 pub mod input;
 pub mod metrics;
-pub mod mpi;
-pub mod nvshmem;
-pub mod tmpi;
+mod mpi;
+mod nvshmem;
+mod step;
+mod tmpi;
 
 pub use input::{PulseSpec, ScheduleInput};
 pub use metrics::{ScheduleRun, StepMetrics};
@@ -34,9 +41,9 @@ impl Backend {
 /// Build a schedule for a backend.
 pub fn build(backend: Backend, input: &ScheduleInput, n_steps: usize) -> ScheduleRun {
     match backend {
-        Backend::Mpi => mpi::build(input, n_steps),
-        Backend::ThreadMpi => tmpi::build(input, n_steps),
-        Backend::Nvshmem => nvshmem::build(input, n_steps),
+        Backend::Mpi => step::build::<mpi::Mpi>(input, n_steps),
+        Backend::ThreadMpi => step::build::<tmpi::ThreadMpi>(input, n_steps),
+        Backend::Nvshmem => step::build::<nvshmem::Nvshmem>(input, n_steps),
     }
 }
 

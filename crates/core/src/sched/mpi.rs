@@ -1,4 +1,4 @@
-//! Timing schedule: the GPU-aware-MPI halo exchange (paper Fig 1).
+//! Exchange lowering: the GPU-aware-MPI halo exchange (paper Fig 1).
 //!
 //! Per pulse and per direction the CPU must (a) launch a pack kernel,
 //! (b) synchronize with the GPU, (c) post MPI, (d) wait for the matching
@@ -6,254 +6,74 @@
 //! serialized. These CPU-GPU round trips are exactly the latencies the
 //! NVSHMEM redesign removes.
 
-use super::input::ScheduleInput;
-use super::metrics::ScheduleRun;
-use halox_gpusim::{streams, OpId, Resource, TaskGraph};
+use super::step::{Builder, Exchange};
+use halox_gpusim::{OpId, Resource};
 
-/// Build an `n_steps` MPI schedule.
-pub fn build(input: &ScheduleInput, n_steps: usize) -> ScheduleRun {
-    let m = &input.machine;
-    let nr = input.n_ranks();
-    let np = input.pulses.len();
-    let mut g = TaskGraph::new();
+pub(super) struct Mpi;
 
-    let mut local_nb = vec![vec![OpId(0); nr]; n_steps];
-    let mut nonlocal_ops = vec![vec![Vec::new(); nr]; n_steps];
-    let mut step_end = vec![vec![OpId(0); nr]; n_steps];
-    let mut prev_update: Vec<Option<OpId>> = vec![None; nr];
+/// One pulse in direction `d`: `"x"` sends coordinates down, `"f"` sends
+/// forces back up. The pack may not start before `after`; returns the unpack.
+fn pulse(b: &mut Builder, d: &'static str, p: usize, after: Option<OpId>) -> OpId {
+    let m = &b.input.machine;
+    let r = b.r;
+    let (down, up) = (b.input.send_rank(r, p), b.input.recv_rank(r, p));
+    let (dst, src) = if d == "x" { (down, up) } else { (up, down) };
+    let atoms = b.input.pulses[p].send_atoms;
+    let kernel_ns = m.pack_kernel_fixed_ns + m.pack_work_ns(atoms);
+    let pack = b.launched_on_nonlocal(format_args!("{d}pack{p}"), kernel_ns);
+    if let Some(prev_update) = after {
+        b.dep(pack, prev_update);
+    }
+    // CPU blocks until the pack kernel has finished.
+    let sync = b.cpu(format_args!("{d}sync{p}"), m.cpu_gpu_sync_ns);
+    b.dep(sync, pack);
+    let post = b.cpu(format_args!("{d}mpi{p}"), m.mpi_overhead_ns);
+    let wire_ns = m.wire_ns(r, dst, m.payload_bytes(atoms));
+    let wire = b.add(format_args!("{d}wire{p}"), Resource::Link(r, dst), wire_ns);
+    b.g.dep(wire, post, m.latency_ns(r, dst));
+    b.export(d, p, wire);
+    // The matching receive completes with the sender's wire transfer.
+    let wait = b.cpu(format_args!("{d}wait{p}"), m.mpi_overhead_ns / 2);
+    b.dep_on_peer(wait, src, d, p, 0);
+    let unpack = b.launched_on_nonlocal(format_args!("{d}unpack{p}"), kernel_ns);
+    b.dep_on_peer(unpack, src, d, p, 0);
+    b.nonlocal.extend([pack, unpack]);
+    unpack
+}
 
-    for s in 0..n_steps {
-        // Phase A: per-rank ops in issue order; cross-rank deps in phase B.
-        let mut x_wire = vec![vec![OpId(0); np]; nr];
-        let mut x_wait = vec![vec![OpId(0); np]; nr];
-        let mut x_unpack = vec![vec![OpId(0); np]; nr];
-        let mut f_wire = vec![vec![OpId(0); np]; nr];
-        let mut f_wait = vec![vec![OpId(0); np]; nr];
-        let mut f_unpack = vec![vec![OpId(0); np]; nr];
+impl Exchange for Mpi {
+    const PREFIX: &'static str = "mpi";
 
-        for r in 0..nr {
-            let cpu = Resource::Cpu(r);
-            let s_local = Resource::Stream(r, streams::LOCAL);
-            let s_nl = Resource::Stream(r, streams::NONLOCAL);
-            let s_up = Resource::Stream(r, streams::UPDATE);
-
-            // Local non-bonded.
-            let launch = g.add(format!("mpi:{s}:{r}:launch_lnb"), cpu, m.kernel_launch_ns);
-            let lnb = g.add(
-                format!("mpi:{s}:{r}:local_nb"),
-                s_local,
-                m.nb_local_ns(input.atoms_per_rank),
-            );
-            g.dep(lnb, launch, 0);
-            if let Some(pu) = prev_update[r] {
-                g.dep(lnb, pu, 0);
-            }
-            local_nb[s][r] = lnb;
-
-            // Coordinate halo: serialized pulses.
-            for (p, pulse) in input.pulses.iter().enumerate() {
-                let dst = input.send_rank(r, p);
-                let launch_pack = g.add(
-                    format!("mpi:{s}:{r}:launch_xpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let pack = g.add(
-                    format!("mpi:{s}:{r}:xpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(pack, launch_pack, 0);
-                if let Some(pu) = prev_update[r] {
-                    g.dep(pack, pu, 0);
-                }
-                // CPU blocks until the pack kernel has finished.
-                let sync = g.add(format!("mpi:{s}:{r}:xsync{p}"), cpu, m.cpu_gpu_sync_ns);
-                g.dep(sync, pack, 0);
-                let post = g.add(format!("mpi:{s}:{r}:xmpi{p}"), cpu, m.mpi_overhead_ns);
-                let wire = g.add(
-                    format!("mpi:{s}:{r}:xwire{p}"),
-                    Resource::Link(r, dst),
-                    m.wire_ns(r, dst, m.payload_bytes(pulse.send_atoms)),
-                );
-                g.dep(wire, post, m.latency_ns(r, dst));
-                let wait = g.add(format!("mpi:{s}:{r}:xwait{p}"), cpu, m.mpi_overhead_ns / 2);
-                let launch_unpack = g.add(
-                    format!("mpi:{s}:{r}:launch_xunpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let unpack = g.add(
-                    format!("mpi:{s}:{r}:xunpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(unpack, launch_unpack, 0);
-                x_wire[r][p] = wire;
-                x_wait[r][p] = wait;
-                x_unpack[r][p] = unpack;
-                nonlocal_ops[s][r].extend([pack, unpack]);
-            }
-
-            // Bonded + non-local non-bonded on the non-local stream.
-            let launch_b = g.add(
-                format!("mpi:{s}:{r}:launch_bonded"),
-                cpu,
-                m.kernel_launch_ns,
-            );
-            let bonded = g.add(
-                format!("mpi:{s}:{r}:bonded"),
-                s_nl,
-                m.bonded_ns(input.atoms_per_rank),
-            );
-            g.dep(bonded, launch_b, 0);
-            let launch_nl = g.add(format!("mpi:{s}:{r}:launch_nlnb"), cpu, m.kernel_launch_ns);
-            let nlnb = g.add(
-                format!("mpi:{s}:{r}:nl_nb"),
-                s_nl,
-                m.nb_nonlocal_ns(input.halo_atoms()),
-            );
-            g.dep(nlnb, launch_nl, 0);
-            nonlocal_ops[s][r].push(nlnb);
-
-            // Mid-step CPU work (event management, clears, auxiliary
-            // launches): hidden under the non-local kernel on large
-            // systems, exposed in the CPU-bound regime (paper SS3).
-            let _misc_mid = g.add(format!("mpi:{s}:{r}:misc_mid"), cpu, m.misc_cpu_ns / 2);
-
-            // Force halo: serialized pulses in reverse.
-            for p in (0..np).rev() {
-                let pulse = &input.pulses[p];
-                // Force data goes back up: send to recv_rank.
-                let dst = input.recv_rank(r, p);
-                let launch_pack = g.add(
-                    format!("mpi:{s}:{r}:launch_fpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let pack = g.add(
-                    format!("mpi:{s}:{r}:fpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(pack, launch_pack, 0);
-                let sync = g.add(format!("mpi:{s}:{r}:fsync{p}"), cpu, m.cpu_gpu_sync_ns);
-                g.dep(sync, pack, 0);
-                let post = g.add(format!("mpi:{s}:{r}:fmpi{p}"), cpu, m.mpi_overhead_ns);
-                let wire = g.add(
-                    format!("mpi:{s}:{r}:fwire{p}"),
-                    Resource::Link(r, dst),
-                    m.wire_ns(r, dst, m.payload_bytes(pulse.send_atoms)),
-                );
-                g.dep(wire, post, m.latency_ns(r, dst));
-                let wait = g.add(format!("mpi:{s}:{r}:fwait{p}"), cpu, m.mpi_overhead_ns / 2);
-                let launch_unpack = g.add(
-                    format!("mpi:{s}:{r}:launch_funpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let unpack = g.add(
-                    format!("mpi:{s}:{r}:funpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(unpack, launch_unpack, 0);
-                f_wire[r][p] = wire;
-                f_wait[r][p] = wait;
-                f_unpack[r][p] = unpack;
-                nonlocal_ops[s][r].extend([pack, unpack]);
-            }
-
-            // Update (reduce + integrate), prune, step marker.
-            let launch_u = g.add(
-                format!("mpi:{s}:{r}:launch_update"),
-                cpu,
-                m.kernel_launch_ns,
-            );
-            if input.prune_stream_opt {
-                let update = g.add(
-                    format!("mpi:{s}:{r}:update"),
-                    s_up,
-                    m.other_ns(input.atoms_per_rank),
-                );
-                g.dep(update, launch_u, 0);
-                g.dep(update, lnb, 0);
-                g.dep(update, nlnb, 0);
-                for p in 0..np {
-                    g.dep(update, f_unpack[r][p], 0);
-                }
-                let prune = g.add(
-                    format!("mpi:{s}:{r}:prune"),
-                    Resource::Stream(r, streams::PRUNE),
-                    m.prune_ns(input.atoms_per_rank),
-                );
-                g.dep(prune, update, 0);
-                let end = g.add(format!("mpi:{s}:{r}:step_end"), s_up, 0);
-                g.dep(end, update, 0);
-                step_end[s][r] = end;
-                prev_update[r] = Some(update);
-            } else {
-                // §5.4 off (the pre-optimization schedule): prune executes
-                // on the same stream ahead of the reduction/update tasks,
-                // blocking the integration and the following step.
-                let prune = g.add(
-                    format!("mpi:{s}:{r}:prune"),
-                    s_nl,
-                    m.prune_ns(input.atoms_per_rank),
-                );
-                g.dep(prune, lnb, 0);
-                let update = g.add(
-                    format!("mpi:{s}:{r}:update"),
-                    s_nl,
-                    m.other_ns(input.atoms_per_rank),
-                );
-                g.dep(update, launch_u, 0);
-                g.dep(update, lnb, 0);
-                g.dep(update, nlnb, 0);
-                for p in 0..np {
-                    g.dep(update, f_unpack[r][p], 0);
-                }
-                let end = g.add(format!("mpi:{s}:{r}:step_end"), s_up, 0);
-                g.dep(end, update, 0);
-                step_end[s][r] = end;
-                prev_update[r] = Some(update);
-            }
-            // Tail CPU work of the step (after the update/prune launches):
-            // with MPI the syncs prevent hiding it across steps, so it
-            // delays the next step's halo launches.
-            let _misc_tail = g.add(format!("mpi:{s}:{r}:misc_tail"), cpu, m.misc_cpu_ns / 2);
+    fn coord_halo(b: &mut Builder, prev_update: Option<OpId>) -> Vec<OpId> {
+        for p in 0..b.input.pulses.len() {
+            pulse(b, "x", p, prev_update);
         }
-
-        // Phase B: cross-rank receive dependencies.
-        for r in 0..nr {
-            for p in 0..np {
-                // My incoming coordinate data comes from my up neighbour's
-                // send of pulse p.
-                let src = input.recv_rank(r, p);
-                g.dep(x_wait[r][p], x_wire[src][p], 0);
-                g.dep(x_unpack[r][p], x_wire[src][p], 0);
-                // My incoming force data comes from my *down* neighbour
-                // (reverse direction).
-                let fsrc = input.send_rank(r, p);
-                g.dep(f_wait[r][p], f_wire[fsrc][p], 0);
-                g.dep(f_unpack[r][p], f_wire[fsrc][p], 0);
-            }
-        }
+        // The non-local stream already orders nl_nb behind the last unpack.
+        Vec::new()
     }
 
-    ScheduleRun {
-        graph: g,
-        n_steps,
-        n_ranks: nr,
-        local_nb,
-        nonlocal_ops,
-        step_end,
+    fn force_halo(b: &mut Builder, nl_nb: OpId) -> Vec<OpId> {
+        // Mid-step CPU residue: hidden under the non-local kernel on large
+        // systems, exposed in the CPU-bound regime (paper §3).
+        b.cpu("misc_mid", b.input.machine.misc_cpu_ns / 2);
+        // Serialized pulses in reverse; update waits on them by pulse.
+        let mut reduced = vec![nl_nb];
+        for p in (0..b.input.pulses.len()).rev() {
+            reduced.insert(1, pulse(b, "f", p, None));
+        }
+        reduced
+    }
+
+    /// Tail CPU residue: with MPI the syncs prevent hiding it across steps,
+    /// so it delays the next step's halo launches.
+    fn finish(b: &mut Builder) {
+        b.cpu("misc_tail", b.input.machine.misc_cpu_ns / 2);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::{build, Backend, ScheduleInput};
     use halox_dd::{DdGrid, WorkloadModel};
     use halox_gpusim::MachineModel;
 
@@ -261,7 +81,7 @@ mod tests {
         let grid = DdGrid::new(dims);
         let model = WorkloadModel::cubic(atoms, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
-        build(&input, 6).metrics(2)
+        build(Backend::Mpi, &input, 6).metrics(2)
     }
 
     #[test]
@@ -295,9 +115,9 @@ mod tests {
         let grid = DdGrid::new([4, 1, 1]);
         let model = WorkloadModel::cubic(180_000, 100.0, 1.05, grid);
         let mut input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
-        let on = build(&input, 6).metrics(2);
+        let on = build(Backend::Mpi, &input, 6).metrics(2);
         input.prune_stream_opt = false;
-        let off = build(&input, 6).metrics(2);
+        let off = build(Backend::Mpi, &input, 6).metrics(2);
         assert!(
             on.time_per_step_ns < off.time_per_step_ns,
             "{on:?} vs {off:?}"

@@ -1,4 +1,4 @@
-//! Timing schedule: the fused GPU-initiated NVSHMEM halo exchange (paper
+//! Exchange lowering: the fused GPU-initiated NVSHMEM halo exchange (paper
 //! Fig 2, Algorithms 2-6).
 //!
 //! One kernel launch per exchange; all pulses progress concurrently on
@@ -8,319 +8,165 @@
 //! synchronizes inside the step, so launches pipeline ahead of the GPU.
 
 use super::input::ScheduleInput;
-use super::metrics::ScheduleRun;
-use halox_gpusim::{streams, OpId, Resource, TaskGraph};
+use super::step::{Builder, Exchange, Kernel, KERNELS};
+use halox_gpusim::{streams, OpId, Resource, Time};
 
-/// Build an `n_steps` NVSHMEM schedule.
-pub fn build(input: &ScheduleInput, n_steps: usize) -> ScheduleRun {
-    let m = &input.machine;
-    let nr = input.n_ranks();
-    let np = input.pulses.len();
-    let n_dims = input.grid.n_decomposed();
-    let mut g = TaskGraph::new();
-    let mut lane = 0u32;
-    let mut next_lane = |r: usize| {
-        lane += 1;
-        Resource::Lane(r, lane)
-    };
+pub(super) struct Nvshmem;
 
-    let mut local_nb = vec![vec![OpId(0); nr]; n_steps];
-    let mut nonlocal_ops = vec![vec![Vec::new(); nr]; n_steps];
-    let mut step_end = vec![vec![OpId(0); nr]; n_steps];
-    let mut prev_update: Vec<Option<OpId>> = vec![None; nr];
+impl Exchange for Nvshmem {
+    const PREFIX: &'static str = "nvs";
 
-    for s in 0..n_steps {
-        let mut x_wire_i = vec![vec![None::<OpId>; np]; nr];
-        let mut x_wire_d = vec![vec![None::<OpId>; np]; nr];
-        let mut x_put_wire = vec![vec![None::<OpId>; np]; nr];
-        let mut x_arrive = vec![vec![OpId(0); np]; nr];
-        let mut f_ready = vec![vec![OpId(0); np]; nr];
-        let mut f_wire = vec![vec![None::<OpId>; np]; nr];
-        let mut f_get = vec![vec![None::<OpId>; np]; nr];
-        let mut f_unpack = vec![vec![OpId(0); np]; nr];
-
-        for r in 0..nr {
-            let cpu = Resource::Cpu(r);
-            let s_local = Resource::Stream(r, streams::LOCAL);
-            let s_nl = Resource::Stream(r, streams::NONLOCAL);
-            let s_up = Resource::Stream(r, streams::UPDATE);
-
-            // --- CPU: six back-to-back launches, no syncs (Alg 2); with
-            // CUDA graphs the whole step is one captured launch (SS5.3). ---
-            let (launch_lnb, launch_x, launch_b, launch_nl, launch_f, launch_u) =
-                if input.cuda_graphs {
-                    let graph = g.add(format!("nvs:{s}:{r}:graph_launch"), cpu, m.graph_launch_ns);
-                    (graph, graph, graph, graph, graph, graph)
-                } else {
-                    (
-                        g.add(format!("nvs:{s}:{r}:launch_lnb"), cpu, m.kernel_launch_ns),
-                        g.add(format!("nvs:{s}:{r}:launch_x"), cpu, m.kernel_launch_ns),
-                        g.add(
-                            format!("nvs:{s}:{r}:launch_bonded"),
-                            cpu,
-                            m.kernel_launch_ns,
-                        ),
-                        g.add(format!("nvs:{s}:{r}:launch_nlnb"), cpu, m.kernel_launch_ns),
-                        g.add(format!("nvs:{s}:{r}:launch_f"), cpu, m.kernel_launch_ns),
-                        g.add(
-                            format!("nvs:{s}:{r}:launch_update"),
-                            cpu,
-                            m.kernel_launch_ns,
-                        ),
-                    )
-                };
-
-            // --- Local non-bonded (slowed by SM-resident comm kernels). ---
-            let lnb_dur =
-                (m.nb_local_ns(input.atoms_per_rank) as f64 * m.sm_slowdown(n_dims)).round() as u64;
-            let lnb = g.add(format!("nvs:{s}:{r}:local_nb"), s_local, lnb_dur);
-            g.dep(lnb, launch_lnb, 0);
-            if let Some(pu) = prev_update[r] {
-                g.dep(lnb, pu, 0);
-            }
-            local_nb[s][r] = lnb;
-
-            // --- FusedPackCommX: one kernel, pulses on concurrent lanes. ---
-            let xstart = g.add(format!("nvs:{s}:{r}:xstart"), s_nl, m.kernel_fixed_ns / 2);
-            g.dep(xstart, launch_x, 0);
-            if let Some(pu) = prev_update[r] {
-                g.dep(xstart, pu, 0);
-            }
-            let mut pack_ops = Vec::with_capacity(2 * np);
-            for (p, pulse) in input.pulses.iter().enumerate() {
-                let dst = input.send_rank(r, p);
-                let ind_atoms = pulse.send_atoms * (1.0 - pulse.dep_fraction);
-                let dep_atoms = pulse.send_atoms * pulse.dep_fraction;
-                let pack_ind = g.add(
-                    format!("nvs:{s}:{r}:xpack_ind{p}"),
-                    next_lane(r),
-                    m.pulse_fixed_ns + m.pack_work_ns(ind_atoms),
-                );
-                g.dep(pack_ind, xstart, 0);
-                let pack_dep = g.add(
-                    format!("nvs:{s}:{r}:xpack_dep{p}"),
-                    next_lane(r),
-                    m.pulse_fixed_ns + m.pack_work_ns(dep_atoms),
-                );
-                g.dep(pack_dep, xstart, 0);
-                for k in input.dep_pulses(p) {
-                    // Wait on my own arrival of the forwarded pulses.
-                    g.dep(pack_dep, x_arrive[r][k], 0);
-                }
-                if m.nvlink_reachable(r, dst) {
-                    // Pipelined TMA stores: independent data flies early.
-                    let wi = g.add(
-                        format!("nvs:{s}:{r}:xwire_i{p}"),
-                        Resource::Tma(r),
-                        m.wire_ns(r, dst, m.payload_bytes(ind_atoms)),
-                    );
-                    g.dep(wi, pack_ind, 0);
-                    let wd = g.add(
-                        format!("nvs:{s}:{r}:xwire_d{p}"),
-                        Resource::Tma(r),
-                        m.wire_ns(r, dst, m.payload_bytes(dep_atoms)),
-                    );
-                    g.dep(wd, pack_dep, 0);
-                    x_wire_i[r][p] = Some(wi);
-                    x_wire_d[r][p] = Some(wd);
-                } else {
-                    // Coarsened put through the proxy.
-                    let put = g.add(
-                        format!("nvs:{s}:{r}:xput{p}"),
-                        Resource::Proxy(r),
-                        m.proxy_service_ns(),
-                    );
-                    g.dep(put, pack_ind, 0);
-                    g.dep(put, pack_dep, 0);
-                    let wire = g.add(
-                        format!("nvs:{s}:{r}:xwire{p}"),
-                        Resource::Link(r, dst),
-                        m.wire_ns(r, dst, m.payload_bytes(pulse.send_atoms)),
-                    );
-                    g.dep(wire, put, m.latency_ns(r, dst));
-                    x_put_wire[r][p] = Some(wire);
-                }
-                // Arrival marker for *my* incoming pulse p (cross-dep in
-                // phase B).
-                let arrive = g.add(format!("nvs:{s}:{r}:xarrive{p}"), next_lane(r), 0);
-                x_arrive[r][p] = arrive;
-                pack_ops.push(pack_ind);
-                pack_ops.push(pack_dep);
-                nonlocal_ops[s][r].extend([pack_ind, pack_dep]);
-            }
-            let xend = g.add(format!("nvs:{s}:{r}:xend"), s_nl, m.event_api_ns);
-            for &op in &pack_ops {
-                g.dep(xend, op, 0);
-            }
-
-            // --- Bonded and non-local non-bonded. ---
-            let bonded = g.add(
-                format!("nvs:{s}:{r}:bonded"),
-                s_nl,
-                m.bonded_ns(input.atoms_per_rank),
-            );
-            g.dep(bonded, launch_b, 0);
-            let nlnb = g.add(
-                format!("nvs:{s}:{r}:nl_nb"),
-                s_nl,
-                m.nb_nonlocal_ns(input.halo_atoms()),
-            );
-            g.dep(nlnb, launch_nl, 0);
-            for p in 0..np {
-                g.dep(nlnb, x_arrive[r][p], 0);
-            }
-            nonlocal_ops[s][r].push(nlnb);
-
-            // --- FusedCommUnpackF: reverse pulse order on lanes. ---
-            let fstart = g.add(format!("nvs:{s}:{r}:fstart"), s_nl, m.kernel_fixed_ns / 2);
-            g.dep(fstart, launch_f, 0);
-            for p in (0..np).rev() {
-                let pulse = &input.pulses[p];
-                let upstream = input.recv_rank(r, p);
-                let downstream = input.send_rank(r, p);
-                // DEP_MGMT: region p releases only after later pulses are
-                // folded in locally.
-                let ready = g.add(format!("nvs:{s}:{r}:fready{p}"), next_lane(r), 0);
-                g.dep(ready, fstart, 0);
-                for q in (p + 1)..np {
-                    g.dep(ready, f_unpack[r][q], 0);
-                }
-                f_ready[r][p] = ready;
-                if !m.nvlink_reachable(r, upstream) {
-                    let put = g.add(
-                        format!("nvs:{s}:{r}:fput{p}"),
-                        Resource::Proxy(r),
-                        m.proxy_service_ns(),
-                    );
-                    g.dep(put, ready, 0);
-                    let wire = g.add(
-                        format!("nvs:{s}:{r}:fwire{p}"),
-                        Resource::Link(r, upstream),
-                        m.wire_ns(r, upstream, m.payload_bytes(pulse.send_atoms)),
-                    );
-                    g.dep(wire, put, m.latency_ns(r, upstream));
-                    f_wire[r][p] = Some(wire);
-                }
-                // Incoming: receiver-driven TMA get over NVLink.
-                if m.nvlink_reachable(r, downstream) {
-                    let get = g.add(
-                        format!("nvs:{s}:{r}:fget{p}"),
-                        Resource::Tma(r),
-                        m.wire_ns(r, downstream, m.payload_bytes(pulse.send_atoms)),
-                    );
-                    g.dep(get, fstart, 0);
-                    f_get[r][p] = Some(get);
-                }
-                let unpack = g.add(
-                    format!("nvs:{s}:{r}:funpack{p}"),
-                    next_lane(r),
-                    m.pulse_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(unpack, fstart, 0);
-                if let Some(get) = f_get[r][p] {
-                    g.dep(unpack, get, 0);
-                }
-                f_unpack[r][p] = unpack;
-                nonlocal_ops[s][r].push(unpack);
-            }
-            let fend = g.add(format!("nvs:{s}:{r}:fend"), s_nl, m.event_api_ns);
-            for p in 0..np {
-                g.dep(fend, f_unpack[r][p], 0);
-            }
-
-            // Residual CPU work; with no syncs it pipelines across steps.
-            // Graph capture also eliminates most per-step event management.
-            let misc_ns = if input.cuda_graphs {
-                m.misc_cpu_ns / 8
-            } else {
-                m.misc_cpu_ns / 2
-            };
-            let _misc = g.add(format!("nvs:{s}:{r}:misc_cpu"), cpu, misc_ns);
-
-            // --- Update / prune / step marker. ---
-            if input.prune_stream_opt {
-                let update = g.add(
-                    format!("nvs:{s}:{r}:update"),
-                    s_up,
-                    m.other_ns(input.atoms_per_rank),
-                );
-                g.dep(update, launch_u, 0);
-                g.dep(update, lnb, 0);
-                g.dep(update, fend, 0);
-                let prune = g.add(
-                    format!("nvs:{s}:{r}:prune"),
-                    Resource::Stream(r, streams::PRUNE),
-                    m.prune_ns(input.atoms_per_rank),
-                );
-                g.dep(prune, update, 0);
-                let end = g.add(format!("nvs:{s}:{r}:step_end"), s_up, 0);
-                g.dep(end, update, 0);
-                step_end[s][r] = end;
-                prev_update[r] = Some(update);
-            } else {
-                // §5.4 off: prune on the non-local stream blocks the next
-                // step's fused exchange.
-                let prune = g.add(
-                    format!("nvs:{s}:{r}:prune"),
-                    s_nl,
-                    m.prune_ns(input.atoms_per_rank),
-                );
-                g.dep(prune, lnb, 0);
-                let update = g.add(
-                    format!("nvs:{s}:{r}:update"),
-                    s_nl,
-                    m.other_ns(input.atoms_per_rank),
-                );
-                g.dep(update, launch_u, 0);
-                g.dep(update, lnb, 0);
-                g.dep(update, fend, 0);
-                let end = g.add(format!("nvs:{s}:{r}:step_end"), s_up, 0);
-                g.dep(end, update, 0);
-                step_end[s][r] = end;
-                prev_update[r] = Some(update);
-            }
-        }
-
-        // --- Phase B: cross-rank signal/arrival dependencies. ---
-        for r in 0..nr {
-            for p in 0..np {
-                let src = input.recv_rank(r, p);
-                let arrive = x_arrive[r][p];
-                if let Some(wi) = x_wire_i[src][p] {
-                    g.dep(arrive, wi, m.latency_ns(src, r));
-                }
-                if let Some(wd) = x_wire_d[src][p] {
-                    g.dep(arrive, wd, m.latency_ns(src, r));
-                }
-                if let Some(w) = x_put_wire[src][p] {
-                    g.dep(arrive, w, 0);
-                }
-                let downstream = input.send_rank(r, p);
-                if let Some(get) = f_get[r][p] {
-                    // Receiver-driven get waits on the peer's readiness
-                    // signal.
-                    g.dep(get, f_ready[downstream][p], m.latency_ns(downstream, r));
-                } else if let Some(w) = f_wire[downstream][p] {
-                    g.dep(f_unpack[r][p], w, 0);
-                }
-            }
-        }
+    /// Six back-to-back launches, no syncs (Alg 2); with CUDA graphs the
+    /// whole step is one captured launch (§5.3).
+    fn launch_up_front(b: &mut Builder) -> Option<[OpId; 6]> {
+        Some(if b.input.cuda_graphs {
+            [b.cpu("graph_launch", b.input.machine.graph_launch_ns); 6]
+        } else {
+            KERNELS.map(|kernel| b.launch_now(kernel))
+        })
     }
 
-    ScheduleRun {
-        graph: g,
-        n_steps,
-        n_ranks: nr,
-        local_nb,
-        nonlocal_ops,
-        step_end,
+    /// Local non-bonded is slowed by the SM-resident communication kernels.
+    fn local_nb_ns(input: &ScheduleInput) -> Time {
+        let m = &input.machine;
+        let slowdown = m.sm_slowdown(input.grid.n_decomposed());
+        (m.nb_local_ns(input.atoms_per_rank) as f64 * slowdown).round() as u64
+    }
+
+    /// FusedPackCommX: one kernel, pulses on concurrent lanes.
+    fn coord_halo(b: &mut Builder, prev_update: Option<OpId>) -> Vec<OpId> {
+        let input = b.input;
+        let m = &input.machine;
+        let r = b.r;
+        let xstart = b.on_stream(streams::NONLOCAL, "xstart", m.kernel_fixed_ns / 2);
+        let launch = b.launch(Kernel::CoordHalo);
+        b.dep(xstart, launch);
+        if let Some(prev_update) = prev_update {
+            b.dep(xstart, prev_update);
+        }
+        // Pack ops, and the arrival markers of *my* incoming pulses.
+        let (mut packs, mut arrivals) = (Vec::new(), Vec::new());
+        for (p, pulse) in input.pulses.iter().enumerate() {
+            let (dst, src) = (input.send_rank(r, p), input.recv_rank(r, p));
+            let ind_atoms = pulse.send_atoms * (1.0 - pulse.dep_fraction);
+            let dep_atoms = pulse.send_atoms * pulse.dep_fraction;
+            let pack_ns = |atoms| m.pulse_fixed_ns + m.pack_work_ns(atoms);
+            let wire_ns = |atoms| m.wire_ns(r, dst, m.payload_bytes(atoms));
+            let pack_ind = b.on_lane(format_args!("xpack_ind{p}"), pack_ns(ind_atoms));
+            b.dep(pack_ind, xstart);
+            let pack_dep = b.on_lane(format_args!("xpack_dep{p}"), pack_ns(dep_atoms));
+            b.dep(pack_dep, xstart);
+            for k in input.dep_pulses(p) {
+                // Wait on my own arrival of the forwarded pulses.
+                b.dep(pack_dep, arrivals[k]);
+            }
+            if m.nvlink_reachable(r, dst) {
+                // Pipelined TMA stores: independent data flies early.
+                let tma = Resource::Tma(r);
+                let wire_ind = b.add(format_args!("xwire_i{p}"), tma, wire_ns(ind_atoms));
+                b.dep(wire_ind, pack_ind);
+                b.export("xwire_i", p, wire_ind);
+                let wire_dep = b.add(format_args!("xwire_d{p}"), tma, wire_ns(dep_atoms));
+                b.dep(wire_dep, pack_dep);
+                b.export("xwire_d", p, wire_dep);
+            } else {
+                // Coarsened put through the proxy.
+                let proxy = Resource::Proxy(r);
+                let put = b.add(format_args!("xput{p}"), proxy, m.proxy_service_ns());
+                b.dep(put, pack_ind);
+                b.dep(put, pack_dep);
+                let link = Resource::Link(r, dst);
+                let wire = b.add(format_args!("xwire{p}"), link, wire_ns(pulse.send_atoms));
+                b.g.dep(wire, put, m.latency_ns(r, dst));
+                b.export("xwire", p, wire);
+            }
+            // My incoming pulse p has arrived once my up neighbour's wire
+            // ops have landed.
+            let arrive = b.on_lane(format_args!("xarrive{p}"), 0);
+            if m.nvlink_reachable(src, r) {
+                b.dep_on_peer(arrive, src, "xwire_i", p, m.latency_ns(src, r));
+                b.dep_on_peer(arrive, src, "xwire_d", p, m.latency_ns(src, r));
+            } else {
+                b.dep_on_peer(arrive, src, "xwire", p, 0);
+            }
+            arrivals.push(arrive);
+            packs.extend([pack_ind, pack_dep]);
+        }
+        let xend = b.on_stream(streams::NONLOCAL, "xend", m.event_api_ns);
+        for &pack in &packs {
+            b.dep(xend, pack);
+        }
+        b.nonlocal.extend(packs);
+        // nl_nb reads the halo, so it waits on every arrival.
+        arrivals
+    }
+
+    /// FusedCommUnpackF: reverse pulse order on lanes.
+    fn force_halo(b: &mut Builder, _nl_nb: OpId) -> Vec<OpId> {
+        let input = b.input;
+        let m = &input.machine;
+        let r = b.r;
+        let fstart = b.on_stream(streams::NONLOCAL, "fstart", m.kernel_fixed_ns / 2);
+        let launch = b.launch(Kernel::ForceHalo);
+        b.dep(fstart, launch);
+        // Unpacks issued so far, i.e. of the later pulses, by pulse.
+        let mut unpacks = Vec::new();
+        for p in (0..input.pulses.len()).rev() {
+            let atoms = input.pulses[p].send_atoms;
+            let (upstream, downstream) = (input.recv_rank(r, p), input.send_rank(r, p));
+            // DEP_MGMT: region p releases only after later pulses are
+            // folded in locally.
+            let ready = b.on_lane(format_args!("fready{p}"), 0);
+            b.dep(ready, fstart);
+            for &later in &unpacks {
+                b.dep(ready, later);
+            }
+            b.export("fready", p, ready);
+            if !m.nvlink_reachable(r, upstream) {
+                let proxy = Resource::Proxy(r);
+                let put = b.add(format_args!("fput{p}"), proxy, m.proxy_service_ns());
+                b.dep(put, ready);
+                let link = Resource::Link(r, upstream);
+                let wire_ns = m.wire_ns(r, upstream, m.payload_bytes(atoms));
+                let wire = b.add(format_args!("fwire{p}"), link, wire_ns);
+                b.g.dep(wire, put, m.latency_ns(r, upstream));
+                b.export("fwire", p, wire);
+            }
+            // Incoming: a receiver-driven TMA get over NVLink, started by the
+            // peer's readiness signal; else the peer's proxied put.
+            let get = m.nvlink_reachable(r, downstream).then(|| {
+                let wire_ns = m.wire_ns(r, downstream, m.payload_bytes(atoms));
+                let get = b.add(format_args!("fget{p}"), Resource::Tma(r), wire_ns);
+                b.dep(get, fstart);
+                b.dep_on_peer(get, downstream, "fready", p, m.latency_ns(downstream, r));
+                get
+            });
+            let unpack_ns = m.pulse_fixed_ns + m.pack_work_ns(atoms);
+            let unpack = b.on_lane(format_args!("funpack{p}"), unpack_ns);
+            b.dep(unpack, fstart);
+            match get {
+                Some(get) => b.dep(unpack, get),
+                None => b.dep_on_peer(unpack, downstream, "fwire", p, 0),
+            }
+            b.nonlocal.push(unpack);
+            unpacks.insert(0, unpack);
+        }
+        let fend = b.on_stream(streams::NONLOCAL, "fend", m.event_api_ns);
+        for &unpack in &unpacks {
+            b.dep(fend, unpack);
+        }
+        // CPU residue; with no syncs it pipelines across steps, and graph
+        // capture eliminates most per-step event management.
+        let share = if input.cuda_graphs { 8 } else { 2 };
+        b.cpu("misc_cpu", m.misc_cpu_ns / share);
+        vec![fend]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::metrics::StepMetrics;
-    use super::*;
+    use super::super::{build, Backend, ScheduleInput};
     use halox_dd::{DdGrid, WorkloadModel};
     use halox_gpusim::MachineModel;
 
@@ -328,7 +174,7 @@ mod tests {
         let grid = DdGrid::new(dims);
         let model = WorkloadModel::cubic(atoms, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(machine, &model);
-        build(&input, 6).metrics(2)
+        build(Backend::Nvshmem, &input, 6).metrics(2)
     }
 
     #[test]
@@ -337,8 +183,8 @@ mod tests {
         let grid = DdGrid::new([4, 1, 1]);
         let model = WorkloadModel::cubic(45_000, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
-        let nvs = build(&input, 6).metrics(2);
-        let mpi = super::super::mpi::build(&input, 6).metrics(2);
+        let nvs = build(Backend::Nvshmem, &input, 6).metrics(2);
+        let mpi = build(Backend::Mpi, &input, 6).metrics(2);
         assert!(
             nvs.time_per_step_ns < mpi.time_per_step_ns,
             "NVSHMEM {} vs MPI {}",
@@ -355,8 +201,8 @@ mod tests {
         let grid = DdGrid::new([4, 1, 1]);
         let model = WorkloadModel::cubic(360_000, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
-        let nvs = build(&input, 6).metrics(2);
-        let mpi = super::super::mpi::build(&input, 6).metrics(2);
+        let nvs = build(Backend::Nvshmem, &input, 6).metrics(2);
+        let mpi = build(Backend::Mpi, &input, 6).metrics(2);
         let speedup = mpi.time_per_step_ns / nvs.time_per_step_ns;
         assert!((0.95..1.15).contains(&speedup), "speedup {speedup}");
     }
@@ -382,8 +228,8 @@ mod tests {
         let grid = DdGrid::new([2, 2, 2]);
         let model = WorkloadModel::cubic(2_880_000, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(MachineModel::eos(), &model);
-        let nvs = build(&input, 6).metrics(2);
-        let mpi = super::super::mpi::build(&input, 6).metrics(2);
+        let nvs = build(Backend::Nvshmem, &input, 6).metrics(2);
+        let mpi = build(Backend::Mpi, &input, 6).metrics(2);
         assert!(
             nvs.local_work_ns > mpi.local_work_ns,
             "NVSHMEM local work must show SM sharing: {} vs {}",
@@ -399,9 +245,9 @@ mod tests {
         let grid = DdGrid::new([4, 1, 1]);
         let model = WorkloadModel::cubic(45_000, 100.0, 1.05, grid);
         let mut input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
-        let plain = build(&input, 6).metrics(2);
+        let plain = build(Backend::Nvshmem, &input, 6).metrics(2);
         input.cuda_graphs = true;
-        let graphs = build(&input, 6).metrics(2);
+        let graphs = build(Backend::Nvshmem, &input, 6).metrics(2);
         assert!(graphs.time_per_step_ns <= plain.time_per_step_ns * 1.001);
     }
 
@@ -415,8 +261,8 @@ mod tests {
         let input = ScheduleInput::from_workload(MachineModel::eos(), &model);
         assert_eq!(input.pulses.len(), 2);
         assert_eq!(input.pulses[1].dep_fraction, 1.0);
-        let nvs = build(&input, 6).metrics(2);
-        let mpi = super::super::mpi::build(&input, 6).metrics(2);
+        let nvs = build(Backend::Nvshmem, &input, 6).metrics(2);
+        let mpi = build(Backend::Mpi, &input, 6).metrics(2);
         assert!(nvs.time_per_step_ns < mpi.time_per_step_ns);
     }
 

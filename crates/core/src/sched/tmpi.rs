@@ -1,4 +1,4 @@
-//! Timing schedule: the thread-MPI event-driven halo exchange.
+//! Exchange lowering: the thread-MPI event-driven halo exchange.
 //!
 //! GROMACS' built-in thread-MPI can enqueue direct DMA copies on GPU
 //! streams with event dependencies and no per-step CPU-GPU synchronization
@@ -7,214 +7,67 @@
 //! is intra-node only (threads of one process). The paper uses it as the
 //! intra-node gold standard that the NVSHMEM design generalizes multi-node.
 
-use super::input::ScheduleInput;
-use super::metrics::ScheduleRun;
-use halox_gpusim::{streams, OpId, Resource, TaskGraph};
+use super::step::{Builder, Exchange};
+use halox_gpusim::{OpId, Resource};
 
-/// Build an `n_steps` thread-MPI schedule. Panics if any rank pair crosses
-/// a node boundary (thread-MPI is single-process).
-pub fn build(input: &ScheduleInput, n_steps: usize) -> ScheduleRun {
-    let m = &input.machine;
-    let nr = input.n_ranks();
-    let np = input.pulses.len();
-    for r in 0..nr {
-        for p in 0..np {
-            assert!(
-                m.nvlink_reachable(r, input.send_rank(r, p)),
-                "thread-MPI requires a single node (rank {r} pulse {p})"
-            );
-        }
+pub(super) struct ThreadMpi;
+
+/// One pulse in direction `d`: `"x"` sends coordinates down, `"f"` sends
+/// forces back up. The pack may not start before `after`; returns the unpack.
+/// Panics if the copy would cross a node boundary (thread-MPI is
+/// single-process).
+fn pulse(b: &mut Builder, d: &'static str, p: usize, after: Option<OpId>) -> OpId {
+    let m = &b.input.machine;
+    let r = b.r;
+    let (down, up) = (b.input.send_rank(r, p), b.input.recv_rank(r, p));
+    let (dst, src) = if d == "x" { (down, up) } else { (up, down) };
+    assert!(
+        m.nvlink_reachable(r, dst),
+        "thread-MPI requires a single node (rank {r} pulse {p})"
+    );
+    let atoms = b.input.pulses[p].send_atoms;
+    let kernel_ns = m.pack_kernel_fixed_ns + m.pack_work_ns(atoms);
+    let pack = b.launched_on_nonlocal(format_args!("{d}pack{p}"), kernel_ns);
+    if let Some(prev_update) = after {
+        b.dep(pack, prev_update);
     }
-    let mut g = TaskGraph::new();
-    let mut local_nb = vec![vec![OpId(0); nr]; n_steps];
-    let mut nonlocal_ops = vec![vec![Vec::new(); nr]; n_steps];
-    let mut step_end = vec![vec![OpId(0); nr]; n_steps];
-    let mut prev_update: Vec<Option<OpId>> = vec![None; nr];
+    // Event-enqueued D2D copy on the copy engine: event deps, no syncs.
+    let copy_ns = m.event_api_ns + m.wire_ns(r, dst, m.payload_bytes(atoms));
+    let copy = b.add(format_args!("{d}copy{p}"), Resource::CopyEngine(r), copy_ns);
+    b.dep(copy, pack);
+    b.export(d, p, copy);
+    // Unpack waits on the peer's copy (event dependency).
+    let unpack = b.launched_on_nonlocal(format_args!("{d}unpack{p}"), kernel_ns);
+    b.dep_on_peer(unpack, src, d, p, m.latency_ns(src, r));
+    b.nonlocal.extend([pack, unpack]);
+    unpack
+}
 
-    for s in 0..n_steps {
-        let mut x_copy = vec![vec![OpId(0); np]; nr];
-        let mut x_unpack = vec![vec![OpId(0); np]; nr];
-        let mut f_copy = vec![vec![OpId(0); np]; nr];
-        let mut f_unpack = vec![vec![OpId(0); np]; nr];
+impl Exchange for ThreadMpi {
+    const PREFIX: &'static str = "tmpi";
 
-        for r in 0..nr {
-            let cpu = Resource::Cpu(r);
-            let s_local = Resource::Stream(r, streams::LOCAL);
-            let s_nl = Resource::Stream(r, streams::NONLOCAL);
-            let s_up = Resource::Stream(r, streams::UPDATE);
-
-            // All launches up front; event deps instead of syncs.
-            let launch_lnb = g.add(format!("tmpi:{s}:{r}:launch_lnb"), cpu, m.kernel_launch_ns);
-            let lnb = g.add(
-                format!("tmpi:{s}:{r}:local_nb"),
-                s_local,
-                m.nb_local_ns(input.atoms_per_rank),
-            );
-            g.dep(lnb, launch_lnb, 0);
-            if let Some(pu) = prev_update[r] {
-                g.dep(lnb, pu, 0);
-            }
-            local_nb[s][r] = lnb;
-
-            for (p, pulse) in input.pulses.iter().enumerate() {
-                let dst = input.send_rank(r, p);
-                let launch = g.add(
-                    format!("tmpi:{s}:{r}:launch_xpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let pack = g.add(
-                    format!("tmpi:{s}:{r}:xpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(pack, launch, 0);
-                if let Some(pu) = prev_update[r] {
-                    g.dep(pack, pu, 0);
-                }
-                // Event-enqueued D2D copy on the copy engine.
-                let copy = g.add(
-                    format!("tmpi:{s}:{r}:xcopy{p}"),
-                    Resource::CopyEngine(r),
-                    m.event_api_ns + m.wire_ns(r, dst, m.payload_bytes(pulse.send_atoms)),
-                );
-                g.dep(copy, pack, 0);
-                let launch_u = g.add(
-                    format!("tmpi:{s}:{r}:launch_xunpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let unpack = g.add(
-                    format!("tmpi:{s}:{r}:xunpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(unpack, launch_u, 0);
-                x_copy[r][p] = copy;
-                x_unpack[r][p] = unpack;
-                nonlocal_ops[s][r].extend([pack, unpack]);
-            }
-
-            let launch_b = g.add(
-                format!("tmpi:{s}:{r}:launch_bonded"),
-                cpu,
-                m.kernel_launch_ns,
-            );
-            let bonded = g.add(
-                format!("tmpi:{s}:{r}:bonded"),
-                s_nl,
-                m.bonded_ns(input.atoms_per_rank),
-            );
-            g.dep(bonded, launch_b, 0);
-            let launch_nl = g.add(format!("tmpi:{s}:{r}:launch_nlnb"), cpu, m.kernel_launch_ns);
-            let nlnb = g.add(
-                format!("tmpi:{s}:{r}:nl_nb"),
-                s_nl,
-                m.nb_nonlocal_ns(input.halo_atoms()),
-            );
-            g.dep(nlnb, launch_nl, 0);
-            nonlocal_ops[s][r].push(nlnb);
-
-            for p in (0..np).rev() {
-                let pulse = &input.pulses[p];
-                let dst = input.recv_rank(r, p);
-                let launch = g.add(
-                    format!("tmpi:{s}:{r}:launch_fpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let pack = g.add(
-                    format!("tmpi:{s}:{r}:fpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(pack, launch, 0);
-                let copy = g.add(
-                    format!("tmpi:{s}:{r}:fcopy{p}"),
-                    Resource::CopyEngine(r),
-                    m.event_api_ns + m.wire_ns(r, dst, m.payload_bytes(pulse.send_atoms)),
-                );
-                g.dep(copy, pack, 0);
-                let launch_u = g.add(
-                    format!("tmpi:{s}:{r}:launch_funpack{p}"),
-                    cpu,
-                    m.kernel_launch_ns,
-                );
-                let unpack = g.add(
-                    format!("tmpi:{s}:{r}:funpack{p}"),
-                    s_nl,
-                    m.pack_kernel_fixed_ns + m.pack_work_ns(pulse.send_atoms),
-                );
-                g.dep(unpack, launch_u, 0);
-                f_copy[r][p] = copy;
-                f_unpack[r][p] = unpack;
-                nonlocal_ops[s][r].extend([pack, unpack]);
-            }
-
-            let _misc = g.add(format!("tmpi:{s}:{r}:misc_cpu"), cpu, m.misc_cpu_ns / 2);
-            let launch_up = g.add(
-                format!("tmpi:{s}:{r}:launch_update"),
-                cpu,
-                m.kernel_launch_ns,
-            );
-            let upd_stream = if input.prune_stream_opt { s_up } else { s_nl };
-            let update = g.add(
-                format!("tmpi:{s}:{r}:update"),
-                upd_stream,
-                m.other_ns(input.atoms_per_rank),
-            );
-            g.dep(update, launch_up, 0);
-            g.dep(update, lnb, 0);
-            g.dep(update, nlnb, 0);
-            for p in 0..np {
-                g.dep(update, f_unpack[r][p], 0);
-            }
-            let prune_res = if input.prune_stream_opt {
-                Resource::Stream(r, streams::PRUNE)
-            } else {
-                s_nl
-            };
-            let prune = g.add(
-                format!("tmpi:{s}:{r}:prune"),
-                prune_res,
-                m.prune_ns(input.atoms_per_rank),
-            );
-            if input.prune_stream_opt {
-                g.dep(prune, update, 0);
-            } else {
-                g.dep(prune, lnb, 0);
-                g.dep(update, prune, 0);
-            }
-            let end = g.add(format!("tmpi:{s}:{r}:step_end"), s_up, 0);
-            g.dep(end, update, 0);
-            step_end[s][r] = end;
-            prev_update[r] = Some(update);
+    fn coord_halo(b: &mut Builder, prev_update: Option<OpId>) -> Vec<OpId> {
+        for p in 0..b.input.pulses.len() {
+            pulse(b, "x", p, prev_update);
         }
-
-        // Cross-rank: unpack waits on the peer's copy (event dependency).
-        for r in 0..nr {
-            for p in 0..np {
-                let src = input.recv_rank(r, p);
-                g.dep(x_unpack[r][p], x_copy[src][p], m.latency_ns(src, r));
-                let fsrc = input.send_rank(r, p);
-                g.dep(f_unpack[r][p], f_copy[fsrc][p], m.latency_ns(fsrc, r));
-            }
-        }
+        Vec::new()
     }
 
-    ScheduleRun {
-        graph: g,
-        n_steps,
-        n_ranks: nr,
-        local_nb,
-        nonlocal_ops,
-        step_end,
+    fn force_halo(b: &mut Builder, nl_nb: OpId) -> Vec<OpId> {
+        // Pulses in reverse; update waits on them by pulse.
+        let mut reduced = vec![nl_nb];
+        for p in (0..b.input.pulses.len()).rev() {
+            reduced.insert(1, pulse(b, "f", p, None));
+        }
+        // CPU residue; with no syncs it pipelines across steps.
+        b.cpu("misc_cpu", b.input.machine.misc_cpu_ns / 2);
+        reduced
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::{build, Backend, ScheduleInput};
     use halox_dd::{DdGrid, WorkloadModel};
     use halox_gpusim::MachineModel;
 
@@ -225,9 +78,9 @@ mod tests {
         let grid = DdGrid::new([4, 1, 1]);
         let model = WorkloadModel::cubic(45_000, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
-        let tmpi = build(&input, 6).metrics(2);
-        let mpi = super::super::mpi::build(&input, 6).metrics(2);
-        let nvs = super::super::nvshmem::build(&input, 6).metrics(2);
+        let tmpi = build(Backend::ThreadMpi, &input, 6).metrics(2);
+        let mpi = build(Backend::Mpi, &input, 6).metrics(2);
+        let nvs = build(Backend::Nvshmem, &input, 6).metrics(2);
         assert!(
             tmpi.time_per_step_ns < mpi.time_per_step_ns,
             "tMPI {} vs MPI {}",
@@ -248,6 +101,6 @@ mod tests {
         let grid = DdGrid::new([8, 1, 1]);
         let model = WorkloadModel::cubic(720_000, 100.0, 1.05, grid);
         let input = ScheduleInput::from_workload(MachineModel::eos(), &model);
-        let _ = build(&input, 4);
+        let _ = build(Backend::ThreadMpi, &input, 4);
     }
 }

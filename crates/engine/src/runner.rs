@@ -235,10 +235,10 @@ pub struct Engine {
     /// Step-phase wall-clock accumulator for the current run (reset at the
     /// start of every `try_run*`, merged from each segment's ranks).
     phases: PhaseTimer,
-    /// Attached world lease ([`Engine::attach_world`]): segments run on the
-    /// leased (pool-recycled) world instead of constructing one per
-    /// segment. Poisoned on any failed attempt so retries and replays get a
-    /// fresh world, preserving the unleased path's semantics.
+    /// The world lease segments run on: attached ([`Engine::attach_world`],
+    /// pool-recycled) or, from the first segment of an engine nobody
+    /// attached one to, a solo lease. Poisoned on any failed attempt so
+    /// retries and replays get a fresh world.
     leased: Option<WorldLease>,
     /// `Some(n)` once the checkpoint directory has been opened and swept of
     /// orphaned writer tmp files; the sweep runs once per engine.
@@ -436,17 +436,19 @@ impl Engine {
     }
 
     /// Attach a world lease: segments run on the leased world (reset
-    /// between uses, rebuilt when poisoned) instead of constructing a fresh
-    /// world per segment. [`Engine::take_world`] returns the lease — e.g.
-    /// to give it back to a [`halox_shmem::WorldPool`] when the job
-    /// suspends.
+    /// between uses, rebuilt when poisoned). [`Engine::take_world`] returns
+    /// the lease — e.g. to give it back to a [`halox_shmem::WorldPool`]
+    /// when the job suspends. An engine that never had a lease attached
+    /// runs on a [`WorldLease::solo`] of its own, created by its first
+    /// segment; attaching replaces (and drops) it.
     pub fn attach_world(&mut self, lease: WorldLease) {
         self.leased = Some(lease);
     }
 
-    /// Detach and return the attached world lease, if any. After a failed
-    /// run the returned lease is poisoned — dropping it frees the pool slot
-    /// without recycling the world.
+    /// Detach and return the world lease, if any: the attached one, or the
+    /// engine's own solo lease once a segment has run (`None` before that).
+    /// After a failed run the returned lease is poisoned — dropping it frees
+    /// the pool slot without recycling the world.
     pub fn take_world(&mut self) -> Option<WorldLease> {
         self.leased.take()
     }
@@ -750,9 +752,7 @@ impl Engine {
                     // A failed attempt can abandon the leased world
                     // mid-protocol (barrier sense, collective slots):
                     // poison it so this retry/downgrade — and any
-                    // checkpoint replay above — runs on a fresh world,
-                    // matching the unleased path's world-per-attempt
-                    // semantics.
+                    // checkpoint replay above — runs on a fresh world.
                     if let Some(lease) = self.leased.as_mut() {
                         lease.poison();
                     }
@@ -871,7 +871,7 @@ impl Engine {
     }
 
     /// The [`RunMode::Threaded`] executor of one segment attempt: one PE
-    /// per DD rank over a (leased or fresh) world, each advancing its own
+    /// per DD rank over the leased world, each advancing its own
     /// rank. Returns the ranks' results in rank order, or every PE's error.
     fn run_pes(
         &mut self,
@@ -906,32 +906,16 @@ impl Engine {
         // on the signal-driven transports — attaching it under the MPI
         // fallback is harmless (two-sided rendezvous performs no symmetric
         // deliveries), and keeps one engine for the whole run.
-        let owned_world;
-        let world: &ShmemWorld = match self.leased.as_mut() {
-            // Leased path: reuse the held world when clean and the key
-            // matches, rebuild in place otherwise. Attachments are
-            // per-tenant state, so they are (re)applied every segment.
-            Some(lease) => {
-                let w = lease.world_for(key);
-                w.set_trace(cfg.trace.clone());
-                w.set_proxy_config(proxy_cfg);
-                w.set_chaos(self.chaos.clone());
-                w
-            }
-            // Unleased path: one fresh world per segment attempt, as ever.
-            None => {
-                let mut world = key.build();
-                if let Some(rec) = &cfg.trace {
-                    world = world.with_trace(Arc::clone(rec));
-                }
-                world = world.with_proxy_config(proxy_cfg);
-                if let Some(chaos) = &self.chaos {
-                    world = world.with_chaos(Arc::clone(chaos));
-                }
-                owned_world = world;
-                &owned_world
-            }
-        };
+        // An engine nobody attached a lease to holds a solo one, so there is
+        // one way to obtain a world: reuse the held world when clean and
+        // the key matches, rebuild in place otherwise. Attachments are
+        // per-tenant state, so they are (re)applied every segment.
+        let lease = self.leased.get_or_insert_with(|| WorldLease::solo(key));
+        let world = lease.world_for(key);
+        world.set_trace(cfg.trace.clone());
+        world.set_proxy_config(proxy_cfg);
+        world.set_chaos(self.chaos.clone());
+        let world: &ShmemWorld = world;
         // Symmetric allocation with over-allocation: reuse the buffers from
         // the previous segment when capacities still fit, else grow by 10%.
         let need_buf = ctxs[0].buf_capacity;

@@ -153,10 +153,10 @@ fn nonlocal_work_progression_fig7_fig8() {
 
 #[test]
 fn prune_stream_ablation_within_paper_band() {
-    // §5.4: up to 10% improvement, for both backends.
+    // §5.4: up to 10% improvement, for every backend.
     let m = MachineModel::dgx_h100();
     let model = WorkloadModel::grappa(180_000, 1.05, DdGrid::new([4, 1, 1]));
-    for backend in [Backend::Mpi, Backend::Nvshmem] {
+    for backend in [Backend::Mpi, Backend::ThreadMpi, Backend::Nvshmem] {
         let mut input = ScheduleInput::from_workload(m.clone(), &model);
         input.prune_stream_opt = true;
         let on = simulate(backend, &input, 8, 3).time_per_step_ns;
