@@ -5,8 +5,8 @@
 //! lost signal becomes a silent whole-run hang. This module generalizes the
 //! blunt [`crate::ProxyConfig`] delay knobs into a seeded, deterministic
 //! [`FaultPlan`]: per-PE, per-operation faults injected at the world's
-//! *delivery choke point*, on both the direct NVLink store path and the
-//! proxied network path.
+//! *delivery choke point* — the source PE's proxy, which every delivery,
+//! NVLink or network, is submitted to while an engine is attached.
 //!
 //! Faults are adversarial-delivery scenarios from the NVSHMEM systems
 //! literature plus hard partial failures:
@@ -23,13 +23,14 @@
 //! * [`FaultKind::CrashPe`] — from the trigger on, every send from the PE
 //!   is dropped forever (permanent PE death).
 //!
-//! Determinism: each rule counts *matching operations per source PE* with
-//! an atomic counter and fires on exact counts, so a fixed
-//! `(plan, thread-program)` pair injects the same faults at the same
-//! protocol positions on every run — delivery *timing* still varies with
-//! scheduling, which is the point of the exercise. The engine never blocks
-//! a fault-free operation: with no chaos attached the hot paths are
-//! untouched.
+//! Determinism: each rule counts *matching operations per source PE* and
+//! fires on exact counts, and one thread — the source PE's proxy — decides
+//! all of that PE's operations in the order it issued them, so a fixed
+//! `(plan, PE program)` pair injects the same faults at the same protocol
+//! positions on every run and on either world backend — delivery *timing*
+//! still varies with scheduling, which is the point of the exercise. The
+//! engine never blocks a fault-free operation: with no chaos attached the
+//! hot paths are untouched.
 
 use crate::shared;
 use crate::signal::SignalSet;
@@ -64,12 +65,12 @@ pub enum FaultKind {
     /// From the trigger onward, every delivery from the source PE is
     /// dropped — the PE is dead to its peers.
     CrashPe,
-    /// Kill the source PE outright. Under the `procs` backend the parent
-    /// proxy severs the child's socket so the OS process actually dies and
-    /// surfaces as `PeFailure::Died` → `PeDied`; under the threads backend
-    /// (no process to kill) it degrades to [`FaultKind::CrashPe`]
-    /// semantics — drop everything from the trigger on. Cleared by
-    /// [`ChaosEngine::revive_all`], the supervised-recovery hook.
+    /// Kill the source PE outright: its proxy severs the link. A PE that is
+    /// a process actually dies and surfaces as `PeFailure::Died` → `PeDied`;
+    /// a PE that is a thread cannot be killed, so there it degrades to
+    /// [`FaultKind::CrashPe`] semantics — drop everything from the trigger
+    /// on. Cleared by [`ChaosEngine::revive_all`], the supervised-recovery
+    /// hook.
     KillPe,
     /// Hold this operation and deliver it *after* the source PE's next
     /// delivery (adversarial reordering).
@@ -220,9 +221,9 @@ pub enum OpKind {
     Put,
 }
 
-/// A transport delivery captured at the choke point, so it can be held for
-/// reordering and replayed later. Both the direct NVLink path (when chaos
-/// is attached) and the proxy path reduce to this form.
+/// A transport delivery as a PE submits it to its proxy, so it can be held
+/// for reordering and replayed later. NVLink ops (when chaos is attached)
+/// and network ops reduce to this one form.
 #[derive(Clone)]
 pub enum Delivery {
     Put {
@@ -259,6 +260,41 @@ impl Delivery {
             Delivery::Put { .. } | Delivery::PutRaw { .. } => OpKind::Put,
             Delivery::Signal { .. } => OpKind::Signal,
         }
+    }
+
+    /// True when everything this delivery indexes exists in a world with
+    /// these signal sets: the destination PE, the signal slot, and the
+    /// payload's place in the segment it is stored to. Checked where a
+    /// delivery enters the route — at the issuing PE, and again where a
+    /// frame from another process is decoded — so [`Delivery::apply`] can
+    /// index without looking. (Whether a raw segment *name* is live is a
+    /// separate question, answered when the delivery is applied.)
+    pub fn in_bounds(&self, signals: &[Arc<SignalSet>]) -> bool {
+        let fits = |offset: &usize, payload: &Vec<Vec3>, len: usize| {
+            (offset.checked_add(payload.len())).is_some_and(|end| end <= len)
+        };
+        let (dst_pe, signal) = match self {
+            Delivery::Put {
+                buf,
+                dst_pe,
+                offset,
+                payload,
+                signal,
+            } if *dst_pe < buf.npes() && fits(offset, payload, buf.len()) => (*dst_pe, *signal),
+            Delivery::PutRaw {
+                words,
+                dst_pe,
+                offset,
+                payload,
+                signal,
+                ..
+            } if fits(offset, payload, words / 3) => (*dst_pe, *signal),
+            Delivery::Signal { dst_pe, slot, val } => (*dst_pe, Some((*slot, *val))),
+            _ => return false,
+        };
+        signals
+            .get(dst_pe)
+            .is_some_and(|s| signal.is_none_or(|(slot, _)| slot < s.n_slots()))
     }
 
     /// Apply this delivery to the destination PE's memory and signal set.
@@ -313,9 +349,8 @@ pub enum Decision {
     Delay(Duration),
     /// Hold the delivery; release it after the source PE's next delivery.
     Hold,
-    /// Swallow the delivery and kill the source PE: the procs parent proxy
-    /// severs the child's socket (the process dies for real); the threads
-    /// backend treats it as a permanent crash-drop.
+    /// Swallow the delivery and kill the source PE: the proxy severs its
+    /// link (see [`FaultKind::KillPe`]).
     Kill,
 }
 

@@ -3,9 +3,9 @@
 //! `waitpid`, `_exit`).
 //!
 //! Every symmetric allocation — signal slots, collective deposit slots,
-//! barrier cells, `SymVec3` segments, the two-sided rings, the procs trace
-//! shadow — is one [`Slots`]: a zero-filled `mmap(MAP_SHARED |
-//! MAP_ANONYMOUS)` region that is `munmap`ped when its owner drops it. A
+//! barrier cells, `SymVec3` segments, the two-sided rings — is one
+//! [`Slots`]: a zero-filled `mmap(MAP_SHARED | MAP_ANONYMOUS)` region that
+//! is `munmap`ped when its owner drops it. A
 //! mapping made at any time *before* a fork is inherited by the forked PEs
 //! at the same virtual address, so PE threads and PE processes address the
 //! same physical words and a raw segment pointer is a valid cross-process

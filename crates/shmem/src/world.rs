@@ -1,42 +1,48 @@
-//! The PGAS world: PEs (threads), cluster topology, signals, transports.
+//! The PGAS world: PEs, cluster topology, signals, transports.
 //!
 //! The world stands in for `nvshmem_init` + the NVSHMEM runtime:
 //!
-//! * PEs are OS threads launched by [`ShmemWorld::run`];
+//! * PEs are launched by [`ShmemWorld::run`] — OS threads, or forked
+//!   processes ([`WorldBackend`], `HALOX_BACKEND={threads,procs}`);
 //! * `nvshmem_ptr()` reachability becomes [`Pe::nvlink_reachable`] — true
 //!   within an NVLink island (node, or the whole machine for MNNVL), false
-//!   across the network, where puts go through a *proxy thread* per PE, just
-//!   like NVSHMEM's IBRC transport (paper §5.5);
+//!   across the network, where puts go through a *proxy* per PE, just like
+//!   NVSHMEM's IBRC transport (paper §5.5);
 //! * `nvshmem_float_put_signal_nbi` becomes [`Pe::put_vec3_signal_nbi`]:
 //!   direct relaxed stores + release signal over "NVLink", or a staged
 //!   payload handed to the proxy over "InfiniBand";
 //! * `nvshmem_quiet` becomes [`Pe::quiet`].
 //!
-//! The proxy can be configured with an injected delay to emulate a slow /
-//! contended proxy thread (the paper's §5.5 pathology) in stress tests.
+//! # One delivery route
 //!
-//! Two world backends share this surface ([`WorldBackend`], selected by
-//! `HALOX_BACKEND={threads,procs}`):
+//! Every put and signal is routed by one rule, written once (`Pe::route`):
+//! *if the peer is not NVLink-reachable, or a chaos engine is attached,
+//! submit the delivery to this PE's proxy; otherwise store and `release_max`
+//! in place.*
+//! Each PE has one link to one proxy — a thread running `serve` — and that
+//! thread alone decides and lands everything the PE submits, in program
+//! order: under chaos the engine's per-source op counter and held-delivery
+//! cell are only ever touched by the source PE's proxy, so a fault schedule
+//! is a function of (plan, program) on either backend. The proxy pays the
+//! [`ProxyConfig`] stress delays for genuinely network-proxied deliveries
+//! only — never for a flush or a chaos-routed NVLink op.
 //!
-//! * **threads** (default) — PEs are OS threads; the proxy is a thread fed
-//!   over a channel.
-//! * **procs** — PEs are *forked child processes*, and the IBRC proxy
-//!   analog is real kernel-mediated I/O: proxied puts/signals are framed
-//!   over a Unix domain socket to a per-PE proxy loop in the parent.
-//!   NVLink-direct operations stay direct loads/stores. With a chaos engine
-//!   attached, children route *every* delivery through the socket so the
-//!   parent-owned engine remains the single fault choke point. See
-//!   DESIGN.md §3.5.
-//!
-//! The backend chooses how PEs are launched and nothing else: symmetric
-//! memory (signal slots, collective deposit slots, barriers, `SymVec3`
-//! segments) is the same fork-shared [`shared::Slots`] mapping on both, so
-//! anything allocated before a run is visible to that run's PEs.
+//! The backend chooses how PEs are launched and what carries the link, and
+//! nothing else. Threads: the link is a channel of `ProxyCmd`s. Procs:
+//! the same commands are framed over a Unix domain socket to the parent
+//! (real kernel-mediated I/O, the IBRC analog), which also carries the PE's
+//! result frame; the parent reaps every child with `waitpid`. A frame is
+//! input from another process, so it is validated when decoded and a PE
+//! whose frame does not check out is cut off ([`PeFailure::Died`]).
+//! Symmetric memory (signal slots, collective deposit slots, barriers,
+//! `SymVec3` segments) and the trace recorder are fork-shared mappings on
+//! both, so anything made before a run is visible to that run's PEs. See
+//! DESIGN.md §3.2 and §3.5.
 
 use crate::barrier::SenseBarrier;
 use crate::chaos::{ChaosEngine, Decision, Delivery, OpKind};
 use crate::collectives::Collectives;
-use crate::shared::{self, Slots};
+use crate::shared;
 use crate::signal::SignalSet;
 use crate::sym::SymVec3;
 use crate::wire::{Wire, WireReader};
@@ -45,8 +51,7 @@ use halox_md::Vec3;
 use halox_trace::{Payload, Recorder, DRIVER_PE};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Which execution substrate hosts the PEs of a world.
@@ -192,7 +197,7 @@ impl Topology {
     }
 }
 
-/// Configuration knobs for the per-PE proxy thread.
+/// Configuration knobs for the per-PE proxy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProxyConfig {
     /// Artificial delay per proxied operation — failure-injection hook
@@ -200,25 +205,31 @@ pub struct ProxyConfig {
     /// slowdowns from proxy-thread pinning mistakes).
     pub injected_delay: Option<Duration>,
     /// Randomized per-operation delay up to `max_us` microseconds, seeded
-    /// per proxy thread — adversarial-timing stress for the signal
-    /// protocol (correctness must not depend on message timing).
+    /// per proxy — adversarial-timing stress for the signal protocol
+    /// (correctness must not depend on message timing).
     pub random_delay: Option<(u64, u64)>,
 }
 
+/// What a PE sends down its link.
 enum ProxyCmd {
     /// A staged delivery: a put (+ optional signal on the destination PE's
     /// signal set) or a pure remote signal.
     Deliver {
         d: Delivery,
+        /// Genuinely network-proxied, as opposed to an NVLink op that only
+        /// takes this route to face the chaos engine.
+        proxied: bool,
         /// Recorder timestamp at enqueue (0 when tracing is off); lets the
-        /// proxy report time-in-queue.
+        /// proxy report time-in-queue. A socket link stamps it when the
+        /// frame is read — time in the kernel's buffer is not visible.
         enqueued_us: u64,
     },
-    /// Completion fence: ack when everything queued before has been applied.
-    Flush(Sender<()>),
+    /// Completion fence: ack when everything sent before has been applied.
+    Flush,
 }
 
-/// The stress knobs of a [`ProxyConfig`], paid once per proxied operation.
+/// The stress knobs of a [`ProxyConfig`], paid once per network-proxied
+/// delivery.
 struct ProxyDelays {
     cfg: ProxyConfig,
     /// Tiny xorshift so the random knob needs no external RNG dependency.
@@ -253,32 +264,7 @@ pub struct ShmemWorld {
     collectives: Collectives,
     proxy_config: ProxyConfig,
     trace: Option<Arc<Recorder>>,
-    /// Procs backend only: shadow recorder whose cursor and slots live in
-    /// symmetric memory, so forked children append through the same
-    /// `fetch_add` cursor as threads would (events recorded into `trace`
-    /// inside a child would be copy-on-write ghosts, lost at `_exit`).
-    /// Lazily built on the first traced procs run; `proc_trace_copied` /
-    /// `proc_trace_dropped` make the post-join drain incremental across
-    /// runs on a reused world.
-    proc_trace: OnceLock<ProcTrace>,
-    proc_trace_copied: AtomicUsize,
-    proc_trace_dropped: AtomicUsize,
     chaos: Option<Arc<ChaosEngine>>,
-}
-
-/// Capacity (events) of the per-world shadow recorder: a ~4 MiB mapping per
-/// traced procs world, plenty for the per-segment worlds the engine forks
-/// while still bounded under chaos sweeps.
-const PROC_TRACE_CAP: usize = 1 << 16;
-
-/// The procs shadow recorder and the mapping it records into, owned (and
-/// freed) together by the world.
-struct ProcTrace {
-    // Declared first so it drops first: it points into `_backing`.
-    shadow: Recorder,
-    /// The user recorder's clock at creation, so drained events land on it.
-    t0: u64,
-    _backing: Slots<AtomicU64>,
 }
 
 impl ShmemWorld {
@@ -307,9 +293,6 @@ impl ShmemWorld {
             backend,
             proxy_config: ProxyConfig::default(),
             trace: None,
-            proc_trace: OnceLock::new(),
-            proc_trace_copied: AtomicUsize::new(0),
-            proc_trace_dropped: AtomicUsize::new(0),
             chaos: None,
         }
     }
@@ -324,10 +307,10 @@ impl ShmemWorld {
         self
     }
 
-    /// Attach a chaos engine: every delivery — direct NVLink store *and*
-    /// proxied network put — is routed through the engine's fault decision
-    /// before it lands. With no engine attached (the default) the direct
-    /// path stays store-and-signal with zero extra work.
+    /// Attach a chaos engine: every delivery — NVLink *and* network — is
+    /// submitted to its source PE's proxy and faces the engine's fault
+    /// decision there before it lands. With no engine attached (the
+    /// default) the direct path stays store-and-signal with zero extra work.
     pub fn with_chaos(mut self, chaos: Arc<ChaosEngine>) -> Self {
         assert_eq!(
             chaos.npes(),
@@ -406,8 +389,7 @@ impl ShmemWorld {
         R: Send + Wire,
         F: Fn(&Pe) -> R + Sync,
     {
-        self.try_run(f)
-            .unwrap_or_else(|e| panic!("PE thread panicked: {e}"))
+        self.try_run(f).unwrap_or_else(|e| panic!("PE failed: {e}"))
     }
 
     /// Launch one PE per rank running `f`; PE failures (panics, dead child
@@ -446,47 +428,30 @@ impl ShmemWorld {
     }
 
     /// The threaded backend: one OS thread per PE plus one proxy thread
-    /// per PE, all inside this process.
+    /// per PE, joined by a channel, all inside this process.
     fn run_threads<R, F>(&self, f: &F) -> Result<Vec<R>, WorldError>
     where
         R: Send,
         F: Fn(&Pe) -> R + Sync,
     {
-        let npes = self.npes();
-        // Proxy channels.
-        let mut proxy_tx = Vec::with_capacity(npes);
-        let mut proxy_rx: Vec<Receiver<ProxyCmd>> = Vec::with_capacity(npes);
-        for _ in 0..npes {
-            let (tx, rx) = unbounded();
-            proxy_tx.push(tx);
-            proxy_rx.push(rx);
-        }
-
         let outcomes: Vec<Result<R, PeFailure>> = std::thread::scope(|scope| {
-            // Proxy threads (one per PE, like the NVSHMEM IBRC proxy).
-            for (id, rx) in proxy_rx.into_iter().enumerate() {
-                let signals = self.signals.clone();
-                let cfg = self.proxy_config;
-                let trace = self.trace.clone();
-                let chaos = self.chaos.clone();
-                scope.spawn(move || proxy_main(id, rx, signals, cfg, trace, chaos));
-            }
-            // PE threads.
-            let mut handles = Vec::with_capacity(npes);
-            for id in 0..npes {
-                let tx = proxy_tx[id].clone();
-                let fref = &f;
-                handles.push(scope.spawn(move || {
-                    let pe = Pe {
-                        id,
-                        world: self,
-                        link: PeLink::Thread(tx),
-                    };
-                    fref(&pe)
-                }));
-            }
-            // Drop our proxy senders so proxies exit when PEs finish.
-            drop(proxy_tx);
+            let handles: Vec<_> = (0..self.npes())
+                .map(|id| {
+                    let (tx, rx) = unbounded();
+                    let (acked, ack) = unbounded();
+                    // The proxy exits when its PE drops the link, and is
+                    // joined by the scope.
+                    scope.spawn(move || serve(self, id, &mut ChanEnd { rx, acked }));
+                    scope.spawn(move || {
+                        let link = PeLink::Thread { tx, ack };
+                        f(&Pe {
+                            id,
+                            world: self,
+                            link,
+                        })
+                    })
+                })
+                .collect();
             // Joining explicitly consumes any panic, so one dead PE
             // becomes a value here instead of re-panicking the scope.
             handles
@@ -497,47 +462,22 @@ impl ShmemWorld {
         collect_outcomes(outcomes)
     }
 
-    /// The process backend: fork one child per PE; the parent runs one
-    /// socket proxy/collector loop per
-    /// child (the per-node proxy of DESIGN.md §3.5), then reaps every
-    /// child via `waitpid` — a dead child is a reported failure, never a
-    /// hang on the parent side.
+    /// The process backend: fork one child per PE, joined to a proxy thread
+    /// in the parent by a socket (the per-node proxy of DESIGN.md §3.5),
+    /// then reap every child via `waitpid` — a dead child is a reported
+    /// failure, never a hang on the parent side.
     fn run_procs<R, F>(&self, f: &F) -> Result<Vec<R>, WorldError>
     where
         R: Send + Wire,
         F: Fn(&Pe) -> R + Sync,
     {
         let npes = self.npes();
-        // Shadow recorder in symmetric memory, built *before* forking so
-        // every child inherits the mapping. A timestamp-sorted merge of
-        // per-child logs would not do: the checker replays in seq order
-        // and µs ties between a release and the acquire that observed it
-        // are routine in spin-waits; the shared cursor keeps seq a linear
-        // extension of happens-before across address spaces.
-        if let Some(user) = &self.trace {
-            self.proc_trace.get_or_init(|| {
-                let bytes = Recorder::shared_layout_bytes(PROC_TRACE_CAP);
-                let backing = Slots::<AtomicU64>::alloc(bytes.div_ceil(8))
-                    .unwrap_or_else(|e| panic!("procs trace shadow: {e}"));
-                // SAFETY: a fresh `Slots` mapping is zero-filled,
-                // page-aligned and MAP_SHARED, and `ProcTrace` keeps it
-                // mapped for as long as the recorder exists.
-                let shadow = unsafe {
-                    Recorder::from_shared_zeroed(PROC_TRACE_CAP, backing.as_ptr() as *mut u8)
-                };
-                ProcTrace {
-                    shadow,
-                    t0: user.now_us(),
-                    _backing: backing,
-                }
-            });
-        }
         let mut child_socks: Vec<Option<UnixStream>> = Vec::with_capacity(npes);
-        let mut parent_socks: Vec<Option<UnixStream>> = Vec::with_capacity(npes);
+        let mut parent_socks: Vec<UnixStream> = Vec::with_capacity(npes);
         for _ in 0..npes {
             let (a, b) = UnixStream::pair().expect("socketpair failed");
             child_socks.push(Some(a));
-            parent_socks.push(Some(b));
+            parent_socks.push(b);
         }
         let mut pids = Vec::with_capacity(npes);
         for id in 0..npes {
@@ -550,7 +490,7 @@ impl ShmemWorld {
                 child_socks.clear();
                 parent_socks.clear();
                 let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    child_serve(self, id, sock, f)
+                    child_main(self, id, sock, f)
                 }));
                 // Never unwind out of a forked child: leave via _exit so
                 // no destructor touches the copied heap.
@@ -574,14 +514,18 @@ impl ShmemWorld {
         drop(child_socks);
         let outcomes: Vec<Result<R, Option<String>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = parent_socks
-                .iter_mut()
+                .into_iter()
                 .enumerate()
-                .map(|(id, s)| {
-                    let sock = s.take().expect("parent sock present");
-                    let signals = self.signals.clone();
-                    let cfg = self.proxy_config;
-                    let chaos = self.chaos.clone();
-                    scope.spawn(move || parent_proxy::<R>(id, sock, signals, cfg, chaos))
+                .map(|(id, sock)| {
+                    let mut end = SockEnd {
+                        world: self,
+                        sock: Some(sock),
+                        last: None,
+                    };
+                    scope.spawn(move || {
+                        serve(self, id, &mut end);
+                        end.outcome()
+                    })
                 })
                 .collect();
             handles
@@ -589,10 +533,10 @@ impl ShmemWorld {
                 .map(|h| h.join().expect("socket proxy thread panicked"))
                 .collect()
         });
-        // Reap all children. Sockets are EOF by now, so every child has
-        // exited (or is exiting); waitpid cannot hang on a live worker.
+        // Reap all children. Sockets are closed by now, so every child has
+        // exited (or dies on its next socket op); waitpid cannot hang on a
+        // live worker.
         let statuses: Vec<Option<i32>> = pids.iter().map(|&p| shared::wait_child(p)).collect();
-        self.drain_proc_trace();
         let outcomes = outcomes
             .into_iter()
             .enumerate()
@@ -606,28 +550,6 @@ impl ShmemWorld {
             })
             .collect();
         collect_outcomes(outcomes)
-    }
-
-    /// Copy events the forked children appended to the shadow recorder
-    /// into the user's recorder, in shared-cursor (seq) order,
-    /// with timestamps offset onto the user recorder's clock. Runs after
-    /// every procs join, once all children have exited (quiesced), so the
-    /// interleaving with driver-recorded `WorldStart` boundaries is exact.
-    fn drain_proc_trace(&self) {
-        let (Some(user), Some(ProcTrace { shadow, t0, .. })) = (&self.trace, self.proc_trace.get())
-        else {
-            return;
-        };
-        let tr = shadow.drain();
-        let start = self
-            .proc_trace_copied
-            .swap(tr.events.len(), Ordering::AcqRel)
-            .min(tr.events.len());
-        for ev in &tr.events[start..] {
-            user.record_timed(ev.pe, ev.ts_us + *t0, ev.dur_us, ev.payload);
-        }
-        let prev = self.proc_trace_dropped.swap(tr.dropped, Ordering::AcqRel);
-        user.note_dropped(tr.dropped.saturating_sub(prev));
     }
 }
 
@@ -658,9 +580,9 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The chaos choke point: decide one delivery's fate and apply it. Both
-/// transports funnel here when a [`ChaosEngine`] is attached, so a fault
-/// plan cannot be dodged by staying inside an NVLink island.
+/// The chaos choke point: decide one delivery's fate and apply it. Called
+/// from [`serve`] only, so all of a source PE's deliveries are decided by
+/// one thread, in the order the PE issued them.
 ///
 /// Reordering contract: a held delivery is released *after* the source
 /// PE's next decided operation (whatever its own fate), so "reorder" swaps
@@ -669,10 +591,7 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 /// delivered immediately, keeping at most one op in flight per PE.
 /// Returns `true` when the source PE's link must be severed: the decision
 /// was [`Decision::Kill`] (the delivery was swallowed and the PE is now
-/// dead), or the delivery named a target that is not live. The procs parent
-/// proxy reacts by closing the child's socket (the process dies for real);
-/// the in-process paths have no process to kill, so a kill there degrades
-/// to crash semantics (this op and everything after it is dropped).
+/// dead), or the delivery named a target that is not live.
 fn chaos_deliver(
     chaos: &ChaosEngine,
     signals: &[Arc<SignalSet>],
@@ -717,46 +636,85 @@ fn deliver(
     }
 }
 
-fn proxy_main(
-    pe: usize,
-    rx: Receiver<ProxyCmd>,
-    signals: Vec<Arc<SignalSet>>,
-    cfg: ProxyConfig,
-    trace: Option<Arc<Recorder>>,
-    chaos: Option<Arc<ChaosEngine>>,
-) {
-    let mut delays = ProxyDelays::new(cfg, 0);
-    while let Ok(cmd) = rx.recv() {
-        if let Some(t) = &trace {
-            t.record(
-                pe as u32,
-                Payload::ProxyDepth {
-                    depth: rx.len() as u32,
-                },
-            );
+/// The proxy's end of one PE's link.
+trait ProxyEnd {
+    /// The next command, or `None` once the PE is done with its proxy: it
+    /// returned, died, or was severed.
+    fn recv(&mut self) -> Option<ProxyCmd>;
+    /// Commands waiting behind the one just received, where the link can
+    /// tell.
+    fn backlog(&self) -> Option<u32>;
+    /// Answer a [`ProxyCmd::Flush`]. A PE that is gone misses nothing.
+    fn ack_flush(&mut self);
+    /// Cut the PE off: a process dies for real on its next link operation
+    /// (`PeFailure::Died` after `waitpid` — the cross-process analogue of a
+    /// PE being OOM-killed mid-run). A thread cannot be killed; what severed
+    /// it already drops everything it sends from here on (crash semantics),
+    /// so its link stays up and its flushes are still answered.
+    fn sever(&mut self);
+}
+
+/// One PE's proxy, on either backend: serve the link until the PE is done.
+/// Everything the PE submits is landed here, in order, through the single
+/// [`deliver`] choke point.
+fn serve(world: &ShmemWorld, pe: usize, end: &mut impl ProxyEnd) {
+    let trace = world.trace.as_deref();
+    let mut delays = ProxyDelays::new(world.proxy_config, (pe as u64) << 32);
+    while let Some(cmd) = end.recv() {
+        if let (Some(t), Some(depth)) = (trace, end.backlog()) {
+            t.record(pe as u32, Payload::ProxyDepth { depth });
         }
-        delays.pay();
         match cmd {
-            ProxyCmd::Deliver { d, enqueued_us } => {
+            ProxyCmd::Deliver {
+                d,
+                proxied,
+                enqueued_us,
+            } => {
+                if proxied {
+                    delays.pay();
+                }
                 let kind = match d.op_kind() {
                     OpKind::Put => "put",
                     OpKind::Signal => "signal",
                 };
-                // No process to kill on the threads backend: a Kill decision
-                // already dropped the op and marked the PE crashed, which is
-                // all "dead" can mean in-process.
-                deliver(chaos.as_deref(), &signals, pe, d);
-                if let Some(t) = &trace {
+                let sever = deliver(world.chaos.as_deref(), &world.signals, pe, d);
+                if let Some(t) = trace {
                     let now = t.now_us();
                     let queued_us = now.saturating_sub(enqueued_us);
                     t.record_timed(pe as u32, now, 0, Payload::ProxyService { kind, queued_us });
                 }
+                if sever {
+                    end.sever();
+                }
             }
-            ProxyCmd::Flush(ack) => {
-                let _ = ack.send(());
-            }
+            // The link is FIFO and this loop is serial, so everything sent
+            // before the flush has been applied: the ack *is* the quiet()
+            // completion.
+            ProxyCmd::Flush => end.ack_flush(),
         }
     }
+}
+
+/// Proxy end of a thread PE's channel link.
+struct ChanEnd {
+    rx: Receiver<ProxyCmd>,
+    acked: Sender<()>,
+}
+
+impl ProxyEnd for ChanEnd {
+    fn recv(&mut self) -> Option<ProxyCmd> {
+        self.rx.recv().ok()
+    }
+
+    fn backlog(&self) -> Option<u32> {
+        Some(self.rx.len() as u32)
+    }
+
+    fn ack_flush(&mut self) {
+        let _ = self.acked.send(());
+    }
+
+    fn sever(&mut self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -802,100 +760,148 @@ fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
     Ok((hdr[0], body))
 }
 
-/// Decode a put/signal frame body into the delivery it asks for, plus
-/// whether it was genuinely network-proxied. `None` for a body that does
-/// not decode, and for a put whose payload does not fit the segment it
-/// names. The name itself — a raw address that crossed a process boundary —
-/// is validated against the live mappings when the delivery is applied.
-fn decode_delivery(tag: u8, body: &[u8]) -> Option<(Delivery, bool)> {
-    let r = &mut WireReader::new(body);
-    let dst_pe = usize::decode(r).ok()?;
-    if tag == TAG_SIGNAL {
-        let (slot, val) = (usize::decode(r).ok()?, u64::decode(r).ok()?);
-        return Some((
-            Delivery::Signal { dst_pe, slot, val },
-            bool::decode(r).ok()?,
-        ));
-    }
-    let offset = usize::decode(r).ok()?;
-    let (addr, words) = (usize::decode(r).ok()?, usize::decode(r).ok()?);
-    let signal = Option::<(usize, u64)>::decode(r).ok()?;
-    let proxied = bool::decode(r).ok()?;
-    let payload = Vec::<Vec3>::decode(r).ok()?;
-    let fits = (offset.checked_add(payload.len()))
-        .and_then(|end| end.checked_mul(3))
-        .is_some_and(|end| end <= words);
-    if !fits {
-        return None;
-    }
-    let d = Delivery::PutRaw {
-        addr,
-        words,
-        dst_pe,
-        offset,
-        payload,
-        signal,
+/// Encode a delivery as the put/signal frame [`decode_delivery`] reads. A
+/// put names its target segment by raw address: the cross-process name of a
+/// fork-shared mapping.
+fn encode_delivery(d: &Delivery, proxied: bool) -> (u8, Vec<u8>) {
+    let mut body = Vec::new();
+    let (addr, words, dst_pe, offset, payload, signal) = match d {
+        Delivery::Signal { dst_pe, slot, val } => {
+            dst_pe.encode(&mut body);
+            slot.encode(&mut body);
+            val.encode(&mut body);
+            proxied.encode(&mut body);
+            return (TAG_SIGNAL, body);
+        }
+        Delivery::Put {
+            buf,
+            dst_pe,
+            offset,
+            payload,
+            signal,
+        } => {
+            let (addr, words) = buf.seg_addr(*dst_pe);
+            (addr, words, dst_pe, offset, payload, signal)
+        }
+        Delivery::PutRaw {
+            addr,
+            words,
+            dst_pe,
+            offset,
+            payload,
+            signal,
+        } => (*addr, *words, dst_pe, offset, payload, signal),
     };
-    Some((d, proxied))
+    body.reserve(64 + payload.len() * 12);
+    dst_pe.encode(&mut body);
+    offset.encode(&mut body);
+    addr.encode(&mut body);
+    words.encode(&mut body);
+    signal.encode(&mut body);
+    proxied.encode(&mut body);
+    payload.encode(&mut body);
+    (TAG_PUT, body)
 }
 
-/// Per-child proxy/collector loop in the parent: the per-node proxy. Serves
-/// put/signal/flush frames until the child's result frame (or EOF) arrives.
-///
-/// Returns `Err(None)` when the child died without a result (socket EOF or
-/// protocol corruption) and `Err(Some(msg))` when it reported a panic.
-fn parent_proxy<R: Wire>(
-    pe: usize,
-    mut sock: UnixStream,
-    signals: Vec<Arc<SignalSet>>,
-    cfg: ProxyConfig,
-    chaos: Option<Arc<ChaosEngine>>,
-) -> Result<R, Option<String>> {
-    // Same stress knobs as the threaded proxy, seeded per PE.
-    let mut delays = ProxyDelays::new(cfg, (pe as u64) << 32);
-    loop {
-        let (tag, body) = match read_frame(&mut sock) {
-            Ok(f) => f,
-            Err(_) => return Err(None), // EOF without a result frame: child died
+/// Decode a put/signal frame body into the delivery it asks for, plus
+/// whether it was genuinely network-proxied. The frame is input from another
+/// process: `None` for a body that does not decode and for a delivery that
+/// names a PE, a signal slot or a segment range the world does not have.
+/// The segment name itself — a raw address — is validated against the live
+/// mappings when the delivery is applied.
+fn decode_delivery(tag: u8, body: &[u8], signals: &[Arc<SignalSet>]) -> Option<(Delivery, bool)> {
+    let r = &mut WireReader::new(body);
+    let dst_pe = usize::decode(r).ok()?;
+    let (d, proxied) = if tag == TAG_SIGNAL {
+        let (slot, val) = (usize::decode(r).ok()?, u64::decode(r).ok()?);
+        (
+            Delivery::Signal { dst_pe, slot, val },
+            bool::decode(r).ok()?,
+        )
+    } else {
+        let offset = usize::decode(r).ok()?;
+        let (addr, words) = (usize::decode(r).ok()?, usize::decode(r).ok()?);
+        let signal = Option::<(usize, u64)>::decode(r).ok()?;
+        let proxied = bool::decode(r).ok()?;
+        let payload = Vec::<Vec3>::decode(r).ok()?;
+        let d = Delivery::PutRaw {
+            addr,
+            words,
+            dst_pe,
+            offset,
+            payload,
+            signal,
         };
+        (d, proxied)
+    };
+    d.in_bounds(signals).then_some((d, proxied))
+}
+
+/// Proxy end of a forked PE's socket link, in the parent. The socket also
+/// carries the PE's final (result) frame, kept here for [`SockEnd::outcome`].
+struct SockEnd<'w> {
+    world: &'w ShmemWorld,
+    /// `None` once severed: closing our end is what kills the child — Rust
+    /// ignores SIGPIPE, so its next write errors → panic → `_exit`.
+    sock: Option<UnixStream>,
+    /// The frame that ended the command stream, if one did.
+    last: Option<(u8, Vec<u8>)>,
+}
+
+impl ProxyEnd for SockEnd<'_> {
+    fn recv(&mut self) -> Option<ProxyCmd> {
+        // EOF without a result frame: the child died.
+        let (tag, body) = read_frame(self.sock.as_mut()?).ok()?;
         match tag {
+            TAG_FLUSH => Some(ProxyCmd::Flush),
             TAG_PUT | TAG_SIGNAL => {
-                let Some((d, proxied)) = decode_delivery(tag, &body) else {
-                    return Err(None);
+                let Some((d, proxied)) = decode_delivery(tag, &body, &self.world.signals) else {
+                    self.sever();
+                    return None;
                 };
-                // Only genuinely network-proxied ops face the proxy's delay
-                // knobs; chaos-routed NVLink ops stay full speed.
-                if proxied {
-                    delays.pay();
-                }
-                if deliver(chaos.as_deref(), &signals, pe, d) {
-                    // KillPe fired for this child, or its put named memory
-                    // that is not live: sever the socket. The
-                    // child dies on its next socket op (Rust ignores
-                    // SIGPIPE, so the write errors → panic → _exit) and
-                    // waitpid surfaces PeFailure::Died — the cross-process
-                    // analogue of a PE process being OOM-killed mid-run.
-                    return Err(None);
-                }
+                Some(ProxyCmd::Deliver {
+                    d,
+                    proxied,
+                    enqueued_us: self.world.trace.as_ref().map_or(0, |t| t.now_us()),
+                })
             }
-            TAG_FLUSH => {
-                // Everything framed before the flush has been applied above
-                // (the socket is FIFO and this loop is serial), so the ack
-                // byte *is* the quiet() completion.
-                if sock.write_all(&[FLUSH_ACK]).is_err() {
-                    return Err(None);
-                }
+            _ => {
+                self.last = Some((tag, body));
+                None
             }
-            TAG_RESULT_OK => {
-                return R::from_bytes(&body)
-                    .map_err(|e| Some(format!("PE result decode failed: {e}")));
+        }
+    }
+
+    fn backlog(&self) -> Option<u32> {
+        None
+    }
+
+    fn ack_flush(&mut self) {
+        if let Some(sock) = &mut self.sock {
+            let _ = sock.write_all(&[FLUSH_ACK]);
+        }
+    }
+
+    fn sever(&mut self) {
+        self.sock = None;
+    }
+}
+
+impl SockEnd<'_> {
+    /// What the PE reported: its result, `Err(Some(msg))` for a panic it
+    /// caught and framed, `Err(None)` when it died (or was severed, or sent
+    /// a frame no PE sends) without a result.
+    fn outcome<R: Wire>(self) -> Result<R, Option<String>> {
+        match self.last {
+            Some((TAG_RESULT_OK, body)) => {
+                R::from_bytes(&body).map_err(|e| Some(format!("PE result decode failed: {e}")))
             }
-            TAG_RESULT_PANIC => {
-                let msg = String::from_bytes(&body)
-                    .unwrap_or_else(|_| "<undecodable panic message>".to_string());
-                return Err(Some(msg));
+            Some((TAG_RESULT_PANIC, body)) => {
+                Err(Some(String::from_bytes(&body).unwrap_or_else(|_| {
+                    "<undecodable panic message>".to_string()
+                })))
             }
-            other => return Err(Some(format!("unknown frame tag {other} from PE {pe}"))),
+            _ => Err(None),
         }
     }
 }
@@ -903,14 +909,13 @@ fn parent_proxy<R: Wire>(
 /// Child-process body for one PE: run `f` under `catch_unwind` and report
 /// the outcome as the final frame on the socket. Runs inside the fork —
 /// only symmetric atomics, the socket, and plain malloc are touched.
-fn child_serve<R, F>(world: &ShmemWorld, id: usize, sock: UnixStream, f: &F)
+fn child_main<R, F>(world: &ShmemWorld, id: usize, sock: UnixStream, f: &F)
 where
     R: Wire,
     F: Fn(&Pe) -> R,
 {
     let link = PeLink::Proc(ProcLink {
         sock: Mutex::new(sock),
-        route_all: world.chaos.is_some(),
     });
     let pe = Pe { id, world, link };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pe)));
@@ -924,26 +929,62 @@ where
     };
 }
 
-/// How a PE reaches its proxy: a channel to the in-process proxy thread
-/// (threads backend) or a framed Unix socket to the parent (procs backend).
+/// A PE's end of its link to its proxy: a channel to the in-process proxy
+/// thread, or a framed Unix socket to the parent. Two operations, and the
+/// only place a PE knows which backend launched it.
 enum PeLink {
-    Thread(Sender<ProxyCmd>),
+    Thread {
+        tx: Sender<ProxyCmd>,
+        ack: Receiver<()>,
+    },
     Proc(ProcLink),
 }
 
 struct ProcLink {
     sock: Mutex<UnixStream>,
-    /// With a chaos engine attached, *every* delivery — including
-    /// NVLink-direct ones — crosses the socket so the parent-owned engine
-    /// stays the single fault choke point (per-src FIFO framing preserves
-    /// the engine's deterministic op counting).
-    route_all: bool,
 }
 
 impl ProcLink {
     fn send(&self, tag: u8, body: &[u8]) {
         let mut sock = self.sock.lock().unwrap_or_else(|p| p.into_inner());
-        write_frame(&mut *sock, tag, body).expect("parent proxy gone");
+        write_frame(&mut *sock, tag, body).expect("proxy gone");
+    }
+}
+
+impl PeLink {
+    /// Hand a delivery to the proxy. Panics (a PE failure) if it is gone.
+    fn submit(&self, d: Delivery, proxied: bool, enqueued_us: u64) {
+        match self {
+            PeLink::Thread { tx, .. } => tx
+                .send(ProxyCmd::Deliver {
+                    d,
+                    proxied,
+                    enqueued_us,
+                })
+                .expect("proxy gone"),
+            PeLink::Proc(pl) => {
+                let (tag, body) = encode_delivery(&d, proxied);
+                pl.send(tag, &body);
+            }
+        }
+    }
+
+    /// Return once everything submitted before has been applied. Panics (a
+    /// PE failure) if the proxy is gone — never waits on a dead one.
+    fn flush(&self) {
+        match self {
+            PeLink::Thread { tx, ack } => {
+                tx.send(ProxyCmd::Flush).expect("proxy gone");
+                ack.recv().expect("proxy gone");
+            }
+            PeLink::Proc(pl) => {
+                let mut sock = pl.sock.lock().unwrap_or_else(|p| p.into_inner());
+                write_frame(&mut *sock, TAG_FLUSH, &[]).expect("proxy gone");
+                let mut ack = [0u8; 1];
+                sock.read_exact(&mut ack).expect("proxy gone");
+                assert_eq!(ack[0], FLUSH_ACK, "corrupt flush ack");
+            }
+        }
     }
 }
 
@@ -979,49 +1020,38 @@ impl<'w> Pe<'w> {
     /// symmetric-region accesses alongside the signal edges the world
     /// records itself.
     pub fn trace(&self) -> Option<&Recorder> {
-        // In a forked child the user's recorder is a copy-on-write ghost —
-        // anything recorded there dies with the child at `_exit`. Route to
-        // the symmetric shadow instead; the parent drains it back into the
-        // user recorder after the join.
-        if matches!(self.link, PeLink::Proc(_)) {
-            return self.world.proc_trace.get().map(|t| &t.shadow);
-        }
         self.world.trace.as_deref()
     }
 
-    /// Hand a delivery to this PE's proxy thread (threads backend).
-    fn enqueue(&self, proxy: &Sender<ProxyCmd>, d: Delivery) {
-        let enqueued_us = self.trace().map_or(0, |t| t.now_us());
-        proxy
-            .send(ProxyCmd::Deliver { d, enqueued_us })
-            .expect("proxy thread gone");
+    /// The routing rule, shared by the two ops: `Some(proxied)` when the
+    /// delivery must be submitted to this PE's proxy — the peer is across
+    /// the network (`proxied`), or a chaos engine must see it — and `None`
+    /// when it is stored in place. Records the `SignalSet` event either way,
+    /// before the release store / the submit, so it is sequenced before the
+    /// matching wait-done (halox-trace recorder docs).
+    fn route(&self, dst_pe: usize, slot: usize, val: u64) -> Option<bool> {
+        let via_proxy = !self.nvlink_reachable(dst_pe);
+        let set = Payload::SignalSet {
+            dst_pe: dst_pe as u32,
+            slot: slot as u32,
+            value: val,
+            via_proxy,
+        };
+        halox_trace::record_opt(self.trace(), self.id as u32, set);
+        (via_proxy || self.world.chaos.is_some()).then_some(via_proxy)
     }
 
-    /// Encode and send a put frame to the parent proxy (procs backend).
-    #[allow(clippy::too_many_arguments)]
-    fn frame_put(
-        &self,
-        pl: &ProcLink,
-        buf: &SymVec3,
-        dst_pe: usize,
-        offset: usize,
-        src: &[Vec3],
-        signal: Option<(usize, u64)>,
-        proxied: bool,
-    ) {
-        let (addr, words) = buf.seg_addr(dst_pe);
-        let mut body = Vec::with_capacity(64 + src.len() * 12);
-        dst_pe.encode(&mut body);
-        offset.encode(&mut body);
-        addr.encode(&mut body);
-        words.encode(&mut body);
-        signal.encode(&mut body);
-        proxied.encode(&mut body);
-        src.len().encode(&mut body);
-        for v in src {
-            v.encode(&mut body);
-        }
-        pl.send(TAG_PUT, &body);
+    /// Submit a delivery to this PE's proxy. One that names a PE, slot or
+    /// segment range outside the world is this PE's bug and fails this PE
+    /// here, before it can reach anything shared.
+    fn submit(&self, d: Delivery, proxied: bool) {
+        assert!(
+            d.in_bounds(&self.world.signals),
+            "PE {}: delivery names a PE, signal slot or segment range outside the world",
+            self.id
+        );
+        let enqueued_us = self.trace().map_or(0, |t| t.now_us());
+        self.link.submit(d, proxied, enqueued_us);
     }
 
     /// Direct put: relaxed stores into the peer's segment. Use only inside
@@ -1043,53 +1073,21 @@ impl<'w> Pe<'w> {
         slot: usize,
         val: u64,
     ) {
-        let via_proxy = !self.nvlink_reachable(dst_pe);
-        // Recorded before the release store / proxy enqueue so the set
-        // event is sequenced before the matching wait-done (see
-        // halox-trace recorder docs).
-        if let Some(t) = self.trace() {
-            t.record(
-                self.id as u32,
-                Payload::SignalSet {
-                    dst_pe: dst_pe as u32,
-                    slot: slot as u32,
-                    value: val,
-                    via_proxy,
-                },
-            );
-        }
-        match &self.link {
-            PeLink::Thread(proxy) => {
-                // One payload copy where a `Delivery` is needed: the proxy's
-                // staging buffer, or — chaos-enabled direct path — the store
-                // materialized so NVLink stores face the same fault plan as
-                // proxied puts.
-                let staged = || Delivery::Put {
+        match self.route(dst_pe, slot, val) {
+            Some(proxied) => {
+                // The one payload copy: the proxy's staging buffer.
+                let d = Delivery::Put {
                     buf: buf.clone(),
                     dst_pe,
                     offset,
                     payload: src.to_vec(),
                     signal: Some((slot, val)),
                 };
-                if via_proxy {
-                    self.enqueue(proxy, staged());
-                } else if let Some(chaos) = &self.world.chaos {
-                    chaos_deliver(chaos, &self.world.signals, self.id, staged());
-                } else {
-                    buf.write_slice(dst_pe, offset, src);
-                    self.world.signals[dst_pe].release_max(slot, val);
-                }
+                self.submit(d, proxied);
             }
-            PeLink::Proc(pl) => {
-                if via_proxy || pl.route_all {
-                    self.frame_put(pl, buf, dst_pe, offset, src, Some((slot, val)), via_proxy);
-                } else {
-                    // NVLink-direct in the procs backend: plain stores on
-                    // the symmetric mapping plus the monotone release
-                    // signal, no kernel round trip.
-                    buf.write_slice(dst_pe, offset, src);
-                    self.world.signals[dst_pe].release_max(slot, val);
-                }
+            None => {
+                buf.write_slice(dst_pe, offset, src);
+                self.world.signals[dst_pe].release_max(slot, val);
             }
         }
     }
@@ -1103,62 +1101,48 @@ impl<'w> Pe<'w> {
     /// here (the relaxed/release distinction is retained in the *timing*
     /// plane cost model instead).
     pub fn signal(&self, dst_pe: usize, slot: usize, val: u64) {
-        let via_proxy = !self.nvlink_reachable(dst_pe);
-        if let Some(t) = self.trace() {
-            t.record(
-                self.id as u32,
-                Payload::SignalSet {
-                    dst_pe: dst_pe as u32,
-                    slot: slot as u32,
-                    value: val,
-                    via_proxy,
-                },
-            );
+        match self.route(dst_pe, slot, val) {
+            Some(proxied) => self.submit(Delivery::Signal { dst_pe, slot, val }, proxied),
+            None => self.world.signals[dst_pe].release_max(slot, val),
         }
-        match &self.link {
-            PeLink::Thread(proxy) => {
-                let d = Delivery::Signal { dst_pe, slot, val };
-                if via_proxy {
-                    self.enqueue(proxy, d);
-                } else if let Some(chaos) = &self.world.chaos {
-                    chaos_deliver(chaos, &self.world.signals, self.id, d);
-                } else {
-                    self.world.signals[dst_pe].release_max(slot, val);
-                }
-            }
-            PeLink::Proc(pl) => {
-                if via_proxy || pl.route_all {
-                    let mut body = Vec::with_capacity(32);
-                    dst_pe.encode(&mut body);
-                    slot.encode(&mut body);
-                    val.encode(&mut body);
-                    via_proxy.encode(&mut body);
-                    pl.send(TAG_SIGNAL, &body);
-                } else {
-                    self.world.signals[dst_pe].release_max(slot, val);
-                }
-            }
-        }
+    }
+
+    /// Run an acquire wait on one of *my* slots, recording its outcome —
+    /// `SignalWaitDone` for `Ok(observed)`, `SignalWaitTimeout` for
+    /// `Err(stale)` — as a span over the wait when tracing is attached.
+    fn traced_wait(
+        &self,
+        slot: usize,
+        val: u64,
+        wait: impl FnOnce(&SignalSet) -> Result<u64, u64>,
+    ) -> Result<u64, u64> {
+        let sigs = &self.world.signals[self.id];
+        let Some(t) = self.trace() else {
+            return wait(sigs);
+        };
+        let start = t.now_us();
+        let result = wait(sigs);
+        let dur = t.now_us().saturating_sub(start);
+        let (slot, required) = (slot as u32, val);
+        let payload = match result {
+            Ok(observed) => Payload::SignalWaitDone {
+                slot,
+                required,
+                observed,
+            },
+            Err(observed) => Payload::SignalWaitTimeout {
+                slot,
+                required,
+                observed,
+            },
+        };
+        t.record_timed(self.id as u32, start, dur, payload);
+        result
     }
 
     /// Acquire-wait on one of *my* signal slots.
     pub fn wait_signal(&self, slot: usize, val: u64) {
-        if let Some(t) = self.trace() {
-            let start = t.now_us();
-            let observed = self.world.signals[self.id].acquire_wait(slot, val);
-            t.record_timed(
-                self.id as u32,
-                start,
-                t.now_us().saturating_sub(start),
-                Payload::SignalWaitDone {
-                    slot: slot as u32,
-                    required: val,
-                    observed,
-                },
-            );
-        } else {
-            self.world.signals[self.id].acquire_wait(slot, val);
-        }
+        let _ = self.traced_wait(slot, val, |s| Ok(s.acquire_wait(slot, val)));
     }
 
     /// Watchdog acquire-wait on one of *my* slots: blocks until `val` or
@@ -1172,29 +1156,7 @@ impl<'w> Pe<'w> {
         val: u64,
         deadline: std::time::Instant,
     ) -> Result<u64, u64> {
-        let sigs = &self.world.signals[self.id];
-        match self.trace() {
-            Some(t) => {
-                let start = t.now_us();
-                let result = sigs.acquire_wait_deadline(slot, val, deadline);
-                let dur = t.now_us().saturating_sub(start);
-                let payload = match result {
-                    Ok(observed) => Payload::SignalWaitDone {
-                        slot: slot as u32,
-                        required: val,
-                        observed,
-                    },
-                    Err(observed) => Payload::SignalWaitTimeout {
-                        slot: slot as u32,
-                        required: val,
-                        observed,
-                    },
-                };
-                t.record_timed(self.id as u32, start, dur, payload);
-                result
-            }
-            None => sigs.acquire_wait_deadline(slot, val, deadline),
-        }
+        self.traced_wait(slot, val, |s| s.acquire_wait_deadline(slot, val, deadline))
     }
 
     /// Non-blocking probe of one of my slots. A successful probe is a
@@ -1225,54 +1187,47 @@ impl<'w> Pe<'w> {
         buf.read_slice(src_pe, offset, dst);
     }
 
-    /// `nvshmem_quiet`: wait until all of this PE's proxied operations have
-    /// been applied remotely. (NVLink-path operations complete immediately.)
+    /// `nvshmem_quiet`: wait until everything this PE submitted to its proxy
+    /// has been applied remotely. (Operations stored in place complete
+    /// immediately.)
     pub fn quiet(&self) {
-        match &self.link {
-            PeLink::Thread(proxy) => {
-                let (tx, rx) = unbounded();
-                proxy.send(ProxyCmd::Flush(tx)).expect("proxy thread gone");
-                rx.recv().expect("proxy dropped flush ack");
-            }
-            PeLink::Proc(pl) => {
-                // The socket is FIFO and the parent loop serves frames in
-                // order, so the one-byte ack means everything framed before
-                // the flush has been applied.
-                let mut sock = pl.sock.lock().unwrap_or_else(|p| p.into_inner());
-                write_frame(&mut *sock, TAG_FLUSH, &[]).expect("parent proxy gone");
-                let mut ack = [0u8; 1];
-                sock.read_exact(&mut ack).expect("parent proxy gone");
-                assert_eq!(ack[0], FLUSH_ACK, "corrupt flush ack");
-            }
+        self.link.flush();
+    }
+
+    /// Run a global rendezvous between its `BarrierArrive` and — if it
+    /// `completed` — `BarrierDepart` events. Collectives are global
+    /// synchronisation points too, so the protocol checker sees them all as
+    /// barriers.
+    fn rendezvous<T>(&self, f: impl FnOnce() -> T, completed: impl FnOnce(&T) -> bool) -> T {
+        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierArrive);
+        let r = f();
+        if completed(&r) {
+            halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierDepart);
         }
+        r
     }
 
     /// `shmem_barrier_all`.
     pub fn barrier_all(&self) {
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierArrive);
-        self.world.barrier.wait();
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierDepart);
+        self.rendezvous(|| self.world.barrier.wait(), |_| true);
     }
 
     /// Sum all-reduce across all PEs (every PE must participate). The
     /// reduction is performed in PE index order on every PE, so the result
     /// is bitwise identical across PEs, runs and thread schedules.
-    ///
-    /// Collectives are global rendezvous points, so they are recorded as
-    /// barrier arrive/depart pairs for the protocol checker.
     pub fn allreduce_sum(&self, v: f64) -> f64 {
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierArrive);
-        let r = self.world.collectives.allreduce_sum(self.id, v);
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierDepart);
-        r
+        self.rendezvous(
+            || self.world.collectives.allreduce_sum(self.id, v),
+            |_| true,
+        )
     }
 
     /// Max all-reduce across all PEs.
     pub fn allreduce_max(&self, v: f64) -> f64 {
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierArrive);
-        let r = self.world.collectives.allreduce_max(self.id, v);
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierDepart);
-        r
+        self.rendezvous(
+            || self.world.collectives.allreduce_max(self.id, v),
+            |_| true,
+        )
     }
 
     /// Deadline-bounded [`Pe::allreduce_sum`]: `None` if the world did not
@@ -1281,15 +1236,11 @@ impl<'w> Pe<'w> {
     /// collective state is poisoned afterwards; callers must abandon the
     /// run, as with an expired exchange wait.
     pub fn allreduce_sum_deadline(&self, v: f64, deadline: std::time::Instant) -> Option<f64> {
-        halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierArrive);
-        let r = self
-            .world
-            .collectives
-            .allreduce_sum_deadline(self.id, v, deadline);
-        if r.is_some() {
-            halox_trace::record_opt(self.trace(), self.id as u32, Payload::BarrierDepart);
-        }
-        r
+        let c = &self.world.collectives;
+        self.rendezvous(
+            || c.allreduce_sum_deadline(self.id, v, deadline),
+            Option::is_some,
+        )
     }
 }
 
@@ -1297,6 +1248,8 @@ impl<'w> Pe<'w> {
 mod tests {
     use super::*;
     use crate::chaos::{FaultKind, FaultOp, FaultPlan, FaultRule};
+    use crate::shared::Slots;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn topology_reachability() {
@@ -1580,6 +1533,7 @@ mod tests {
         w.run(|pe| {
             if pe.id == 0 {
                 pe.put_vec3_signal_nbi(b, 1, 0, &[Vec3::splat(4.0)], 0, 1);
+                pe.quiet();
             }
             pe.barrier_all();
             if pe.id == 1 {
@@ -1841,6 +1795,39 @@ mod tests {
     }
 
     #[test]
+    fn forked_pes_and_their_proxies_append_to_the_one_recorder() {
+        // The recorder's storage is fork-shared: the children's signal
+        // edges, the parent-side proxy's service event and the driver's
+        // world boundary land in one log, in an order the checker accepts.
+        let rec = Arc::new(Recorder::with_capacity(256));
+        let w = procs_world(Topology::islands(2, 1), 1).with_trace(Arc::clone(&rec));
+        let buf = SymVec3::alloc(2, 1);
+        let b = &buf;
+        w.run(|pe| {
+            if pe.id == 0 {
+                pe.put_vec3_signal_nbi(b, 1, 0, &[Vec3::splat(3.0)], 0, 1);
+            } else {
+                pe.wait_signal(0, 1);
+            }
+            pe.barrier_all();
+        });
+        let trace = rec.drain();
+        let has = |f: &dyn Fn(&Payload) -> bool| trace.events.iter().any(|e| f(&e.payload));
+        assert!(has(&|p| matches!(p, Payload::WorldStart { pes: 2 })));
+        assert!(has(&|p| matches!(p, Payload::SignalSet { value: 1, .. })));
+        assert!(has(&|p| matches!(
+            p,
+            Payload::ProxyService { kind: "put", .. }
+        )));
+        assert!(has(&|p| matches!(
+            p,
+            Payload::SignalWaitDone { observed: 1, .. }
+        )));
+        let report = halox_trace::check(&trace);
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
     fn backends_mix_in_one_process_over_buffers_allocated_first() {
         // Symmetric memory allocated before any world exists serves forked
         // PEs and then PE threads: the backend only picks the launcher.
@@ -1927,5 +1914,137 @@ mod tests {
         assert_eq!(err.failures[0].0, 0);
         assert!(matches!(err.failures[0].1, PeFailure::Died { .. }), "{err}");
         assert_eq!(w.signal_set(1).peek(0), 0, "a rejected put signals nobody");
+    }
+
+    #[test]
+    fn delivery_outside_the_world_fails_its_pe_not_the_world() {
+        // One signal slot, and pe0 rings slot 7 (then a PE that does not
+        // exist) across the network. The bad delivery is pe0's bug: pe0
+        // fails, within a bounded time, pe1 is untouched, and the next
+        // world is clean. On a helper thread so a relapse into the old
+        // hang fails here instead of stalling the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            for backend in [WorldBackend::Threads, WorldBackend::Procs] {
+                for (dst_pe, slot) in [(1usize, 7usize), (9, 0)] {
+                    let topo = Topology::islands(2, 1);
+                    let w = ShmemWorld::new_with_backend(backend, topo, 1);
+                    let t = std::time::Instant::now();
+                    let err = w
+                        .try_run(|pe| {
+                            if pe.id == 0 {
+                                pe.signal(dst_pe, slot, 1);
+                                pe.quiet();
+                            }
+                            pe.id as u64
+                        })
+                        .expect_err("pe0 named a target outside the world");
+                    assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+                    assert_eq!(err.failures.len(), 1, "{}: {err}", backend.label());
+                    assert!(
+                        matches!(&err.failures[0], (0, PeFailure::Panic(m)) if m.contains("outside the world")),
+                        "{}: {err}",
+                        backend.label()
+                    );
+                    assert_eq!(w.signal_set(1).peek(0), 0);
+                    let fresh = ShmemWorld::new_with_backend(backend, topo, 1);
+                    assert_eq!(fresh.run(|pe| pe.id as u64), vec![0, 1]);
+                }
+            }
+            done.send(()).expect("test thread waits for the helper");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(8))
+            .expect("a delivery outside the world hung try_run");
+        helper.join().expect("helper panicked");
+    }
+
+    #[test]
+    fn out_of_range_frame_from_another_process_severs_that_pe() {
+        // The PE-side check keeps a well-behaved PE from framing a bad
+        // delivery; a frame is still input from another process, so the
+        // parent checks again. Hand-frame a signal on slot 7 of 1.
+        let w = procs_world(Topology::islands(2, 1), 1);
+        let err = w
+            .try_run(|pe| {
+                if pe.id == 0 {
+                    let PeLink::Proc(pl) = &pe.link else {
+                        unreachable!("procs world")
+                    };
+                    let mut body = Vec::new();
+                    1usize.encode(&mut body); // dst_pe
+                    7usize.encode(&mut body); // slot
+                    1u64.encode(&mut body);
+                    true.encode(&mut body); // proxied
+                    pl.send(TAG_SIGNAL, &body);
+                    pe.quiet();
+                }
+                pe.id as u64
+            })
+            .expect_err("the proxy must refuse the frame");
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert!(
+            matches!(err.failures[0], (0, PeFailure::Died { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn garbage_frames_never_panic_the_decoder_or_the_apply() {
+        // A frame body is bytes from another process. Whatever they are,
+        // `decode_delivery` + `Delivery::apply` return; nothing indexes out
+        // of range. Three generators: raw noise; frames whose fields are
+        // drawn from in-range, just-out-of-range and huge values, some cut
+        // short; and such frames with a noise tail (segment names stay this
+        // test's own buffer, or dead, so a frame that does land lands here).
+        let w = ShmemWorld::new(Topology::islands(2, 1), 2);
+        let buf = SymVec3::alloc(2, 4);
+        let (addr, words) = buf.seg_addr(1);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut landed = 0;
+        for round in 0..20_000u64 {
+            let tag = if rng() % 2 == 0 { TAG_PUT } else { TAG_SIGNAL };
+            let mut body = Vec::new();
+            let wild = |r: u64| match r % 4 {
+                0 => (r >> 8) as usize % 4,
+                1 => (r >> 8) as usize % 64,
+                2 => usize::MAX - (r >> 8) as usize % 4,
+                _ => (r >> 8) as usize,
+            };
+            if round % 3 != 0 {
+                wild(rng()).encode(&mut body); // dst_pe
+                if tag == TAG_SIGNAL {
+                    wild(rng()).encode(&mut body); // slot
+                    rng().encode(&mut body);
+                    (rng() % 2 == 0).encode(&mut body);
+                } else {
+                    wild(rng()).encode(&mut body); // offset
+                    [addr, 0, 8][rng() as usize % 3].encode(&mut body);
+                    [words, wild(rng())][rng() as usize % 2].encode(&mut body);
+                    (rng() % 2 == 0)
+                        .then(|| (wild(rng()), rng()))
+                        .encode(&mut body);
+                    (rng() % 2 == 0).encode(&mut body);
+                    vec![Vec3::splat(1.0); rng() as usize % 6].encode(&mut body);
+                }
+            }
+            if round % 3 != 1 {
+                // Noise: the whole body, or a tail behind a whole frame...
+                body.extend((0..rng() % 40).map(|_| rng() as u8));
+            } else if rng() % 4 == 0 {
+                // ...or a frame cut short.
+                body.truncate(rng() as usize % (body.len() + 1));
+            }
+            if let Some((d, _)) = decode_delivery(tag, &body, &w.signals) {
+                landed += d.apply(&w.signals, false) as u32;
+            }
+        }
+        assert!(landed > 0, "the generator never produced a valid frame");
     }
 }

@@ -1,10 +1,15 @@
 //! Lock-free per-PE event recorder.
 //!
 //! The recorder is a fixed-capacity slot array claimed with a single
-//! `fetch_add` per event, so PE threads, proxy threads and the driver can
-//! all record concurrently without ever blocking each other or taking a
-//! lock on the hot path. Once full it counts drops instead of blocking —
+//! `fetch_add` per event, so PEs, proxy threads and the driver can all
+//! record concurrently without ever blocking each other or taking a lock on
+//! the hot path. Once full it counts drops instead of blocking —
 //! observability must never perturb the protocol it observes.
+//!
+//! There is one storage: a fork-shared anonymous mapping the recorder owns.
+//! A PE that is a thread and a PE that is a process forked after the
+//! recorder was made claim slots from the same cursor, so there is one log
+//! and nothing to merge.
 //!
 //! # Sequence-order soundness
 //!
@@ -25,10 +30,16 @@
 //!
 //! With that discipline, if event A happens-before event B then
 //! `A.seq < B.seq`, so the replay never reorders a release after the
-//! acquire that observed it.
+//! acquire that observed it. The argument does not care whether A and B
+//! were recorded in one address space: the cursor is one atomic word in
+//! shared memory, and a happens-before chain that crosses processes
+//! (sender claims a slot → socket frame → proxy applies → waiter observes →
+//! waiter claims a slot) orders the two `fetch_add`s just as a chain
+//! through a channel does.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -156,52 +167,64 @@ struct Slot {
 // made after the write).
 unsafe impl Sync for Slot {}
 
-/// Counters preceding the slot array in caller-provided shared storage.
-/// `repr(C)` so the layout is identical in every process mapping it.
+/// Head of a recorder's mapping; the slot array follows at
+/// [`SLOTS_OFFSET`]. `repr(C)` so every process sharing the mapping agrees
+/// on the layout.
 #[repr(C)]
-struct SharedHdr {
+struct Hdr {
     cursor: AtomicUsize,
     dropped: AtomicUsize,
 }
 
-/// Where the cursor, drop counter and slot array live: owned process
-/// memory (the default) or a caller-provided mapping — e.g. a
-/// `MAP_SHARED` region, so processes forked after construction append to
-/// one log through the same `fetch_add` cursor as threads would.
-enum Storage {
-    Owned {
-        cursor: AtomicUsize,
-        dropped: AtomicUsize,
-        slots: Box<[Slot]>,
-    },
-    Shared(SharedPtrs),
-}
+/// Byte offset of the slot array: the header rounded up to slot alignment.
+const SLOTS_OFFSET: usize =
+    std::mem::size_of::<Hdr>().next_multiple_of(std::mem::align_of::<Slot>());
 
-/// Raw, not `&'static`: the storage is only promised to outlive the
-/// recorder ([`Recorder::from_shared_zeroed`]'s contract).
-struct SharedPtrs {
-    hdr: *const SharedHdr,
-    slots: *const [Slot],
-}
+mod ffi {
+    use std::os::raw::{c_int, c_void};
 
-// SAFETY: the pointers name storage the constructor's caller keeps alive
-// for the recorder's lifetime; what they point at — atomics and `Slot`s —
-// is `Sync`, like the owned variant's fields.
-unsafe impl Send for SharedPtrs {}
-unsafe impl Sync for SharedPtrs {}
+    pub const PROT_READ_WRITE: c_int = 1 | 2;
+    pub const MAP_SHARED_ANONYMOUS: c_int = 1 | 0x20;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+}
 
 /// Lock-free fixed-capacity event recorder. See module docs.
+///
+/// The header and slot array live in one `mmap(MAP_SHARED | MAP_ANONYMOUS)`
+/// region the recorder owns and unmaps on drop, so processes forked while it
+/// exists append to the same log through the same `fetch_add` cursor as
+/// threads do. `Payload` carries `&'static str` pointers; they stay valid
+/// in every such process because `fork()` preserves the address-space
+/// layout. `origin` is copied by the fork and reads the one monotonic
+/// clock, so timestamps agree across them too.
 pub struct Recorder {
     origin: Instant,
-    storage: Storage,
+    map: NonNull<Hdr>,
+    capacity: usize,
 }
+
+// SAFETY: the mapping is owned (unmapped only by `Drop`), and everything in
+// it — the header's atomics and the `Slot`s — is `Sync`.
+unsafe impl Send for Recorder {}
+unsafe impl Sync for Recorder {}
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("capacity", &self.slots().len())
-            .field("recorded", &self.cursor().load(Ordering::Relaxed))
-            .field("dropped", &self.dropped_ctr().load(Ordering::Relaxed))
+            .field("capacity", &self.capacity)
+            .field("recorded", &self.hdr().cursor.load(Ordering::Relaxed))
+            .field("dropped", &self.hdr().dropped.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -212,111 +235,71 @@ impl Default for Recorder {
     }
 }
 
+impl Drop for Recorder {
+    fn drop(&mut self) {
+        // SAFETY: exactly the range `with_capacity` mapped; `&mut self`
+        // proves no borrow of it is left. (In a forked child this unmaps
+        // the child's view only.)
+        unsafe { ffi::munmap(self.map.as_ptr().cast(), Self::map_bytes(self.capacity)) };
+    }
+}
+
 impl Recorder {
-    /// Default capacity: 256Ki events (~12 MiB). A fused-exchange step on
-    /// 8 PEs records a few hundred events, so this covers thousands of
-    /// steps before dropping.
+    /// Default capacity: 256Ki events (~12 MiB of address space, touched
+    /// only as events land). A fused-exchange step on 8 PEs records a few
+    /// hundred events, so this covers thousands of steps before dropping.
     pub fn new() -> Self {
         Self::with_capacity(1 << 18)
     }
 
+    /// Panics if the kernel refuses the mapping (address space exhausted).
     pub fn with_capacity(capacity: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                ready: AtomicBool::new(false),
-                cell: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let bytes = Self::map_bytes(capacity);
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing this process owns.
+        let p = unsafe {
+            ffi::mmap(
+                std::ptr::null_mut(),
+                bytes,
+                ffi::PROT_READ_WRITE,
+                ffi::MAP_SHARED_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        let map = NonNull::new(p.cast::<Hdr>())
+            .filter(|_| p as isize != -1)
+            .unwrap_or_else(|| panic!("Recorder: mmap of {bytes} bytes failed"));
         Recorder {
             origin: Instant::now(),
-            storage: Storage::Owned {
-                cursor: AtomicUsize::new(0),
-                dropped: AtomicUsize::new(0),
-                slots,
-            },
+            map,
+            capacity,
         }
     }
 
-    /// Bytes of caller-provided storage [`Recorder::from_shared_zeroed`]
-    /// needs for `capacity` events: a [`SharedHdr`] rounded up to the slot
-    /// alignment, then the slot array. The base pointer must be aligned to
-    /// at least `align_of::<usize>()` / `align_of::<Slot>()` (16 is always
-    /// enough).
-    pub fn shared_layout_bytes(capacity: usize) -> usize {
-        Self::shared_slots_offset() + capacity * std::mem::size_of::<Slot>()
+    fn map_bytes(capacity: usize) -> usize {
+        SLOTS_OFFSET + capacity * std::mem::size_of::<Slot>()
     }
 
-    fn shared_slots_offset() -> usize {
-        let a = std::mem::align_of::<Slot>();
-        std::mem::size_of::<SharedHdr>().div_ceil(a) * a
-    }
-
-    /// Build a recorder whose cursor, drop counter and slot array live in
-    /// caller-provided zeroed memory — e.g. a `MAP_SHARED` mapping, so
-    /// that processes forked *after* this call all append to one log via
-    /// the shared `fetch_add` cursor, preserving the happens-before ⇒
-    /// seq-order guarantee (module docs) across address spaces. All-zero
-    /// bytes are a valid empty state (`cursor == 0`, every `ready` false),
-    /// so no initialisation store is needed.
-    ///
-    /// `Payload` carries `&'static str` pointers; they remain valid in
-    /// every process only because `fork()` preserves the address-space
-    /// layout. Do not read a shared recorder from an unrelated process.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for reads and writes of
-    /// [`Recorder::shared_layout_bytes`]`(capacity)` bytes, zero-filled,
-    /// aligned to `align_of::<SharedHdr>()` and `align_of::<Slot>()`, and
-    /// must stay mapped (and not be reused) until the returned recorder —
-    /// and every fork-inherited copy of it — has been dropped: whoever owns
-    /// the mapping owns the recorder and drops it first.
-    pub unsafe fn from_shared_zeroed(capacity: usize, ptr: *mut u8) -> Self {
-        debug_assert!(!ptr.is_null());
-        debug_assert_eq!(ptr as usize % std::mem::align_of::<SharedHdr>(), 0);
-        debug_assert_eq!(ptr as usize % std::mem::align_of::<Slot>(), 0);
-        let hdr = ptr as *const SharedHdr;
-        // SAFETY: the caller vouches for `shared_layout_bytes(capacity)`
-        // bytes at `ptr`, so the slot array starts inside them.
-        let first = unsafe { ptr.add(Self::shared_slots_offset()) } as *const Slot;
-        let slots = std::ptr::slice_from_raw_parts(first, capacity);
-        Recorder {
-            origin: Instant::now(),
-            storage: Storage::Shared(SharedPtrs { hdr, slots }),
-        }
-    }
-
-    // SAFETY (the three accessors below): `from_shared_zeroed`'s caller
-    // keeps the shared storage valid, zero-initialised and aligned for as
-    // long as `self` exists, and the borrows handed out end with `&self`.
-    fn cursor(&self) -> &AtomicUsize {
-        match &self.storage {
-            Storage::Owned { cursor, .. } => cursor,
-            Storage::Shared(p) => unsafe { &(*p.hdr).cursor },
-        }
-    }
-
-    fn dropped_ctr(&self) -> &AtomicUsize {
-        match &self.storage {
-            Storage::Owned { dropped, .. } => dropped,
-            Storage::Shared(p) => unsafe { &(*p.hdr).dropped },
-        }
+    fn hdr(&self) -> &Hdr {
+        // SAFETY: the mapping is page-aligned, at least `SLOTS_OFFSET` bytes
+        // and lives until `Drop`; all-zero bytes are a valid `Hdr`.
+        unsafe { self.map.as_ref() }
     }
 
     fn slots(&self) -> &[Slot] {
-        match &self.storage {
-            Storage::Owned { slots, .. } => slots,
-            Storage::Shared(p) => unsafe { &*p.slots },
-        }
-    }
-
-    /// Add `n` to the drop counter. Used when events are forwarded from
-    /// another recorder that itself overflowed, so the loss stays visible
-    /// to `drain()` callers.
-    pub fn note_dropped(&self, n: usize) {
-        if n > 0 {
-            self.dropped_ctr().fetch_add(n, Ordering::Relaxed);
+        // SAFETY: `capacity` slots follow the header inside the mapping, at
+        // an offset aligned for `Slot`; all-zero bytes are a valid empty
+        // `Slot` (`ready == false`, cell uninitialised), which is how the
+        // kernel hands the pages over.
+        unsafe {
+            let first = self
+                .map
+                .as_ptr()
+                .cast::<u8>()
+                .add(SLOTS_OFFSET)
+                .cast::<Slot>();
+            std::slice::from_raw_parts(first, self.capacity)
         }
     }
 
@@ -333,9 +316,9 @@ impl Recorder {
     /// Record an event with an explicit timestamp and duration (used by
     /// span guards, which know when the span started).
     pub fn record_timed(&self, pe: u32, ts_us: u64, dur_us: u64, payload: Payload) {
-        let idx = self.cursor().fetch_add(1, Ordering::AcqRel);
-        if idx >= self.slots().len() {
-            self.dropped_ctr().fetch_add(1, Ordering::Relaxed);
+        let idx = self.hdr().cursor.fetch_add(1, Ordering::AcqRel);
+        if idx >= self.capacity {
+            self.hdr().dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let slot = &self.slots()[idx];
@@ -361,9 +344,7 @@ impl Recorder {
 
     /// Number of events recorded (capped at capacity).
     pub fn len(&self) -> usize {
-        self.cursor()
-            .load(Ordering::Acquire)
-            .min(self.slots().len())
+        self.hdr().cursor.load(Ordering::Acquire).min(self.capacity)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -404,7 +385,7 @@ impl Recorder {
         }
         Trace {
             events,
-            dropped: self.dropped_ctr().load(Ordering::Relaxed),
+            dropped: self.hdr().dropped.load(Ordering::Relaxed),
         }
     }
 

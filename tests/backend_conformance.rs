@@ -26,10 +26,11 @@ use halox::engine::{
 use halox::md::minimize::{steepest_descent, MinimizeOptions};
 use halox::md::{GrappaBuilder, System, Vec3};
 use halox::shmem::{
-    shared, FaultKind, FaultOp, FaultPlan, FaultRule, PeFailure, ShmemWorld, SymVec3, Topology,
+    shared, ChaosEngine, ChaosReport, FaultKind, FaultOp, FaultPlan, FaultRule, PeFailure,
+    ShmemWorld, SymVec3, Topology,
 };
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const BACKENDS: [WorldBackend; 2] = [WorldBackend::Threads, WorldBackend::Procs];
@@ -590,6 +591,71 @@ fn chaos_plan_accounted_on_procs_backend() {
     }
     if !stats.downgrades.is_empty() {
         assert!(stats.degraded_steps > 0, "plan {:?}", plan.name);
+    }
+}
+
+/// The fault schedule is a function of (plan, PE program), not of the
+/// backend or the thread schedule. On `islands(4, 2)` pe0's first op crosses
+/// the network to pe2 and its second is an NVLink op to pe1; a one-shot rule
+/// at pe0's op 1 must hit the *second* op in program order, every time, on
+/// both backends — one thread (pe0's proxy) decides both, in order. Returns
+/// what landed where: `[pe2, pe1]` as (signal slot, payload x).
+fn faulted_pair(backend: WorldBackend, kind: FaultKind) -> ([(u64, f32); 2], ChaosReport) {
+    let plan = FaultPlan {
+        name: "second-op".into(),
+        seed: 0,
+        rules: vec![FaultRule {
+            pe: Some(0),
+            op: FaultOp::Any,
+            after_ops: 1,
+            every: None,
+            kind,
+        }],
+    };
+    let chaos = Arc::new(ChaosEngine::new(plan, 4));
+    let w = ShmemWorld::new_with_backend(backend, Topology::islands(4, 2), 1)
+        .with_chaos(Arc::clone(&chaos));
+    let buf = SymVec3::alloc(4, 1);
+    let b = &buf;
+    w.run(|pe| {
+        if pe.id == 0 {
+            pe.put_vec3_signal_nbi(b, 2, 0, &[Vec3::splat(2.0)], 0, 1);
+            pe.put_vec3_signal_nbi(b, 1, 0, &[Vec3::splat(1.0)], 0, 1);
+            pe.quiet();
+        }
+        pe.id as u64
+    });
+    let landed = [2, 1].map(|pe| (w.signal_set(pe).peek(0), buf.get(pe, 0).x));
+    (landed, chaos.report())
+}
+
+#[test]
+fn fault_schedule_is_identical_across_backends() {
+    for (kind, second_op) in [
+        (FaultKind::DropSignalOnce, (0, 1.0)), // data lands, doorbell lost
+        (FaultKind::TransientPutFailure, (0, 0.0)),
+        (FaultKind::ReorderNext, (0, 0.0)), // held, and nothing follows it
+    ] {
+        let mut reports = Vec::new();
+        for backend in BACKENDS {
+            for rep in 0..50 {
+                let (landed, report) = faulted_pair(backend, kind);
+                assert_eq!(
+                    landed,
+                    [(1, 2.0), second_op],
+                    "{} rep {rep}: {} did not hit pe0's second op",
+                    backend.label(),
+                    kind.name()
+                );
+                reports.push(report);
+            }
+        }
+        assert_eq!(reports[0].total(), 1, "{}", kind.name());
+        assert!(
+            reports.iter().all(|r| *r == reports[0]),
+            "{}: reports differ across backends or runs: {reports:?}",
+            kind.name()
+        );
     }
 }
 
