@@ -20,7 +20,7 @@ use std::fmt;
 /// every term's atoms to span at most two adjacent domains per dimension; a
 /// term stretched across three or more means the molecule is longer than a
 /// domain — a configuration error, not a runtime fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// A bonded term's atoms live in more than two domains along `dim`.
     BondedTermSpans { dim: usize, atoms: Vec<u32> },
@@ -32,6 +32,15 @@ pub enum PlanError {
         dim: usize,
         pulses: usize,
         cells: usize,
+    },
+    /// The box is narrower than `2 · r_comm` along `dim`, which is periodic
+    /// and not decomposed: a pair search of radius `r_comm` would meet the
+    /// same atom through two images (the half-box rule of
+    /// `halox_md::pairlist`). Use a larger box or shorter cut-offs.
+    BoxTooNarrow {
+        dim: usize,
+        box_len: f32,
+        r_comm: f32,
     },
 }
 
@@ -46,6 +55,15 @@ impl fmt::Display for PlanError {
                 f,
                 "dim {dim}: {pulses} pulses over {cells} cells would wrap the torus; \
                  cells are thinner than r_comm allows"
+            ),
+            PlanError::BoxTooNarrow {
+                dim,
+                box_len,
+                r_comm,
+            } => write!(
+                f,
+                "dim {dim}: box length {box_len} nm is under twice r_comm = {r_comm} nm \
+                 in a periodic, non-decomposed dimension"
             ),
         }
     }
@@ -173,7 +191,9 @@ pub fn try_build_partition(
 /// pulses beyond what the current boundaries need simply carry empty index
 /// maps. The pulse count actually used is `max(needed, min_pulses[d])` and
 /// must stay below the cell count (a longer chain would wrap the torus);
-/// violations are a typed [`PlanError::PulsesExceedGrid`].
+/// violations are a typed [`PlanError::PulsesExceedGrid`]. A dimension that
+/// is not decomposed stays periodic on every rank, so its box length must
+/// exceed `2 · r_comm` ([`PlanError::BoxTooNarrow`]).
 pub fn try_build_partition_with(
     system: &System,
     grid: &DdGrid,
@@ -185,6 +205,15 @@ pub fn try_build_partition_with(
     let n_ranks = grid.n_ranks();
     let box_l = system.pbc.lengths();
     let comm_dims = grid.comm_dims();
+    for d in (0..3).filter(|&d| grid.dims[d] == 1) {
+        if r_comm >= 0.5 * box_l[d] {
+            return Err(PlanError::BoxTooNarrow {
+                dim: d,
+                box_len: box_l[d],
+                r_comm,
+            });
+        }
+    }
     let mut pulse_counts = [1usize; 3];
     for &d in &comm_dims {
         let needed = (r_comm / bounds.min_cell_len(d, box_l[d])).ceil() as usize;

@@ -2,6 +2,11 @@
 //! cluster-pair SoA), pair-list lifecycle, and the local/halo tile split
 //! that backs compute–communication overlap (DESIGN.md §3.4).
 //!
+//! Kernel choice and retained list are one value ([`NbList`]): an
+//! evaluator holds either a scalar list or a cluster list, never a kernel
+//! tag that could disagree with which list is populated. Both lists make
+//! their rebuild decision through the same `halox_md::pairlist::Staleness`.
+//!
 //! The evaluator is the single place both executors (the serial reference
 //! driver and the threaded per-PE loops) get their non-bonded forces from,
 //! which is what keeps them bitwise identical under either kernel:
@@ -24,11 +29,20 @@ use halox_md::cluster::{compute_nonbonded_clusters, ClusterPairList, NbPartition
 use halox_md::forces::compute_nonbonded_virial;
 use halox_md::{Frame, NonbondedParams, PairList, SoaCoords, SoaForces, Vec3};
 
+/// The kernel choice and its retained list in one value, so which list is
+/// live cannot disagree with which kernel runs. `None` until the first
+/// round of a segment builds it.
+// One evaluator per rank, never moved once built: the size gap between the
+// lists is not worth a `Box` on the kernel's path to its list.
+#[allow(clippy::large_enum_variant)]
+enum NbList {
+    Scalar(Option<PairList>),
+    Cluster(Option<ClusterPairList>),
+}
+
 /// Owns the per-rank pair-list state for one kernel choice.
 pub(crate) struct NbEvaluator {
-    kernel: NbKernel,
-    pairlist: Option<PairList>,
-    clusters: Option<ClusterPairList>,
+    list: NbList,
     /// Lane-space scratch reused across rounds (no per-step allocation).
     coords: SoaCoords,
     lane_forces: SoaForces,
@@ -43,9 +57,10 @@ pub(crate) struct NbEvaluator {
 impl NbEvaluator {
     pub fn new(kernel: NbKernel) -> Self {
         NbEvaluator {
-            kernel,
-            pairlist: None,
-            clusters: None,
+            list: match kernel {
+                NbKernel::Scalar => NbList::Scalar(None),
+                NbKernel::Cluster => NbList::Cluster(None),
+            },
             coords: SoaCoords::default(),
             lane_forces: SoaForces::default(),
             pending_local: None,
@@ -64,7 +79,7 @@ impl NbEvaluator {
     /// True when an overlap window can do useful work: cluster kernel with
     /// a retained list (the segment's first round has nothing to reuse).
     pub fn can_overlap(&self) -> bool {
-        self.kernel == NbKernel::Cluster && self.clusters.is_some()
+        matches!(self.list, NbList::Cluster(Some(_)))
     }
 
     /// Evaluate the local (home–home) tile partition using only home
@@ -79,7 +94,7 @@ impl NbEvaluator {
         timer: &mut PhaseTimer,
     ) {
         debug_assert!(self.can_overlap());
-        let Some(cl) = self.clusters.as_ref() else {
+        let NbList::Cluster(Some(cl)) = &self.list else {
             return;
         };
         let coords = &mut self.coords;
@@ -112,9 +127,9 @@ impl NbEvaluator {
         forces: &mut [Vec3],
         timer: &mut PhaseTimer,
     ) -> (f64, f64) {
-        match self.kernel {
-            NbKernel::Scalar => {
-                let pl = match &mut self.pairlist {
+        match &mut self.list {
+            NbList::Scalar(slot) => {
+                let pl = match slot {
                     Some(pl) if !pl.needs_rebuild(positions, buffer) => pl,
                     slot => slot.insert(timer.time("pairlist", || {
                         PairList::build_in_frame(frame, positions, r_list, rule)
@@ -125,8 +140,8 @@ impl NbEvaluator {
                     compute_nonbonded_virial(frame, positions, kinds, pl, params, forces)
                 })
             }
-            NbKernel::Cluster => {
-                let cl = match &mut self.clusters {
+            NbList::Cluster(slot) => {
+                let cl = match slot {
                     Some(cl) if !cl.needs_rebuild(positions, buffer) => cl,
                     slot => {
                         // Any overlapped partial was computed against the old

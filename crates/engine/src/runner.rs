@@ -136,8 +136,9 @@ pub enum EngineError {
     /// on this box (the inner error carries both).
     InfeasibleGrid(GridError),
     /// Configuration time: the decomposition plan could not be built (a
-    /// bonded term spans more than two domains; the inner error names the
-    /// offending atoms).
+    /// bonded term spans more than two domains, cells too thin for the pulse
+    /// chain, or a periodic non-decomposed dimension narrower than
+    /// `2 · r_comm`; the inner error names atoms, dimension and lengths).
     PlanFailed(PlanError),
     /// Checkpoint subsystem failure: an unwritable checkpoint directory, no
     /// valid file to resume from, or a fingerprint mismatch between the
@@ -1422,6 +1423,39 @@ mod tests {
             msg.contains("4096") && msg.contains("box"),
             "message must carry rank count and box: {msg}"
         );
+    }
+
+    #[test]
+    fn box_under_twice_r_comm_is_a_config_time_error() {
+        // 300 atoms make a 1.44 nm box; r_comm is 0.8 nm, so on a single
+        // domain every dimension is periodic and too narrow for the pair
+        // search. Both executors (and the pool key a service computes at
+        // submit time) must reject the plan with the typed error — not
+        // reach the search's half-box assertion, unwind or retry.
+        let sys = GrappaBuilder::new(300).seed(94).build();
+        for mode in [RunMode::Serial, RunMode::Threaded] {
+            let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+            cfg.run_mode = mode;
+            let mut engine = Engine::new(sys.clone(), DdGrid::new([1, 1, 1]), cfg);
+            for err in [
+                engine.world_key().expect_err("no pool key for this box"),
+                engine.try_run(1).expect_err("plan must be rejected"),
+            ] {
+                let EngineError::PlanFailed(PlanError::BoxTooNarrow {
+                    dim,
+                    box_len,
+                    r_comm,
+                }) = err
+                else {
+                    panic!("{mode:?}: expected BoxTooNarrow, got {err:?}");
+                };
+                assert_eq!(dim, 0);
+                assert!((box_len - 1.44).abs() < 0.01 && r_comm == 0.8, "{err}");
+                assert!(err.to_string().contains("r_comm"), "{err}");
+            }
+            // Nothing was attempted, so nothing was retried or blamed.
+            assert_eq!(engine.health().state(0), crate::health::PeerState::Healthy);
+        }
     }
 
     #[test]

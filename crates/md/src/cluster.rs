@@ -7,12 +7,13 @@
 //! for regular, vectorizable data access. We reproduce the scheme on the
 //! CPU:
 //!
-//! * clusters are built from cell-sorted order, **home atoms and halo
+//! * clusters are built from the cell-sorted order of a `CellGrid` — the
+//!   same grid type the scalar list searches with — **home atoms and halo
 //!   copies clustered separately** so a cluster is never mixed-ownership;
 //! * cluster pairs are found in time linear in the cluster count: cluster
-//!   bounding-box centres are binned on a uniform grid whose cell is half
-//!   of `r_list`, each i-cluster range-queries the cells its box can reach
-//!   (periodic dims wrap by cell index, each cell visited once), and
+//!   bounding-box centres are binned on a second `CellGrid` whose cell is
+//!   half of `r_list`, each i-cluster range-queries the cells its box can
+//!   reach (periodic dims wrap by cell index, each cell visited once), and
 //!   candidates are pruned with per-dimension axis-aligned bounding-box gaps
 //!   under the [`Frame`] metric. The few per cent of clusters longer than
 //!   `r_list` (chunks of the sorted order that straddle a column end, up to
@@ -24,30 +25,37 @@
 //!   distance pruning), so the masked pair set is **exactly** the set a
 //!   [`PairList`](crate::pairlist::PairList) built with the same inputs
 //!   would enumerate. The sixteen distance decisions of a tile are four
-//!   [`F4`] rows using the kernel's own minimum-image expression, which
-//!   matches [`Frame::displacement`] bit for bit; the rule is asked only
-//!   about pairs in range;
+//!   [`F4`] rows using the kernel's own minimum-image expression
+//!   (`min_image!`, written once for baker and kernel), which matches
+//!   [`Frame::displacement`] bit for bit; the rule is asked only about
+//!   pairs in range;
 //! * the tile list is split into a *local* partition (both clusters home)
 //!   and a *halo* partition (either cluster holds halo copies), letting
 //!   the engine evaluate local tiles while the coordinate halo exchange is
-//!   still in flight.
+//!   still in flight;
+//! * the kernel's tile arithmetic is written once (`tile_kernel!`) over a
+//!   *row pack* — a SIMD value carrying the four j-lane terms of one
+//!   ([`F4`]) or two (`F8`, AVX2) tile rows — and instantiated per pack,
+//!   with AVX2 picked at run time. The list's rebuild state is the
+//!   [`Staleness`] it shares with the scalar list.
 //!
 //! Determinism contract: the kernel folds energy/virial as per-i-cluster
 //! `f64` partials accumulated in cluster-index (CSR row) order, and force
-//! lanes are combined in a fixed order, so any executor that walks the
-//! rows in order — serial or one thread per PE — produces bitwise
-//! identical results.
+//! lanes are combined in a fixed order — row by row, whatever the pack
+//! width — so any executor that walks the rows in order, serial or one
+//! thread per PE, on any host, produces bitwise identical results.
 
 use crate::forces::nonbonded::{NonbondedParams, F_ELEC};
 use crate::frame::Frame;
-use crate::pairlist::{any_displacement_exceeds, Binning};
+use crate::pairlist::{CellGrid, Staleness};
 #[cfg(target_arch = "x86_64")]
 use crate::simd4::F8;
 use crate::simd4::{D2, F4};
 use crate::soa::{SoaCoords, SoaForces};
 use crate::topology::AtomKind;
 use crate::vec3::Vec3;
-use std::cell::Cell;
+// `F4`'s arithmetic in the method-call form the shared kernel body uses.
+use core::ops::{Add, Div, Mul, Sub};
 
 /// Cluster size (atoms per cluster), GROMACS' GPU i-cluster width.
 pub const CLUSTER: usize = 4;
@@ -121,14 +129,9 @@ pub struct ClusterPairList {
     pub local: ClusterPairs,
     /// Tiles touching at least one halo cluster.
     pub halo: ClusterPairs,
-    /// Search radius the masks were pruned with (cutoff + buffer).
-    pub r_list: f32,
-    /// Metric the list was built under.
-    pub frame: Frame,
-    /// Coordinates at build time, for displacement-based rebuild checks.
-    ref_positions: Vec<Vec3>,
-    /// Consumed by the first `needs_rebuild` call after a build.
-    fresh: Cell<bool>,
+    /// What the list was built under (the masks are pruned with its
+    /// `r_list`), and whether it still holds.
+    pub staleness: Staleness,
 }
 
 impl ClusterPairList {
@@ -148,15 +151,6 @@ impl ClusterPairList {
     ) -> ClusterPairList {
         assert!(n_home <= positions.len());
         assert_eq!(positions.len(), kinds.len());
-        for k in 0..3 {
-            if frame.periodic[k] {
-                assert!(
-                    r_list < 0.5 * frame.box_lengths[k],
-                    "search radius {r_list} must be < half the box {:?} in periodic dim {k}",
-                    frame.box_lengths
-                );
-            }
-        }
 
         // --- Cluster construction: spatially sort home and halo ranges
         // separately, then chunk the sorted order into clusters of 4.
@@ -165,14 +159,14 @@ impl ClusterPairList {
             if lo == hi {
                 return;
             }
-            let slice = &positions[lo..hi];
-            let cell = clustering_cell(slice, r_list);
-            let bins = Binning::new(frame, slice, cell);
-            for chunk in bins.order.chunks(CLUSTER) {
+            let cell = clustering_cell(&positions[lo..hi], r_list);
+            let ids = lo as u32..hi as u32;
+            for chunk in CellGrid::new(frame, positions, ids, cell, r_list)
+                .order
+                .chunks(CLUSTER)
+            {
                 let mut lanes = [PAD; CLUSTER];
-                for (l, &a) in chunk.iter().enumerate() {
-                    lanes[l] = a + lo as u32;
-                }
+                lanes[..chunk.len()].copy_from_slice(chunk);
                 lane_atoms.extend_from_slice(&lanes);
             }
         };
@@ -222,12 +216,12 @@ impl ClusterPairList {
         let r2 = r_list * r_list;
         let near_boxes =
             |ci: u32, cj: u32| bb_gap2(frame, &bb_center, &bb_half, ci as usize, cj as usize) < r2;
-        let grid = ClusterGrid::new(frame, &bb_center, &bb_half, r_list);
+        let (grid, wide, reach) = tile_search_grid(frame, &bb_center, &bb_half, r_list);
         // Tiles between a box-spanning cluster and a gridded one, as
         // `(ci, cj)` with `ci < cj`: one range query per spanning cluster.
         let mut wide_tiles: Vec<(u32, u32)> = Vec::new();
-        for &w in &grid.wide {
-            grid.for_each_near(bb_center[w as usize], bb_half[w as usize], |c| {
+        for &w in &wide {
+            grid.for_each_near(bb_center[w as usize], bb_half[w as usize] + reach, |c| {
                 if near_boxes(c, w) {
                     wide_tiles.push((c.min(w), c.max(w)));
                 }
@@ -244,10 +238,10 @@ impl ClusterPairList {
             near.clear();
             let (center, half) = (bb_center[ci as usize], bb_half[ci as usize]);
             if is_wide(half, r_list) {
-                let later = grid.wide.partition_point(|&w| w < ci);
-                near.extend(grid.wide[later..].iter().filter(|&&cj| near_boxes(ci, cj)));
+                let later = wide.partition_point(|&w| w < ci);
+                near.extend(wide[later..].iter().filter(|&&cj| near_boxes(ci, cj)));
             } else {
-                grid.for_each_near(center, half, |cj| {
+                grid.for_each_near(center, half + reach, |cj| {
                     if cj >= ci && near_boxes(ci, cj) {
                         near.push(cj);
                     }
@@ -279,10 +273,7 @@ impl ClusterPairList {
             bb_half,
             local: local.finish(),
             halo: halo.finish(),
-            r_list,
-            frame: *frame,
-            ref_positions: positions.to_vec(),
-            fresh: Cell::new(true),
+            staleness: Staleness::new(frame, positions, r_list),
         }
     }
 
@@ -355,19 +346,14 @@ impl ClusterPairList {
         }
     }
 
-    /// Same two fast paths and the same decision sequence as
-    /// [`PairList::needs_rebuild`](crate::pairlist::PairList::needs_rebuild).
+    /// See [`Staleness::needs_rebuild`].
     pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
-        if self.fresh.replace(false) {
-            return false;
-        }
-        self.needs_rebuild_full(positions, buffer)
+        self.staleness.needs_rebuild(positions, buffer)
     }
 
-    /// Unconditional displacement scan (reference oracle for rebuilds).
+    /// See [`Staleness::needs_rebuild_full`].
     pub fn needs_rebuild_full(&self, positions: &[Vec3], buffer: f32) -> bool {
-        let lim2 = (0.5 * buffer) * (0.5 * buffer);
-        any_displacement_exceeds(&self.frame, positions, &self.ref_positions, lim2)
+        self.staleness.needs_rebuild_full(positions, buffer)
     }
 
     /// Enumerate the enabled `(i, j)` atom pairs (`i < j`, sorted) of one
@@ -451,167 +437,65 @@ fn bb_gap2(frame: &Frame, bb_center: &[Vec3], bb_half: &[Vec3], ci: usize, cj: u
 
 /// True for the few per cent of clusters (chunks of the cell-sorted order
 /// that straddle a column or plane boundary) whose bounding box is too long
-/// to bin by its centre; they go to [`ClusterGrid::wide`] instead.
+/// to bin by its centre; they go to the tile search's side list instead.
 #[inline]
 fn is_wide(half: Vec3, r_list: f32) -> bool {
     half.x.max(half.y).max(half.z) > 0.5 * r_list
 }
 
-/// Uniform grid over cluster bounding-box centres, range-queried for the
-/// clusters whose box can come within `r_list` of a given one.
+/// The tile search's view of the clusters: a [`CellGrid`] over the
+/// bounding-box centres of all but the box-spanning clusters, those `wide`
+/// ones as an ascending side list the caller tests directly, and the
+/// `reach` — `r_list` plus the largest gridded half-extent, per dimension —
+/// to add to a cluster's own half-extent when it queries the grid.
 ///
-/// The cell is `r_list / 2` wide (rounded so a whole number fits a periodic
-/// box). Box-spanning clusters stay out of the grid, so a query has to
-/// reach no further than `half_i + r_list + (largest gridded half-extent)`
-/// from the centre of cluster `i` in each dimension. Periodic dimensions
-/// wrap by cell index, so coordinates that have drifted out of the box bin
-/// like their in-box image; non-periodic ones cover the centres' extent.
-struct ClusterGrid {
-    periodic: [bool; 3],
-    dims: [usize; 3],
-    origin: Vec3,
-    inv_cell: Vec3,
-    /// `r_list` plus the largest gridded half-extent, per dimension.
-    reach: Vec3,
-    /// CSR over cells (z fastest) of gridded clusters, ascending per cell.
-    starts: Vec<u32>,
-    order: Vec<u32>,
-    /// Box-spanning clusters, ascending: tested directly by the caller.
-    wide: Vec<u32>,
+/// The cell is `r_list / 2` wide (rounded so a whole number fits the
+/// extent), which with the wide clusters kept out bounds a query to a few
+/// cells per dimension.
+fn tile_search_grid(
+    frame: &Frame,
+    bb_center: &[Vec3],
+    bb_half: &[Vec3],
+    r_list: f32,
+) -> (CellGrid, Vec<u32>, Vec3) {
+    let (wide, gridded): (Vec<u32>, Vec<u32>) =
+        (0..bb_center.len() as u32).partition(|&c| is_wide(bb_half[c as usize], r_list));
+    let max_half = gridded
+        .iter()
+        .fold(Vec3::ZERO, |m, &c| m.max(bb_half[c as usize]));
+    let ids = gridded.iter().copied();
+    let grid = CellGrid::new(frame, bb_center, ids, 0.5 * r_list, r_list);
+    (grid, wide, max_half + Vec3::splat(r_list))
 }
 
-impl ClusterGrid {
-    /// Slack, in cells, added to each end of a query range so that rounding
-    /// in the index arithmetic can never drop a boundary cell.
-    const ROUND_GUARD: f32 = 1e-3;
-
-    fn new(frame: &Frame, bb_center: &[Vec3], bb_half: &[Vec3], r_list: f32) -> ClusterGrid {
-        let mut wide = Vec::new();
-        let mut gridded = Vec::with_capacity(bb_center.len());
-        let mut max_half = Vec3::ZERO;
-        let mut lo = Vec3::splat(f32::INFINITY);
-        let mut hi = Vec3::splat(f32::NEG_INFINITY);
-        for (c, (&p, &h)) in bb_center.iter().zip(bb_half).enumerate() {
-            if is_wide(h, r_list) {
-                wide.push(c as u32);
-                continue;
-            }
-            gridded.push(c as u32);
-            for k in 0..3 {
-                max_half[k] = max_half[k].max(h[k]);
-                lo[k] = lo[k].min(p[k]);
-                hi[k] = hi[k].max(p[k]);
-            }
-        }
-        // Sparse input must not buy an unbounded cell array: at most about
-        // four cells per gridded cluster.
-        let dim_cap = ((4 * gridded.len()) as f32).cbrt() as usize + 1;
-        let mut dims = [1usize; 3];
-        let mut origin = Vec3::ZERO;
-        let mut inv_cell = Vec3::ZERO;
-        for k in 0..3 {
-            let (start, extent) = if frame.periodic[k] {
-                (0.0, frame.box_lengths[k])
-            } else {
-                (lo[k], hi[k] - lo[k])
-            };
-            // A flat (or empty) dimension keeps one cell everything maps to.
-            if extent > 0.0 {
-                origin[k] = start;
-                dims[k] = ((extent / (0.5 * r_list)) as usize).clamp(1, dim_cap);
-                inv_cell[k] = dims[k] as f32 / extent;
-            }
-        }
-
-        let mut grid = ClusterGrid {
-            periodic: frame.periodic,
-            dims,
-            origin,
-            inv_cell,
-            reach: max_half + Vec3::splat(r_list),
-            starts: vec![0; dims[0] * dims[1] * dims[2] + 1],
-            order: vec![0; gridded.len()],
-            wide,
-        };
-        // Counting sort in ascending cluster order.
-        let cells: Vec<u32> = gridded
-            .iter()
-            .map(|&c| grid.cell_of(bb_center[c as usize]) as u32)
-            .collect();
-        for &cell in &cells {
-            grid.starts[cell as usize + 1] += 1;
-        }
-        for i in 1..grid.starts.len() {
-            grid.starts[i] += grid.starts[i - 1];
-        }
-        let mut cursor = grid.starts.clone();
-        for (&c, &cell) in gridded.iter().zip(&cells) {
-            grid.order[cursor[cell as usize] as usize] = c;
-            cursor[cell as usize] += 1;
-        }
-        grid
-    }
-
-    /// Flat index of the cell holding centre `p`.
-    fn cell_of(&self, p: Vec3) -> usize {
-        let mut c = [0usize; 3];
-        for k in 0..3 {
-            let n = self.dims[k] as i64;
-            let i = ((p[k] - self.origin[k]) * self.inv_cell[k]).floor() as i64;
-            c[k] = if self.periodic[k] {
-                i.rem_euclid(n)
-            } else {
-                i.clamp(0, n - 1)
-            } as usize;
-        }
-        (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2]
-    }
-
-    /// First cell and cell count, along dimension `k`, of the range that
-    /// covers `[c - reach, c + reach]`. A periodic range that would wrap
-    /// past its own start is cut to one full turn, so no cell repeats.
-    fn span(&self, k: usize, c: f32, reach: f32) -> (usize, usize) {
-        let n = self.dims[k] as i64;
-        let cell =
-            |x: f32, guard: f32| ((x - self.origin[k]) * self.inv_cell[k] + guard).floor() as i64;
-        let a = cell(c - reach, -Self::ROUND_GUARD);
-        let b = cell(c + reach, Self::ROUND_GUARD);
-        if self.periodic[k] {
-            let count = b.saturating_sub(a).saturating_add(1);
-            (a.rem_euclid(n) as usize, count.clamp(1, n) as usize)
+/// Per axis `[L/2, -L/2, L]` for the branchless minimum image: in periodic
+/// dims the displacement is compared against `±L/2` and shifted by `∓L`;
+/// non-periodic dims get an infinite threshold (never shifts).
+fn image_lengths(frame: &Frame) -> [[f32; 3]; 3] {
+    [0, 1, 2].map(|k| {
+        let half = if frame.periodic[k] {
+            0.5 * frame.box_lengths[k]
         } else {
-            let (a, b) = (a.clamp(0, n - 1), b.clamp(0, n - 1));
-            (a as usize, (b - a + 1) as usize)
-        }
-    }
+            f32::INFINITY
+        };
+        [half, -half, frame.box_lengths[k]]
+    })
+}
 
-    /// Call `visit` exactly once for every gridded cluster whose centre is
-    /// within reach of a box with this centre and half-extent.
-    fn for_each_near(&self, center: Vec3, half: Vec3, mut visit: impl FnMut(u32)) {
-        let [nx, ny, nz] = self.dims;
-        let (x0, cx) = self.span(0, center.x, half.x + self.reach.x);
-        let (y0, cy) = self.span(1, center.y, half.y + self.reach.y);
-        let (z0, cz) = self.span(2, center.z, half.z + self.reach.z);
-        // Cells consecutive in z are consecutive in `starts`: one run, or
-        // two where the range wraps.
-        let first = cz.min(nz - z0);
-        for tx in 0..cx {
-            let x = (x0 + tx) % nx;
-            for ty in 0..cy {
-                let row = (x * ny + (y0 + ty) % ny) * nz;
-                for (z, n) in [(z0, first), (0, cz - first)] {
-                    let lo = self.starts[row + z] as usize;
-                    let hi = self.starts[row + z + n] as usize;
-                    self.order[lo..hi].iter().copied().for_each(&mut visit);
-                }
-            }
-        }
-    }
+/// Branchless minimum image of displacement `$d` along one axis, `$axis`
+/// being that axis' [`image_lengths`] splatted to `$d`'s pack type.
+/// Bitwise-matches [`Frame::displacement`]. A macro because the two pack
+/// types share method names, not a trait (see `crate::simd4`).
+macro_rules! min_image {
+    ($d:expr, $axis:expr) => {{
+        let (d, [half, neg_half, len]) = ($d, $axis);
+        d.sub(d.gt(half).and(len).sub(d.lt(neg_half).and(len)))
+    }};
 }
 
 /// Bakes one tile's interaction mask: the sixteen `d² < r_list²` decisions
 /// as four [`F4`] rows over lane-space SoA coordinates, with the kernel's
-/// own minimum-image expression ([`MinImage4`]), then `rule` on the
+/// own minimum-image expression ([`min_image!`]), then `rule` on the
 /// surviving bits only — exactly the [`PairList`](crate::pairlist::PairList)
 /// predicate for finite coordinates.
 struct TileBaker<'a> {
@@ -619,7 +503,7 @@ struct TileBaker<'a> {
     /// Lane coordinates; padded lanes hold NaN, so no comparison on them is
     /// ever true and their bits stay clear without a validity mask.
     lanes: SoaCoords,
-    image: [MinImage4; 3],
+    image: [[F4; 3]; 3],
     r2: F4,
 }
 
@@ -643,7 +527,7 @@ impl<'a> TileBaker<'a> {
         TileBaker {
             lane_atoms,
             lanes,
-            image: MinImage4::axes(frame),
+            image: image_lengths(frame).map(|axis| axis.map(F4::splat)),
             r2: F4::splat(r2),
         }
     }
@@ -656,9 +540,9 @@ impl<'a> TileBaker<'a> {
         let zj = F4::load(&self.lanes.z, jbase);
         let mut bits = 0u32;
         for u in 0..CLUSTER {
-            let dx = ix.apply(F4::splat(self.lanes.x[ibase + u]) - xj);
-            let dy = iy.apply(F4::splat(self.lanes.y[ibase + u]) - yj);
-            let dz = iz.apply(F4::splat(self.lanes.z[ibase + u]) - zj);
+            let dx = min_image!(F4::splat(self.lanes.x[ibase + u]) - xj, ix);
+            let dy = min_image!(F4::splat(self.lanes.y[ibase + u]) - yj, iy);
+            let dz = min_image!(F4::splat(self.lanes.z[ibase + u]) - zj, iz);
             let d2 = dx * dx + dy * dy + dz * dz;
             bits |= d2.lt(self.r2).movemask() << (u * CLUSTER);
         }
@@ -676,44 +560,6 @@ impl<'a> TileBaker<'a> {
             }
         }
         bits as u16
-    }
-}
-
-/// Half box lengths for the branchless minimum image: in periodic dims the
-/// displacement is compared against `L/2` and shifted by `±L`; non-periodic
-/// dims get an infinite threshold (never shifts).
-fn image_half_lengths(frame: &Frame) -> [f32; 3] {
-    [0, 1, 2].map(|k| {
-        if frame.periodic[k] {
-            0.5 * frame.box_lengths[k]
-        } else {
-            f32::INFINITY
-        }
-    })
-}
-
-/// Branchless minimum image along one axis, four lanes at a time.
-/// Bitwise-matches [`Frame::displacement`].
-#[derive(Clone, Copy)]
-struct MinImage4 {
-    half: F4,
-    neg_half: F4,
-    len: F4,
-}
-
-impl MinImage4 {
-    fn axes(frame: &Frame) -> [MinImage4; 3] {
-        let half = image_half_lengths(frame);
-        [0, 1, 2].map(|k| MinImage4 {
-            half: F4::splat(half[k]),
-            neg_half: F4::splat(-half[k]),
-            len: F4::splat(frame.box_lengths[k]),
-        })
-    }
-
-    #[inline(always)]
-    fn apply(self, d: F4) -> F4 {
-        d - (d.gt(self.half).and(self.len) - d.lt(self.neg_half).and(self.len))
     }
 }
 
@@ -741,28 +587,20 @@ fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
 /// Cluster-pair non-bonded kernel: same physics as
 /// [`crate::forces::compute_nonbonded`], evaluated as masked 4×4 tiles over
 /// lane-space SoA coordinates (see [`ClusterPairList::pack_coords`]) with
-/// explicit 4-wide SIMD arithmetic ([`F4`]).
+/// explicit SIMD arithmetic.
 ///
-/// The inner micro-tile is branchless: lane selection (mask bit, cutoff,
-/// `r2 > 0`) becomes a 0/1 multiplier, and dead lanes are computed on a
-/// blended `r2' = sel*r2 + (1-sel)` so no lane ever divides by zero. For
-/// live lanes `r2'` is bitwise `r2`, so per-pair energies match the scalar
-/// kernel bit for bit; only the fold orders differ.
+/// The tile arithmetic is written once (`tile_kernel!`) over a *row pack*
+/// — [`F4`] carries one tile row per operation, [`F8`] two — and
+/// instantiated per pack; on x86_64 hosts with AVX2 the two-row
+/// instantiation is selected at run time. Both perform the same IEEE
+/// operations per lane in the same order and fold in the same order, so the
+/// choice is invisible in the results: bitwise identical, and hence
+/// portable across hosts.
 ///
 /// Accumulates forces into `lane_forces` (lane space, additive) and returns
-/// `(energy, virial)`. All folds run in a fixed order — i-lane force
-/// partials per j-lane across the row, then one `(v0+v1)+(v2+v3)`
-/// horizontal sum; energy/virial as packed f64 lane partials in CSR tile
-/// order — so repeated evaluation of the same list is bitwise reproducible
-/// no matter how rows are distributed across calls.
-///
-/// On x86_64 hosts with AVX2 an 8-wide variant ([`nb_clusters_avx2`]) is
-/// selected at runtime. It evaluates two tile rows per 256-bit operation
-/// but performs the *same* IEEE operations per half, folds in the same
-/// order, and dead rows riding along in a live pair add exact `±0.0`
-/// (bitwise inert against the `+0.0`-rooted accumulators) — so its results
-/// are bitwise identical to the baseline path, and hence portable across
-/// hosts.
+/// `(energy, virial)`. All folds run in a fixed order, so repeated
+/// evaluation of the same list is bitwise reproducible no matter how rows
+/// are distributed across calls.
 pub fn compute_nonbonded_clusters(
     frame: &Frame,
     coords: &SoaCoords,
@@ -774,412 +612,254 @@ pub fn compute_nonbonded_clusters(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: feature presence checked on this exact host above.
-        return unsafe { nb_clusters_avx2(frame, coords, list, which, params, lane_forces) };
+        return unsafe { nb_clusters_rows2(frame, coords, list, which, params, lane_forces) };
     }
-    nb_clusters_body(frame, coords, list, which, params, lane_forces)
+    nb_clusters_rows1(frame, coords, list, which, params, lane_forces)
 }
 
-/// 8-wide AVX2 variant of [`nb_clusters_body`]: two tile rows per
-/// iteration, with row `u` in lanes 0–3 and row `u+1` in lanes 4–7 of each
-/// 256-bit vector, sharing one load of the j-cluster data.
+/// The kernel body, instantiated as `fn $name` over row pack `$P`.
 ///
-/// Bitwise equality with the baseline path holds by construction:
-/// * every [`F8`] op performs the identical IEEE operation per 128-bit
-///   half, in the same expression order as the 4-wide body;
-/// * j-side force and energy/virial folds extract the halves and
-///   accumulate row `u` before row `u+1` — the baseline's row order;
-/// * a dead row paired with a live one contributes `sel = 0` terms, i.e.
-///   exact `±0.0` adds, which cannot change any accumulator that started
-///   at `+0.0` (adds of finite values never produce `-0.0` under
-///   round-to-nearest).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn nb_clusters_avx2(
-    frame: &Frame,
-    coords: &SoaCoords,
-    list: &ClusterPairList,
-    which: NbPartition,
-    params: &NonbondedParams,
-    lane_forces: &mut SoaForces,
-) -> (f64, f64) {
-    let part = list.partition(which);
-    assert_eq!(coords.len(), list.n_lanes());
-    assert_eq!(lane_forces.len(), list.n_lanes());
-    let bl = frame.box_lengths;
-    let half = image_half_lengths(frame);
-    let rc2v = F8::splat(params.cutoff * params.cutoff);
-    let zero = F8::splat(0.0);
-    let one = F8::splat(1.0);
-    let (blx, bly, blz) = (F8::splat(bl.x), F8::splat(bl.y), F8::splat(bl.z));
-    let (hx, hy, hz) = (F8::splat(half[0]), F8::splat(half[1]), F8::splat(half[2]));
-    let nhx = F8::splat(-half[0]);
-    let nhy = F8::splat(-half[1]);
-    let nhz = F8::splat(-half[2]);
-    let krfv = F8::splat(params.k_rf);
-    let crfv = F8::splat(params.c_rf);
-    let two_krf = F8::splat(2.0 * params.k_rf);
-    let twelve = F8::splat(12.0);
-    let six = F8::splat(6.0);
-    const NK: usize = AtomKind::COUNT;
-    const LJT_LEN: usize = (NK * NK).next_power_of_two();
-    const LJT_MASK: usize = LJT_LEN - 1;
-    const ROW_PAIRS: usize = CLUSTER / 2;
-    let mut ljt = [[0.0f32; 4]; LJT_LEN];
-    for a in 0..NK {
-        for b in 0..NK {
-            ljt[a * NK + b] = [
-                params.c6[a][b],
-                params.c12[a][b],
-                params.vshift_lj[a][b],
-                0.0,
-            ];
-        }
-    }
-
-    let mut e_lo = D2::zero();
-    let mut e_hi = D2::zero();
-    let mut w_lo = D2::zero();
-    let mut w_hi = D2::zero();
-    for (row, &ci) in part.i_clusters.iter().enumerate() {
-        let ibase = CLUSTER * ci as usize;
-        let xi = load4(&coords.x, ibase);
-        let yi = load4(&coords.y, ibase);
-        let zi = load4(&coords.z, ibase);
-        let qi = load4(&list.lane_charges, ibase);
-        let ki = [
-            list.lane_kinds[ibase] as usize,
-            list.lane_kinds[ibase + 1] as usize,
-            list.lane_kinds[ibase + 2] as usize,
-            list.lane_kinds[ibase + 3] as usize,
-        ];
-        // Row-pair broadcasts: entry `p` carries row `2p` in the low half
-        // and row `2p+1` in the high half.
-        let pxi = [F8::splat2(xi[0], xi[1]), F8::splat2(xi[2], xi[3])];
-        let pyi = [F8::splat2(yi[0], yi[1]), F8::splat2(yi[2], yi[3])];
-        let pzi = [F8::splat2(zi[0], zi[1]), F8::splat2(zi[2], zi[3])];
-        let eqi = [
-            F8::splat2(F_ELEC * qi[0], F_ELEC * qi[1]),
-            F8::splat2(F_ELEC * qi[2], F_ELEC * qi[3]),
-        ];
-        let trow = [NK * ki[0], NK * ki[1], NK * ki[2], NK * ki[3]];
-        let mut fxi = [F8::splat(0.0); ROW_PAIRS];
-        let mut fyi = [F8::splat(0.0); ROW_PAIRS];
-        let mut fzi = [F8::splat(0.0); ROW_PAIRS];
-
-        let lo = part.starts[row] as usize;
-        let hi = part.starts[row + 1] as usize;
-        for t in lo..hi {
-            let jbase = CLUSTER * part.j_clusters[t] as usize;
-            let mask = part.masks[t];
-            let xj4 = F4::load(&coords.x, jbase);
-            let yj4 = F4::load(&coords.y, jbase);
-            let zj4 = F4::load(&coords.z, jbase);
-            let qj4 = F4::load(&list.lane_charges, jbase);
-            let kj = [
-                list.lane_kinds[jbase] as usize,
-                list.lane_kinds[jbase + 1] as usize,
-                list.lane_kinds[jbase + 2] as usize,
-                list.lane_kinds[jbase + 3] as usize,
-            ];
-            // One j-cluster load feeds both rows of every pair.
-            let xj = F8::pair(xj4);
-            let yj = F8::pair(yj4);
-            let zj = F8::pair(zj4);
-            let qj = F8::pair(qj4);
-            let mut fxj = F4::splat(0.0);
-            let mut fyj = F4::splat(0.0);
-            let mut fzj = F4::splat(0.0);
-
-            for p in 0..ROW_PAIRS {
-                let m0 = (mask >> (2 * p * CLUSTER)) & 0xF;
-                let m1 = (mask >> ((2 * p + 1) * CLUSTER)) & 0xF;
-                if (m0 | m1) == 0 {
-                    continue;
+/// The inner micro-tile is branchless: lane selection (mask bit, cutoff,
+/// `r2 > 0`) becomes a 0/1 multiplier, and dead lanes are computed on a
+/// blended `r2' = sel*r2 + (1-sel)` so no lane ever divides by zero. For
+/// live lanes `r2'` is bitwise `r2`, so per-pair energies match the scalar
+/// kernel bit for bit; only the fold orders differ.
+///
+/// Why every pack width gives the same bits:
+/// * each pack operation is the identical IEEE operation on every lane, and
+///   the expression below fixes their order;
+/// * everything that crosses rows goes through `half(h)` in ascending row
+///   order: j-lane forces and the packed-f64 energy/virial partials take
+///   row `u` before row `u+1` whether or not the two shared an operation;
+///   i-lane partials stay per row until one `(v0+v1)+(v2+v3)` sum at the end
+///   of the CSR row;
+/// * a row a narrower pack would have skipped (empty mask nibble, or no
+///   lane selected) rides along with `sel = 0`, contributing exact `±0.0`
+///   adds, which cannot change an accumulator that started at `+0.0` (adds
+///   of finite values never produce `-0.0` under round-to-nearest).
+macro_rules! tile_kernel {
+    ($(#[$attr:meta])* fn $name:ident, $P:ty) => {
+        $(#[$attr])*
+        fn $name(
+            frame: &Frame,
+            coords: &SoaCoords,
+            list: &ClusterPairList,
+            which: NbPartition,
+            params: &NonbondedParams,
+            lane_forces: &mut SoaForces,
+        ) -> (f64, f64) {
+            type P = $P;
+            const ROWS: usize = P::ROWS;
+            const PACKS: usize = CLUSTER / ROWS;
+            let part = list.partition(which);
+            assert_eq!(coords.len(), list.n_lanes());
+            assert_eq!(lane_forces.len(), list.n_lanes());
+            // Loop-invariant lane broadcasts.
+            let [ix, iy, iz] =
+                image_lengths(frame).map(|a| [P::splat(a[0]), P::splat(a[1]), P::splat(a[2])]);
+            let rc2v = P::splat(params.cutoff * params.cutoff);
+            let zero = P::splat(0.0);
+            let one = P::splat(1.0);
+            let krfv = P::splat(params.k_rf);
+            let crfv = P::splat(params.c_rf);
+            let two_krf = P::splat(2.0 * params.k_rf);
+            let twelve = P::splat(12.0);
+            let six = P::splat(6.0);
+            let zero4 = F4::splat(0.0);
+            // Interleaved LJ parameter table: one aligned `[c6, c12, vshift, _]`
+            // quad per kind pair, so each tile row gathers four 16-byte quads
+            // and transposes, instead of twelve scattered scalar loads. Sized
+            // to the next power of two so a flat `& LJT_MASK` index is
+            // provably in bounds — no bounds-check branches in the tile loop.
+            const NK: usize = AtomKind::COUNT;
+            const LJT_LEN: usize = (NK * NK).next_power_of_two();
+            const LJT_MASK: usize = LJT_LEN - 1;
+            let mut ljt = [[0.0f32; 4]; LJT_LEN];
+            for a in 0..NK {
+                for b in 0..NK {
+                    ljt[a * NK + b] = [
+                        params.c6[a][b],
+                        params.c12[a][b],
+                        params.vshift_lj[a][b],
+                        0.0,
+                    ];
                 }
-                let (c6a, c12a, vsa, _) = F4::transpose(
-                    F4::from_array(ljt[(trow[2 * p] + kj[0]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[2 * p] + kj[1]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[2 * p] + kj[2]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[2 * p] + kj[3]) & LJT_MASK]),
-                );
-                let (c6b, c12b, vsb, _) = F4::transpose(
-                    F4::from_array(ljt[(trow[2 * p + 1] + kj[0]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[2 * p + 1] + kj[1]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[2 * p + 1] + kj[2]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[2 * p + 1] + kj[3]) & LJT_MASK]),
-                );
-                let c6 = F8::join(c6a, c6b);
-                let c12 = F8::join(c12a, c12b);
-                let vs = F8::join(vsa, vsb);
-                let msk = F8::join(
-                    F4::from_array(MASK_LANES[m0 as usize]),
-                    F4::from_array(MASK_LANES[m1 as usize]),
-                );
+            }
 
-                let mut dx = pxi[p].sub(xj);
-                let mut dy = pyi[p].sub(yj);
-                let mut dz = pzi[p].sub(zj);
-                dx = dx.sub(dx.gt(hx).and(blx).sub(dx.lt(nhx).and(blx)));
-                dy = dy.sub(dy.gt(hy).and(bly).sub(dy.lt(nhy).and(bly)));
-                dz = dz.sub(dz.gt(hz).and(blz).sub(dz.lt(nhz).and(blz)));
-                let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
-
-                let sel = r2.lt(rc2v).and(zero.lt(r2)).and(msk);
-                if !sel.any_nonzero() {
-                    continue;
+            // Energy/virial accumulate as packed f64 lane partials (widened
+            // from the bitwise per-pair f32 terms) and fold once at the end,
+            // in a fixed lane order.
+            let mut e_lo = D2::zero();
+            let mut e_hi = D2::zero();
+            let mut w_lo = D2::zero();
+            let mut w_hi = D2::zero();
+            for (row, &ci) in part.i_clusters.iter().enumerate() {
+                let ibase = CLUSTER * ci as usize;
+                let xi = load4(&coords.x, ibase);
+                let yi = load4(&coords.y, ibase);
+                let zi = load4(&coords.z, ibase);
+                let qi = load4(&list.lane_charges, ibase);
+                let eq = qi.map(|q| F_ELEC * q);
+                // i-lane broadcasts are tile-invariant: splat them once per
+                // CSR row. Pack `p` carries rows `ROWS * p ..`.
+                let mut pxi = [zero; PACKS];
+                let mut pyi = [zero; PACKS];
+                let mut pzi = [zero; PACKS];
+                let mut eqi = [zero; PACKS];
+                for p in 0..PACKS {
+                    pxi[p] = P::rows(&xi, ROWS * p);
+                    pyi[p] = P::rows(&yi, ROWS * p);
+                    pzi[p] = P::rows(&zi, ROWS * p);
+                    eqi[p] = P::rows(&eq, ROWS * p);
                 }
-                let r2e = sel.mul(r2).add(one.sub(sel));
+                let trow = [
+                    NK * list.lane_kinds[ibase] as usize,
+                    NK * list.lane_kinds[ibase + 1] as usize,
+                    NK * list.lane_kinds[ibase + 2] as usize,
+                    NK * list.lane_kinds[ibase + 3] as usize,
+                ];
+                // Per-i-lane force partials stay as j-lane vectors across the
+                // whole CSR row; the horizontal fold happens once per row.
+                let mut fxi = [zero; PACKS];
+                let mut fyi = [zero; PACKS];
+                let mut fzi = [zero; PACKS];
 
-                let inv_r2 = one.div(r2e);
-                let inv_r6 = inv_r2.mul(inv_r2).mul(inv_r2);
-                let v_lj = c12.mul(inv_r6).mul(inv_r6).sub(c6.mul(inv_r6)).sub(vs);
-                let f_lj = twelve
-                    .mul(c12)
-                    .mul(inv_r6)
-                    .mul(inv_r6)
-                    .sub(six.mul(c6).mul(inv_r6))
-                    .mul(inv_r2);
-                let qq = eqi[p].mul(qj);
-                let inv_r = inv_r2.sqrt();
-                let v_rf = qq.mul(inv_r.add(krfv.mul(r2e)).sub(crfv));
-                let f_rf = qq.mul(inv_r.mul(inv_r2).sub(two_krf));
+                let lo = part.starts[row] as usize;
+                let hi = part.starts[row + 1] as usize;
+                for t in lo..hi {
+                    let jbase = CLUSTER * part.j_clusters[t] as usize;
+                    let mask = part.masks[t] as usize;
+                    // One j-cluster load feeds every row of every pack.
+                    let xj = P::dup(F4::load(&coords.x, jbase));
+                    let yj = P::dup(F4::load(&coords.y, jbase));
+                    let zj = P::dup(F4::load(&coords.z, jbase));
+                    let qj = P::dup(F4::load(&list.lane_charges, jbase));
+                    let kj = [
+                        list.lane_kinds[jbase] as usize,
+                        list.lane_kinds[jbase + 1] as usize,
+                        list.lane_kinds[jbase + 2] as usize,
+                        list.lane_kinds[jbase + 3] as usize,
+                    ];
+                    let mut fxj = zero4;
+                    let mut fyj = zero4;
+                    let mut fzj = zero4;
 
-                let fs = sel.mul(f_lj.add(f_rf));
-                let ev = sel.mul(v_lj.add(v_rf));
-                let wv = fs.mul(r2e);
-                let fx = fs.mul(dx);
-                let fy = fs.mul(dy);
-                let fz = fs.mul(dz);
+                    for p in 0..PACKS {
+                        let mrows = mask >> (ROWS * p * CLUSTER);
+                        if mrows & ((1 << (ROWS * CLUSTER)) - 1) == 0 {
+                            continue;
+                        }
+                        // Per-pair LJ parameter quads and the rows' mask
+                        // lookups — the only per-row work; the rest is
+                        // per pack.
+                        let mut c6 = [zero4; ROWS];
+                        let mut c12 = [zero4; ROWS];
+                        let mut vs = [zero4; ROWS];
+                        let mut msk = [zero4; ROWS];
+                        for h in 0..ROWS {
+                            let tr = trow[ROWS * p + h];
+                            (c6[h], c12[h], vs[h], _) = F4::transpose(
+                                F4::from_array(ljt[(tr + kj[0]) & LJT_MASK]),
+                                F4::from_array(ljt[(tr + kj[1]) & LJT_MASK]),
+                                F4::from_array(ljt[(tr + kj[2]) & LJT_MASK]),
+                                F4::from_array(ljt[(tr + kj[3]) & LJT_MASK]),
+                            );
+                            msk[h] = F4::from_array(MASK_LANES[(mrows >> (h * CLUSTER)) & 0xF]);
+                        }
+                        let (c6, c12, vs, msk) =
+                            (P::join(c6), P::join(c12), P::join(vs), P::join(msk));
 
-                fxi[p] = fxi[p].add(fx);
-                fyi[p] = fyi[p].add(fy);
-                fzi[p] = fzi[p].add(fz);
-                // Half extraction puts the folds back in the baseline's
-                // row order: row 2p first, then row 2p+1.
-                fxj = (fxj - fx.lo()) - fx.hi();
-                fyj = (fyj - fy.lo()) - fy.hi();
-                fzj = (fzj - fz.lo()) - fz.hi();
-                let (evl, evh) = (ev.lo(), ev.hi());
-                let (wvl, wvh) = (wv.lo(), wv.hi());
-                e_lo = e_lo + evl.to_f64_lo();
-                e_hi = e_hi + evl.to_f64_hi();
-                e_lo = e_lo + evh.to_f64_lo();
-                e_hi = e_hi + evh.to_f64_hi();
-                w_lo = w_lo + wvl.to_f64_lo();
-                w_hi = w_hi + wvl.to_f64_hi();
-                w_lo = w_lo + wvh.to_f64_lo();
-                w_hi = w_hi + wvh.to_f64_hi();
+                        let dx = min_image!(pxi[p].sub(xj), ix);
+                        let dy = min_image!(pyi[p].sub(yj), iy);
+                        let dz = min_image!(pzi[p].sub(zj), iz);
+                        let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
+
+                        // Live lanes: sel == 1.0 and r2e == r2 bitwise. Dead
+                        // lanes (masked, beyond cutoff, or self): sel == 0.0
+                        // and r2e == 1.0, so no lane ever divides by zero.
+                        let sel = r2.lt(rc2v).and(zero.lt(r2)).and(msk);
+                        if !sel.any_nonzero() {
+                            // Listed, but every pair is masked or outside the
+                            // cutoff this step (Verlet skin) — all lanes
+                            // would contribute exact zeros.
+                            continue;
+                        }
+                        let r2e = sel.mul(r2).add(one.sub(sel));
+
+                        let inv_r2 = one.div(r2e);
+                        let inv_r6 = inv_r2.mul(inv_r2).mul(inv_r2);
+                        let v_lj = c12.mul(inv_r6).mul(inv_r6).sub(c6.mul(inv_r6)).sub(vs);
+                        let f_lj = twelve
+                            .mul(c12)
+                            .mul(inv_r6)
+                            .mul(inv_r6)
+                            .sub(six.mul(c6).mul(inv_r6))
+                            .mul(inv_r2);
+                        let qq = eqi[p].mul(qj);
+                        let inv_r = inv_r2.sqrt();
+                        let v_rf = qq.mul(inv_r.add(krfv.mul(r2e)).sub(crfv));
+                        let f_rf = qq.mul(inv_r.mul(inv_r2).sub(two_krf));
+
+                        let fs = sel.mul(f_lj.add(f_rf));
+                        let ev = sel.mul(v_lj.add(v_rf));
+                        let wv = fs.mul(r2e);
+                        let fx = fs.mul(dx);
+                        let fy = fs.mul(dy);
+                        let fz = fs.mul(dz);
+
+                        fxi[p] = fxi[p].add(fx);
+                        fyi[p] = fyi[p].add(fy);
+                        fzi[p] = fzi[p].add(fz);
+                        // Everything shared between rows folds row by row.
+                        for h in 0..ROWS {
+                            fxj = fxj - fx.half(h);
+                            fyj = fyj - fy.half(h);
+                            fzj = fzj - fz.half(h);
+                            let (ev, wv) = (ev.half(h), wv.half(h));
+                            e_lo = e_lo + ev.to_f64_lo();
+                            e_hi = e_hi + ev.to_f64_hi();
+                            w_lo = w_lo + wv.to_f64_lo();
+                            w_hi = w_hi + wv.to_f64_hi();
+                        }
+                    }
+
+                    let (fxja, fyja, fzja) = (fxj.to_array(), fyj.to_array(), fzj.to_array());
+                    for v in 0..CLUSTER {
+                        lane_forces.x[jbase + v] += fxja[v];
+                        lane_forces.y[jbase + v] += fyja[v];
+                        lane_forces.z[jbase + v] += fzja[v];
+                    }
+                }
+
+                for p in 0..PACKS {
+                    for h in 0..ROWS {
+                        let u = ROWS * p + h;
+                        let fxa = fxi[p].half(h).to_array();
+                        let fya = fyi[p].half(h).to_array();
+                        let fza = fzi[p].half(h).to_array();
+                        lane_forces.x[ibase + u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
+                        lane_forces.y[ibase + u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
+                        lane_forces.z[ibase + u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
+                    }
+                }
             }
-
-            let (fxja, fyja, fzja) = (fxj.to_array(), fyj.to_array(), fzj.to_array());
-            for v in 0..CLUSTER {
-                lane_forces.x[jbase + v] += fxja[v];
-                lane_forces.y[jbase + v] += fyja[v];
-                lane_forces.z[jbase + v] += fzja[v];
-            }
+            let (ea, eb) = (e_lo.to_array(), e_hi.to_array());
+            let (wa, wb) = (w_lo.to_array(), w_hi.to_array());
+            (
+                (ea[0] + ea[1]) + (eb[0] + eb[1]),
+                (wa[0] + wa[1]) + (wb[0] + wb[1]),
+            )
         }
-
-        for p in 0..ROW_PAIRS {
-            let rows = [
-                (2 * p, fxi[p].lo(), fyi[p].lo(), fzi[p].lo()),
-                (2 * p + 1, fxi[p].hi(), fyi[p].hi(), fzi[p].hi()),
-            ];
-            for (u, fx4, fy4, fz4) in rows {
-                let (fxa, fya, fza) = (fx4.to_array(), fy4.to_array(), fz4.to_array());
-                lane_forces.x[ibase + u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
-                lane_forces.y[ibase + u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
-                lane_forces.z[ibase + u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
-            }
-        }
-    }
-    let (ea, eb) = (e_lo.to_array(), e_hi.to_array());
-    let (wa, wb) = (w_lo.to_array(), w_hi.to_array());
-    (
-        (ea[0] + ea[1]) + (eb[0] + eb[1]),
-        (wa[0] + wa[1]) + (wb[0] + wb[1]),
-    )
+    };
 }
 
-#[inline(always)]
-fn nb_clusters_body(
-    frame: &Frame,
-    coords: &SoaCoords,
-    list: &ClusterPairList,
-    which: NbPartition,
-    params: &NonbondedParams,
-    lane_forces: &mut SoaForces,
-) -> (f64, f64) {
-    let part = list.partition(which);
-    assert_eq!(coords.len(), list.n_lanes());
-    assert_eq!(lane_forces.len(), list.n_lanes());
-    let k_rf = params.k_rf;
-    let c_rf = params.c_rf;
-    // Loop-invariant lane broadcasts for the 4-wide tile arithmetic.
-    let [ix, iy, iz] = MinImage4::axes(frame);
-    let rc2v = F4::splat(params.cutoff * params.cutoff);
-    let zero = F4::splat(0.0);
-    let one = F4::splat(1.0);
-    let krfv = F4::splat(k_rf);
-    let crfv = F4::splat(c_rf);
-    let two_krf = F4::splat(2.0 * k_rf);
-    let twelve = F4::splat(12.0);
-    let six = F4::splat(6.0);
-    // Interleaved LJ parameter table: one aligned `[c6, c12, vshift, _]`
-    // quad per kind pair, so each tile row gathers four 16-byte quads and
-    // transposes, instead of twelve scattered scalar loads. Sized to the
-    // next power of two so a flat `& LJT_MASK` index is provably in bounds
-    // — no bounds-check branches inside the tile loop.
-    const NK: usize = AtomKind::COUNT;
-    const LJT_LEN: usize = (NK * NK).next_power_of_two();
-    const LJT_MASK: usize = LJT_LEN - 1;
-    let mut ljt = [[0.0f32; 4]; LJT_LEN];
-    for a in 0..NK {
-        for b in 0..NK {
-            ljt[a * NK + b] = [
-                params.c6[a][b],
-                params.c12[a][b],
-                params.vshift_lj[a][b],
-                0.0,
-            ];
-        }
-    }
-
-    // Energy/virial accumulate as packed f64 lane partials (widened from
-    // the bitwise per-pair f32 terms) and fold once at the end, in a fixed
-    // lane order — deterministic across runs and executors.
-    let mut e_lo = D2::zero();
-    let mut e_hi = D2::zero();
-    let mut w_lo = D2::zero();
-    let mut w_hi = D2::zero();
-    for (row, &ci) in part.i_clusters.iter().enumerate() {
-        let ibase = CLUSTER * ci as usize;
-        let xi = load4(&coords.x, ibase);
-        let yi = load4(&coords.y, ibase);
-        let zi = load4(&coords.z, ibase);
-        let qi = load4(&list.lane_charges, ibase);
-        let ki = [
-            list.lane_kinds[ibase] as usize,
-            list.lane_kinds[ibase + 1] as usize,
-            list.lane_kinds[ibase + 2] as usize,
-            list.lane_kinds[ibase + 3] as usize,
-        ];
-        // i-lane broadcasts and `F_ELEC * q_i` products are tile-invariant:
-        // splat them once per CSR row instead of once per tile row.
-        let pxi = [0, 1, 2, 3].map(|u| F4::splat(xi[u]));
-        let pyi = [0, 1, 2, 3].map(|u| F4::splat(yi[u]));
-        let pzi = [0, 1, 2, 3].map(|u| F4::splat(zi[u]));
-        let eqi = [0, 1, 2, 3].map(|u| F4::splat(F_ELEC * qi[u]));
-        let trow = [0, 1, 2, 3].map(|u| NK * ki[u]);
-        // Per-i-lane force partials stay as 4-wide j-lane vectors across
-        // the whole row; the horizontal (v0+v1)+(v2+v3) fold happens once
-        // per row instead of once per tile.
-        let mut fxi = [F4::splat(0.0); CLUSTER];
-        let mut fyi = [F4::splat(0.0); CLUSTER];
-        let mut fzi = [F4::splat(0.0); CLUSTER];
-
-        let lo = part.starts[row] as usize;
-        let hi = part.starts[row + 1] as usize;
-        for t in lo..hi {
-            let jbase = CLUSTER * part.j_clusters[t] as usize;
-            let mask = part.masks[t];
-            let xj = F4::load(&coords.x, jbase);
-            let yj = F4::load(&coords.y, jbase);
-            let zj = F4::load(&coords.z, jbase);
-            let qj = F4::load(&list.lane_charges, jbase);
-            let kj = [
-                list.lane_kinds[jbase] as usize,
-                list.lane_kinds[jbase + 1] as usize,
-                list.lane_kinds[jbase + 2] as usize,
-                list.lane_kinds[jbase + 3] as usize,
-            ];
-            let mut fxj = F4::splat(0.0);
-            let mut fyj = F4::splat(0.0);
-            let mut fzj = F4::splat(0.0);
-
-            for u in 0..CLUSTER {
-                let mrow = (mask >> (u * CLUSTER)) & 0xF;
-                if mrow == 0 {
-                    continue;
-                }
-                // Per-pair LJ parameter quads and the row's mask lookup —
-                // the only scalar work per row; everything after is 4-wide.
-                let (c6, c12, vs, _) = F4::transpose(
-                    F4::from_array(ljt[(trow[u] + kj[0]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[u] + kj[1]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[u] + kj[2]) & LJT_MASK]),
-                    F4::from_array(ljt[(trow[u] + kj[3]) & LJT_MASK]),
-                );
-                let msk = F4::from_array(MASK_LANES[mrow as usize]);
-
-                let dx = ix.apply(pxi[u] - xj);
-                let dy = iy.apply(pyi[u] - yj);
-                let dz = iz.apply(pzi[u] - zj);
-                let r2 = dx * dx + dy * dy + dz * dz;
-
-                // Live lanes: sel == 1.0 and r2e == r2 bitwise. Dead lanes
-                // (masked, beyond cutoff, or self): sel == 0.0 and
-                // r2e == 1.0, so no lane ever divides by zero.
-                let sel = r2.lt(rc2v).and(zero.lt(r2)).and(msk);
-                if !sel.any_nonzero() {
-                    // Listed row, but every pair is masked or outside the
-                    // cutoff this step (Verlet skin) — all lanes would
-                    // contribute exact zeros.
-                    continue;
-                }
-                let r2e = sel * r2 + (one - sel);
-
-                let inv_r2 = one / r2e;
-                let inv_r6 = inv_r2 * inv_r2 * inv_r2;
-                let v_lj = c12 * inv_r6 * inv_r6 - c6 * inv_r6 - vs;
-                let f_lj = (twelve * c12 * inv_r6 * inv_r6 - six * c6 * inv_r6) * inv_r2;
-                let qq = eqi[u] * qj;
-                let inv_r = inv_r2.sqrt();
-                let v_rf = qq * (inv_r + krfv * r2e - crfv);
-                let f_rf = qq * (inv_r * inv_r2 - two_krf);
-
-                let fs = sel * (f_lj + f_rf);
-                let ev = sel * (v_lj + v_rf);
-                let wv = fs * r2e;
-                let fx = fs * dx;
-                let fy = fs * dy;
-                let fz = fs * dz;
-
-                // Fixed fold order: i-lanes and j-lanes accumulate per
-                // j-lane, energy/virial as widened f64 lane partials.
-                fxi[u] = fxi[u] + fx;
-                fyi[u] = fyi[u] + fy;
-                fzi[u] = fzi[u] + fz;
-                fxj = fxj - fx;
-                fyj = fyj - fy;
-                fzj = fzj - fz;
-                e_lo = e_lo + ev.to_f64_lo();
-                e_hi = e_hi + ev.to_f64_hi();
-                w_lo = w_lo + wv.to_f64_lo();
-                w_hi = w_hi + wv.to_f64_hi();
-            }
-
-            let (fxja, fyja, fzja) = (fxj.to_array(), fyj.to_array(), fzj.to_array());
-            for v in 0..CLUSTER {
-                lane_forces.x[jbase + v] += fxja[v];
-                lane_forces.y[jbase + v] += fyja[v];
-                lane_forces.z[jbase + v] += fzja[v];
-            }
-        }
-
-        for u in 0..CLUSTER {
-            let (fxa, fya, fza) = (fxi[u].to_array(), fyi[u].to_array(), fzi[u].to_array());
-            lane_forces.x[ibase + u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
-            lane_forces.y[ibase + u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
-            lane_forces.z[ibase + u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
-        }
-    }
-    let (ea, eb) = (e_lo.to_array(), e_hi.to_array());
-    let (wa, wb) = (w_lo.to_array(), w_hi.to_array());
-    (
-        (ea[0] + ea[1]) + (eb[0] + eb[1]),
-        (wa[0] + wa[1]) + (wb[0] + wb[1]),
-    )
-}
+tile_kernel!(fn nb_clusters_rows1, F4);
+tile_kernel!(
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn nb_clusters_rows2,
+    F8
+);
 
 /// Convenience wrapper over AoS buffers: pack all lanes, evaluate local
 /// then halo, fold forces back. Returns `(energy, virial)`.
@@ -1265,12 +945,19 @@ mod tests {
         positions: &[Vec3],
         rule: &dyn Fn(usize, usize) -> bool,
     ) -> (ClusterPairs, ClusterPairs) {
-        let r2 = list.r_list * list.r_list;
+        let r2 = list.staleness.r_list * list.staleness.r_list;
         let mut local = ClusterPairsBuilder::default();
         let mut halo = ClusterPairsBuilder::default();
         for ci in 0..list.n_clusters() {
             for cj in ci..list.n_clusters() {
-                if bb_gap2(&list.frame, &list.bb_center, &list.bb_half, ci, cj) >= r2 {
+                if bb_gap2(
+                    &list.staleness.frame,
+                    &list.bb_center,
+                    &list.bb_half,
+                    ci,
+                    cj,
+                ) >= r2
+                {
                     continue;
                 }
                 let mut mask = 0u16;
@@ -1287,6 +974,7 @@ mod tests {
                         }
                         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
                         if list
+                            .staleness
                             .frame
                             .dist2(positions[a as usize], positions[b as usize])
                             >= r2
@@ -1416,8 +1104,8 @@ mod tests {
         let r_list = 1.0;
         let list = ClusterPairList::build(&frame, &positions, &kinds, 8, r_list, &all);
         assert_eq!(list.lane_atoms, [0, 1, 2, 3, 4, 5, 6, 7]);
-        let grid = ClusterGrid::new(&frame, &list.bb_center, &list.bb_half, r_list);
-        assert_eq!(grid.wide, [0], "cluster 0 spans the box");
+        let (grid, wide, _) = tile_search_grid(&frame, &list.bb_center, &list.bb_half, r_list);
+        assert_eq!(wide, [0], "cluster 0 spans the box");
         assert_eq!(grid.order, [1]);
         assert_tiles_equal_reference(&list, &positions, &all);
         assert_eq!(
@@ -1648,10 +1336,10 @@ mod tests {
 
     #[test]
     fn dispatched_kernel_matches_baseline_body_bitwise() {
-        // The runtime-dispatched entry (the AVX2 8-wide instantiation on
-        // hosts that have it) must be bitwise identical to the baseline
-        // 4-wide body — forces, energy, and virial. On hosts without AVX2
-        // the dispatcher *is* the baseline and this passes trivially.
+        // The one-row instantiation (called directly, so it is exercised on
+        // AVX2 hosts too), the two-row instantiation where the host has
+        // AVX2, and the runtime dispatcher must be bitwise identical —
+        // forces, energy, and virial.
         let sys = GrappaBuilder::new(1200).seed(41).build();
         let frame = Frame::fully_periodic(&sys.pbc);
         let params = NonbondedParams::new(0.7);
@@ -1667,25 +1355,42 @@ mod tests {
         let mut coords = SoaCoords::default();
         list.pack_coords(&sys.positions, &mut coords, 0..list.n_clusters());
 
+        type Kernel = fn(
+            &Frame,
+            &SoaCoords,
+            &ClusterPairList,
+            NbPartition,
+            &NonbondedParams,
+            &mut SoaForces,
+        ) -> (f64, f64);
+        let mut others: Vec<(&str, Kernel)> = vec![("dispatcher", compute_nonbonded_clusters)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 presence checked on this host just above.
+            others.push(("2-row", |f, c, l, w, p, lf| unsafe {
+                nb_clusters_rows2(f, c, l, w, p, lf)
+            }));
+        }
         for which in [NbPartition::Local, NbPartition::Halo] {
             let mut lf_base = SoaForces::default();
             lf_base.reset(list.n_lanes());
             let (e_base, w_base) =
-                nb_clusters_body(&frame, &coords, &list, which, &params, &mut lf_base);
-            let mut lf_disp = SoaForces::default();
-            lf_disp.reset(list.n_lanes());
-            let (e_disp, w_disp) =
-                compute_nonbonded_clusters(&frame, &coords, &list, which, &params, &mut lf_disp);
-            assert_eq!(e_base.to_bits(), e_disp.to_bits(), "energy ({which:?})");
-            assert_eq!(w_base.to_bits(), w_disp.to_bits(), "virial ({which:?})");
-            for lane in 0..list.n_lanes() {
-                let a = lf_base.get(lane);
-                let b = lf_disp.get(lane);
-                assert_eq!(
-                    [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
-                    [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()],
-                    "lane {lane} ({which:?})"
-                );
+                nb_clusters_rows1(&frame, &coords, &list, which, &params, &mut lf_base);
+            for (name, kernel) in &others {
+                let mut lf = SoaForces::default();
+                lf.reset(list.n_lanes());
+                let (e, w) = kernel(&frame, &coords, &list, which, &params, &mut lf);
+                assert_eq!(e_base.to_bits(), e.to_bits(), "{name} energy ({which:?})");
+                assert_eq!(w_base.to_bits(), w.to_bits(), "{name} virial ({which:?})");
+                for lane in 0..list.n_lanes() {
+                    let a = lf_base.get(lane);
+                    let b = lf.get(lane);
+                    assert_eq!(
+                        [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
+                        [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()],
+                        "{name} lane {lane} ({which:?})"
+                    );
+                }
             }
         }
     }
@@ -1710,25 +1415,6 @@ mod tests {
         let r2 = compute_nonbonded_clusters_aos(&frame, &sys.positions, &list, &params, &mut f2);
         assert_eq!(r1, r2);
         assert_eq!(f1, f2);
-    }
-
-    #[test]
-    fn rebuild_decisions_mirror_pair_list() {
-        let sys = GrappaBuilder::new(900).seed(39).build();
-        let frame = Frame::fully_periodic(&sys.pbc);
-        let all = |_: usize, _: usize| true;
-        let pl = PairList::build_in_frame(&frame, &sys.positions, 0.8, &all);
-        let cl =
-            ClusterPairList::build(&frame, &sys.positions, &sys.kinds, sys.n_atoms(), 0.8, &all);
-        // Fresh skip, then the same displacement verdicts.
-        assert!(!cl.needs_rebuild(&sys.positions, 0.2));
-        let mut moved = sys.positions.clone();
-        moved[7].y += 0.15;
-        assert_eq!(
-            pl.needs_rebuild_full(&moved, 0.2),
-            cl.needs_rebuild_full(&moved, 0.2)
-        );
-        assert!(cl.needs_rebuild(&moved, 0.2));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! same. Both terms are potential-shifted to zero at the cutoff so that
 //! truncation does not inject energy.
 
+use crate::forces::virial::compute_nonbonded_virial;
 use crate::frame::Frame;
 use crate::pairlist::PairList;
 use crate::topology::{lj_table, AtomKind, LjParams};
@@ -99,7 +100,8 @@ pub fn charge_table(kinds: &[AtomKind]) -> Vec<f32> {
 /// (length = positions length: home forces and halo forces both accumulate;
 /// halo forces are returned to owners by the force halo exchange).
 ///
-/// Returns the total potential energy (f64 accumulation).
+/// Returns the total potential energy (f64 accumulation): the energy half
+/// of [`compute_nonbonded_virial`], which is the one scalar pair loop.
 pub fn compute_nonbonded(
     frame: &Frame,
     positions: &[Vec3],
@@ -108,34 +110,7 @@ pub fn compute_nonbonded(
     params: &NonbondedParams,
     forces: &mut [Vec3],
 ) -> f64 {
-    assert_eq!(positions.len(), kinds.len());
-    assert_eq!(positions.len(), forces.len());
-    let rc2 = params.cutoff * params.cutoff;
-    let charges = charge_table(kinds);
-    let mut energy = 0.0f64;
-    for i in 0..pairs.n_rows() {
-        let pi = positions[i];
-        let ki = kinds[i];
-        let qi = charges[i];
-        let lo = pairs.starts[i] as usize;
-        let hi = pairs.starts[i + 1] as usize;
-        let mut fi = Vec3::ZERO;
-        for &j in &pairs.j_atoms[lo..hi] {
-            let j = j as usize;
-            let d = frame.displacement(pi, positions[j]);
-            let r2 = d.norm2();
-            if r2 >= rc2 || r2 == 0.0 {
-                continue;
-            }
-            let (v, f_over_r) = params.pair(ki, kinds[j], qi, charges[j], r2);
-            energy += v as f64;
-            let f = d * f_over_r;
-            fi += f;
-            forces[j] -= f;
-        }
-        forces[i] += fi;
-    }
-    energy
+    compute_nonbonded_virial(frame, positions, kinds, pairs, params, forces).0
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@ use crate::pbc::PbcBox;
 use crate::topology::{Angle, AtomKind, Bond};
 use crate::vec3::Vec3;
 
-/// Non-bonded energy + forces + scalar virial in one pass (the force loop of
-/// [`crate::forces::compute_nonbonded`] with virial accumulation).
+/// Non-bonded energy + forces + scalar virial in one pass — the crate's one
+/// scalar pair loop ([`crate::forces::compute_nonbonded`] is its energy
+/// half). Forces accumulate into `forces` (length = positions length).
 pub fn compute_nonbonded_virial(
     frame: &Frame,
     positions: &[Vec3],
@@ -18,6 +19,8 @@ pub fn compute_nonbonded_virial(
     params: &NonbondedParams,
     forces: &mut [Vec3],
 ) -> (f64, f64) {
+    assert_eq!(positions.len(), kinds.len());
+    assert_eq!(positions.len(), forces.len());
     let rc2 = params.cutoff * params.cutoff;
     // One charge gather per atom instead of two `charge()` calls per pair;
     // same f32 values, so results are bitwise unchanged.
@@ -102,25 +105,6 @@ pub fn pressure_bar(kinetic: f64, virial: f64, volume_nm3: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::compute_nonbonded;
-    use crate::system::GrappaBuilder;
-
-    #[test]
-    fn virial_forces_match_plain_kernel() {
-        let sys = GrappaBuilder::new(1500).seed(91).build();
-        let rule = |a: usize, b: usize| !sys.is_excluded(a, b);
-        let pl = PairList::build(&sys.pbc, &sys.positions, 0.75, &rule);
-        let frame = Frame::fully_periodic(&sys.pbc);
-        let params = NonbondedParams::new(0.7);
-        let mut f1 = vec![Vec3::ZERO; sys.n_atoms()];
-        let e1 = compute_nonbonded(&frame, &sys.positions, &sys.kinds, &pl, &params, &mut f1);
-        let mut f2 = vec![Vec3::ZERO; sys.n_atoms()];
-        let (e2, w) =
-            compute_nonbonded_virial(&frame, &sys.positions, &sys.kinds, &pl, &params, &mut f2);
-        assert_eq!(e1, e2);
-        assert_eq!(f1, f2);
-        assert!(w.is_finite());
-    }
 
     #[test]
     fn two_particle_virial_is_f_dot_r() {

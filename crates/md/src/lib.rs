@@ -62,9 +62,7 @@ pub struct ReferenceSimulation {
 
 impl ReferenceSimulation {
     pub fn new(system: System, cutoff: f32, buffer: f32) -> Self {
-        let sys_ref = &system;
-        let rule = move |a: usize, b: usize| !sys_ref.is_excluded(a, b);
-        let pairlist = PairList::build(&system.pbc, &system.positions, cutoff + buffer, &rule);
+        let pairlist = PairList::single_rank(&system, cutoff + buffer);
         let n = system.n_atoms();
         ReferenceSimulation {
             params: NonbondedParams::new(cutoff),
@@ -149,14 +147,7 @@ impl ReferenceSimulation {
         for p in &mut self.system.positions {
             *p = self.system.pbc.wrap(*p);
         }
-        let sys_ref = &self.system;
-        let rule = move |a: usize, b: usize| !sys_ref.is_excluded(a, b);
-        self.pairlist = PairList::build(
-            &self.system.pbc,
-            &self.system.positions,
-            self.cutoff + self.buffer,
-            &rule,
-        );
+        self.pairlist = PairList::single_rank(&self.system, self.cutoff + self.buffer);
     }
 }
 

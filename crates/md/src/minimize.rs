@@ -42,10 +42,8 @@ pub fn steepest_descent(system: &mut System, opts: MinimizeOptions) -> (f64, f64
         for p in &mut system.positions {
             *p = system.pbc.wrap(*p);
         }
-        let sys_ref = &*system;
-        let rule = move |a: usize, b: usize| !sys_ref.is_excluded(a, b);
         // Rebuild each sweep: atoms move up to max_disp, lists go stale fast.
-        let pl = PairList::build(&system.pbc, &system.positions, opts.cutoff + 0.05, &rule);
+        let pl = PairList::single_rank(system, opts.cutoff + 0.05);
         forces.clear();
         forces.resize(n, Vec3::ZERO);
         let id = |g: u32| if (g as usize) < n { Some(g) } else { None };

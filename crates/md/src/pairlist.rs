@@ -1,4 +1,6 @@
-//! Verlet pair lists with a buffer.
+//! Verlet pair lists with a buffer, and the two pieces every list in this
+//! crate is made of: the `CellGrid` neighbour search and the
+//! [`Staleness`] rebuild state.
 //!
 //! The list is built over a *local* coordinate array (for domain
 //! decomposition: home atoms followed by pre-shifted halo copies; for a
@@ -16,9 +18,17 @@
 //!   home-halo pairs always pass; halo-halo pairs pass only for "corner"
 //!   zone pairs — the zone-pair interactions of the GROMACS neutral-territory
 //!   scheme, which make every global pair materialize on precisely one rank.
+//!
+//! `CellGrid` is the crate's one uniform grid, used three ways: its
+//! cell-sorted `order` is what the cluster build chunks into clusters,
+//! `CellGrid::for_each_adjacent` is this list's neighbour search, and
+//! `CellGrid::for_each_near` is the cluster list's tile search. Periodic
+//! dimensions wrap by cell index in all three, so a coordinate that has
+//! drifted out of the box bins like its in-box image.
 
 use crate::frame::Frame;
 use crate::pbc::PbcBox;
+use crate::system::System;
 use crate::vec3::Vec3;
 use std::cell::Cell;
 
@@ -28,38 +38,73 @@ use std::cell::Cell;
 pub struct PairList {
     pub starts: Vec<u32>,
     pub j_atoms: Vec<u32>,
-    /// Search radius the list was built with (cutoff + buffer).
-    pub r_list: f32,
+    /// What the list was built under, and whether it still holds.
+    pub staleness: Staleness,
+}
+
+/// What a pair list was built under — metric, search radius, coordinates —
+/// and the Verlet-buffer test for whether it still covers every pair inside
+/// the cutoff. Both list types hold one, so they make the same rebuild
+/// decisions by construction.
+#[derive(Debug, Clone)]
+pub struct Staleness {
     /// Metric the list was built under.
     pub frame: Frame,
-    /// Coordinates at build time, for displacement-based rebuild checks.
+    /// Search radius the list was built with (cutoff + buffer).
+    pub r_list: f32,
+    /// Coordinates at build time.
     ref_positions: Vec<Vec3>,
     /// Consumed by the first `needs_rebuild` call after a build; lets that
     /// call skip the displacement scan (see `needs_rebuild`).
     fresh: Cell<bool>,
 }
 
-/// True if any atom's displacement from its build-time position exceeds
-/// `lim2` (squared), early-exiting on the first offender — or if the two
-/// arrays differ in length, since a list says nothing about atoms it was
-/// not built over. Shared by the plain and cluster pair lists so both make
-/// identical rebuild decisions.
-#[inline]
-pub(crate) fn any_displacement_exceeds(
-    frame: &Frame,
-    positions: &[Vec3],
-    reference: &[Vec3],
-    lim2: f32,
-) -> bool {
-    if positions.len() != reference.len() {
-        return true;
-    }
-    for (p, q) in positions.iter().zip(reference) {
-        if frame.dist2(*p, *q) > lim2 {
-            return true;
+impl Staleness {
+    pub(crate) fn new(frame: &Frame, positions: &[Vec3], r_list: f32) -> Staleness {
+        Staleness {
+            frame: *frame,
+            r_list,
+            ref_positions: positions.to_vec(),
+            fresh: Cell::new(true),
         }
     }
-    false
+
+    /// True if any atom has moved more than `buffer / 2` since the list was
+    /// built, meaning an unlisted pair could now be inside the cutoff.
+    ///
+    /// Two fast paths over the naive full scan:
+    ///
+    /// * the first call after a build skips the scan entirely — at most one
+    ///   integration step has elapsed, and a single step moving an atom
+    ///   `buffer / 2` is the same catastrophic regime in which the Verlet
+    ///   buffer itself (sized to cover ~`nstlist` steps of drift) is
+    ///   already invalid, so the decision is identical for every
+    ///   trajectory the list is sound for;
+    /// * the scan early-exits on the first offending atom instead of
+    ///   measuring every displacement.
+    ///
+    /// [`Staleness::needs_rebuild_full`] is the unconditional scan; the
+    /// regression test in `crates/md/tests` asserts both make identical
+    /// decisions along a live trajectory.
+    pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
+        if self.fresh.replace(false) {
+            return false;
+        }
+        self.needs_rebuild_full(positions, buffer)
+    }
+
+    /// The unconditional displacement scan backing
+    /// [`Staleness::needs_rebuild`] (no first-step skip) — the reference
+    /// oracle for rebuild decisions. A coordinate array of another length is
+    /// always stale: a list says nothing about atoms it was not built over.
+    pub fn needs_rebuild_full(&self, positions: &[Vec3], buffer: f32) -> bool {
+        let lim2 = (0.5 * buffer) * (0.5 * buffer);
+        positions.len() != self.ref_positions.len()
+            || positions
+                .iter()
+                .zip(&self.ref_positions)
+                .any(|(p, q)| self.frame.dist2(*p, *q) > lim2)
+    }
 }
 
 impl PairList {
@@ -81,6 +126,13 @@ impl PairList {
         Self::build_in_frame(&Frame::fully_periodic(pbc), positions, r_list, rule)
     }
 
+    /// The single-rank list of a whole system: every non-excluded pair
+    /// within `r_list` under the fully periodic frame.
+    pub(crate) fn single_rank(system: &System, r_list: f32) -> PairList {
+        let rule = |a: usize, b: usize| !system.is_excluded(a, b);
+        Self::build(&system.pbc, &system.positions, r_list, &rule)
+    }
+
     /// Build a pair list with search radius `r_list = cutoff + buffer` under
     /// an arbitrary frame metric.
     ///
@@ -92,86 +144,44 @@ impl PairList {
         r_list: f32,
         rule: &dyn Fn(usize, usize) -> bool,
     ) -> PairList {
-        for k in 0..3 {
-            if frame.periodic[k] {
-                assert!(
-                    r_list < 0.5 * frame.box_lengths[k],
-                    "search radius {r_list} must be < half the box {:?} in periodic dim {k}",
-                    frame.box_lengths
-                );
-            }
-        }
-        let bins = Binning::new(frame, positions, r_list);
-        let r2 = r_list * r_list;
         let n = positions.len();
+        let grid = CellGrid::new(frame, positions, 0..n as u32, r_list, r_list);
+        let r2 = r_list * r_list;
         let mut starts = Vec::with_capacity(n + 1);
         let mut j_atoms = Vec::new();
         starts.push(0u32);
-
-        let mut neighbor_cells = Vec::with_capacity(27);
         for i in 0..n {
-            let c = bins.cell_of(positions[i]);
-            neighbor_cells.clear();
-            bins.neighbors(c, &mut neighbor_cells);
-            for &cell in &neighbor_cells {
-                let lo = bins.starts[cell] as usize;
-                let hi = bins.starts[cell + 1] as usize;
-                for &j in &bins.order[lo..hi] {
-                    let j = j as usize;
-                    if j <= i {
-                        continue;
-                    }
-                    if frame.dist2(positions[i], positions[j]) >= r2 {
-                        continue;
-                    }
-                    if !rule(i, j) {
-                        continue;
-                    }
-                    j_atoms.push(j as u32);
+            grid.for_each_adjacent(positions[i], |j| {
+                let j = j as usize;
+                if j <= i {
+                    return;
                 }
-            }
+                if frame.dist2(positions[i], positions[j]) >= r2 {
+                    return;
+                }
+                if !rule(i, j) {
+                    return;
+                }
+                j_atoms.push(j as u32);
+            });
             starts.push(j_atoms.len() as u32);
         }
 
         PairList {
             starts,
             j_atoms,
-            r_list,
-            frame: *frame,
-            ref_positions: positions.to_vec(),
-            fresh: Cell::new(true),
+            staleness: Staleness::new(frame, positions, r_list),
         }
     }
 
-    /// True if any atom has moved more than `buffer / 2` since the list was
-    /// built, meaning an unlisted pair could now be inside the cutoff.
-    ///
-    /// Two fast paths over the naive full scan:
-    ///
-    /// * the first call after a build skips the scan entirely — at most one
-    ///   integration step has elapsed, and a single step moving an atom
-    ///   `buffer / 2` is the same catastrophic regime in which the Verlet
-    ///   buffer itself (sized to cover ~`nstlist` steps of drift) is
-    ///   already invalid, so the decision is identical for every
-    ///   trajectory the list is sound for;
-    /// * the scan early-exits on the first offending atom instead of
-    ///   measuring every displacement.
-    ///
-    /// [`PairList::needs_rebuild_full`] is the unconditional scan; the
-    /// regression test in `crates/md/tests` asserts both make identical
-    /// decisions along a live trajectory.
+    /// See [`Staleness::needs_rebuild`].
     pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
-        if self.fresh.replace(false) {
-            return false;
-        }
-        self.needs_rebuild_full(positions, buffer)
+        self.staleness.needs_rebuild(positions, buffer)
     }
 
-    /// The unconditional displacement scan backing [`PairList::needs_rebuild`]
-    /// (no first-step skip) — the reference oracle for rebuild decisions.
+    /// See [`Staleness::needs_rebuild_full`].
     pub fn needs_rebuild_full(&self, positions: &[Vec3], buffer: f32) -> bool {
-        let lim2 = (0.5 * buffer) * (0.5 * buffer);
-        any_displacement_exceeds(&self.frame, positions, &self.ref_positions, lim2)
+        self.staleness.needs_rebuild_full(positions, buffer)
     }
 
     /// Iterate `(i, j)` local-index pairs (`i < j`).
@@ -184,40 +194,69 @@ impl PairList {
     }
 }
 
-/// Cell binning over the local bounding extent: periodic dims wrap their
-/// neighbourhoods; non-periodic dims cover `[min, max]` of the data and
-/// clamp at the edges. Shared with the cluster-pair build (`crate::cluster`),
-/// which sorts atoms into clusters with it.
-pub(crate) struct Binning {
+/// Uniform cell grid over a subset of a point array, in counting-sort (CSR)
+/// layout. Periodic dimensions span the box and wrap by cell index, so an
+/// out-of-box coordinate bins like its in-box image; non-periodic ones cover
+/// `[min, max]` of the binned points and clip at the edges.
+///
+/// Queries visit cells x-outermost, z-innermost, starting from the low end
+/// of the range (wrapped), each cell once, and ids ascending inside a cell.
+/// That order is part of the contract: it fixes the order of a scalar list's
+/// rows, and with it every force sum downstream.
+pub(crate) struct CellGrid {
+    periodic: [bool; 3],
     dims: [usize; 3],
     lo: Vec3,
+    hi: Vec3,
     cell_len: Vec3,
-    periodic: [bool; 3],
-    pub(crate) starts: Vec<u32>,
+    /// Row offsets into `order`, cells flattened z fastest.
+    starts: Vec<u32>,
+    /// Binned ids sorted by cell, ascending inside each cell.
     pub(crate) order: Vec<u32>,
 }
 
-impl Binning {
-    pub(crate) fn new(frame: &Frame, positions: &[Vec3], min_cell: f32) -> Binning {
-        // Extent per dim.
+impl CellGrid {
+    /// Slack, in cells, added to each end of a [`CellGrid::for_each_near`]
+    /// range so that rounding in the index arithmetic can never drop a
+    /// boundary cell.
+    const ROUND_GUARD: f32 = 1e-3;
+
+    /// Bin `points[id]` for every `id` in `ids` into cells at least
+    /// `min_cell` long, for searches of radius `r_search`.
+    ///
+    /// This is where the half-box rule lives: [`Frame::displacement`] shifts
+    /// by one box length at most, and a neighbourhood must not meet the same
+    /// point through two images, so `r_search` has to stay under half of
+    /// every periodic box length.
+    pub(crate) fn new(
+        frame: &Frame,
+        points: &[Vec3],
+        ids: impl Iterator<Item = u32> + Clone,
+        min_cell: f32,
+        r_search: f32,
+    ) -> CellGrid {
         let mut lo = Vec3::ZERO;
         let mut hi = frame.box_lengths;
         for k in 0..3 {
-            if !frame.periodic[k] {
-                let mut mn = f32::INFINITY;
-                let mut mx = f32::NEG_INFINITY;
-                for p in positions {
-                    mn = mn.min(p[k]);
-                    mx = mx.max(p[k]);
-                }
-                if positions.is_empty() {
-                    mn = 0.0;
-                    mx = 1.0;
-                }
-                // Pad a whisker so max falls strictly inside the last cell.
-                lo[k] = mn;
-                hi[k] = mx + 1e-4;
+            if frame.periodic[k] {
+                assert!(
+                    r_search < 0.5 * frame.box_lengths[k],
+                    "search radius {r_search} must be < half the box {:?} in periodic dim {k}",
+                    frame.box_lengths
+                );
+                continue;
             }
+            let (mut mn, mut mx) = (f32::INFINITY, f32::NEG_INFINITY);
+            for id in ids.clone() {
+                mn = mn.min(points[id as usize][k]);
+                mx = mx.max(points[id as usize][k]);
+            }
+            if mn > mx {
+                (mn, mx) = (0.0, 1.0);
+            }
+            // Pad a whisker so max falls strictly inside the last cell.
+            lo[k] = mn;
+            hi[k] = mx + 1e-4;
         }
         let mut dims = [1usize; 3];
         let mut cell_len = Vec3::ZERO;
@@ -226,79 +265,114 @@ impl Binning {
             dims[k] = ((extent / min_cell).floor() as usize).max(1);
             cell_len[k] = extent / dims[k] as f32;
         }
-        let ncells = dims[0] * dims[1] * dims[2];
-        let flat = |c: [usize; 3]| (c[0] * dims[1] + c[1]) * dims[2] + c[2];
-
-        let mut counts = vec![0u32; ncells + 1];
-        let mut cell_of_atom = Vec::with_capacity(positions.len());
-        for &p in positions {
-            let mut c = [0usize; 3];
-            for k in 0..3 {
-                c[k] = (((p[k] - lo[k]) / cell_len[k]) as usize).min(dims[k] - 1);
-            }
-            let f = flat(c);
-            cell_of_atom.push(f as u32);
-            counts[f + 1] += 1;
-        }
-        for i in 0..ncells {
-            counts[i + 1] += counts[i];
-        }
-        let starts = counts.clone();
-        let mut cursor = counts;
-        let mut order = vec![0u32; positions.len()];
-        for (atom, &c) in cell_of_atom.iter().enumerate() {
-            order[cursor[c as usize] as usize] = atom as u32;
-            cursor[c as usize] += 1;
-        }
-        Binning {
+        let mut grid = CellGrid {
+            periodic: frame.periodic,
             dims,
             lo,
+            hi,
             cell_len,
-            periodic: frame.periodic,
-            starts,
-            order,
+            starts: vec![0; dims[0] * dims[1] * dims[2] + 1],
+            order: vec![0; ids.clone().count()],
+        };
+        // Counting sort, stable in `ids` order.
+        let cells: Vec<u32> = ids
+            .clone()
+            .map(|id| grid.flat(grid.cell_of(points[id as usize])) as u32)
+            .collect();
+        for &cell in &cells {
+            grid.starts[cell as usize + 1] += 1;
         }
+        for c in 1..grid.starts.len() {
+            grid.starts[c] += grid.starts[c - 1];
+        }
+        let mut cursor = grid.starts.clone();
+        for (id, &cell) in ids.zip(&cells) {
+            grid.order[cursor[cell as usize] as usize] = id;
+            cursor[cell as usize] += 1;
+        }
+        grid
     }
 
     #[inline]
-    pub(crate) fn cell_of(&self, p: Vec3) -> [usize; 3] {
+    fn flat(&self, c: [usize; 3]) -> usize {
+        (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2]
+    }
+
+    /// Fractional cell index of coordinate `x` along dimension `k`.
+    #[inline]
+    fn cell_coord(&self, k: usize, x: f32) -> f32 {
+        (x - self.lo[k]) / self.cell_len[k]
+    }
+
+    /// Cell holding `p`. Inside the extent, rounding at the top edge clamps
+    /// into the last cell; outside a periodic extent `p` bins as its image.
+    #[inline]
+    fn cell_of(&self, p: Vec3) -> [usize; 3] {
         let mut c = [0usize; 3];
         for k in 0..3 {
-            c[k] = (((p[k] - self.lo[k]) / self.cell_len[k]) as usize).min(self.dims[k] - 1);
+            let u = self.cell_coord(k, p[k]);
+            let inside = self.lo[k] <= p[k] && p[k] < self.hi[k];
+            c[k] = if self.periodic[k] && !inside {
+                (u.floor() as i64).rem_euclid(self.dims[k] as i64) as usize
+            } else {
+                (u as usize).min(self.dims[k] - 1)
+            };
         }
         c
     }
 
-    /// Collect unique flat indices of the (up to 27) neighbouring cells.
-    pub(crate) fn neighbors(&self, c: [usize; 3], out: &mut Vec<usize>) {
-        let flat = |c: [usize; 3]| (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2];
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    let mut n = [0usize; 3];
-                    let mut ok = true;
-                    for (k, d) in [dx, dy, dz].into_iter().enumerate() {
-                        let v = c[k] as i64 + d;
-                        if self.periodic[k] {
-                            let m = self.dims[k] as i64;
-                            n[k] = (((v % m) + m) % m) as usize;
-                        } else if v < 0 || v >= self.dims[k] as i64 {
-                            ok = false;
-                            break;
-                        } else {
-                            n[k] = v as usize;
-                        }
-                    }
-                    if !ok {
-                        continue;
-                    }
-                    let f = flat(n);
-                    if !out.contains(&f) {
-                        out.push(f);
-                    }
+    /// Cells `a..=b` along dimension `k` as `(first, count)`: a periodic
+    /// range starts at the wrapped `a` and is cut to one full turn, so no
+    /// cell repeats; a non-periodic one is clipped to the grid.
+    fn clip(&self, k: usize, a: i64, b: i64) -> (usize, usize) {
+        let n = self.dims[k] as i64;
+        if self.periodic[k] {
+            let count = b.saturating_sub(a).saturating_add(1);
+            (a.rem_euclid(n) as usize, count.clamp(1, n) as usize)
+        } else {
+            let (a, b) = (a.clamp(0, n - 1), b.clamp(0, n - 1));
+            (a as usize, (b - a + 1) as usize)
+        }
+    }
+
+    /// Visit every id binned in the box of cells `ranges` (one
+    /// [`CellGrid::clip`] per dimension).
+    fn for_each_in(&self, ranges: [(usize, usize); 3], mut visit: impl FnMut(u32)) {
+        let [nx, ny, nz] = self.dims;
+        let [(x0, cx), (y0, cy), (z0, cz)] = ranges;
+        // Cells consecutive in z are consecutive in `starts`: one run, or
+        // two where the range wraps.
+        let first = cz.min(nz - z0);
+        for tx in 0..cx {
+            let x = (x0 + tx) % nx;
+            for ty in 0..cy {
+                let row = (x * ny + (y0 + ty) % ny) * nz;
+                for (z, n) in [(z0, first), (0, cz - first)] {
+                    let lo = self.starts[row + z] as usize;
+                    let hi = self.starts[row + z + n] as usize;
+                    self.order[lo..hi].iter().copied().for_each(&mut visit);
                 }
             }
         }
+    }
+
+    /// Visit every id binned in the cell holding `p` or one of its (up to
+    /// 26) neighbours: everything within one cell length of `p`.
+    pub(crate) fn for_each_adjacent(&self, p: Vec3, visit: impl FnMut(u32)) {
+        let c = self.cell_of(p);
+        let ranges = [0, 1, 2].map(|k| self.clip(k, c[k] as i64 - 1, c[k] as i64 + 1));
+        self.for_each_in(ranges, visit);
+    }
+
+    /// Visit every id whose point lies within `reach` (per dimension) of
+    /// `center`, and possibly some beyond: the span is conservative.
+    pub(crate) fn for_each_near(&self, center: Vec3, reach: Vec3, visit: impl FnMut(u32)) {
+        let ranges = [0, 1, 2].map(|k| {
+            let a = self.cell_coord(k, center[k] - reach[k]) - Self::ROUND_GUARD;
+            let b = self.cell_coord(k, center[k] + reach[k]) + Self::ROUND_GUARD;
+            self.clip(k, a.floor() as i64, b.floor() as i64)
+        });
+        self.for_each_in(ranges, visit);
     }
 }
 
@@ -425,6 +499,86 @@ mod tests {
         let all = |_: usize, _: usize| true;
         let pl = PairList::build(&pbc, &positions, 1.0, &all);
         assert_eq!(sorted_pairs(&pl), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn out_of_box_coordinate_pairs_through_its_image() {
+        // An atom that drifted 0.04 nm out through the bottom x face pairs
+        // with one 0.79 nm below the top face: binned as its in-box image,
+        // not clamped into the bottom cell where the search would miss it.
+        let frame = Frame::fully_periodic(&PbcBox::cubic(4.1));
+        let positions = vec![Vec3::new(-0.04, 1.0, 1.0), Vec3::new(3.27, 1.0, 1.0)];
+        let all = |_: usize, _: usize| true;
+        let pl = PairList::build_in_frame(&frame, &positions, 0.8, &all);
+        assert_eq!(sorted_pairs(&pl), vec![(0, 1)]);
+        assert_eq!(brute_force_pairs(&frame, &positions, 0.8, &all), [(0, 1)]);
+    }
+
+    /// The neighbourhood of `p` as the pre-`CellGrid` binning enumerated
+    /// it: cell offsets -1..=1 per dimension, x outermost, wrapped in
+    /// periodic dimensions and dropped outside the grid in the others, each
+    /// cell once at its first occurrence.
+    fn neighbourhood_27(grid: &CellGrid, p: Vec3) -> Vec<u32> {
+        let c = grid.cell_of(p);
+        let mut cells: Vec<usize> = Vec::new();
+        for dx in -1i64..=1 {
+            for dy in -1i64..=1 {
+                'cell: for dz in -1i64..=1 {
+                    let mut n = [0usize; 3];
+                    for (k, d) in [dx, dy, dz].into_iter().enumerate() {
+                        let (v, m) = (c[k] as i64 + d, grid.dims[k] as i64);
+                        if !grid.periodic[k] && !(0..m).contains(&v) {
+                            continue 'cell;
+                        }
+                        n[k] = v.rem_euclid(m) as usize;
+                    }
+                    if !cells.contains(&grid.flat(n)) {
+                        cells.push(grid.flat(n));
+                    }
+                }
+            }
+        }
+        cells
+            .iter()
+            .flat_map(|&f| &grid.order[grid.starts[f] as usize..grid.starts[f + 1] as usize])
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn adjacent_query_visits_the_27_neighbourhood_in_its_order() {
+        // 1, 2, 3 and more cells per axis, periodic and not: the candidate
+        // sequence is what fixes the order of a scalar list's rows.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut seen_dims = std::collections::BTreeSet::new();
+        for lengths in [[0.9, 1.7, 2.5], [3.3, 4.9, 1.7], [2.5, 0.9, 5.7]] {
+            for dd in [[1, 1, 1], [2, 1, 1], [1, 2, 2]] {
+                let pbc = PbcBox::new(Vec3::new(lengths[0], lengths[1], lengths[2]));
+                let frame = Frame::for_decomposition(&pbc, dd);
+                let points: Vec<Vec3> = (0..400)
+                    .map(|_| {
+                        let mut p = Vec3::ZERO;
+                        for k in 0..3 {
+                            p[k] = rng.gen_range(0.0..lengths[k]);
+                        }
+                        p
+                    })
+                    .collect();
+                let grid = CellGrid::new(&frame, &points, 0..400, 0.8, 0.4);
+                seen_dims.extend(grid.dims);
+                for &p in &points {
+                    let mut got = Vec::new();
+                    grid.for_each_adjacent(p, |id| got.push(id));
+                    assert_eq!(got, neighbourhood_27(&grid, p), "{lengths:?} {dd:?} {p:?}");
+                }
+            }
+        }
+        assert!(
+            seen_dims.is_superset(&[1, 2, 3, 4, 6].into()),
+            "{seen_dims:?}"
+        );
     }
 
     #[test]

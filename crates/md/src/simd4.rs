@@ -1,12 +1,22 @@
-//! 4-wide `f32` SIMD lane type for the cluster-pair kernel.
+//! `f32` SIMD lane types for the cluster-pair kernel: [`F4`] (four lanes)
+//! and, on `x86_64`, [`F8`] (eight, AVX2).
 //!
-//! The cluster kernel's 4×4 micro-tile is written against this type so the
-//! inner loop compiles to packed vector arithmetic instead of relying on
-//! LLVM's SLP vectorizer (which gives up on the unrolled scalar form once
+//! The cluster kernel's 4×4 micro-tile is written against these types so
+//! the inner loop compiles to packed vector arithmetic instead of relying
+//! on LLVM's SLP vectorizer (which gives up on the unrolled scalar form once
 //! parameter gathers and mask logic are mixed into the chain — measured as
 //! ~3.5× scalar-`ss` over packed-`ps` instructions in the emitted code).
 //!
-//! On `x86_64` this wraps SSE2 intrinsics, which are part of the baseline
+//! Both are *row packs*: a pack holds the four j-lane terms of `ROWS`
+//! consecutive tile rows (`F4`: one, `F8`: two), and besides lane
+//! arithmetic offers the five operations in which the widths differ —
+//! `rows` (per-row splat of i-data), `dup` (j-data for every row), `join`
+//! (per-row vectors into a pack), `half` (one row back out) and `ROWS`
+//! itself. The kernel body in `crate::cluster` is written once against
+//! that surface, in method-call form because `F8`'s operations are
+//! `#[target_feature]` functions and cannot implement operator traits.
+//!
+//! On `x86_64` `F4` wraps SSE2 intrinsics, which are part of the baseline
 //! ISA — no runtime feature detection needed. Everywhere else a portable
 //! array implementation provides the same per-lane semantics. Both paths
 //! perform identical IEEE-754 single-precision operations in the same
@@ -204,15 +214,47 @@ impl F4 {
     }
 }
 
-/// Eight packed `f32` lanes — the AVX2 micro-tile type. The 8-wide kernel
-/// instantiation processes two tile rows per iteration: lanes 0–3 hold row
-/// `u`'s four j-lane terms and lanes 4–7 hold row `u+1`'s, so each 256-bit
-/// operation is exactly two of the baseline kernel's 128-bit operations.
+/// The row-pack view of [`F4`]: one tile row per operation. The cluster
+/// kernel (`crate::cluster`) is written once against these five items plus
+/// the lane arithmetic, and instantiated for `F4` and for [`F8`].
+impl F4 {
+    /// Tile rows one pack carries.
+    pub const ROWS: usize = 1;
+
+    /// Per-row splat of i-cluster data: all lanes `data[first]`.
+    #[inline(always)]
+    pub fn rows(data: &[f32; 4], first: usize) -> Self {
+        F4::splat(data[first])
+    }
+
+    /// j-cluster data as every row of the pack sees it.
+    #[inline(always)]
+    pub fn dup(j: F4) -> Self {
+        j
+    }
+
+    /// Pack per-row vectors (LJ quads, mask lanes), lowest row first.
+    #[inline(always)]
+    pub fn join(rows: [F4; 1]) -> Self {
+        rows[0]
+    }
+
+    /// Row `h` of the pack.
+    #[inline(always)]
+    pub fn half(self, _h: usize) -> F4 {
+        self
+    }
+}
+
+/// Eight packed `f32` lanes — the AVX2 row pack. It carries two tile rows
+/// per operation: lanes 0–3 hold row `u`'s four j-lane terms and lanes 4–7
+/// hold row `u+1`'s, so each 256-bit operation is exactly two of [`F4`]'s
+/// 128-bit operations.
 ///
 /// Methods are safe `#[target_feature(enable = "avx2")]` functions: the
-/// AVX2 kernel (compiled with the same feature) calls them without
-/// `unsafe` and they inline to single VEX instructions there. Callers
-/// *outside* an AVX2 context must go through the runtime-detected
+/// AVX2 kernel instantiation (compiled with the same feature) calls them
+/// without `unsafe` and they inline to single VEX instructions there.
+/// Callers *outside* an AVX2 context must go through the runtime-detected
 /// dispatcher. Per-lane semantics are exactly [`F4`]'s — IEEE-754
 /// correctly rounded, and the comparison predicates mirror the SSE
 /// encodings (`lt`/`gt` ordered-signaling, `any_nonzero` via
@@ -227,6 +269,9 @@ pub struct F8(__m256);
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::missing_safety_doc)]
 impl F8 {
+    /// Tile rows one pack carries.
+    pub const ROWS: usize = 2;
+
     /// All eight lanes set to `x`.
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -234,39 +279,38 @@ impl F8 {
         F8(_mm256_set1_ps(x))
     }
 
-    /// Two row-halves side by side: lanes 0–3 from `lo`, 4–7 from `hi`.
+    /// Per-row splat of i-cluster data: lanes 0–3 = `data[first]`, lanes
+    /// 4–7 = `data[first + 1]`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub fn join(lo: F4, hi: F4) -> Self {
-        F8(_mm256_set_m128(hi.0, lo.0))
+    pub fn rows(data: &[f32; 4], first: usize) -> Self {
+        Self::join([F4::splat(data[first]), F4::splat(data[first + 1])])
     }
 
     /// The same 4-lane vector in both halves (shared j-cluster data).
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub fn pair(x: F4) -> Self {
-        F8(_mm256_set_m128(x.0, x.0))
+    pub fn dup(j: F4) -> Self {
+        Self::join([j, j])
     }
 
-    /// Per-half splats: lanes 0–3 = `a`, lanes 4–7 = `b`.
+    /// Two row-halves side by side: lanes 0–3 from `rows[0]`, 4–7 from
+    /// `rows[1]`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub fn splat2(a: f32, b: f32) -> Self {
-        Self::join(F4::splat(a), F4::splat(b))
+    pub fn join(rows: [F4; 2]) -> Self {
+        F8(_mm256_set_m128(rows[1].0, rows[0].0))
     }
 
-    /// Lanes 0–3 (row `u`).
+    /// Row `h` of the pack: lanes 0–3 (`h == 0`) or 4–7.
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub fn lo(self) -> F4 {
-        F4(_mm256_castps256_ps128(self.0))
-    }
-
-    /// Lanes 4–7 (row `u+1`).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub fn hi(self) -> F4 {
-        F4(_mm256_extractf128_ps::<1>(self.0))
+    pub fn half(self, h: usize) -> F4 {
+        if h == 0 {
+            F4(_mm256_castps256_ps128(self.0))
+        } else {
+            F4(_mm256_extractf128_ps::<1>(self.0))
+        }
     }
 
     /// Lane-wise IEEE square root (correctly rounded, like `f32::sqrt`).
@@ -523,15 +567,15 @@ mod tests {
             let a = F4::from_array([1.5, -2.25, 1e-8, 3.75e6]);
             let b = F4::from_array([0.3, 7.0, -4.5e3, 0.125]);
             let c = F4::from_array([9.0, 0.5, 2.0, -1.0]);
-            let v = F8::join(a, b);
-            assert_eq!(bits(v.lo()), bits(a));
-            assert_eq!(bits(v.hi()), bits(b));
-            let w = F8::pair(c);
-            assert_eq!(bits(w.lo()), bits(c));
-            assert_eq!(bits(w.hi()), bits(c));
-            let s = F8::splat2(4.0, -8.0);
-            assert_eq!(bits(s.lo()), bits(F4::splat(4.0)));
-            assert_eq!(bits(s.hi()), bits(F4::splat(-8.0)));
+            let v = F8::join([a, b]);
+            assert_eq!(bits(v.half(0)), bits(a));
+            assert_eq!(bits(v.half(1)), bits(b));
+            let w = F8::dup(c);
+            assert_eq!(bits(w.half(0)), bits(c));
+            assert_eq!(bits(w.half(1)), bits(c));
+            let s = F8::rows(&[1.0, 4.0, -8.0, 2.0], 1);
+            assert_eq!(bits(s.half(0)), bits(F4::rows(&[1.0, 4.0, -8.0, 2.0], 1)));
+            assert_eq!(bits(s.half(1)), bits(F4::splat(-8.0)));
 
             for (got, lo, hi) in [
                 (v.add(w), a + c, b + c),
@@ -543,13 +587,15 @@ mod tests {
                 (v.gt(w), a.gt(c), b.gt(c)),
                 (v.lt(w).and(w), a.lt(c).and(c), b.lt(c).and(c)),
             ] {
-                assert_eq!(bits(got.lo()), bits(lo));
-                assert_eq!(bits(got.hi()), bits(hi));
+                assert_eq!(bits(got.half(0)), bits(lo));
+                assert_eq!(bits(got.half(1)), bits(hi));
             }
 
             assert!(!F8::splat(0.0).any_nonzero());
-            assert!(!F8::splat2(0.0, -0.0).any_nonzero());
-            assert!(F8::join(F4::splat(0.0), F4::from_array([0.0, 0.0, 1e-30, 0.0])).any_nonzero());
+            assert!(!F8::rows(&[0.0, -0.0, 0.0, 0.0], 0).any_nonzero());
+            assert!(
+                F8::join([F4::splat(0.0), F4::from_array([0.0, 0.0, 1e-30, 0.0])]).any_nonzero()
+            );
         }
     }
 }

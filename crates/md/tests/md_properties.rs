@@ -190,10 +190,14 @@ proptest! {
             cl.n_clusters(),
             cl.n_home_clusters + (atoms - n_home).div_ceil(CLUSTER)
         );
-        prop_assert_eq!(
-            cl.all_pairs(),
-            brute_force_pairs(&frame, &positions, r_list, &rule)
-        );
+        let brute_force = brute_force_pairs(&frame, &positions, r_list, &rule);
+        prop_assert_eq!(cl.all_pairs(), &brute_force[..]);
+        // Second subject, same drifted inputs: the scalar list shares the
+        // cell grid and must find out-of-box atoms through their image too.
+        let pl = PairList::build_in_frame(&frame, &positions, r_list, &rule);
+        let mut scalar: Vec<_> = pl.iter_pairs().collect();
+        scalar.sort_unstable();
+        prop_assert_eq!(scalar, brute_force);
         // CSR shape: rows strictly ascending, each row's tiles strictly
         // ascending from the i-cluster on (so none repeats), none empty, and
         // the partitions split at the first halo cluster.
