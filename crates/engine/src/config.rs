@@ -51,8 +51,6 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    const ALL: [RunMode; 2] = [RunMode::Serial, RunMode::Threaded];
-
     pub fn label(&self) -> &'static str {
         match self {
             RunMode::Serial => "serial",
@@ -102,8 +100,6 @@ pub enum DlbMode {
 }
 
 impl DlbMode {
-    const ALL: [DlbMode; 2] = [DlbMode::Off, DlbMode::Counter];
-
     pub fn label(&self) -> &'static str {
         match self {
             DlbMode::Off => "off",
@@ -241,25 +237,6 @@ fn env_lever<T: Copy>(name: &str, all: &[T], label: fn(&T) -> &'static str, defa
     lever(name, raw.as_deref(), all, label, default).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The `HALOX_CKPT=<dir>[:<every_segments>]` lever: checkpointing for every
-/// engine in the process. Unset or empty is off.
-fn checkpoint_lever(raw: Option<&str>) -> Option<CheckpointConfig> {
-    let raw = raw.filter(|v| !v.is_empty())?;
-    let (dir, every) = match raw.rsplit_once(':') {
-        // No numeric suffix: the whole value is the directory (covers
-        // paths that legitimately contain ':').
-        Some((d, n)) if !d.is_empty() => match n.parse::<usize>() {
-            Ok(n) => (d, n.max(1)),
-            Err(_) => (raw, 1),
-        },
-        _ => (raw, 1),
-    };
-    Some(CheckpointConfig {
-        every_segments: every,
-        ..CheckpointConfig::in_dir(dir)
-    })
-}
-
 /// Parameters of a domain-decomposed MD run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -324,9 +301,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Defaults, with `run_mode`, `nb_kernel`, `dlb`, `world_backend` and
-    /// `checkpoint` taken from the `HALOX_*` levers (README has the table).
-    /// A lever set to a value it does not accept panics here.
+    /// Defaults, with `nb_kernel` and `world_backend` taken from the
+    /// `HALOX_NB_KERNEL` / `HALOX_BACKEND` levers (README has the table). A
+    /// lever set to a value it does not accept panics here.
     pub fn new(backend: ExchangeBackend) -> Self {
         EngineConfig {
             cutoff: 0.7,
@@ -334,19 +311,14 @@ impl EngineConfig {
             dt_ps: 0.0005,
             nstlist: 10,
             backend,
-            run_mode: env_lever(
-                "HALOX_RUN_MODE",
-                &RunMode::ALL,
-                RunMode::label,
-                RunMode::Threaded,
-            ),
+            run_mode: RunMode::Threaded,
             nb_kernel: env_lever(
                 "HALOX_NB_KERNEL",
                 &NbKernel::ALL,
                 NbKernel::label,
                 NbKernel::Cluster,
             ),
-            dlb: env_lever("HALOX_DLB", &DlbMode::ALL, DlbMode::label, DlbMode::Off),
+            dlb: DlbMode::Off,
             nb_overlap: true,
             link_delay_us: 0,
             topology_gpus_per_node: None,
@@ -356,7 +328,7 @@ impl EngineConfig {
             world_backend: WorldBackend::from_env(),
             watchdog: WatchdogConfig::default(),
             chaos: None,
-            checkpoint: checkpoint_lever(std::env::var("HALOX_CKPT").ok().as_deref()),
+            checkpoint: None,
         }
     }
 
@@ -416,29 +388,10 @@ mod tests {
     #[test]
     fn levers_accept_their_labels_and_reject_everything_else() {
         check_lever(
-            "HALOX_RUN_MODE",
-            &RunMode::ALL,
-            RunMode::label,
-            RunMode::Threaded,
-        );
-        check_lever(
             "HALOX_NB_KERNEL",
             &NbKernel::ALL,
             NbKernel::label,
             NbKernel::Cluster,
         );
-        check_lever("HALOX_DLB", &DlbMode::ALL, DlbMode::label, DlbMode::Off);
-    }
-
-    #[test]
-    fn checkpoint_lever_splits_directory_and_cadence() {
-        let parsed = |raw| checkpoint_lever(raw).map(|c| (c.dir, c.every_segments));
-        assert_eq!(parsed(None), None);
-        assert_eq!(parsed(Some("")), None);
-        assert_eq!(parsed(Some("/tmp/ck")), Some(("/tmp/ck".into(), 1)));
-        assert_eq!(parsed(Some("/tmp/ck:4")), Some(("/tmp/ck".into(), 4)));
-        assert_eq!(parsed(Some("/tmp/ck:0")), Some(("/tmp/ck".into(), 1)));
-        // A suffix that is no number is part of the path.
-        assert_eq!(parsed(Some("/tmp/a:b")), Some(("/tmp/a:b".into(), 1)));
     }
 }

@@ -11,7 +11,7 @@
 //! → transport downgrade → checkpoint rewind) and the run statistics.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint, StatsSnapshot};
-use crate::config::{DlbMode, EngineConfig, ExchangeBackend, RunMode};
+use crate::config::{CheckpointConfig, DlbMode, EngineConfig, ExchangeBackend, RunMode};
 use crate::devtimer::PhaseTimer;
 use crate::dlb::DlbController;
 use crate::health::HealthBoard;
@@ -184,37 +184,50 @@ enum SegmentFailure {
     Ranks(Vec<ExchangeError>),
 }
 
-/// Degradation-ladder accounting accumulated while segments run: the
-/// durable counters (seeded from a checkpoint on resume, see
-/// [`StatsSnapshot`]) plus the diagnostic vectors, which restart per
-/// process.
+/// Per-call diagnostics of the degradation ladder: they describe one
+/// `try_run*`, not the trajectory (the durable counters are the frontier's
+/// [`StatsSnapshot`]).
 #[derive(Default)]
 struct RecoveryLog {
-    durable: StatsSnapshot,
     downgrades: Vec<Downgrade>,
     stall_reports: Vec<StallReport>,
 }
 
-/// Mid-trajectory state a resumed engine starts from.
-struct ResumeSeed {
-    /// Steps already completed when the checkpoint was taken.
-    step: u64,
-    /// Per-step energy history `[0, step)`.
-    energies: Vec<EnergyReport>,
-    /// Durable counters at `step`.
-    stats: StatsSnapshot,
-    /// Corrupt files skipped while resolving the resume point.
-    corrupt_skipped: usize,
-}
-
 /// The engine owns the global system and runs it decomposed over `grid`.
+///
+/// It is its own trajectory frontier (DESIGN.md §3.6): `system`, the DLB
+/// bounds, `step`, `energies` and `stats` advance together, in place, once
+/// per successful segment (a rewind moves them back together) and at no
+/// other time. After any `Ok` or `Err` from `try_run*` they describe one
+/// segment boundary, so the engine can be run again, suspended or
+/// checkpointed.
 pub struct Engine {
+    /// The gathered global state at the frontier.
     pub system: System,
     pub grid: DdGrid,
     pub config: EngineConfig,
+    /// Steps completed. Durable numbering: every `try_run*` continues it.
+    step: usize,
+    /// Per-step energy history `[0, step)`.
+    energies: Vec<EnergyReport>,
+    /// Durable recovery counters up to `step` (cumulative across resumes).
+    stats: StatsSnapshot,
+    /// Movable DD cell boundaries + the balancing policy (DESIGN.md §3.8).
+    /// Always present; with `config.dlb == Off` the bounds simply stay
+    /// uniform and `update` is never called. The bounds are frontier state:
+    /// checkpointed, restored on resume, rewound on replay.
+    dlb: DlbController,
+    /// Corrupt files skipped while resolving the resume point (0 unless
+    /// this engine came from [`Engine::resume_latest`]).
+    corrupt_skipped: usize,
+    /// Newest persisted (or resumed-from) checkpoint, kept untouched as the
+    /// rewind target of the supervised recovery ladder. Only held when
+    /// `config.checkpoint` is set — nothing rewinds otherwise.
+    last_ckpt: Option<Checkpoint>,
     /// Symmetric buffers kept across segments (GROMACS-style
     /// over-allocation, paper §5.3: "thanks to the over-allocation strategy,
-    /// resizing is rarely required").
+    /// resizing is rarely required"). Dropped with the world lease
+    /// ([`Engine::take_world`]) and before a replay.
     cached_buffers: Option<(FusedBuffers, usize, usize)>,
     /// How many times a segment had to reallocate the symmetric buffers.
     pub realloc_count: usize,
@@ -225,14 +238,6 @@ pub struct Engine {
     chaos: Option<Arc<ChaosEngine>>,
     /// Per-peer degradation ladder, one entry per DD rank.
     health: HealthBoard,
-    /// Set by [`Engine::resume_from`]/[`Engine::resume_latest`]: the next
-    /// `try_run*` continues the trajectory from this state instead of
-    /// step 0, and is refreshed at run end so repeated runs keep extending
-    /// the same trajectory.
-    resume: Option<ResumeSeed>,
-    /// Newest persisted (or resumed-from) checkpoint — the rewind target of
-    /// the supervised recovery ladder.
-    last_ckpt: Option<Checkpoint>,
     /// Step-phase wall-clock accumulator for the current run (reset at the
     /// start of every `try_run*`, merged from each segment's ranks).
     phases: PhaseTimer,
@@ -244,11 +249,6 @@ pub struct Engine {
     /// `Some(n)` once the checkpoint directory has been opened and swept of
     /// orphaned writer tmp files; the sweep runs once per engine.
     orphans_swept: Option<usize>,
-    /// Movable DD cell boundaries + the balancing policy (DESIGN.md §3.8).
-    /// Always present; with `config.dlb == Off` the bounds simply stay
-    /// uniform and `update` is never called. Bounds are trajectory state:
-    /// checkpointed, restored on resume, rewound on replay.
-    dlb: DlbController,
     /// Per-rank load totals of the current run (reset per `try_run*`).
     run_loads: Vec<u64>,
     /// Σ of per-segment maximum loads of the current run.
@@ -266,7 +266,7 @@ impl std::fmt::Debug for Engine {
             .field("backend", &self.config.backend)
             .field("run_mode", &self.config.run_mode)
             .field("world_backend", &self.config.world_backend)
-            .field("frontier_step", &self.resume.as_ref().map(|r| r.step))
+            .field("frontier_step", &self.step)
             .field("leased_world", &self.leased.is_some())
             .finish_non_exhaustive()
     }
@@ -280,16 +280,19 @@ impl Engine {
             system,
             grid,
             config,
+            step: 0,
+            energies: Vec::new(),
+            stats: StatsSnapshot::default(),
+            dlb,
+            corrupt_skipped: 0,
+            last_ckpt: None,
             cached_buffers: None,
             realloc_count: 0,
             chaos: None,
             health,
-            resume: None,
-            last_ckpt: None,
             phases: PhaseTimer::new(),
             leased: None,
             orphans_swept: None,
-            dlb,
             run_loads: Vec::new(),
             run_critical: 0,
             run_dlb_updates: 0,
@@ -309,24 +312,6 @@ impl Engine {
     /// engine.
     fn min_pulses(&self) -> Option<[usize; 3]> {
         self.dlb.min_pulses(self.config.dlb)
-    }
-
-    /// Fold one successful segment's per-rank loads into the run
-    /// accounting and, when DLB is on, shift the boundaries for the next
-    /// segment. Called exactly once per *successful* segment (failed
-    /// attempts never reach the gather), identically on both executors.
-    fn note_segment_loads(&mut self, loads: &[u64]) {
-        if self.run_loads.len() != loads.len() {
-            self.run_loads = vec![0; loads.len()];
-        }
-        for (acc, &w) in self.run_loads.iter_mut().zip(loads) {
-            *acc += w;
-        }
-        self.run_critical += loads.iter().copied().max().unwrap_or(0);
-        if self.config.dlb != DlbMode::Off {
-            self.dlb.update(loads);
-            self.run_dlb_updates += 1;
-        }
     }
 
     /// Build an engine with an automatically chosen DD grid for `n_ranks`,
@@ -396,15 +381,16 @@ impl Engine {
         ck.fingerprint
             .check(&expected)
             .map_err(EngineError::Checkpoint)?;
-        let mut engine = Engine::new(ck.system.clone(), grid, config);
-        engine.dlb.bounds = ck.bounds.clone();
-        engine.resume = Some(ResumeSeed {
-            step: ck.step,
-            energies: ck.energies.clone(),
-            stats: ck.stats,
-            corrupt_skipped,
-        });
-        engine.last_ckpt = Some(ck);
+        // The checkpoint's parts move in; only an engine that can rewind
+        // keeps a copy, as its untouched rewind target.
+        let last_ckpt = config.checkpoint.is_some().then(|| ck.clone());
+        let mut engine = Engine::new(ck.system, grid, config);
+        engine.dlb.bounds = ck.bounds;
+        engine.step = ck.step as usize;
+        engine.energies = ck.energies;
+        engine.stats = ck.stats;
+        engine.corrupt_skipped = corrupt_skipped;
+        engine.last_ckpt = last_ckpt;
         Ok(engine)
     }
 
@@ -421,19 +407,38 @@ impl Engine {
     }
 
     /// Snapshot the trajectory frontier as an in-memory checkpoint — the
-    /// counterpart of [`Engine::resume_from_checkpoint`]. `None` before the
-    /// engine has resumed or completed a run (no frontier exists yet).
-    /// Suspending at a run boundary and resuming on another engine — or
-    /// another worker — is bitwise-equivalent to running straight through.
+    /// counterpart of [`Engine::resume_from_checkpoint`]. Suspending between
+    /// runs (after an `Ok` or an `Err`) and resuming on another engine is
+    /// bitwise-equivalent to running straight through. Always `Some`: an
+    /// engine is its own frontier from construction on (the `Option` is the
+    /// signature callers were written against).
     pub fn suspend(&self) -> Option<Checkpoint> {
-        self.resume.as_ref().map(|seed| Checkpoint {
+        Some(self.checkpoint())
+    }
+
+    /// The frontier as a [`Checkpoint`] — the one place engine state
+    /// becomes one; `suspend` and the cadence write both come here.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
             fingerprint: self.fingerprint(),
-            step: seed.step,
+            step: self.step as u64,
             system: self.system.clone(),
-            energies: seed.energies.clone(),
-            stats: seed.stats,
+            energies: self.energies.clone(),
+            stats: self.stats,
             bounds: self.dlb.bounds.clone(),
-        })
+        }
+    }
+
+    /// Persist the frontier to `cfg.dir` and make it the rewind target. A
+    /// snapshot counts itself, so the tally stays exact across resumes; a
+    /// failed write counts nothing and leaves the frontier where it was.
+    fn write_checkpoint(&mut self, cfg: &CheckpointConfig) -> Result<(), EngineError> {
+        let mut ck = self.checkpoint();
+        ck.stats.checkpoints_written += 1;
+        ck.write_atomic(&cfg.dir).map_err(EngineError::Checkpoint)?;
+        self.stats = ck.stats;
+        self.last_ckpt = Some(ck);
+        Ok(())
     }
 
     /// Attach a world lease: segments run on the leased world (reset
@@ -448,10 +453,29 @@ impl Engine {
 
     /// Detach and return the world lease, if any: the attached one, or the
     /// engine's own solo lease once a segment has run (`None` before that).
-    /// After a failed run the returned lease is poisoned — dropping it frees
-    /// the pool slot without recycling the world.
+    /// The symmetric buffers cached for it go too, so an engine without a
+    /// world holds no symmetric memory. After a failed run the returned
+    /// lease is poisoned — dropping it frees the pool slot without
+    /// recycling the world.
     pub fn take_world(&mut self) -> Option<WorldLease> {
+        self.cached_buffers = None;
         self.leased.take()
+    }
+
+    /// Make the engine ready to replay from its frontier after a terminal
+    /// segment failure: failed peers get a probation trial (the replay runs
+    /// on a fresh world — fresh forks under the procs backend), chaos-killed
+    /// PEs are revived, and the buffers of the abandoned attempt are
+    /// dropped. Chaos op counters are NOT reset — one-shot fault triggers
+    /// stay consumed, so kill schedules advance rather than re-killing every
+    /// replay. Used by the in-run rewind and by a caller that re-runs an
+    /// engine whose `try_run*` returned [`EngineError::SegmentFailed`].
+    pub fn prepare_replay(&mut self) {
+        self.cached_buffers = None;
+        self.health.recover_failed();
+        if let Some(c) = &self.chaos {
+            c.revive_all();
+        }
     }
 
     /// The pool key segments of this engine run under: world backend,
@@ -474,42 +498,15 @@ impl Engine {
         })
     }
 
-    /// Install a pre-built chaos engine ahead of the lazy construction at
-    /// the first segment. A service job that is rescheduled across engines
-    /// must carry ONE chaos engine for its whole lifetime: operation
-    /// counters live in the engine, so a one-shot fault trigger consumed
-    /// before a reschedule stays consumed instead of re-firing in every
-    /// fresh [`Engine`].
-    pub fn preset_chaos(&mut self, chaos: Arc<ChaosEngine>) {
-        self.chaos = Some(chaos);
-    }
-
-    /// `(step, corrupt files skipped)` of the resume point, when this engine
-    /// was built by [`Engine::resume_from`]/[`Engine::resume_latest`] (or
-    /// has completed a resumed run — then it reflects the current frontier).
+    /// `(steps completed, corrupt files skipped while resolving the resume
+    /// point)` of the frontier. Always `Some`, like [`Engine::suspend`].
     pub fn resumed(&self) -> Option<(u64, usize)> {
-        self.resume.as_ref().map(|r| (r.step, r.corrupt_skipped))
+        Some((self.step as u64, self.corrupt_skipped))
     }
 
     /// The configuration identity a checkpoint of this engine would carry.
     pub fn fingerprint(&self) -> ConfigFingerprint {
         ConfigFingerprint::of(&self.config, self.grid.dims, self.system.n_atoms())
-    }
-
-    fn make_checkpoint(
-        &self,
-        step: u64,
-        energies: &[EnergyReport],
-        recovery: &RecoveryLog,
-    ) -> Checkpoint {
-        Checkpoint {
-            fingerprint: self.fingerprint(),
-            step,
-            system: self.system.clone(),
-            energies: energies.to_vec(),
-            stats: recovery.durable,
-            bounds: self.dlb.bounds.clone(),
-        }
     }
 
     /// Peer health: every peer `Healthy` until a run records otherwise.
@@ -551,11 +548,12 @@ impl Engine {
 
     /// Fallible [`Engine::run_with_observer`].
     ///
-    /// On a resumed engine, `n_steps` means *additional* steps and the
-    /// returned stats describe the whole trajectory (`steps` = resume
-    /// point + `n_steps`, `energies` = full per-step history) so an
-    /// interrupted run reads bitwise-identically to one that never
-    /// crashed.
+    /// `n_steps` means *additional* steps: numbering continues from the
+    /// frontier, and the returned stats describe the whole trajectory
+    /// (`steps` = frontier + `n_steps`, `energies` = full per-step history),
+    /// so an interrupted run reads bitwise-identically to one that never
+    /// crashed. On `Err` the frontier stays at the last segment boundary
+    /// reached and the engine can be run again.
     ///
     /// With [`EngineConfig::checkpoint`] set, a snapshot is persisted every
     /// `every_segments` neighbour-search segments, and a segment that fails
@@ -575,136 +573,91 @@ impl Engine {
         self.run_loads.clear();
         self.run_critical = 0;
         self.run_dlb_updates = 0;
-        let had_seed = self.resume.is_some();
-        let (base, mut energies, corrupt_skipped, mut recovery) = match self.resume.take() {
-            Some(seed) => (
-                seed.step as usize,
-                seed.energies,
-                seed.corrupt_skipped,
-                RecoveryLog {
-                    durable: seed.stats,
-                    ..RecoveryLog::default()
-                },
-            ),
-            None => (0, Vec::new(), 0, RecoveryLog::default()),
-        };
-        let target = base + n_steps;
+        let mut log = RecoveryLog::default();
+        let target = self.step + n_steps;
         let ckpt_cfg = self.config.checkpoint.clone();
-        let max_recoveries = ckpt_cfg.as_ref().map_or(0, |c| c.max_recoveries);
-        // First touch of the checkpoint directory: sweep orphaned
-        // `.ckpt-*.hxck.tmp.<pid>` files another writer left behind when it
-        // crashed between create and rename (once per engine; surfaced as
-        // `RunStats::orphan_tmp_swept`).
         if let Some(cfg) = &ckpt_cfg {
+            // First touch of the checkpoint directory: sweep orphaned
+            // `.ckpt-*.hxck.tmp.<pid>` files another writer left behind when
+            // it crashed between create and rename (once per engine;
+            // surfaced as `RunStats::orphan_tmp_swept`).
             if self.orphans_swept.is_none() {
                 self.orphans_swept = Some(Checkpoint::sweep_orphan_tmp(&cfg.dir));
             }
-        }
-        // Baseline snapshot: before any steps run there must already be a
-        // rewind target, so even a first-segment terminal failure recovers.
-        if let Some(cfg) = &ckpt_cfg {
+            // Baseline snapshot: before any steps run there must already be
+            // a rewind target, so even a first-segment terminal failure
+            // recovers.
             if self.last_ckpt.is_none() {
-                // Counter first: a snapshot counts itself, so the tally
-                // stays exact across resumes.
-                recovery.durable.checkpoints_written += 1;
-                let ck = self.make_checkpoint(base as u64, &energies, &recovery);
-                ck.write_atomic(&cfg.dir).map_err(EngineError::Checkpoint)?;
-                self.last_ckpt = Some(ck);
+                self.write_checkpoint(cfg)?;
             }
         }
-        let mut done = base;
         let mut seg_index = 0usize;
-        let mut recoveries_left = max_recoveries;
-        while done < target {
-            let segment = self.config.nstlist.min(target - done);
-            match self.run_segment_with_recovery(segment, done, &mut recovery) {
-                Ok(seg_energies) => {
-                    energies.extend(seg_energies);
-                    done += segment;
+        let mut recoveries_left = ckpt_cfg.as_ref().map_or(0, |c| c.max_recoveries);
+        while self.step < target {
+            let segment = self.config.nstlist.min(target - self.step);
+            match self.run_segment_with_recovery(segment, &mut log) {
+                Ok(()) => {
                     seg_index += 1;
-                    observer(done, &self.system);
+                    observer(self.step, &self.system);
                     if let Some(cfg) = &ckpt_cfg {
                         if seg_index.is_multiple_of(cfg.every_segments.max(1)) {
-                            recovery.durable.checkpoints_written += 1;
-                            let ck = self.make_checkpoint(done as u64, &energies, &recovery);
-                            ck.write_atomic(&cfg.dir).map_err(EngineError::Checkpoint)?;
+                            self.write_checkpoint(cfg)?;
                             Checkpoint::prune(&cfg.dir, cfg.keep.max(1));
-                            self.last_ckpt = Some(ck);
                         }
                     }
                 }
                 Err(EngineError::SegmentFailed { .. })
-                    if recoveries_left > 0
-                        && let Some(ck) = &self.last_ckpt =>
+                    if recoveries_left > 0 && self.last_ckpt.is_some() =>
                 {
-                    // Supervised rewind-and-replay: the last rung of the
-                    // failure ladder (DESIGN.md §3.6). The failed segment
-                    // never gathered into `self.system`, so restoring the
-                    // checkpointed system + energy history rewinds the
-                    // trajectory to a coherent boundary; a fresh world
-                    // (fresh forks under the procs backend) replays from
-                    // there. Failed peers get a probation trial, and chaos
-                    // op counters are NOT reset — one-shot fault triggers
-                    // stay consumed, so kill schedules advance rather than
-                    // re-killing every replay.
                     recoveries_left -= 1;
-                    recovery.durable.recoveries += 1;
-                    recovery.durable.rewound_steps += done - ck.step as usize;
-                    done = ck.step as usize;
                     seg_index = 0;
-                    self.system = ck.system.clone();
-                    energies.clone_from(&ck.energies);
-                    // Boundaries are trajectory state like the system: the
-                    // replay must repartition exactly as the first pass did.
-                    self.dlb.bounds = ck.bounds.clone();
-                    self.cached_buffers = None;
-                    self.health.recover_failed();
-                    if let Some(c) = &self.chaos {
-                        c.revive_all();
-                    }
+                    self.rewind();
                 }
                 Err(e) => return Err(e),
             }
         }
         let wall = t0.elapsed().as_secs_f64();
-        // A resumed (or checkpointing) engine stays trajectory-continuous:
-        // another `run(n)` on it extends from the frontier just reached,
-        // with durable step numbering. `had_seed` (not `base > 0`) keeps an
-        // engine resumed at step 0 — a service job's baseline checkpoint —
-        // refreshing its seed, so `suspend` works after the first slice.
-        if had_seed || ckpt_cfg.is_some() {
-            self.resume = Some(ResumeSeed {
-                step: done as u64,
-                energies: energies.clone(),
-                stats: recovery.durable,
-                corrupt_skipped,
-            });
-        }
         Ok(RunStats {
-            steps: target,
+            steps: self.step,
             wall_seconds: wall,
             ns_per_day: if wall > 0.0 {
                 (n_steps as f64 * self.config.dt_ps as f64 * 1e-3) / (wall / 86_400.0)
             } else {
                 0.0
             },
-            energies,
-            retries: recovery.durable.retries,
-            downgrades: recovery.downgrades,
-            stall_reports: recovery.stall_reports,
-            degraded_steps: recovery.durable.degraded_steps,
-            repromotions: recovery.durable.repromotions,
+            energies: self.energies.clone(),
+            retries: self.stats.retries,
+            downgrades: log.downgrades,
+            stall_reports: log.stall_reports,
+            degraded_steps: self.stats.degraded_steps,
+            repromotions: self.stats.repromotions,
             faults_injected: self.chaos.as_ref().map_or(0, |c| c.report().total()),
-            recoveries: recovery.durable.recoveries,
-            rewound_steps: recovery.durable.rewound_steps,
-            checkpoints_written: recovery.durable.checkpoints_written,
-            corrupt_checkpoints_skipped: corrupt_skipped,
+            recoveries: self.stats.recoveries,
+            rewound_steps: self.stats.rewound_steps,
+            checkpoints_written: self.stats.checkpoints_written,
+            corrupt_checkpoints_skipped: self.corrupt_skipped,
             orphan_tmp_swept: self.orphans_swept.unwrap_or(0),
             phases: self.phases.clone(),
             rank_loads: self.run_loads.clone(),
             critical_load: self.run_critical,
             dlb_updates: self.run_dlb_updates,
         })
+    }
+
+    /// Supervised rewind: the last rung of the failure ladder (DESIGN.md
+    /// §3.6). Move the frontier back to the rewind target — system, energy
+    /// history and boundaries, so the replay repartitions exactly as the
+    /// first pass did — and prepare the replay. The durable counters are
+    /// not rewound: they record the recovery itself.
+    fn rewind(&mut self) {
+        let Some(ck) = &self.last_ckpt else { return };
+        self.stats.recoveries += 1;
+        self.stats.rewound_steps += self.step - ck.step as usize;
+        self.step = ck.step as usize;
+        self.system = ck.system.clone();
+        self.energies.clone_from(&ck.energies);
+        self.dlb.bounds = ck.bounds.clone();
+        self.prepare_replay();
     }
 
     /// One segment through the degradation ladder: attempt on the
@@ -715,14 +668,14 @@ impl Engine {
     fn run_segment_with_recovery(
         &mut self,
         steps: usize,
-        at_step: usize,
-        recovery: &mut RecoveryLog,
-    ) -> Result<Vec<EnergyReport>, EngineError> {
-        // The chaos engine is built lazily, once per engine (unless preset).
+        log: &mut RecoveryLog,
+    ) -> Result<(), EngineError> {
+        // The chaos engine is built lazily, once per engine.
         if let (None, Some(plan)) = (&self.chaos, &self.config.chaos) {
             let n_ranks = self.grid.dims.iter().product();
             self.chaos = Some(Arc::new(ChaosEngine::new(plan.clone(), n_ranks)));
         }
+        let at_step = self.step;
         let primary = self.config.backend;
         let wd_cfg = self.config.watchdog;
         let fallback = wd_cfg.fallback;
@@ -735,14 +688,14 @@ impl Engine {
         let mut attempt = 0;
         loop {
             match self.run_segment(steps, backend) {
-                Ok(seg_energies) => {
+                Ok(()) => {
                     if backend == primary {
-                        recovery.durable.repromotions += self.health.record_primary_success();
+                        self.stats.repromotions += self.health.record_primary_success();
                     } else {
-                        recovery.durable.degraded_steps += steps;
+                        self.stats.degraded_steps += steps;
                         self.health.record_fallback_success(wd_cfg.repromote_after);
                     }
-                    return Ok(seg_energies);
+                    return Ok(());
                 }
                 Err(SegmentFailure::Plan(e)) => {
                     // A mis-decomposed system: no retry or transport change
@@ -767,7 +720,7 @@ impl Engine {
                             died.push(*peer);
                         }
                         if let Some(r) = e.stall() {
-                            recovery.stall_reports.push(r.clone());
+                            log.stall_reports.push(r.clone());
                         }
                     }
                     suspects.sort_unstable();
@@ -787,7 +740,7 @@ impl Engine {
                     }
                     if died.is_empty() && attempt < wd_cfg.max_retries {
                         attempt += 1;
-                        recovery.durable.retries += 1;
+                        self.stats.retries += 1;
                         std::thread::sleep(wd_cfg.backoff);
                         continue;
                     }
@@ -797,7 +750,7 @@ impl Engine {
                         for &p in &suspects {
                             health.quarantine(p);
                         }
-                        recovery.downgrades.push(Downgrade {
+                        log.downgrades.push(Downgrade {
                             at_step,
                             from: backend,
                             to: fallback,
@@ -818,14 +771,14 @@ impl Engine {
     }
 
     /// One neighbour-search segment on one transport: partition, the step
-    /// program of [`crate::step`] on every rank, gather. A failed attempt
-    /// leaves `self.system` untouched (home atoms are gathered only when
+    /// program of [`crate::step`] on every rank, then advance the frontier.
+    /// A failed attempt leaves the frontier untouched (it moves only when
     /// every rank succeeds), so the caller can retry on a fresh world.
     fn run_segment(
         &mut self,
         steps: usize,
         backend: ExchangeBackend,
-    ) -> Result<Vec<EnergyReport>, SegmentFailure> {
+    ) -> Result<(), SegmentFailure> {
         let mut cfg = self.config.clone();
         cfg.backend = backend;
         let part = try_build_partition_with(
@@ -848,27 +801,47 @@ impl Engine {
             RunMode::Threaded => self.run_pes(&part, &cfg, steps)?,
         };
 
-        // Gather home atoms back into the global system, folding energies
-        // and loads in rank order.
-        let mut energies = vec![EnergyReport::default(); steps];
-        let mut loads = Vec::with_capacity(n_ranks);
-        for (plan, r) in part.ranks.iter().zip(&ranks) {
+        self.advance_frontier(&part, &ranks, steps);
+        Ok(())
+    }
+
+    /// The one place the frontier moves forward, called exactly once per
+    /// *successful* segment, identically on both executors: gather home
+    /// atoms back into the global system, append the segment's energies
+    /// (folded in rank order), count the steps, fold the per-rank loads
+    /// into the run accounting and, when DLB is on, shift the boundaries
+    /// for the next segment.
+    fn advance_frontier(&mut self, part: &DdPartition, ranks: &[RankResult], steps: usize) {
+        let base = self.energies.len();
+        self.energies.resize(base + steps, EnergyReport::default());
+        let mut loads = Vec::with_capacity(ranks.len());
+        for (plan, r) in part.ranks.iter().zip(ranks) {
             self.phases.merge(&r.phases);
             loads.push(r.work);
             for (k, &g) in plan.global_ids[..plan.n_home].iter().enumerate() {
                 self.system.positions[g as usize] = self.system.pbc.wrap(r.positions[k]);
                 self.system.velocities[g as usize] = r.velocities[k];
             }
-            for (s, e) in r.energies.iter().enumerate() {
-                energies[s].nonbonded += e.nonbonded;
-                energies[s].bonds += e.bonds;
-                energies[s].angles += e.angles;
-                energies[s].kinetic += e.kinetic;
-                energies[s].virial += e.virial;
+            for (total, e) in self.energies[base..].iter_mut().zip(&r.energies) {
+                total.nonbonded += e.nonbonded;
+                total.bonds += e.bonds;
+                total.angles += e.angles;
+                total.kinetic += e.kinetic;
+                total.virial += e.virial;
             }
         }
-        self.note_segment_loads(&loads);
-        Ok(energies)
+        self.step += steps;
+        if self.run_loads.len() != loads.len() {
+            self.run_loads = vec![0; loads.len()];
+        }
+        for (acc, &w) in self.run_loads.iter_mut().zip(&loads) {
+            *acc += w;
+        }
+        self.run_critical += loads.iter().copied().max().unwrap_or(0);
+        if self.config.dlb != DlbMode::Off {
+            self.dlb.update(&loads);
+            self.run_dlb_updates += 1;
+        }
     }
 
     /// The [`RunMode::Threaded`] executor of one segment attempt: one PE
@@ -1661,6 +1634,144 @@ mod tests {
         // The revived peer served its probation and is healthy again.
         let health = engine.health();
         assert_eq!(health.state(1), crate::health::PeerState::Healthy);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two one-shot kills of PE 1: the first after `first` of its ops, the
+    /// second `gap` ops into whatever runs after the revival (a dead PE's
+    /// ops are not counted). On [2,2,1] with `nstlist = 5` a segment is
+    /// some 40 ops, so (140, 60) kills in the fourth segment and again in
+    /// the fourth segment of the replay.
+    fn two_kills(first: u64, gap: u64) -> halox_shmem::FaultPlan {
+        use halox_shmem::{FaultKind, FaultOp, FaultPlan, FaultRule};
+        FaultPlan {
+            name: "kill-twice".into(),
+            seed: 7,
+            rules: [first, first + gap]
+                .into_iter()
+                .map(|after_ops| FaultRule {
+                    pe: Some(1),
+                    op: FaultOp::Any,
+                    after_ops,
+                    every: None,
+                    kind: FaultKind::KillPe,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn engine_is_usable_after_a_failed_run() {
+        use crate::config::CheckpointConfig;
+        // Fallback pinned, no retries, ONE rewind per call and two kills:
+        // the first is absorbed by a rewind, the second — in the replay —
+        // exhausts the headroom, so `try_run(40)` fails after good segments.
+        // The engine must then sit at the last good boundary with its step,
+        // energy history and counters intact: a second `try_run` for the
+        // remaining steps (which starts against the still-dead peer, so it
+        // rewinds once more — the `done - ck.step` that used to underflow)
+        // finishes the same trajectory an uninterrupted engine produces.
+        let sys = relaxed_system(3000, 98);
+        let dir = ckpt_dir("after-failure");
+        let mk_cfg = |ckpt: Option<CheckpointConfig>| {
+            let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+            cfg.nstlist = 5;
+            cfg.watchdog.deadline = std::time::Duration::from_millis(150);
+            cfg.watchdog.max_retries = 0;
+            cfg.watchdog.fallback = ExchangeBackend::NvshmemFused;
+            cfg.checkpoint = ckpt;
+            cfg
+        };
+        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), mk_cfg(None));
+        let ref_stats = reference.run(40);
+
+        let mut ckpt = CheckpointConfig::in_dir(&dir);
+        ckpt.every_segments = 2;
+        ckpt.max_recoveries = 1;
+        let mut cfg = mk_cfg(Some(ckpt));
+        cfg.chaos = Some(two_kills(140, 60));
+        let mut engine = Engine::new(sys, DdGrid::new([2, 2, 1]), cfg);
+        let err = engine.try_run(40).expect_err("two kills, one rewind");
+        let EngineError::SegmentFailed { at_step, .. } = err else {
+            panic!("expected SegmentFailed, got {err}");
+        };
+        assert!((5..40).contains(&at_step), "failed at step {at_step}");
+        assert_eq!(at_step % 5, 0, "the frontier is a segment boundary");
+        // The failed run left a coherent frontier behind.
+        let parked = engine.suspend().expect("an engine is its own frontier");
+        assert_eq!(parked.step as usize, at_step);
+        assert_eq!(parked.energies.len(), at_step);
+        assert_eq!(parked.stats.recoveries, 1);
+        assert_same_trajectory(
+            &parked.system,
+            &engine.system,
+            &ref_stats.energies[..at_step],
+            &parked.energies,
+        );
+
+        let stats = engine
+            .try_run(40 - at_step)
+            .expect("the same engine finishes the trajectory");
+        assert_eq!(stats.steps, 40);
+        assert_eq!(stats.recoveries, 2, "the dead peer costs one more rewind");
+        assert!(stats.rewound_steps <= 40, "{}", stats.rewound_steps);
+        assert_same_trajectory(
+            &reference.system,
+            &engine.system,
+            &ref_stats.energies,
+            &stats.energies,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_write_error_leaves_the_boundary_just_reached() {
+        use crate::config::CheckpointConfig;
+        // The checkpoint directory turns into a plain file after the first
+        // segment, so that segment's cadence write fails. The `Err` must
+        // leave step, energies and counters at the boundary just reached —
+        // only the snapshot is missing — and once the directory is back the
+        // same engine continues the trajectory.
+        let sys = relaxed_system(3000, 99);
+        let dir = ckpt_dir("unwritable");
+        let mk_cfg = |ckpt: Option<CheckpointConfig>| {
+            let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+            cfg.nstlist = 5;
+            cfg.run_mode = RunMode::Serial;
+            cfg.checkpoint = ckpt;
+            cfg
+        };
+        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), mk_cfg(None));
+        let ref_stats = reference.run(10);
+
+        let cfg = mk_cfg(Some(CheckpointConfig::in_dir(&dir)));
+        let mut engine = Engine::new(sys, DdGrid::new([2, 2, 1]), cfg);
+        let err = engine
+            .try_run_with_observer(10, |done, _| {
+                assert_eq!(done, 5, "the run must stop at the failed write");
+                std::fs::remove_dir_all(&dir).unwrap();
+                std::fs::write(&dir, b"not a directory").unwrap();
+            })
+            .expect_err("the cadence write cannot succeed");
+        assert!(
+            matches!(err, EngineError::Checkpoint(CheckpointError::Io(_))),
+            "{err}"
+        );
+        let parked = engine.suspend().expect("an engine is its own frontier");
+        assert_eq!(parked.step, 5);
+        assert_eq!(parked.energies.len(), 5);
+        assert_eq!(parked.stats.checkpoints_written, 1, "the baseline only");
+
+        std::fs::remove_file(&dir).unwrap();
+        let stats = engine.run(5);
+        assert_eq!(stats.steps, 10);
+        assert_eq!(stats.checkpoints_written, 2, "baseline + step 10");
+        assert_same_trajectory(
+            &reference.system,
+            &engine.system,
+            &ref_stats.energies,
+            &stats.energies,
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,19 +1,15 @@
 //! A trajectory as a schedulable value.
 //!
-//! [`Job`] owns what `Engine` used to own per-process — config, system,
-//! energy history, chaos engine, recovery counters — with the trajectory
-//! frontier held as an in-memory [`Checkpoint`]. Each dispatch builds an
-//! engine from the frontier, runs one slice on a leased world, and suspends
-//! back into the checkpoint, so a job can hop workers (and worlds) between
-//! slices while staying bitwise-identical to a solo run.
+//! [`Job`] owns one [`Engine`] for its whole lifetime — the engine *is* the
+//! trajectory frontier (DESIGN.md §3.6) — and lends it a leased world for
+//! one slice at a time. Between slices the job is parked: no world, no
+//! symmetric buffers, just the gathered system and its history, so a job
+//! can hop workers (and worlds) between slices while staying
+//! bitwise-identical to a solo run.
 
 use halox_dd::DdGrid;
-use halox_engine::{
-    Checkpoint, Engine, EngineConfig, EngineError, StatsSnapshot, WorldKey, WorldLease,
-};
+use halox_engine::{Engine, EngineConfig, EngineError, RunStats, WorldKey, WorldLease};
 use halox_md::{EnergyReport, System};
-use halox_shmem::ChaosEngine;
-use std::sync::Arc;
 
 pub type JobId = u64;
 
@@ -56,26 +52,20 @@ pub struct JobSpec {
     pub priority: Priority,
 }
 
-/// One admitted trajectory: frontier checkpoint plus the durable run state
-/// that must outlive any single engine (chaos engine, recovery counters).
+/// One admitted trajectory: its engine, plus what the service schedules by.
 pub struct Job {
     id: JobId,
     name: String,
     priority: Priority,
-    config: EngineConfig,
     steps_total: usize,
     key: WorldKey,
-    /// Trajectory frontier, always at a segment boundary (or the job end).
-    state: Checkpoint,
-    /// ONE chaos engine for the job's whole lifetime: operation counters
-    /// (and thus one-shot fault triggers) must survive reschedules, or a
-    /// consumed `KillPe` would re-fire in every fresh engine and the job
-    /// could never make progress.
-    chaos: Option<Arc<ChaosEngine>>,
-    /// Times this job was rewound to its frontier and re-queued after a
-    /// failed slice (the service increments this).
+    /// The trajectory, always at a segment boundary (or the job end). Its
+    /// chaos engine and health board live as long as the job, so a one-shot
+    /// fault trigger consumed before a reschedule stays consumed.
+    engine: Engine,
+    /// Times this job was re-queued after a failed slice (the service
+    /// increments this).
     pub reschedules: usize,
-    recoveries: usize,
 }
 
 impl std::fmt::Debug for Job {
@@ -84,56 +74,27 @@ impl std::fmt::Debug for Job {
             .field("id", &self.id)
             .field("name", &self.name)
             .field("priority", &self.priority)
-            .field("step", &self.state.step)
+            .field("step", &self.step())
             .field("steps_total", &self.steps_total)
             .field("reschedules", &self.reschedules)
-            .field("chaotic", &self.chaos.is_some())
+            .field("chaotic", &self.engine.config.chaos.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Job {
     /// Admit a spec: validate that the system decomposes on its grid (the
-    /// same typed errors a run would surface), fix the world key, build the
-    /// job's chaos engine if the config carries a fault plan, and take the
-    /// step-0 baseline as the initial frontier.
+    /// same typed errors a run would surface) and fix the world key.
     pub fn new(id: JobId, spec: JobSpec) -> Result<Self, EngineError> {
-        let JobSpec {
-            name,
-            system,
-            grid,
-            config,
-            steps,
-            priority,
-        } = spec;
-        let engine = Engine::new(system, DdGrid::new(grid), config.clone());
-        let key = engine.world_key()?;
-        let chaos = config
-            .chaos
-            .as_ref()
-            .map(|plan| Arc::new(ChaosEngine::new(plan.clone(), key.topology.npes)));
-        // Step-0 baseline: boundaries have not moved yet (a resumed
-        // slice carries the engine's shifted bounds via `suspend`).
-        let bounds = engine.bounds().clone();
-        let state = Checkpoint {
-            fingerprint: engine.fingerprint(),
-            step: 0,
-            system: engine.system,
-            energies: Vec::new(),
-            stats: StatsSnapshot::default(),
-            bounds,
-        };
+        let engine = Engine::new(spec.system, DdGrid::new(spec.grid), spec.config);
         Ok(Job {
             id,
-            name,
-            priority,
-            config,
-            steps_total: steps,
-            key,
-            state,
-            chaos,
+            name: spec.name,
+            priority: spec.priority,
+            steps_total: spec.steps,
+            key: engine.world_key()?,
+            engine,
             reschedules: 0,
-            recoveries: 0,
         })
     }
 
@@ -154,9 +115,9 @@ impl Job {
         self.key
     }
 
-    /// Steps completed (the frontier).
+    /// Steps completed (the engine's frontier).
     pub fn step(&self) -> usize {
-        self.state.step as usize
+        self.engine.resumed().map_or(0, |(step, _)| step as usize)
     }
 
     pub fn steps_total(&self) -> usize {
@@ -167,12 +128,6 @@ impl Job {
         self.step() >= self.steps_total
     }
 
-    /// Rewind-and-replay recoveries absorbed *inside* slices (distinct from
-    /// `reschedules`, which rewinds happen *between* slices).
-    pub fn recoveries(&self) -> usize {
-        self.recoveries
-    }
-
     /// The next slice length: at most `max_steps`, rounded down to whole
     /// neighbour-search segments so suspension lands on a segment boundary
     /// — a mid-segment suspend would change repartition points and break
@@ -180,64 +135,40 @@ impl Job {
     /// partial segment (the solo run ends on the same partial segment).
     pub fn next_slice(&self, max_steps: usize) -> usize {
         let remaining = self.steps_total.saturating_sub(self.step());
-        let nst = self.config.nstlist.max(1);
+        let nst = self.engine.config.nstlist.max(1);
         let aligned = (max_steps / nst).max(1) * nst;
         remaining.min(aligned)
     }
 
-    /// Run one slice on `lease`: build an engine at the frontier, advance,
-    /// suspend back. On success the frontier moves; on failure it stays put
-    /// (the engine never gathered a failed segment) and the lease comes
-    /// back poisoned — the caller re-queues the job, and its next slice
-    /// replays from the same frontier on a fresh world.
+    /// Run one slice on `lease` and park again: the lease is back with its
+    /// pool (poisoned, after a failure) before this returns. Every segment
+    /// that completed moved the frontier, so after an `Err` the job sits at
+    /// its last good segment, ready to replay from there on a fresh world —
+    /// the caller only has to re-queue it. The stats are the engine's:
+    /// cumulative over the job, like a solo run's.
     pub fn advance(
         &mut self,
         lease: WorldLease,
         max_steps: usize,
-    ) -> (WorldLease, Result<usize, EngineError>) {
+    ) -> Result<RunStats, EngineError> {
         let slice = self.next_slice(max_steps);
-        let mut engine =
-            match Engine::resume_from_checkpoint(self.state.clone(), self.config.clone()) {
-                Ok(e) => e,
-                Err(e) => return (lease, Err(e)),
-            };
-        if let Some(chaos) = &self.chaos {
-            engine.preset_chaos(Arc::clone(chaos));
+        self.engine.attach_world(lease);
+        let result = self.engine.try_run(slice);
+        drop(self.engine.take_world());
+        if result.is_err() {
+            self.engine.prepare_replay();
         }
-        engine.attach_world(lease);
-        let result = engine.try_run(slice);
-        let lease = engine.take_world().expect("lease attached above");
-        match result {
-            Ok(stats) => {
-                // Counters from the snapshot are cumulative across slices.
-                self.recoveries = stats.recoveries;
-                self.state = engine
-                    .suspend()
-                    .expect("a resumed engine refreshes its seed at run end");
-                (lease, Ok(slice))
-            }
-            Err(e) => {
-                // Revive chaos-killed PEs so the replay on a fresh lease can
-                // make progress; one-shot triggers stay consumed (the op
-                // counters live in the engine we keep).
-                if let Some(chaos) = &self.chaos {
-                    chaos.revive_all();
-                }
-                (lease, Err(e))
-            }
-        }
-    }
-
-    /// Faults this job's chaos engine has injected so far (0 without a
-    /// fault plan).
-    pub fn faults_injected(&self) -> u64 {
-        self.chaos.as_ref().map_or(0, |c| c.report().total())
+        result
     }
 
     /// Consume the finished job into its final system and full per-step
     /// energy history.
     pub fn into_result(self) -> (System, Vec<EnergyReport>) {
-        (self.state.system, self.state.energies)
+        let energies = self
+            .engine
+            .suspend()
+            .map_or_else(Vec::new, |ck| ck.energies);
+        (self.engine.system, energies)
     }
 }
 
@@ -283,9 +214,7 @@ mod tests {
         let mut job = Job::new(1, spec("sliced", &sys, 12)).unwrap();
         let mut slices = 0;
         while !job.done() {
-            let lease = WorldLease::solo(job.key());
-            let (_lease, res) = job.advance(lease, 5);
-            res.unwrap();
+            job.advance(WorldLease::solo(job.key()), 5).unwrap();
             slices += 1;
         }
         // 5 + 5 + 2: the final slice is the trailing partial segment.

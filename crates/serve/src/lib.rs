@@ -4,10 +4,11 @@
 //! Production MD is a fleet: hundreds of independent jobs of varying size and
 //! priority sharing a fixed set of PE resources. This crate multiplexes them:
 //!
-//! - [`Job`] — a trajectory as a value: config + frontier checkpoint,
-//!   suspendable at segment boundaries via the engine's checkpoint machinery
-//!   and resumable on any worker, bitwise-identical to running straight
-//!   through.
+//! - [`Job`] — a trajectory as a value: it owns one engine, which is its own
+//!   frontier, and lends it a leased world for one slice at a time; parked
+//!   at a segment boundary it holds no world and no symmetric memory, and
+//!   any worker can run its next slice, bitwise-identical to running
+//!   straight through.
 //! - [`halox_shmem::WorldPool`] (shmem layer) — worlds are leased and reset
 //!   between tenants instead of built per run; a failed run poisons its lease
 //!   so the next tenant gets a fresh world.
@@ -15,8 +16,8 @@
 //!   `gpusim` cost models predicts per-step time before a job is accepted)
 //!   and weighted fair-share scheduling across priorities.
 //! - Reschedule-not-fail: a job whose world hits a dead PE or the terminal
-//!   `Failed` health rung is rewound to its frontier checkpoint and
-//!   rescheduled onto a fresh lease; per-job counters are surfaced through
+//!   `Failed` health rung stays at its last good segment and is rescheduled
+//!   onto a fresh lease; per-job counters are surfaced through
 //!   [`JobHandle::status`]/[`JobHandle::wait`].
 //!
 //! DESIGN.md §3.7 documents the lifecycle and scheduling contracts;

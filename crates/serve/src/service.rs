@@ -11,7 +11,7 @@
 
 use crate::estimator::AdmissionEstimator;
 use crate::job::{Job, JobId, JobSpec, Priority};
-use halox_engine::EngineError;
+use halox_engine::{EngineError, RunStats};
 use halox_gpusim::MachineModel;
 use halox_md::{EnergyReport, System};
 use halox_shmem::{PoolStats, WorldPool};
@@ -110,8 +110,9 @@ pub struct JobStatus {
     pub priority: Priority,
     pub steps_done: usize,
     pub steps_total: usize,
-    /// Rewind-to-frontier reschedules (the fault story's currency: a dead
-    /// PE costs a reschedule, never the job).
+    /// Reschedules after a failed slice, each a replay from the job's last
+    /// good segment (the fault story's currency: a dead PE costs a
+    /// reschedule, never the job).
     pub reschedules: usize,
     /// In-slice rewind-and-replay recoveries absorbed by the engine.
     pub recoveries: usize,
@@ -135,6 +136,21 @@ pub struct JobResult {
 struct SlotInner {
     status: JobStatus,
     result: Option<JobResult>,
+}
+
+impl SlotInner {
+    /// The one place a dispatched job's progress becomes visible: every
+    /// status field that moves after the first dispatch is written here,
+    /// from the job and its slice's outcome.
+    fn publish(&mut self, job: &Job, state: JobState, outcome: Result<&RunStats, String>) {
+        self.status.state = state;
+        self.status.steps_done = job.step();
+        self.status.reschedules = job.reschedules;
+        match outcome {
+            Ok(stats) => self.status.recoveries = stats.recoveries,
+            Err(error) => self.status.error = Some(error),
+        }
+    }
 }
 
 struct Slot {
@@ -361,71 +377,46 @@ fn worker_loop(
             }
             inner.status.state = JobState::Running;
         }
-        let lease = pool.lease(entry.job.key());
-        let (lease, outcome) = entry.job.advance(lease, slice_steps);
-        // Return the world (or free the poisoned slot) before queue work,
-        // so a blocked worker can proceed immediately.
-        drop(lease);
-        match outcome {
-            Ok(slice) if entry.job.done() => {
-                let mut inner = entry.slot.m.lock().unwrap();
-                inner.status.state = JobState::Done;
-                inner.status.steps_done = entry.job.step();
-                inner.status.reschedules = entry.job.reschedules;
-                inner.status.recoveries = entry.job.recoveries();
-                let (system, energies) = entry.job.into_result();
-                inner.result = Some(JobResult { system, energies });
-                drop(inner);
-                entry.slot.cv.notify_all();
-                let _ = slice;
-                finish_dispatch(&shared);
-            }
-            Ok(slice) => {
-                entry.vtime += entry.predicted_step_ns as u128 * slice as u128
-                    / entry.job.priority().weight() as u128;
-                {
-                    let mut inner = entry.slot.m.lock().unwrap();
-                    inner.status.steps_done = entry.job.step();
-                    inner.status.recoveries = entry.job.recoveries();
-                }
-                requeue(&shared, entry);
-            }
+        let before = entry.job.step();
+        // The lease is back with the pool (or its poisoned slot freed) when
+        // `advance` returns, so a blocked worker can proceed immediately.
+        let outcome = entry.job.advance(pool.lease(entry.job.key()), slice_steps);
+        // Fair share charges the steps that stuck, failed slice or not.
+        entry.vtime += entry.predicted_step_ns as u128 * (entry.job.step() - before) as u128
+            / entry.job.priority().weight() as u128;
+        let (state, outcome) = match &outcome {
+            Ok(stats) if entry.job.done() => (JobState::Done, Ok(stats)),
+            Ok(stats) => (JobState::Running, Ok(stats)),
+            // Reschedule, not fail: the job sits at its last good segment
+            // and the next dispatch replays from there on a fresh world.
             Err(e) if entry.job.reschedules < max_reschedules => {
-                // Reschedule, not fail: frontier unchanged, lease poisoned
-                // and gone; the next dispatch replays on a fresh world.
                 entry.job.reschedules += 1;
-                {
-                    let mut inner = entry.slot.m.lock().unwrap();
-                    inner.status.reschedules = entry.job.reschedules;
-                    inner.status.error = Some(format!("rescheduled after: {e}"));
-                }
-                requeue(&shared, entry);
+                (JobState::Running, Err(format!("rescheduled after: {e}")))
             }
-            Err(e) => {
-                let mut inner = entry.slot.m.lock().unwrap();
-                inner.status.state = JobState::Failed;
-                inner.status.steps_done = entry.job.step();
-                inner.status.reschedules = entry.job.reschedules;
-                inner.status.error = Some(e.to_string());
-                drop(inner);
-                entry.slot.cv.notify_all();
-                finish_dispatch(&shared);
-            }
+            Err(e) => (JobState::Failed, Err(e.to_string())),
+        };
+        let mut inner = entry.slot.m.lock().unwrap();
+        inner.publish(&entry.job, state, outcome);
+        if state == JobState::Running {
+            drop(inner);
+            finish_dispatch(&shared, Some(entry));
+            continue;
         }
+        if state == JobState::Done {
+            let (system, energies) = entry.job.into_result();
+            inner.result = Some(JobResult { system, energies });
+        }
+        drop(inner);
+        entry.slot.cv.notify_all();
+        finish_dispatch(&shared, None);
     }
 }
 
-fn requeue(shared: &Shared, entry: QueuedJob) {
+/// A worker is done with its job: back in the queue, or terminal.
+fn finish_dispatch(shared: &Shared, requeue: Option<QueuedJob>) {
     let mut st = shared.state.lock().unwrap();
     st.running -= 1;
-    st.queue.push(entry);
-    drop(st);
-    shared.cv.notify_all();
-}
-
-fn finish_dispatch(shared: &Shared) {
-    let mut st = shared.state.lock().unwrap();
-    st.running -= 1;
+    st.queue.extend(requeue);
     drop(st);
     shared.cv.notify_all();
 }

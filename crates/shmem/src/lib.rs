@@ -11,8 +11,8 @@
 //! loads (§5.2).
 //!
 //! Also provided: a two-sided message fabric ([`twosided`]) as the GPU-aware
-//! MPI stand-in for the baseline halo exchange, a sense-reversing barrier
-//! and team-scoped allocation ([`team`]).
+//! MPI stand-in for the baseline halo exchange, and a sense-reversing
+//! barrier.
 //!
 //! ```
 //! use halox_shmem::{ShmemWorld, SymVec3, Topology};
@@ -42,7 +42,6 @@ pub mod pool;
 pub mod shared;
 pub mod signal;
 pub mod sym;
-pub mod team;
 pub mod twosided;
 pub mod wire;
 pub mod world;
@@ -54,7 +53,6 @@ pub use pool::{PoolStats, WorldKey, WorldLease, WorldPool};
 pub use shared::{Slots, SymAllocError};
 pub use signal::SignalSet;
 pub use sym::SymVec3;
-pub use team::{Team, TeamSymVec3};
 pub use twosided::TwoSidedComm;
 pub use wire::{crc32, Wire, WireError, WireReader};
 pub use world::{
