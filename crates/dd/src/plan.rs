@@ -11,6 +11,7 @@
 use crate::bounds::DdBounds;
 use crate::grid::DdGrid;
 use crate::pulse::{PulseData, PulseLayout};
+use halox_md::pairlist::ZoneFilter;
 use halox_md::topology::{Angle, Bond};
 use halox_md::{System, Vec3};
 use std::collections::HashMap;
@@ -105,6 +106,10 @@ pub struct RankPlan {
     pub inv_mass: Vec<f32>,
     /// Up-displacement of every local copy (the zone information).
     pub displacement: Vec<Displacement>,
+    /// The rank's pair rule as data — `displacement` as zone bits plus the
+    /// topology's exclusions in local indices, every local copy of a
+    /// partner included — which both pair-list builds take.
+    pub pair_filter: ZoneFilter,
     /// Bonded terms assigned to this rank, with local indices.
     pub bonds: Vec<Bond>,
     pub angles: Vec<Angle>,
@@ -440,12 +445,16 @@ pub fn try_build_partition_with(
 
     // --- 4. Finalize per-rank plans ----------------------------------------
     let mut ranks = Vec::with_capacity(n_ranks);
+    // Scratch of `pair_filter`, all `NONE` between ranks.
+    let mut first_copy = vec![NONE; system.n_atoms()];
     for (r, st) in states.into_iter().enumerate() {
         let mut global_to_local = HashMap::with_capacity(st.ids.len());
         for (i, &g) in st.ids.iter().enumerate() {
-            // Forwarded copies are unique per rank; first occurrence wins.
+            // Bonded terms resolve to the first copy (home, or the earliest
+            // arrival); the pair filter below sees every copy.
             global_to_local.entry(g).or_insert(i as u32);
         }
+        let pair_filter = pair_filter(system, &st.ids, &st.disp, &mut first_copy);
         let halo: Vec<HaloEntry> = st.ids[n_home[r]..]
             .iter()
             .zip(&st.origin[n_home[r]..])
@@ -494,6 +503,7 @@ pub fn try_build_partition_with(
             kinds,
             inv_mass,
             displacement: st.disp,
+            pair_filter,
             bonds,
             angles,
             domain_lo,
@@ -509,6 +519,40 @@ pub fn try_build_partition_with(
         layout,
         ranks,
     })
+}
+
+const NONE: u32 = u32::MAX;
+
+/// One rank's pair rule as data: the zone bits of `disp` and, per local
+/// atom, **every** local copy of every atom the topology excludes it from
+/// pairing with — `global_to_local` knows first copies only.
+///
+/// `first` is scratch over all global atoms, all `NONE` on entry and on
+/// return; the copies of one global atom are chained through it and a
+/// per-local `next`, so the build is linear in `ids` plus the exclusions.
+fn pair_filter(
+    system: &System,
+    ids: &[u32],
+    disp: &[Displacement],
+    first: &mut [u32],
+) -> ZoneFilter {
+    let mut next = vec![NONE; ids.len()];
+    for (i, &g) in ids.iter().enumerate().rev() {
+        next[i] = std::mem::replace(&mut first[g as usize], i as u32);
+    }
+    let filter = ZoneFilter::new(disp, |i, row| {
+        for &partner in &system.exclusions[ids[i] as usize] {
+            let mut copy = first[partner as usize];
+            while copy != NONE {
+                row.push(copy);
+                copy = next[copy as usize];
+            }
+        }
+    });
+    for &g in ids {
+        first[g as usize] = NONE;
+    }
+    filter
 }
 
 /// Serial reference coordinate halo exchange: executes pulses strictly in
@@ -618,6 +662,38 @@ mod tests {
             msg.contains("spans >2 domains") && msg.contains("[0, 1, 2]"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn exclusion_partner_is_excluded_in_every_local_copy() {
+        use halox_md::pairlist::PairFilter;
+        // Atoms 0-1-2 are one molecule. On this rank atom 1 is present
+        // three times (home, and two forwarded copies) and atom 2 twice;
+        // `global_to_local` would only ever name locals 1 and 2.
+        let sys = test_system(30);
+        assert!(sys.is_excluded(0, 1) && sys.is_excluded(1, 2) && !sys.is_excluded(0, 3));
+        let ids = [0, 1, 2, 3, 1, 2, 7, 1];
+        let disp = [[0; 3]; 8];
+        let mut first = vec![NONE; sys.n_atoms()];
+        let filter = pair_filter(&sys, &ids, &disp, &mut first);
+        assert!(
+            first.iter().all(|&f| f == NONE),
+            "scratch handed back clean"
+        );
+        assert_eq!(filter.excluded(0), [1, 2, 4, 5, 7]);
+        assert_eq!(filter.excluded(5), [0, 1, 4, 7]);
+        assert_eq!(filter.excluded(3), [] as [u32; 0]);
+        for i in 0..ids.len() {
+            for j in i + 1..ids.len() {
+                assert_eq!(
+                    filter.keeps(i, j),
+                    !sys.is_excluded(ids[i] as usize, ids[j] as usize),
+                    "locals ({i}, {j})"
+                );
+            }
+        }
+        // Two copies of one atom are not each other's exclusion.
+        assert!(filter.keeps(1, 4) && filter.keeps(4, 7));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::config::NbKernel;
 use crate::devtimer::PhaseTimer;
 use halox_md::cluster::{compute_nonbonded_clusters, ClusterPairList, NbPartition};
 use halox_md::forces::compute_nonbonded_virial;
+use halox_md::pairlist::PairFilter;
 use halox_md::{Frame, NonbondedParams, PairList, SoaCoords, SoaForces, Vec3};
 
 /// The kernel choice and its retained list in one value, so which list is
@@ -122,7 +123,7 @@ impl NbEvaluator {
         n_home: usize,
         r_list: f32,
         buffer: f32,
-        rule: &dyn Fn(usize, usize) -> bool,
+        filter: &(impl PairFilter + ?Sized),
         params: &NonbondedParams,
         forces: &mut [Vec3],
         timer: &mut PhaseTimer,
@@ -132,7 +133,7 @@ impl NbEvaluator {
                 let pl = match slot {
                     Some(pl) if !pl.needs_rebuild(positions, buffer) => pl,
                     slot => slot.insert(timer.time("pairlist", || {
-                        PairList::build_in_frame(frame, positions, r_list, rule)
+                        PairList::build_in_frame(frame, positions, r_list, filter)
                     })),
                 };
                 self.last_pairs = pl.n_pairs() as u64;
@@ -148,7 +149,7 @@ impl NbEvaluator {
                         // list: discard and recompute from scratch.
                         self.pending_local = None;
                         slot.insert(timer.time("pairlist", || {
-                            ClusterPairList::build(frame, positions, kinds, n_home, r_list, rule)
+                            ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter)
                         }))
                     }
                 };

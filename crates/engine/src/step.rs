@@ -16,7 +16,6 @@ use crate::nb::NbEvaluator;
 use halox_core::{exec, CommContext, ExchangeError, FusedBuffers, Watchdog};
 use halox_dd::{reference_coordinate_exchange, reference_force_exchange, DdPartition, RankPlan};
 use halox_md::forces::{angle_virial, bond_virial, compute_angles, compute_bonds, NonbondedParams};
-use halox_md::pairlist::eighth_shell_rule;
 use halox_md::{integrate, EnergyReport, Frame, System, Vec3};
 use halox_shmem::{Pe, TwoSidedComm, Wire, WireError, WireReader};
 use halox_trace::{record_opt, span_opt, Payload, Recorder, Region};
@@ -378,12 +377,6 @@ impl<'a> Segment<'a> {
         for (r, plan) in plans.iter().enumerate() {
             let (pos, forces) = (&self.positions[r], &mut self.forces[r]);
             let (nb, rank) = (&mut self.nbs[r], &mut self.ranks[r]);
-            // Pair rule: eighth-shell zone pairs minus intramolecular
-            // exclusions.
-            let (disp, ids) = (&plan.displacement, &plan.global_ids);
-            let rule = move |i: usize, j: usize| {
-                eighth_shell_rule(disp, i, j) && !sys.is_excluded(ids[i] as usize, ids[j] as usize)
-            };
             // --- Forces: the evaluator makes this round's single staleness
             // decision (the list is rebuilt locally if a fast atom exhausts
             // the Verlet buffer early; halo *membership* stays fixed until
@@ -401,7 +394,9 @@ impl<'a> Segment<'a> {
                     plan.n_home,
                     cfg.r_comm(),
                     cfg.buffer,
-                    &rule,
+                    // Eighth-shell zone pairs minus intramolecular
+                    // exclusions, as the plan's precomputed data.
+                    &plan.pair_filter,
                     params,
                     forces,
                     &mut rank.phases,

@@ -80,7 +80,8 @@ impl TaskGraph {
         chain
     }
 
-    /// Busy time per resource and its fraction of the makespan.
+    /// Busy time per resource and its fraction of the makespan, busiest
+    /// first; equally busy resources in [`Resource`] order.
     pub fn utilization(&self, t: &Timeline) -> Vec<(Resource, Time, f64)> {
         let span = t.makespan().max(1);
         let mut busy: HashMap<Resource, Time> = HashMap::new();
@@ -92,7 +93,7 @@ impl TaskGraph {
             .into_iter()
             .map(|(r, b)| (r, b, b as f64 / span as f64))
             .collect();
-        out.sort_by_key(|&(_, b, _)| std::cmp::Reverse(b));
+        out.sort_by_key(|&(r, b, _)| (std::cmp::Reverse(b), r));
         out
     }
 
@@ -159,6 +160,24 @@ mod tests {
         assert!((frac - 80.0 / 85.0).abs() < 1e-9);
         let cpu = u.iter().find(|(r, _, _)| *r == R::Cpu(0)).unwrap();
         assert_eq!(cpu.1, 5);
+    }
+
+    #[test]
+    fn utilization_orders_tied_resources_the_same_every_call() {
+        // Sixteen equally busy resources: `HashMap` iteration order differs
+        // from map to map, so only the tie-break fixes the sequence.
+        let mut g = TaskGraph::new();
+        for rank in 0..8 {
+            g.add("x:0:0:kernel", R::Stream(rank, 0), 20);
+            g.add("x:0:0:copy", R::CopyEngine(rank), 20);
+        }
+        let t = g.run();
+        let first = g.utilization(&t);
+        assert_eq!(first.len(), 16);
+        for _ in 0..8 {
+            assert_eq!(g.utilization(&t), first);
+        }
+        assert!(first.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -17,8 +17,10 @@ use std::collections::HashMap;
 /// Simulated time in nanoseconds.
 pub type Time = u64;
 
-/// Execution resources. FIFO semantics per distinct value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Execution resources. FIFO semantics per distinct value. The order
+/// (variant, then fields) means nothing physical: it breaks ties wherever a
+/// report must come out the same twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Resource {
     /// The CPU thread of a rank: kernel launches and MPI calls serialize here.
     Cpu(usize),

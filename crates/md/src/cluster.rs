@@ -10,25 +10,23 @@
 //! * clusters are built from the cell-sorted order of a `CellGrid` — the
 //!   same grid type the scalar list searches with — **home atoms and halo
 //!   copies clustered separately** so a cluster is never mixed-ownership;
-//! * cluster pairs are found in time linear in the cluster count: cluster
-//!   bounding-box centres are binned on a second `CellGrid` whose cell is
-//!   half of `r_list`, each i-cluster range-queries the cells its box can
-//!   reach (periodic dims wrap by cell index, each cell visited once), and
-//!   candidates are pruned with per-dimension axis-aligned bounding-box gaps
-//!   under the [`Frame`] metric. The few per cent of clusters longer than
-//!   `r_list` (chunks of the sorted order that straddle a column end, up to
-//!   a box length long) stay out of the grid in a side list: each makes one
-//!   range query of its own and is tested directly against the other
-//!   side-listed clusters;
+//! * cluster pairs are found in time linear in the cluster count, through
+//!   those same two grids: their cell-sorted order is the cluster order, so
+//!   the cells an i-cluster's bounding box can reach are runs of consecutive
+//!   cluster indices, which are swept against the box with per-dimension
+//!   axis-aligned bounding-box gaps under the [`Frame`] metric, a SIMD pack
+//!   of candidates at a time (`TileSearch`). Box-spanning clusters (chunks
+//!   of the sorted order that straddle a column end) are found through
+//!   their atoms' cells like any other;
 //! * each surviving 4×4 tile carries a `u16` interaction bitmask baked at
 //!   build time (ownership rule + exclusions + `i < j` dedup + `r_list`
 //!   distance pruning), so the masked pair set is **exactly** the set a
 //!   [`PairList`](crate::pairlist::PairList) built with the same inputs
-//!   would enumerate. The sixteen distance decisions of a tile are four
-//!   [`F4`] rows using the kernel's own minimum-image expression
-//!   (`min_image!`, written once for baker and kernel), which matches
-//!   [`Frame::displacement`] bit for bit; the rule is asked only about
-//!   pairs in range;
+//!   would enumerate. The sixteen distance decisions of a tile are row
+//!   packs using the kernel's own minimum-image expression (`min_image!`,
+//!   written once for bake and kernel), which matches
+//!   [`Frame::displacement`] bit for bit; the [`PairFilter`] is asked only
+//!   about pairs in range, a tile at a time;
 //! * the tile list is split into a *local* partition (both clusters home)
 //!   and a *halo* partition (either cluster holds halo copies), letting
 //!   the engine evaluate local tiles while the coordinate halo exchange is
@@ -47,7 +45,7 @@
 
 use crate::forces::nonbonded::{NonbondedParams, F_ELEC};
 use crate::frame::Frame;
-use crate::pairlist::{CellGrid, Staleness};
+use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter};
 #[cfg(target_arch = "x86_64")]
 use crate::simd4::F8;
 use crate::simd4::{D2, F4};
@@ -81,7 +79,7 @@ pub enum NbPartition {
 /// and `masks` carries one `u16` per tile: bit `u * CLUSTER + v` enables the
 /// interaction between i-lane `u` and j-lane `v`. Rows appear in strictly
 /// increasing i-cluster order; empty rows are omitted.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterPairs {
     pub i_clusters: Vec<u32>,
     /// Row offsets into `j_clusters` / `masks`; `len = i_clusters.len() + 1`.
@@ -138,42 +136,38 @@ impl ClusterPairList {
     /// Build clusters and the masked tile list over a local coordinate
     /// array: home atoms `[0, n_home)` followed by pre-shifted halo copies.
     ///
-    /// `rule(i, j)` (with `i < j`) is the same ownership/exclusion
-    /// predicate [`PairList::build_in_frame`](crate::pairlist::PairList)
-    /// takes; the masked pair set equals that list's pair set exactly.
-    pub fn build(
+    /// `filter` is the same ownership/exclusion relation
+    /// [`PairList::build_in_frame`](crate::pairlist::PairList) takes; the
+    /// masked pair set equals that list's pair set exactly.
+    pub fn build<F: PairFilter + ?Sized>(
         frame: &Frame,
         positions: &[Vec3],
         kinds: &[AtomKind],
         n_home: usize,
         r_list: f32,
-        rule: &dyn Fn(usize, usize) -> bool,
+        filter: &F,
     ) -> ClusterPairList {
         assert!(n_home <= positions.len());
         assert_eq!(positions.len(), kinds.len());
 
         // --- Cluster construction: spatially sort home and halo ranges
-        // separately, then chunk the sorted order into clusters of 4.
+        // separately, then chunk the sorted order into clusters of 4. The
+        // two grids stay: they are what the tile search walks.
         let mut lane_atoms: Vec<u32> = Vec::new();
-        let cluster_range = |lo: usize, hi: usize, lane_atoms: &mut Vec<u32>| {
-            if lo == hi {
-                return;
-            }
+        let mut first_cluster = [0usize; 3];
+        let grids = [(0, n_home), (n_home, positions.len())].map(|(lo, hi)| {
             let cell = clustering_cell(&positions[lo..hi], r_list);
-            let ids = lo as u32..hi as u32;
-            for chunk in CellGrid::new(frame, positions, ids, cell, r_list)
-                .order
-                .chunks(CLUSTER)
-            {
+            CellGrid::new(frame, positions, lo as u32..hi as u32, cell, r_list)
+        });
+        for (g, grid) in grids.iter().enumerate() {
+            for chunk in grid.order.chunks(CLUSTER) {
                 let mut lanes = [PAD; CLUSTER];
                 lanes[..chunk.len()].copy_from_slice(chunk);
                 lane_atoms.extend_from_slice(&lanes);
             }
-        };
-        cluster_range(0, n_home, &mut lane_atoms);
-        let n_home_clusters = lane_atoms.len() / CLUSTER;
-        cluster_range(n_home, positions.len(), &mut lane_atoms);
-        let n_clusters = lane_atoms.len() / CLUSTER;
+            first_cluster[g + 1] = lane_atoms.len() / CLUSTER;
+        }
+        let [_, n_home_clusters, n_clusters] = first_cluster;
 
         // --- Per-lane parameters (kinds are fixed between repartitions,
         // so charges can be baked once here instead of gathered per step).
@@ -209,59 +203,17 @@ impl ClusterPairList {
             bb_half.push((hi - lo) * 0.5);
         }
 
-        // --- Tiles: per i-cluster, the clusters whose bounding box passes
-        // the gap test — gridded ones from a range query, box-spanning ones
-        // from the side list. Only those survivors are sorted, then their
-        // masks are baked.
-        let r2 = r_list * r_list;
-        let near_boxes =
-            |ci: u32, cj: u32| bb_gap2(frame, &bb_center, &bb_half, ci as usize, cj as usize) < r2;
-        let (grid, wide, reach) = tile_search_grid(frame, &bb_center, &bb_half, r_list);
-        // Tiles between a box-spanning cluster and a gridded one, as
-        // `(ci, cj)` with `ci < cj`: one range query per spanning cluster.
-        let mut wide_tiles: Vec<(u32, u32)> = Vec::new();
-        for &w in &wide {
-            grid.for_each_near(bb_center[w as usize], bb_half[w as usize] + reach, |c| {
-                if near_boxes(c, w) {
-                    wide_tiles.push((c.min(w), c.max(w)));
-                }
-            });
-        }
-        wide_tiles.sort_unstable();
-        let mut wide_tiles = wide_tiles.into_iter().peekable();
-
-        let baker = TileBaker::new(frame, positions, &lane_atoms, r2);
-        let mut local = ClusterPairsBuilder::default();
-        let mut halo = ClusterPairsBuilder::default();
-        let mut near: Vec<u32> = Vec::new();
-        for ci in 0..n_clusters as u32 {
-            near.clear();
-            let (center, half) = (bb_center[ci as usize], bb_half[ci as usize]);
-            if is_wide(half, r_list) {
-                let later = wide.partition_point(|&w| w < ci);
-                near.extend(wide[later..].iter().filter(|&&cj| near_boxes(ci, cj)));
-            } else {
-                grid.for_each_near(center, half + reach, |cj| {
-                    if cj >= ci && near_boxes(ci, cj) {
-                        near.push(cj);
-                    }
-                });
-            }
-            while let Some((_, cj)) = wide_tiles.next_if(|&(c, _)| c == ci) {
-                near.push(cj);
-            }
-            near.sort_unstable();
-            for &cj in &near {
-                let mask = baker.mask(ci as usize, cj as usize, rule);
-                if mask != 0 {
-                    if (cj as usize) < n_home_clusters {
-                        local.push(ci, cj, mask);
-                    } else {
-                        halo.push(ci, cj, mask);
-                    }
-                }
-            }
-        }
+        // --- Tiles: search, bake, filter — one pass over the i-clusters.
+        let search = TileSearch::new(
+            frame,
+            positions,
+            &lane_atoms,
+            [&bb_center, &bb_half],
+            [&grids[0], &grids[1]],
+            first_cluster,
+            r_list,
+        );
+        let [local, halo] = search.tiles(&mut filter.tiles(&lane_atoms));
 
         ClusterPairList {
             lane_atoms,
@@ -271,8 +223,8 @@ impl ClusterPairList {
             lane_charges,
             bb_center,
             bb_half,
-            local: local.finish(),
-            halo: halo.finish(),
+            local,
+            halo,
             staleness: Staleness::new(frame, positions, r_list),
         }
     }
@@ -423,8 +375,9 @@ impl ClusterPairsBuilder {
 
 /// Squared per-dimension gap between the bounding boxes of clusters `ci`
 /// and `cj` under the frame metric: a lower bound on any member distance
-/// (triangle inequality; valid on the circle for periodic dims).
-#[inline]
+/// (triangle inequality; valid on the circle for periodic dims). The scalar
+/// statement of what the tile pass's box sweep computes per lane.
+#[cfg(test)]
 fn bb_gap2(frame: &Frame, bb_center: &[Vec3], bb_half: &[Vec3], ci: usize, cj: usize) -> f32 {
     let d = frame.displacement(bb_center[ci], bb_center[cj]);
     let mut gap2 = 0.0f32;
@@ -433,39 +386,6 @@ fn bb_gap2(frame: &Frame, bb_center: &[Vec3], bb_half: &[Vec3], ci: usize, cj: u
         gap2 += g * g;
     }
     gap2
-}
-
-/// True for the few per cent of clusters (chunks of the cell-sorted order
-/// that straddle a column or plane boundary) whose bounding box is too long
-/// to bin by its centre; they go to the tile search's side list instead.
-#[inline]
-fn is_wide(half: Vec3, r_list: f32) -> bool {
-    half.x.max(half.y).max(half.z) > 0.5 * r_list
-}
-
-/// The tile search's view of the clusters: a [`CellGrid`] over the
-/// bounding-box centres of all but the box-spanning clusters, those `wide`
-/// ones as an ascending side list the caller tests directly, and the
-/// `reach` — `r_list` plus the largest gridded half-extent, per dimension —
-/// to add to a cluster's own half-extent when it queries the grid.
-///
-/// The cell is `r_list / 2` wide (rounded so a whole number fits the
-/// extent), which with the wide clusters kept out bounds a query to a few
-/// cells per dimension.
-fn tile_search_grid(
-    frame: &Frame,
-    bb_center: &[Vec3],
-    bb_half: &[Vec3],
-    r_list: f32,
-) -> (CellGrid, Vec<u32>, Vec3) {
-    let (wide, gridded): (Vec<u32>, Vec<u32>) =
-        (0..bb_center.len() as u32).partition(|&c| is_wide(bb_half[c as usize], r_list));
-    let max_half = gridded
-        .iter()
-        .fold(Vec3::ZERO, |m, &c| m.max(bb_half[c as usize]));
-    let ids = gridded.iter().copied();
-    let grid = CellGrid::new(frame, bb_center, ids, 0.5 * r_list, r_list);
-    (grid, wide, max_half + Vec3::splat(r_list))
 }
 
 /// Per axis `[L/2, -L/2, L]` for the branchless minimum image: in periodic
@@ -493,26 +413,67 @@ macro_rules! min_image {
     }};
 }
 
-/// Bakes one tile's interaction mask: the sixteen `d² < r_list²` decisions
-/// as four [`F4`] rows over lane-space SoA coordinates, with the kernel's
-/// own minimum-image expression ([`min_image!`]), then `rule` on the
-/// surviving bits only — exactly the [`PairList`](crate::pairlist::PairList)
-/// predicate for finite coordinates.
-struct TileBaker<'a> {
-    lane_atoms: &'a [u32],
+/// Everything the tile pass of [`ClusterPairList::build`] reads, laid out
+/// for it.
+///
+/// **Search.** A tile with a set mask bit holds two atoms within `r_list`,
+/// so every j-cluster of i-cluster `ci` owns an atom binned in a cell the
+/// clustering grids reach from `ci`'s bounding box widened by `r_list`. The
+/// grids' cell-sorted order *is* the cluster order — position `p` sits in
+/// cluster `p / CLUSTER` of its grid — so each run of cells the range query
+/// yields is a run of consecutive cluster indices, the chunks straddling its
+/// ends included. Those runs, cut to `cj >= ci` and merged, are swept
+/// against `ci`'s box by cluster index over SoA box arrays, a pack of
+/// candidates per operation, with `bb_gap2`'s own arithmetic: survivors
+/// come out ascending, nothing is gathered and nothing is sorted. Any
+/// superset of the tiles with a non-empty mask would do; the gap test only
+/// spares bakes.
+///
+/// **Bake.** A surviving tile's sixteen `d² < r_list²` decisions are one
+/// row pack per `ROWS` rows over lane-space SoA coordinates with the
+/// kernel's own minimum-image expression ([`min_image!`]), then the filter
+/// on the surviving bits only — exactly the
+/// [`PairList`](crate::pairlist::PairList) predicate for finite coordinates.
+struct TileSearch<'a> {
+    /// Clustering grids of the home and the halo range, and the first
+    /// cluster of each (`[0, n_home_clusters, n_clusters]`).
+    grids: [&'a CellGrid; 2],
+    first_cluster: [usize; 3],
+    bb_center: &'a [Vec3],
+    bb_half: &'a [Vec3],
+    /// The boxes again as SoA, `SWEEP_PAD` entries past the end so a pack
+    /// load at the last cluster stays in bounds (the sweep masks them off).
+    box_center: SoaCoords,
+    box_half: SoaCoords,
     /// Lane coordinates; padded lanes hold NaN, so no comparison on them is
     /// ever true and their bits stay clear without a validity mask.
     lanes: SoaCoords,
-    image: [[F4; 3]; 3],
-    r2: F4,
+    image: [[f32; 3]; 3],
+    r_list: f32,
 }
 
-impl<'a> TileBaker<'a> {
-    /// Bits `u * CLUSTER + v` with `u < v`, one nibble per row `u` (row 0
-    /// lowest): a self-tile lists each pair once.
-    const UPPER_TRIANGLE: u32 = 0b0000_1000_1100_1110;
+/// Bits `u * CLUSTER + v` with `u < v`, one nibble per row `u` (row 0
+/// lowest): a self-tile lists each pair once.
+const UPPER_TRIANGLE: u32 = 0b0000_1000_1100_1110;
 
-    fn new(frame: &Frame, positions: &[Vec3], lane_atoms: &'a [u32], r2: f32) -> Self {
+/// Widest pack the box sweep loads (see [`TileSearch::box_center`]).
+const SWEEP_PAD: usize = 8;
+
+impl<'a> TileSearch<'a> {
+    fn new(
+        frame: &Frame,
+        positions: &[Vec3],
+        lane_atoms: &[u32],
+        [bb_center, bb_half]: [&'a [Vec3]; 2],
+        grids: [&'a CellGrid; 2],
+        first_cluster: [usize; 3],
+        r_list: f32,
+    ) -> Self {
+        let padded = |boxes: &[Vec3]| {
+            let mut soa = SoaCoords::from_aos(boxes);
+            soa.resize(boxes.len() + SWEEP_PAD);
+            soa
+        };
         let nan = vec![f32::NAN; lane_atoms.len()];
         let mut lanes = SoaCoords {
             x: nan.clone(),
@@ -524,44 +485,164 @@ impl<'a> TileBaker<'a> {
                 lanes.set(l, positions[a as usize]);
             }
         }
-        TileBaker {
-            lane_atoms,
+        TileSearch {
+            grids,
+            first_cluster,
+            bb_center,
+            bb_half,
+            box_center: padded(bb_center),
+            box_half: padded(bb_half),
             lanes,
-            image: image_lengths(frame).map(|axis| axis.map(F4::splat)),
-            r2: F4::splat(r2),
+            image: image_lengths(frame),
+            r_list,
         }
     }
 
-    fn mask(&self, ci: usize, cj: usize, rule: &dyn Fn(usize, usize) -> bool) -> u16 {
-        let (ibase, jbase) = (CLUSTER * ci, CLUSTER * cj);
-        let [ix, iy, iz] = self.image;
-        let xj = F4::load(&self.lanes.x, jbase);
-        let yj = F4::load(&self.lanes.y, jbase);
-        let zj = F4::load(&self.lanes.z, jbase);
-        let mut bits = 0u32;
-        for u in 0..CLUSTER {
-            let dx = min_image!(F4::splat(self.lanes.x[ibase + u]) - xj, ix);
-            let dy = min_image!(F4::splat(self.lanes.y[ibase + u]) - yj, iy);
-            let dz = min_image!(F4::splat(self.lanes.z[ibase + u]) - zj, iz);
-            let d2 = dx * dx + dy * dy + dz * dz;
-            bits |= d2.lt(self.r2).movemask() << (u * CLUSTER);
+    /// Both partitions' tiles, `[local, halo]`.
+    fn tiles(&self, filter: &mut impl TileFilter) -> [ClusterPairs; 2] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence checked on this exact host above.
+            return unsafe { self.tiles_rows2(filter) };
         }
-        if ci == cj {
-            bits &= Self::UPPER_TRIANGLE;
-        }
-        let mut pending = bits;
-        while pending != 0 {
-            let bit = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            let a = self.lane_atoms[ibase + bit / CLUSTER] as usize;
-            let b = self.lane_atoms[jbase + bit % CLUSTER] as usize;
-            if !rule(a.min(b), a.max(b)) {
-                bits &= !(1 << bit);
-            }
-        }
-        bits as u16
+        self.tiles_rows1(filter)
     }
 }
+
+/// The tile pass, instantiated as `fn $name` over row pack `$P`: per
+/// i-cluster the box sweep (`P::LANES` candidates per operation) and the
+/// mask bake (`P::ROWS` tile rows per operation). Every lane performs
+/// `bb_gap2`'s and [`Frame::dist2`]'s operations in their order, so the
+/// pack width cannot change a decision.
+macro_rules! tile_pass {
+    ($(#[$attr:meta])* fn $name:ident, $P:ty) => {
+        impl TileSearch<'_> {
+            $(#[$attr])*
+            fn $name(&self, filter: &mut impl TileFilter) -> [ClusterPairs; 2] {
+                type P = $P;
+                const ROWS: usize = P::ROWS;
+                const PACKS: usize = CLUSTER / ROWS;
+                let [ix, iy, iz] =
+                    self.image.map(|a| [P::splat(a[0]), P::splat(a[1]), P::splat(a[2])]);
+                let r2 = P::splat(self.r_list * self.r_list);
+                let zero = P::splat(0.0);
+                let abs = P::splat(f32::from_bits(0x7fff_ffff));
+                let [_, n_home_clusters, n_clusters] = self.first_cluster;
+                // Lane coordinates, one `[f32; CLUSTER]` per cluster.
+                let (lx, ly, lz) = (
+                    self.lanes.x.as_chunks::<CLUSTER>().0,
+                    self.lanes.y.as_chunks::<CLUSTER>().0,
+                    self.lanes.z.as_chunks::<CLUSTER>().0,
+                );
+
+                let mut local = ClusterPairsBuilder::default();
+                let mut halo = ClusterPairsBuilder::default();
+                let mut runs: Vec<(usize, usize)> = Vec::new();
+                let mut near: Vec<u32> = Vec::new();
+                for ci in 0..n_clusters {
+                    let (center, half) = (self.bb_center[ci], self.bb_half[ci]);
+
+                    // --- Search: cluster runs the grids reach, swept
+                    // against this box.
+                    near.clear();
+                    let (cxi, cyi, czi) =
+                        (P::splat(center.x), P::splat(center.y), P::splat(center.z));
+                    let (hxi, hyi, hzi) = (P::splat(half.x), P::splat(half.y), P::splat(half.z));
+                    for (g, grid) in self.grids.iter().enumerate() {
+                        let first = self.first_cluster[g];
+                        if ci >= self.first_cluster[g + 1] {
+                            continue;
+                        }
+                        runs.clear();
+                        grid.for_each_run_near(center, half, self.r_list, |lo, hi| {
+                            if lo < hi {
+                                runs.push((first + lo / CLUSTER, first + hi.div_ceil(CLUSTER)));
+                            }
+                        });
+                        // Runs come ascending and overlap where a chunk
+                        // straddles two of them: sweep each cluster once,
+                        // from `ci` up.
+                        let mut from = ci;
+                        for &(lo, hi) in &runs {
+                            let mut c = lo.max(from);
+                            from = from.max(hi);
+                            while c < hi {
+                                // Centre distances and summed extents.
+                                let rx = cxi.sub(P::load(&self.box_center.x, c));
+                                let ry = cyi.sub(P::load(&self.box_center.y, c));
+                                let rz = czi.sub(P::load(&self.box_center.z, c));
+                                let hx = hxi.add(P::load(&self.box_half.x, c));
+                                let hy = hyi.add(P::load(&self.box_half.y, c));
+                                let hz = hzi.add(P::load(&self.box_half.z, c));
+                                let gx = min_image!(rx, ix).and(abs).sub(hx).max(zero);
+                                let gy = min_image!(ry, iy).and(abs).sub(hy).max(zero);
+                                let gz = min_image!(rz, iz).and(abs).sub(hz).max(zero);
+                                let gap2 = gx.mul(gx).add(gy.mul(gy)).add(gz.mul(gz));
+                                let mut hits = gap2.lt(r2).movemask();
+                                if hi - c < P::LANES {
+                                    hits &= (1 << (hi - c)) - 1;
+                                }
+                                while hits != 0 {
+                                    near.push((c + hits.trailing_zeros() as usize) as u32);
+                                    hits &= hits - 1;
+                                }
+                                c += P::LANES;
+                            }
+                        }
+                    }
+
+                    // --- Bake and filter the survivors, ascending.
+                    let (xi, yi, zi) = (lx[ci], ly[ci], lz[ci]);
+                    let mut pxi = [zero; PACKS];
+                    let mut pyi = [zero; PACKS];
+                    let mut pzi = [zero; PACKS];
+                    for p in 0..PACKS {
+                        pxi[p] = P::rows(&xi, ROWS * p);
+                        pyi[p] = P::rows(&yi, ROWS * p);
+                        pzi[p] = P::rows(&zi, ROWS * p);
+                    }
+                    filter.begin_row(ci);
+                    for &cj in &near {
+                        let xj = P::dup(F4::from_array(lx[cj as usize]));
+                        let yj = P::dup(F4::from_array(ly[cj as usize]));
+                        let zj = P::dup(F4::from_array(lz[cj as usize]));
+                        let mut bits = 0u32;
+                        for p in 0..PACKS {
+                            let dx = min_image!(pxi[p].sub(xj), ix);
+                            let dy = min_image!(pyi[p].sub(yj), iy);
+                            let dz = min_image!(pzi[p].sub(zj), iz);
+                            let d2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
+                            bits |= d2.lt(r2).movemask() << (ROWS * p * CLUSTER);
+                        }
+                        if ci == cj as usize {
+                            bits &= UPPER_TRIANGLE;
+                        }
+                        if bits != 0 {
+                            bits = filter.keep(cj as usize, bits);
+                        }
+                        if bits != 0 {
+                            let part = if (cj as usize) < n_home_clusters {
+                                &mut local
+                            } else {
+                                &mut halo
+                            };
+                            part.push(ci as u32, cj, bits as u16);
+                        }
+                    }
+                }
+                [local.finish(), halo.finish()]
+            }
+        }
+    };
+}
+
+tile_pass!(fn tiles_rows1, F4);
+tile_pass!(
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn tiles_rows2,
+    F8
+);
 
 /// Pick a clustering cell so ~CLUSTER atoms land per cell (tight clusters),
 /// clamped to a sane range.
@@ -654,6 +735,22 @@ macro_rules! tile_kernel {
             let part = list.partition(which);
             assert_eq!(coords.len(), list.n_lanes());
             assert_eq!(lane_forces.len(), list.n_lanes());
+            // Every lane array as one `[T; CLUSTER]` per cluster, sliced to
+            // the cluster count once: a tile then costs one bounds check
+            // per array instead of one per lane.
+            let n = list.n_clusters();
+            let (cx, cy, cz) = (
+                &coords.x.as_chunks::<CLUSTER>().0[..n],
+                &coords.y.as_chunks::<CLUSTER>().0[..n],
+                &coords.z.as_chunks::<CLUSTER>().0[..n],
+            );
+            let charges = &list.lane_charges.as_chunks::<CLUSTER>().0[..n];
+            let kinds = &list.lane_kinds.as_chunks::<CLUSTER>().0[..n];
+            let (fx, fy, fz) = (
+                &mut lane_forces.x.as_chunks_mut::<CLUSTER>().0[..n],
+                &mut lane_forces.y.as_chunks_mut::<CLUSTER>().0[..n],
+                &mut lane_forces.z.as_chunks_mut::<CLUSTER>().0[..n],
+            );
             // Loop-invariant lane broadcasts.
             let [ix, iy, iz] =
                 image_lengths(frame).map(|a| [P::splat(a[0]), P::splat(a[1]), P::splat(a[2])]);
@@ -694,12 +791,9 @@ macro_rules! tile_kernel {
             let mut w_lo = D2::zero();
             let mut w_hi = D2::zero();
             for (row, &ci) in part.i_clusters.iter().enumerate() {
-                let ibase = CLUSTER * ci as usize;
-                let xi = load4(&coords.x, ibase);
-                let yi = load4(&coords.y, ibase);
-                let zi = load4(&coords.z, ibase);
-                let qi = load4(&list.lane_charges, ibase);
-                let eq = qi.map(|q| F_ELEC * q);
+                let ci = ci as usize;
+                let (xi, yi, zi) = (cx[ci], cy[ci], cz[ci]);
+                let eq = charges[ci].map(|q| F_ELEC * q);
                 // i-lane broadcasts are tile-invariant: splat them once per
                 // CSR row. Pack `p` carries rows `ROWS * p ..`.
                 let mut pxi = [zero; PACKS];
@@ -712,12 +806,7 @@ macro_rules! tile_kernel {
                     pzi[p] = P::rows(&zi, ROWS * p);
                     eqi[p] = P::rows(&eq, ROWS * p);
                 }
-                let trow = [
-                    NK * list.lane_kinds[ibase] as usize,
-                    NK * list.lane_kinds[ibase + 1] as usize,
-                    NK * list.lane_kinds[ibase + 2] as usize,
-                    NK * list.lane_kinds[ibase + 3] as usize,
-                ];
+                let trow = kinds[ci].map(|k| NK * k as usize);
                 // Per-i-lane force partials stay as j-lane vectors across the
                 // whole CSR row; the horizontal fold happens once per row.
                 let mut fxi = [zero; PACKS];
@@ -726,20 +815,14 @@ macro_rules! tile_kernel {
 
                 let lo = part.starts[row] as usize;
                 let hi = part.starts[row + 1] as usize;
-                for t in lo..hi {
-                    let jbase = CLUSTER * part.j_clusters[t] as usize;
-                    let mask = part.masks[t] as usize;
+                for (&cj, &mask) in part.j_clusters[lo..hi].iter().zip(&part.masks[lo..hi]) {
+                    let (cj, mask) = (cj as usize, mask as usize);
                     // One j-cluster load feeds every row of every pack.
-                    let xj = P::dup(F4::load(&coords.x, jbase));
-                    let yj = P::dup(F4::load(&coords.y, jbase));
-                    let zj = P::dup(F4::load(&coords.z, jbase));
-                    let qj = P::dup(F4::load(&list.lane_charges, jbase));
-                    let kj = [
-                        list.lane_kinds[jbase] as usize,
-                        list.lane_kinds[jbase + 1] as usize,
-                        list.lane_kinds[jbase + 2] as usize,
-                        list.lane_kinds[jbase + 3] as usize,
-                    ];
+                    let xj = P::dup(F4::from_array(cx[cj]));
+                    let yj = P::dup(F4::from_array(cy[cj]));
+                    let zj = P::dup(F4::from_array(cz[cj]));
+                    let qj = P::dup(F4::from_array(charges[cj]));
+                    let kj = kinds[cj].map(usize::from);
                     let mut fxj = zero4;
                     let mut fyj = zero4;
                     let mut fzj = zero4;
@@ -823,12 +906,9 @@ macro_rules! tile_kernel {
                         }
                     }
 
-                    let (fxja, fyja, fzja) = (fxj.to_array(), fyj.to_array(), fzj.to_array());
-                    for v in 0..CLUSTER {
-                        lane_forces.x[jbase + v] += fxja[v];
-                        lane_forces.y[jbase + v] += fyja[v];
-                        lane_forces.z[jbase + v] += fzja[v];
-                    }
+                    fx[cj] = (F4::from_array(fx[cj]) + fxj).to_array();
+                    fy[cj] = (F4::from_array(fy[cj]) + fyj).to_array();
+                    fz[cj] = (F4::from_array(fz[cj]) + fzj).to_array();
                 }
 
                 for p in 0..PACKS {
@@ -837,9 +917,9 @@ macro_rules! tile_kernel {
                         let fxa = fxi[p].half(h).to_array();
                         let fya = fyi[p].half(h).to_array();
                         let fza = fzi[p].half(h).to_array();
-                        lane_forces.x[ibase + u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
-                        lane_forces.y[ibase + u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
-                        lane_forces.z[ibase + u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
+                        fx[ci][u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
+                        fy[ci][u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
+                        fz[ci][u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
                     }
                 }
             }
@@ -894,11 +974,6 @@ pub fn compute_nonbonded_clusters_aos(
     (e_l + e_h, w_l + w_h)
 }
 
-#[inline(always)]
-fn load4(src: &[f32], base: usize) -> [f32; CLUSTER] {
-    [src[base], src[base + 1], src[base + 2], src[base + 3]]
-}
-
 /// Lane selectors for a 4-bit tile-row mask: bit `v` set ⇒ lane `v` is 1.0.
 /// One 16-byte load replaces four shift/mask/convert chains per row.
 const MASK_LANES: [[f32; 4]; 16] = [
@@ -943,7 +1018,7 @@ mod tests {
     fn all_pairs_tiles(
         list: &ClusterPairList,
         positions: &[Vec3],
-        rule: &dyn Fn(usize, usize) -> bool,
+        rule: &impl Fn(usize, usize) -> bool,
     ) -> (ClusterPairs, ClusterPairs) {
         let r2 = list.staleness.r_list * list.staleness.r_list;
         let mut local = ClusterPairsBuilder::default();
@@ -1003,15 +1078,11 @@ mod tests {
     fn assert_tiles_equal_reference(
         list: &ClusterPairList,
         positions: &[Vec3],
-        rule: &dyn Fn(usize, usize) -> bool,
+        rule: &impl Fn(usize, usize) -> bool,
     ) {
         let (local, halo) = all_pairs_tiles(list, positions, rule);
-        for (got, want) in [(&list.local, &local), (&list.halo, &halo)] {
-            assert_eq!(got.i_clusters, want.i_clusters);
-            assert_eq!(got.starts, want.starts);
-            assert_eq!(got.j_clusters, want.j_clusters);
-            assert_eq!(got.masks, want.masks);
-        }
+        assert_eq!(list.local, local);
+        assert_eq!(list.halo, halo);
     }
 
     /// A random local frame on DD grid `dd`: periodic dims hold coordinates
@@ -1084,9 +1155,10 @@ mod tests {
     }
 
     #[test]
-    fn box_spanning_cluster_is_side_listed_and_complete() {
-        // Cluster 0: four atoms strung along the whole z edge. Cluster 1:
-        // four atoms bunched one x-cell further on, in reach of two of them.
+    fn box_spanning_cluster_is_found_through_its_atoms_cells() {
+        // Cluster 0: four atoms strung along the whole z edge, its box
+        // centre 2.5 nm from cluster 1. Cluster 1: four atoms bunched one
+        // x-cell further on, in reach of two of them.
         let pbc = PbcBox::cubic(5.0);
         let frame = Frame::fully_periodic(&pbc);
         let positions = vec![
@@ -1104,9 +1176,7 @@ mod tests {
         let r_list = 1.0;
         let list = ClusterPairList::build(&frame, &positions, &kinds, 8, r_list, &all);
         assert_eq!(list.lane_atoms, [0, 1, 2, 3, 4, 5, 6, 7]);
-        let (grid, wide, _) = tile_search_grid(&frame, &list.bb_center, &list.bb_half, r_list);
-        assert_eq!(wide, [0], "cluster 0 spans the box");
-        assert_eq!(grid.order, [1]);
+        assert!(list.bb_half[0].z > 2.0 * r_list, "cluster 0 spans the box");
         assert_tiles_equal_reference(&list, &positions, &all);
         assert_eq!(
             list.all_pairs(),
@@ -1148,6 +1218,15 @@ mod tests {
         let list = ClusterPairList::build(&frame, &positions, &kinds, 4, 0.8, &all);
         assert_tiles_equal_reference(&list, &positions, &all);
         assert!(list.all_pairs().contains(&(1, 7)));
+
+        // A whole cluster out there, its box a point: cell indices past
+        // any integer arithmetic. Its four atoms still pair with each other.
+        let xs = [1e30, 1e30, 1e30, 1e30, 1.4, 1.5, 1.6, 1.7];
+        let positions: Vec<Vec3> = xs.iter().map(|&x| Vec3::new(x, 1.0, 1.0)).collect();
+        let list = ClusterPairList::build(&frame, &positions, &kinds, 4, 0.8, &all);
+        assert_tiles_equal_reference(&list, &positions, &all);
+        assert_eq!(list.local.n_pairs(), 6);
+        assert_eq!(list.all_pairs().len(), 12);
     }
 
     #[test]

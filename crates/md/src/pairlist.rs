@@ -8,10 +8,10 @@
 //! non-decomposed dimensions, direct distance in decomposed ones, exactly
 //! like GROMACS' shift-resolved DD frame.
 //!
-//! Pair assignment is delegated to a caller-supplied `rule` evaluated once
-//! per candidate pair `(i, j)` with `i < j`:
+//! Pair assignment is a [`PairFilter`] asked about candidate pairs `(i, j)`
+//! with `i < j`:
 //!
-//! * single rank: `rule = !excluded(i, j)`;
+//! * single rank: `!excluded(i, j)`;
 //! * eighth-shell DD: [`eighth_shell_rule`] — a pair is kept iff the two
 //!   copies' up-displacement supports are disjoint in every dimension (and
 //!   not excluded). Home atoms have zero displacement, so home-home and
@@ -19,13 +19,20 @@
 //!   zone pairs — the zone-pair interactions of the GROMACS neutral-territory
 //!   scheme, which make every global pair materialize on precisely one rank.
 //!
+//! The engine's filter is data — [`ZoneFilter`], zone bits and an exclusion
+//! CSR the DD plan computes once per partition; any
+//! `Fn(usize, usize) -> bool` is a filter too, asked pair by pair, which is
+//! what tests and oracles pass.
+//!
 //! `CellGrid` is the crate's one uniform grid, used three ways: its
 //! cell-sorted `order` is what the cluster build chunks into clusters,
 //! `CellGrid::for_each_adjacent` is this list's neighbour search, and
-//! `CellGrid::for_each_near` is the cluster list's tile search. Periodic
-//! dimensions wrap by cell index in all three, so a coordinate that has
-//! drifted out of the box bins like its in-box image.
+//! `CellGrid::for_each_run_near` over the same clustering grids is the
+//! cluster list's tile search. Periodic dimensions wrap by cell index in
+//! all three, so a coordinate that has drifted out of the box bins like its
+//! in-box image.
 
+use crate::cluster::{CLUSTER, PAD};
 use crate::frame::Frame;
 use crate::pbc::PbcBox;
 use crate::system::System;
@@ -117,13 +124,13 @@ impl PairList {
     }
 
     /// Build a pair list under a fully periodic box (single-rank case).
-    pub fn build(
+    pub fn build<F: PairFilter + ?Sized>(
         pbc: &PbcBox,
         positions: &[Vec3],
         r_list: f32,
-        rule: &dyn Fn(usize, usize) -> bool,
+        filter: &F,
     ) -> PairList {
-        Self::build_in_frame(&Frame::fully_periodic(pbc), positions, r_list, rule)
+        Self::build_in_frame(&Frame::fully_periodic(pbc), positions, r_list, filter)
     }
 
     /// The single-rank list of a whole system: every non-excluded pair
@@ -136,13 +143,13 @@ impl PairList {
     /// Build a pair list with search radius `r_list = cutoff + buffer` under
     /// an arbitrary frame metric.
     ///
-    /// `rule(i, j)` (with `i < j`) decides whether a candidate pair within
-    /// `r_list` belongs to this list (ownership rule + exclusions).
-    pub fn build_in_frame(
+    /// `filter.keeps(i, j)` (with `i < j`) decides whether a candidate pair
+    /// within `r_list` belongs to this list (ownership rule + exclusions).
+    pub fn build_in_frame<F: PairFilter + ?Sized>(
         frame: &Frame,
         positions: &[Vec3],
         r_list: f32,
-        rule: &dyn Fn(usize, usize) -> bool,
+        filter: &F,
     ) -> PairList {
         let n = positions.len();
         let grid = CellGrid::new(frame, positions, 0..n as u32, r_list, r_list);
@@ -159,7 +166,7 @@ impl PairList {
                 if frame.dist2(positions[i], positions[j]) >= r2 {
                     return;
                 }
-                if !rule(i, j) {
+                if !filter.keeps(i, j) {
                     return;
                 }
                 j_atoms.push(j as u32);
@@ -199,10 +206,12 @@ impl PairList {
 /// out-of-box coordinate bins like its in-box image; non-periodic ones cover
 /// `[min, max]` of the binned points and clip at the edges.
 ///
-/// Queries visit cells x-outermost, z-innermost, starting from the low end
-/// of the range (wrapped), each cell once, and ids ascending inside a cell.
-/// That order is part of the contract: it fixes the order of a scalar list's
-/// rows, and with it every force sum downstream.
+/// Queries visit each cell of their range once, x-outermost, z-innermost.
+/// [`CellGrid::for_each_adjacent`] starts from the low end of the (wrapped)
+/// range and yields ids ascending inside a cell, and that order is part of
+/// the contract: it fixes the order of a scalar list's rows, and with it
+/// every force sum downstream. [`CellGrid::for_each_run_near`] goes in
+/// ascending cell order instead, so what it yields ascends in `order`.
 pub(crate) struct CellGrid {
     periodic: [bool; 3],
     dims: [usize; 3],
@@ -216,10 +225,18 @@ pub(crate) struct CellGrid {
 }
 
 impl CellGrid {
-    /// Slack, in cells, added to each end of a [`CellGrid::for_each_near`]
-    /// range so that rounding in the index arithmetic can never drop a
-    /// boundary cell.
+    /// Slack, in cells, added to each end of a
+    /// [`CellGrid::for_each_run_near`] range so that rounding in the index
+    /// arithmetic can never drop a boundary cell.
     const ROUND_GUARD: f32 = 1e-3;
+
+    /// Cells a grid may have per binned point, plus [`Self::MIN_CELL_BUDGET`]:
+    /// dense systems sit near one cell per few points, so only a runaway
+    /// extent in a non-periodic dimension (one coordinate at 1e12 nm) ever
+    /// meets the cap. It then halves the longest axis' cell count until the
+    /// grid fits — cells get longer, searches stay exact.
+    const MAX_CELLS_PER_POINT: usize = 64;
+    const MIN_CELL_BUDGET: usize = 1 << 16;
 
     /// Bin `points[id]` for every `id` in `ids` into cells at least
     /// `min_cell` long, for searches of radius `r_search`.
@@ -258,12 +275,22 @@ impl CellGrid {
             lo[k] = mn;
             hi[k] = mx + 1e-4;
         }
+        let n_points = ids.clone().count();
         let mut dims = [1usize; 3];
-        let mut cell_len = Vec3::ZERO;
         for k in 0..3 {
             let extent = (hi[k] - lo[k]).max(1e-6);
             dims[k] = ((extent / min_cell).floor() as usize).max(1);
-            cell_len[k] = extent / dims[k] as f32;
+        }
+        let budget = (Self::MAX_CELLS_PER_POINT * n_points + Self::MIN_CELL_BUDGET) as u128;
+        let cells =
+            |dims: &[usize; 3]| dims.iter().fold(1u128, |n, &d| n.saturating_mul(d as u128));
+        while cells(&dims) > budget {
+            let longest = (0..3).max_by_key(|&k| dims[k]).expect("three axes");
+            dims[longest] = dims[longest].div_ceil(2);
+        }
+        let mut cell_len = Vec3::ZERO;
+        for k in 0..3 {
+            cell_len[k] = (hi[k] - lo[k]).max(1e-6) / dims[k] as f32;
         }
         let mut grid = CellGrid {
             periodic: frame.periodic,
@@ -272,7 +299,7 @@ impl CellGrid {
             hi,
             cell_len,
             starts: vec![0; dims[0] * dims[1] * dims[2] + 1],
-            order: vec![0; ids.clone().count()],
+            order: vec![0; n_points],
         };
         // Counting sort, stable in `ids` order.
         let cells: Vec<u32> = ids
@@ -364,15 +391,109 @@ impl CellGrid {
         self.for_each_in(ranges, visit);
     }
 
-    /// Visit every id whose point lies within `reach` (per dimension) of
-    /// `center`, and possibly some beyond: the span is conservative.
-    pub(crate) fn for_each_near(&self, center: Vec3, reach: Vec3, visit: impl FnMut(u32)) {
-        let ranges = [0, 1, 2].map(|k| {
-            let a = self.cell_coord(k, center[k] - reach[k]) - Self::ROUND_GUARD;
-            let b = self.cell_coord(k, center[k] + reach[k]) + Self::ROUND_GUARD;
-            self.clip(k, a.floor() as i64, b.floor() as i64)
+    /// The cells along dimension `k` that a point within `reach` of the
+    /// interval `center ± half` can be binned in (as itself or as a periodic
+    /// image): the span is conservative.
+    fn cells_near(&self, k: usize, center: f32, half: f32, reach: f32) -> AxisCells {
+        let a = (self.cell_coord(k, center - half - reach) - Self::ROUND_GUARD).floor() as i64;
+        let b = (self.cell_coord(k, center + half + reach) + Self::ROUND_GUARD).floor() as i64;
+        let n = self.dims[k];
+        let (start, count) = self.clip(k, a, b);
+        let first = count.min(n - start);
+        // A non-periodic cell is its own unwrapped index; a periodic range
+        // counts up from `a` at `start`.
+        let t_start = if self.periodic[k] { a } else { start as i64 };
+        AxisCells {
+            parts: [
+                (
+                    0,
+                    count - first,
+                    t_start.saturating_add(first as i64) as f32,
+                ),
+                (start, first, t_start as f32),
+            ],
+            lo: self.cell_coord(k, center - half),
+            hi: self.cell_coord(k, center + half),
+            slack: Self::ROUND_GUARD + 4.0 * f32::EPSILON * n as f32,
+            cell_len: self.cell_len[k],
+            bounded: !(self.periodic[k] && count == n)
+                && a.unsigned_abs().max(b.unsigned_abs()) < 1 << 24,
+        }
+    }
+
+    /// Visit, as ascending ranges `lo..hi` of positions in `order`
+    /// (possibly empty), every binned point that lies within `r` of the box
+    /// `center ± half` under the grid's metric, and possibly some beyond.
+    ///
+    /// The range of cells is the box widened by `r`, less the columns of
+    /// cells further than `r` from the box in the xy plane.
+    pub(crate) fn for_each_run_near(
+        &self,
+        center: Vec3,
+        half: Vec3,
+        r: f32,
+        mut visit: impl FnMut(usize, usize),
+    ) {
+        let [_, ny, nz] = self.dims;
+        let xs = self.cells_near(0, center.x, half.x, r);
+        let ys = self.cells_near(1, center.y, half.y, r);
+        let zs = self.cells_near(2, center.z, half.z, r).parts;
+        xs.for_each(|x, gx| {
+            ys.for_each(|y, gy| {
+                if gx * gx + gy * gy < r * r {
+                    let row = (x * ny + y) * nz;
+                    for (z, n, _) in zs {
+                        visit(
+                            self.starts[row + z] as usize,
+                            self.starts[row + z + n] as usize,
+                        );
+                    }
+                }
+            })
         });
-        self.for_each_in(ranges, visit);
+    }
+}
+
+/// A wrapped range of cells along one dimension, in ascending cell order,
+/// that can bound how far each cell is from the interval it was taken for.
+#[derive(Clone, Copy)]
+struct AxisCells {
+    /// `(first cell, count, unwrapped index of the first)`: the wrapped
+    /// low cells, then the cells from the range's start.
+    parts: [(usize, usize, f32); 2],
+    /// The interval, in cell coordinates.
+    lo: f32,
+    hi: f32,
+    /// Rounding allowance of the cell coordinates, in cells.
+    slack: f32,
+    cell_len: f32,
+    /// False where the indices bound nothing: a periodic range covering
+    /// the whole turn meets every cell through an unknown image, and
+    /// indices beyond `f32`'s integers (a blown-up coordinate) are not
+    /// arithmetic.
+    bounded: bool,
+}
+
+impl AxisCells {
+    /// Visit each cell with a lower bound on the distance along this
+    /// dimension between the interval and any point binned in the cell —
+    /// taken in cell coordinates, the arithmetic points were binned with.
+    #[inline]
+    fn for_each(&self, mut visit: impl FnMut(usize, f32)) {
+        for (cell, count, t) in self.parts {
+            for i in 0..count {
+                let t = t + i as f32;
+                let gap = ((t - self.hi).max(self.lo - (t + 1.0)) - self.slack).max(0.0);
+                visit(
+                    cell + i,
+                    if self.bounded {
+                        gap * self.cell_len
+                    } else {
+                        0.0
+                    },
+                );
+            }
+        }
     }
 }
 
@@ -410,6 +531,241 @@ pub fn eighth_shell_rule(disp: &[[u8; 3]], i: usize, j: usize) -> bool {
     let a = disp[i];
     let b = disp[j];
     (a[0] == 0 || b[0] == 0) && (a[1] == 0 || b[1] == 0) && (a[2] == 0 || b[2] == 0)
+}
+
+/// Which candidate pairs a list keeps: the ownership rule and the
+/// exclusions, as one symmetric relation over local atoms.
+///
+/// Both list builds are generic over it. [`ZoneFilter`] is the engine's
+/// implementation — data, answering a whole tile at a time; every
+/// `Fn(usize, usize) -> bool` implements it pair by pair, so tests, oracles
+/// and the perf ledger keep passing closures.
+pub trait PairFilter {
+    /// Whether the local pair `(i, j)`, `i < j`, belongs to the list.
+    fn keeps(&self, i: usize, j: usize) -> bool;
+
+    /// The same relation over the clusters of `lane_atoms` (four lanes per
+    /// cluster, short ones padded with [`PAD`](crate::cluster::PAD)), for
+    /// the cluster list's mask bake.
+    fn tiles<'a>(&'a self, lane_atoms: &'a [u32]) -> impl TileFilter + 'a;
+}
+
+/// A [`PairFilter`] bound to one clustering. The build walks i-clusters in
+/// ascending order and, inside a row, j-clusters in ascending order.
+pub trait TileFilter {
+    /// Start the row of i-cluster `ci`.
+    fn begin_row(&mut self, ci: usize);
+
+    /// `bits` without the pairs the filter rejects: bit `CLUSTER * u + v`
+    /// stands for i-lane `u` × j-lane `v` of tile `(ci, cj)`, `cj >= ci`,
+    /// and is set on real lanes only.
+    fn keep(&mut self, cj: usize, bits: u32) -> u32;
+}
+
+/// Any pair predicate is a filter, asked once per pair (`i < j`) — and in
+/// tile form once per set bit.
+impl<F: Fn(usize, usize) -> bool + ?Sized> PairFilter for F {
+    fn keeps(&self, i: usize, j: usize) -> bool {
+        self(i, j)
+    }
+
+    fn tiles<'a>(&'a self, lane_atoms: &'a [u32]) -> impl TileFilter + 'a {
+        PerBit {
+            rule: self,
+            lane_atoms,
+            ibase: 0,
+        }
+    }
+}
+
+struct PerBit<'a, F: ?Sized> {
+    rule: &'a F,
+    lane_atoms: &'a [u32],
+    ibase: usize,
+}
+
+impl<F: Fn(usize, usize) -> bool + ?Sized> TileFilter for PerBit<'_, F> {
+    fn begin_row(&mut self, ci: usize) {
+        self.ibase = CLUSTER * ci;
+    }
+
+    fn keep(&mut self, cj: usize, mut bits: u32) -> u32 {
+        let mut pending = bits;
+        while pending != 0 {
+            let bit = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let a = self.lane_atoms[self.ibase + bit / CLUSTER] as usize;
+            let b = self.lane_atoms[CLUSTER * cj + bit % CLUSTER] as usize;
+            if !(self.rule)(a.min(b), a.max(b)) {
+                bits &= !(1 << bit);
+            }
+        }
+        bits
+    }
+}
+
+/// The eighth-shell rule and the exclusions of one rank as data: per local
+/// atom three "travelled up in x / y / z" bits and a CSR row of the local
+/// atoms it must not pair with. The DD plan builds one per rank per
+/// partition (it owns global → local, duplicate copies included); the lists
+/// then decide [`eighth_shell_rule`]` && !excluded` without a callback.
+///
+/// The exclusion relation must be symmetric, as `System::exclusions` is:
+/// a tile consults the rows of its i-cluster's atoms only.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ZoneFilter {
+    /// Bit `k` set: the copy travelled at least one domain up in dim `k`.
+    zone: Vec<u8>,
+    /// Row offsets into `partners`; `len = n_atoms + 1`.
+    starts: Vec<u32>,
+    /// Excluded local partners, ascending inside a row.
+    partners: Vec<u32>,
+}
+
+impl ZoneFilter {
+    /// A filter over `displacement.len()` local atoms. `partners_of(i, row)`
+    /// appends the local atoms excluded from pairing with `i`, in any order.
+    pub fn new(
+        displacement: &[[u8; 3]],
+        mut partners_of: impl FnMut(usize, &mut Vec<u32>),
+    ) -> ZoneFilter {
+        let zone = displacement
+            .iter()
+            .map(|d| (d[0] != 0) as u8 | ((d[1] != 0) as u8) << 1 | ((d[2] != 0) as u8) << 2)
+            .collect();
+        let mut starts = Vec::with_capacity(displacement.len() + 1);
+        // Three-site molecules: two partners each.
+        let mut partners = Vec::with_capacity(2 * displacement.len());
+        starts.push(0);
+        for i in 0..displacement.len() {
+            let row = partners.len();
+            partners_of(i, &mut partners);
+            partners[row..].sort_unstable();
+            starts.push(partners.len() as u32);
+        }
+        ZoneFilter {
+            zone,
+            starts,
+            partners,
+        }
+    }
+
+    /// Local atoms excluded from pairing with `i`, ascending.
+    pub fn excluded(&self, i: usize) -> &[u32] {
+        &self.partners[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+impl PairFilter for ZoneFilter {
+    #[inline]
+    fn keeps(&self, i: usize, j: usize) -> bool {
+        self.zone[i] & self.zone[j] == 0 && !self.excluded(i).contains(&(j as u32))
+    }
+
+    fn tiles<'a>(&'a self, lane_atoms: &'a [u32]) -> impl TileFilter + 'a {
+        let n_clusters = lane_atoms.len() / CLUSTER;
+        assert_eq!(
+            lane_atoms.iter().filter(|&&a| a != PAD).count(),
+            self.zone.len(),
+            "filter and clustering cover different atoms"
+        );
+        let mut lane_of = vec![0u32; self.zone.len()];
+        let mut lane_zone = vec![0u8; lane_atoms.len()];
+        let mut any_zone = vec![0u8; n_clusters];
+        let mut all_zone = vec![!0u8; n_clusters];
+        for (l, &a) in lane_atoms.iter().enumerate() {
+            if a != PAD {
+                let z = self.zone[a as usize];
+                lane_of[a as usize] = l as u32;
+                lane_zone[l] = z;
+                any_zone[l / CLUSTER] |= z;
+                all_zone[l / CLUSTER] &= z;
+            }
+        }
+        ZoneTiles {
+            filter: self,
+            lane_atoms,
+            lane_of,
+            lane_zone,
+            any_zone,
+            all_zone,
+            ci: 0,
+            excluded: Vec::new(),
+            next: 0,
+        }
+    }
+}
+
+/// [`ZoneFilter`] in tile form. The zone step is per cluster: where the OR
+/// of the two clusters' zone bits is disjoint nothing is rejected (nearly
+/// every tile), where their AND overlaps everything is. The exclusion step
+/// is per row: the handful of partners of an i-cluster's atoms become
+/// `(cj, bits to clear)` entries, sorted once and merge-walked against the
+/// row's ascending tiles.
+struct ZoneTiles<'a> {
+    filter: &'a ZoneFilter,
+    lane_atoms: &'a [u32],
+    /// Lane holding each atom.
+    lane_of: Vec<u32>,
+    /// Zone bits per lane (padded lanes: 0), their OR and their AND per
+    /// cluster.
+    lane_zone: Vec<u8>,
+    any_zone: Vec<u8>,
+    all_zone: Vec<u8>,
+    ci: usize,
+    /// The row's `(cj, bits to clear)`, ascending in `cj`, and the first
+    /// entry the walk has not passed.
+    excluded: Vec<(u32, u32)>,
+    next: usize,
+}
+
+impl TileFilter for ZoneTiles<'_> {
+    fn begin_row(&mut self, ci: usize) {
+        self.ci = ci;
+        self.next = 0;
+        self.excluded.clear();
+        for u in 0..CLUSTER {
+            let a = self.lane_atoms[CLUSTER * ci + u];
+            if a == PAD {
+                continue;
+            }
+            for &b in self.filter.excluded(a as usize) {
+                let lane = self.lane_of[b as usize] as usize;
+                // A partner in an earlier cluster is that cluster's entry.
+                if lane / CLUSTER >= ci {
+                    let bit = 1 << (CLUSTER * u + lane % CLUSTER);
+                    self.excluded.push(((lane / CLUSTER) as u32, bit));
+                }
+            }
+        }
+        self.excluded.sort_unstable();
+    }
+
+    fn keep(&mut self, cj: usize, mut bits: u32) -> u32 {
+        if self.all_zone[self.ci] & self.all_zone[cj] != 0 {
+            return 0;
+        }
+        while let Some(&(c, bit)) = self.excluded.get(self.next) {
+            if c as usize > cj {
+                break;
+            }
+            if c as usize == cj {
+                bits &= !bit;
+            }
+            self.next += 1;
+        }
+        if self.any_zone[self.ci] & self.any_zone[cj] != 0 {
+            let (ibase, jbase) = (CLUSTER * self.ci, CLUSTER * cj);
+            for u in 0..CLUSTER {
+                for v in 0..CLUSTER {
+                    if self.lane_zone[ibase + u] & self.lane_zone[jbase + v] != 0 {
+                        bits &= !(1 << (CLUSTER * u + v));
+                    }
+                }
+            }
+        }
+        bits
+    }
 }
 
 #[cfg(test)]
@@ -512,6 +868,29 @@ mod tests {
         let pl = PairList::build_in_frame(&frame, &positions, 0.8, &all);
         assert_eq!(sorted_pairs(&pl), vec![(0, 1)]);
         assert_eq!(brute_force_pairs(&frame, &positions, 0.8, &all), [(0, 1)]);
+    }
+
+    #[test]
+    fn runaway_coordinate_does_not_size_the_grid() {
+        // One atom flung to 1e12 nm along the decomposed (non-periodic)
+        // dimension: sized from the extent alone the grid would ask for
+        // ~1e14 cells. Capped, the build completes and stays exact.
+        let sys = GrappaBuilder::new(1000).seed(6).build();
+        let frame = Frame::for_decomposition(&sys.pbc, [2, 1, 1]);
+        let mut positions = sys.positions.clone();
+        positions.push(Vec3::new(1e12, 1.0, 1.0));
+        let grid = CellGrid::new(&frame, &positions, 0..positions.len() as u32, 0.7, 0.7);
+        assert!(grid.starts.len() <= 64 * positions.len() + (1 << 16) + 1);
+        let all = |_: usize, _: usize| true;
+        let pl = PairList::build_in_frame(&frame, &positions, 0.7, &all);
+        let bf = brute_force_pairs(&frame, &positions, 0.7, &all);
+        assert_eq!(sorted_pairs(&pl), bf);
+        assert!(bf.len() > 10_000);
+
+        let mut kinds = sys.kinds.clone();
+        kinds.push(kinds[0]);
+        let cl = crate::ClusterPairList::build(&frame, &positions, &kinds, 700, 0.7, &all);
+        assert_eq!(cl.all_pairs(), bf);
     }
 
     /// The neighbourhood of `p` as the pre-`CellGrid` binning enumerated

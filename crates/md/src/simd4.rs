@@ -61,8 +61,8 @@ impl F4 {
 
     #[inline(always)]
     pub fn from_array(a: [f32; 4]) -> Self {
-        // SAFETY: SSE2 baseline; set_ps takes lanes high-to-low.
-        unsafe { F4(_mm_set_ps(a[3], a[2], a[1], a[0])) }
+        // SAFETY: `a` is a 16-byte f32x4 source; loadu is unaligned.
+        unsafe { F4(_mm_loadu_ps(a.as_ptr())) }
     }
 
     #[inline(always)]
@@ -78,6 +78,15 @@ impl F4 {
     pub fn sqrt(self) -> Self {
         // SAFETY: SSE2 baseline.
         unsafe { F4(_mm_sqrt_ps(self.0)) }
+    }
+
+    /// Lane-wise maximum with `f32::max`'s NaN rule on the left operand:
+    /// a NaN lane of `self` yields `rhs`.
+    #[inline(always)]
+    pub fn max(self, rhs: Self) -> Self {
+        // SAFETY: SSE2 baseline. maxps returns its second operand when
+        // either is NaN.
+        unsafe { F4(_mm_max_ps(self.0, rhs.0)) }
     }
 
     /// Lane mask: all-ones where `self < rhs`, all-zeros elsewhere.
@@ -168,6 +177,19 @@ impl F4 {
         F4(self.0.map(f32::sqrt))
     }
 
+    /// Lane-wise maximum with `f32::max`'s NaN rule on the left operand:
+    /// a NaN lane of `self` yields `rhs`.
+    #[inline(always)]
+    pub fn max(self, rhs: Self) -> Self {
+        F4(lanes(|v| {
+            if self.0[v] > rhs.0[v] {
+                self.0[v]
+            } else {
+                rhs.0[v]
+            }
+        }))
+    }
+
     /// Lane mask: all-ones where `self < rhs`, all-zeros elsewhere.
     #[inline(always)]
     pub fn lt(self, rhs: Self) -> Self {
@@ -221,6 +243,9 @@ impl F4 {
     /// Tile rows one pack carries.
     pub const ROWS: usize = 1;
 
+    /// Consecutive array elements one [`F4::load`] covers.
+    pub const LANES: usize = 4;
+
     /// Per-row splat of i-cluster data: all lanes `data[first]`.
     #[inline(always)]
     pub fn rows(data: &[f32; 4], first: usize) -> Self {
@@ -272,11 +297,23 @@ impl F8 {
     /// Tile rows one pack carries.
     pub const ROWS: usize = 2;
 
+    /// Consecutive array elements one [`F8::load`] covers.
+    pub const LANES: usize = 8;
+
     /// All eight lanes set to `x`.
     #[target_feature(enable = "avx2")]
     #[inline]
     pub fn splat(x: f32) -> Self {
         F8(_mm256_set1_ps(x))
+    }
+
+    /// Load lanes `src[base..base + 8]` (unaligned).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub fn load(src: &[f32], base: usize) -> Self {
+        let s: &[f32] = &src[base..base + 8];
+        // SAFETY: the slice above bounds-checks the 8-lane window.
+        unsafe { F8(_mm256_loadu_ps(s.as_ptr())) }
     }
 
     /// Per-row splat of i-cluster data: lanes 0–3 = `data[first]`, lanes
@@ -350,6 +387,21 @@ impl F8 {
     #[inline]
     pub fn any_nonzero(self) -> bool {
         _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, _mm256_setzero_ps())) != 0
+    }
+
+    /// Lane sign bits packed into the low eight bits (row `h`'s four in
+    /// nibble `h`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) fn movemask(self) -> u32 {
+        _mm256_movemask_ps(self.0) as u32
+    }
+
+    /// Lane-wise maximum, NaN rule as [`F4::max`] (`vmaxps` ≡ `maxps`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub fn max(self, rhs: Self) -> Self {
+        F8(_mm256_max_ps(self.0, rhs.0))
     }
 
     /// Lane-wise add.
@@ -534,6 +586,10 @@ mod tests {
         let both = lo.gt(F4::splat(0.5)).and(m).and(F4::splat(1.0)).to_array();
         assert_eq!(both, [1.0, 0.0, 1.0, 0.0]);
         assert_eq!(m.movemask(), 0b1101);
+        // `max` is `f32::max` on a NaN left operand, as the box sweep's
+        // `(gap).max(0.0)` needs.
+        let nan_left = F4::from_array([f32::NAN, -1.0, 2.0, -0.0]).max(F4::splat(0.0));
+        assert_eq!(nan_left.to_array(), [0.0, 0.0, 2.0, 0.0]);
         assert_eq!(F4::splat(f32::NAN).lt(hi).movemask(), 0);
     }
 
@@ -586,10 +642,20 @@ mod tests {
                 (v.lt(w), a.lt(c), b.lt(c)),
                 (v.gt(w), a.gt(c), b.gt(c)),
                 (v.lt(w).and(w), a.lt(c).and(c), b.lt(c).and(c)),
+                (v.max(w), a.max(c), b.max(c)),
             ] {
                 assert_eq!(bits(got.half(0)), bits(lo));
                 assert_eq!(bits(got.half(1)), bits(hi));
             }
+
+            assert_eq!(
+                v.lt(w).movemask(),
+                a.lt(c).movemask() | b.lt(c).movemask() << 4
+            );
+            let src = [0.0f32, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+            let loaded = F8::load(&src, 1);
+            assert_eq!(bits(loaded.half(0)), bits(F4::load(&src, 1)));
+            assert_eq!(bits(loaded.half(1)), bits(F4::load(&src, 5)));
 
             assert!(!F8::splat(0.0).any_nonzero());
             assert!(!F8::rows(&[0.0, -0.0, 0.0, 0.0], 0).any_nonzero());

@@ -4,7 +4,7 @@
 
 use halox_md::cluster::{compute_nonbonded_clusters_aos, ClusterPairList, NbPartition};
 use halox_md::forces::{compute_nonbonded, NonbondedParams};
-use halox_md::pairlist::{brute_force_pairs, eighth_shell_rule};
+use halox_md::pairlist::{brute_force_pairs, eighth_shell_rule, PairFilter, ZoneFilter};
 use halox_md::trajectory::{read_xyz_frame, write_xyz_frame};
 use halox_md::{AtomKind, Frame, GrappaBuilder, PairList, PbcBox, Vec3, CLUSTER};
 use proptest::prelude::*;
@@ -14,6 +14,105 @@ use std::io::BufReader;
 
 fn vec3() -> impl Strategy<Value = Vec3> {
     (-20.0f32..20.0, -20.0f32..20.0, -20.0f32..20.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+const DD_FRAMES: [[usize; 3]; 4] = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]];
+
+/// A random local frame on DD grid `dd`: periodic dims hold coordinates up
+/// to 0.3 nm outside the box, decomposed dims a home half plus a halo
+/// shell. `tight` makes the periodic edges barely over `2 r_list`, so every
+/// grid range query wraps the whole dimension.
+fn drifted_frame(
+    rng: &mut StdRng,
+    atoms: usize,
+    dd: [usize; 3],
+    tight: bool,
+    r_list: f32,
+) -> (Frame, Vec<Vec3>) {
+    let edge = (atoms as f32 / 100.0).cbrt().max(2.1 * r_list);
+    let mut lengths = Vec3::ZERO;
+    for k in 0..3 {
+        lengths[k] = if tight {
+            r_list * rng.gen_range(2.05f32..2.4)
+        } else {
+            edge * rng.gen_range(1.0f32..1.5)
+        };
+    }
+    let frame = Frame::for_decomposition(&PbcBox::new(lengths), dd);
+    let positions = (0..atoms)
+        .map(|_| {
+            let mut p = Vec3::ZERO;
+            for k in 0..3 {
+                p[k] = if frame.periodic[k] {
+                    rng.gen_range(-0.3..lengths[k] + 0.3)
+                } else {
+                    rng.gen_range(0.0..0.5 * lengths[k] + r_list)
+                };
+            }
+            p
+        })
+        .collect();
+    (frame, positions)
+}
+
+proptest! {
+    // The default configuration: 256 cases.
+    #[test]
+    fn zone_filter_equals_the_closure_rule(
+        seed in 0u64..u64::MAX,
+        atoms in 1usize..601,
+        dd in 0usize..4,
+        home in 0usize..4,
+        tight in 0usize..2,
+        r_list in 0.4f32..1.0,
+    ) {
+        // The engine's data filter against the predicate it replaced, on
+        // the drifted frames of the grid-search test (short and
+        // box-spanning clusters, PAD lanes, every DD frame): both lists
+        // must come out identical array for array. Halo copies carry one-
+        // and two-pulse displacements in the decomposed dims; exclusions
+        // are three-atom molecules over *global* ids, and the halo range
+        // re-uses global ids so one partner is present as several local
+        // copies, some of them home.
+        let dd = DD_FRAMES[dd];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (frame, positions) = drifted_frame(&mut rng, atoms, dd, tight == 1, r_list);
+        let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
+        let disp: Vec<[u8; 3]> = (0..atoms)
+            .map(|a| {
+                [0, 1, 2].map(|k| {
+                    if a >= n_home && !frame.periodic[k] { rng.gen_range(0..3u8) } else { 0 }
+                })
+            })
+            .collect();
+        let n_global = (atoms / 2).max(1);
+        let global: Vec<usize> = (0..atoms)
+            .map(|a| if a < n_home { a } else { rng.gen_range(0..n_global) })
+            .collect();
+        let excluded = |g: usize, h: usize| g != h && g / 3 == h / 3;
+        let rule = |a: usize, b: usize| {
+            eighth_shell_rule(&disp, a, b) && !excluded(global[a], global[b])
+        };
+        let filter = ZoneFilter::new(&disp, |a, row| {
+            row.extend((0..atoms).filter(|&b| excluded(global[a], global[b])).map(|b| b as u32));
+        });
+        for a in 0..atoms {
+            for b in a + 1..atoms {
+                prop_assert_eq!(filter.keeps(a, b), rule(a, b), "pair ({}, {})", a, b);
+            }
+        }
+
+        let kinds = vec![AtomKind::Ow; atoms];
+        let by_data = ClusterPairList::build(&frame, &positions, &kinds, n_home, r_list, &filter);
+        let by_rule = ClusterPairList::build(&frame, &positions, &kinds, n_home, r_list, &rule);
+        prop_assert_eq!(&by_data.lane_atoms, &by_rule.lane_atoms);
+        prop_assert_eq!(&by_data.local, &by_rule.local);
+        prop_assert_eq!(&by_data.halo, &by_rule.halo);
+        let by_data = PairList::build_in_frame(&frame, &positions, r_list, &filter);
+        let by_rule = PairList::build_in_frame(&frame, &positions, r_list, &rule);
+        prop_assert_eq!(by_data.starts, by_rule.starts);
+        prop_assert_eq!(by_data.j_atoms, by_rule.j_atoms);
+    }
 }
 
 proptest! {
@@ -148,31 +247,9 @@ proptest! {
         // coordinates up to 0.3 nm outside the box, and (`tight`) periodic
         // edges barely over 2 r_list, where every range query wraps the
         // whole dimension and must still see each cluster once.
-        let dd = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]][dd];
+        let dd = DD_FRAMES[dd];
         let mut rng = StdRng::seed_from_u64(seed);
-        let edge = (atoms as f32 / 100.0).cbrt().max(2.1 * r_list);
-        let mut lengths = Vec3::ZERO;
-        for k in 0..3 {
-            lengths[k] = if tight == 1 {
-                r_list * rng.gen_range(2.05f32..2.4)
-            } else {
-                edge * rng.gen_range(1.0f32..1.5)
-            };
-        }
-        let frame = Frame::for_decomposition(&PbcBox::new(lengths), dd);
-        let positions: Vec<Vec3> = (0..atoms)
-            .map(|_| {
-                let mut p = Vec3::ZERO;
-                for k in 0..3 {
-                    p[k] = if frame.periodic[k] {
-                        rng.gen_range(-0.3..lengths[k] + 0.3)
-                    } else {
-                        rng.gen_range(0.0..0.5 * lengths[k] + r_list)
-                    };
-                }
-                p
-            })
-            .collect();
+        let (frame, positions) = drifted_frame(&mut rng, atoms, dd, tight == 1, r_list);
         let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
         // Halo copies travelled one domain up in some decomposed dims.
         let disp: Vec<[u8; 3]> = (0..atoms)
