@@ -20,9 +20,10 @@
 //!   scheme, which make every global pair materialize on precisely one rank.
 //!
 //! The engine's filter is data — [`ZoneFilter`], zone bits and an exclusion
-//! CSR the DD plan computes once per partition; any
-//! `Fn(usize, usize) -> bool` is a filter too, asked pair by pair, which is
-//! what tests and oracles pass.
+//! CSR the DD plan computes once per partition, or
+//! `ZoneFilter::whole_system` for one rank (the minimiser, the reference
+//! list); any `Fn(usize, usize) -> bool` is a filter too, asked pair by
+//! pair, which is what tests and oracles pass.
 //!
 //! `CellGrid` is the crate's one uniform grid, used three ways: its
 //! cell-sorted `order` is what the cluster build chunks into clusters,
@@ -136,8 +137,8 @@ impl PairList {
     /// The single-rank list of a whole system: every non-excluded pair
     /// within `r_list` under the fully periodic frame.
     pub(crate) fn single_rank(system: &System, r_list: f32) -> PairList {
-        let rule = |a: usize, b: usize| !system.is_excluded(a, b);
-        Self::build(&system.pbc, &system.positions, r_list, &rule)
+        let filter = ZoneFilter::whole_system(system);
+        Self::build(&system.pbc, &system.positions, r_list, &filter)
     }
 
     /// Build a pair list with search radius `r_list = cutoff + buffer` under
@@ -650,6 +651,15 @@ impl ZoneFilter {
         }
     }
 
+    /// The filter of a whole system on one rank: no atom travelled (every
+    /// zone bit 0), so it keeps exactly the pairs `System::exclusions` does
+    /// not name.
+    pub(crate) fn whole_system(system: &System) -> ZoneFilter {
+        ZoneFilter::new(&vec![[0; 3]; system.n_atoms()], |i, row| {
+            row.extend_from_slice(&system.exclusions[i])
+        })
+    }
+
     /// Local atoms excluded from pairing with `i`, ascending.
     pub fn excluded(&self, i: usize) -> &[u32] {
         &self.partners[self.starts[i] as usize..self.starts[i + 1] as usize]
@@ -788,6 +798,18 @@ mod tests {
         let bf = brute_force_pairs(&frame, &sys.positions, 0.7, &excl);
         assert_eq!(sorted_pairs(&pl), bf);
         assert!(!bf.is_empty());
+    }
+
+    #[test]
+    fn whole_system_filter_builds_the_closure_list() {
+        for seed in [1, 8, 21] {
+            let sys = GrappaBuilder::new(900).seed(seed).build();
+            let rule = |a: usize, b: usize| !sys.is_excluded(a, b);
+            let by_rule = PairList::build(&sys.pbc, &sys.positions, 0.75, &rule);
+            let by_data = PairList::single_rank(&sys, 0.75);
+            assert_eq!(by_data.starts, by_rule.starts, "seed {seed}");
+            assert_eq!(by_data.j_atoms, by_rule.j_atoms, "seed {seed}");
+        }
     }
 
     #[test]
