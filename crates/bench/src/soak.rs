@@ -21,7 +21,7 @@
 //!
 //! The trajectory target *extends* until at least [`MIN_KILL_CYCLES`]
 //! kill/recover cycles have happened, then the survivor's full state and
-//! per-step energy history are compared **bitwise** against an
+//! energy history are compared **bitwise** against an
 //! uninterrupted serial-reference run of the same length — the
 //! checkpoint-resume contract end to end. Every loop is bounded by cycle
 //! and wall-clock caps: the harness completes or diagnoses, never hangs.

@@ -2,9 +2,9 @@
 //!
 //! A [`Checkpoint`] is the complete dynamic state of a run at a *segment
 //! boundary*: the [`System`] (positions, velocities), the step count, the
-//! full per-step energy history, cumulative recovery counters, and a
-//! [`ConfigFingerprint`] that rejects resumes under a physically different
-//! configuration with a typed error.
+//! energies of every energy step so far, cumulative recovery counters, and
+//! a [`ConfigFingerprint`] that rejects resumes under a physically
+//! different configuration with a typed error.
 //!
 //! Segment boundaries are the only sound snapshot points, and they make
 //! positions + velocities a *complete* state: both integrators recompute
@@ -41,11 +41,16 @@ use std::path::{Path, PathBuf};
 
 /// File magic: "HXCK" (HaloX ChecKpoint).
 pub const MAGIC: [u8; 4] = *b"HXCK";
-/// Format version; bump on any change to the body layout.
+/// Format version; bump on any change to the body layout or its
+/// invariants.
 /// v2: movable DD cell boundaries ([`DdBounds`]) joined the body and the
 /// DLB mode joined the fingerprint — boundary state must survive a resume
 /// for DLB-on trajectories to stay bitwise.
-pub const VERSION: u8 = 2;
+/// v3: `energies` holds one report per energy step (every `nstlist`-th
+/// step from 0), not one per step — same layout, different invariant, so
+/// a v2 file is refused rather than resumed with a history of the wrong
+/// shape.
+pub const VERSION: u8 = 3;
 
 /// Why a checkpoint could not be read, written, or resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,10 +298,11 @@ pub struct Checkpoint {
     pub step: u64,
     /// The gathered global state at `step`.
     pub system: System,
-    /// Per-step energy history `[0, step)` — carried so a resumed run's
-    /// final `RunStats.energies` is bitwise-equal to the uninterrupted
-    /// run's (one `EnergyReport` per step, invariant:
-    /// `energies.len() == step`).
+    /// Energy history of the energy steps in `[0, step)` — carried so a
+    /// resumed run's final `RunStats.energies` is bitwise-equal to the
+    /// uninterrupted run's (one `EnergyReport` per energy step, invariant:
+    /// `energies.len() == step.div_ceil(fingerprint.nstlist)`, checked on
+    /// resume).
     pub energies: Vec<EnergyReport>,
     /// Cumulative recovery accounting up to `step`.
     pub stats: StatsSnapshot,
@@ -564,7 +570,8 @@ mod tests {
         let mut bounds = DdBounds::uniform(&halox_dd::DdGrid::new([2, 2, 1]));
         bounds.fracs[0][1] = 0.4375;
         bounds.fracs[1][1] = 0.53125;
-        let energies: Vec<EnergyReport> = (0..7)
+        // Step 7 at `nstlist = 5`: the energy steps 0 and 5.
+        let energies: Vec<EnergyReport> = (0..2)
             .map(|i| EnergyReport {
                 nonbonded: -1000.0 - i as f64,
                 bonds: 10.0 + i as f64 * 0.25,
@@ -691,6 +698,62 @@ mod tests {
             Checkpoint::from_file_bytes(&future),
             Err(CheckpointError::BadVersion(v)) if v == VERSION + 1
         ));
+    }
+
+    /// Frame `ck`'s body under an arbitrary version byte, CRC intact.
+    fn framed_as(version: u8, ck: &Checkpoint) -> Vec<u8> {
+        let mut out = Vec::from(MAGIC);
+        out.push(version);
+        ck.encode(&mut out);
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn v2_file_is_refused_as_bad_version() {
+        // Same body layout as v3, one energy per step: an intact v2 file is
+        // an older format, never a history to reinterpret.
+        let mut ck = sample_checkpoint();
+        ck.energies = vec![EnergyReport::default(); ck.step as usize];
+        assert_eq!(
+            Checkpoint::from_file_bytes(&framed_as(2, &ck)),
+            Err(CheckpointError::BadVersion(2))
+        );
+        assert!(Checkpoint::from_file_bytes(&framed_as(VERSION, &ck)).is_ok());
+    }
+
+    #[test]
+    fn energy_history_of_the_wrong_length_fails_resume_typed() {
+        use crate::runner::{Engine, EngineError};
+        // The sample is consistent: step 7 at nstlist 5 holds 2 energies.
+        let good = sample_checkpoint();
+        assert!(Engine::resume_from_checkpoint(good.clone(), sample_config()).is_ok());
+
+        let one_per_step = Checkpoint {
+            energies: vec![EnergyReport::default(); 7],
+            ..good.clone()
+        };
+        let one_short = Checkpoint {
+            energies: vec![EnergyReport::default(); 1],
+            ..good.clone()
+        };
+        let mut no_nstlist = good.clone();
+        no_nstlist.fingerprint.nstlist = 0;
+        for (label, ck) in [
+            ("one per step", one_per_step),
+            ("one short", one_short),
+            ("nstlist 0", no_nstlist),
+        ] {
+            // A CRC-valid v3 file decodes; resuming from it is refused with
+            // a typed decode error, never a panic.
+            let back = Checkpoint::from_file_bytes(&ck.file_bytes()).expect(label);
+            let err = Engine::resume_from_checkpoint(back, sample_config()).expect_err(label);
+            assert!(
+                matches!(err, EngineError::Checkpoint(CheckpointError::Decode(_))),
+                "{label}: {err}"
+            );
+        }
     }
 
     #[test]

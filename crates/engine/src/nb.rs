@@ -21,11 +21,17 @@
 //!   uses the retained list, so when the post-arrival staleness check
 //!   passes, the partial is exactly what the non-overlapped order would
 //!   have produced and is folded as-is; when the list turns out stale the
-//!   partial is discarded and the round recomputes from the fresh list.
+//!   partial is discarded and the round recomputes from the fresh list;
+//! * the caller says per round whether it wants energy and virial: rounds
+//!   that record none run the cluster kernel's force-only flavour, whose
+//!   forces are bitwise the energy kernel's (the scalar loop always
+//!   computes both).
 
 use crate::config::NbKernel;
 use crate::devtimer::PhaseTimer;
-use halox_md::cluster::{compute_nonbonded_clusters, ClusterPairList, NbPartition};
+use halox_md::cluster::{
+    compute_nonbonded_cluster_forces, compute_nonbonded_clusters, ClusterPairList, NbPartition,
+};
 use halox_md::forces::compute_nonbonded_virial;
 use halox_md::pairlist::PairFilter;
 use halox_md::{Frame, NonbondedParams, PairList, SoaCoords, SoaForces, Vec3};
@@ -48,7 +54,8 @@ pub(crate) struct NbEvaluator {
     coords: SoaCoords,
     lane_forces: SoaForces,
     /// Local-partition `(energy, virial)` computed during the overlap
-    /// window, pending the staleness verdict of this round's list.
+    /// window, pending the staleness verdict of this round's list (zeros
+    /// from a force-only round).
     pending_local: Option<(f64, f64)>,
     /// Pair interactions in the list used by the most recent
     /// [`NbEvaluator::compute`] round (local + halo partitions).
@@ -86,12 +93,14 @@ impl NbEvaluator {
     /// Evaluate the local (home–home) tile partition using only home
     /// coordinates — legal while the coordinate halo exchange is still in
     /// flight. The partial energies and lane forces are held internally
-    /// until [`NbEvaluator::compute`] validates the list for this round.
+    /// until [`NbEvaluator::compute`] validates the list for this round,
+    /// which must pass the same `energy` flag.
     pub fn compute_local_overlapped(
         &mut self,
         frame: &Frame,
         positions: &[Vec3],
         params: &NonbondedParams,
+        energy: bool,
         timer: &mut PhaseTimer,
     ) {
         debug_assert!(self.can_overlap());
@@ -105,7 +114,7 @@ impl NbEvaluator {
             cl.pack_coords(positions, coords, cl.home_clusters())
         });
         let res = timer.time("nb_local", || {
-            compute_nonbonded_clusters(frame, coords, cl, NbPartition::Local, params, lanes)
+            tiles(energy, frame, coords, cl, NbPartition::Local, params, lanes)
         });
         self.pending_local = Some(res);
     }
@@ -113,7 +122,9 @@ impl NbEvaluator {
     /// One full non-bonded force round over the complete (home + halo)
     /// coordinate array: staleness check, rebuild if needed, kernel
     /// dispatch, force accumulation into `forces` (additive). Returns
-    /// `(energy, virial)`.
+    /// `(energy, virial)`; with `energy` false the cluster kernel runs its
+    /// force-only flavour and returns zeros (the forces are bitwise the
+    /// same either way).
     #[allow(clippy::too_many_arguments)]
     pub fn compute(
         &mut self,
@@ -125,6 +136,7 @@ impl NbEvaluator {
         buffer: f32,
         filter: &(impl PairFilter + ?Sized),
         params: &NonbondedParams,
+        energy: bool,
         forces: &mut [Vec3],
         timer: &mut PhaseTimer,
     ) -> (f64, f64) {
@@ -166,14 +178,7 @@ impl NbEvaluator {
                             cl.pack_coords(positions, coords, cl.home_clusters())
                         });
                         timer.time("nb_local", || {
-                            compute_nonbonded_clusters(
-                                frame,
-                                coords,
-                                cl,
-                                NbPartition::Local,
-                                params,
-                                lanes,
-                            )
+                            tiles(energy, frame, coords, cl, NbPartition::Local, params, lanes)
                         })
                     }
                 };
@@ -181,12 +186,30 @@ impl NbEvaluator {
                     cl.pack_coords(positions, coords, cl.halo_clusters())
                 });
                 let (e_h, w_h) = timer.time("nb_halo", || {
-                    compute_nonbonded_clusters(frame, coords, cl, NbPartition::Halo, params, lanes)
+                    tiles(energy, frame, coords, cl, NbPartition::Halo, params, lanes)
                 });
                 cl.fold_forces(lanes, forces);
                 (e_l + e_h, w_l + w_h)
             }
         }
+    }
+}
+
+/// One tile partition through the energy kernel or its force-only flavour.
+fn tiles(
+    energy: bool,
+    frame: &Frame,
+    coords: &SoaCoords,
+    list: &ClusterPairList,
+    which: NbPartition,
+    params: &NonbondedParams,
+    lanes: &mut SoaForces,
+) -> (f64, f64) {
+    if energy {
+        compute_nonbonded_clusters(frame, coords, list, which, params, lanes)
+    } else {
+        compute_nonbonded_cluster_forces(frame, coords, list, which, params, lanes);
+        (0.0, 0.0)
     }
 }
 
@@ -196,9 +219,22 @@ mod tests {
     use halox_md::pairlist::eighth_shell_rule;
     use halox_md::{GrappaBuilder, Vec3};
 
+    fn assert_forces_bitwise(a: &[Vec3], b: &[Vec3], label: &str) {
+        assert_eq!(a.len(), b.len(), "{label}");
+        for (i, (p, q)) in a.iter().zip(b).enumerate() {
+            assert_eq!(
+                [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()],
+                [q.x.to_bits(), q.y.to_bits(), q.z.to_bits()],
+                "{label}: atom {i}"
+            );
+        }
+    }
+
     /// The threaded-equivalence argument in miniature: a round evaluated
     /// with the overlap window (local partition before "arrival") is
-    /// bitwise identical to the same round evaluated in one pass.
+    /// bitwise identical to the same round evaluated in one pass — energy
+    /// round and force-only round alike, and the two flavours' forces are
+    /// bitwise each other's.
     #[test]
     fn overlapped_round_is_bitwise_identical() {
         let sys = GrappaBuilder::new(1200).seed(51).build();
@@ -215,78 +251,51 @@ mod tests {
             eighth_shell_rule(disp_ref, a, b) && !sys_ref.is_excluded(a, b)
         };
         let params = NonbondedParams::new(0.6);
-        let mut timer = PhaseTimer::new();
-
-        // Round 1 on both evaluators builds the list.
-        let mut plain = NbEvaluator::new(NbKernel::Cluster);
-        let mut overlapped = NbEvaluator::new(NbKernel::Cluster);
-        for ev in [&mut plain, &mut overlapped] {
-            let mut f = vec![Vec3::ZERO; n];
-            ev.compute(
-                &frame,
-                &sys.positions,
-                &sys.kinds,
-                n_home,
-                0.7,
-                0.1,
-                &rule,
-                &params,
-                &mut f,
-                &mut timer,
-            );
-        }
-        assert!(overlapped.can_overlap());
-
-        // Round 2: drift everything slightly (inside the buffer), then
-        // evaluate plain vs overlap-window order.
+        // Round 2 drifts everything slightly (inside the buffer).
         let moved: Vec<Vec3> = sys
             .positions
             .iter()
             .enumerate()
             .map(|(i, p)| *p + Vec3::new(0.001, -0.0005, 0.0007) * ((i % 3) as f32))
             .collect();
-        let mut f_plain = vec![Vec3::ZERO; n];
-        let r_plain = plain.compute(
-            &frame,
-            &moved,
-            &sys.kinds,
-            n_home,
-            0.7,
-            0.1,
-            &rule,
-            &params,
-            &mut f_plain,
-            &mut timer,
-        );
-        overlapped.compute_local_overlapped(&frame, &moved, &params, &mut timer);
-        let mut f_over = vec![Vec3::ZERO; n];
-        let r_over = overlapped.compute(
-            &frame,
-            &moved,
-            &sys.kinds,
-            n_home,
-            0.7,
-            0.1,
-            &rule,
-            &params,
-            &mut f_over,
-            &mut timer,
-        );
-        assert_eq!(r_plain.0.to_bits(), r_over.0.to_bits());
-        assert_eq!(r_plain.1.to_bits(), r_over.1.to_bits());
-        for (a, b) in f_plain.iter().zip(&f_over) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-            assert_eq!(a.z.to_bits(), b.z.to_bits());
+
+        let mut round_forces = Vec::new();
+        for energy in [true, false] {
+            let mut timer = PhaseTimer::new();
+            let round = |ev: &mut NbEvaluator, pos: &[Vec3], timer: &mut PhaseTimer| {
+                let mut f = vec![Vec3::ZERO; n];
+                let r = ev.compute(
+                    &frame, pos, &sys.kinds, n_home, 0.7, 0.1, &rule, &params, energy, &mut f,
+                    timer,
+                );
+                (r, f)
+            };
+            // Round 1 on both evaluators builds the list.
+            let mut plain = NbEvaluator::new(NbKernel::Cluster);
+            let mut overlapped = NbEvaluator::new(NbKernel::Cluster);
+            round(&mut plain, &sys.positions, &mut timer);
+            round(&mut overlapped, &sys.positions, &mut timer);
+            assert!(overlapped.can_overlap());
+
+            // Round 2: plain vs overlap-window order.
+            let (r_plain, f_plain) = round(&mut plain, &moved, &mut timer);
+            overlapped.compute_local_overlapped(&frame, &moved, &params, energy, &mut timer);
+            let (r_over, f_over) = round(&mut overlapped, &moved, &mut timer);
+            assert_eq!(r_plain.0.to_bits(), r_over.0.to_bits());
+            assert_eq!(r_plain.1.to_bits(), r_over.1.to_bits());
+            assert_eq!(r_plain == (0.0, 0.0), !energy, "energy {energy}");
+            assert_forces_bitwise(&f_plain, &f_over, &format!("energy {energy}"));
+            // Timer saw the overlap-specific phase.
+            assert!(timer.total("pack_overlap") > std::time::Duration::ZERO);
+            assert!(timer.total("nb_local") > std::time::Duration::ZERO);
+            assert!(timer.total("nb_halo") > std::time::Duration::ZERO);
+            round_forces.push(f_over);
         }
-        // Timer saw the overlap-specific phase.
-        assert!(timer.total("pack_overlap") > std::time::Duration::ZERO);
-        assert!(timer.total("nb_local") > std::time::Duration::ZERO);
-        assert!(timer.total("nb_halo") > std::time::Duration::ZERO);
+        assert_forces_bitwise(&round_forces[0], &round_forces[1], "energy vs force-only");
     }
 
     /// A stale list discards the overlapped partial instead of folding
-    /// forces computed against dead tile indices.
+    /// forces computed against dead tile indices, in either flavour.
     #[test]
     fn stale_list_discards_overlapped_partial() {
         let sys = GrappaBuilder::new(900).seed(52).build();
@@ -296,43 +305,32 @@ mod tests {
         let all = |_: usize, _: usize| true;
         let params = NonbondedParams::new(0.6);
         let mut timer = PhaseTimer::new();
-        let mut ev = NbEvaluator::new(NbKernel::Cluster);
-        // Two rounds on unmoved positions: the first builds the list, the
-        // second consumes the fresh-skip of `needs_rebuild` (a just-built
-        // list is trusted for one step — DESIGN.md §3.4).
-        for _ in 0..2 {
-            let mut f = vec![Vec3::ZERO; n];
-            ev.compute(
-                &frame,
-                &sys.positions,
-                &sys.kinds,
-                n_home,
-                0.7,
-                0.1,
-                &all,
-                &params,
-                &mut f,
-                &mut timer,
-            );
-        }
         // Move one atom past buffer/2 so the next round must rebuild.
         let mut moved = sys.positions.clone();
         moved[3].x += 0.2;
-        ev.compute_local_overlapped(&frame, &moved, &params, &mut timer);
-        let mut f1 = vec![Vec3::ZERO; n];
-        let r1 = ev.compute(
-            &frame, &moved, &sys.kinds, n_home, 0.7, 0.1, &all, &params, &mut f1, &mut timer,
-        );
-        // Oracle: a fresh evaluator with no overlap shenanigans. Its first
-        // compute builds a new list from `moved` — same as the rebuild.
-        let mut oracle = NbEvaluator::new(NbKernel::Cluster);
-        let mut f2 = vec![Vec3::ZERO; n];
-        let r2 = oracle.compute(
-            &frame, &moved, &sys.kinds, n_home, 0.7, 0.1, &all, &params, &mut f2, &mut timer,
-        );
-        assert_eq!(r1.0.to_bits(), r2.0.to_bits());
-        for (a, b) in f1.iter().zip(&f2) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
+        for energy in [true, false] {
+            let round = |ev: &mut NbEvaluator, pos: &[Vec3], timer: &mut PhaseTimer| {
+                let mut f = vec![Vec3::ZERO; n];
+                let r = ev.compute(
+                    &frame, pos, &sys.kinds, n_home, 0.7, 0.1, &all, &params, energy, &mut f, timer,
+                );
+                (r, f)
+            };
+            let mut ev = NbEvaluator::new(NbKernel::Cluster);
+            // Two rounds on unmoved positions: the first builds the list,
+            // the second consumes the fresh-skip of `needs_rebuild` (a
+            // just-built list is trusted for one step — DESIGN.md §3.4).
+            for _ in 0..2 {
+                round(&mut ev, &sys.positions, &mut timer);
+            }
+            ev.compute_local_overlapped(&frame, &moved, &params, energy, &mut timer);
+            let (r1, f1) = round(&mut ev, &moved, &mut timer);
+            // Oracle: a fresh evaluator with no overlap shenanigans. Its
+            // first compute builds a new list from `moved` — same as the
+            // rebuild.
+            let (r2, f2) = round(&mut NbEvaluator::new(NbKernel::Cluster), &moved, &mut timer);
+            assert_eq!(r1.0.to_bits(), r2.0.to_bits());
+            assert_forces_bitwise(&f1, &f2, &format!("energy {energy}"));
         }
     }
 }

@@ -32,7 +32,10 @@ use std::time::{Duration, Instant};
 /// Aggregated results of a run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
-    /// Per-step global energies (summed over ranks).
+    /// Global energies (summed over ranks) of the energy steps: entry `k`
+    /// is absolute step `k · nstlist`, so a trajectory `steps` long holds
+    /// `steps.div_ceil(nstlist)` of them. The steps in between compute
+    /// forces only (DESIGN.md §3.3).
     pub energies: Vec<EnergyReport>,
     pub steps: usize,
     pub wall_seconds: f64,
@@ -87,9 +90,11 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Energies of the last completed step — `None` for a zero-step run.
-    /// Prefer this over indexing `energies`: `run(0)` is a legal request
-    /// (e.g. a partition-only warm-up) and must not panic downstream.
+    /// Energies of the last energy step completed — step
+    /// `(energies.len() - 1) · nstlist`, not necessarily the last step —
+    /// `None` for a zero-step run. Prefer this over indexing `energies`:
+    /// `run(0)` is a legal request (e.g. a partition-only warm-up) and must
+    /// not panic downstream.
     pub fn final_energy(&self) -> Option<&EnergyReport> {
         self.energies.last()
     }
@@ -208,7 +213,8 @@ pub struct Engine {
     pub config: EngineConfig,
     /// Steps completed. Durable numbering: every `try_run*` continues it.
     step: usize,
-    /// Per-step energy history `[0, step)`.
+    /// Energy history of the energy steps in `[0, step)`
+    /// (`step.div_ceil(nstlist)` reports; see [`RunStats::energies`]).
     energies: Vec<EnergyReport>,
     /// Durable recovery counters up to `step` (cumulative across resumes).
     stats: StatsSnapshot,
@@ -357,14 +363,18 @@ impl Engine {
     ) -> Result<Self, EngineError> {
         let (gx, gy, gz) = ck.fingerprint.grid;
         // Validate before DdGrid::new, which asserts — corrupt-but-CRC-valid
-        // input must surface as a typed error, never a panic.
-        if gx == 0 || gy == 0 || gz == 0 || ck.energies.len() != ck.step as usize {
+        // input must surface as a typed error, never a panic. One energy
+        // per energy step (checkpoint v3).
+        let want_energies = usize::try_from(ck.step)
+            .map(|step| step::energy_steps_before(step, ck.fingerprint.nstlist));
+        if gx == 0 || gy == 0 || gz == 0 || want_energies != Ok(ck.energies.len()) {
             return Err(EngineError::Checkpoint(CheckpointError::Decode(
                 WireError::malformed(format!(
-                    "inconsistent checkpoint: grid {:?}, {} energies for step {}",
+                    "inconsistent checkpoint: grid {:?}, {} energies for step {} at nstlist {}",
                     ck.fingerprint.grid,
                     ck.energies.len(),
-                    ck.step
+                    ck.step,
+                    ck.fingerprint.nstlist
                 )),
             )));
         }
@@ -520,7 +530,7 @@ impl Engine {
         &self.phases
     }
 
-    /// Advance `n_steps`; returns per-step energies and throughput.
+    /// Advance `n_steps`; returns the energy-step energies and throughput.
     /// Panics if the run fails even on the fallback transport — use
     /// [`Engine::try_run`] to handle that as a value.
     pub fn run(&mut self, n_steps: usize) -> RunStats {
@@ -550,7 +560,7 @@ impl Engine {
     ///
     /// `n_steps` means *additional* steps: numbering continues from the
     /// frontier, and the returned stats describe the whole trajectory
-    /// (`steps` = frontier + `n_steps`, `energies` = full per-step history),
+    /// (`steps` = frontier + `n_steps`, `energies` = every energy step's),
     /// so an interrupted run reads bitwise-identically to one that never
     /// crashed. On `Err` the frontier stays at the last segment boundary
     /// reached and the engine can be run again.
@@ -795,7 +805,8 @@ impl Engine {
             // exchanges: no world, and `backend` plays no part.
             RunMode::Serial => {
                 let transport = ReferenceTransport::new(&part, &cfg);
-                step::run_segment(&transport, &part, 0..n_ranks, &self.system, &cfg, steps)
+                let (system, first) = (&self.system, self.step);
+                step::run_segment(&transport, &part, 0..n_ranks, system, &cfg, first, steps)
                     .map_err(|e| SegmentFailure::Ranks(vec![e]))?
             }
             RunMode::Threaded => self.run_pes(&part, &cfg, steps)?,
@@ -807,13 +818,16 @@ impl Engine {
 
     /// The one place the frontier moves forward, called exactly once per
     /// *successful* segment, identically on both executors: gather home
-    /// atoms back into the global system, append the segment's energies
-    /// (folded in rank order), count the steps, fold the per-rank loads
-    /// into the run accounting and, when DLB is on, shift the boundaries
-    /// for the next segment.
+    /// atoms back into the global system, append the segment's energy-step
+    /// reports (folded in rank order), count the steps, fold the per-rank
+    /// loads into the run accounting and, when DLB is on, shift the
+    /// boundaries for the next segment.
     fn advance_frontier(&mut self, part: &DdPartition, ranks: &[RankResult], steps: usize) {
         let base = self.energies.len();
-        self.energies.resize(base + steps, EnergyReport::default());
+        let nstlist = self.config.nstlist;
+        let recorded = step::energy_steps_before(self.step + steps, nstlist);
+        debug_assert_eq!(base, step::energy_steps_before(self.step, nstlist));
+        self.energies.resize(recorded, EnergyReport::default());
         let mut loads = Vec::with_capacity(ranks.len());
         for (plan, r) in part.ranks.iter().zip(ranks) {
             self.phases.merge(&r.phases);
@@ -822,6 +836,7 @@ impl Engine {
                 self.system.positions[g as usize] = self.system.pbc.wrap(r.positions[k]);
                 self.system.velocities[g as usize] = r.velocities[k];
             }
+            debug_assert_eq!(r.energies.len(), recorded - base);
             for (total, e) in self.energies[base..].iter_mut().zip(&r.energies) {
                 total.nonbonded += e.nonbonded;
                 total.bonds += e.bonds;
@@ -906,7 +921,7 @@ impl Engine {
         };
         let comm = TwoSidedComm::new(n_ranks);
 
-        let system = &self.system;
+        let (system, first_step) = (&self.system, self.step);
         let run = world.try_run(|pe| {
             let transport = PeTransport {
                 pe,
@@ -916,7 +931,15 @@ impl Engine {
                 cfg,
                 wd: Watchdog::new(cfg.watchdog.deadline),
             };
-            step::run_segment(&transport, part, pe.id..pe.id + 1, system, cfg, steps)
+            step::run_segment(
+                &transport,
+                part,
+                pe.id..pe.id + 1,
+                system,
+                cfg,
+                first_step,
+                steps,
+            )
         });
 
         // Capacity survives a failed attempt, so cache either way.
@@ -957,7 +980,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halox_md::{GrappaBuilder, MinimizeOptions, ReferenceSimulation, Vec3};
+    use halox_md::{
+        assert_energies_bitwise, GrappaBuilder, MinimizeOptions, ReferenceSimulation, Vec3,
+    };
 
     fn relaxed_system(n: usize, seed: u64) -> System {
         let mut sys = GrappaBuilder::new(n).seed(seed).temperature(200.0).build();
@@ -1182,12 +1207,43 @@ mod tests {
     }
 
     #[test]
+    fn energy_steps_are_absolute_multiples_of_nstlist() {
+        use crate::config::Integrator;
+        // 7 + 8 steps at nstlist 5 run segments [0,5) [5,7) [7,12) [12,15):
+        // energies are still steps 0, 5 and 10 — the last one mid-segment.
+        // Steps 0 and 5 open a segment on the same inputs as in an aligned
+        // 15-step run, so those two entries are that run's bit for bit.
+        let sys = relaxed_system(1500, 58);
+        for integrator in [Integrator::Leapfrog, Integrator::VelocityVerlet] {
+            let engine = || {
+                let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+                cfg.nstlist = 5;
+                cfg.run_mode = RunMode::Serial;
+                cfg.integrator = integrator;
+                Engine::new(sys.clone(), DdGrid::new([2, 1, 1]), cfg)
+            };
+            let mut cut = engine();
+            assert_eq!(cut.run(7).energies.len(), 2, "{integrator:?}");
+            let stats = cut.run(8);
+            assert_eq!(stats.steps, 15);
+            assert_eq!(stats.energies.len(), 3, "{integrator:?}");
+            assert!(stats.energies.iter().all(|e| e.total().is_finite()));
+            let aligned = engine().run(15);
+            assert_energies_bitwise(
+                &format!("{integrator:?}"),
+                &aligned.energies[..2],
+                &stats.energies[..2],
+            );
+        }
+    }
+
+    #[test]
     fn serial_mode_matches_threaded_bitwise() {
         use crate::config::RunMode;
         // The tentpole invariant in miniature (the full matrix lives in
         // tests/threaded_equivalence.rs): the serial reference driver and
         // the threaded per-PE executor must agree to the last bit —
-        // positions, velocities and every per-step energy term.
+        // positions, velocities and every term of every recorded energy.
         let sys = relaxed_system(3000, 92);
         let run_mode = |mode: RunMode| {
             let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
@@ -1213,10 +1269,8 @@ mod tests {
             assert_eq!(a.y.to_bits(), b.y.to_bits());
             assert_eq!(a.z.to_bits(), b.z.to_bits());
         }
-        for (ea, eb) in s_stats.energies.iter().zip(&t_stats.energies) {
-            assert_eq!(ea.nonbonded.to_bits(), eb.nonbonded.to_bits());
-            assert_eq!(ea.kinetic.to_bits(), eb.kinetic.to_bits());
-        }
+        assert_energies_bitwise("serial vs threaded", &s_stats.energies, &t_stats.energies);
+        assert_eq!(s_stats.energies.len(), 2, "energy steps 0 and 5");
     }
 
     #[test]
@@ -1328,7 +1382,8 @@ mod tests {
         });
         let mut engine = Engine::new(sys, DdGrid::new([2, 2, 1]), cfg);
         let stats = engine.try_run(10).expect("fallback must complete the run");
-        assert_eq!(stats.energies.len(), 10);
+        assert_eq!(stats.steps, 10);
+        assert_eq!(stats.energies.len(), 10usize.div_ceil(5));
         assert_eq!(stats.downgrades.len(), 1, "one downgrade to the fallback");
         let d = &stats.downgrades[0];
         assert_eq!(d.from, ExchangeBackend::NvshmemFused);
@@ -1488,10 +1543,7 @@ mod tests {
             assert_eq!(va.y.to_bits(), vb.y.to_bits());
             assert_eq!(va.z.to_bits(), vb.z.to_bits());
         }
-        assert_eq!(ea.len(), eb.len());
-        for (x, y) in ea.iter().zip(eb) {
-            assert_eq!(x.total().to_bits(), y.total().to_bits());
-        }
+        assert_energies_bitwise("trajectory", ea, eb);
     }
 
     #[test]
@@ -1700,12 +1752,12 @@ mod tests {
         // The failed run left a coherent frontier behind.
         let parked = engine.suspend().expect("an engine is its own frontier");
         assert_eq!(parked.step as usize, at_step);
-        assert_eq!(parked.energies.len(), at_step);
+        assert_eq!(parked.energies.len(), at_step.div_ceil(5));
         assert_eq!(parked.stats.recoveries, 1);
         assert_same_trajectory(
             &parked.system,
             &engine.system,
-            &ref_stats.energies[..at_step],
+            &ref_stats.energies[..at_step.div_ceil(5)],
             &parked.energies,
         );
 
@@ -1759,7 +1811,7 @@ mod tests {
         );
         let parked = engine.suspend().expect("an engine is its own frontier");
         assert_eq!(parked.step, 5);
-        assert_eq!(parked.energies.len(), 5);
+        assert_eq!(parked.energies.len(), 1, "step 0's");
         assert_eq!(parked.stats.checkpoints_written, 1, "the baseline only");
 
         std::fs::remove_file(&dir).unwrap();
@@ -1991,9 +2043,11 @@ mod tests {
     fn energy_stays_bounded_across_repartitions() {
         let sys = relaxed_system(3000, 81);
         let (_, stats) = run_engine(&sys, [2, 2, 1], ExchangeBackend::NvshmemFused, 30);
-        assert_eq!(stats.energies.len(), 30);
+        assert_eq!(stats.steps, 30);
+        assert_eq!(stats.energies.len(), 30usize.div_ceil(5));
         let e0 = stats.energies[0].total();
-        for (s, e) in stats.energies.iter().enumerate() {
+        for (k, e) in stats.energies.iter().enumerate() {
+            let s = 5 * k;
             assert!(e.total().is_finite(), "energy diverged at step {s}");
             let rel = ((e.total() - e0) / e0.abs().max(1.0)).abs();
             assert!(rel < 0.3, "energy excursion {rel} at step {s}");

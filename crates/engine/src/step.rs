@@ -6,9 +6,10 @@
 //! them under the serial driver) through the same force round and the same
 //! integrator sequence; the two executors differ only in their
 //! [`Transport`]: how halos and the kinetic-energy sum travel. Everything
-//! else — list staleness decision, tile order, bonded terms, virial, DLB
-//! work units, thermostat — is shared by construction, so what the
-//! equivalence suites prove is exactly the transports (DESIGN.md §3.3).
+//! else — list staleness decision, tile order, bonded terms, which steps
+//! compute energy and virial, DLB work units, thermostat — is shared by
+//! construction, so what the equivalence suites prove is exactly the
+//! transports (DESIGN.md §3.3).
 
 use crate::config::{EngineConfig, ExchangeBackend, Integrator};
 use crate::devtimer::PhaseTimer;
@@ -27,6 +28,8 @@ use std::time::{Duration, Instant};
 pub(crate) struct RankResult {
     pub positions: Vec<Vec3>,
     pub velocities: Vec<Vec3>,
+    /// One report per energy step of the segment ([`is_energy_step`]), in
+    /// step order.
     pub energies: Vec<EnergyReport>,
     pub phases: PhaseTimer,
     /// Deterministic work units this rank executed over the segment: pair
@@ -77,9 +80,9 @@ pub(crate) trait Transport {
     /// entries; on return every home entry is complete.
     fn exchange_forces(&self, round: u64, forces: &mut [Vec<Vec3>]) -> Result<(), ExchangeError>;
 
-    /// Global kinetic energy of the step `energies` records: a fold from
-    /// zero in rank order, so every rank derives the same
-    /// (bitwise-identical) thermostat scaling factor.
+    /// Global kinetic energy of the ranks' `energies` of this step (only
+    /// their `kinetic` is read): a fold from zero in rank order, so every
+    /// rank derives the same (bitwise-identical) thermostat scaling factor.
     fn sum_kinetic(&self, energies: &[EnergyReport]) -> Result<f64, ExchangeError>;
 
     /// Where this executor's rank-local spans are recorded, if anywhere.
@@ -240,38 +243,56 @@ impl Transport for ReferenceTransport<'_> {
     }
 }
 
+/// Whether absolute step `step` records energies: every `nstlist`-th step
+/// from 0, so on runs cut into whole segments each segment's first
+/// (search) step. The other steps compute forces only — no potential
+/// energy, no virial — which is what the thermostat needs (GROMACS'
+/// `nstcalcenergy`, here pinned to `nstlist`).
+pub(crate) fn is_energy_step(step: usize, nstlist: usize) -> bool {
+    step.is_multiple_of(nstlist.max(1))
+}
+
+/// Energy steps in `[0, step)`: the length of an energy history `step`
+/// steps long.
+pub(crate) fn energy_steps_before(step: usize, nstlist: usize) -> usize {
+    step.div_ceil(nstlist.max(1))
+}
+
 /// Advance ranks `ranks` of `part` by `steps` MD steps from the gathered
-/// `system`, exchanging halos over `transport`. Returns one [`RankResult`]
-/// per rank, in rank order.
+/// `system`, whose absolute step is `first_step`, exchanging halos over
+/// `transport`. Returns one [`RankResult`] per rank, in rank order.
 pub(crate) fn run_segment<T: Transport>(
     transport: &T,
     part: &DdPartition,
     ranks: Range<usize>,
     system: &System,
     cfg: &EngineConfig,
+    first_step: usize,
     steps: usize,
 ) -> Result<Vec<RankResult>, ExchangeError> {
     let mut seg = Segment::new(&part.ranks[ranks], part.grid.dims, system, cfg, steps);
+    let energy_step = |k: usize| is_energy_step(first_step + k, cfg.nstlist);
     match cfg.integrator {
         Integrator::Leapfrog => {
-            for _step in 0..steps {
-                seg.force_round(transport)?;
-                seg.close_step(transport)?;
+            for k in 0..steps {
+                seg.force_round(transport, energy_step(k))?;
+                seg.close_step(transport, energy_step(k))?;
                 seg.integrate(integrate::leapfrog_step);
             }
         }
         Integrator::VelocityVerlet => {
-            // Bootstrap: forces at the segment's initial coordinates.
-            seg.force_round(transport)?;
-            for _step in 0..steps {
+            // Bootstrap: forces at the segment's initial coordinates (the
+            // step's own round below supplies its energies).
+            seg.force_round(transport, false)?;
+            for k in 0..steps {
                 seg.integrate(integrate::velocity_verlet_start);
-                seg.force_round(transport)?;
+                seg.force_round(transport, energy_step(k))?;
                 seg.integrate(|_, v, f, inv_mass, dt| {
                     integrate::velocity_verlet_finish(v, f, inv_mass, dt)
                 });
                 // Positions and velocities are synchronous: this records
                 // the proper conserved energy of the step.
-                seg.close_step(transport)?;
+                seg.close_step(transport, energy_step(k))?;
             }
         }
     }
@@ -302,11 +323,12 @@ struct Segment<'a> {
     positions: Vec<Vec<Vec3>>,
     forces: Vec<Vec<Vec3>>,
     nbs: Vec<NbEvaluator>,
-    /// Potential terms and virial of the latest force round; `close_step`
-    /// adds the kinetic energy and records the step.
+    /// Potential terms and virial of the latest energy round; `close_step`
+    /// adds the kinetic energy and records the step if it is an energy
+    /// step (the thermostat reads only the kinetic term).
     step_energy: Vec<EnergyReport>,
     /// Everything else a rank carries accumulates where it is returned:
-    /// home velocities, per-step energies, phase timer, load counters.
+    /// home velocities, energy-step reports, phase timer, load counters.
     ranks: Vec<RankResult>,
 }
 
@@ -324,7 +346,7 @@ impl<'a> Segment<'a> {
                 .iter()
                 .map(|&g| system.velocities[g as usize])
                 .collect(),
-            energies: Vec::with_capacity(steps),
+            energies: Vec::with_capacity(steps.div_ceil(cfg.nstlist.max(1))),
             phases: PhaseTimer::new(),
             work: 0,
         };
@@ -349,8 +371,14 @@ impl<'a> Segment<'a> {
         }
     }
 
-    /// Exchange + force-computation round shared by both integrators.
-    fn force_round<T: Transport>(&mut self, transport: &T) -> Result<(), ExchangeError> {
+    /// Exchange + force-computation round shared by both integrators. With
+    /// `energy` false only forces are computed: the force-only kernel, no
+    /// bonded virials, `step_energy` untouched.
+    fn force_round<T: Transport>(
+        &mut self,
+        transport: &T,
+        energy: bool,
+    ) -> Result<(), ExchangeError> {
         self.round += 1;
         let (plans, sys, cfg) = (self.plans, self.system, self.cfg);
         let (frame, params) = (&self.frame, &self.params);
@@ -367,7 +395,7 @@ impl<'a> Segment<'a> {
             if cfg.nb_overlap && nbs[r].can_overlap() {
                 let _s = span_opt(trace, plans[r].rank as u32, "nb_local_overlap", -1);
                 let h0 = Instant::now();
-                nbs[r].compute_local_overlapped(frame, pos, params, &mut ranks[r].phases);
+                nbs[r].compute_local_overlapped(frame, pos, params, energy, &mut ranks[r].phases);
                 overlapped += h0.elapsed();
             }
         })?;
@@ -398,6 +426,7 @@ impl<'a> Segment<'a> {
                     // exclusions, as the plan's precomputed data.
                     &plan.pair_filter,
                     params,
+                    energy,
                     forces,
                     &mut rank.phases,
                 )
@@ -405,22 +434,29 @@ impl<'a> Segment<'a> {
             rank.work += nb.last_pair_count() + plan.n_home as u64;
             let (bonds, angles, w_bonds, w_angles) = rank.phases.time("bonded", || {
                 let local_ident = |g: u32| Some(g);
-                (
-                    compute_bonds(&sys.pbc, pos, &plan.bonds, &local_ident, forces),
-                    compute_angles(&sys.pbc, pos, &plan.angles, &local_ident, forces),
-                    bond_virial(&sys.pbc, pos, &plan.bonds),
-                    angle_virial(&sys.pbc, pos, &plan.angles),
-                )
+                let bonds = compute_bonds(&sys.pbc, pos, &plan.bonds, &local_ident, forces);
+                let angles = compute_angles(&sys.pbc, pos, &plan.angles, &local_ident, forces);
+                let (w_bonds, w_angles) = if energy {
+                    (
+                        bond_virial(&sys.pbc, pos, &plan.bonds),
+                        angle_virial(&sys.pbc, pos, &plan.angles),
+                    )
+                } else {
+                    (0.0, 0.0)
+                };
+                (bonds, angles, w_bonds, w_angles)
             });
-            self.step_energy[r] = EnergyReport {
-                nonbonded,
-                bonds,
-                angles,
-                kinetic: 0.0,
-                // Pairs and bonded terms are each computed on exactly one
-                // rank, so per-rank virials sum to the global one.
-                virial: w_nb + w_bonds + w_angles,
-            };
+            if energy {
+                self.step_energy[r] = EnergyReport {
+                    nonbonded,
+                    bonds,
+                    angles,
+                    kinetic: 0.0,
+                    // Pairs and bonded terms are each computed on exactly
+                    // one rank, so per-rank virials sum to the global one.
+                    virial: w_nb + w_bonds + w_angles,
+                };
+            }
         }
 
         // --- Force halo exchange ---
@@ -430,14 +466,23 @@ impl<'a> Segment<'a> {
         Ok(())
     }
 
-    /// Record the step's energies and, with a thermostat, rescale the
-    /// velocities. Thermostat-off steps perform no global sum.
-    fn close_step<T: Transport>(&mut self, transport: &T) -> Result<(), ExchangeError> {
-        let per_rank = self.plans.iter().zip(&mut self.ranks);
-        for ((plan, rank), energy) in per_rank.zip(&mut self.step_energy) {
-            energy.kinetic =
-                integrate::kinetic_energy(&rank.velocities, &plan.inv_mass[..plan.n_home]);
-            rank.energies.push(*energy);
+    /// Record an energy step's energies and, with a thermostat, rescale
+    /// the velocities. Kinetic energy is computed only when one of the two
+    /// needs it; thermostat-off steps perform no global sum.
+    fn close_step<T: Transport>(
+        &mut self,
+        transport: &T,
+        record: bool,
+    ) -> Result<(), ExchangeError> {
+        if record || self.cfg.thermostat.is_some() {
+            let per_rank = self.plans.iter().zip(&mut self.ranks);
+            for ((plan, rank), energy) in per_rank.zip(&mut self.step_energy) {
+                energy.kinetic =
+                    integrate::kinetic_energy(&rank.velocities, &plan.inv_mass[..plan.n_home]);
+                if record {
+                    rank.energies.push(*energy);
+                }
+            }
         }
         if let Some(t) = self.cfg.thermostat {
             let global_ke = transport.sum_kinetic(&self.step_energy)?;

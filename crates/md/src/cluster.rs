@@ -34,7 +34,8 @@
 //! * the kernel's tile arithmetic is written once (`tile_kernel!`) over a
 //!   *row pack* — a SIMD value carrying the four j-lane terms of one
 //!   ([`F4`]) or two (`F8`, AVX2) tile rows — and instantiated per pack,
-//!   with AVX2 picked at run time. The list's rebuild state is the
+//!   with AVX2 picked at run time, each pack once with and once without
+//!   the energy/virial folds. The list's rebuild state is the
 //!   [`Staleness`] it shares with the scalar list.
 //!
 //! Determinism contract: the kernel folds energy/virial as per-i-cluster
@@ -672,8 +673,9 @@ fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
 ///
 /// The tile arithmetic is written once (`tile_kernel!`) over a *row pack*
 /// — [`F4`] carries one tile row per operation, [`F8`] two — and
-/// instantiated per pack; on x86_64 hosts with AVX2 the two-row
-/// instantiation is selected at run time. Both perform the same IEEE
+/// instantiated per pack (and again per pack without energies, for
+/// [`compute_nonbonded_cluster_forces`]); on x86_64 hosts with AVX2 the
+/// two-row instantiation is selected at run time. Both perform the same IEEE
 /// operations per lane in the same order and fold in the same order, so the
 /// choice is invisible in the results: bitwise identical, and hence
 /// portable across hosts.
@@ -698,7 +700,33 @@ pub fn compute_nonbonded_clusters(
     nb_clusters_rows1(frame, coords, list, which, params, lane_forces)
 }
 
-/// The kernel body, instantiated as `fn $name` over row pack `$P`.
+/// [`compute_nonbonded_clusters`] without energy and virial: the same tile
+/// body instantiated with its potential terms and energy/virial folds
+/// compiled out (GROMACS' force-only kernel flavour, for the steps that
+/// record no energies). The force arithmetic is untouched, so
+/// `lane_forces` receives bitwise what the energy kernel would add.
+pub fn compute_nonbonded_cluster_forces(
+    frame: &Frame,
+    coords: &SoaCoords,
+    list: &ClusterPairList,
+    which: NbPartition,
+    params: &NonbondedParams,
+    lane_forces: &mut SoaForces,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: feature presence checked on this exact host above.
+        unsafe { nb_forces_rows2(frame, coords, list, which, params, lane_forces) };
+        return;
+    }
+    nb_forces_rows1(frame, coords, list, which, params, lane_forces);
+}
+
+/// The kernel body, instantiated as `fn $name` over row pack `$P`, with
+/// (`$energy = true`) or without the energy/virial folds. Without them
+/// `v_lj`, `v_rf` and the packed-f64 partials are dead code and the
+/// function returns `(0.0, 0.0)`; the force expressions are the same
+/// tokens either way.
 ///
 /// The inner micro-tile is branchless: lane selection (mask bit, cutoff,
 /// `r2 > 0`) becomes a 0/1 multiplier, and dead lanes are computed on a
@@ -719,7 +747,7 @@ pub fn compute_nonbonded_clusters(
 ///   adds, which cannot change an accumulator that started at `+0.0` (adds
 ///   of finite values never produce `-0.0` under round-to-nearest).
 macro_rules! tile_kernel {
-    ($(#[$attr:meta])* fn $name:ident, $P:ty) => {
+    ($(#[$attr:meta])* fn $name:ident, $P:ty, energy = $energy:literal) => {
         $(#[$attr])*
         fn $name(
             frame: &Frame,
@@ -898,11 +926,13 @@ macro_rules! tile_kernel {
                             fxj = fxj - fx.half(h);
                             fyj = fyj - fy.half(h);
                             fzj = fzj - fz.half(h);
-                            let (ev, wv) = (ev.half(h), wv.half(h));
-                            e_lo = e_lo + ev.to_f64_lo();
-                            e_hi = e_hi + ev.to_f64_hi();
-                            w_lo = w_lo + wv.to_f64_lo();
-                            w_hi = w_hi + wv.to_f64_hi();
+                            if $energy {
+                                let (ev, wv) = (ev.half(h), wv.half(h));
+                                e_lo = e_lo + ev.to_f64_lo();
+                                e_hi = e_hi + ev.to_f64_hi();
+                                w_lo = w_lo + wv.to_f64_lo();
+                                w_hi = w_hi + wv.to_f64_hi();
+                            }
                         }
                     }
 
@@ -933,12 +963,21 @@ macro_rules! tile_kernel {
     };
 }
 
-tile_kernel!(fn nb_clusters_rows1, F4);
+tile_kernel!(fn nb_clusters_rows1, F4, energy = true);
+tile_kernel!(fn nb_forces_rows1, F4, energy = false);
 tile_kernel!(
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn nb_clusters_rows2,
-    F8
+    F8,
+    energy = true
+);
+tile_kernel!(
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn nb_forces_rows2,
+    F8,
+    energy = false
 );
 
 /// Convenience wrapper over AoS buffers: pack all lanes, evaluate local
@@ -1434,14 +1473,6 @@ mod tests {
         let mut coords = SoaCoords::default();
         list.pack_coords(&sys.positions, &mut coords, 0..list.n_clusters());
 
-        type Kernel = fn(
-            &Frame,
-            &SoaCoords,
-            &ClusterPairList,
-            NbPartition,
-            &NonbondedParams,
-            &mut SoaForces,
-        ) -> (f64, f64);
         let mut others: Vec<(&str, Kernel)> = vec![("dispatcher", compute_nonbonded_clusters)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -1472,6 +1503,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    type Kernel = fn(
+        &Frame,
+        &SoaCoords,
+        &ClusterPairList,
+        NbPartition,
+        &NonbondedParams,
+        &mut SoaForces,
+    ) -> (f64, f64);
+
+    /// `(energy kernel, force-only kernel)` per row pack this host runs,
+    /// plus the two public dispatchers.
+    fn kernel_flavours() -> Vec<(&'static str, Kernel, Kernel)> {
+        let mut out: Vec<(&str, Kernel, Kernel)> = vec![
+            ("1-row", nb_clusters_rows1, nb_forces_rows1),
+            (
+                "dispatcher",
+                compute_nonbonded_clusters,
+                |f, c, l, w, p, lf| {
+                    compute_nonbonded_cluster_forces(f, c, l, w, p, lf);
+                    (0.0, 0.0)
+                },
+            ),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 presence checked on this host just above.
+            out.push((
+                "2-row",
+                |f, c, l, w, p, lf| unsafe { nb_clusters_rows2(f, c, l, w, p, lf) },
+                |f, c, l, w, p, lf| unsafe { nb_forces_rows2(f, c, l, w, p, lf) },
+            ));
+        }
+        out
+    }
+
+    /// Local then halo partition into one accumulator, as the engine does:
+    /// after each kernel call the force-only lanes must be bit for bit the
+    /// energy kernel's, PAD lanes included.
+    fn assert_force_only_matches_energy_kernel(
+        frame: &Frame,
+        positions: &[Vec3],
+        kinds: &[AtomKind],
+        n_home: usize,
+        r_list: f32,
+        filter: &(impl PairFilter + ?Sized),
+    ) {
+        let list = ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter);
+        let params = NonbondedParams::new(r_list - 0.1);
+        let mut coords = SoaCoords::default();
+        list.pack_coords(positions, &mut coords, 0..list.n_clusters());
+        for (name, energy, forces_only) in kernel_flavours() {
+            let (mut lf_e, mut lf_f) = (SoaForces::default(), SoaForces::default());
+            lf_e.reset(list.n_lanes());
+            lf_f.reset(list.n_lanes());
+            for which in [NbPartition::Local, NbPartition::Halo] {
+                energy(frame, &coords, &list, which, &params, &mut lf_e);
+                let nothing = forces_only(frame, &coords, &list, which, &params, &mut lf_f);
+                assert_eq!(nothing, (0.0, 0.0), "{name} ({which:?})");
+                for lane in 0..list.n_lanes() {
+                    let (a, b) = (lf_e.get(lane), lf_f.get(lane));
+                    assert_eq!(
+                        [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
+                        [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()],
+                        "{name} lane {lane} ({which:?})"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Both packs, both partitions, every atom kind, partial clusters
+        /// (PAD lanes) in both ranges, drifted frames on 1-, 2- and 3-D
+        /// grids.
+        #[test]
+        fn force_only_kernel_equals_energy_kernel_bitwise(
+            seed in 0u64..u64::MAX,
+            atoms in 1usize..601,
+            dd in 0usize..4,
+            home in 0usize..4,
+            r_list in 0.4f32..1.0,
+        ) {
+            let dd = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]][dd];
+            let (frame, positions) = drifted_frame(seed, atoms, dd, false, r_list);
+            let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
+            let disp: Vec<[u8; 3]> = (0..atoms)
+                .map(|a| {
+                    [0, 1, 2]
+                        .map(|k| (a >= n_home && !frame.periodic[k] && (a >> k) & 1 == 1) as u8)
+                })
+                .collect();
+            let rule = |a: usize, b: usize| eighth_shell_rule(&disp, a, b);
+            let all_kinds = [AtomKind::Ow, AtomKind::Hw, AtomKind::Ch3, AtomKind::Ch2, AtomKind::Oh];
+            let kinds: Vec<AtomKind> = (0..atoms).map(|a| all_kinds[(a * 7 + 3) % 5]).collect();
+            assert_force_only_matches_energy_kernel(
+                &frame, &positions, &kinds, n_home, r_list, &rule,
+            );
+        }
+    }
+
+    #[test]
+    fn force_only_kernel_on_a_222_frame() {
+        // The pinned row of the proptest above: a grappa system on a
+        // [2,2,2] frame with a 3/4 home range (so both partitions and both
+        // ranges' trailing PAD lanes are live) and its exclusions.
+        let sys = GrappaBuilder::new(1203).seed(44).build();
+        let frame = Frame::for_decomposition(&sys.pbc, [2, 2, 2]);
+        let n_home = 902;
+        let rule = |a: usize, b: usize| !sys.is_excluded(a, b);
+        let list = ClusterPairList::build(&frame, &sys.positions, &sys.kinds, n_home, 0.75, &rule);
+        assert!(list.lane_atoms.contains(&PAD));
+        assert!(list.local.n_tiles() > 0 && list.halo.n_tiles() > 0);
+        assert_force_only_matches_energy_kernel(
+            &frame,
+            &sys.positions,
+            &sys.kinds,
+            n_home,
+            0.75,
+            &rule,
+        );
     }
 
     #[test]

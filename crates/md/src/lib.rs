@@ -32,13 +32,13 @@ pub mod vec3;
 
 pub use analysis::{MsdTracker, Rdf};
 pub use cluster::{
-    compute_nonbonded_clusters, compute_nonbonded_clusters_aos, ClusterPairList, ClusterPairs,
-    NbPartition, CLUSTER,
+    compute_nonbonded_cluster_forces, compute_nonbonded_clusters, compute_nonbonded_clusters_aos,
+    ClusterPairList, ClusterPairs, NbPartition, CLUSTER,
 };
 pub use forces::{compute_angles, compute_bonds, compute_nonbonded, NonbondedParams};
 pub use frame::Frame;
 pub use minimize::{steepest_descent, MinimizeOptions};
-pub use observables::{DriftTracker, EnergyReport};
+pub use observables::{assert_energies_bitwise, DriftTracker, EnergyReport};
 pub use pairlist::PairList;
 pub use pbc::PbcBox;
 pub use soa::{SoaCoords, SoaForces};

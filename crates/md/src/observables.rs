@@ -27,6 +27,37 @@ impl EnergyReport {
     pub fn pressure_bar(&self, volume_nm3: f64) -> f64 {
         crate::forces::virial::pressure_bar(self.kinetic, self.virial, volume_nm3)
     }
+
+    /// Every term's bit pattern, in field order.
+    pub fn to_bits(&self) -> [u64; 5] {
+        [
+            self.nonbonded,
+            self.bonds,
+            self.angles,
+            self.kinetic,
+            self.virial,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
+/// Assert two energy histories are the same length and equal entry by
+/// entry, every term to the bit. The one comparison the equivalence tests
+/// make: a bare `zip` would let a history that dropped entries pass.
+#[track_caller]
+pub fn assert_energies_bitwise(label: &str, a: &[EnergyReport], b: &[EnergyReport]) {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "{label}: energy histories differ in length"
+    );
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{label}: energy entry {k}: {x:?} vs {y:?}"
+        );
+    }
 }
 
 /// Tracks conserved-quantity drift over a run.

@@ -21,7 +21,9 @@
 //!     EngineConfig::new(ExchangeBackend::NvshmemFused),
 //! );
 //! let stats = engine.run(10);
-//! assert_eq!(stats.energies.len(), 10);
+//! assert_eq!(stats.steps, 10);
+//! // Energies are recorded every `nstlist` (default 10) steps: step 0 here.
+//! assert_eq!(stats.energies.len(), 10usize.div_ceil(engine.config.nstlist));
 //! ```
 
 pub use halox_core as core;

@@ -35,6 +35,7 @@ use std::time::Duration;
 
 const BACKENDS: [WorldBackend; 2] = [WorldBackend::Threads, WorldBackend::Procs];
 const DEADLINE: Duration = Duration::from_millis(200);
+const NSTLIST: usize = 5;
 const STALL: Duration = Duration::from_millis(400);
 
 /// One relaxed system shared by every engine case in this binary —
@@ -151,7 +152,7 @@ fn world_reset_and_reuse_conforms() {
 
 fn engine_config(backend: ExchangeBackend, gpus_per_node: Option<usize>) -> EngineConfig {
     let mut cfg = EngineConfig::new(backend);
-    cfg.nstlist = 5;
+    cfg.nstlist = NSTLIST;
     cfg.topology_gpus_per_node = gpus_per_node;
     cfg.watchdog.deadline = Duration::from_secs(5);
     // Thermostat on: every step runs the global kinetic-energy allreduce,
@@ -189,19 +190,8 @@ fn assert_bitwise(label: &str, a: &(System, RunStats), b: &(System, RunStats)) {
     for (i, (p, q)) in a.0.velocities.iter().zip(&b.0.velocities).enumerate() {
         assert!(bit3(p, q), "{label}: velocity {i} differs: {p:?} vs {q:?}");
     }
-    assert_eq!(
-        a.1.energies.len(),
-        b.1.energies.len(),
-        "{label}: step count"
-    );
-    for (s, (e, f)) in a.1.energies.iter().zip(&b.1.energies).enumerate() {
-        assert!(
-            e.total().to_bits() == f.total().to_bits(),
-            "{label}: step {s} energy differs: {} vs {}",
-            e.total(),
-            f.total()
-        );
-    }
+    assert_eq!(a.1.steps, b.1.steps, "{label}: step count");
+    halox::md::assert_energies_bitwise(label, &a.1.energies, &b.1.energies);
 }
 
 /// The acceptance matrix: every transport × {2, 4} PEs, three executors,
@@ -581,12 +571,14 @@ fn chaos_plan_accounted_on_procs_backend() {
     let stats = engine
         .try_run(10)
         .unwrap_or_else(|e| panic!("plan {:?}: even the fallback failed: {e}", plan.name));
-    assert_eq!(stats.energies.len(), 10, "plan {:?}: incomplete", plan.name);
-    for (s, e) in stats.energies.iter().enumerate() {
+    assert_eq!(stats.steps, 10, "plan {:?}: incomplete", plan.name);
+    assert_eq!(stats.energies.len(), 10usize.div_ceil(NSTLIST));
+    for (k, e) in stats.energies.iter().enumerate() {
         assert!(
             e.total().is_finite(),
-            "plan {:?}: energy diverged at step {s}",
-            plan.name
+            "plan {:?}: energy diverged at step {}",
+            plan.name,
+            k * NSTLIST
         );
     }
     if !stats.downgrades.is_empty() {

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const DEADLINE: Duration = Duration::from_millis(200);
+const NSTLIST: usize = 5;
 /// Stall plans are sized past the deadline so StallPe exercises stall
 /// *diagnosis* (watchdog expiry → retry), not silent absorption.
 const STALL: Duration = Duration::from_millis(400);
@@ -38,7 +39,7 @@ fn chaos_config(
     plan: Option<FaultPlan>,
 ) -> EngineConfig {
     let mut cfg = EngineConfig::new(backend);
-    cfg.nstlist = 5;
+    cfg.nstlist = NSTLIST;
     cfg.topology_gpus_per_node = gpus_per_node;
     cfg.watchdog.deadline = DEADLINE;
     cfg.chaos = plan;
@@ -60,17 +61,14 @@ fn run_accounted(
     let stats = engine
         .try_run(steps)
         .unwrap_or_else(|e| panic!("plan {:?}: even the fallback failed: {e}", plan.name));
-    assert_eq!(
-        stats.energies.len(),
-        steps,
-        "plan {:?}: incomplete run",
-        plan.name
-    );
-    for (s, e) in stats.energies.iter().enumerate() {
+    assert_eq!(stats.steps, steps, "plan {:?}: incomplete run", plan.name);
+    assert_eq!(stats.energies.len(), steps.div_ceil(NSTLIST));
+    for (k, e) in stats.energies.iter().enumerate() {
         assert!(
             e.total().is_finite(),
-            "plan {:?}: energy diverged at step {s}",
-            plan.name
+            "plan {:?}: energy diverged at step {}",
+            plan.name,
+            k * NSTLIST
         );
     }
     // Degradation bookkeeping is consistent: downgrades imply degraded

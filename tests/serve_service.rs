@@ -75,16 +75,7 @@ fn solo_run(cfg: EngineConfig, steps: usize) -> (System, Vec<EnergyReport>) {
 }
 
 fn assert_bitwise(label: &str, a: &(System, Vec<EnergyReport>), b: &(System, Vec<EnergyReport>)) {
-    assert_eq!(a.1.len(), b.1.len(), "{label}: step count");
-    for (s, (e, f)) in a.1.iter().zip(&b.1).enumerate() {
-        assert_eq!(
-            e.total().to_bits(),
-            f.total().to_bits(),
-            "{label}: step {s} energy differs: {} vs {}",
-            e.total(),
-            f.total()
-        );
-    }
+    halox::md::assert_energies_bitwise(label, &a.1, &b.1);
     for (i, (p, q)) in a.0.positions.iter().zip(&b.0.positions).enumerate() {
         assert!(
             p.x.to_bits() == q.x.to_bits()

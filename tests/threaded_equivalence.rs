@@ -22,6 +22,7 @@ use halox::shmem::{FaultKind, FaultPlan};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_millis(200);
+const NSTLIST: usize = 5;
 const STALL: Duration = Duration::from_millis(400);
 
 fn relaxed_system(seed: u64, atoms: usize) -> System {
@@ -35,7 +36,7 @@ fn relaxed_system(seed: u64, atoms: usize) -> System {
 
 fn config(backend: ExchangeBackend, gpus_per_node: Option<usize>, mode: RunMode) -> EngineConfig {
     let mut cfg = EngineConfig::new(backend);
-    cfg.nstlist = 5;
+    cfg.nstlist = NSTLIST;
     cfg.run_mode = mode;
     cfg.topology_gpus_per_node = gpus_per_node;
     cfg.watchdog.deadline = DEADLINE;
@@ -68,19 +69,8 @@ fn assert_bitwise(label: &str, a: &(System, RunStats), b: &(System, RunStats)) {
     for (i, (p, q)) in a.0.velocities.iter().zip(&b.0.velocities).enumerate() {
         assert!(bit3(p, q), "{label}: velocity {i} differs: {p:?} vs {q:?}");
     }
-    assert_eq!(
-        a.1.energies.len(),
-        b.1.energies.len(),
-        "{label}: energy series length"
-    );
-    for (s, (x, y)) in a.1.energies.iter().zip(&b.1.energies).enumerate() {
-        let same = x.nonbonded.to_bits() == y.nonbonded.to_bits()
-            && x.bonds.to_bits() == y.bonds.to_bits()
-            && x.angles.to_bits() == y.angles.to_bits()
-            && x.kinetic.to_bits() == y.kinetic.to_bits()
-            && x.virial.to_bits() == y.virial.to_bits();
-        assert!(same, "{label}: energies differ at step {s}: {x:?} vs {y:?}");
-    }
+    assert_eq!(a.1.steps, b.1.steps, "{label}: step count");
+    halox::md::assert_energies_bitwise(label, &a.1.energies, &b.1.energies);
 }
 
 #[test]
@@ -185,7 +175,8 @@ fn eight_pe_stress_stays_bitwise_with_link_latency() {
     let serial = run(&sys, [4, 2, 1], mk(RunMode::Serial), steps);
     let threaded = run(&sys, [4, 2, 1], mk(RunMode::Threaded), steps);
     assert_bitwise("8-PE islands(8,4)", &serial, &threaded);
-    assert_eq!(threaded.1.energies.len(), steps);
+    assert_eq!(threaded.1.steps, steps);
+    assert_eq!(threaded.1.energies.len(), steps.div_ceil(NSTLIST));
     assert_eq!(threaded.1.retries, 0, "clean stress run must not retry");
 }
 
@@ -226,7 +217,8 @@ fn chaos_runs_never_deadlock_and_clean_survivors_stay_bitwise() {
                     plan.name
                 )
             });
-            assert_eq!(stats.energies.len(), 12, "plan {:?}: incomplete", plan.name);
+            assert_eq!(stats.steps, 12, "plan {:?}: incomplete", plan.name);
+            assert_eq!(stats.energies.len(), 12usize.div_ceil(NSTLIST));
             if stats.retries == 0 && stats.downgrades.is_empty() {
                 // Faults the transport absorbed in-band may cost time,
                 // never physics — absorbed runs stay bitwise identical.
@@ -266,7 +258,8 @@ fn crashed_peer_with_thermostat_recovers_instead_of_hanging() {
         .try_run(20)
         .expect("crash with thermostat must downgrade and complete, not hang");
     let elapsed = armed.elapsed();
-    assert_eq!(stats.energies.len(), 20);
+    assert_eq!(stats.steps, 20);
+    assert_eq!(stats.energies.len(), 20usize.div_ceil(NSTLIST));
     assert!(
         !stats.downgrades.is_empty(),
         "a crashed PE must force a transport downgrade"
