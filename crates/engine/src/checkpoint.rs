@@ -136,7 +136,9 @@ pub struct ConfigFingerprint {
     pub n_atoms: usize,
     /// Primary transport label (`ExchangeBackend::label`).
     pub transport: String,
-    /// Non-bonded kernel label.
+    /// Non-bonded kernel label: always `"cluster"`, the one kernel. A file
+    /// from a run on the retired scalar kernel says `"scalar"` and is
+    /// refused.
     pub kernel: String,
     pub integrator: String,
     pub topology_gpus_per_node: Option<usize>,
@@ -165,7 +167,7 @@ impl ConfigFingerprint {
             grid: (grid[0], grid[1], grid[2]),
             n_atoms,
             transport: cfg.backend.label().to_string(),
-            kernel: cfg.nb_kernel.label().to_string(),
+            kernel: "cluster".to_string(),
             integrator: integrator_label(cfg.integrator).to_string(),
             topology_gpus_per_node: cfg.topology_gpus_per_node,
             dlb: cfg.dlb.label().to_string(),
@@ -758,6 +760,7 @@ mod tests {
 
     #[test]
     fn fingerprint_rejects_mismatched_config_with_field_name() {
+        use crate::runner::{Engine, EngineError};
         let cfg = sample_config();
         let fp = ConfigFingerprint::of(&cfg, [2, 2, 1], 90);
         assert_eq!(fp.check(&fp.clone()), Ok(()));
@@ -800,6 +803,23 @@ mod tests {
                 }
             ),
             "{e}"
+        );
+
+        // A run on the retired scalar kernel wrote `"scalar"`, a label no
+        // config produces any more: a resume from its file is refused.
+        let mut ck = sample_checkpoint();
+        ck.fingerprint.kernel = "scalar".into();
+        let back = Checkpoint::from_file_bytes(&ck.file_bytes()).expect("decodes");
+        let err = Engine::resume_from_checkpoint(back, sample_config()).expect_err("resumed");
+        assert!(
+            matches!(
+                err,
+                EngineError::Checkpoint(CheckpointError::Mismatch {
+                    field: "kernel",
+                    ..
+                })
+            ),
+            "{err}"
         );
     }
 

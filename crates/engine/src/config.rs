@@ -59,31 +59,14 @@ impl RunMode {
     }
 }
 
-/// Which non-bonded force kernel evaluates the pair interactions.
-///
-/// `Scalar` is the original per-pair CSR loop, kept as the cross-check
-/// oracle; `Cluster` is the NBNXM-style 4×4 cluster-pair SoA kernel with
-/// the local/halo tile split that lets the engine compute home–home forces
-/// while the coordinate halo is still in flight (DESIGN.md §3.4). Both
-/// produce the same physics; per-pair terms are bitwise identical and only
-/// the accumulation order differs.
+/// The non-bonded kernel: the NBNXM-style 4×4 cluster-pair SoA kernel is
+/// the only one (DESIGN.md §3.4), so there is nothing to choose. The type
+/// and [`EngineConfig::nb_kernel`] remain only because the frozen perf
+/// ledger (`benchmarks/src/inputs.rs`) assigns `NbKernel::Cluster`; both go
+/// when the ledger stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NbKernel {
-    /// Per-pair scalar loop over the flat Verlet list (oracle).
-    Scalar,
-    /// Cluster-pair SoA kernel with local/halo partitions (default).
     Cluster,
-}
-
-impl NbKernel {
-    const ALL: [NbKernel; 2] = [NbKernel::Scalar, NbKernel::Cluster];
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            NbKernel::Scalar => "scalar",
-            NbKernel::Cluster => "cluster",
-        }
-    }
 }
 
 /// Dynamic load balancing policy (DESIGN.md §3.8).
@@ -202,41 +185,6 @@ impl CheckpointConfig {
     }
 }
 
-/// Resolve one closed-set `HALOX_*` lever from the variable's value (README
-/// has the table). Unset or empty is `default`; otherwise the value must be
-/// one of `all`'s labels, ASCII case-insensitively. Anything else is a
-/// mistyped lever: a run that fell back to the default would test something
-/// other than what was asked for and still go green, so it is an error
-/// naming the variable, the value and the labels.
-fn lever<T: Copy>(
-    name: &str,
-    raw: Option<&str>,
-    all: &[T],
-    label: fn(&T) -> &'static str,
-    default: T,
-) -> Result<T, String> {
-    let Some(value) = raw.filter(|v| !v.is_empty()) else {
-        return Ok(default);
-    };
-    all.iter()
-        .copied()
-        .find(|t| value.eq_ignore_ascii_case(label(t)))
-        .ok_or_else(|| {
-            let labels: Vec<&str> = all.iter().map(label).collect();
-            format!(
-                "{name}={value:?} is not accepted (expected one of: {})",
-                labels.join(", ")
-            )
-        })
-}
-
-/// [`lever`] on the process environment; a rejected value aborts here, at
-/// config time, before any PE exists.
-fn env_lever<T: Copy>(name: &str, all: &[T], label: fn(&T) -> &'static str, default: T) -> T {
-    let raw = std::env::var(name).ok();
-    lever(name, raw.as_deref(), all, label, default).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Parameters of a domain-decomposed MD run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -253,13 +201,13 @@ pub struct EngineConfig {
     /// driver. Chaos injection and transport selection only apply to
     /// `Threaded` — the serial driver performs no deliveries to fault.
     pub run_mode: RunMode,
-    /// Non-bonded kernel (scalar oracle vs cluster-pair SoA).
+    /// Read by nothing: see [`NbKernel`].
     pub nb_kernel: NbKernel,
     /// Dynamic load balancing: off, or the deterministic counter metric.
     pub dlb: DlbMode,
-    /// With the cluster kernel: evaluate the local (home–home) tile
-    /// partition between posting the coordinate halo sends and waiting for
-    /// arrivals, hiding halo latency under home-atom compute. Off, the
+    /// Evaluate the local (home–home) tile partition between posting the
+    /// coordinate halo sends and waiting for arrivals, hiding halo latency
+    /// under home-atom compute. Off, the
     /// local partition runs after the wait like everything else. Forces,
     /// energies, and trajectories are identical either way — the same
     /// tiles are folded in the same order; only wall-clock changes.
@@ -301,9 +249,8 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Defaults, with `nb_kernel` and `world_backend` taken from the
-    /// `HALOX_NB_KERNEL` / `HALOX_BACKEND` levers (README has the table). A
-    /// lever set to a value it does not accept panics here.
+    /// Defaults, with `world_backend` taken from the `HALOX_BACKEND` lever
+    /// (README has the table). A value it does not accept panics here.
     pub fn new(backend: ExchangeBackend) -> Self {
         EngineConfig {
             cutoff: 0.7,
@@ -312,12 +259,7 @@ impl EngineConfig {
             nstlist: 10,
             backend,
             run_mode: RunMode::Threaded,
-            nb_kernel: env_lever(
-                "HALOX_NB_KERNEL",
-                &NbKernel::ALL,
-                NbKernel::label,
-                NbKernel::Cluster,
-            ),
+            nb_kernel: NbKernel::Cluster,
             dlb: DlbMode::Off,
             nb_overlap: true,
             link_delay_us: 0,
@@ -358,40 +300,5 @@ mod tests {
             ..EngineConfig::new(ExchangeBackend::Mpi)
         };
         assert!(!c2.topology(4).nvlink_reachable(0, 3));
-    }
-
-    /// Every label a lever accepts resolves to the value that prints it, in
-    /// any case; unset and empty give the default; anything else is an
-    /// error naming the variable, the value and the labels.
-    fn check_lever<T: Copy + PartialEq + std::fmt::Debug>(
-        name: &str,
-        all: &[T],
-        label: fn(&T) -> &'static str,
-        default: T,
-    ) {
-        for t in all {
-            assert_eq!(lever(name, Some(label(t)), all, label, default), Ok(*t));
-            let upper = label(t).to_ascii_uppercase();
-            assert_eq!(lever(name, Some(&upper), all, label, default), Ok(*t));
-        }
-        assert_eq!(lever(name, None, all, label, default), Ok(default));
-        assert_eq!(lever(name, Some(""), all, label, default), Ok(default));
-        // The first label minus a letter: the kind of typo a CI file makes.
-        let typo = &label(&all[0])[1..];
-        let err = lever(name, Some(typo), all, label, default).unwrap_err();
-        assert!(err.contains(name) && err.contains(typo), "{err}");
-        for t in all {
-            assert!(err.contains(label(t)), "{err}");
-        }
-    }
-
-    #[test]
-    fn levers_accept_their_labels_and_reject_everything_else() {
-        check_lever(
-            "HALOX_NB_KERNEL",
-            &NbKernel::ALL,
-            NbKernel::label,
-            NbKernel::Cluster,
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! per PE and hands it to the [`DlbController`], which shifts the movable
 //! DD cell boundaries ([`halox_dd::DdBounds`]) toward the overloaded slabs
 //! with bounded, deterministic moves. The load metric is a work counter:
-//! pair interactions in the rank's cluster/scalar list plus owned atoms,
+//! pair interactions in the rank's cluster-pair list plus owned atoms,
 //! summed over the segment's force rounds. A pure function of coordinates,
 //! so serial ≡ threaded ≡ procs feed the controller bit-identical inputs and
 //! the boundary trajectory — hence the MD trajectory — stays inside the

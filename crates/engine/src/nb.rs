@@ -1,55 +1,40 @@
-//! Per-rank non-bonded evaluation: kernel selection (scalar oracle vs
-//! cluster-pair SoA), pair-list lifecycle, and the local/halo tile split
-//! that backs compute–communication overlap (DESIGN.md §3.4).
-//!
-//! Kernel choice and retained list are one value ([`NbList`]): an
-//! evaluator holds either a scalar list or a cluster list, never a kernel
-//! tag that could disagree with which list is populated. Both lists make
-//! their rebuild decision through the same `halox_md::pairlist::Staleness`.
+//! Per-rank non-bonded evaluation: the cluster-pair list's lifecycle and
+//! the local/halo tile split that backs compute–communication overlap
+//! (DESIGN.md §3.4). The cluster-pair SoA kernel is the only one the engine
+//! runs; the list makes its rebuild decision through
+//! `halox_md::pairlist::Staleness`.
 //!
 //! The evaluator is the single place both executors (the serial reference
 //! driver and the threaded per-PE loops) get their non-bonded forces from,
-//! which is what keeps them bitwise identical under either kernel:
+//! which is what keeps them bitwise identical:
 //!
 //! * exactly one `needs_rebuild` decision per force round, made *after*
 //!   the coordinate halo is in place (so serial and threaded see identical
 //!   inputs and consume identical fresh-skip states);
-//! * with the cluster kernel, the local (home–home) partition may be
-//!   evaluated optimistically during the overlap window — before halo
-//!   arrivals — via [`NbEvaluator::compute_local_overlapped`]. That pass
-//!   reads only home coordinates (arrivals write only the halo tail) and
-//!   uses the retained list, so when the post-arrival staleness check
-//!   passes, the partial is exactly what the non-overlapped order would
-//!   have produced and is folded as-is; when the list turns out stale the
-//!   partial is discarded and the round recomputes from the fresh list;
+//! * the local (home–home) partition may be evaluated optimistically
+//!   during the overlap window — before halo arrivals — via
+//!   [`NbEvaluator::compute_local_overlapped`]. That pass reads only home
+//!   coordinates (arrivals write only the halo tail) and uses the retained
+//!   list, so when the post-arrival staleness check passes, the partial is
+//!   exactly what the non-overlapped order would have produced and is
+//!   folded as-is; when the list turns out stale the partial is discarded
+//!   and the round recomputes from the fresh list;
 //! * the caller says per round whether it wants energy and virial: rounds
-//!   that record none run the cluster kernel's force-only flavour, whose
-//!   forces are bitwise the energy kernel's (the scalar loop always
-//!   computes both).
+//!   that record none run the kernel's force-only flavour, whose forces are
+//!   bitwise the energy kernel's.
 
-use crate::config::NbKernel;
 use crate::devtimer::PhaseTimer;
 use halox_md::cluster::{
     compute_nonbonded_cluster_forces, compute_nonbonded_clusters, ClusterPairList, NbPartition,
 };
-use halox_md::forces::compute_nonbonded_virial;
 use halox_md::pairlist::PairFilter;
-use halox_md::{Frame, NonbondedParams, PairList, SoaCoords, SoaForces, Vec3};
+use halox_md::{Frame, NonbondedParams, SoaCoords, SoaForces, Vec3};
 
-/// The kernel choice and its retained list in one value, so which list is
-/// live cannot disagree with which kernel runs. `None` until the first
-/// round of a segment builds it.
-// One evaluator per rank, never moved once built: the size gap between the
-// lists is not worth a `Box` on the kernel's path to its list.
-#[allow(clippy::large_enum_variant)]
-enum NbList {
-    Scalar(Option<PairList>),
-    Cluster(Option<ClusterPairList>),
-}
-
-/// Owns the per-rank pair-list state for one kernel choice.
+/// Owns the per-rank pair-list state.
+#[derive(Default)]
 pub(crate) struct NbEvaluator {
-    list: NbList,
+    /// `None` until the first round of a segment builds it.
+    list: Option<ClusterPairList>,
     /// Lane-space scratch reused across rounds (no per-step allocation).
     coords: SoaCoords,
     lane_forces: SoaForces,
@@ -63,19 +48,6 @@ pub(crate) struct NbEvaluator {
 }
 
 impl NbEvaluator {
-    pub fn new(kernel: NbKernel) -> Self {
-        NbEvaluator {
-            list: match kernel {
-                NbKernel::Scalar => NbList::Scalar(None),
-                NbKernel::Cluster => NbList::Cluster(None),
-            },
-            coords: SoaCoords::default(),
-            lane_forces: SoaForces::default(),
-            pending_local: None,
-            last_pairs: 0,
-        }
-    }
-
     /// Pair interactions evaluated by the most recent
     /// [`NbEvaluator::compute`] round — the deterministic half of the DLB
     /// counter metric. The count comes from the pair *list*, so it is
@@ -84,10 +56,10 @@ impl NbEvaluator {
         self.last_pairs
     }
 
-    /// True when an overlap window can do useful work: cluster kernel with
-    /// a retained list (the segment's first round has nothing to reuse).
+    /// True when an overlap window can do useful work: a retained list (the
+    /// segment's first round has nothing to reuse).
     pub fn can_overlap(&self) -> bool {
-        matches!(self.list, NbList::Cluster(Some(_)))
+        self.list.is_some()
     }
 
     /// Evaluate the local (home–home) tile partition using only home
@@ -104,7 +76,7 @@ impl NbEvaluator {
         timer: &mut PhaseTimer,
     ) {
         debug_assert!(self.can_overlap());
-        let NbList::Cluster(Some(cl)) = &self.list else {
+        let Some(cl) = &self.list else {
             return;
         };
         let coords = &mut self.coords;
@@ -121,8 +93,8 @@ impl NbEvaluator {
 
     /// One full non-bonded force round over the complete (home + halo)
     /// coordinate array: staleness check, rebuild if needed, kernel
-    /// dispatch, force accumulation into `forces` (additive). Returns
-    /// `(energy, virial)`; with `energy` false the cluster kernel runs its
+    /// evaluation, force accumulation into `forces` (additive). Returns
+    /// `(energy, virial)`; with `energy` false the kernel runs its
     /// force-only flavour and returns zeros (the forces are bitwise the
     /// same either way).
     #[allow(clippy::too_many_arguments)]
@@ -140,58 +112,42 @@ impl NbEvaluator {
         forces: &mut [Vec3],
         timer: &mut PhaseTimer,
     ) -> (f64, f64) {
-        match &mut self.list {
-            NbList::Scalar(slot) => {
-                let pl = match slot {
-                    Some(pl) if !pl.needs_rebuild(positions, buffer) => pl,
-                    slot => slot.insert(timer.time("pairlist", || {
-                        PairList::build_in_frame(frame, positions, r_list, filter)
-                    })),
-                };
-                self.last_pairs = pl.n_pairs() as u64;
-                timer.time("nb_scalar", || {
-                    compute_nonbonded_virial(frame, positions, kinds, pl, params, forces)
+        let cl = match &mut self.list {
+            Some(cl) if !cl.needs_rebuild(positions, buffer) => cl,
+            slot => {
+                // Any overlapped partial was computed against the old list:
+                // discard and recompute from scratch.
+                self.pending_local = None;
+                slot.insert(timer.time("pairlist", || {
+                    ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter)
+                }))
+            }
+        };
+        self.last_pairs = cl.n_pairs() as u64;
+        let coords = &mut self.coords;
+        let lanes = &mut self.lane_forces;
+        let (e_l, w_l) = match self.pending_local.take() {
+            // Overlap window already did the local partition; the lane
+            // accumulators hold its forces.
+            Some(res) => res,
+            None => {
+                lanes.reset(cl.n_lanes());
+                timer.time("pack", || {
+                    cl.pack_coords(positions, coords, cl.home_clusters())
+                });
+                timer.time("nb_local", || {
+                    tiles(energy, frame, coords, cl, NbPartition::Local, params, lanes)
                 })
             }
-            NbList::Cluster(slot) => {
-                let cl = match slot {
-                    Some(cl) if !cl.needs_rebuild(positions, buffer) => cl,
-                    slot => {
-                        // Any overlapped partial was computed against the old
-                        // list: discard and recompute from scratch.
-                        self.pending_local = None;
-                        slot.insert(timer.time("pairlist", || {
-                            ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter)
-                        }))
-                    }
-                };
-                self.last_pairs = cl.n_pairs() as u64;
-                let coords = &mut self.coords;
-                let lanes = &mut self.lane_forces;
-                let (e_l, w_l) = match self.pending_local.take() {
-                    // Overlap window already did the local partition; the
-                    // lane accumulators hold its forces.
-                    Some(res) => res,
-                    None => {
-                        lanes.reset(cl.n_lanes());
-                        timer.time("pack", || {
-                            cl.pack_coords(positions, coords, cl.home_clusters())
-                        });
-                        timer.time("nb_local", || {
-                            tiles(energy, frame, coords, cl, NbPartition::Local, params, lanes)
-                        })
-                    }
-                };
-                timer.time("pack", || {
-                    cl.pack_coords(positions, coords, cl.halo_clusters())
-                });
-                let (e_h, w_h) = timer.time("nb_halo", || {
-                    tiles(energy, frame, coords, cl, NbPartition::Halo, params, lanes)
-                });
-                cl.fold_forces(lanes, forces);
-                (e_l + e_h, w_l + w_h)
-            }
-        }
+        };
+        timer.time("pack", || {
+            cl.pack_coords(positions, coords, cl.halo_clusters())
+        });
+        let (e_h, w_h) = timer.time("nb_halo", || {
+            tiles(energy, frame, coords, cl, NbPartition::Halo, params, lanes)
+        });
+        cl.fold_forces(lanes, forces);
+        (e_l + e_h, w_l + w_h)
     }
 }
 
@@ -271,8 +227,8 @@ mod tests {
                 (r, f)
             };
             // Round 1 on both evaluators builds the list.
-            let mut plain = NbEvaluator::new(NbKernel::Cluster);
-            let mut overlapped = NbEvaluator::new(NbKernel::Cluster);
+            let mut plain = NbEvaluator::default();
+            let mut overlapped = NbEvaluator::default();
             round(&mut plain, &sys.positions, &mut timer);
             round(&mut overlapped, &sys.positions, &mut timer);
             assert!(overlapped.can_overlap());
@@ -316,7 +272,7 @@ mod tests {
                 );
                 (r, f)
             };
-            let mut ev = NbEvaluator::new(NbKernel::Cluster);
+            let mut ev = NbEvaluator::default();
             // Two rounds on unmoved positions: the first builds the list,
             // the second consumes the fresh-skip of `needs_rebuild` (a
             // just-built list is trusted for one step — DESIGN.md §3.4).
@@ -328,7 +284,7 @@ mod tests {
             // Oracle: a fresh evaluator with no overlap shenanigans. Its
             // first compute builds a new list from `moved` — same as the
             // rebuild.
-            let (r2, f2) = round(&mut NbEvaluator::new(NbKernel::Cluster), &moved, &mut timer);
+            let (r2, f2) = round(&mut NbEvaluator::default(), &moved, &mut timer);
             assert_eq!(r1.0.to_bits(), r2.0.to_bits());
             assert_forces_bitwise(&f1, &f2, &format!("energy {energy}"));
         }

@@ -1275,7 +1275,7 @@ mod tests {
 
     #[test]
     fn both_executors_time_the_same_phases() {
-        use crate::config::{Integrator, NbKernel, RunMode};
+        use crate::config::{Integrator, RunMode};
         // Each phase exists once in the step program, so both executors
         // report the same phase names (the overlap window adds
         // `pack_overlap` on a PE) and, for the per-round phases, one
@@ -1288,7 +1288,6 @@ mod tests {
                 cfg.nstlist = nstlist;
                 cfg.run_mode = mode;
                 cfg.integrator = integrator;
-                cfg.nb_kernel = NbKernel::Cluster;
                 let mut engine = Engine::new(sys.clone(), DdGrid::new([ranks, 1, 1]), cfg);
                 engine.run(steps).phases
             };

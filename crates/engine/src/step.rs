@@ -362,10 +362,7 @@ impl<'a> Segment<'a> {
                 .iter()
                 .map(|p| vec![Vec3::ZERO; p.n_local()])
                 .collect(),
-            nbs: plans
-                .iter()
-                .map(|_| NbEvaluator::new(cfg.nb_kernel))
-                .collect(),
+            nbs: plans.iter().map(|_| NbEvaluator::default()).collect(),
             step_energy: vec![EnergyReport::default(); plans.len()],
             ranks: plans.iter().map(start).collect(),
         }
@@ -384,10 +381,10 @@ impl<'a> Segment<'a> {
         let (frame, params) = (&self.frame, &self.params);
         let trace = transport.trace();
 
-        // --- Coordinate halo exchange. With the cluster kernel and a
-        // retained list the local (home–home) tile partition runs inside
-        // the transport's overlap window; its time is booked as `nb_local`
-        // / `pack_overlap`, not as exchange time. ---
+        // --- Coordinate halo exchange. With a retained list the local
+        // (home–home) tile partition runs inside the transport's overlap
+        // window; its time is booked as `nb_local` / `pack_overlap`, not as
+        // exchange time. ---
         let (nbs, ranks) = (&mut self.nbs, &mut self.ranks);
         let mut overlapped = Duration::ZERO;
         let t0 = Instant::now();

@@ -46,11 +46,12 @@
 
 use crate::forces::nonbonded::{NonbondedParams, F_ELEC};
 use crate::frame::Frame;
-use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter};
+use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter, ZoneFilter};
 #[cfg(target_arch = "x86_64")]
 use crate::simd4::F8;
 use crate::simd4::{D2, F4};
 use crate::soa::{SoaCoords, SoaForces};
+use crate::system::System;
 use crate::topology::AtomKind;
 use crate::vec3::Vec3;
 // `F4`'s arithmetic in the method-call form the shared kernel body uses.
@@ -1011,6 +1012,84 @@ pub fn compute_nonbonded_clusters_aos(
     );
     list.fold_forces(&lane_forces, forces);
     (e_l + e_h, w_l + w_h)
+}
+
+/// The cluster pipeline over a whole system as one rank — a
+/// [`ZoneFilter::whole_system`], a list in which every atom is home, the
+/// tile kernel — with its list and lane buffers kept from call to call. The
+/// minimiser and [`crate::ReferenceSimulation`] take their non-bonded forces
+/// from it.
+pub(crate) struct ClusterForces {
+    filter: ZoneFilter,
+    /// Verlet buffer (nm): the list reaches `cutoff + buffer`.
+    buffer: f32,
+    list: Option<ClusterPairList>,
+    coords: SoaCoords,
+    lane_forces: SoaForces,
+}
+
+impl ClusterForces {
+    pub(crate) fn new(system: &System, buffer: f32) -> Self {
+        ClusterForces {
+            filter: ZoneFilter::whole_system(system),
+            buffer,
+            list: None,
+            coords: SoaCoords::default(),
+            lane_forces: SoaForces::default(),
+        }
+    }
+
+    /// True when the next [`ClusterForces::add`] rebuilds the list: there is
+    /// none, or some atom has left half the buffer. The full scan, because
+    /// the caller sets how far an atom may move between calls.
+    pub(crate) fn stale(&self, positions: &[Vec3]) -> bool {
+        self.list
+            .as_ref()
+            .is_none_or(|list| list.needs_rebuild_full(positions, self.buffer))
+    }
+
+    /// Add the non-bonded forces at `system.positions` into `forces`;
+    /// returns their `(energy, virial)`. Rebuilds the list first if
+    /// [`ClusterForces::stale`].
+    pub(crate) fn add(
+        &mut self,
+        system: &System,
+        params: &NonbondedParams,
+        forces: &mut [Vec3],
+    ) -> (f64, f64) {
+        let positions = &system.positions;
+        let frame = Frame::fully_periodic(&system.pbc);
+        if self.stale(positions) {
+            self.list = Some(ClusterPairList::build(
+                &frame,
+                positions,
+                &system.kinds,
+                positions.len(),
+                params.cutoff + self.buffer,
+                &self.filter,
+            ));
+        }
+        let list = self.list.as_ref().expect("built above");
+        list.pack_coords(positions, &mut self.coords, list.home_clusters());
+        self.lane_forces.reset(list.n_lanes());
+        // Every atom is home, so the halo partition is empty.
+        let res = compute_nonbonded_clusters(
+            &frame,
+            &self.coords,
+            list,
+            NbPartition::Local,
+            params,
+            &mut self.lane_forces,
+        );
+        list.fold_forces(&self.lane_forces, forces);
+        res
+    }
+
+    /// The list the last [`ClusterForces::add`] ran on.
+    #[cfg(test)]
+    pub(crate) fn list(&self) -> Option<&ClusterPairList> {
+        self.list.as_ref()
+    }
 }
 
 /// Lane selectors for a 4-bit tile-row mask: bit `v` set ⇒ lane `v` is 1.0.

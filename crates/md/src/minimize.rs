@@ -6,17 +6,13 @@
 //! benchmarks).
 //!
 //! Non-bonded forces come from the engine's own pipeline (DESIGN.md §3.4),
-//! with the whole system as one rank: a [`ZoneFilter`] with no zone bits, a
-//! [`ClusterPairList`] in which every atom is home, and the tile kernel. The
-//! list is Verlet-buffered by `LIST_BUFFER` and kept across sweeps until
-//! some atom has moved more than half of it. The kernel is always the
-//! cluster one; `HALOX_NB_KERNEL` does not reach the minimiser.
+//! with the whole system as one rank (`cluster::ClusterForces`, which
+//! [`crate::ReferenceSimulation`] shares). The list is Verlet-buffered by
+//! `LIST_BUFFER` and kept across sweeps until some atom has moved more than
+//! half of it.
 
-use crate::cluster::{compute_nonbonded_clusters, ClusterPairList, NbPartition};
+use crate::cluster::ClusterForces;
 use crate::forces::{compute_angles, compute_bonds, NonbondedParams};
-use crate::frame::Frame;
-use crate::pairlist::ZoneFilter;
-use crate::soa::{SoaCoords, SoaForces};
 use crate::system::System;
 use crate::vec3::Vec3;
 use rand::rngs::StdRng;
@@ -49,8 +45,11 @@ impl Default for MinimizeOptions {
 
 /// Relax `system` in place; returns (initial, final) potential energy.
 pub fn steepest_descent(system: &mut System, opts: MinimizeOptions) -> (f64, f64) {
-    let mut nb = ClusterForces::new(system, opts.cutoff);
-    descend(system, opts, |system, forces| nb.add(system, forces))
+    let params = NonbondedParams::new(opts.cutoff);
+    let mut nb = ClusterForces::new(system, LIST_BUFFER);
+    descend(system, opts, |system, forces| {
+        nb.add(system, &params, forces).0
+    })
 }
 
 /// The sweep loop — wrap, forces, force-capped step — given where its
@@ -116,69 +115,11 @@ fn nudge_direction(i: usize) -> Vec3 {
     Vec3::new(c(), c(), c()).normalized()
 }
 
-/// The cluster pipeline over a whole system as one rank, with its list and
-/// lane buffers kept from sweep to sweep.
-struct ClusterForces {
-    filter: ZoneFilter,
-    params: NonbondedParams,
-    list: Option<ClusterPairList>,
-    coords: SoaCoords,
-    lane_forces: SoaForces,
-}
-
-impl ClusterForces {
-    fn new(system: &System, cutoff: f32) -> Self {
-        ClusterForces {
-            filter: ZoneFilter::whole_system(system),
-            params: NonbondedParams::new(cutoff),
-            list: None,
-            coords: SoaCoords::default(),
-            lane_forces: SoaForces::default(),
-        }
-    }
-
-    /// Add the non-bonded forces at `system.positions` into `forces`;
-    /// returns their energy. Rebuilds the list first if it is missing or
-    /// some atom has left half its buffer — the full scan, because the
-    /// caller sets how far an atom may move per sweep.
-    fn add(&mut self, system: &System, forces: &mut [Vec3]) -> f64 {
-        let positions = &system.positions;
-        let frame = Frame::fully_periodic(&system.pbc);
-        if self
-            .list
-            .as_ref()
-            .is_none_or(|list| list.needs_rebuild_full(positions, LIST_BUFFER))
-        {
-            self.list = Some(ClusterPairList::build(
-                &frame,
-                positions,
-                &system.kinds,
-                positions.len(),
-                self.params.cutoff + LIST_BUFFER,
-                &self.filter,
-            ));
-        }
-        let list = self.list.as_ref().expect("built above");
-        list.pack_coords(positions, &mut self.coords, list.home_clusters());
-        self.lane_forces.reset(list.n_lanes());
-        // Every atom is home, so the halo partition is empty.
-        let (energy, _) = compute_nonbonded_clusters(
-            &frame,
-            &self.coords,
-            list,
-            NbPartition::Local,
-            &self.params,
-            &mut self.lane_forces,
-        );
-        list.fold_forces(&self.lane_forces, forces);
-        energy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forces::compute_nonbonded;
+    use crate::frame::Frame;
     use crate::pairlist::{brute_force_pairs, PairList};
     use crate::system::GrappaBuilder;
 
@@ -284,17 +225,14 @@ mod tests {
                 if atoms == 600 {
                     assert!(sys.pbc.lengths().x < 3.0 * (opts.cutoff + LIST_BUFFER));
                 }
-                let mut nb = ClusterForces::new(&sys, opts.cutoff);
+                let params = NonbondedParams::new(opts.cutoff);
+                let mut nb = ClusterForces::new(&sys, LIST_BUFFER);
                 let (mut sweeps, mut builds) = (0, 0);
                 descend(&mut sys, opts, |system, forces| {
                     let positions = &system.positions;
-                    let stale = nb
-                        .list
-                        .as_ref()
-                        .is_none_or(|list| list.needs_rebuild_full(positions, LIST_BUFFER));
-                    builds += stale as usize;
-                    let energy = nb.add(system, forces);
-                    let listed = nb.list.as_ref().unwrap().all_pairs();
+                    builds += nb.stale(positions) as usize;
+                    let (energy, _) = nb.add(system, &params, forces);
+                    let listed = nb.list().unwrap().all_pairs();
                     let frame = Frame::fully_periodic(&system.pbc);
                     let rule = |a: usize, b: usize| !system.is_excluded(a, b);
                     for pair in brute_force_pairs(&frame, positions, opts.cutoff, &rule) {

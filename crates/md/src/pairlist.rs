@@ -22,7 +22,7 @@
 //! The engine's filter is data — [`ZoneFilter`], zone bits and an exclusion
 //! CSR the DD plan computes once per partition, or
 //! `ZoneFilter::whole_system` for one rank (the minimiser, the reference
-//! list); any `Fn(usize, usize) -> bool` is a filter too, asked pair by
+//! stepper); any `Fn(usize, usize) -> bool` is a filter too, asked pair by
 //! pair, which is what tests and oracles pass.
 //!
 //! `CellGrid` is the crate's one uniform grid, used three ways: its
@@ -135,7 +135,8 @@ impl PairList {
     }
 
     /// The single-rank list of a whole system: every non-excluded pair
-    /// within `r_list` under the fully periodic frame.
+    /// within `r_list` under the fully periodic frame (the test oracles').
+    #[cfg(test)]
     pub(crate) fn single_rank(system: &System, r_list: f32) -> PairList {
         let filter = ZoneFilter::whole_system(system);
         Self::build(&system.pbc, &system.positions, r_list, &filter)

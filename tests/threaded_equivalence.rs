@@ -14,7 +14,7 @@
 
 use halox::dd::DdGrid;
 use halox::engine::{
-    Engine, EngineConfig, ExchangeBackend, Integrator, NbKernel, RunMode, RunStats, Thermostat,
+    Engine, EngineConfig, ExchangeBackend, Integrator, RunMode, RunStats, Thermostat,
 };
 use halox::md::minimize::{steepest_descent, MinimizeOptions};
 use halox::md::{GrappaBuilder, System};
@@ -107,26 +107,23 @@ fn threaded_matches_serial_bitwise_across_transports() {
 }
 
 #[test]
-fn kernel_and_overlap_choices_stay_bitwise_between_executors() {
-    // The non-bonded kernel matrix (DESIGN.md §3.4): for both kernels, the
-    // serial driver and the threaded executor agree to the bit, and the
-    // overlap window (local tiles evaluated before halo arrivals) is
-    // bitwise inert — same tiles, same fold order, only wall-clock moves.
+fn overlap_choice_stays_bitwise_between_executors() {
+    // The overlap window (DESIGN.md §3.4): the serial driver and the
+    // threaded executor agree to the bit, and evaluating the local tiles
+    // before halo arrivals is bitwise inert — same tiles, same fold order,
+    // only wall-clock moves.
     let sys = relaxed_system(406, 3000);
     let steps = 10;
-    for kernel in [NbKernel::Scalar, NbKernel::Cluster] {
-        let mk = |mode, overlap| {
-            let mut cfg = config(ExchangeBackend::NvshmemFused, Some(2), mode);
-            cfg.nb_kernel = kernel;
-            cfg.nb_overlap = overlap;
-            cfg
-        };
-        let serial = run(&sys, [2, 2, 1], mk(RunMode::Serial, true), steps);
-        let on = run(&sys, [2, 2, 1], mk(RunMode::Threaded, true), steps);
-        let off = run(&sys, [2, 2, 1], mk(RunMode::Threaded, false), steps);
-        assert_bitwise(&format!("{} overlap-on", kernel.label()), &serial, &on);
-        assert_bitwise(&format!("{} overlap-off", kernel.label()), &serial, &off);
-    }
+    let mk = |mode, overlap| {
+        let mut cfg = config(ExchangeBackend::NvshmemFused, Some(2), mode);
+        cfg.nb_overlap = overlap;
+        cfg
+    };
+    let serial = run(&sys, [2, 2, 1], mk(RunMode::Serial, true), steps);
+    let on = run(&sys, [2, 2, 1], mk(RunMode::Threaded, true), steps);
+    let off = run(&sys, [2, 2, 1], mk(RunMode::Threaded, false), steps);
+    assert_bitwise("overlap-on", &serial, &on);
+    assert_bitwise("overlap-off", &serial, &off);
 }
 
 #[test]
