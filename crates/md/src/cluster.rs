@@ -26,7 +26,9 @@
 //!   packs using the kernel's own minimum-image expression (`min_image!`,
 //!   written once for bake and kernel), which matches
 //!   [`Frame::displacement`] bit for bit; the [`PairFilter`] is asked only
-//!   about pairs in range, a tile at a time;
+//!   about pairs in range, a tile at a time. The bake also records a
+//!   per-tile *image bit* (no live lane needed a correction), and the build
+//!   bakes per-cluster LJ rows next to the lane charges;
 //! * the tile list is split into a *local* partition (both clusters home)
 //!   and a *halo* partition (either cluster holds halo copies), letting
 //!   the engine evaluate local tiles while the coordinate halo exchange is
@@ -44,7 +46,7 @@
 //! width — so any executor that walks the rows in order, serial or one
 //! thread per PE, on any host, produces bitwise identical results.
 
-use crate::forces::nonbonded::{NonbondedParams, F_ELEC};
+use crate::forces::nonbonded::{lj_coefficients, NonbondedParams, F_ELEC};
 use crate::frame::Frame;
 use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter, ZoneFilter};
 #[cfg(target_arch = "x86_64")]
@@ -84,10 +86,16 @@ pub enum NbPartition {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterPairs {
     pub i_clusters: Vec<u32>,
-    /// Row offsets into `j_clusters` / `masks`; `len = i_clusters.len() + 1`.
+    /// Row offsets into `j_clusters` / `masks` / `unshifted`;
+    /// `len = i_clusters.len() + 1`.
     pub starts: Vec<u32>,
     pub j_clusters: Vec<u32>,
     pub masks: Vec<u16>,
+    /// Per tile, the image bit: no lane with a set mask bit needed a
+    /// minimum-image correction on any axis at build time, so the kernel
+    /// takes `xi - xj` as it is. Valid only while no coordinate is wrapped
+    /// under the list (see [`compute_nonbonded_clusters`]).
+    pub unshifted: Vec<bool>,
 }
 
 impl ClusterPairs {
@@ -121,6 +129,12 @@ pub struct ClusterPairList {
     /// Per-lane charge (padded lanes: 0, so they contribute no RF term
     /// even if a mask bug ever enabled one).
     pub lane_charges: Vec<f32>,
+    /// LJ rows per (cluster `c`, i-kind `k`) at `AtomKind::COUNT * c + k`:
+    /// `[c6, c12]` of kind `k` against each of `c`'s four lanes, from
+    /// [`lj_coefficients`] (padded lanes take lane kind 0; their mask bits
+    /// are clear). One row load per tile row replaces a gather and a
+    /// transpose in the kernel.
+    pub lj_rows: Vec<[[f32; CLUSTER]; 2]>,
     /// Axis-aligned bounding-box centre / half-extent per cluster (raw
     /// coordinates; conservative across a periodic wrap).
     pub bb_center: Vec<Vec3>,
@@ -172,7 +186,8 @@ impl ClusterPairList {
         let [_, n_home_clusters, n_clusters] = first_cluster;
 
         // --- Per-lane parameters (kinds are fixed between repartitions,
-        // so charges can be baked once here instead of gathered per step).
+        // so charges and LJ rows can be baked once here instead of gathered
+        // per step).
         let mut lane_kinds = vec![0u8; lane_atoms.len()];
         let mut lane_charges = vec![0.0f32; lane_atoms.len()];
         for (l, &a) in lane_atoms.iter().enumerate() {
@@ -182,6 +197,16 @@ impl ClusterPairList {
                 lane_charges[l] = k.charge();
             }
         }
+        let (c6, c12) = lj_coefficients();
+        let lj_rows = lane_kinds
+            .as_chunks::<CLUSTER>()
+            .0
+            .iter()
+            .flat_map(|kj| {
+                (0..AtomKind::COUNT)
+                    .map(move |ki| [c6[ki], c12[ki]].map(|t| kj.map(|k| t[k as usize])))
+            })
+            .collect();
 
         // --- Bounding boxes (raw coordinates; a cluster straddling a
         // periodic wrap just gets a conservative box).
@@ -223,6 +248,7 @@ impl ClusterPairList {
             n_home,
             lane_kinds,
             lane_charges,
+            lj_rows,
             bb_center,
             bb_half,
             local,
@@ -300,6 +326,14 @@ impl ClusterPairList {
         }
     }
 
+    /// Clear every tile's image bit, so the kernel takes the minimum image
+    /// on every tile: what a list that lives while its caller wraps
+    /// coordinates needs (see [`compute_nonbonded_clusters`]).
+    fn clear_image_bits(&mut self) {
+        self.local.unshifted.fill(false);
+        self.halo.unshifted.fill(false);
+    }
+
     /// See [`Staleness::needs_rebuild`].
     pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
         self.staleness.needs_rebuild(positions, buffer)
@@ -354,7 +388,7 @@ struct ClusterPairsBuilder {
 }
 
 impl ClusterPairsBuilder {
-    fn push(&mut self, ci: u32, cj: u32, mask: u16) {
+    fn push(&mut self, ci: u32, cj: u32, mask: u16, unshifted: bool) {
         if self.out.i_clusters.last() != Some(&ci) {
             if self.out.starts.is_empty() {
                 self.out.starts.push(0);
@@ -364,6 +398,7 @@ impl ClusterPairsBuilder {
         }
         self.out.j_clusters.push(cj);
         self.out.masks.push(mask);
+        self.out.unshifted.push(unshifted);
         *self.out.starts.last_mut().unwrap() = self.out.j_clusters.len() as u32;
     }
 
@@ -436,6 +471,8 @@ macro_rules! min_image {
 /// kernel's own minimum-image expression ([`min_image!`]), then the filter
 /// on the surviving bits only — exactly the
 /// [`PairList`](crate::pairlist::PairList) predicate for finite coordinates.
+/// The same pass sets the tile's image bit when no lane left with a set bit
+/// needed a minimum-image correction ([`ClusterPairs::unshifted`]).
 struct TileSearch<'a> {
     /// Clustering grids of the home and the halo range, and the first
     /// cluster of each (`[0, n_home_clusters, n_clusters]`).
@@ -608,13 +645,20 @@ macro_rules! tile_pass {
                         let xj = P::dup(F4::from_array(lx[cj as usize]));
                         let yj = P::dup(F4::from_array(ly[cj as usize]));
                         let zj = P::dup(F4::from_array(lz[cj as usize]));
-                        let mut bits = 0u32;
+                        // `bits`: pairs in range; `shifted`: lanes whose
+                        // minimum image moved them on some axis.
+                        let (mut bits, mut shifted) = (0u32, 0u32);
                         for p in 0..PACKS {
-                            let dx = min_image!(pxi[p].sub(xj), ix);
-                            let dy = min_image!(pyi[p].sub(yj), iy);
-                            let dz = min_image!(pzi[p].sub(zj), iz);
+                            let (rx, ry, rz) = (pxi[p].sub(xj), pyi[p].sub(yj), pzi[p].sub(zj));
+                            let dx = min_image!(rx, ix);
+                            let dy = min_image!(ry, iy);
+                            let dz = min_image!(rz, iz);
                             let d2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
                             bits |= d2.lt(r2).movemask() << (ROWS * p * CLUSTER);
+                            let moved = rx.and(abs).gt(ix[0]).movemask()
+                                | ry.and(abs).gt(iy[0]).movemask()
+                                | rz.and(abs).gt(iz[0]).movemask();
+                            shifted |= moved << (ROWS * p * CLUSTER);
                         }
                         if ci == cj as usize {
                             bits &= UPPER_TRIANGLE;
@@ -628,7 +672,7 @@ macro_rules! tile_pass {
                             } else {
                                 &mut halo
                             };
-                            part.push(ci as u32, cj, bits as u16);
+                            part.push(ci as u32, cj, bits as u16, bits & shifted == 0);
                         }
                     }
                 }
@@ -681,6 +725,18 @@ fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
 /// choice is invisible in the results: bitwise identical, and hence
 /// portable across hosts.
 ///
+/// **No-wrap contract.** On a tile whose image bit is set
+/// ([`ClusterPairs::unshifted`]) the kernel takes `xi - xj` without the
+/// minimum image. That is bitwise the minimum image as long as `coords` are
+/// the build coordinates moved by less than half the Verlet buffer each
+/// (what [`ClusterPairList::needs_rebuild`] enforces) and *no coordinate was
+/// wrapped into the box since the build*: a lane live at build needed no
+/// correction, stays within `r_list + buffer ≤ L − r_c` of its partner, and
+/// so either still needs none or lies beyond the cutoff in both metrics. The
+/// engine wraps only when it repartitions, which rebuilds every list; the
+/// whole-system evaluator behind the minimiser wraps every sweep, so it
+/// clears the bits of each list it builds.
+///
 /// Accumulates forces into `lane_forces` (lane space, additive) and returns
 /// `(energy, virial)`. All folds run in a fixed order, so repeated
 /// evaluation of the same list is bitwise reproducible no matter how rows
@@ -729,11 +785,17 @@ pub fn compute_nonbonded_cluster_forces(
 /// function returns `(0.0, 0.0)`; the force expressions are the same
 /// tokens either way.
 ///
-/// The inner micro-tile is branchless: lane selection (mask bit, cutoff,
-/// `r2 > 0`) becomes a 0/1 multiplier, and dead lanes are computed on a
-/// blended `r2' = sel*r2 + (1-sel)` so no lane ever divides by zero. For
-/// live lanes `r2'` is bitwise `r2`, so per-pair energies match the scalar
-/// kernel bit for bit; only the fold orders differ.
+/// The pack body is expanded once per pack index (`$p` in `packs`, `CLUSTER
+/// / ROWS` of them), so the per-pack state (`pxi` … `fzi`) is only ever
+/// indexed by a constant and stays in registers. It is branchless but for
+/// two tile-level tests: an empty mask nibble skips its pack, and a tile
+/// with its image bit set skips `min_image!`.
+///
+/// Lane selection (mask bit, cutoff, `r2 > 0`) becomes a 0/1 multiplier,
+/// and dead lanes are computed on a blended `r2' = sel*r2 + (1-sel)` so no
+/// lane ever divides by zero. For live lanes `r2'` is bitwise `r2`, so
+/// per-pair energies match the scalar kernel bit for bit; only the fold
+/// orders differ.
 ///
 /// Why every pack width gives the same bits:
 /// * each pack operation is the identical IEEE operation on every lane, and
@@ -743,12 +805,16 @@ pub fn compute_nonbonded_cluster_forces(
 ///   row `u` before row `u+1` whether or not the two shared an operation;
 ///   i-lane partials stay per row until one `(v0+v1)+(v2+v3)` sum at the end
 ///   of the CSR row;
-/// * a row a narrower pack would have skipped (empty mask nibble, or no
-///   lane selected) rides along with `sel = 0`, contributing exact `±0.0`
-///   adds, which cannot change an accumulator that started at `+0.0` (adds
-///   of finite values never produce `-0.0` under round-to-nearest).
+/// * a row a narrower pack would have skipped (empty mask nibble), and a
+///   pack with no lane selected, rides along with `sel = 0`, contributing
+///   exact `±0.0` adds, which cannot change an accumulator that started at
+///   `+0.0` (adds of finite values never produce `-0.0` under
+///   round-to-nearest).
 macro_rules! tile_kernel {
-    ($(#[$attr:meta])* fn $name:ident, $P:ty, energy = $energy:literal) => {
+    (
+        $(#[$attr:meta])* fn $name:ident, $P:ty, energy = $energy:literal,
+        packs = [$($p:literal),+]
+    ) => {
         $(#[$attr])*
         fn $name(
             frame: &Frame,
@@ -761,6 +827,17 @@ macro_rules! tile_kernel {
             type P = $P;
             const ROWS: usize = P::ROWS;
             const PACKS: usize = CLUSTER / ROWS;
+            const NK: usize = AtomKind::COUNT;
+            // `packs` must be `0 .. PACKS` in order: the folds rely on it.
+            const _: () = {
+                let packs = [$($p),+];
+                assert!(packs.len() == PACKS);
+                let mut p = 0;
+                while p < PACKS {
+                    assert!(packs[p] == p);
+                    p += 1;
+                }
+            };
             let part = list.partition(which);
             assert_eq!(coords.len(), list.n_lanes());
             assert_eq!(lane_forces.len(), list.n_lanes());
@@ -775,6 +852,20 @@ macro_rules! tile_kernel {
             );
             let charges = &list.lane_charges.as_chunks::<CLUSTER>().0[..n];
             let kinds = &list.lane_kinds.as_chunks::<CLUSTER>().0[..n];
+            let lj = &list.lj_rows.as_chunks::<NK>().0[..n];
+            // The LJ shift depends on the cutoff, so the energy flavour lays
+            // it out like the list's LJ rows per call (one step in
+            // `nstlist` runs it).
+            let vshift: Vec<[[f32; CLUSTER]; NK]> = if $energy {
+                kinds
+                    .iter()
+                    .map(|kj| {
+                        core::array::from_fn(|ki| kj.map(|k| params.vshift_lj[ki][k as usize]))
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
             let (fx, fy, fz) = (
                 &mut lane_forces.x.as_chunks_mut::<CLUSTER>().0[..n],
                 &mut lane_forces.y.as_chunks_mut::<CLUSTER>().0[..n],
@@ -792,25 +883,6 @@ macro_rules! tile_kernel {
             let twelve = P::splat(12.0);
             let six = P::splat(6.0);
             let zero4 = F4::splat(0.0);
-            // Interleaved LJ parameter table: one aligned `[c6, c12, vshift, _]`
-            // quad per kind pair, so each tile row gathers four 16-byte quads
-            // and transposes, instead of twelve scattered scalar loads. Sized
-            // to the next power of two so a flat `& LJT_MASK` index is
-            // provably in bounds — no bounds-check branches in the tile loop.
-            const NK: usize = AtomKind::COUNT;
-            const LJT_LEN: usize = (NK * NK).next_power_of_two();
-            const LJT_MASK: usize = LJT_LEN - 1;
-            let mut ljt = [[0.0f32; 4]; LJT_LEN];
-            for a in 0..NK {
-                for b in 0..NK {
-                    ljt[a * NK + b] = [
-                        params.c6[a][b],
-                        params.c12[a][b],
-                        params.vshift_lj[a][b],
-                        0.0,
-                    ];
-                }
-            }
 
             // Energy/virial accumulate as packed f64 lane partials (widened
             // from the bitwise per-pair f32 terms) and fold once at the end,
@@ -825,17 +897,13 @@ macro_rules! tile_kernel {
                 let eq = charges[ci].map(|q| F_ELEC * q);
                 // i-lane broadcasts are tile-invariant: splat them once per
                 // CSR row. Pack `p` carries rows `ROWS * p ..`.
-                let mut pxi = [zero; PACKS];
-                let mut pyi = [zero; PACKS];
-                let mut pzi = [zero; PACKS];
-                let mut eqi = [zero; PACKS];
-                for p in 0..PACKS {
-                    pxi[p] = P::rows(&xi, ROWS * p);
-                    pyi[p] = P::rows(&yi, ROWS * p);
-                    pzi[p] = P::rows(&zi, ROWS * p);
-                    eqi[p] = P::rows(&eq, ROWS * p);
-                }
-                let trow = kinds[ci].map(|k| NK * k as usize);
+                let pxi = [$(P::rows(&xi, ROWS * $p)),+];
+                let pyi = [$(P::rows(&yi, ROWS * $p)),+];
+                let pzi = [$(P::rows(&zi, ROWS * $p)),+];
+                let eqi = [$(P::rows(&eq, ROWS * $p)),+];
+                // Clamped so the row lookups below need no bounds check
+                // (every kind index is already below `NK`).
+                let ki = kinds[ci].map(|k| usize::from(k).min(NK - 1));
                 // Per-i-lane force partials stay as j-lane vectors across the
                 // whole CSR row; the horizontal fold happens once per row.
                 let mut fxi = [zero; PACKS];
@@ -844,58 +912,60 @@ macro_rules! tile_kernel {
 
                 let lo = part.starts[row] as usize;
                 let hi = part.starts[row + 1] as usize;
-                for (&cj, &mask) in part.j_clusters[lo..hi].iter().zip(&part.masks[lo..hi]) {
+                let tiles = part.j_clusters[lo..hi]
+                    .iter()
+                    .zip(&part.masks[lo..hi])
+                    .zip(&part.unshifted[lo..hi]);
+                for ((&cj, &mask), &unshifted) in tiles {
                     let (cj, mask) = (cj as usize, mask as usize);
                     // One j-cluster load feeds every row of every pack.
                     let xj = P::dup(F4::from_array(cx[cj]));
                     let yj = P::dup(F4::from_array(cy[cj]));
                     let zj = P::dup(F4::from_array(cz[cj]));
                     let qj = P::dup(F4::from_array(charges[cj]));
-                    let kj = kinds[cj].map(usize::from);
+                    let ljj = &lj[cj];
+                    let vsj = if $energy { &vshift[cj] } else { &[[0.0; CLUSTER]; NK] };
                     let mut fxj = zero4;
                     let mut fyj = zero4;
                     let mut fzj = zero4;
 
-                    for p in 0..PACKS {
-                        let mrows = mask >> (ROWS * p * CLUSTER);
+                    $('pack: {
+                        let mrows = mask >> (ROWS * $p * CLUSTER);
                         if mrows & ((1 << (ROWS * CLUSTER)) - 1) == 0 {
-                            continue;
+                            break 'pack;
                         }
-                        // Per-pair LJ parameter quads and the rows' mask
-                        // lookups — the only per-row work; the rest is
-                        // per pack.
+                        // The rows' LJ rows and mask lanes — the only
+                        // per-row work; the rest is per pack.
                         let mut c6 = [zero4; ROWS];
                         let mut c12 = [zero4; ROWS];
                         let mut vs = [zero4; ROWS];
                         let mut msk = [zero4; ROWS];
                         for h in 0..ROWS {
-                            let tr = trow[ROWS * p + h];
-                            (c6[h], c12[h], vs[h], _) = F4::transpose(
-                                F4::from_array(ljt[(tr + kj[0]) & LJT_MASK]),
-                                F4::from_array(ljt[(tr + kj[1]) & LJT_MASK]),
-                                F4::from_array(ljt[(tr + kj[2]) & LJT_MASK]),
-                                F4::from_array(ljt[(tr + kj[3]) & LJT_MASK]),
-                            );
+                            let k = ki[ROWS * $p + h];
+                            c6[h] = F4::from_array(ljj[k][0]);
+                            c12[h] = F4::from_array(ljj[k][1]);
+                            if $energy {
+                                vs[h] = F4::from_array(vsj[k]);
+                            }
                             msk[h] = F4::from_array(MASK_LANES[(mrows >> (h * CLUSTER)) & 0xF]);
                         }
                         let (c6, c12, vs, msk) =
                             (P::join(c6), P::join(c12), P::join(vs), P::join(msk));
 
-                        let dx = min_image!(pxi[p].sub(xj), ix);
-                        let dy = min_image!(pyi[p].sub(yj), iy);
-                        let dz = min_image!(pzi[p].sub(zj), iz);
+                        let mut dx = pxi[$p].sub(xj);
+                        let mut dy = pyi[$p].sub(yj);
+                        let mut dz = pzi[$p].sub(zj);
+                        if !unshifted {
+                            dx = min_image!(dx, ix);
+                            dy = min_image!(dy, iy);
+                            dz = min_image!(dz, iz);
+                        }
                         let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
 
                         // Live lanes: sel == 1.0 and r2e == r2 bitwise. Dead
                         // lanes (masked, beyond cutoff, or self): sel == 0.0
                         // and r2e == 1.0, so no lane ever divides by zero.
                         let sel = r2.lt(rc2v).and(zero.lt(r2)).and(msk);
-                        if !sel.any_nonzero() {
-                            // Listed, but every pair is masked or outside the
-                            // cutoff this step (Verlet skin) — all lanes
-                            // would contribute exact zeros.
-                            continue;
-                        }
                         let r2e = sel.mul(r2).add(one.sub(sel));
 
                         let inv_r2 = one.div(r2e);
@@ -907,7 +977,7 @@ macro_rules! tile_kernel {
                             .mul(inv_r6)
                             .sub(six.mul(c6).mul(inv_r6))
                             .mul(inv_r2);
-                        let qq = eqi[p].mul(qj);
+                        let qq = eqi[$p].mul(qj);
                         let inv_r = inv_r2.sqrt();
                         let v_rf = qq.mul(inv_r.add(krfv.mul(r2e)).sub(crfv));
                         let f_rf = qq.mul(inv_r.mul(inv_r2).sub(two_krf));
@@ -919,9 +989,9 @@ macro_rules! tile_kernel {
                         let fy = fs.mul(dy);
                         let fz = fs.mul(dz);
 
-                        fxi[p] = fxi[p].add(fx);
-                        fyi[p] = fyi[p].add(fy);
-                        fzi[p] = fzi[p].add(fz);
+                        fxi[$p] = fxi[$p].add(fx);
+                        fyi[$p] = fyi[$p].add(fy);
+                        fzi[$p] = fzi[$p].add(fz);
                         // Everything shared between rows folds row by row.
                         for h in 0..ROWS {
                             fxj = fxj - fx.half(h);
@@ -935,24 +1005,22 @@ macro_rules! tile_kernel {
                                 w_hi = w_hi + wv.to_f64_hi();
                             }
                         }
-                    }
+                    })+
 
                     fx[cj] = (F4::from_array(fx[cj]) + fxj).to_array();
                     fy[cj] = (F4::from_array(fy[cj]) + fyj).to_array();
                     fz[cj] = (F4::from_array(fz[cj]) + fzj).to_array();
                 }
 
-                for p in 0..PACKS {
-                    for h in 0..ROWS {
-                        let u = ROWS * p + h;
-                        let fxa = fxi[p].half(h).to_array();
-                        let fya = fyi[p].half(h).to_array();
-                        let fza = fzi[p].half(h).to_array();
-                        fx[ci][u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
-                        fy[ci][u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
-                        fz[ci][u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
-                    }
-                }
+                $(for h in 0..ROWS {
+                    let u = ROWS * $p + h;
+                    let fxa = fxi[$p].half(h).to_array();
+                    let fya = fyi[$p].half(h).to_array();
+                    let fza = fzi[$p].half(h).to_array();
+                    fx[ci][u] += (fxa[0] + fxa[1]) + (fxa[2] + fxa[3]);
+                    fy[ci][u] += (fya[0] + fya[1]) + (fya[2] + fya[3]);
+                    fz[ci][u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
+                })+
             }
             let (ea, eb) = (e_lo.to_array(), e_hi.to_array());
             let (wa, wb) = (w_lo.to_array(), w_hi.to_array());
@@ -964,21 +1032,23 @@ macro_rules! tile_kernel {
     };
 }
 
-tile_kernel!(fn nb_clusters_rows1, F4, energy = true);
-tile_kernel!(fn nb_forces_rows1, F4, energy = false);
+tile_kernel!(fn nb_clusters_rows1, F4, energy = true, packs = [0, 1, 2, 3]);
+tile_kernel!(fn nb_forces_rows1, F4, energy = false, packs = [0, 1, 2, 3]);
 tile_kernel!(
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn nb_clusters_rows2,
     F8,
-    energy = true
+    energy = true,
+    packs = [0, 1]
 );
 tile_kernel!(
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn nb_forces_rows2,
     F8,
-    energy = false
+    energy = false,
+    packs = [0, 1]
 );
 
 /// Convenience wrapper over AoS buffers: pack all lanes, evaluate local
@@ -1018,7 +1088,8 @@ pub fn compute_nonbonded_clusters_aos(
 /// [`ZoneFilter::whole_system`], a list in which every atom is home, the
 /// tile kernel — with its list and lane buffers kept from call to call. The
 /// minimiser and [`crate::ReferenceSimulation`] take their non-bonded forces
-/// from it.
+/// from it. The minimiser wraps its coordinates every sweep under a live
+/// list, so every list built here has its image bits cleared.
 pub(crate) struct ClusterForces {
     filter: ZoneFilter,
     /// Verlet buffer (nm): the list reaches `cutoff + buffer`.
@@ -1049,39 +1120,43 @@ impl ClusterForces {
     }
 
     /// Add the non-bonded forces at `system.positions` into `forces`;
-    /// returns their `(energy, virial)`. Rebuilds the list first if
-    /// [`ClusterForces::stale`].
+    /// returns their `(energy, virial)`, or zeros from the force-only kernel
+    /// when `energy` is false (the forces are bitwise the same either way).
+    /// Rebuilds the list first if [`ClusterForces::stale`].
     pub(crate) fn add(
         &mut self,
         system: &System,
         params: &NonbondedParams,
+        energy: bool,
         forces: &mut [Vec3],
     ) -> (f64, f64) {
         let positions = &system.positions;
         let frame = Frame::fully_periodic(&system.pbc);
         if self.stale(positions) {
-            self.list = Some(ClusterPairList::build(
+            let mut list = ClusterPairList::build(
                 &frame,
                 positions,
                 &system.kinds,
                 positions.len(),
                 params.cutoff + self.buffer,
                 &self.filter,
-            ));
+            );
+            list.clear_image_bits();
+            self.list = Some(list);
         }
         let list = self.list.as_ref().expect("built above");
         list.pack_coords(positions, &mut self.coords, list.home_clusters());
-        self.lane_forces.reset(list.n_lanes());
+        let lanes = &mut self.lane_forces;
+        lanes.reset(list.n_lanes());
         // Every atom is home, so the halo partition is empty.
-        let res = compute_nonbonded_clusters(
-            &frame,
-            &self.coords,
-            list,
-            NbPartition::Local,
-            params,
-            &mut self.lane_forces,
-        );
-        list.fold_forces(&self.lane_forces, forces);
+        let (coords, local) = (&self.coords, NbPartition::Local);
+        let res = if energy {
+            compute_nonbonded_clusters(&frame, coords, list, local, params, lanes)
+        } else {
+            compute_nonbonded_cluster_forces(&frame, coords, list, local, params, lanes);
+            (0.0, 0.0)
+        };
+        list.fold_forces(lanes, forces);
         res
     }
 
@@ -1153,7 +1228,7 @@ mod tests {
                 {
                     continue;
                 }
-                let mut mask = 0u16;
+                let (mut mask, mut unshifted) = (0u16, true);
                 for u in 0..CLUSTER {
                     let a = list.lane_atoms[CLUSTER * ci + u];
                     if a == PAD {
@@ -1178,13 +1253,15 @@ mod tests {
                             continue;
                         }
                         mask |= 1 << (u * CLUSTER + v);
+                        let (pa, pb) = (positions[a as usize], positions[b as usize]);
+                        unshifted &= list.staleness.frame.displacement(pa, pb) == pa - pb;
                     }
                 }
                 if mask != 0 {
                     if cj < list.n_home_clusters {
-                        local.push(ci as u32, cj as u32, mask);
+                        local.push(ci as u32, cj as u32, mask, unshifted);
                     } else {
-                        halo.push(ci as u32, cj as u32, mask);
+                        halo.push(ci as u32, cj as u32, mask, unshifted);
                     }
                 }
             }
@@ -1224,6 +1301,17 @@ mod tests {
                 edge * rng.gen_range(1.0f32..1.5)
             };
         }
+        drifted_positions(&mut rng, n, lengths, dd, r_list)
+    }
+
+    /// [`drifted_frame`]'s coordinates in a box of the given `lengths`.
+    fn drifted_positions(
+        rng: &mut StdRng,
+        n: usize,
+        lengths: Vec3,
+        dd: [usize; 3],
+        r_list: f32,
+    ) -> (Frame, Vec<Vec3>) {
         let frame = Frame::for_decomposition(&PbcBox::new(lengths), dd);
         let positions = (0..n)
             .map(|_| {
@@ -1706,6 +1794,188 @@ mod tests {
             0.75,
             &rule,
         );
+    }
+
+    /// Every atom moved by less than `max` (a uniform draw per axis inside
+    /// the cube the `max` ball contains), none wrapped.
+    fn jiggled(positions: &[Vec3], rng: &mut StdRng, max: f32) -> Vec<Vec3> {
+        let m = max / 3f32.sqrt();
+        positions
+            .iter()
+            .map(|&p| {
+                p + Vec3::new(
+                    rng.gen_range(-m..m),
+                    rng.gen_range(-m..m),
+                    rng.gen_range(-m..m),
+                )
+            })
+            .collect()
+    }
+
+    /// Every kernel this host runs, both partitions, at `positions`: the
+    /// list as built and the same list with every image bit cleared give
+    /// bitwise the same lanes, energy and virial.
+    fn assert_image_bits_inert(
+        frame: &Frame,
+        list: &ClusterPairList,
+        positions: &[Vec3],
+        params: &NonbondedParams,
+    ) {
+        let mut cleared = list.clone();
+        cleared.clear_image_bits();
+        let mut coords = SoaCoords::default();
+        list.pack_coords(positions, &mut coords, 0..list.n_clusters());
+        for (name, energy, forces_only) in kernel_flavours() {
+            for which in [NbPartition::Local, NbPartition::Halo] {
+                for (flavour, kernel) in [("energy", energy), ("force-only", forces_only)] {
+                    let run = |l: &ClusterPairList| {
+                        let mut lf = SoaForces::default();
+                        lf.reset(l.n_lanes());
+                        let (e, w) = kernel(frame, &coords, l, which, params, &mut lf);
+                        let lanes: Vec<[u32; 3]> = (0..l.n_lanes())
+                            .map(|i| lf.get(i))
+                            .map(|f| [f.x, f.y, f.z].map(f32::to_bits))
+                            .collect();
+                        (e.to_bits(), w.to_bits(), lanes)
+                    };
+                    assert!(
+                        run(list) == run(&cleared),
+                        "{name} {flavour} kernel ({which:?}): image bits changed the result"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The no-wrap contract of the image bit: lists built at drifted
+        /// frames (out-of-box atoms, PAD lanes, 1-, 2- and 3-D grids,
+        /// periodic edges from just over `2 r_list` up), then evaluated
+        /// after every atom moved by less than half the buffer without a
+        /// wrap, are bitwise the same list with no bit set.
+        #[test]
+        fn image_bits_are_inert_while_atoms_stay_within_half_the_buffer(
+            seed in 0u64..u64::MAX,
+            atoms in 1usize..601,
+            dd in 0usize..4,
+            home in 0usize..4,
+            edge in 0usize..3,
+            cutoff in 0.3f32..0.9,
+            buffer in 0.02f32..0.2,
+        ) {
+            let dd = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]][dd];
+            let r_list = cutoff + buffer;
+            let (frame, positions) = if edge == 2 {
+                // At the DD floor: every periodic edge just over 2 r_list.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let lengths = Vec3::new(1.0, 1.0, 1.0) * (2.001 * r_list);
+                drifted_positions(&mut rng, atoms, lengths, dd, r_list)
+            } else {
+                drifted_frame(seed, atoms, dd, edge == 1, r_list)
+            };
+            let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
+            let disp: Vec<[u8; 3]> = (0..atoms)
+                .map(|a| {
+                    [0, 1, 2]
+                        .map(|k| (a >= n_home && !frame.periodic[k] && (a >> k) & 1 == 1) as u8)
+                })
+                .collect();
+            let rule = |a: usize, b: usize| eighth_shell_rule(&disp, a, b);
+            let all_kinds = [AtomKind::Ow, AtomKind::Hw, AtomKind::Ch3, AtomKind::Ch2, AtomKind::Oh];
+            let kinds: Vec<AtomKind> = (0..atoms).map(|a| all_kinds[(a * 7 + 3) % 5]).collect();
+            let list = ClusterPairList::build(&frame, &positions, &kinds, n_home, r_list, &rule);
+            let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+            let moved = jiggled(&positions, &mut rng, 0.499 * buffer);
+            prop_assert!(!list.needs_rebuild_full(&moved, buffer));
+            let params = NonbondedParams::new(cutoff);
+            assert_image_bits_inert(&frame, &list, &positions, &params);
+            assert_image_bits_inert(&frame, &list, &moved, &params);
+        }
+    }
+
+    #[test]
+    fn image_bit_census() {
+        // Rank 0 of a [2,1,1] partition of 9 000 atoms, as the DD plan lays
+        // it out: home atoms in the lower x half, then the halo slab the
+        // upper neighbour sends (`r_comm` wide, travelled up in x).
+        let sys = GrappaBuilder::new(9000).seed(11).build();
+        let frame = Frame::for_decomposition(&sys.pbc, [2, 1, 1]);
+        let (r_comm, mid) = (0.8, 0.5 * sys.pbc.lengths().x);
+        let x = |a: &usize| sys.positions[*a].x;
+        let home: Vec<usize> = (0..sys.n_atoms()).filter(|a| x(a) < mid).collect();
+        let halo = (0..sys.n_atoms()).filter(|a| (mid..mid + r_comm).contains(&x(a)));
+        let ids: Vec<usize> = home.iter().copied().chain(halo).collect();
+        let positions: Vec<Vec3> = ids.iter().map(|&a| sys.positions[a]).collect();
+        let kinds: Vec<AtomKind> = ids.iter().map(|&a| sys.kinds[a]).collect();
+        let disp: Vec<[u8; 3]> = (0..ids.len())
+            .map(|l| [(l >= home.len()) as u8, 0, 0])
+            .collect();
+        let rule =
+            |a: usize, b: usize| eighth_shell_rule(&disp, a, b) && !sys.is_excluded(ids[a], ids[b]);
+        let list = ClusterPairList::build(&frame, &positions, &kinds, home.len(), r_comm, &rule);
+        let bits = |l: &ClusterPairList| {
+            let all: Vec<bool> = [&l.local, &l.halo]
+                .iter()
+                .flat_map(|p| p.unshifted.iter().copied())
+                .collect();
+            (all.iter().filter(|&&b| b).count(), all.len())
+        };
+        let (set, tiles) = bits(&list);
+        assert!(
+            set as f64 >= 0.75 * tiles as f64,
+            "{set} of {tiles} image bits set"
+        );
+
+        // The whole-system evaluator's lists live while the minimiser
+        // wraps, so none of their bits is set.
+        let mut nb = ClusterForces::new(&sys, 0.1);
+        let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
+        nb.add(&sys, &NonbondedParams::new(0.7), false, &mut forces);
+        let (set, tiles) = bits(nb.list().unwrap());
+        assert!(tiles > 0);
+        assert_eq!(set, 0, "a whole-system list kept {set} image bits");
+    }
+
+    #[test]
+    fn baked_lj_rows_are_the_params_tables() {
+        const NK: usize = AtomKind::COUNT;
+        let all_kinds = [
+            AtomKind::Ow,
+            AtomKind::Hw,
+            AtomKind::Ch3,
+            AtomKind::Ch2,
+            AtomKind::Oh,
+        ];
+        let (frame, positions) = drifted_frame(5, 203, [1, 1, 1], false, 0.8);
+        let kinds: Vec<AtomKind> = (0..positions.len())
+            .map(|a| all_kinds[(a * 3) % NK])
+            .collect();
+        let all = |_: usize, _: usize| true;
+        let list = ClusterPairList::build(&frame, &positions, &kinds, 150, 0.8, &all);
+        assert!(list.lane_atoms.contains(&PAD));
+        assert_eq!(list.lj_rows.len(), NK * list.n_clusters());
+        for cutoff in [0.5, 0.7, 1.0] {
+            let params = NonbondedParams::new(cutoff);
+            let mut seen = [[false; NK]; NK];
+            for c in 0..list.n_clusters() {
+                for ki in 0..NK {
+                    let [c6, c12] = list.lj_rows[NK * c + ki];
+                    for v in 0..CLUSTER {
+                        let kj = list.lane_kinds[CLUSTER * c + v] as usize;
+                        seen[ki][kj] = true;
+                        assert_eq!(c6[v].to_bits(), params.c6[ki][kj].to_bits(), "c6 {ki}-{kj}");
+                        assert_eq!(
+                            c12[v].to_bits(),
+                            params.c12[ki][kj].to_bits(),
+                            "c12 {ki}-{kj}"
+                        );
+                    }
+                }
+            }
+            assert!(seen.iter().flatten().all(|&s| s), "every kind pair checked");
+        }
     }
 
     #[test]

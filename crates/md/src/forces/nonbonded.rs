@@ -25,13 +25,14 @@ pub struct NonbondedParams {
     pub k_rf: f32,
     /// Reaction-field shift constant c_rf (nm^-1).
     pub c_rf: f32,
-    /// Dense (kind, kind) -> (c6, c12) table. Crate-visible so the
-    /// cluster-pair kernel (`crate::cluster`) can index rows directly in
-    /// its inner micro-tile instead of calling [`NonbondedParams::pair`].
-    pub(crate) c6: [[f32; AtomKind::COUNT]; AtomKind::COUNT],
-    pub(crate) c12: [[f32; AtomKind::COUNT]; AtomKind::COUNT],
+    /// Dense (kind, kind) -> (c6, c12) table ([`lj_coefficients`]; the
+    /// cluster-pair list bakes its per-cluster rows from the same function).
+    pub(crate) c6: KindTable,
+    pub(crate) c12: KindTable,
     /// LJ potential shift per kind pair: value of LJ at the cutoff.
-    pub(crate) vshift_lj: [[f32; AtomKind::COUNT]; AtomKind::COUNT],
+    /// Crate-visible so the cluster-pair kernel (`crate::cluster`) can lay
+    /// it out per cluster for its energy flavour.
+    pub(crate) vshift_lj: KindTable,
 }
 
 impl NonbondedParams {
@@ -41,18 +42,12 @@ impl NonbondedParams {
         let k_rf = (EPS_RF - 1.0) / (2.0 * EPS_RF + 1.0) / cutoff.powi(3);
         let c_rf = 1.0 / cutoff + k_rf * cutoff * cutoff;
 
-        let table = lj_table();
-        let mut c6 = [[0.0; AtomKind::COUNT]; AtomKind::COUNT];
-        let mut c12 = [[0.0; AtomKind::COUNT]; AtomKind::COUNT];
+        let (c6, c12) = lj_coefficients();
         let mut vshift_lj = [[0.0; AtomKind::COUNT]; AtomKind::COUNT];
         for a in 0..AtomKind::COUNT {
             for b in 0..AtomKind::COUNT {
-                let p = LjParams::combine(table[a], table[b]);
-                let (x6, x12) = p.c6_c12();
-                c6[a][b] = x6;
-                c12[a][b] = x12;
                 let rc6 = cutoff.powi(6);
-                vshift_lj[a][b] = x12 / (rc6 * rc6) - x6 / rc6;
+                vshift_lj[a][b] = c12[a][b] / (rc6 * rc6) - c6[a][b] / rc6;
             }
         }
         NonbondedParams {
@@ -86,6 +81,25 @@ impl NonbondedParams {
         (v_lj + v_rf, f_lj + f_rf)
     }
 }
+
+/// The dense (kind, kind) `(c6, c12)` tables: combination rule over
+/// [`lj_table`], no cutoff. [`NonbondedParams::new`] and the per-cluster LJ
+/// rows `ClusterPairList::build` bakes both come from here, so they hold the
+/// same bits.
+pub(crate) fn lj_coefficients() -> (KindTable, KindTable) {
+    let table = lj_table();
+    let mut c6 = [[0.0; AtomKind::COUNT]; AtomKind::COUNT];
+    let mut c12 = [[0.0; AtomKind::COUNT]; AtomKind::COUNT];
+    for a in 0..AtomKind::COUNT {
+        for b in 0..AtomKind::COUNT {
+            (c6[a][b], c12[a][b]) = LjParams::combine(table[a], table[b]).c6_c12();
+        }
+    }
+    (c6, c12)
+}
+
+/// One `f32` per (kind, kind) pair.
+pub(crate) type KindTable = [[f32; AtomKind::COUNT]; AtomKind::COUNT];
 
 /// Precompute the per-atom charge table once per force pass. `charge()` is
 /// a match on the kind, and the inner pair loop used to evaluate it twice

@@ -84,7 +84,7 @@ impl ReferenceSimulation {
     pub fn compute_forces(&mut self) -> EnergyReport {
         let (nb, params) = (&mut self.nonbonded, &self.params);
         all_forces(&self.system, &mut self.forces, |system, forces| {
-            nb.add(system, params, forces)
+            nb.add(system, params, true, forces)
         })
     }
 

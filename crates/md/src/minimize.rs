@@ -47,30 +47,33 @@ impl Default for MinimizeOptions {
 pub fn steepest_descent(system: &mut System, opts: MinimizeOptions) -> (f64, f64) {
     let params = NonbondedParams::new(opts.cutoff);
     let mut nb = ClusterForces::new(system, LIST_BUFFER);
-    descend(system, opts, |system, forces| {
-        nb.add(system, &params, forces).0
+    descend(system, opts, |system, energy, forces| {
+        nb.add(system, &params, energy, forces).0
     })
 }
 
 /// The sweep loop — wrap, forces, force-capped step — given where its
-/// non-bonded forces come from: `nonbonded(system, forces)` adds them at
-/// `system.positions` into `forces` and returns their energy.
+/// non-bonded forces come from: `nonbonded(system, energy, forces)` adds
+/// them at `system.positions` into `forces` and returns their energy, which
+/// it may leave at zero when `energy` is false.
 fn descend(
     system: &mut System,
     opts: MinimizeOptions,
-    mut nonbonded: impl FnMut(&System, &mut [Vec3]) -> f64,
+    mut nonbonded: impl FnMut(&System, bool, &mut [Vec3]) -> f64,
 ) -> (f64, f64) {
     let n = system.n_atoms();
-    let mut e_first = None;
-    let mut e_last = 0.0;
+    let (mut e_first, mut e_last) = (0.0, 0.0);
     let mut forces = vec![Vec3::ZERO; n];
     let id = |g: u32| if (g as usize) < n { Some(g) } else { None };
-    for _ in 0..opts.steps {
+    for sweep in 0..opts.steps {
         for p in &mut system.positions {
             *p = system.pbc.wrap(*p);
         }
         forces.fill(Vec3::ZERO);
-        let mut e = nonbonded(system, &mut forces);
+        // Only the first and the last sweep's energies are reported.
+        let (first, last) = (sweep == 0, sweep + 1 == opts.steps);
+        let energy = first || last;
+        let mut e = nonbonded(system, energy, &mut forces);
         e += compute_bonds(
             &system.pbc,
             &system.positions,
@@ -85,8 +88,12 @@ fn descend(
             &id,
             &mut forces,
         );
-        e_first.get_or_insert(e);
-        e_last = e;
+        if first {
+            e_first = e;
+        }
+        if last {
+            e_last = e;
+        }
         for (i, (p, f)) in system.positions.iter_mut().zip(&forces).enumerate() {
             let norm = f.norm();
             if norm > 0.0 && norm.is_finite() {
@@ -103,7 +110,7 @@ fn descend(
     for p in &mut system.positions {
         *p = system.pbc.wrap(*p);
     }
-    (e_first.unwrap_or(0.0), e_last)
+    (e_first, e_last)
 }
 
 /// A unit vector drawn from a generator seeded with atom index `i`: a
@@ -128,7 +135,7 @@ mod tests {
     /// held to.
     fn scalar_steepest_descent(system: &mut System, opts: MinimizeOptions) -> (f64, f64) {
         let params = NonbondedParams::new(opts.cutoff);
-        descend(system, opts, |system, forces| {
+        descend(system, opts, |system, _, forces| {
             let pl = PairList::single_rank(system, opts.cutoff + LIST_BUFFER);
             let frame = Frame::fully_periodic(&system.pbc);
             compute_nonbonded(
@@ -228,10 +235,10 @@ mod tests {
                 let params = NonbondedParams::new(opts.cutoff);
                 let mut nb = ClusterForces::new(&sys, LIST_BUFFER);
                 let (mut sweeps, mut builds) = (0, 0);
-                descend(&mut sys, opts, |system, forces| {
+                descend(&mut sys, opts, |system, energy, forces| {
                     let positions = &system.positions;
                     builds += nb.stale(positions) as usize;
-                    let (energy, _) = nb.add(system, &params, forces);
+                    let (energy, _) = nb.add(system, &params, energy, forces);
                     let listed = nb.list().unwrap().all_pairs();
                     let frame = Frame::fully_periodic(&system.pbc);
                     let rule = |a: usize, b: usize| !system.is_excluded(a, b);
@@ -260,6 +267,25 @@ mod tests {
         let (mut a, mut b) = (built.clone(), built);
         let ea = steepest_descent(&mut a, MinimizeOptions::default());
         let eb = steepest_descent(&mut b, MinimizeOptions::default());
+        assert_eq!(ea.0.to_bits(), eb.0.to_bits());
+        assert_eq!(ea.1.to_bits(), eb.1.to_bits());
+        assert_eq!(a.positions, b.positions);
+    }
+
+    #[test]
+    fn force_only_sweeps_relax_bitwise_like_energy_sweeps() {
+        // The minimiser reads energies on its first and last sweep only; the
+        // force-only kernel on the others must leave the relaxed system in
+        // the bits every-sweep energy evaluation gives.
+        let built = GrappaBuilder::new(1500).seed(25).build();
+        let (mut a, mut b) = (built.clone(), built);
+        let opts = MinimizeOptions::default();
+        let ea = steepest_descent(&mut a, opts);
+        let params = NonbondedParams::new(opts.cutoff);
+        let mut nb = ClusterForces::new(&b, LIST_BUFFER);
+        let eb = descend(&mut b, opts, |system, _, forces| {
+            nb.add(system, &params, true, forces).0
+        });
         assert_eq!(ea.0.to_bits(), eb.0.to_bits());
         assert_eq!(ea.1.to_bits(), eb.1.to_bits());
         assert_eq!(a.positions, b.positions);

@@ -111,39 +111,12 @@ impl F4 {
         unsafe { F4(_mm_and_ps(self.0, rhs.0)) }
     }
 
-    /// True if any lane compares non-zero (IEEE: ±0.0 report false) —
-    /// used to skip fully-masked tile rows.
-    #[inline(always)]
-    pub fn any_nonzero(self) -> bool {
-        // SAFETY: SSE2 baseline. movmskps collects lane sign bits, so
-        // compare against zero first to catch any non-zero payload.
-        unsafe { _mm_movemask_ps(_mm_cmpneq_ps(self.0, _mm_setzero_ps())) != 0 }
-    }
-
     /// Lane sign bits packed into the low four bits: bit `v` is set when
     /// lane `v` of a comparison mask is true.
     #[inline(always)]
     pub(crate) fn movemask(self) -> u32 {
         // SAFETY: SSE2 baseline.
         unsafe { _mm_movemask_ps(self.0) as u32 }
-    }
-
-    /// 4×4 lane transpose: rows `(a, b, c, d)` become columns.
-    #[inline(always)]
-    pub fn transpose(a: Self, b: Self, c: Self, d: Self) -> (Self, Self, Self, Self) {
-        // SAFETY: SSE2 baseline.
-        unsafe {
-            let t0 = _mm_unpacklo_ps(a.0, b.0); // a0 b0 a1 b1
-            let t1 = _mm_unpacklo_ps(c.0, d.0); // c0 d0 c1 d1
-            let t2 = _mm_unpackhi_ps(a.0, b.0); // a2 b2 a3 b3
-            let t3 = _mm_unpackhi_ps(c.0, d.0); // c2 d2 c3 d3
-            (
-                F4(_mm_movelh_ps(t0, t1)),
-                F4(_mm_movehl_ps(t1, t0)),
-                F4(_mm_movelh_ps(t2, t3)),
-                F4(_mm_movehl_ps(t3, t2)),
-            )
-        }
     }
 }
 
@@ -210,29 +183,11 @@ impl F4 {
         }))
     }
 
-    /// True if any lane compares non-zero (IEEE: ±0.0 report false, like
-    /// the SSE `cmpneq` path) — used to skip fully-masked tile rows.
-    #[inline(always)]
-    pub fn any_nonzero(self) -> bool {
-        self.0.iter().any(|x| *x != 0.0)
-    }
-
     /// Lane sign bits packed into the low four bits: bit `v` is set when
     /// lane `v` of a comparison mask is true.
     #[inline(always)]
     pub(crate) fn movemask(self) -> u32 {
         (0..4).fold(0, |m, v| m | (self.0[v].to_bits() >> 31) << v)
-    }
-
-    /// 4×4 lane transpose: rows `(a, b, c, d)` become columns.
-    #[inline(always)]
-    pub fn transpose(a: Self, b: Self, c: Self, d: Self) -> (Self, Self, Self, Self) {
-        (
-            F4(lanes(|v| [a, b, c, d][v].0[0])),
-            F4(lanes(|v| [a, b, c, d][v].0[1])),
-            F4(lanes(|v| [a, b, c, d][v].0[2])),
-            F4(lanes(|v| [a, b, c, d][v].0[3])),
-        )
     }
 }
 
@@ -258,7 +213,7 @@ impl F4 {
         j
     }
 
-    /// Pack per-row vectors (LJ quads, mask lanes), lowest row first.
+    /// Pack per-row vectors (LJ rows, mask lanes), lowest row first.
     #[inline(always)]
     pub fn join(rows: [F4; 1]) -> Self {
         rows[0]
@@ -282,8 +237,8 @@ impl F4 {
 /// Callers *outside* an AVX2 context must go through the runtime-detected
 /// dispatcher. Per-lane semantics are exactly [`F4`]'s — IEEE-754
 /// correctly rounded, and the comparison predicates mirror the SSE
-/// encodings (`lt`/`gt` ordered-signaling, `any_nonzero` via
-/// not-equal-unordered) — so every 8-wide op is bitwise two 4-wide ops.
+/// encodings (`lt`/`gt` ordered-signaling) — so every 8-wide op is
+/// bitwise two 4-wide ops.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct F8(__m256);
@@ -379,14 +334,6 @@ impl F8 {
     #[inline]
     pub fn and(self, rhs: Self) -> Self {
         F8(_mm256_and_ps(self.0, rhs.0))
-    }
-
-    /// True if any lane compares non-zero (IEEE: ±0.0 report false, same
-    /// predicate as SSE `cmpneqps`).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub fn any_nonzero(self) -> bool {
-        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, _mm256_setzero_ps())) != 0
     }
 
     /// Lane sign bits packed into the low eight bits (row `h`'s four in
@@ -656,12 +603,6 @@ mod tests {
             let loaded = F8::load(&src, 1);
             assert_eq!(bits(loaded.half(0)), bits(F4::load(&src, 1)));
             assert_eq!(bits(loaded.half(1)), bits(F4::load(&src, 5)));
-
-            assert!(!F8::splat(0.0).any_nonzero());
-            assert!(!F8::rows(&[0.0, -0.0, 0.0, 0.0], 0).any_nonzero());
-            assert!(
-                F8::join([F4::splat(0.0), F4::from_array([0.0, 0.0, 1e-30, 0.0])]).any_nonzero()
-            );
         }
     }
 }
