@@ -118,12 +118,14 @@ impl NbEvaluator {
                 // Any overlapped partial was computed against the old list:
                 // discard and recompute from scratch.
                 self.pending_local = None;
-                slot.insert(timer.time("pairlist", || {
+                let cl = slot.insert(timer.time("pairlist", || {
                     ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter)
-                }))
+                }));
+                // The list only changes here, so neither does its count.
+                self.last_pairs = cl.n_pairs() as u64;
+                cl
             }
         };
-        self.last_pairs = cl.n_pairs() as u64;
         let coords = &mut self.coords;
         let lanes = &mut self.lane_forces;
         let (e_l, w_l) = match self.pending_local.take() {

@@ -26,7 +26,7 @@
 //!   packs using the kernel's own minimum-image expression (`min_image!`,
 //!   written once for bake and kernel), which matches
 //!   [`Frame::displacement`] bit for bit; the [`PairFilter`] is asked only
-//!   about pairs in range, a tile at a time. The bake also records a
+//!   about pairs in range, a tile row at a time. The bake also records a
 //!   per-tile *image bit* (no live lane needed a correction), and the build
 //!   bakes per-cluster LJ rows next to the lane charges;
 //! * the tile list is split into a *local* partition (both clusters home)
@@ -111,6 +111,27 @@ impl ClusterPairs {
     pub fn n_pairs(&self) -> usize {
         self.masks.iter().map(|m| m.count_ones() as usize).sum()
     }
+
+    /// No rows.
+    fn empty() -> ClusterPairs {
+        ClusterPairs {
+            starts: vec![0],
+            ..ClusterPairs::default()
+        }
+    }
+
+    /// Append the row of i-cluster `ci` (above every row so far), unless it
+    /// has no tiles.
+    fn append_row(&mut self, ci: usize, cj: &[u32], masks: &[u16], unshifted: &[bool]) {
+        if cj.is_empty() {
+            return;
+        }
+        self.i_clusters.push(ci as u32);
+        self.j_clusters.extend_from_slice(cj);
+        self.masks.extend_from_slice(masks);
+        self.unshifted.extend_from_slice(unshifted);
+        self.starts.push(self.j_clusters.len() as u32);
+    }
 }
 
 /// Atoms grouped into spatial clusters plus a masked, partitioned cluster
@@ -169,12 +190,9 @@ impl ClusterPairList {
         // --- Cluster construction: spatially sort home and halo ranges
         // separately, then chunk the sorted order into clusters of 4. The
         // two grids stay: they are what the tile search walks.
+        let grids = clustering_grids(frame, positions, n_home, r_list);
         let mut lane_atoms: Vec<u32> = Vec::new();
         let mut first_cluster = [0usize; 3];
-        let grids = [(0, n_home), (n_home, positions.len())].map(|(lo, hi)| {
-            let cell = clustering_cell(&positions[lo..hi], r_list);
-            CellGrid::new(frame, positions, lo as u32..hi as u32, cell, r_list)
-        });
         for (g, grid) in grids.iter().enumerate() {
             for chunk in grid.order.chunks(CLUSTER) {
                 let mut lanes = [PAD; CLUSTER];
@@ -183,7 +201,7 @@ impl ClusterPairList {
             }
             first_cluster[g + 1] = lane_atoms.len() / CLUSTER;
         }
-        let [_, n_home_clusters, n_clusters] = first_cluster;
+        let n_home_clusters = first_cluster[1];
 
         // --- Per-lane parameters (kinds are fixed between repartitions,
         // so charges and LJ rows can be baked once here instead of gathered
@@ -208,39 +226,20 @@ impl ClusterPairList {
             })
             .collect();
 
-        // --- Bounding boxes (raw coordinates; a cluster straddling a
-        // periodic wrap just gets a conservative box).
-        let mut bb_center = Vec::with_capacity(n_clusters);
-        let mut bb_half = Vec::with_capacity(n_clusters);
-        for c in 0..n_clusters {
-            let mut lo = Vec3::new(f32::INFINITY, f32::INFINITY, f32::INFINITY);
-            let mut hi = Vec3::new(f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY);
-            for l in 0..CLUSTER {
-                let a = lane_atoms[CLUSTER * c + l];
-                if a == PAD {
-                    continue;
-                }
-                let p = positions[a as usize];
-                for k in 0..3 {
-                    lo[k] = lo[k].min(p[k]);
-                    hi[k] = hi[k].max(p[k]);
-                }
-            }
-            bb_center.push((lo + hi) * 0.5);
-            bb_half.push((hi - lo) * 0.5);
-        }
-
-        // --- Tiles: search, bake, filter — one pass over the i-clusters.
+        // --- Bounding boxes, then the tiles: search, bake, filter — one
+        // pass over the i-clusters.
         let search = TileSearch::new(
             frame,
             positions,
             &lane_atoms,
-            [&bb_center, &bb_half],
             [&grids[0], &grids[1]],
             first_cluster,
             r_list,
         );
         let [local, halo] = search.tiles(&mut filter.tiles(&lane_atoms));
+        let TileSearch {
+            bb_center, bb_half, ..
+        } = search;
 
         ClusterPairList {
             lane_atoms,
@@ -381,35 +380,6 @@ impl ClusterPairList {
     }
 }
 
-/// Incremental CSR row builder for one partition.
-#[derive(Default)]
-struct ClusterPairsBuilder {
-    out: ClusterPairs,
-}
-
-impl ClusterPairsBuilder {
-    fn push(&mut self, ci: u32, cj: u32, mask: u16, unshifted: bool) {
-        if self.out.i_clusters.last() != Some(&ci) {
-            if self.out.starts.is_empty() {
-                self.out.starts.push(0);
-            }
-            self.out.i_clusters.push(ci);
-            self.out.starts.push(*self.out.starts.last().unwrap());
-        }
-        self.out.j_clusters.push(cj);
-        self.out.masks.push(mask);
-        self.out.unshifted.push(unshifted);
-        *self.out.starts.last_mut().unwrap() = self.out.j_clusters.len() as u32;
-    }
-
-    fn finish(mut self) -> ClusterPairs {
-        if self.out.starts.is_empty() {
-            self.out.starts.push(0);
-        }
-        self.out
-    }
-}
-
 /// Squared per-dimension gap between the bounding boxes of clusters `ci`
 /// and `cj` under the frame metric: a lower bound on any member distance
 /// (triangle inequality; valid on the circle for periodic dims). The scalar
@@ -450,40 +420,79 @@ macro_rules! min_image {
     }};
 }
 
+/// The clustering grids of the home range `[0, n_home)` and the halo range
+/// of `positions`: their cell-sorted orders are the cluster orders.
+fn clustering_grids(
+    frame: &Frame,
+    positions: &[Vec3],
+    n_home: usize,
+    r_list: f32,
+) -> [CellGrid; 2] {
+    [(0, n_home), (n_home, positions.len())].map(|(lo, hi)| {
+        let cell = clustering_cell(&positions[lo..hi], r_list);
+        CellGrid::new(frame, positions, lo as u32..hi as u32, cell, r_list)
+    })
+}
+
 /// Everything the tile pass of [`ClusterPairList::build`] reads, laid out
-/// for it.
+/// for it. The pass has no data-dependent branch per candidate or per tile
+/// and calls nothing out of line there; per i-cluster `ci` it runs four
+/// steps.
 ///
 /// **Search.** A tile with a set mask bit holds two atoms within `r_list`,
-/// so every j-cluster of i-cluster `ci` owns an atom binned in a cell the
-/// clustering grids reach from `ci`'s bounding box widened by `r_list`. The
-/// grids' cell-sorted order *is* the cluster order — position `p` sits in
-/// cluster `p / CLUSTER` of its grid — so each run of cells the range query
-/// yields is a run of consecutive cluster indices, the chunks straddling its
-/// ends included. Those runs, cut to `cj >= ci` and merged, are swept
-/// against `ci`'s box by cluster index over SoA box arrays, a pack of
-/// candidates per operation, with `bb_gap2`'s own arithmetic: survivors
-/// come out ascending, nothing is gathered and nothing is sorted. Any
-/// superset of the tiles with a non-empty mask would do; the gap test only
-/// spares bakes.
+/// so every j-cluster of `ci` owns an atom binned in a cell the clustering
+/// grids reach from `ci`'s bounding box widened by `r_list`. The grids'
+/// cell-sorted order *is* the cluster order — position `p` sits in cluster
+/// `p / CLUSTER` of its grid — so each run of cells the range query yields
+/// is a run of consecutive cluster indices, the chunks straddling its ends
+/// included. Those runs, cut to `cj >= ci` and merged, are swept against
+/// `ci`'s box by cluster index over SoA box arrays, a pack of candidates per
+/// operation, with `bb_gap2`'s own arithmetic, and each pack's hits are
+/// left-packed into the candidate list (`compact`, a table lookup and one
+/// store; the list advances by the hit count). Any superset of the tiles
+/// with a non-empty mask would do; the gap test only spares bakes. A grid
+/// whose clusters all share a zone bit with every atom of `ci`
+/// ([`TileFilter::shared_zone`]) holds no tile the filter would keep, and
+/// is not searched.
 ///
-/// **Bake.** A surviving tile's sixteen `d² < r_list²` decisions are one
-/// row pack per `ROWS` rows over lane-space SoA coordinates with the
-/// kernel's own minimum-image expression ([`min_image!`]), then the filter
-/// on the surviving bits only — exactly the
-/// [`PairList`](crate::pairlist::PairList) predicate for finite coordinates.
-/// The same pass sets the tile's image bit when no lane left with a set bit
-/// needed a minimum-image correction ([`ClusterPairs::unshifted`]).
+/// **Image-free candidates.** The same sweep splits the hits in two. A
+/// candidate whose box corners put every lane pair under half the box on
+/// every periodic axis (`hi_i − lo_j < L/2` and `hi_j − lo_i < L/2`) needs
+/// no minimum image on any lane: rounding is monotone, so
+/// `|fl(x_u − x_v)| ≤ max(fl(hi_i − lo_j), fl(hi_j − lo_i))`, neither
+/// `min_image!` comparison fires, and its subtraction of `+0` returns `d`
+/// bit for bit. NaN and infinite corners fail the test.
+///
+/// **Bake.** A candidate's sixteen `d² < r_list²` decisions are one row
+/// pack per `ROWS` rows over lane-space SoA coordinates — raw differences
+/// for image-free candidates, the kernel's own minimum-image expression
+/// ([`min_image!`]) for the rest, with the image bit
+/// ([`ClusterPairs::unshifted`]) set where no lane with a set bit needed a
+/// correction. Empty tiles are compacted away without a branch, and the
+/// two ascending survivor lists are merged into one row.
+///
+/// **Filter and append.** One [`TileFilter::row`] call per row rejects the
+/// pairs the ownership rule and the exclusions forbid; emptied tiles are
+/// compacted away again, and since survivors ascend in `cj` and home
+/// clusters come first, the row's local tiles are a prefix: each partition
+/// takes its part with one slice copy.
 struct TileSearch<'a> {
     /// Clustering grids of the home and the halo range, and the first
     /// cluster of each (`[0, n_home_clusters, n_clusters]`).
     grids: [&'a CellGrid; 2],
     first_cluster: [usize; 3],
-    bb_center: &'a [Vec3],
-    bb_half: &'a [Vec3],
-    /// The boxes again as SoA, `SWEEP_PAD` entries past the end so a pack
-    /// load at the last cluster stays in bounds (the sweep masks them off).
+    /// Axis-aligned box of each cluster's real lanes (raw coordinates;
+    /// conservative across a periodic wrap): the list's centres and
+    /// half-extents.
+    bb_center: Vec<Vec3>,
+    bb_half: Vec<Vec3>,
+    /// The boxes again as SoA centres, half-extents and corners,
+    /// `SWEEP_PAD` entries past the end so a pack load at the last cluster
+    /// stays in bounds (the sweep masks them off).
     box_center: SoaCoords,
     box_half: SoaCoords,
+    box_lo: SoaCoords,
+    box_hi: SoaCoords,
     /// Lane coordinates; padded lanes hold NaN, so no comparison on them is
     /// ever true and their bits stay clear without a validity mask.
     lanes: SoaCoords,
@@ -495,7 +504,8 @@ struct TileSearch<'a> {
 /// lowest): a self-tile lists each pair once.
 const UPPER_TRIANGLE: u32 = 0b0000_1000_1100_1110;
 
-/// Widest pack the box sweep loads (see [`TileSearch::box_center`]).
+/// Widest pack the box sweep loads and left-packs (see
+/// [`TileSearch::box_center`]).
 const SWEEP_PAD: usize = 8;
 
 impl<'a> TileSearch<'a> {
@@ -503,11 +513,28 @@ impl<'a> TileSearch<'a> {
         frame: &Frame,
         positions: &[Vec3],
         lane_atoms: &[u32],
-        [bb_center, bb_half]: [&'a [Vec3]; 2],
         grids: [&'a CellGrid; 2],
         first_cluster: [usize; 3],
         r_list: f32,
     ) -> Self {
+        let n_clusters = lane_atoms.len() / CLUSTER;
+        let mut lo = Vec::with_capacity(n_clusters);
+        let mut hi = Vec::with_capacity(n_clusters);
+        for cluster in lane_atoms.chunks(CLUSTER) {
+            let mut l = Vec3::new(f32::INFINITY, f32::INFINITY, f32::INFINITY);
+            let mut h = Vec3::new(f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY);
+            for &a in cluster.iter().filter(|&&a| a != PAD) {
+                let p = positions[a as usize];
+                for k in 0..3 {
+                    l[k] = l[k].min(p[k]);
+                    h[k] = h[k].max(p[k]);
+                }
+            }
+            lo.push(l);
+            hi.push(h);
+        }
+        let bb_center: Vec<Vec3> = lo.iter().zip(&hi).map(|(&l, &h)| (l + h) * 0.5).collect();
+        let bb_half: Vec<Vec3> = lo.iter().zip(&hi).map(|(&l, &h)| (h - l) * 0.5).collect();
         let padded = |boxes: &[Vec3]| {
             let mut soa = SoaCoords::from_aos(boxes);
             soa.resize(boxes.len() + SWEEP_PAD);
@@ -527,10 +554,12 @@ impl<'a> TileSearch<'a> {
         TileSearch {
             grids,
             first_cluster,
+            box_center: padded(&bb_center),
+            box_half: padded(&bb_half),
+            box_lo: padded(&lo),
+            box_hi: padded(&hi),
             bb_center,
             bb_half,
-            box_center: padded(bb_center),
-            box_half: padded(bb_half),
             lanes,
             image: image_lengths(frame),
             r_list,
@@ -550,9 +579,9 @@ impl<'a> TileSearch<'a> {
 
 /// The tile pass, instantiated as `fn $name` over row pack `$P`: per
 /// i-cluster the box sweep (`P::LANES` candidates per operation) and the
-/// mask bake (`P::ROWS` tile rows per operation). Every lane performs
-/// `bb_gap2`'s and [`Frame::dist2`]'s operations in their order, so the
-/// pack width cannot change a decision.
+/// mask bake (`P::ROWS` tile rows per operation), then the filter. Every
+/// lane performs `bb_gap2`'s and [`Frame::dist2`]'s operations in their
+/// order, so the pack width cannot change a decision.
 macro_rules! tile_pass {
     ($(#[$attr:meta])* fn $name:ident, $P:ty) => {
         impl TileSearch<'_> {
@@ -573,25 +602,50 @@ macro_rules! tile_pass {
                     self.lanes.y.as_chunks::<CLUSTER>().0,
                     self.lanes.z.as_chunks::<CLUSTER>().0,
                 );
+                let boxes = [&self.box_center, &self.box_half];
+                let corners = [&self.box_lo, &self.box_hi];
+                let grid_zone = [0, 1].map(|g| {
+                    filter.shared_zone(self.first_cluster[g]..self.first_cluster[g + 1])
+                });
 
-                let mut local = ClusterPairsBuilder::default();
-                let mut halo = ClusterPairsBuilder::default();
+                let mut local = ClusterPairs::empty();
+                let mut halo = ClusterPairs::empty();
                 let mut runs: Vec<(usize, usize)> = Vec::new();
-                let mut near: Vec<u32> = Vec::new();
+                // A cluster is a candidate of a row at most once; add room
+                // for a pack's scratch lanes and the merge's sentinel. The
+                // candidate lists are compacted in place into the bake's
+                // survivors.
+                let room = n_clusters + SWEEP_PAD + 1;
+                let mut free = vec![0u32; room];
+                let mut free_bits = vec![0u16; room];
+                let mut imaged = vec![0u32; room];
+                let mut imaged_bits = vec![0u16; room];
+                let mut imaged_shifted = vec![0u16; room];
+                let mut row_cj = vec![0u32; room];
+                let mut row_bits = vec![0u16; room];
+                let mut row_shifted = vec![0u16; room];
+                let mut row_un = vec![false; room];
                 for ci in 0..n_clusters {
-                    let (center, half) = (self.bb_center[ci], self.bb_half[ci]);
-
                     // --- Search: cluster runs the grids reach, swept
-                    // against this box.
-                    near.clear();
-                    let (cxi, cyi, czi) =
-                        (P::splat(center.x), P::splat(center.y), P::splat(center.z));
-                    let (hxi, hyi, hzi) = (P::splat(half.x), P::splat(half.y), P::splat(half.z));
+                    // against this box and left-packed by image need.
+                    let ci_zone = filter.shared_zone(ci..ci + 1);
+                    let [cxi, cyi, czi, hxi, hyi, hzi] = [
+                        &boxes[0].x, &boxes[0].y, &boxes[0].z, &boxes[1].x, &boxes[1].y,
+                        &boxes[1].z,
+                    ]
+                    .map(|a| P::splat(a[ci]));
+                    let [lxi, lyi, lzi, uxi, uyi, uzi] = [
+                        &corners[0].x, &corners[0].y, &corners[0].z, &corners[1].x,
+                        &corners[1].y, &corners[1].z,
+                    ]
+                    .map(|a| P::splat(a[ci]));
+                    let (mut n_free, mut n_imaged) = (0, 0);
                     for (g, grid) in self.grids.iter().enumerate() {
-                        let first = self.first_cluster[g];
-                        if ci >= self.first_cluster[g + 1] {
+                        if ci >= self.first_cluster[g + 1] || ci_zone & grid_zone[g] != 0 {
                             continue;
                         }
+                        let first = self.first_cluster[g];
+                        let (center, half) = (self.bb_center[ci], self.bb_half[ci]);
                         runs.clear();
                         grid.for_each_run_near(center, half, self.r_list, |lo, hi| {
                             if lo < hi {
@@ -607,30 +661,37 @@ macro_rules! tile_pass {
                             from = from.max(hi);
                             while c < hi {
                                 // Centre distances and summed extents.
-                                let rx = cxi.sub(P::load(&self.box_center.x, c));
-                                let ry = cyi.sub(P::load(&self.box_center.y, c));
-                                let rz = czi.sub(P::load(&self.box_center.z, c));
-                                let hx = hxi.add(P::load(&self.box_half.x, c));
-                                let hy = hyi.add(P::load(&self.box_half.y, c));
-                                let hz = hzi.add(P::load(&self.box_half.z, c));
+                                let rx = cxi.sub(P::load(&boxes[0].x, c));
+                                let ry = cyi.sub(P::load(&boxes[0].y, c));
+                                let rz = czi.sub(P::load(&boxes[0].z, c));
+                                let hx = hxi.add(P::load(&boxes[1].x, c));
+                                let hy = hyi.add(P::load(&boxes[1].y, c));
+                                let hz = hzi.add(P::load(&boxes[1].z, c));
                                 let gx = min_image!(rx, ix).and(abs).sub(hx).max(zero);
                                 let gy = min_image!(ry, iy).and(abs).sub(hy).max(zero);
                                 let gz = min_image!(rz, iz).and(abs).sub(hz).max(zero);
                                 let gap2 = gx.mul(gx).add(gy.mul(gy)).add(gz.mul(gz));
-                                let mut hits = gap2.lt(r2).movemask();
-                                if hi - c < P::LANES {
-                                    hits &= (1 << (hi - c)) - 1;
-                                }
-                                while hits != 0 {
-                                    near.push((c + hits.trailing_zeros() as usize) as u32);
-                                    hits &= hits - 1;
-                                }
+                                let live = (1u32 << (hi - c).min(P::LANES)) - 1;
+                                let hits = gap2.lt(r2).movemask() & live;
+                                // Both corner spans under half the box on
+                                // every axis: no lane pair needs an image.
+                                let fx = uxi.sub(P::load(&corners[0].x, c)).lt(ix[0])
+                                    .and(P::load(&corners[1].x, c).sub(lxi).lt(ix[0]));
+                                let fy = uyi.sub(P::load(&corners[0].y, c)).lt(iy[0])
+                                    .and(P::load(&corners[1].y, c).sub(lyi).lt(iy[0]));
+                                let fz = uzi.sub(P::load(&corners[0].z, c)).lt(iz[0])
+                                    .and(P::load(&corners[1].z, c).sub(lzi).lt(iz[0]));
+                                let image_free = fx.and(fy).and(fz).movemask();
+                                let (base, imaged_hits) = (c as u32, hits & !image_free);
+                                n_free = P::compact(hits & image_free, base, &mut free, n_free);
+                                n_imaged = P::compact(imaged_hits, base, &mut imaged, n_imaged);
                                 c += P::LANES;
                             }
                         }
                     }
 
-                    // --- Bake and filter the survivors, ascending.
+                    // --- Bake both lists, each compacted to its non-empty
+                    // tiles in place.
                     let (xi, yi, zi) = (lx[ci], ly[ci], lz[ci]);
                     let mut pxi = [zero; PACKS];
                     let mut pyi = [zero; PACKS];
@@ -640,8 +701,34 @@ macro_rules! tile_pass {
                         pyi[p] = P::rows(&yi, ROWS * p);
                         pzi[p] = P::rows(&zi, ROWS * p);
                     }
-                    filter.begin_row(ci);
-                    for &cj in &near {
+                    // The self-tile keeps its upper triangle.
+                    let own = |cj: u32| {
+                        if cj as usize == ci {
+                            UPPER_TRIANGLE
+                        } else {
+                            u32::MAX
+                        }
+                    };
+                    let mut kept_free = 0;
+                    for t in 0..n_free {
+                        let cj = free[t];
+                        let xj = P::dup(F4::from_array(lx[cj as usize]));
+                        let yj = P::dup(F4::from_array(ly[cj as usize]));
+                        let zj = P::dup(F4::from_array(lz[cj as usize]));
+                        let mut bits = 0u32;
+                        for p in 0..PACKS {
+                            let (dx, dy, dz) = (pxi[p].sub(xj), pyi[p].sub(yj), pzi[p].sub(zj));
+                            let d2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
+                            bits |= d2.lt(r2).movemask() << (ROWS * p * CLUSTER);
+                        }
+                        bits &= own(cj);
+                        free[kept_free] = cj;
+                        free_bits[kept_free] = bits as u16;
+                        kept_free += (bits != 0) as usize;
+                    }
+                    let mut kept_imaged = 0;
+                    for t in 0..n_imaged {
+                        let cj = imaged[t];
                         let xj = P::dup(F4::from_array(lx[cj as usize]));
                         let yj = P::dup(F4::from_array(ly[cj as usize]));
                         let zj = P::dup(F4::from_array(lz[cj as usize]));
@@ -660,23 +747,47 @@ macro_rules! tile_pass {
                                 | rz.and(abs).gt(iz[0]).movemask();
                             shifted |= moved << (ROWS * p * CLUSTER);
                         }
-                        if ci == cj as usize {
-                            bits &= UPPER_TRIANGLE;
-                        }
-                        if bits != 0 {
-                            bits = filter.keep(cj as usize, bits);
-                        }
-                        if bits != 0 {
-                            let part = if (cj as usize) < n_home_clusters {
-                                &mut local
-                            } else {
-                                &mut halo
-                            };
-                            part.push(ci as u32, cj, bits as u16, bits & shifted == 0);
-                        }
+                        bits &= own(cj);
+                        imaged[kept_imaged] = cj;
+                        imaged_bits[kept_imaged] = bits as u16;
+                        imaged_shifted[kept_imaged] = shifted as u16;
+                        kept_imaged += (bits != 0) as usize;
                     }
+
+                    // --- Merge the two ascending lists into the row, each
+                    // ended by a sentinel above every cluster index.
+                    free[kept_free] = u32::MAX;
+                    imaged[kept_imaged] = u32::MAX;
+                    let n = kept_free + kept_imaged;
+                    let (mut a, mut b) = (0, 0);
+                    for t in 0..n {
+                        let take_free = free[a] < imaged[b];
+                        row_cj[t] = if take_free { free[a] } else { imaged[b] };
+                        row_bits[t] = if take_free { free_bits[a] } else { imaged_bits[b] };
+                        row_shifted[t] = if take_free { 0 } else { imaged_shifted[b] };
+                        a += take_free as usize;
+                        b += !take_free as usize;
+                    }
+
+                    // --- Filter the row, drop what it emptied, and append
+                    // the home prefix to `local`, the rest to `halo`.
+                    filter.row(ci, &row_cj[..n], &mut row_bits[..n]);
+                    let (mut kept, mut n_local) = (0, 0);
+                    for t in 0..n {
+                        let (cj, bits) = (row_cj[t], row_bits[t]);
+                        row_cj[kept] = cj;
+                        row_bits[kept] = bits;
+                        // The image bit, of the pairs the filter left.
+                        row_un[kept] = bits & row_shifted[t] == 0;
+                        let live = bits != 0;
+                        kept += live as usize;
+                        n_local += (live & ((cj as usize) < n_home_clusters)) as usize;
+                    }
+                    let (cj, bits, un) = (&row_cj[..kept], &row_bits[..kept], &row_un[..kept]);
+                    local.append_row(ci, &cj[..n_local], &bits[..n_local], &un[..n_local]);
+                    halo.append_row(ci, &cj[n_local..], &bits[n_local..], &un[n_local..]);
                 }
-                [local.finish(), halo.finish()]
+                [local, halo]
             }
         }
     };
@@ -1214,9 +1325,11 @@ mod tests {
         rule: &impl Fn(usize, usize) -> bool,
     ) -> (ClusterPairs, ClusterPairs) {
         let r2 = list.staleness.r_list * list.staleness.r_list;
-        let mut local = ClusterPairsBuilder::default();
-        let mut halo = ClusterPairsBuilder::default();
+        let mut local = ClusterPairs::empty();
+        let mut halo = ClusterPairs::empty();
         for ci in 0..list.n_clusters() {
+            // The row's `(cj, mask, image bit)` per partition.
+            let mut rows: [Vec<(u32, u16, bool)>; 2] = Default::default();
             for cj in ci..list.n_clusters() {
                 if bb_gap2(
                     &list.staleness.frame,
@@ -1258,15 +1371,17 @@ mod tests {
                     }
                 }
                 if mask != 0 {
-                    if cj < list.n_home_clusters {
-                        local.push(ci as u32, cj as u32, mask, unshifted);
-                    } else {
-                        halo.push(ci as u32, cj as u32, mask, unshifted);
-                    }
+                    rows[(cj >= list.n_home_clusters) as usize].push((cj as u32, mask, unshifted));
                 }
             }
+            for (part, row) in [&mut local, &mut halo].into_iter().zip(rows) {
+                let cj: Vec<u32> = row.iter().map(|t| t.0).collect();
+                let masks: Vec<u16> = row.iter().map(|t| t.1).collect();
+                let unshifted: Vec<bool> = row.iter().map(|t| t.2).collect();
+                part.append_row(ci, &cj, &masks, &unshifted);
+            }
         }
-        (local.finish(), halo.finish())
+        (local, halo)
     }
 
     /// Field-by-field equality of the built tiles with the oracle's.
@@ -1360,6 +1475,84 @@ mod tests {
         }
     }
 
+    /// The build's list equals the one-row tile pass (what hosts without
+    /// AVX2 run) called directly, and the two-row pass where this host has
+    /// AVX2.
+    fn assert_instantiations_agree<F: PairFilter + ?Sized>(
+        frame: &Frame,
+        positions: &[Vec3],
+        n_home: usize,
+        r_list: f32,
+        filter: &F,
+    ) -> ClusterPairList {
+        let kinds = vec![AtomKind::Ow; positions.len()];
+        let list = ClusterPairList::build(frame, positions, &kinds, n_home, r_list, filter);
+        let grids = clustering_grids(frame, positions, n_home, r_list);
+        let first_cluster = [0, list.n_home_clusters, list.n_clusters()];
+        let search = TileSearch::new(
+            frame,
+            positions,
+            &list.lane_atoms,
+            [&grids[0], &grids[1]],
+            first_cluster,
+            r_list,
+        );
+        let rows1 = search.tiles_rows1(&mut filter.tiles(&list.lane_atoms));
+        assert_eq!(rows1, [list.local.clone(), list.halo.clone()], "1-row pass");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 presence checked on this host just above.
+            let rows2 = unsafe { search.tiles_rows2(&mut filter.tiles(&list.lane_atoms)) };
+            assert_eq!(rows2, rows1, "2-row pass");
+        }
+        list
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Both tile-pass instantiations over the drifted frames of the
+        /// grid-search test, with the closure filter and with the same rule
+        /// as data. `one_d` gives every halo copy the 1-D shape (travelled
+        /// up in x on a `[2,1,1]` frame), whose halo grid all shares a zone
+        /// bit, so the data filter's halo i-clusters skip it; that list is
+        /// held to the all-pairs oracle too.
+        #[test]
+        fn tile_pass_instantiations_agree(
+            seed in 0u64..u64::MAX,
+            atoms in 1usize..601,
+            dd in 0usize..4,
+            home in 0usize..4,
+            tight in 0usize..2,
+            r_list in 0.4f32..1.0,
+            one_d in 0usize..2,
+        ) {
+            let one_d = one_d == 1;
+            let frames = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]];
+            let dd = if one_d { [2, 1, 1] } else { frames[dd] };
+            let (frame, positions) = drifted_frame(seed, atoms, dd, tight == 1, r_list);
+            let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
+            let disp: Vec<[u8; 3]> = (0..atoms)
+                .map(|a| {
+                    [0, 1, 2].map(|k| {
+                        let up = if one_d { k == 0 } else { (a >> k) & 1 == 1 };
+                        (a >= n_home && !frame.periodic[k] && up) as u8
+                    })
+                })
+                .collect();
+            let excluded = |a: usize, b: usize| a != b && (31 * a.min(b) + 17 * a.max(b)) % 11 >= 9;
+            let rule = |a: usize, b: usize| eighth_shell_rule(&disp, a, b) && !excluded(a, b);
+            let data = ZoneFilter::new(&disp, |a, row| {
+                row.extend((0..atoms).filter(|&b| excluded(a, b)).map(|b| b as u32));
+            });
+            let by_rule = assert_instantiations_agree(&frame, &positions, n_home, r_list, &rule);
+            let by_data = assert_instantiations_agree(&frame, &positions, n_home, r_list, &data);
+            prop_assert_eq!(&by_data.local, &by_rule.local);
+            prop_assert_eq!(&by_data.halo, &by_rule.halo);
+            assert_tiles_equal_reference(&by_data, &positions, &rule);
+        }
+    }
+
     #[test]
     fn box_spanning_cluster_is_found_through_its_atoms_cells() {
         // Cluster 0: four atoms strung along the whole z edge, its box
@@ -1433,6 +1626,30 @@ mod tests {
         assert_tiles_equal_reference(&list, &positions, &all);
         assert_eq!(list.local.n_pairs(), 6);
         assert_eq!(list.all_pairs().len(), 12);
+
+        // NaN and infinite lanes beside ordinary ones, in one cluster and
+        // in the other (4.9 pairs with 0.3 through the wrap): they pair with
+        // nothing, whichever bake path their boxes send them down. (The oracle's `dist2 >= r2` rejection lets
+        // a NaN distance through, so it is held to infinite lanes only.)
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0, 5] {
+                let mut xs = [0.3, 1.2, 1.3, 1.1, 1.4, 1.5, 1.6, 4.9];
+                xs[at] = bad;
+                let positions: Vec<Vec3> = xs.iter().map(|&x| Vec3::new(x, 1.0, 1.0)).collect();
+                let list = ClusterPairList::build(&frame, &positions, &kinds, 4, 0.8, &all);
+                if !bad.is_nan() {
+                    assert_tiles_equal_reference(&list, &positions, &all);
+                }
+                let pairs = list.all_pairs();
+                assert!(pairs.iter().all(|&(a, b)| a != at as u32 && b != at as u32));
+                let good = brute_force_pairs(&frame, &positions, 0.8, &all);
+                let good: Vec<_> = good
+                    .into_iter()
+                    .filter(|&(a, b)| a != at as u32 && b != at as u32)
+                    .collect();
+                assert_eq!(pairs, good, "{bad} at {at}");
+            }
+        }
     }
 
     #[test]

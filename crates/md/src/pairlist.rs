@@ -39,6 +39,7 @@ use crate::pbc::PbcBox;
 use crate::system::System;
 use crate::vec3::Vec3;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// CSR-layout pair list: the neighbours of local atom `i` are
 /// `j_atoms[starts[i]..starts[i+1]]`, all with index `> i`.
@@ -352,15 +353,17 @@ impl CellGrid {
 
     /// Cells `a..=b` along dimension `k` as `(first, count)`: a periodic
     /// range starts at the wrapped `a` and is cut to one full turn, so no
-    /// cell repeats; a non-periodic one is clipped to the grid.
+    /// cell repeats; a non-periodic one is clipped to the grid, and is
+    /// empty where it lies wholly beyond either end (no binned point lies
+    /// there).
     fn clip(&self, k: usize, a: i64, b: i64) -> (usize, usize) {
         let n = self.dims[k] as i64;
         if self.periodic[k] {
             let count = b.saturating_sub(a).saturating_add(1);
             (a.rem_euclid(n) as usize, count.clamp(1, n) as usize)
         } else {
-            let (a, b) = (a.clamp(0, n - 1), b.clamp(0, n - 1));
-            (a as usize, (b - a + 1) as usize)
+            let (a, b) = (a.max(0), b.min(n - 1));
+            (a.min(n - 1) as usize, (b - a + 1).max(0) as usize)
         }
     }
 
@@ -539,7 +542,7 @@ pub fn eighth_shell_rule(disp: &[[u8; 3]], i: usize, j: usize) -> bool {
 /// exclusions, as one symmetric relation over local atoms.
 ///
 /// Both list builds are generic over it. [`ZoneFilter`] is the engine's
-/// implementation — data, answering a whole tile at a time; every
+/// implementation — data, answering a whole tile row at a time; every
 /// `Fn(usize, usize) -> bool` implements it pair by pair, so tests, oracles
 /// and the perf ledger keep passing closures.
 pub trait PairFilter {
@@ -552,16 +555,19 @@ pub trait PairFilter {
     fn tiles<'a>(&'a self, lane_atoms: &'a [u32]) -> impl TileFilter + 'a;
 }
 
-/// A [`PairFilter`] bound to one clustering. The build walks i-clusters in
-/// ascending order and, inside a row, j-clusters in ascending order.
+/// A [`PairFilter`] bound to one clustering, asked a whole tile row at a
+/// time. The build walks i-clusters in ascending order.
 pub trait TileFilter {
-    /// Start the row of i-cluster `ci`.
-    fn begin_row(&mut self, ci: usize);
+    /// Zone bits every atom of `clusters` shares, or 0 where the filter
+    /// cannot say. Where this is nonzero for an i-cluster and for a whole
+    /// clustering grid, every tile between them is rejected, so the build
+    /// does not search that grid for it.
+    fn shared_zone(&self, clusters: Range<usize>) -> u8;
 
-    /// `bits` without the pairs the filter rejects: bit `CLUSTER * u + v`
-    /// stands for i-lane `u` × j-lane `v` of tile `(ci, cj)`, `cj >= ci`,
-    /// and is set on real lanes only.
-    fn keep(&mut self, cj: usize, bits: u32) -> u32;
+    /// Clear from `bits[t]` the pairs the filter rejects of tile
+    /// `(ci, cj[t])`: bit `CLUSTER * u + v` stands for i-lane `u` × j-lane
+    /// `v`, and is set on real lanes only. `cj` ascends, each `>= ci`.
+    fn row(&mut self, ci: usize, cj: &[u32], bits: &mut [u16]);
 }
 
 /// Any pair predicate is a filter, asked once per pair (`i < j`) — and in
@@ -575,7 +581,6 @@ impl<F: Fn(usize, usize) -> bool + ?Sized> PairFilter for F {
         PerBit {
             rule: self,
             lane_atoms,
-            ibase: 0,
         }
     }
 }
@@ -583,26 +588,26 @@ impl<F: Fn(usize, usize) -> bool + ?Sized> PairFilter for F {
 struct PerBit<'a, F: ?Sized> {
     rule: &'a F,
     lane_atoms: &'a [u32],
-    ibase: usize,
 }
 
 impl<F: Fn(usize, usize) -> bool + ?Sized> TileFilter for PerBit<'_, F> {
-    fn begin_row(&mut self, ci: usize) {
-        self.ibase = CLUSTER * ci;
+    fn shared_zone(&self, _: Range<usize>) -> u8 {
+        0
     }
 
-    fn keep(&mut self, cj: usize, mut bits: u32) -> u32 {
-        let mut pending = bits;
-        while pending != 0 {
-            let bit = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            let a = self.lane_atoms[self.ibase + bit / CLUSTER] as usize;
-            let b = self.lane_atoms[CLUSTER * cj + bit % CLUSTER] as usize;
-            if !(self.rule)(a.min(b), a.max(b)) {
-                bits &= !(1 << bit);
+    fn row(&mut self, ci: usize, cj: &[u32], bits: &mut [u16]) {
+        for (&cj, bits) in cj.iter().zip(bits) {
+            let mut pending = *bits;
+            while pending != 0 {
+                let bit = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let a = self.lane_atoms[CLUSTER * ci + bit / CLUSTER] as usize;
+                let b = self.lane_atoms[CLUSTER * cj as usize + bit % CLUSTER] as usize;
+                if !(self.rule)(a.min(b), a.max(b)) {
+                    *bits &= !(1 << bit);
+                }
             }
         }
-        bits
     }
 }
 
@@ -681,59 +686,65 @@ impl PairFilter for ZoneFilter {
             "filter and clustering cover different atoms"
         );
         let mut lane_of = vec![0u32; self.zone.len()];
-        let mut lane_zone = vec![0u8; lane_atoms.len()];
-        let mut any_zone = vec![0u8; n_clusters];
+        let mut zone_lanes = vec![0u16; n_clusters];
         let mut all_zone = vec![!0u8; n_clusters];
         for (l, &a) in lane_atoms.iter().enumerate() {
             if a != PAD {
+                let (c, v) = (l / CLUSTER, l % CLUSTER);
                 let z = self.zone[a as usize];
                 lane_of[a as usize] = l as u32;
-                lane_zone[l] = z;
-                any_zone[l / CLUSTER] |= z;
-                all_zone[l / CLUSTER] &= z;
+                for k in 0..3 {
+                    zone_lanes[c] |= u16::from(z >> k & 1) << (CLUSTER * k + v);
+                }
+                all_zone[c] &= z;
             }
         }
         ZoneTiles {
             filter: self,
             lane_atoms,
             lane_of,
-            lane_zone,
-            any_zone,
+            zone_lanes,
             all_zone,
-            ci: 0,
             excluded: Vec::new(),
-            next: 0,
         }
     }
 }
 
-/// [`ZoneFilter`] in tile form. The zone step is per cluster: where the OR
-/// of the two clusters' zone bits is disjoint nothing is rejected (nearly
-/// every tile), where their AND overlaps everything is. The exclusion step
-/// is per row: the handful of partners of an i-cluster's atoms become
-/// `(cj, bits to clear)` entries, sorted once and merge-walked against the
-/// row's ascending tiles.
+/// [`ZoneFilter`] in tile-row form. The zone step runs only on rows whose
+/// i-cluster holds a travelled copy: per zone bit, the i-lanes holding it
+/// times the j-lanes holding it is the set of pairs it rejects, three
+/// multiplies per tile. The exclusion step is per row: the handful of
+/// partners of the i-cluster's atoms become `(cj, bits to clear)` entries,
+/// sorted once and merged into the row's ascending tiles.
 struct ZoneTiles<'a> {
     filter: &'a ZoneFilter,
     lane_atoms: &'a [u32],
     /// Lane holding each atom.
     lane_of: Vec<u32>,
-    /// Zone bits per lane (padded lanes: 0), their OR and their AND per
-    /// cluster.
-    lane_zone: Vec<u8>,
-    any_zone: Vec<u8>,
+    /// Per cluster, nibble `k` holds the lanes whose zone bit `k` is set.
+    zone_lanes: Vec<u16>,
+    /// Per cluster, the zone bits all its atoms share.
     all_zone: Vec<u8>,
-    ci: usize,
-    /// The row's `(cj, bits to clear)`, ascending in `cj`, and the first
-    /// entry the walk has not passed.
-    excluded: Vec<(u32, u32)>,
-    next: usize,
+    /// The row's `(cj, bits to clear)`, ascending in `cj`.
+    excluded: Vec<(u32, u16)>,
+}
+
+/// A 4-bit lane set `n` spread to one bit per tile row: bit `CLUSTER * u`
+/// set for each lane `u` in `n`, so `spread(n) * m` is the tile mask of
+/// rows `n` × columns `m` (`m < 16`, no carries).
+const fn spread(n: u16) -> u16 {
+    (n & 1) | (n & 2) << 3 | (n & 4) << 6 | (n & 8) << 9
 }
 
 impl TileFilter for ZoneTiles<'_> {
-    fn begin_row(&mut self, ci: usize) {
-        self.ci = ci;
-        self.next = 0;
+    fn shared_zone(&self, clusters: Range<usize>) -> u8 {
+        self.all_zone[clusters].iter().fold(!0, |acc, &z| acc & z)
+    }
+
+    fn row(&mut self, ci: usize, cj: &[u32], bits: &mut [u16]) {
+        if cj.is_empty() {
+            return;
+        }
         self.excluded.clear();
         for u in 0..CLUSTER {
             let a = self.lane_atoms[CLUSTER * ci + u];
@@ -750,32 +761,26 @@ impl TileFilter for ZoneTiles<'_> {
             }
         }
         self.excluded.sort_unstable();
-    }
+        let mut t = 0;
+        for &(c, bit) in &self.excluded {
+            t += cj[t..].partition_point(|&j| j < c);
+            if let Some(b) = bits.get_mut(t).filter(|_| cj[t] == c) {
+                *b &= !bit;
+            }
+        }
 
-    fn keep(&mut self, cj: usize, mut bits: u32) -> u32 {
-        if self.all_zone[self.ci] & self.all_zone[cj] != 0 {
-            return 0;
-        }
-        while let Some(&(c, bit)) = self.excluded.get(self.next) {
-            if c as usize > cj {
-                break;
-            }
-            if c as usize == cj {
-                bits &= !bit;
-            }
-            self.next += 1;
-        }
-        if self.any_zone[self.ci] & self.any_zone[cj] != 0 {
-            let (ibase, jbase) = (CLUSTER * self.ci, CLUSTER * cj);
-            for u in 0..CLUSTER {
-                for v in 0..CLUSTER {
-                    if self.lane_zone[ibase + u] & self.lane_zone[jbase + v] != 0 {
-                        bits &= !(1 << (CLUSTER * u + v));
-                    }
-                }
+        let zi = self.zone_lanes[ci];
+        if zi != 0 {
+            let rows = [0, 1, 2].map(|k| spread(zi >> (CLUSTER * k) & 0xF));
+            for (&cj, b) in cj.iter().zip(bits.iter_mut()) {
+                let zj = self.zone_lanes[cj as usize];
+                let rejected = [0, 1, 2]
+                    .map(|k| rows[k] * (zj >> (CLUSTER * k) & 0xF))
+                    .into_iter()
+                    .fold(0, |acc, m| acc | m);
+                *b &= !rejected;
             }
         }
-        bits
     }
 }
 
@@ -981,6 +986,52 @@ mod tests {
             seen_dims.is_superset(&[1, 2, 3, 4, 6].into()),
             "{seen_dims:?}"
         );
+    }
+
+    #[test]
+    fn out_of_extent_queries_visit_no_cells() {
+        // x is decomposed (non-periodic): its extent is the binned points'
+        // own, [1.0, 1.9] nm, three cells. A range of cells beyond either
+        // end is empty; one that overlaps is cut to the grid.
+        let pbc = PbcBox::cubic(4.0);
+        let frame = Frame::for_decomposition(&pbc, [2, 1, 1]);
+        let points: Vec<Vec3> = (0..200)
+            .map(|i| Vec3::new(1.0 + (i % 10) as f32 * 0.1, (i / 10) as f32 * 0.2, 1.5))
+            .collect();
+        let grid = CellGrid::new(&frame, &points, 0..200, 0.3, 0.5);
+        assert_eq!(grid.dims[0], 3);
+        for (a, b) in [(-7, -4), (-2, -1), (3, 3), (5, 9), (i64::MAX, i64::MAX)] {
+            assert_eq!(grid.clip(0, a, b).1, 0, "cells {a}..={b}");
+        }
+        for (a, b, cut) in [
+            (-3, 0, (0, 1)),
+            (1, 1, (1, 1)),
+            (2, 8, (2, 1)),
+            (-9, 9, (0, 3)),
+        ] {
+            assert_eq!(grid.clip(0, a, b), cut, "cells {a}..={b}");
+        }
+        // Through the run query: a box flung out along x visits nothing,
+        // though its span is too far out to bound a column's distance.
+        let visited = |x: f32| {
+            let mut ids = 0;
+            let half = Vec3::new(0.05, 0.05, 0.05);
+            grid.for_each_run_near(Vec3::new(x, 2.0, 1.5), half, 0.5, |lo, hi| ids += hi - lo);
+            ids
+        };
+        for x in [-0.5, 2.6, 1e30, -1e30] {
+            assert_eq!(visited(x), 0, "box at x = {x}");
+        }
+        for x in [0.5, 1.5, 2.3] {
+            assert!(visited(x) > 0, "box at x = {x}");
+        }
+        // The adjacent query never asks beyond the extent: its 27-cell
+        // order is unchanged.
+        for &p in &points {
+            let mut got = Vec::new();
+            grid.for_each_adjacent(p, |id| got.push(id));
+            assert_eq!(got, neighbourhood_27(&grid, p), "{p:?}");
+        }
     }
 
     #[test]

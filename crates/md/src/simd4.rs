@@ -9,12 +9,14 @@
 //!
 //! Both are *row packs*: a pack holds the four j-lane terms of `ROWS`
 //! consecutive tile rows (`F4`: one, `F8`: two), and besides lane
-//! arithmetic offers the five operations in which the widths differ —
-//! `rows` (per-row splat of i-data), `dup` (j-data for every row), `join`
-//! (per-row vectors into a pack), `half` (one row back out) and `ROWS`
-//! itself. The kernel body in `crate::cluster` is written once against
-//! that surface, in method-call form because `F8`'s operations are
-//! `#[target_feature]` functions and cannot implement operator traits.
+//! arithmetic offers the operations in which the widths differ — `rows`
+//! (per-row splat of i-data), `dup` (j-data for every row), `join`
+//! (per-row vectors into a pack), `half` (one row back out), `ROWS` and
+//! `LANES` themselves, and `compact` (the list build's left-pack of one
+//! pack of candidate indices). The kernel body and the list build's tile
+//! pass in `crate::cluster` are each written once against that surface,
+//! in method-call form because `F8`'s operations are `#[target_feature]`
+//! functions and cannot implement operator traits.
 //!
 //! On `x86_64` `F4` wraps SSE2 intrinsics, which are part of the baseline
 //! ISA — no runtime feature detection needed. Everywhere else a portable
@@ -192,8 +194,9 @@ impl F4 {
 }
 
 /// The row-pack view of [`F4`]: one tile row per operation. The cluster
-/// kernel (`crate::cluster`) is written once against these five items plus
-/// the lane arithmetic, and instantiated for `F4` and for [`F8`].
+/// kernel and tile pass (`crate::cluster`) are written once against these
+/// items plus the lane arithmetic, and instantiated for `F4` and for
+/// [`F8`].
 impl F4 {
     /// Tile rows one pack carries.
     pub const ROWS: usize = 1;
@@ -224,7 +227,41 @@ impl F4 {
     pub fn half(self, _h: usize) -> F4 {
         self
     }
+
+    /// Left-pack one pack of candidates: store `base + v` for every set bit
+    /// `v` of `mask` (a [`F4::movemask`]), lowest first, at `out[len..]`,
+    /// and return `len` plus their count. Writes all `LANES` entries with no
+    /// branch on `mask`; the ones past the returned length are scratch, so
+    /// `out` needs room for them.
+    #[inline(always)]
+    pub(crate) fn compact(mask: u32, base: u32, out: &mut [u32], len: usize) -> usize {
+        let packed = LEFT_PACK[(mask & 0xF) as usize];
+        let lanes = [0, 1, 2, 3].map(|k| base + ((packed >> (4 * k)) as u32 & 0xF));
+        out[len..len + 4].copy_from_slice(&lanes);
+        len + (packed >> 32) as usize
+    }
 }
+
+/// Per 8-bit lane mask `m`: the indices of its set bits, lowest first, one
+/// nibble each from bit 0 up, and their count in bits 32 and above — the
+/// table both widths' `compact` left-pack through.
+const LEFT_PACK: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut entry, mut n, mut v) = (0u64, 0u64, 0u64);
+        while v < 8 {
+            if m >> v & 1 == 1 {
+                entry |= v << (4 * n);
+                n += 1;
+            }
+            v += 1;
+        }
+        table[m] = entry | n << 32;
+        m += 1;
+    }
+    table
+};
 
 /// Eight packed `f32` lanes — the AVX2 row pack. It carries two tile rows
 /// per operation: lanes 0–3 hold row `u`'s four j-lane terms and lanes 4–7
@@ -349,6 +386,23 @@ impl F8 {
     #[inline]
     pub fn max(self, rhs: Self) -> Self {
         F8(_mm256_max_ps(self.0, rhs.0))
+    }
+
+    /// [`F4::compact`] over eight lanes: the mask's nibble-packed indices
+    /// are shifted into place per lane (`vpsrlvd`), offset by `base` and
+    /// stored as one 8-lane write.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) fn compact(mask: u32, base: u32, out: &mut [u32], len: usize) -> usize {
+        let packed = LEFT_PACK[(mask & 0xFF) as usize];
+        let shifts = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
+        let lanes = _mm256_srlv_epi32(_mm256_set1_epi32(packed as i32), shifts);
+        let lanes = _mm256_and_si256(lanes, _mm256_set1_epi32(0xF));
+        let lanes = _mm256_add_epi32(lanes, _mm256_set1_epi32(base as i32));
+        let dst = &mut out[len..len + 8];
+        // SAFETY: the slice above bounds-checks the 8-lane window.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), lanes) };
+        len + (packed >> 32) as usize
     }
 
     /// Lane-wise add.
@@ -550,6 +604,33 @@ mod tests {
         assert_eq!(lo[1].to_bits(), (a[1] as f64).to_bits());
         assert_eq!(hi[0].to_bits(), (a[2] as f64 + a[2] as f64).to_bits());
         assert_eq!(hi[1].to_bits(), (a[3] as f64 + a[3] as f64).to_bits());
+    }
+
+    #[test]
+    fn compact_left_packs_every_mask() {
+        // Each width, every mask its movemask can produce: the set lanes'
+        // `base + v` ascending at `len`, the rest of the window scratch.
+        let naive = |mask: u32, lanes: u32| (0..lanes).filter(move |v| mask >> v & 1 == 1);
+        for mask in 0..16u32 {
+            let mut out = [7u32; 7];
+            let len = F4::compact(mask, 100, &mut out, 2);
+            assert_eq!(len, 2 + mask.count_ones() as usize);
+            assert_eq!(out[..2], [7, 7]);
+            let want: Vec<u32> = naive(mask, 4).map(|v| 100 + v).collect();
+            assert_eq!(out[2..len], want[..]);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            for mask in 0..256u32 {
+                let mut out = [7u32; 11];
+                // SAFETY: AVX2 presence checked above.
+                let len = unsafe { F8::compact(mask, 1000, &mut out, 3) };
+                assert_eq!(len, 3 + mask.count_ones() as usize);
+                assert_eq!(out[..3], [7, 7, 7]);
+                let want: Vec<u32> = naive(mask, 8).map(|v| 1000 + v).collect();
+                assert_eq!(out[3..len], want[..]);
+            }
+        }
     }
 
     #[test]

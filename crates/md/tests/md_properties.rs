@@ -61,7 +61,7 @@ proptest! {
     fn zone_filter_equals_the_closure_rule(
         seed in 0u64..u64::MAX,
         atoms in 1usize..601,
-        dd in 0usize..4,
+        dd in 0usize..5,
         home in 0usize..4,
         tight in 0usize..2,
         r_list in 0.4f32..1.0,
@@ -69,19 +69,26 @@ proptest! {
         // The engine's data filter against the predicate it replaced, on
         // the drifted frames of the grid-search test (short and
         // box-spanning clusters, PAD lanes, every DD frame): both lists
-        // must come out identical array for array. Halo copies carry one-
-        // and two-pulse displacements in the decomposed dims; exclusions
-        // are three-atom molecules over *global* ids, and the halo range
-        // re-uses global ids so one partner is present as several local
-        // copies, some of them home.
-        let dd = DD_FRAMES[dd];
+        // must come out identical array for array, and equal to the
+        // all-pairs oracle. Halo copies carry one- and two-pulse
+        // displacements in the decomposed dims; exclusions are three-atom
+        // molecules over *global* ids, and the halo range re-uses global
+        // ids so one partner is present as several local copies, some of
+        // them home. The last `dd` draw is the real 1-D shape: a `[2,1,1]`
+        // frame on which every halo copy travelled up in x, so the halo
+        // grid's atoms all share that zone bit and the data filter's halo
+        // i-clusters skip the grid entirely.
+        let one_d = dd == DD_FRAMES.len();
+        let dd = if one_d { [2, 1, 1] } else { DD_FRAMES[dd] };
         let mut rng = StdRng::seed_from_u64(seed);
         let (frame, positions) = drifted_frame(&mut rng, atoms, dd, tight == 1, r_list);
         let n_home = [0, atoms, atoms / 2, atoms - atoms / 4][home];
         let disp: Vec<[u8; 3]> = (0..atoms)
             .map(|a| {
-                [0, 1, 2].map(|k| {
-                    if a >= n_home && !frame.periodic[k] { rng.gen_range(0..3u8) } else { 0 }
+                [0, 1, 2].map(|k| match (a >= n_home && !frame.periodic[k], one_d) {
+                    (false, _) => 0,
+                    (true, true) => 1,
+                    (true, false) => rng.gen_range(0..3u8),
                 })
             })
             .collect();
@@ -108,6 +115,7 @@ proptest! {
         prop_assert_eq!(&by_data.lane_atoms, &by_rule.lane_atoms);
         prop_assert_eq!(&by_data.local, &by_rule.local);
         prop_assert_eq!(&by_data.halo, &by_rule.halo);
+        prop_assert_eq!(by_data.all_pairs(), brute_force_pairs(&frame, &positions, r_list, &rule));
         let by_data = PairList::build_in_frame(&frame, &positions, r_list, &filter);
         let by_rule = PairList::build_in_frame(&frame, &positions, r_list, &rule);
         prop_assert_eq!(by_data.starts, by_rule.starts);
