@@ -28,6 +28,16 @@
 //!   bulk loads); over IB the producer puts into the receiver's staging
 //!   buffer.
 //!
+//! Data moves a whole pulse (or a pulse's independent or dependent part)
+//! per call, like the kernel's one coalesced pass over a send index:
+//! [`SymVec3::gather_shifted`] packs straight into the receiver's halo
+//! region, [`SymVec3::gather_shifted_into`] into the staging payload of the
+//! one coarsened put, and [`SymVec3::scatter_add`] folds a pulse's received
+//! forces into the home entries. Each is one pass of relaxed word loads and
+//! stores in entry order — the same IEEE ops in the same order as an
+//! element loop of `get`/`set`, without re-slicing the segment and
+//! re-checking its range per element (DESIGN.md §3.5).
+//!
 //! # Cross-step reuse fencing
 //!
 //! One fused call only orders *within* a step; nothing in the data-arrival
@@ -155,13 +165,12 @@ pub fn fused_pack_comm_x(
             // IB: pack into the staging payload instead.
             let direct = pe.nvlink_reachable(dst);
             let pack = |entries: &[u32], at: usize, staged: &mut Vec<Vec3>| {
-                for (k, &i) in entries.iter().enumerate() {
-                    let v = bufs.coords.get(ctx.rank, i as usize) + pd.shift;
-                    if direct {
-                        bufs.coords.set(dst, pd.remote_recv_offset + at + k, v);
-                    } else {
-                        staged.push(v);
-                    }
+                let coords = &bufs.coords;
+                if direct {
+                    let at = pd.remote_recv_offset + at;
+                    coords.gather_shifted(ctx.rank, entries, pd.shift, coords, dst, at);
+                } else {
+                    coords.gather_shifted_into(ctx.rank, entries, pd.shift, staged);
                 }
             };
             while let Some(wait) = pending_wait(ctx, p, run.state, sig_val) {
@@ -374,10 +383,8 @@ pub fn fused_comm_unpack_f(
                 hi: (base + pd.send_index.len()) as u32,
             },
         );
-        for (k, &i) in pd.send_index.iter().enumerate() {
-            let sum = bufs.forces.get(ctx.rank, i as usize) + src.get(owner, base + k);
-            bufs.forces.set(ctx.rank, i as usize, sum);
-        }
+        bufs.forces
+            .scatter_add(ctx.rank, &pd.send_index, src, owner, base);
         // Completion ack: the producer of what this pulse just read may
         // reuse it next step.
         pe.signal(downstream, ctx.force_ack_slot(p), sig_val);

@@ -64,10 +64,15 @@ pub fn coordinate_exchange(
             },
         );
         // Pack + D2D copy in one pass (the DMA enqueued on the stream).
-        for (k, &i) in pd.send_index.iter().enumerate() {
-            let v = bufs.coords.get(ctx.rank, i as usize) + pd.shift;
-            bufs.coords.set(dst, pd.remote_recv_offset + k, v);
-        }
+        let coords = &bufs.coords;
+        coords.gather_shifted(
+            ctx.rank,
+            &pd.send_index,
+            pd.shift,
+            coords,
+            dst,
+            pd.remote_recv_offset,
+        );
         pe.signal(dst, ctx.coord_slot(p), sig_val);
     }
     Ok(())
@@ -106,7 +111,7 @@ pub fn force_exchange(
 mod tests {
     use super::*;
     use crate::ctx::build_contexts;
-    use crate::exec::fused::wait_coordinate_arrivals;
+    use crate::exec::fused::{fused_pack_comm_x, wait_coordinate_arrivals};
     use halox_dd::{
         build_partition, reference_coordinate_exchange, reference_force_exchange, DdGrid,
     };
@@ -145,6 +150,49 @@ mod tests {
                 assert!((got[i] - expect[r.rank][i]).norm() < 1e-6);
             }
         }
+    }
+
+    #[test]
+    fn coordinates_bitwise_equal_fused_halos() {
+        // Both packs take the same IEEE ops per entry, so after one round
+        // the halo regions agree bit for bit, not just within tolerance.
+        let sys = GrappaBuilder::new(6000).seed(64).build();
+        let part = build_partition(&sys, &DdGrid::new([2, 2, 1]), 0.8);
+        let ctxs = build_contexts(&part);
+        let halos = |fused: bool| {
+            let world = ShmemWorld::new(
+                Topology::all_nvlink(part.n_ranks()),
+                CommContext::slots_needed(part.total_pulses()),
+            );
+            let bufs = FusedBuffers::alloc(part.n_ranks(), &ctxs[0]);
+            for r in &part.ranks {
+                let mut init = r.build_positions.clone();
+                init[r.n_home..].fill(Vec3::splat(-1e9));
+                bufs.coords.load_from(r.rank, &init);
+            }
+            let (b, c, wd) = (&bufs, &ctxs, Watchdog::default());
+            world.run(|pe| {
+                if fused {
+                    fused_pack_comm_x(pe, &c[pe.id], b, 1, &wd).unwrap();
+                } else {
+                    coordinate_exchange(pe, &c[pe.id], b, 1, &wd).unwrap();
+                }
+                wait_coordinate_arrivals(pe, &c[pe.id], 1, &wd).unwrap();
+            });
+            part.ranks
+                .iter()
+                .map(|r| {
+                    let got = bufs.coords.snapshot(r.rank);
+                    let halo = &got[r.n_home..r.n_local()];
+                    halo.iter()
+                        .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        let tmpi = halos(false);
+        assert!(tmpi.iter().all(|h| !h.is_empty()));
+        assert_eq!(tmpi, halos(true));
     }
 
     #[test]
