@@ -6,7 +6,7 @@
 //!
 //! 1. **Hard kills** — the engine runs with checkpointing but *zero*
 //!    recovery headroom (fallback pinned to the primary, no retries, no
-//!    rewinds), and a one-shot `KillPe` scheduled by the seed. Every kill
+//!    replays), and a one-shot `KillPe` scheduled by the seed. Every kill
 //!    is terminal: the run dies with `SegmentFailed`, the engine is thrown
 //!    away — the process-death analogue — and a fresh engine resumes from
 //!    the newest checkpoint on disk. The kill schedule adapts: a cycle
@@ -16,8 +16,8 @@
 //!    checkpoint is deliberately bit-flipped on disk to exercise the
 //!    corrupt-fallback path under fire.
 //! 2. **In-run recovery** — the final leg re-enables `max_recoveries` and
-//!    schedules further kills; the engine must absorb them by rewinding
-//!    to its own checkpoints and replaying, without dying.
+//!    schedules further kills; the engine must absorb them by replaying
+//!    the failed segment from its own frontier, without dying.
 //!
 //! The trajectory target *extends* until at least [`MIN_KILL_CYCLES`]
 //! kill/recover cycles have happened, then the survivor's full state and
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Kill/recover cycles required before the soak may conclude (hard kills
-/// plus in-run rewinds).
+/// plus in-run replays).
 pub const MIN_KILL_CYCLES: usize = 20;
 /// Initial trajectory length; extended in [`EXTEND_STEPS`] increments while
 /// the kill quota is unmet. Multiples of `NSTLIST` keep every resume on a
@@ -65,7 +65,7 @@ const CORRUPT_AT_CYCLE: usize = 3;
 #[derive(Debug, Clone, Serialize)]
 pub struct CycleRow {
     pub cycle: usize,
-    /// "hard-kill" (process death + resume) or "in-run" (supervised rewind).
+    /// "hard-kill" (process death + resume) or "in-run" (replay rung).
     pub kind: String,
     /// Steps completed when the kill landed.
     pub killed_at_step: usize,
@@ -87,7 +87,8 @@ pub struct SoakReport {
     pub in_run_recoveries: usize,
     /// Steps lost to hard kills (completed, then re-executed after resume).
     pub rewound_steps_hard: usize,
-    /// Steps rewound by the in-run supervisor (`RunStats::rewound_steps`).
+    /// Steps of the segments the in-run replays re-ran
+    /// (`RunStats::rewound_steps`).
     pub rewound_steps_in_run: usize,
     pub corrupt_checkpoints_skipped: usize,
     pub checkpoints_written: usize,
@@ -285,8 +286,8 @@ fn soak(seed: u64, dir: &PathBuf) -> SoakOutcome {
     }
 
     // -------------------------------------------------------------------
-    // Phase 2: in-run recovery. Same kills, but the supervisor absorbs
-    // them by rewinding to its own checkpoints.
+    // Phase 2: in-run recovery. Same kills, but the engine absorbs them
+    // by replaying the failed segment from its frontier.
     // -------------------------------------------------------------------
     let total = frontier + FINAL_LEG_STEPS;
     let mut in_run_recoveries = 0usize;
@@ -309,7 +310,7 @@ fn soak(seed: u64, dir: &PathBuf) -> SoakOutcome {
                                 stats.steps
                             ));
                         }
-                        for cycle in 0..stats.recoveries {
+                        for _ in 0..stats.recoveries {
                             cycles.push(CycleRow {
                                 cycle: cycles.len() + 1,
                                 kind: "in-run".into(),
@@ -317,7 +318,6 @@ fn soak(seed: u64, dir: &PathBuf) -> SoakOutcome {
                                 resumed_from_step: resume_step,
                                 progress_steps: 0,
                             });
-                            let _ = cycle;
                         }
                         final_state = Some((engine.system.clone(), stats.energies));
                     }

@@ -115,18 +115,17 @@ pub struct Thermostat {
 ///
 /// Every signal wait in the exchange paths is bounded by `deadline`; an
 /// expiry surfaces as a [`halox_core::StallReport`]-carrying error instead
-/// of a hang. The runner then climbs this ladder: retry the segment up to
-/// `max_retries` times (sleeping `backoff` between attempts), then downgrade
-/// the run to the `fallback` transport; `repromote_after` consecutive clean
-/// fallback segments put the suspect peers on probation for re-promotion.
+/// of a hang. The runner then climbs the ladder of
+/// [`crate::health::next_rung`]: retry the segment up to `max_retries`
+/// times, then downgrade the run to the `fallback` transport;
+/// `repromote_after` consecutive clean fallback segments put the suspect
+/// peers on probation for re-promotion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Per-wait deadline before a stall is diagnosed.
     pub deadline: Duration,
     /// Segment retries on the same transport before downgrading.
     pub max_retries: usize,
-    /// Sleep between segment retries (lets transient faults clear).
-    pub backoff: Duration,
     /// Consecutive clean fallback segments before quarantined peers are
     /// put on probation.
     pub repromote_after: u32,
@@ -141,7 +140,6 @@ impl Default for WatchdogConfig {
         WatchdogConfig {
             deadline: Duration::from_secs(5),
             max_retries: 1,
-            backoff: Duration::from_millis(5),
             repromote_after: 2,
             fallback: ExchangeBackend::Mpi,
         }
@@ -153,11 +151,12 @@ impl Default for WatchdogConfig {
 /// Checkpoints are written at segment boundaries — the retry/replay unit:
 /// a failed segment never gathers into the engine's `System`, so the state
 /// at a boundary is exactly the state an uninterrupted run had there, and
-/// a resume from it is bitwise-equal by construction. Enabling this also
-/// arms the last rung of the failure ladder: a segment that fails
-/// *terminally* (retries and fallback exhausted, or a dead PE) rewinds to
-/// the most recent checkpoint and replays with a fresh world instead of
-/// surfacing the error, up to `max_recoveries` times per run.
+/// a resume from it is bitwise-equal by construction. They are durability
+/// artifacts only: nothing in a run reads them back. Enabling this also
+/// arms the replay rung of the failure ladder: a segment that fails with
+/// retries and fallback exhausted is re-run from the engine's frontier on
+/// a fresh world instead of surfacing the error, up to `max_recoveries`
+/// times per run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Directory the `ckpt-<step>.hxck` files are written to (created on
@@ -169,8 +168,8 @@ pub struct CheckpointConfig {
     /// write). Keep at least 2 so a corrupt latest file still leaves a
     /// fallback.
     pub keep: usize,
-    /// Rewind-and-replay attempts per `run()` call before a terminal
-    /// segment failure is surfaced to the caller after all.
+    /// Segment replays per `run()` call before a terminal segment failure
+    /// is surfaced to the caller after all.
     pub max_recoveries: usize,
 }
 
@@ -243,7 +242,7 @@ pub struct EngineConfig {
     /// carries this plan's chaos engine (one engine for the whole run, so
     /// operation counters — and thus fault schedules — span segments).
     pub chaos: Option<FaultPlan>,
-    /// Durable checkpoints + supervised rewind-and-replay recovery
+    /// Durable checkpoints + the replay rung of the failure ladder
     /// (DESIGN.md §3.6). `None` disables both.
     pub checkpoint: Option<CheckpointConfig>,
 }

@@ -36,7 +36,7 @@ const MIN_CELL_MARGIN: f32 = 1.0625;
 /// Owns the movable cell boundaries and applies bounded deterministic
 /// shifts from per-PE load figures. Lives on the [`crate::Engine`] for the
 /// whole run (bounds are trajectory state: they are checkpointed and
-/// restored on resume/rewind).
+/// restored on resume).
 #[derive(Debug, Clone)]
 pub struct DlbController {
     /// Current per-dimension fractional cell boundaries. Public: the

@@ -7,14 +7,15 @@
 //! GROMACS' neighbour-search / DD repartition step), each rank runs the
 //! segment — one PE per DD rank over a `ShmemWorld`, or every rank on the
 //! calling thread under [`RunMode::Serial`] — and home atoms are gathered
-//! back into the global system. Around that sit the recovery ladder (retry
-//! → transport downgrade → checkpoint rewind) and the run statistics.
+//! back into the global system. Around that sit the failure ladder (retry
+//! → transport downgrade → replay from the frontier, in the order of
+//! [`crate::health::next_rung`]) and the run statistics.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint, StatsSnapshot};
 use crate::config::{CheckpointConfig, DlbMode, EngineConfig, ExchangeBackend, RunMode};
 use crate::devtimer::PhaseTimer;
 use crate::dlb::DlbController;
-use crate::health::HealthBoard;
+use crate::health::{next_rung, HealthBoard, Rung};
 use crate::step::{self, PeTransport, RankResult, ReferenceTransport};
 use halox_core::{build_contexts, CommContext, ExchangeError, FusedBuffers, StallReport, Watchdog};
 use halox_dd::{
@@ -28,6 +29,10 @@ use halox_shmem::{
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Sleep before a retry on the same transport (lets a transient fault
+/// clear).
+const RETRY_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Aggregated results of a run.
 #[derive(Debug, Clone)]
@@ -56,11 +61,12 @@ pub struct RunStats {
     pub repromotions: usize,
     /// Faults the chaos engine actually injected (0 for fault-free runs).
     pub faults_injected: u64,
-    /// Rewind-and-replay recoveries: terminal segment failures survived by
-    /// restoring the last checkpoint and replaying (DESIGN.md §3.6).
-    /// Cumulative across resumes.
+    /// Replays: segment failures survived, after retries and the fallback,
+    /// by re-running the failed segment from the frontier on a fresh world
+    /// (DESIGN.md §3.6). Cumulative across resumes.
     pub recoveries: usize,
-    /// Completed steps discarded by those rewinds (and re-executed).
+    /// Steps of the segments those replays re-ran — the work a replay
+    /// discards (one segment each). Cumulative across resumes.
     pub rewound_steps: usize,
     /// Checkpoints persisted during the trajectory (cumulative).
     pub checkpoints_written: usize,
@@ -79,8 +85,8 @@ pub struct RunStats {
     pub phases: PhaseTimer,
     /// Per-rank DLB load totals summed over this call's segments (the
     /// counter metric). Also populated with DLB off — it is how the
-    /// static baseline's imbalance is measured. Fault-free accounting:
-    /// segments replayed after a rewind are counted again.
+    /// static baseline's imbalance is measured. Only a segment's successful
+    /// attempt counts, so a run with faults reads like a fault-free one.
     pub rank_loads: Vec<u64>,
     /// Σ over segments of the *maximum* per-rank load — the critical-path
     /// work a perfectly synchronized machine would execute serially.
@@ -129,7 +135,7 @@ pub struct Downgrade {
 #[derive(Debug)]
 pub enum EngineError {
     /// A segment failed on `backend` after exhausting retries and (when
-    /// available) the downgrade ladder.
+    /// available) the downgrade and the replays.
     SegmentFailed {
         /// Global step count completed when the segment gave up.
         at_step: usize,
@@ -189,23 +195,14 @@ enum SegmentFailure {
     Ranks(Vec<ExchangeError>),
 }
 
-/// Per-call diagnostics of the degradation ladder: they describe one
-/// `try_run*`, not the trajectory (the durable counters are the frontier's
-/// [`StatsSnapshot`]).
-#[derive(Default)]
-struct RecoveryLog {
-    downgrades: Vec<Downgrade>,
-    stall_reports: Vec<StallReport>,
-}
-
 /// The engine owns the global system and runs it decomposed over `grid`.
 ///
 /// It is its own trajectory frontier (DESIGN.md §3.6): `system`, the DLB
 /// bounds, `step`, `energies` and `stats` advance together, in place, once
-/// per successful segment (a rewind moves them back together) and at no
-/// other time. After any `Ok` or `Err` from `try_run*` they describe one
-/// segment boundary, so the engine can be run again, suspended or
-/// checkpointed.
+/// per successful segment and at no other time (the recovery counters of
+/// `stats` also count the failures survived on the way). After any `Ok` or
+/// `Err` from `try_run*` they describe one segment boundary, so the engine
+/// can be run again, suspended or checkpointed.
 pub struct Engine {
     /// The gathered global state at the frontier.
     pub system: System,
@@ -221,15 +218,11 @@ pub struct Engine {
     /// Movable DD cell boundaries + the balancing policy (DESIGN.md §3.8).
     /// Always present; with `config.dlb == Off` the bounds simply stay
     /// uniform and `update` is never called. The bounds are frontier state:
-    /// checkpointed, restored on resume, rewound on replay.
+    /// checkpointed and restored on resume.
     dlb: DlbController,
     /// Corrupt files skipped while resolving the resume point (0 unless
     /// this engine came from [`Engine::resume_latest`]).
     corrupt_skipped: usize,
-    /// Newest persisted (or resumed-from) checkpoint, kept untouched as the
-    /// rewind target of the supervised recovery ladder. Only held when
-    /// `config.checkpoint` is set — nothing rewinds otherwise.
-    last_ckpt: Option<Checkpoint>,
     /// Symmetric buffers kept across segments (GROMACS-style
     /// over-allocation, paper §5.3: "thanks to the over-allocation strategy,
     /// resizing is rarely required"). Dropped with the world lease
@@ -291,7 +284,6 @@ impl Engine {
             stats: StatsSnapshot::default(),
             dlb,
             corrupt_skipped: 0,
-            last_ckpt: None,
             cached_buffers: None,
             realloc_count: 0,
             chaos: None,
@@ -391,16 +383,12 @@ impl Engine {
         ck.fingerprint
             .check(&expected)
             .map_err(EngineError::Checkpoint)?;
-        // The checkpoint's parts move in; only an engine that can rewind
-        // keeps a copy, as its untouched rewind target.
-        let last_ckpt = config.checkpoint.is_some().then(|| ck.clone());
         let mut engine = Engine::new(ck.system, grid, config);
         engine.dlb.bounds = ck.bounds;
         engine.step = ck.step as usize;
         engine.energies = ck.energies;
         engine.stats = ck.stats;
         engine.corrupt_skipped = corrupt_skipped;
-        engine.last_ckpt = last_ckpt;
         Ok(engine)
     }
 
@@ -439,15 +427,14 @@ impl Engine {
         }
     }
 
-    /// Persist the frontier to `cfg.dir` and make it the rewind target. A
-    /// snapshot counts itself, so the tally stays exact across resumes; a
-    /// failed write counts nothing and leaves the frontier where it was.
+    /// Persist the frontier to `cfg.dir`. A snapshot counts itself, so the
+    /// tally stays exact across resumes; a failed write counts nothing and
+    /// leaves the frontier where it was.
     fn write_checkpoint(&mut self, cfg: &CheckpointConfig) -> Result<(), EngineError> {
         let mut ck = self.checkpoint();
         ck.stats.checkpoints_written += 1;
         ck.write_atomic(&cfg.dir).map_err(EngineError::Checkpoint)?;
         self.stats = ck.stats;
-        self.last_ckpt = Some(ck);
         Ok(())
     }
 
@@ -478,7 +465,7 @@ impl Engine {
     /// PEs are revived, and the buffers of the abandoned attempt are
     /// dropped. Chaos op counters are NOT reset — one-shot fault triggers
     /// stay consumed, so kill schedules advance rather than re-killing every
-    /// replay. Used by the in-run rewind and by a caller that re-runs an
+    /// replay. Used by the replay rung and by a caller that re-runs an
     /// engine whose `try_run*` returned [`EngineError::SegmentFailed`].
     pub fn prepare_replay(&mut self) {
         self.cached_buffers = None;
@@ -565,14 +552,14 @@ impl Engine {
     /// crashed. On `Err` the frontier stays at the last segment boundary
     /// reached and the engine can be run again.
     ///
-    /// With [`EngineConfig::checkpoint`] set, a snapshot is persisted every
-    /// `every_segments` neighbour-search segments, and a segment that fails
-    /// *terminally* (retries and fallback exhausted, or a dead PE with no
-    /// fallback headroom) is survived by rewinding to the last checkpoint
-    /// and replaying — at most `max_recoveries` times per call. Observers
-    /// may therefore see the same segment boundary more than once after a
-    /// rewind; completed-then-rewound work is counted in
-    /// [`RunStats::rewound_steps`].
+    /// Every failed segment attempt climbs the failure ladder of
+    /// [`next_rung`] — retry, downgrade, replay, fail — and re-runs the same
+    /// segment from the frontier, which a failed attempt never moves. With
+    /// [`EngineConfig::checkpoint`] set, a snapshot is persisted every
+    /// `every_segments` neighbour-search segments, and the replay rung is
+    /// armed with `max_recoveries` replays per call. Observers see each
+    /// segment boundary exactly once; the steps of replayed segments are
+    /// counted in [`RunStats::rewound_steps`].
     pub fn try_run_with_observer(
         &mut self,
         n_steps: usize,
@@ -583,7 +570,15 @@ impl Engine {
         self.run_loads.clear();
         self.run_critical = 0;
         self.run_dlb_updates = 0;
-        let mut log = RecoveryLog::default();
+        // The chaos engine is built lazily, once per engine.
+        if let (None, Some(plan)) = (&self.chaos, &self.config.chaos) {
+            let n_ranks = self.grid.dims.iter().product();
+            self.chaos = Some(Arc::new(ChaosEngine::new(plan.clone(), n_ranks)));
+        }
+        // Per-call diagnostics: they describe this `try_run*`, not the
+        // trajectory (the durable counters are the frontier's `stats`).
+        let mut downgrades = Vec::new();
+        let mut stall_reports = Vec::new();
         let target = self.step + n_steps;
         let ckpt_cfg = self.config.checkpoint.clone();
         if let Some(cfg) = &ckpt_cfg {
@@ -594,36 +589,89 @@ impl Engine {
             if self.orphans_swept.is_none() {
                 self.orphans_swept = Some(Checkpoint::sweep_orphan_tmp(&cfg.dir));
             }
-            // Baseline snapshot: before any steps run there must already be
-            // a rewind target, so even a first-segment terminal failure
-            // recovers.
-            if self.last_ckpt.is_none() {
+            // Baseline snapshot: a trajectory with no checkpoint yet gets
+            // one of its starting frontier before any steps run.
+            if self.stats.checkpoints_written == 0 {
                 self.write_checkpoint(cfg)?;
             }
         }
+        let wd = self.config.watchdog;
+        let (primary, fallback) = (self.config.backend, wd.fallback);
+        let mut replays_left = ckpt_cfg.as_ref().map_or(0, |c| c.max_recoveries);
         let mut seg_index = 0usize;
-        let mut recoveries_left = ckpt_cfg.as_ref().map_or(0, |c| c.max_recoveries);
         while self.step < target {
-            let segment = self.config.nstlist.min(target - self.step);
-            match self.run_segment_with_recovery(segment, &mut log) {
-                Ok(()) => {
-                    seg_index += 1;
-                    observer(self.step, &self.system);
-                    if let Some(cfg) = &ckpt_cfg {
-                        if seg_index.is_multiple_of(cfg.every_segments.max(1)) {
-                            self.write_checkpoint(cfg)?;
-                            Checkpoint::prune(&cfg.dir, cfg.keep.max(1));
+            let steps = self.config.nstlist.min(target - self.step);
+            let mut backend = self.board_backend();
+            let mut retries_used = 0;
+            // Vacuous under `RunMode::Serial`: the reference transport
+            // performs no deliveries, so nothing can stall or be faulted.
+            loop {
+                let errors = match self.run_segment(steps, backend) {
+                    Ok(()) => {
+                        if backend == primary {
+                            self.stats.repromotions += self.health.record_primary_success();
+                        } else {
+                            self.stats.degraded_steps += steps;
+                            self.health.record_fallback_success(wd.repromote_after);
                         }
+                        break;
+                    }
+                    // A mis-decomposed system: no rung can fix it, so
+                    // surface it as a configuration error.
+                    Err(SegmentFailure::Plan(e)) => return Err(EngineError::PlanFailed(e)),
+                    Err(SegmentFailure::Ranks(errors)) => errors,
+                };
+                stall_reports.extend(errors.iter().filter_map(|e| e.stall().cloned()));
+                let (suspects, any_died) = self.record_failure(&errors);
+                match next_rung(
+                    any_died,
+                    backend == fallback,
+                    retries_used,
+                    replays_left,
+                    &wd,
+                ) {
+                    Rung::Retry => {
+                        retries_used += 1;
+                        self.stats.retries += 1;
+                        std::thread::sleep(RETRY_BACKOFF);
+                    }
+                    Rung::Downgrade => {
+                        for &p in &suspects {
+                            self.health.quarantine(p);
+                        }
+                        downgrades.push(Downgrade {
+                            at_step: self.step,
+                            from: backend,
+                            to: fallback,
+                            suspects,
+                        });
+                        backend = fallback;
+                        retries_used = 0;
+                    }
+                    Rung::Replay => {
+                        replays_left -= 1;
+                        self.stats.recoveries += 1;
+                        self.stats.rewound_steps += steps;
+                        self.prepare_replay();
+                        backend = self.board_backend();
+                        retries_used = 0;
+                    }
+                    Rung::Fail => {
+                        return Err(EngineError::SegmentFailed {
+                            at_step: self.step,
+                            backend,
+                            errors,
+                        })
                     }
                 }
-                Err(EngineError::SegmentFailed { .. })
-                    if recoveries_left > 0 && self.last_ckpt.is_some() =>
-                {
-                    recoveries_left -= 1;
-                    seg_index = 0;
-                    self.rewind();
+            }
+            seg_index += 1;
+            observer(self.step, &self.system);
+            if let Some(cfg) = &ckpt_cfg {
+                if seg_index.is_multiple_of(cfg.every_segments.max(1)) {
+                    self.write_checkpoint(cfg)?;
+                    Checkpoint::prune(&cfg.dir, cfg.keep.max(1));
                 }
-                Err(e) => return Err(e),
             }
         }
         let wall = t0.elapsed().as_secs_f64();
@@ -637,8 +685,8 @@ impl Engine {
             },
             energies: self.energies.clone(),
             retries: self.stats.retries,
-            downgrades: log.downgrades,
-            stall_reports: log.stall_reports,
+            downgrades,
+            stall_reports,
             degraded_steps: self.stats.degraded_steps,
             repromotions: self.stats.repromotions,
             faults_injected: self.chaos.as_ref().map_or(0, |c| c.report().total()),
@@ -654,129 +702,41 @@ impl Engine {
         })
     }
 
-    /// Supervised rewind: the last rung of the failure ladder (DESIGN.md
-    /// §3.6). Move the frontier back to the rewind target — system, energy
-    /// history and boundaries, so the replay repartitions exactly as the
-    /// first pass did — and prepare the replay. The durable counters are
-    /// not rewound: they record the recovery itself.
-    fn rewind(&mut self) {
-        let Some(ck) = &self.last_ckpt else { return };
-        self.stats.recoveries += 1;
-        self.stats.rewound_steps += self.step - ck.step as usize;
-        self.step = ck.step as usize;
-        self.system = ck.system.clone();
-        self.energies.clone_from(&ck.energies);
-        self.dlb.bounds = ck.bounds.clone();
-        self.prepare_replay();
+    /// Record a failed attempt: poison the leased world — the attempt can
+    /// have abandoned it mid-protocol (barrier sense, collective slots), so
+    /// the next attempt, whatever its rung, runs on a fresh one — and put
+    /// the attempt on the board: its suspects stalled, its dead PEs failed.
+    /// Returns the suspects (sorted, without repeats) and whether a PE died.
+    fn record_failure(&mut self, errors: &[ExchangeError]) -> (Vec<usize>, bool) {
+        if let Some(lease) = self.leased.as_mut() {
+            lease.poison();
+        }
+        let mut suspects: Vec<usize> = errors
+            .iter()
+            .filter_map(ExchangeError::suspect_peer)
+            .collect();
+        suspects.sort_unstable();
+        suspects.dedup();
+        for &p in &suspects {
+            self.health.record_stall(p);
+        }
+        let mut any_died = false;
+        for e in errors {
+            if let ExchangeError::PeDied { peer, .. } = e {
+                self.health.fail(*peer);
+                any_died = true;
+            }
+        }
+        (suspects, any_died)
     }
 
-    /// One segment through the degradation ladder: attempt on the
-    /// health-selected transport, retry with backoff on diagnosed stalls,
-    /// downgrade to the fallback, and only then give up. Vacuous under
-    /// [`RunMode::Serial`]: the reference transport performs no deliveries,
-    /// so nothing can stall or be faulted.
-    fn run_segment_with_recovery(
-        &mut self,
-        steps: usize,
-        log: &mut RecoveryLog,
-    ) -> Result<(), EngineError> {
-        // The chaos engine is built lazily, once per engine.
-        if let (None, Some(plan)) = (&self.chaos, &self.config.chaos) {
-            let n_ranks = self.grid.dims.iter().product();
-            self.chaos = Some(Arc::new(ChaosEngine::new(plan.clone(), n_ranks)));
-        }
-        let at_step = self.step;
-        let primary = self.config.backend;
-        let wd_cfg = self.config.watchdog;
-        let fallback = wd_cfg.fallback;
-
-        let mut backend = if primary != fallback && self.health.needs_fallback() {
-            fallback
+    /// The transport a segment (or a replay of it) starts on: the fallback
+    /// while any peer is quarantined or failed, the primary otherwise.
+    fn board_backend(&self) -> ExchangeBackend {
+        if self.health.needs_fallback() {
+            self.config.watchdog.fallback
         } else {
-            primary
-        };
-        let mut attempt = 0;
-        loop {
-            match self.run_segment(steps, backend) {
-                Ok(()) => {
-                    if backend == primary {
-                        self.stats.repromotions += self.health.record_primary_success();
-                    } else {
-                        self.stats.degraded_steps += steps;
-                        self.health.record_fallback_success(wd_cfg.repromote_after);
-                    }
-                    return Ok(());
-                }
-                Err(SegmentFailure::Plan(e)) => {
-                    // A mis-decomposed system: no retry or transport change
-                    // can fix it, so surface it as a configuration error.
-                    return Err(EngineError::PlanFailed(e));
-                }
-                Err(SegmentFailure::Ranks(errors)) => {
-                    // A failed attempt can abandon the leased world
-                    // mid-protocol (barrier sense, collective slots):
-                    // poison it so this retry/downgrade — and any
-                    // checkpoint replay above — runs on a fresh world.
-                    if let Some(lease) = self.leased.as_mut() {
-                        lease.poison();
-                    }
-                    let mut suspects: Vec<usize> = Vec::new();
-                    let mut died: Vec<usize> = Vec::new();
-                    for e in &errors {
-                        if let Some(p) = e.suspect_peer() {
-                            suspects.push(p);
-                        }
-                        if let ExchangeError::PeDied { peer, .. } = e {
-                            died.push(*peer);
-                        }
-                        if let Some(r) = e.stall() {
-                            log.stall_reports.push(r.clone());
-                        }
-                    }
-                    suspects.sort_unstable();
-                    suspects.dedup();
-                    died.sort_unstable();
-                    died.dedup();
-                    let health = &mut self.health;
-                    for &p in &suspects {
-                        health.record_stall(p);
-                    }
-                    // A dead PE process is terminal for this run: mark it
-                    // Failed outright (no strike ladder) and skip retries —
-                    // only the fallback transport on a fresh world (fresh
-                    // forks under the procs backend) can make progress.
-                    for &p in &died {
-                        health.fail(p);
-                    }
-                    if died.is_empty() && attempt < wd_cfg.max_retries {
-                        attempt += 1;
-                        self.stats.retries += 1;
-                        std::thread::sleep(wd_cfg.backoff);
-                        continue;
-                    }
-                    if backend != fallback {
-                        // Out of retries on the primary: quarantine the
-                        // suspects and flip the run to the fallback.
-                        for &p in &suspects {
-                            health.quarantine(p);
-                        }
-                        log.downgrades.push(Downgrade {
-                            at_step,
-                            from: backend,
-                            to: fallback,
-                            suspects,
-                        });
-                        backend = fallback;
-                        attempt = 0;
-                        continue;
-                    }
-                    return Err(EngineError::SegmentFailed {
-                        at_step,
-                        backend,
-                        errors,
-                    });
-                }
-            }
+            self.config.backend
         }
     }
 
@@ -1639,10 +1599,10 @@ mod tests {
         // Terminal-failure recovery under the threads backend: the fallback
         // is pinned to the primary and retries are off, so the one-shot
         // KillPe (crash-drop semantics in-process) makes the first segment
-        // fail terminally. The supervisor must rewind to the baseline
-        // checkpoint, revive the peer, replay, and finish — and because the
-        // one-shot trigger stays consumed across the rewind, the replayed
-        // trajectory must be bitwise-identical to a fault-free run.
+        // fail terminally. The replay rung must revive the peer, re-run the
+        // segment from the frontier, and finish — and because the one-shot
+        // trigger stays consumed across the replay, the trajectory must be
+        // bitwise-identical to a fault-free run.
         let sys = relaxed_system(3000, 96);
         let dir = ckpt_dir("rewind");
         let mk_cfg = |ckpt: Option<CheckpointConfig>| {
@@ -1691,8 +1651,8 @@ mod tests {
     /// Two one-shot kills of PE 1: the first after `first` of its ops, the
     /// second `gap` ops into whatever runs after the revival (a dead PE's
     /// ops are not counted). On [2,2,1] with `nstlist = 5` a segment is
-    /// some 40 ops, so (140, 60) kills in the fourth segment and again in
-    /// the fourth segment of the replay.
+    /// some 40 ops, so (140, 60) kills in the fourth segment and again one
+    /// or two segments after its replay.
     fn two_kills(first: u64, gap: u64) -> halox_shmem::FaultPlan {
         use halox_shmem::{FaultKind, FaultOp, FaultPlan, FaultRule};
         FaultPlan {
@@ -1714,14 +1674,14 @@ mod tests {
     #[test]
     fn engine_is_usable_after_a_failed_run() {
         use crate::config::CheckpointConfig;
-        // Fallback pinned, no retries, ONE rewind per call and two kills:
-        // the first is absorbed by a rewind, the second — in the replay —
+        // Fallback pinned, no retries, ONE replay per call and two kills:
+        // the first is absorbed by a replay, the second — after it —
         // exhausts the headroom, so `try_run(40)` fails after good segments.
         // The engine must then sit at the last good boundary with its step,
         // energy history and counters intact: a second `try_run` for the
         // remaining steps (which starts against the still-dead peer, so it
-        // rewinds once more — the `done - ck.step` that used to underflow)
-        // finishes the same trajectory an uninterrupted engine produces.
+        // replays once more) finishes the same trajectory an uninterrupted
+        // engine produces.
         let sys = relaxed_system(3000, 98);
         let dir = ckpt_dir("after-failure");
         let mk_cfg = |ckpt: Option<CheckpointConfig>| {
@@ -1766,6 +1726,54 @@ mod tests {
         assert_eq!(stats.steps, 40);
         assert_eq!(stats.recoveries, 2, "the dead peer costs one more rewind");
         assert!(stats.rewound_steps <= 40, "{}", stats.rewound_steps);
+        assert_same_trajectory(
+            &reference.system,
+            &engine.system,
+            &ref_stats.energies,
+            &stats.energies,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_resumes_at_the_frontier() {
+        use crate::config::CheckpointConfig;
+        // One kill of PE 1 in the fourth segment, no retries, fallback
+        // pinned and no cadence write after the baseline: the replay rung
+        // re-runs only that segment, from the frontier the failed attempt
+        // left untouched. The observer therefore sees every boundary once,
+        // the replay discards one segment's steps, and nothing but the
+        // baseline reaches the disk.
+        let sys = relaxed_system(3000, 98);
+        let dir = ckpt_dir("frontier-replay");
+        let mk_cfg = |ckpt: Option<CheckpointConfig>| {
+            let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+            cfg.nstlist = 5;
+            cfg.watchdog.deadline = std::time::Duration::from_millis(150);
+            cfg.watchdog.max_retries = 0;
+            cfg.watchdog.fallback = ExchangeBackend::NvshmemFused;
+            cfg.checkpoint = ckpt;
+            cfg
+        };
+        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), mk_cfg(None));
+        let ref_stats = reference.run(30);
+
+        let mut ckpt = CheckpointConfig::in_dir(&dir);
+        ckpt.every_segments = 100;
+        let mut cfg = mk_cfg(Some(ckpt));
+        let mut plan = two_kills(140, 60);
+        plan.rules.truncate(1);
+        cfg.chaos = Some(plan);
+        let mut engine = Engine::new(sys, DdGrid::new([2, 2, 1]), cfg);
+        let mut seen = Vec::new();
+        let stats = engine
+            .try_run_with_observer(30, |done, _| seen.push(done))
+            .expect("one replay absorbs the kill");
+        assert_eq!(seen, vec![5, 10, 15, 20, 25, 30], "each boundary once");
+        assert_eq!(stats.recoveries, 1);
+        assert_eq!(stats.rewound_steps, 5, "one segment re-run");
+        assert_eq!(stats.checkpoints_written, 1, "the baseline only");
+        assert!(stats.faults_injected >= 1);
         assert_same_trajectory(
             &reference.system,
             &engine.system,
@@ -1829,7 +1837,7 @@ mod tests {
     #[test]
     fn recovery_without_headroom_still_fails_typed() {
         use halox_shmem::{FaultKind, FaultOp, FaultPlan, FaultRule};
-        // Same terminal kill, but checkpointing disabled: no rewind target,
+        // Same terminal kill, but checkpointing disabled: no replay budget,
         // so the run must surface the typed SegmentFailed — never hang,
         // never panic.
         let sys = relaxed_system(3000, 97);

@@ -114,7 +114,7 @@ pub struct JobStatus {
     /// good segment (the fault story's currency: a dead PE costs a
     /// reschedule, never the job).
     pub reschedules: usize,
-    /// In-slice rewind-and-replay recoveries absorbed by the engine.
+    /// In-slice segment replays absorbed by the engine.
     pub recoveries: usize,
     /// Submission-to-first-dispatch wait.
     pub queue_wait: Duration,

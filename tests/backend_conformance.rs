@@ -502,8 +502,8 @@ fn resume_with_mismatched_transport_is_refused() {
 /// `KillPe` severs a real child's proxy socket mid-segment, the child dies,
 /// `waitpid` reports it, the peer goes `Failed` — and with no fallback
 /// headroom (fallback pinned to the primary) the segment fails terminally.
-/// The supervisor must rewind to the last checkpoint, fork a fresh world,
-/// replay, and finish with a trajectory bitwise-equal to a fault-free run;
+/// The replay rung must re-run the segment from the frontier on a freshly
+/// forked world, and finish with a trajectory bitwise-equal to a fault-free run;
 /// the revived peer ends healthy after its probation trial.
 #[test]
 fn killed_pe_process_recovers_via_rewind_on_procs() {
