@@ -1,6 +1,7 @@
-//! Functional-plane benchmarking: run the *real* multi-threaded engine over
-//! the three backends and report host throughput, plus schedule-trace
-//! export for visualization.
+//! The functional-plane engine matrix: run the *real* multi-threaded engine
+//! over the three backends and report each row's final energy (the
+//! backends must agree; wall-clock numbers come from the perf ledger), plus
+//! schedule-trace export for visualization.
 
 use crate::figures::R_COMM;
 use halox_core::sched::{self, Backend, ScheduleInput};
@@ -10,20 +11,18 @@ use halox_gpusim::MachineModel;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// One functional-engine measurement.
+/// One functional-engine run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FunctionalRow {
     pub atoms: usize,
     pub grid: [usize; 3],
     pub backend: &'static str,
     pub steps: usize,
-    pub wall_ms: f64,
-    pub steps_per_second: f64,
     pub final_energy: f64,
 }
 
 /// Run a small matrix of real engine configurations (threads, signals, the
-/// works) and collect throughput.
+/// works) and collect each run's final energy.
 pub fn run_matrix() -> Vec<FunctionalRow> {
     let mut rows = Vec::new();
     let base = crate::relaxed_system(6_000, 99, 250.0);
@@ -43,8 +42,6 @@ pub fn run_matrix() -> Vec<FunctionalRow> {
                 grid: dims,
                 backend: backend.label(),
                 steps,
-                wall_ms: stats.wall_seconds * 1e3,
-                steps_per_second: steps as f64 / stats.wall_seconds.max(1e-9),
                 final_energy: stats.energies.last().map(|e| e.total()).unwrap_or(f64::NAN),
             });
         }
@@ -53,20 +50,18 @@ pub fn run_matrix() -> Vec<FunctionalRow> {
 }
 
 pub fn print_table(rows: &[FunctionalRow]) {
-    println!("\n== Functional engine (real threads + signals, host wall-clock) ==");
+    println!("\n== Functional engine (real threads + signals; backends must agree) ==");
     println!(
-        "{:>7} {:>8} {:>8} {:>7} {:>9} {:>9} {:>14}",
-        "atoms", "grid", "backend", "steps", "wall_ms", "steps/s", "E_total"
+        "{:>7} {:>8} {:>8} {:>7} {:>14}",
+        "atoms", "grid", "backend", "steps", "E_total"
     );
     for r in rows {
         println!(
-            "{:>7} {:>8} {:>8} {:>7} {:>9.1} {:>9.1} {:>14.1}",
+            "{:>7} {:>8} {:>8} {:>7} {:>14.1}",
             r.atoms,
             format!("{}x{}x{}", r.grid[0], r.grid[1], r.grid[2]),
             r.backend,
             r.steps,
-            r.wall_ms,
-            r.steps_per_second,
             r.final_energy
         );
     }

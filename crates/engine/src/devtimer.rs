@@ -7,6 +7,7 @@
 //! the simulated device-side metrics for Figs 6-8 live in
 //! `halox_core::sched::metrics`.
 
+use halox_md::nb::PhaseClock;
 use halox_shmem::{Wire, WireError, WireReader};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -23,16 +24,8 @@ impl PhaseTimer {
         Self::default()
     }
 
-    /// Time a closure under a phase name.
-    pub fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.add(phase, t0.elapsed());
-        out
-    }
-
     /// Book one invocation of `phase` that took `dt` — for an interval
-    /// [`PhaseTimer::time`] cannot wrap, such as one with a nested phase
+    /// [`PhaseClock::time`] cannot wrap, such as one with a nested phase
     /// subtracted.
     pub(crate) fn add(&mut self, phase: &'static str, dt: Duration) {
         let e = self.acc.entry(phase).or_insert((Duration::ZERO, 0));
@@ -93,6 +86,18 @@ impl PhaseTimer {
                 d, mean
             ));
         }
+        out
+    }
+}
+
+/// Every phase is timed through this one method: the engine's own and the
+/// ones the non-bonded evaluator books (`pairlist`, `pack`, `pack_overlap`,
+/// `nb_local`, `nb_halo`).
+impl PhaseClock for PhaseTimer {
+    fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = f();
+        self.add(phase, t0.elapsed());
         out
     }
 }

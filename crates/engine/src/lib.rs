@@ -12,7 +12,6 @@ pub mod config;
 pub mod devtimer;
 pub mod dlb;
 pub mod health;
-mod nb;
 pub mod runner;
 mod step;
 

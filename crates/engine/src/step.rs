@@ -13,10 +13,10 @@
 
 use crate::config::{EngineConfig, ExchangeBackend, Integrator};
 use crate::devtimer::PhaseTimer;
-use crate::nb::NbEvaluator;
 use halox_core::{exec, CommContext, ExchangeError, FusedBuffers, Watchdog};
 use halox_dd::{reference_coordinate_exchange, reference_force_exchange, DdPartition, RankPlan};
 use halox_md::forces::{angle_virial, bond_virial, compute_angles, compute_bonds, NonbondedParams};
+use halox_md::nb::{NbEvaluator, PhaseClock};
 use halox_md::{integrate, EnergyReport, Frame, System, Vec3};
 use halox_shmem::{Pe, TwoSidedComm, Wire, WireError, WireReader};
 use halox_trace::{record_opt, span_opt, Payload, Recorder, Region};

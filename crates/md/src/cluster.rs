@@ -48,12 +48,11 @@
 
 use crate::forces::nonbonded::{lj_coefficients, NonbondedParams, F_ELEC};
 use crate::frame::Frame;
-use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter, ZoneFilter};
+use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter};
 #[cfg(target_arch = "x86_64")]
 use crate::simd4::F8;
 use crate::simd4::{D2, F4};
 use crate::soa::{SoaCoords, SoaForces};
-use crate::system::System;
 use crate::topology::AtomKind;
 use crate::vec3::Vec3;
 // `F4`'s arithmetic in the method-call form the shared kernel body uses.
@@ -328,7 +327,7 @@ impl ClusterPairList {
     /// Clear every tile's image bit, so the kernel takes the minimum image
     /// on every tile: what a list that lives while its caller wraps
     /// coordinates needs (see [`compute_nonbonded_clusters`]).
-    fn clear_image_bits(&mut self) {
+    pub(crate) fn clear_image_bits(&mut self) {
         self.local.unshifted.fill(false);
         self.halo.unshifted.fill(false);
     }
@@ -336,11 +335,6 @@ impl ClusterPairList {
     /// See [`Staleness::needs_rebuild`].
     pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
         self.staleness.needs_rebuild(positions, buffer)
-    }
-
-    /// See [`Staleness::needs_rebuild_full`].
-    pub fn needs_rebuild_full(&self, positions: &[Vec3], buffer: f32) -> bool {
-        self.staleness.needs_rebuild_full(positions, buffer)
     }
 
     /// Enumerate the enabled `(i, j)` atom pairs (`i < j`, sorted) of one
@@ -845,7 +839,7 @@ fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
 /// correction, stays within `r_list + buffer ≤ L − r_c` of its partner, and
 /// so either still needs none or lies beyond the cutoff in both metrics. The
 /// engine wraps only when it repartitions, which rebuilds every list; the
-/// whole-system evaluator behind the minimiser wraps every sweep, so it
+/// minimiser wraps every sweep, so its evaluator (`NbEvaluator::wrapping()`)
 /// clears the bits of each list it builds.
 ///
 /// Accumulates forces into `lane_forces` (lane space, additive) and returns
@@ -1162,122 +1156,6 @@ tile_kernel!(
     packs = [0, 1]
 );
 
-/// Convenience wrapper over AoS buffers: pack all lanes, evaluate local
-/// then halo, fold forces back. Returns `(energy, virial)`.
-pub fn compute_nonbonded_clusters_aos(
-    frame: &Frame,
-    positions: &[Vec3],
-    list: &ClusterPairList,
-    params: &NonbondedParams,
-    forces: &mut [Vec3],
-) -> (f64, f64) {
-    let mut coords = SoaCoords::default();
-    list.pack_coords(positions, &mut coords, 0..list.n_clusters());
-    let mut lane_forces = SoaForces::default();
-    lane_forces.reset(list.n_lanes());
-    let (e_l, w_l) = compute_nonbonded_clusters(
-        frame,
-        &coords,
-        list,
-        NbPartition::Local,
-        params,
-        &mut lane_forces,
-    );
-    let (e_h, w_h) = compute_nonbonded_clusters(
-        frame,
-        &coords,
-        list,
-        NbPartition::Halo,
-        params,
-        &mut lane_forces,
-    );
-    list.fold_forces(&lane_forces, forces);
-    (e_l + e_h, w_l + w_h)
-}
-
-/// The cluster pipeline over a whole system as one rank — a
-/// [`ZoneFilter::whole_system`], a list in which every atom is home, the
-/// tile kernel — with its list and lane buffers kept from call to call. The
-/// minimiser and [`crate::ReferenceSimulation`] take their non-bonded forces
-/// from it. The minimiser wraps its coordinates every sweep under a live
-/// list, so every list built here has its image bits cleared.
-pub(crate) struct ClusterForces {
-    filter: ZoneFilter,
-    /// Verlet buffer (nm): the list reaches `cutoff + buffer`.
-    buffer: f32,
-    list: Option<ClusterPairList>,
-    coords: SoaCoords,
-    lane_forces: SoaForces,
-}
-
-impl ClusterForces {
-    pub(crate) fn new(system: &System, buffer: f32) -> Self {
-        ClusterForces {
-            filter: ZoneFilter::whole_system(system),
-            buffer,
-            list: None,
-            coords: SoaCoords::default(),
-            lane_forces: SoaForces::default(),
-        }
-    }
-
-    /// True when the next [`ClusterForces::add`] rebuilds the list: there is
-    /// none, or some atom has left half the buffer. The full scan, because
-    /// the caller sets how far an atom may move between calls.
-    pub(crate) fn stale(&self, positions: &[Vec3]) -> bool {
-        self.list
-            .as_ref()
-            .is_none_or(|list| list.needs_rebuild_full(positions, self.buffer))
-    }
-
-    /// Add the non-bonded forces at `system.positions` into `forces`;
-    /// returns their `(energy, virial)`, or zeros from the force-only kernel
-    /// when `energy` is false (the forces are bitwise the same either way).
-    /// Rebuilds the list first if [`ClusterForces::stale`].
-    pub(crate) fn add(
-        &mut self,
-        system: &System,
-        params: &NonbondedParams,
-        energy: bool,
-        forces: &mut [Vec3],
-    ) -> (f64, f64) {
-        let positions = &system.positions;
-        let frame = Frame::fully_periodic(&system.pbc);
-        if self.stale(positions) {
-            let mut list = ClusterPairList::build(
-                &frame,
-                positions,
-                &system.kinds,
-                positions.len(),
-                params.cutoff + self.buffer,
-                &self.filter,
-            );
-            list.clear_image_bits();
-            self.list = Some(list);
-        }
-        let list = self.list.as_ref().expect("built above");
-        list.pack_coords(positions, &mut self.coords, list.home_clusters());
-        let lanes = &mut self.lane_forces;
-        lanes.reset(list.n_lanes());
-        // Every atom is home, so the halo partition is empty.
-        let (coords, local) = (&self.coords, NbPartition::Local);
-        let res = if energy {
-            compute_nonbonded_clusters(&frame, coords, list, local, params, lanes)
-        } else {
-            compute_nonbonded_cluster_forces(&frame, coords, list, local, params, lanes);
-            (0.0, 0.0)
-        };
-        list.fold_forces(lanes, forces);
-        res
-    }
-
-    /// The list the last [`ClusterForces::add`] ran on.
-    #[cfg(test)]
-    pub(crate) fn list(&self) -> Option<&ClusterPairList> {
-        self.list.as_ref()
-    }
-}
-
 /// Lane selectors for a 4-bit tile-row mask: bit `v` set ⇒ lane `v` is 1.0.
 /// One 16-byte load replaces four shift/mask/convert chains per row.
 const MASK_LANES: [[f32; 4]; 16] = [
@@ -1303,12 +1181,40 @@ const MASK_LANES: [[f32; 4]; 16] = [
 mod tests {
     use super::*;
     use crate::forces::{compute_nonbonded, compute_nonbonded_virial};
-    use crate::pairlist::{brute_force_pairs, eighth_shell_rule, PairList};
+    use crate::nb::NbEvaluator;
+    use crate::pairlist::{brute_force_pairs, eighth_shell_rule, PairList, ZoneFilter};
     use crate::pbc::PbcBox;
-    use crate::system::GrappaBuilder;
+    use crate::system::{GrappaBuilder, System};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Non-bonded energy, virial and forces of `sys` as one rank, every
+    /// atom home, from a fresh evaluator.
+    fn evaluate(
+        frame: &Frame,
+        sys: &System,
+        r_list: f32,
+        filter: &impl PairFilter,
+        params: &NonbondedParams,
+        forces: &mut [Vec3],
+    ) -> (f64, f64) {
+        let (pos, kinds, n) = (&sys.positions, &sys.kinds, sys.n_atoms());
+        let mut ev = NbEvaluator::default();
+        ev.compute(
+            frame,
+            pos,
+            kinds,
+            n,
+            r_list,
+            0.0,
+            filter,
+            params,
+            true,
+            forces,
+            &mut (),
+        )
+    }
 
     fn sorted_pairs(pl: &PairList) -> Vec<(u32, u32)> {
         let mut v: Vec<_> = pl.iter_pairs().collect();
@@ -1788,17 +1694,8 @@ mod tests {
             &mut f_plain,
         );
 
-        let list = ClusterPairList::build(
-            &frame,
-            &sys.positions,
-            &sys.kinds,
-            sys.n_atoms(),
-            0.75,
-            &rule,
-        );
         let mut f_cluster = vec![Vec3::ZERO; sys.n_atoms()];
-        let (e_cluster, w_cluster) =
-            compute_nonbonded_clusters_aos(&frame, &sys.positions, &list, &params, &mut f_cluster);
+        let (e_cluster, w_cluster) = evaluate(&frame, &sys, 0.75, &rule, &params, &mut f_cluster);
 
         let rel = (e_plain - e_cluster).abs() / e_plain.abs().max(1.0);
         assert!(rel < 1e-9, "energy {e_plain} vs {e_cluster}");
@@ -1822,17 +1719,8 @@ mod tests {
         let pl = PairList::build(&sys.pbc, &sys.positions, 0.65, &rule);
         let mut f1 = vec![Vec3::ZERO; sys.n_atoms()];
         let e1 = compute_nonbonded(&frame, &sys.positions, &sys.kinds, &pl, &params, &mut f1);
-        let list = ClusterPairList::build(
-            &frame,
-            &sys.positions,
-            &sys.kinds,
-            sys.n_atoms(),
-            0.65,
-            &rule,
-        );
         let mut f2 = vec![Vec3::ZERO; sys.n_atoms()];
-        let (e2, _) =
-            compute_nonbonded_clusters_aos(&frame, &sys.positions, &list, &params, &mut f2);
+        let (e2, _) = evaluate(&frame, &sys, 0.65, &rule, &params, &mut f2);
         assert!((e1 - e2).abs() < 1e-9 * e1.abs().max(1.0), "{e1} vs {e2}");
     }
 
@@ -2105,7 +1993,7 @@ mod tests {
             let list = ClusterPairList::build(&frame, &positions, &kinds, n_home, r_list, &rule);
             let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
             let moved = jiggled(&positions, &mut rng, 0.499 * buffer);
-            prop_assert!(!list.needs_rebuild_full(&moved, buffer));
+            prop_assert!(!list.needs_rebuild(&moved, buffer));
             let params = NonbondedParams::new(cutoff);
             assert_image_bits_inert(&frame, &list, &positions, &params);
             assert_image_bits_inert(&frame, &list, &moved, &params);
@@ -2147,9 +2035,24 @@ mod tests {
 
         // The whole-system evaluator's lists live while the minimiser
         // wraps, so none of their bits is set.
-        let mut nb = ClusterForces::new(&sys, 0.1);
+        let mut nb = NbEvaluator::wrapping();
         let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
-        nb.add(&sys, &NonbondedParams::new(0.7), false, &mut forces);
+        let (frame, n) = (Frame::fully_periodic(&sys.pbc), sys.n_atoms());
+        let (filter, params) = (ZoneFilter::whole_system(&sys), NonbondedParams::new(0.7));
+        let (pos, kinds) = (&sys.positions, &sys.kinds);
+        nb.compute(
+            &frame,
+            pos,
+            kinds,
+            n,
+            0.8,
+            0.1,
+            &filter,
+            &params,
+            false,
+            &mut forces,
+            &mut (),
+        );
         let (set, tiles) = bits(nb.list().unwrap());
         assert!(tiles > 0);
         assert_eq!(set, 0, "a whole-system list kept {set} image bits");
@@ -2201,18 +2104,10 @@ mod tests {
         let frame = Frame::fully_periodic(&sys.pbc);
         let params = NonbondedParams::new(0.7);
         let all = |_: usize, _: usize| true;
-        let list = ClusterPairList::build(
-            &frame,
-            &sys.positions,
-            &sys.kinds,
-            sys.n_atoms(),
-            0.75,
-            &all,
-        );
         let mut f1 = vec![Vec3::ZERO; sys.n_atoms()];
-        let r1 = compute_nonbonded_clusters_aos(&frame, &sys.positions, &list, &params, &mut f1);
+        let r1 = evaluate(&frame, &sys, 0.75, &all, &params, &mut f1);
         let mut f2 = vec![Vec3::ZERO; sys.n_atoms()];
-        let r2 = compute_nonbonded_clusters_aos(&frame, &sys.positions, &list, &params, &mut f2);
+        let r2 = evaluate(&frame, &sys, 0.75, &all, &params, &mut f2);
         assert_eq!(r1, r2);
         assert_eq!(f1, f2);
     }
@@ -2224,11 +2119,11 @@ mod tests {
         let all = |_: usize, _: usize| true;
         let cl =
             ClusterPairList::build(&frame, &sys.positions, &sys.kinds, sys.n_atoms(), 0.7, &all);
-        assert!(!cl.needs_rebuild_full(&sys.positions, 0.2));
+        assert!(!cl.needs_rebuild(&sys.positions, 0.2));
         let mut longer = sys.positions.clone();
         longer.push(longer[0]);
-        assert!(cl.needs_rebuild_full(&longer, 0.2));
-        assert!(cl.needs_rebuild_full(&sys.positions[1..], 0.2));
+        assert!(cl.needs_rebuild(&longer, 0.2));
+        assert!(cl.needs_rebuild(&sys.positions[1..], 0.2));
     }
 
     #[test]

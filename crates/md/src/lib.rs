@@ -20,6 +20,7 @@ pub mod forces;
 pub mod frame;
 pub mod integrate;
 pub mod minimize;
+pub mod nb;
 pub mod observables;
 pub mod pairlist;
 pub mod pbc;
@@ -32,8 +33,8 @@ pub mod vec3;
 
 pub use analysis::{MsdTracker, Rdf};
 pub use cluster::{
-    compute_nonbonded_cluster_forces, compute_nonbonded_clusters, compute_nonbonded_clusters_aos,
-    ClusterPairList, ClusterPairs, NbPartition, CLUSTER,
+    compute_nonbonded_cluster_forces, compute_nonbonded_clusters, ClusterPairList, ClusterPairs,
+    NbPartition, CLUSTER,
 };
 pub use forces::{compute_angles, compute_bonds, NonbondedParams};
 pub use frame::Frame;
@@ -47,12 +48,13 @@ pub use topology::{Angle, AtomKind, Bond, LjParams, MoleculeTemplate};
 pub use trajectory::{read_xyz_frame, write_xyz_frame, TrajectoryWriter};
 pub use vec3::{DVec3, Vec3};
 
-use cluster::ClusterForces;
+use nb::NbEvaluator;
+use pairlist::ZoneFilter;
 
 /// A single-rank reference MD stepper used as ground truth by the
 /// domain-decomposition tests: non-bonded and bonded forces and leapfrog
 /// integration on one coordinate array. The non-bonded forces come from the
-/// cluster pipeline with the whole system as one rank, exactly as the
+/// engine's evaluator with the whole system as one rank, exactly as the
 /// minimiser's do, so a decomposed run compared with this one tests the
 /// decomposition, not the kernel.
 pub struct ReferenceSimulation {
@@ -60,7 +62,10 @@ pub struct ReferenceSimulation {
     pub params: NonbondedParams,
     pub cutoff: f32,
     pub buffer: f32,
-    nonbonded: ClusterForces,
+    filter: ZoneFilter,
+    /// [`NbEvaluator::wrapping`]: [`ReferenceSimulation::step`] wraps the
+    /// coordinates under the list it is about to replace.
+    nonbonded: NbEvaluator,
     pub forces: Vec<Vec3>,
     pub step_count: u64,
 }
@@ -70,7 +75,8 @@ impl ReferenceSimulation {
         let n = system.n_atoms();
         ReferenceSimulation {
             params: NonbondedParams::new(cutoff),
-            nonbonded: ClusterForces::new(&system, buffer),
+            filter: ZoneFilter::whole_system(&system),
+            nonbonded: NbEvaluator::wrapping(),
             system,
             cutoff,
             buffer,
@@ -82,16 +88,21 @@ impl ReferenceSimulation {
     /// Compute forces at current positions; returns the energy report
     /// (kinetic evaluated at the current velocities).
     pub fn compute_forces(&mut self) -> EnergyReport {
-        let (nb, params) = (&mut self.nonbonded, &self.params);
-        all_forces(&self.system, &mut self.forces, |system, forces| {
-            nb.add(system, params, true, forces)
-        })
+        let (nb, filter, params) = (&mut self.nonbonded, &self.filter, &self.params);
+        all_forces(
+            &self.system,
+            true,
+            &mut self.forces,
+            |system, energy, forces| {
+                whole_system_nonbonded(nb, filter, system, params, self.buffer, energy, forces)
+            },
+        )
     }
 
     /// Advance one step of size `dt` ps; rebuilds the pair list when the
     /// Verlet buffer is exhausted. Returns the pre-step energies.
     pub fn step(&mut self, dt: f32) -> EnergyReport {
-        if self.nonbonded.stale(&self.system.positions) {
+        if self.nonbonded.stale(&self.system.positions, self.buffer) {
             // Wrap coordinates at neighbour-search steps, like GROMACS.
             for p in &mut self.system.positions {
                 *p = self.system.pbc.wrap(*p);
@@ -110,33 +121,70 @@ impl ReferenceSimulation {
     }
 }
 
+/// The non-bonded forces on `system` as one rank — every atom home under
+/// [`Frame::fully_periodic`], the list `buffer` beyond the cutoff — from
+/// `nb`, added into `forces`. Returns their `(energy, virial)`, or zeros
+/// when `energy` is false (the forces are bitwise the same either way).
+fn whole_system_nonbonded(
+    nb: &mut NbEvaluator,
+    filter: &ZoneFilter,
+    system: &System,
+    params: &NonbondedParams,
+    buffer: f32,
+    energy: bool,
+    forces: &mut [Vec3],
+) -> (f64, f64) {
+    let frame = Frame::fully_periodic(&system.pbc);
+    let (positions, kinds, n) = (&system.positions, &system.kinds, system.n_atoms());
+    let r_list = params.cutoff + buffer;
+    nb.compute(
+        &frame,
+        positions,
+        kinds,
+        n,
+        r_list,
+        buffer,
+        filter,
+        params,
+        energy,
+        forces,
+        &mut (),
+    )
+}
+
 /// Every force on `system` into `forces` (reset first): the non-bonded ones
-/// from `nonbonded`, which adds them and returns their `(energy, virial)`,
-/// then bonds and angles. Returns the energy report, kinetic at the current
-/// velocities.
+/// from `nonbonded(system, energy, forces)`, which adds them and returns
+/// their `(energy, virial)`, then bonds and angles. Returns the energy
+/// report, kinetic at the current velocities. With `energy` false — a
+/// minimiser sweep whose energies nobody reads — the virial and kinetic
+/// terms stay zero, as on the engine's steps that record no energies.
 fn all_forces(
     system: &System,
+    energy: bool,
     forces: &mut Vec<Vec3>,
-    nonbonded: impl FnOnce(&System, &mut [Vec3]) -> (f64, f64),
+    nonbonded: impl FnOnce(&System, bool, &mut [Vec3]) -> (f64, f64),
 ) -> EnergyReport {
     let n = system.n_atoms();
     forces.clear();
     forces.resize(n, Vec3::ZERO);
     let id = |g: u32| if (g as usize) < n { Some(g) } else { None };
     let (pbc, positions) = (&system.pbc, &system.positions);
-    let (nonbonded, w_nb) = nonbonded(system, forces);
+    let (nonbonded, w_nb) = nonbonded(system, energy, forces);
     let bonds = compute_bonds(pbc, positions, &system.bonds, &id, forces);
     let angles = compute_angles(pbc, positions, &system.angles, &id, forces);
-    let virial = w_nb
-        + forces::bond_virial(pbc, positions, &system.bonds)
-        + forces::angle_virial(pbc, positions, &system.angles);
-    EnergyReport {
+    let mut report = EnergyReport {
         nonbonded,
         bonds,
         angles,
-        kinetic: integrate::kinetic_energy(&system.velocities, &system.inv_mass),
-        virial,
+        ..EnergyReport::default()
+    };
+    if energy {
+        report.virial = w_nb
+            + forces::bond_virial(pbc, positions, &system.bonds)
+            + forces::angle_virial(pbc, positions, &system.angles);
+        report.kinetic = integrate::kinetic_energy(&system.velocities, &system.inv_mass);
     }
+    report
 }
 
 #[cfg(test)]
@@ -171,7 +219,7 @@ mod tests {
             if self
                 .list
                 .as_ref()
-                .is_none_or(|list| list.needs_rebuild_full(&sys.positions, self.buffer))
+                .is_none_or(|list| list.needs_rebuild(&sys.positions, self.buffer))
             {
                 for p in &mut sys.positions {
                     *p = sys.pbc.wrap(*p);
@@ -180,7 +228,7 @@ mod tests {
                 self.list = Some(PairList::single_rank(sys, r_list));
             }
             let (list, params) = (self.list.as_ref().unwrap(), &self.params);
-            all_forces(sys, &mut self.forces, |system, forces| {
+            all_forces(sys, true, &mut self.forces, |system, _, forces| {
                 let frame = Frame::fully_periodic(&system.pbc);
                 let (positions, kinds) = (&system.positions, &system.kinds);
                 compute_nonbonded_virial(&frame, positions, kinds, list, params, forces)
@@ -231,7 +279,7 @@ mod tests {
         let mut scalar = ScalarStepper::new(sys, 0.7, 0.05);
         let mut builds = 0;
         for _ in 0..30 {
-            builds += cluster.nonbonded.stale(&cluster.system.positions) as usize;
+            builds += cluster.nonbonded.stale(&cluster.system.positions, 0.05) as usize;
             cluster.step(0.0005);
             scalar.step(0.0005);
         }

@@ -5,16 +5,19 @@
 //! dynamics (the role `gmx grompp`-prepared inputs play for the paper's
 //! benchmarks).
 //!
-//! Non-bonded forces come from the engine's own pipeline (DESIGN.md §3.4),
-//! with the whole system as one rank (`cluster::ClusterForces`, which
-//! [`crate::ReferenceSimulation`] shares). The list is Verlet-buffered by
-//! `LIST_BUFFER` and kept across sweeps until some atom has moved more than
-//! half of it.
+//! Forces come from the whole-system path [`crate::ReferenceSimulation`]
+//! also takes: the engine's non-bonded evaluator (DESIGN.md §3.4) with the
+//! whole system as one rank, then bonds and angles. The sweep wraps every
+//! coordinate into the box under a live list, so the evaluator is
+//! `NbEvaluator::wrapping()`. The list is Verlet-buffered by `LIST_BUFFER`
+//! and kept across sweeps until some atom has moved more than half of it.
 
-use crate::cluster::ClusterForces;
-use crate::forces::{compute_angles, compute_bonds, NonbondedParams};
+use crate::forces::NonbondedParams;
+use crate::nb::NbEvaluator;
+use crate::pairlist::ZoneFilter;
 use crate::system::System;
 use crate::vec3::Vec3;
+use crate::{all_forces, whole_system_nonbonded};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,48 +49,40 @@ impl Default for MinimizeOptions {
 /// Relax `system` in place; returns (initial, final) potential energy.
 pub fn steepest_descent(system: &mut System, opts: MinimizeOptions) -> (f64, f64) {
     let params = NonbondedParams::new(opts.cutoff);
-    let mut nb = ClusterForces::new(system, LIST_BUFFER);
+    let filter = ZoneFilter::whole_system(system);
+    let mut nb = NbEvaluator::wrapping();
     descend(system, opts, |system, energy, forces| {
-        nb.add(system, &params, energy, forces).0
+        whole_system_nonbonded(
+            &mut nb,
+            &filter,
+            system,
+            &params,
+            LIST_BUFFER,
+            energy,
+            forces,
+        )
     })
 }
 
 /// The sweep loop — wrap, forces, force-capped step — given where its
 /// non-bonded forces come from: `nonbonded(system, energy, forces)` adds
-/// them at `system.positions` into `forces` and returns their energy, which
-/// it may leave at zero when `energy` is false.
+/// them at `system.positions` into `forces` and returns their `(energy,
+/// virial)`, which it may leave at zero when `energy` is false.
 fn descend(
     system: &mut System,
     opts: MinimizeOptions,
-    mut nonbonded: impl FnMut(&System, bool, &mut [Vec3]) -> f64,
+    mut nonbonded: impl FnMut(&System, bool, &mut [Vec3]) -> (f64, f64),
 ) -> (f64, f64) {
-    let n = system.n_atoms();
     let (mut e_first, mut e_last) = (0.0, 0.0);
-    let mut forces = vec![Vec3::ZERO; n];
-    let id = |g: u32| if (g as usize) < n { Some(g) } else { None };
+    let mut forces = Vec::new();
     for sweep in 0..opts.steps {
         for p in &mut system.positions {
             *p = system.pbc.wrap(*p);
         }
-        forces.fill(Vec3::ZERO);
         // Only the first and the last sweep's energies are reported.
         let (first, last) = (sweep == 0, sweep + 1 == opts.steps);
         let energy = first || last;
-        let mut e = nonbonded(system, energy, &mut forces);
-        e += compute_bonds(
-            &system.pbc,
-            &system.positions,
-            &system.bonds,
-            &id,
-            &mut forces,
-        );
-        e += compute_angles(
-            &system.pbc,
-            &system.positions,
-            &system.angles,
-            &id,
-            &mut forces,
-        );
+        let e = all_forces(system, energy, &mut forces, &mut nonbonded).potential();
         if first {
             e_first = e;
         }
@@ -138,14 +133,15 @@ mod tests {
         descend(system, opts, |system, _, forces| {
             let pl = PairList::single_rank(system, opts.cutoff + LIST_BUFFER);
             let frame = Frame::fully_periodic(&system.pbc);
-            compute_nonbonded(
+            let e = compute_nonbonded(
                 &frame,
                 &system.positions,
                 &system.kinds,
                 &pl,
                 &params,
                 forces,
-            )
+            );
+            (e, 0.0)
         })
     }
 
@@ -233,12 +229,21 @@ mod tests {
                     assert!(sys.pbc.lengths().x < 3.0 * (opts.cutoff + LIST_BUFFER));
                 }
                 let params = NonbondedParams::new(opts.cutoff);
-                let mut nb = ClusterForces::new(&sys, LIST_BUFFER);
+                let filter = ZoneFilter::whole_system(&sys);
+                let mut nb = NbEvaluator::wrapping();
                 let (mut sweeps, mut builds) = (0, 0);
                 descend(&mut sys, opts, |system, energy, forces| {
                     let positions = &system.positions;
-                    builds += nb.stale(positions) as usize;
-                    let (energy, _) = nb.add(system, &params, energy, forces);
+                    builds += nb.stale(positions, LIST_BUFFER) as usize;
+                    let res = whole_system_nonbonded(
+                        &mut nb,
+                        &filter,
+                        system,
+                        &params,
+                        LIST_BUFFER,
+                        energy,
+                        forces,
+                    );
                     let listed = nb.list().unwrap().all_pairs();
                     let frame = Frame::fully_periodic(&system.pbc);
                     let rule = |a: usize, b: usize| !system.is_excluded(a, b);
@@ -250,7 +255,7 @@ mod tests {
                         );
                     }
                     sweeps += 1;
-                    energy
+                    res
                 });
                 assert_eq!(sweeps, opts.steps);
                 assert!(builds > 1, "{atoms} atoms: the list was never rebuilt");
@@ -282,9 +287,10 @@ mod tests {
         let opts = MinimizeOptions::default();
         let ea = steepest_descent(&mut a, opts);
         let params = NonbondedParams::new(opts.cutoff);
-        let mut nb = ClusterForces::new(&b, LIST_BUFFER);
+        let filter = ZoneFilter::whole_system(&b);
+        let mut nb = NbEvaluator::wrapping();
         let eb = descend(&mut b, opts, |system, _, forces| {
-            nb.add(system, &params, true, forces).0
+            whole_system_nonbonded(&mut nb, &filter, system, &params, LIST_BUFFER, true, forces)
         });
         assert_eq!(ea.0.to_bits(), eb.0.to_bits());
         assert_eq!(ea.1.to_bits(), eb.1.to_bits());

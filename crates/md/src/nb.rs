@@ -1,16 +1,17 @@
-//! Per-rank non-bonded evaluation: the cluster-pair list's lifecycle and
-//! the local/halo tile split that backs compute–communication overlap
-//! (DESIGN.md §3.4). The cluster-pair SoA kernel is the only one the engine
-//! runs; the list makes its rebuild decision through
-//! `halox_md::pairlist::Staleness`.
+//! The non-bonded evaluator: the one owner of a cluster-pair list's
+//! lifecycle — build, staleness check, coordinate pack, the local then the
+//! halo tile partition, force fold (DESIGN.md §3.4). The engine keeps one
+//! per rank; the minimiser and [`crate::ReferenceSimulation`] keep one over
+//! the whole system as a rank where every atom is home (its halo partition
+//! is empty).
 //!
-//! The evaluator is the single place both executors (the serial reference
-//! driver and the threaded per-PE loops) get their non-bonded forces from,
-//! which is what keeps them bitwise identical:
+//! The evaluator is the single place both engine executors (the serial
+//! reference driver and the threaded per-PE loops) get their non-bonded
+//! forces from, which is what keeps them bitwise identical:
 //!
 //! * exactly one `needs_rebuild` decision per force round, made *after*
-//!   the coordinate halo is in place (so serial and threaded see identical
-//!   inputs and consume identical fresh-skip states);
+//!   the coordinate halo is in place, so serial and threaded see identical
+//!   inputs;
 //! * the local (home–home) partition may be evaluated optimistically
 //!   during the overlap window — before halo arrivals — via
 //!   [`NbEvaluator::compute_local_overlapped`]. That pass reads only home
@@ -22,18 +23,36 @@
 //! * the caller says per round whether it wants energy and virial: rounds
 //!   that record none run the kernel's force-only flavour, whose forces are
 //!   bitwise the energy kernel's.
+//!
+//! Phase time goes to a [`PhaseClock`]; the whole-system callers pass `()`.
 
-use crate::devtimer::PhaseTimer;
-use halox_md::cluster::{
+use crate::cluster::{
     compute_nonbonded_cluster_forces, compute_nonbonded_clusters, ClusterPairList, NbPartition,
 };
-use halox_md::pairlist::PairFilter;
-use halox_md::{Frame, NonbondedParams, SoaCoords, SoaForces, Vec3};
+use crate::forces::NonbondedParams;
+use crate::frame::Frame;
+use crate::pairlist::PairFilter;
+use crate::soa::{SoaCoords, SoaForces};
+use crate::topology::AtomKind;
+use crate::vec3::Vec3;
 
-/// Owns the per-rank pair-list state.
+/// Where the evaluator books its phases: `pairlist`, `pack`,
+/// `pack_overlap`, `nb_local` and `nb_halo`. `()` books nothing.
+pub trait PhaseClock {
+    /// Run `f`, booking its time under `phase`.
+    fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T;
+}
+
+impl PhaseClock for () {
+    fn time<T>(&mut self, _: &'static str, f: impl FnOnce() -> T) -> T {
+        f()
+    }
+}
+
+/// Owns one rank's pair-list state.
 #[derive(Default)]
-pub(crate) struct NbEvaluator {
-    /// `None` until the first round of a segment builds it.
+pub struct NbEvaluator {
+    /// `None` until the first round builds it.
     list: Option<ClusterPairList>,
     /// Lane-space scratch reused across rounds (no per-step allocation).
     coords: SoaCoords,
@@ -45,9 +64,32 @@ pub(crate) struct NbEvaluator {
     /// Pair interactions in the list used by the most recent
     /// [`NbEvaluator::compute`] round (local + halo partitions).
     last_pairs: u64,
+    /// Clear the image bits of every list built (see
+    /// [`NbEvaluator::wrapping`]).
+    wrapping: bool,
 }
 
 impl NbEvaluator {
+    /// An evaluator for a caller that wraps coordinates into the box while
+    /// a list is live — the minimiser wraps every sweep. Every list it
+    /// builds has its image bits cleared, so the kernel takes the minimum
+    /// image on every tile (see [`compute_nonbonded_clusters`]).
+    pub(crate) fn wrapping() -> Self {
+        NbEvaluator {
+            wrapping: true,
+            ..Self::default()
+        }
+    }
+
+    /// True when the next [`NbEvaluator::compute`] rebuilds the list: there
+    /// is none, or some atom has moved more than `buffer / 2` since it was
+    /// built.
+    pub(crate) fn stale(&self, positions: &[Vec3], buffer: f32) -> bool {
+        self.list
+            .as_ref()
+            .is_none_or(|cl| cl.needs_rebuild(positions, buffer))
+    }
+
     /// Pair interactions evaluated by the most recent
     /// [`NbEvaluator::compute`] round — the deterministic half of the DLB
     /// counter metric. The count comes from the pair *list*, so it is
@@ -73,7 +115,7 @@ impl NbEvaluator {
         positions: &[Vec3],
         params: &NonbondedParams,
         energy: bool,
-        timer: &mut PhaseTimer,
+        clock: &mut impl PhaseClock,
     ) {
         debug_assert!(self.can_overlap());
         let Some(cl) = &self.list else {
@@ -82,10 +124,10 @@ impl NbEvaluator {
         let coords = &mut self.coords;
         let lanes = &mut self.lane_forces;
         lanes.reset(cl.n_lanes());
-        timer.time("pack_overlap", || {
+        clock.time("pack_overlap", || {
             cl.pack_coords(positions, coords, cl.home_clusters())
         });
-        let res = timer.time("nb_local", || {
+        let res = clock.time("nb_local", || {
             tiles(energy, frame, coords, cl, NbPartition::Local, params, lanes)
         });
         self.pending_local = Some(res);
@@ -102,7 +144,7 @@ impl NbEvaluator {
         &mut self,
         frame: &Frame,
         positions: &[Vec3],
-        kinds: &[halox_md::AtomKind],
+        kinds: &[AtomKind],
         n_home: usize,
         r_list: f32,
         buffer: f32,
@@ -110,7 +152,7 @@ impl NbEvaluator {
         params: &NonbondedParams,
         energy: bool,
         forces: &mut [Vec3],
-        timer: &mut PhaseTimer,
+        clock: &mut impl PhaseClock,
     ) -> (f64, f64) {
         let cl = match &mut self.list {
             Some(cl) if !cl.needs_rebuild(positions, buffer) => cl,
@@ -118,9 +160,12 @@ impl NbEvaluator {
                 // Any overlapped partial was computed against the old list:
                 // discard and recompute from scratch.
                 self.pending_local = None;
-                let cl = slot.insert(timer.time("pairlist", || {
+                let cl = slot.insert(clock.time("pairlist", || {
                     ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter)
                 }));
+                if self.wrapping {
+                    cl.clear_image_bits();
+                }
                 // The list only changes here, so neither does its count.
                 self.last_pairs = cl.n_pairs() as u64;
                 cl
@@ -134,22 +179,28 @@ impl NbEvaluator {
             Some(res) => res,
             None => {
                 lanes.reset(cl.n_lanes());
-                timer.time("pack", || {
+                clock.time("pack", || {
                     cl.pack_coords(positions, coords, cl.home_clusters())
                 });
-                timer.time("nb_local", || {
+                clock.time("nb_local", || {
                     tiles(energy, frame, coords, cl, NbPartition::Local, params, lanes)
                 })
             }
         };
-        timer.time("pack", || {
+        clock.time("pack", || {
             cl.pack_coords(positions, coords, cl.halo_clusters())
         });
-        let (e_h, w_h) = timer.time("nb_halo", || {
+        let (e_h, w_h) = clock.time("nb_halo", || {
             tiles(energy, frame, coords, cl, NbPartition::Halo, params, lanes)
         });
         cl.fold_forces(lanes, forces);
         (e_l + e_h, w_l + w_h)
+    }
+
+    /// The list the last [`NbEvaluator::compute`] ran on.
+    #[cfg(test)]
+    pub(crate) fn list(&self) -> Option<&ClusterPairList> {
+        self.list.as_ref()
     }
 }
 
@@ -174,8 +225,30 @@ fn tiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halox_md::pairlist::eighth_shell_rule;
-    use halox_md::{GrappaBuilder, Vec3};
+    use crate::pairlist::{eighth_shell_rule, PairList};
+    use crate::system::GrappaBuilder;
+    use std::collections::BTreeMap;
+    use std::time::{Duration, Instant};
+
+    /// A clock that keeps each phase's total, so tests can see which
+    /// phases a round ran.
+    #[derive(Default)]
+    struct Totals(BTreeMap<&'static str, Duration>);
+
+    impl PhaseClock for Totals {
+        fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+            let t0 = Instant::now();
+            let out = f();
+            *self.0.entry(phase).or_default() += t0.elapsed();
+            out
+        }
+    }
+
+    impl Totals {
+        fn total(&self, phase: &str) -> Duration {
+            self.0.get(phase).copied().unwrap_or_default()
+        }
+    }
 
     fn assert_forces_bitwise(a: &[Vec3], b: &[Vec3], label: &str) {
         assert_eq!(a.len(), b.len(), "{label}");
@@ -186,6 +259,47 @@ mod tests {
                 "{label}: atom {i}"
             );
         }
+    }
+
+    /// One rebuild rule: a list asked for the first time after its build
+    /// scans the displacements like on every later call, so an atom that
+    /// moved past half the buffer makes it stale at once.
+    #[test]
+    fn a_moved_atom_makes_a_just_built_list_stale() {
+        let sys = GrappaBuilder::new(600).seed(53).build();
+        let frame = Frame::fully_periodic(&sys.pbc);
+        let (n, buffer) = (sys.n_atoms(), 0.1);
+        let all = |_: usize, _: usize| true;
+        let mut moved = sys.positions.clone();
+        moved[3].x += 0.2;
+
+        let cl = ClusterPairList::build(&frame, &sys.positions, &sys.kinds, n, 0.8, &all);
+        assert!(cl.needs_rebuild(&moved, buffer));
+        let pl = PairList::build(&sys.pbc, &sys.positions, 0.8, &all);
+        assert!(pl.needs_rebuild(&moved, buffer));
+
+        let mut ev = NbEvaluator::default();
+        assert!(ev.stale(&sys.positions, buffer), "no list yet");
+        let mut f = vec![Vec3::ZERO; n];
+        let params = NonbondedParams::new(0.7);
+        let (pos, kinds) = (&sys.positions, &sys.kinds);
+        ev.compute(
+            &frame,
+            pos,
+            kinds,
+            n,
+            0.8,
+            buffer,
+            &all,
+            &params,
+            false,
+            &mut f,
+            &mut (),
+        );
+        assert!(!ev.stale(&sys.positions, buffer));
+        assert!(ev.stale(&moved, buffer));
+        // Asking changes nothing.
+        assert!(ev.stale(&moved, buffer));
     }
 
     /// The threaded-equivalence argument in miniature: a round evaluated
@@ -219,8 +333,8 @@ mod tests {
 
         let mut round_forces = Vec::new();
         for energy in [true, false] {
-            let mut timer = PhaseTimer::new();
-            let round = |ev: &mut NbEvaluator, pos: &[Vec3], timer: &mut PhaseTimer| {
+            let mut timer = Totals::default();
+            let round = |ev: &mut NbEvaluator, pos: &[Vec3], timer: &mut Totals| {
                 let mut f = vec![Vec3::ZERO; n];
                 let r = ev.compute(
                     &frame, pos, &sys.kinds, n_home, 0.7, 0.1, &rule, &params, energy, &mut f,
@@ -244,9 +358,9 @@ mod tests {
             assert_eq!(r_plain == (0.0, 0.0), !energy, "energy {energy}");
             assert_forces_bitwise(&f_plain, &f_over, &format!("energy {energy}"));
             // Timer saw the overlap-specific phase.
-            assert!(timer.total("pack_overlap") > std::time::Duration::ZERO);
-            assert!(timer.total("nb_local") > std::time::Duration::ZERO);
-            assert!(timer.total("nb_halo") > std::time::Duration::ZERO);
+            assert!(timer.total("pack_overlap") > Duration::ZERO);
+            assert!(timer.total("nb_local") > Duration::ZERO);
+            assert!(timer.total("nb_halo") > Duration::ZERO);
             round_forces.push(f_over);
         }
         assert_forces_bitwise(&round_forces[0], &round_forces[1], "energy vs force-only");
@@ -262,25 +376,21 @@ mod tests {
         let n_home = 700;
         let all = |_: usize, _: usize| true;
         let params = NonbondedParams::new(0.6);
-        let mut timer = PhaseTimer::new();
+        let mut timer = Totals::default();
         // Move one atom past buffer/2 so the next round must rebuild.
         let mut moved = sys.positions.clone();
         moved[3].x += 0.2;
         for energy in [true, false] {
-            let round = |ev: &mut NbEvaluator, pos: &[Vec3], timer: &mut PhaseTimer| {
+            let round = |ev: &mut NbEvaluator, pos: &[Vec3], timer: &mut Totals| {
                 let mut f = vec![Vec3::ZERO; n];
                 let r = ev.compute(
                     &frame, pos, &sys.kinds, n_home, 0.7, 0.1, &all, &params, energy, &mut f, timer,
                 );
                 (r, f)
             };
+            // One round on unmoved positions builds the list.
             let mut ev = NbEvaluator::default();
-            // Two rounds on unmoved positions: the first builds the list,
-            // the second consumes the fresh-skip of `needs_rebuild` (a
-            // just-built list is trusted for one step — DESIGN.md §3.4).
-            for _ in 0..2 {
-                round(&mut ev, &sys.positions, &mut timer);
-            }
+            round(&mut ev, &sys.positions, &mut timer);
             ev.compute_local_overlapped(&frame, &moved, &params, energy, &mut timer);
             let (r1, f1) = round(&mut ev, &moved, &mut timer);
             // Oracle: a fresh evaluator with no overlap shenanigans. Its

@@ -38,7 +38,6 @@ use crate::frame::Frame;
 use crate::pbc::PbcBox;
 use crate::system::System;
 use crate::vec3::Vec3;
-use std::cell::Cell;
 use std::ops::Range;
 
 /// CSR-layout pair list: the neighbours of local atom `i` are
@@ -63,9 +62,6 @@ pub struct Staleness {
     pub r_list: f32,
     /// Coordinates at build time.
     ref_positions: Vec<Vec3>,
-    /// Consumed by the first `needs_rebuild` call after a build; lets that
-    /// call skip the displacement scan (see `needs_rebuild`).
-    fresh: Cell<bool>,
 }
 
 impl Staleness {
@@ -74,39 +70,16 @@ impl Staleness {
             frame: *frame,
             r_list,
             ref_positions: positions.to_vec(),
-            fresh: Cell::new(true),
         }
     }
 
     /// True if any atom has moved more than `buffer / 2` since the list was
-    /// built, meaning an unlisted pair could now be inside the cutoff.
-    ///
-    /// Two fast paths over the naive full scan:
-    ///
-    /// * the first call after a build skips the scan entirely — at most one
-    ///   integration step has elapsed, and a single step moving an atom
-    ///   `buffer / 2` is the same catastrophic regime in which the Verlet
-    ///   buffer itself (sized to cover ~`nstlist` steps of drift) is
-    ///   already invalid, so the decision is identical for every
-    ///   trajectory the list is sound for;
-    /// * the scan early-exits on the first offending atom instead of
-    ///   measuring every displacement.
-    ///
-    /// [`Staleness::needs_rebuild_full`] is the unconditional scan; the
-    /// regression test in `crates/md/tests` asserts both make identical
-    /// decisions along a live trajectory.
+    /// built, meaning an unlisted pair could now be inside the cutoff. The
+    /// scan exits on the first offending atom. A coordinate array of
+    /// another length is always stale: a list says nothing about atoms it
+    /// was not built over. Asking changes nothing, so every caller gets the
+    /// same verdict however far its atoms move between calls.
     pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
-        if self.fresh.replace(false) {
-            return false;
-        }
-        self.needs_rebuild_full(positions, buffer)
-    }
-
-    /// The unconditional displacement scan backing
-    /// [`Staleness::needs_rebuild`] (no first-step skip) — the reference
-    /// oracle for rebuild decisions. A coordinate array of another length is
-    /// always stale: a list says nothing about atoms it was not built over.
-    pub fn needs_rebuild_full(&self, positions: &[Vec3], buffer: f32) -> bool {
         let lim2 = (0.5 * buffer) * (0.5 * buffer);
         positions.len() != self.ref_positions.len()
             || positions
@@ -187,11 +160,6 @@ impl PairList {
     /// See [`Staleness::needs_rebuild`].
     pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
         self.staleness.needs_rebuild(positions, buffer)
-    }
-
-    /// See [`Staleness::needs_rebuild_full`].
-    pub fn needs_rebuild_full(&self, positions: &[Vec3], buffer: f32) -> bool {
-        self.staleness.needs_rebuild_full(positions, buffer)
     }
 
     /// Iterate `(i, j)` local-index pairs (`i < j`).
@@ -1081,11 +1049,11 @@ mod tests {
         let sys = GrappaBuilder::new(300).seed(5).build();
         let all = |_: usize, _: usize| true;
         let pl = PairList::build(&sys.pbc, &sys.positions, 0.7, &all);
-        assert!(!pl.needs_rebuild_full(&sys.positions, 0.2));
+        assert!(!pl.needs_rebuild(&sys.positions, 0.2));
         let mut longer = sys.positions.clone();
         longer.push(longer[0]);
-        assert!(pl.needs_rebuild_full(&longer, 0.2));
-        assert!(pl.needs_rebuild_full(&sys.positions[1..], 0.2));
+        assert!(pl.needs_rebuild(&longer, 0.2));
+        assert!(pl.needs_rebuild(&sys.positions[1..], 0.2));
     }
 
     #[test]

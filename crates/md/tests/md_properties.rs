@@ -2,8 +2,9 @@
 //! completeness under the DD-frame metric, cluster-kernel equivalence, and
 //! trajectory round trips.
 
-use halox_md::cluster::{compute_nonbonded_clusters_aos, ClusterPairList, NbPartition};
+use halox_md::cluster::{ClusterPairList, NbPartition};
 use halox_md::forces::{compute_nonbonded, NonbondedParams};
+use halox_md::nb::NbEvaluator;
 use halox_md::pairlist::{brute_force_pairs, eighth_shell_rule, PairFilter, ZoneFilter};
 use halox_md::trajectory::{read_xyz_frame, write_xyz_frame};
 use halox_md::{AtomKind, Frame, GrappaBuilder, PairList, PbcBox, Vec3, CLUSTER};
@@ -176,9 +177,11 @@ proptest! {
         let pl = PairList::build(&sys.pbc, &sys.positions, 0.65, &rule);
         let mut f1 = vec![Vec3::ZERO; sys.n_atoms()];
         let e1 = compute_nonbonded(&frame, &sys.positions, &sys.kinds, &pl, &params, &mut f1);
-        let cl = ClusterPairList::build(&frame, &sys.positions, &sys.kinds, sys.n_atoms(), 0.65, &rule);
         let mut f2 = vec![Vec3::ZERO; sys.n_atoms()];
-        let (e2, _) = compute_nonbonded_clusters_aos(&frame, &sys.positions, &cl, &params, &mut f2);
+        let (e2, _) = NbEvaluator::default().compute(
+            &frame, &sys.positions, &sys.kinds, sys.n_atoms(), 0.65, 0.0, &rule, &params, true,
+            &mut f2, &mut (),
+        );
         prop_assert!((e1 - e2).abs() < 1e-5 * e1.abs().max(1.0), "{e1} vs {e2}");
         for (i, (a, b)) in f1.iter().zip(&f2).enumerate() {
             prop_assert!((*a - *b).norm() <= 1e-5 * a.norm().max(1.0) + 1e-3,
@@ -213,9 +216,11 @@ proptest! {
         let pl = PairList::build_in_frame(&frame, &sys.positions, 0.65, &rule);
         let mut f1 = vec![Vec3::ZERO; n];
         let e1 = compute_nonbonded(&frame, &sys.positions, &sys.kinds, &pl, &params, &mut f1);
-        let cl = ClusterPairList::build(&frame, &sys.positions, &sys.kinds, n_home, 0.65, &rule);
         let mut f2 = vec![Vec3::ZERO; n];
-        let (e2, _) = compute_nonbonded_clusters_aos(&frame, &sys.positions, &cl, &params, &mut f2);
+        let (e2, _) = NbEvaluator::default().compute(
+            &frame, &sys.positions, &sys.kinds, n_home, 0.65, 0.0, &rule, &params, true, &mut f2,
+            &mut (),
+        );
         prop_assert!((e1 - e2).abs() < 1e-5 * e1.abs().max(1.0), "{e1} vs {e2}");
         for (i, (a, b)) in f1.iter().zip(&f2).enumerate() {
             prop_assert!((*a - *b).norm() <= 1e-5 * a.norm().max(1.0) + 1e-3,
@@ -224,6 +229,7 @@ proptest! {
 
         // Partition coverage: local ∪ halo == unsplit set, disjoint, and
         // the local partition never touches a halo atom.
+        let cl = ClusterPairList::build(&frame, &sys.positions, &sys.kinds, n_home, 0.65, &rule);
         let local = cl.partition_pairs(NbPartition::Local);
         let halo = cl.partition_pairs(NbPartition::Halo);
         let mut union = local.clone();
@@ -300,36 +306,6 @@ proptest! {
                     .iter()
                     .all(|&cj| (cj as usize >= cl.n_home_clusters) == is_halo));
             }
-        }
-    }
-
-    #[test]
-    fn pair_list_rebuild_fast_path_matches_full_scan(
-        seed in 0u64..10_000,
-        atoms in 600usize..1_200,
-        buffer in 0.05f32..0.3,
-    ) {
-        // Along a live trajectory, the optimized needs_rebuild (early exit)
-        // agrees with the unconditional full scan at every step after the
-        // first (the fresh skip covers only the single post-build step).
-        let mut sys = GrappaBuilder::new(atoms).seed(seed).temperature(250.0).build();
-        let all = |_: usize, _: usize| true;
-        let pl = PairList::build(&sys.pbc, &sys.positions, 0.5 + buffer, &all);
-        prop_assert!(!pl.needs_rebuild(&sys.positions, buffer));
-        let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
-        for _ in 0..20 {
-            forces.clear();
-            forces.resize(sys.n_atoms(), Vec3::ZERO);
-            halox_md::integrate::leapfrog_step(
-                &mut sys.positions,
-                &mut sys.velocities,
-                &forces,
-                &sys.inv_mass,
-                0.002,
-            );
-            let fast = pl.needs_rebuild(&sys.positions, buffer);
-            let full = pl.needs_rebuild_full(&sys.positions, buffer);
-            prop_assert_eq!(fast, full);
         }
     }
 

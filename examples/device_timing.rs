@@ -8,6 +8,7 @@
 
 use halox::core::sched::{simulate, Backend};
 use halox::engine::PhaseTimer;
+use halox::md::nb::PhaseClock;
 use halox::prelude::*;
 
 fn breakdown(machine: &MachineModel, atoms: usize, dims: [usize; 3]) {
