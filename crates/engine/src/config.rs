@@ -39,9 +39,7 @@ impl ExchangeBackend {
 /// reference exchanges (`halox_dd::reference_*_exchange`) — no world, no
 /// signals, no chaos deliveries. The two modes are required to produce
 /// **bitwise-identical** trajectories (DESIGN.md §3.3); the serial driver is
-/// the ground truth the concurrent protocol is checked against, and also
-/// models the host-driven blocking baseline when a link delay is configured
-/// (see [`EngineConfig::link_delay_us`]).
+/// the ground truth the concurrent protocol is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RunMode {
     /// Single-thread reference driver (deterministic by construction).
@@ -212,13 +210,12 @@ pub struct EngineConfig {
     /// tiles are folded in the same order; only wall-clock changes.
     pub nb_overlap: bool,
     /// Modeled interconnect latency per proxied (inter-node) message, in
-    /// microseconds; 0 disables it. In `Threaded` mode the per-PE proxy
-    /// thread pays it asynchronously (GPU-initiated one-sided semantics:
-    /// latency overlaps with other PEs' work). In `Serial` mode the driver
-    /// sleeps it inline per message — the host-driven blocking-send
-    /// baseline of the paper. Values are unaffected either way; only
-    /// wall-clock changes (`tests/threaded_equivalence.rs` pins the former
-    /// with `link_delay_us = 200` on `islands(8,4)`).
+    /// microseconds; 0 disables it. The per-PE proxy thread of a `Threaded`
+    /// run pays it asynchronously (GPU-initiated one-sided semantics:
+    /// latency overlaps with other PEs' work); the `Serial` driver has no
+    /// proxy and ignores it. Values are unaffected; only wall-clock changes
+    /// (`tests/threaded_equivalence.rs` pins this with
+    /// `link_delay_us = 200` on `islands(8,4)`).
     pub link_delay_us: u64,
     /// PE fabric (NVLink islands vs all-NVLink); PEs == DD ranks.
     pub topology_gpus_per_node: Option<usize>,

@@ -764,7 +764,7 @@ impl Engine {
             // Every rank on this thread, phase by phase, over the reference
             // exchanges: no world, and `backend` plays no part.
             RunMode::Serial => {
-                let transport = ReferenceTransport::new(&part, &cfg);
+                let transport = ReferenceTransport::new(&part);
                 let (system, first) = (&self.system, self.step);
                 step::run_segment(&transport, &part, 0..n_ranks, system, &cfg, first, steps)
                     .map_err(|e| SegmentFailure::Ranks(vec![e]))?
@@ -840,8 +840,7 @@ impl Engine {
             n_signal_slots: CommContext::slots_needed(part.total_pulses()),
         };
         // Modeled interconnect latency: the proxy thread pays it per
-        // inter-node message, asynchronously to PE compute (the serial
-        // driver pays the same per-message delay inline — see
+        // inter-node message, asynchronously to PE compute (see
         // `EngineConfig::link_delay_us`).
         let proxy_cfg = if cfg.link_delay_us > 0 {
             ProxyConfig {

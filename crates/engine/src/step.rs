@@ -187,36 +187,11 @@ impl Transport for PeTransport<'_> {
 /// deterministic by construction.
 pub(crate) struct ReferenceTransport<'a> {
     part: &'a DdPartition,
-    /// Blocking-baseline latency model: `link_delay_us` slept inline once
-    /// per message that crosses a node boundary, per exchange (the
-    /// mirror-image force pulse sends the same messages, so one count
-    /// serves both) — the host-driven baseline the threaded executor's
-    /// proxy-paid latency is the alternative to.
-    exchange_delay: Option<Duration>,
 }
 
 impl<'a> ReferenceTransport<'a> {
-    pub fn new(part: &'a DdPartition, cfg: &EngineConfig) -> Self {
-        let topology = cfg.topology(part.n_ranks());
-        let inter_node_msgs = part
-            .ranks
-            .iter()
-            .flat_map(|r| r.pulses.iter().map(move |pd| (r.rank, pd)))
-            .filter(|(src, pd)| {
-                pd.send_count() > 0 && !topology.nvlink_reachable(*src, pd.send_rank)
-            })
-            .count() as u32;
-        ReferenceTransport {
-            part,
-            exchange_delay: (cfg.link_delay_us > 0 && inter_node_msgs > 0)
-                .then(|| Duration::from_micros(cfg.link_delay_us) * inter_node_msgs),
-        }
-    }
-
-    fn pay_link_delay(&self) {
-        if let Some(d) = self.exchange_delay {
-            std::thread::sleep(d);
-        }
+    pub fn new(part: &'a DdPartition) -> Self {
+        ReferenceTransport { part }
     }
 }
 
@@ -228,13 +203,11 @@ impl Transport for ReferenceTransport<'_> {
         _overlap: impl FnMut(usize, &[Vec3]),
     ) -> Result<(), ExchangeError> {
         reference_coordinate_exchange(self.part, positions);
-        self.pay_link_delay();
         Ok(())
     }
 
     fn exchange_forces(&self, _round: u64, forces: &mut [Vec<Vec3>]) -> Result<(), ExchangeError> {
         reference_force_exchange(self.part, forces);
-        self.pay_link_delay();
         Ok(())
     }
 

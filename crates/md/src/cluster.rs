@@ -92,8 +92,8 @@ pub struct ClusterPairs {
     pub masks: Vec<u16>,
     /// Per tile, the image bit: no lane with a set mask bit needed a
     /// minimum-image correction on any axis at build time, so the kernel
-    /// takes `xi - xj` as it is. Valid only while no coordinate is wrapped
-    /// under the list (see [`compute_nonbonded_clusters`]).
+    /// takes `xi - xj` as it is; cleared once a coordinate is wrapped under
+    /// the list (see [`compute_nonbonded_clusters`]).
     pub unshifted: Vec<bool>,
 }
 
@@ -325,8 +325,8 @@ impl ClusterPairList {
     }
 
     /// Clear every tile's image bit, so the kernel takes the minimum image
-    /// on every tile: what a list that lives while its caller wraps
-    /// coordinates needs (see [`compute_nonbonded_clusters`]).
+    /// on every tile: what a list needs once a coordinate was wrapped under
+    /// it (see [`compute_nonbonded_clusters`]).
     pub(crate) fn clear_image_bits(&mut self) {
         self.local.unshifted.fill(false);
         self.halo.unshifted.fill(false);
@@ -830,17 +830,16 @@ fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
 /// choice is invisible in the results: bitwise identical, and hence
 /// portable across hosts.
 ///
-/// **No-wrap contract.** On a tile whose image bit is set
+/// **No-wrap rule, enforced by the list.** On a tile whose image bit is set
 /// ([`ClusterPairs::unshifted`]) the kernel takes `xi - xj` without the
 /// minimum image. That is bitwise the minimum image as long as `coords` are
 /// the build coordinates moved by less than half the Verlet buffer each
-/// (what [`ClusterPairList::needs_rebuild`] enforces) and *no coordinate was
-/// wrapped into the box since the build*: a lane live at build needed no
-/// correction, stays within `r_list + buffer ≤ L − r_c` of its partner, and
-/// so either still needs none or lies beyond the cutoff in both metrics. The
-/// engine wraps only when it repartitions, which rebuilds every list; the
-/// minimiser wraps every sweep, so its evaluator (`NbEvaluator::wrapping()`)
-/// clears the bits of each list it builds.
+/// and *no coordinate was wrapped into the box since the build*: a lane
+/// live at build needed no correction, stays within `r_list + buffer ≤ L −
+/// r_c` of its partner, and so either still needs none or lies beyond the
+/// cutoff in both metrics. [`Staleness::verdict`] sees both: a stale list
+/// is rebuilt, and a wrapped one has its image bits cleared before any tile
+/// runs ([`NbEvaluator`](crate::nb::NbEvaluator)), so a caller may wrap at will.
 ///
 /// Accumulates forces into `lane_forces` (lane space, additive) and returns
 /// `(energy, virial)`. All folds run in a fixed order, so repeated
@@ -1955,7 +1954,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// The no-wrap contract of the image bit: lists built at drifted
+        /// The no-wrap rule of the image bit: lists built at drifted
         /// frames (out-of-box atoms, PAD lanes, 1-, 2- and 3-D grids,
         /// periodic edges from just over `2 r_list` up), then evaluated
         /// after every atom moved by less than half the buffer without a
@@ -2033,29 +2032,41 @@ mod tests {
             "{set} of {tiles} image bits set"
         );
 
-        // The whole-system evaluator's lists live while the minimiser
-        // wraps, so none of their bits is set.
-        let mut nb = NbEvaluator::wrapping();
-        let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
+        // A whole-system list sets its bits at build like any other, and
+        // loses them all once an atom is wrapped under it, as the
+        // minimiser's sweep does.
+        let mut nb = NbEvaluator::default();
         let (frame, n) = (Frame::fully_periodic(&sys.pbc), sys.n_atoms());
         let (filter, params) = (ZoneFilter::whole_system(&sys), NonbondedParams::new(0.7));
-        let (pos, kinds) = (&sys.positions, &sys.kinds);
-        nb.compute(
-            &frame,
-            pos,
-            kinds,
-            n,
-            0.8,
-            0.1,
-            &filter,
-            &params,
-            false,
-            &mut forces,
-            &mut (),
+        let kinds = &sys.kinds;
+        let mut round = |pos: &[Vec3]| {
+            let mut forces = vec![Vec3::ZERO; n];
+            nb.compute(
+                &frame,
+                pos,
+                kinds,
+                n,
+                0.8,
+                0.1,
+                &filter,
+                &params,
+                false,
+                &mut forces,
+                &mut (),
+            );
+            bits(nb.list().unwrap())
+        };
+        let (set, tiles) = round(&sys.positions);
+        assert!(
+            set as f64 >= 0.75 * tiles as f64,
+            "{set} of {tiles} whole-system image bits set"
         );
-        let (set, tiles) = bits(nb.list().unwrap());
+        // Atom 0 one box length up in x: a wrap, as the list sees it.
+        let mut wrapped = sys.positions.clone();
+        wrapped[0].x += sys.pbc.lengths().x;
+        let (set, tiles) = round(&wrapped);
         assert!(tiles > 0);
-        assert_eq!(set, 0, "a whole-system list kept {set} image bits");
+        assert_eq!(set, 0, "a wrapped whole-system list kept {set} image bits");
     }
 
     #[test]

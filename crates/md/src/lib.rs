@@ -63,8 +63,6 @@ pub struct ReferenceSimulation {
     pub cutoff: f32,
     pub buffer: f32,
     filter: ZoneFilter,
-    /// [`NbEvaluator::wrapping`]: [`ReferenceSimulation::step`] wraps the
-    /// coordinates under the list it is about to replace.
     nonbonded: NbEvaluator,
     pub forces: Vec<Vec3>,
     pub step_count: u64,
@@ -76,7 +74,7 @@ impl ReferenceSimulation {
         ReferenceSimulation {
             params: NonbondedParams::new(cutoff),
             filter: ZoneFilter::whole_system(&system),
-            nonbonded: NbEvaluator::wrapping(),
+            nonbonded: NbEvaluator::default(),
             system,
             cutoff,
             buffer,

@@ -7,10 +7,11 @@
 //!
 //! Forces come from the whole-system path [`crate::ReferenceSimulation`]
 //! also takes: the engine's non-bonded evaluator (DESIGN.md §3.4) with the
-//! whole system as one rank, then bonds and angles. The sweep wraps every
-//! coordinate into the box under a live list, so the evaluator is
-//! `NbEvaluator::wrapping()`. The list is Verlet-buffered by `LIST_BUFFER`
-//! and kept across sweeps until some atom has moved more than half of it.
+//! whole system as one rank, then bonds and angles. The list is
+//! Verlet-buffered by `LIST_BUFFER` and kept across sweeps until some atom
+//! has moved more than half of it. The sweep wraps every coordinate into the
+//! box under that live list; the evaluator sees the wrap and clears the
+//! list's image bits.
 
 use crate::forces::NonbondedParams;
 use crate::nb::NbEvaluator;
@@ -50,7 +51,7 @@ impl Default for MinimizeOptions {
 pub fn steepest_descent(system: &mut System, opts: MinimizeOptions) -> (f64, f64) {
     let params = NonbondedParams::new(opts.cutoff);
     let filter = ZoneFilter::whole_system(system);
-    let mut nb = NbEvaluator::wrapping();
+    let mut nb = NbEvaluator::default();
     descend(system, opts, |system, energy, forces| {
         whole_system_nonbonded(
             &mut nb,
@@ -230,7 +231,7 @@ mod tests {
                 }
                 let params = NonbondedParams::new(opts.cutoff);
                 let filter = ZoneFilter::whole_system(&sys);
-                let mut nb = NbEvaluator::wrapping();
+                let mut nb = NbEvaluator::default();
                 let (mut sweeps, mut builds) = (0, 0);
                 descend(&mut sys, opts, |system, energy, forces| {
                     let positions = &system.positions;
@@ -288,7 +289,7 @@ mod tests {
         let ea = steepest_descent(&mut a, opts);
         let params = NonbondedParams::new(opts.cutoff);
         let filter = ZoneFilter::whole_system(&b);
-        let mut nb = NbEvaluator::wrapping();
+        let mut nb = NbEvaluator::default();
         let eb = descend(&mut b, opts, |system, _, forces| {
             whole_system_nonbonded(&mut nb, &filter, system, &params, LIST_BUFFER, true, forces)
         });

@@ -9,17 +9,20 @@
 //! reference driver and the threaded per-PE loops) get their non-bonded
 //! forces from, which is what keeps them bitwise identical:
 //!
-//! * exactly one `needs_rebuild` decision per force round, made *after*
-//!   the coordinate halo is in place, so serial and threaded see identical
-//!   inputs;
+//! * exactly one Verlet verdict per force round, made *after* the
+//!   coordinate halo is in place, so serial and threaded see identical
+//!   inputs: a stale list is rebuilt, and a list some coordinate was
+//!   wrapped under is demoted — its image bits cleared, so the kernel takes
+//!   the minimum image on every tile ([`crate::pairlist::Verdict`]). No
+//!   caller has to promise not to wrap;
 //! * the local (home–home) partition may be evaluated optimistically
 //!   during the overlap window — before halo arrivals — via
 //!   [`NbEvaluator::compute_local_overlapped`]. That pass reads only home
 //!   coordinates (arrivals write only the halo tail) and uses the retained
-//!   list, so when the post-arrival staleness check passes, the partial is
-//!   exactly what the non-overlapped order would have produced and is
-//!   folded as-is; when the list turns out stale the partial is discarded
-//!   and the round recomputes from the fresh list;
+//!   list, so when the post-arrival verdict is that the list holds, the
+//!   partial is exactly what the non-overlapped order would have produced
+//!   and is folded as-is; when the list turns out stale or wrapped the
+//!   partial is discarded and the round recomputes;
 //! * the caller says per round whether it wants energy and virial: rounds
 //!   that record none run the kernel's force-only flavour, whose forces are
 //!   bitwise the energy kernel's.
@@ -31,7 +34,7 @@ use crate::cluster::{
 };
 use crate::forces::NonbondedParams;
 use crate::frame::Frame;
-use crate::pairlist::PairFilter;
+use crate::pairlist::{PairFilter, Verdict};
 use crate::soa::{SoaCoords, SoaForces};
 use crate::topology::AtomKind;
 use crate::vec3::Vec3;
@@ -64,23 +67,9 @@ pub struct NbEvaluator {
     /// Pair interactions in the list used by the most recent
     /// [`NbEvaluator::compute`] round (local + halo partitions).
     last_pairs: u64,
-    /// Clear the image bits of every list built (see
-    /// [`NbEvaluator::wrapping`]).
-    wrapping: bool,
 }
 
 impl NbEvaluator {
-    /// An evaluator for a caller that wraps coordinates into the box while
-    /// a list is live — the minimiser wraps every sweep. Every list it
-    /// builds has its image bits cleared, so the kernel takes the minimum
-    /// image on every tile (see [`compute_nonbonded_clusters`]).
-    pub(crate) fn wrapping() -> Self {
-        NbEvaluator {
-            wrapping: true,
-            ..Self::default()
-        }
-    }
-
     /// True when the next [`NbEvaluator::compute`] rebuilds the list: there
     /// is none, or some atom has moved more than `buffer / 2` since it was
     /// built.
@@ -134,11 +123,11 @@ impl NbEvaluator {
     }
 
     /// One full non-bonded force round over the complete (home + halo)
-    /// coordinate array: staleness check, rebuild if needed, kernel
-    /// evaluation, force accumulation into `forces` (additive). Returns
-    /// `(energy, virial)`; with `energy` false the kernel runs its
-    /// force-only flavour and returns zeros (the forces are bitwise the
-    /// same either way).
+    /// coordinate array: Verlet verdict, rebuild if stale or demote if
+    /// wrapped, kernel evaluation, force accumulation into `forces`
+    /// (additive). Returns `(energy, virial)`; with `energy` false the
+    /// kernel runs its force-only flavour and returns zeros (the forces are
+    /// bitwise the same either way).
     #[allow(clippy::too_many_arguments)]
     pub fn compute(
         &mut self,
@@ -154,18 +143,26 @@ impl NbEvaluator {
         forces: &mut [Vec3],
         clock: &mut impl PhaseClock,
     ) -> (f64, f64) {
-        let cl = match &mut self.list {
-            Some(cl) if !cl.needs_rebuild(positions, buffer) => cl,
-            slot => {
-                // Any overlapped partial was computed against the old list:
-                // discard and recompute from scratch.
-                self.pending_local = None;
+        let verdict = match &self.list {
+            Some(cl) => cl.staleness.verdict(positions, buffer),
+            None => Verdict::Stale,
+        };
+        if verdict != Verdict::Holds {
+            // Any overlapped partial was computed against the old list, or
+            // through image bits a wrap has broken: discard and recompute.
+            self.pending_local = None;
+        }
+        let cl = match (&mut self.list, verdict) {
+            (Some(cl), Verdict::Holds) => cl,
+            // A wrap demotes the list: every tile takes the minimum image.
+            (Some(cl), Verdict::Wrapped) => {
+                cl.clear_image_bits();
+                cl
+            }
+            (slot, _) => {
                 let cl = slot.insert(clock.time("pairlist", || {
                     ClusterPairList::build(frame, positions, kinds, n_home, r_list, filter)
                 }));
-                if self.wrapping {
-                    cl.clear_image_bits();
-                }
                 // The list only changes here, so neither does its count.
                 self.last_pairs = cl.n_pairs() as u64;
                 cl
@@ -225,7 +222,7 @@ fn tiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairlist::{eighth_shell_rule, PairList};
+    use crate::pairlist::{eighth_shell_rule, PairList, ZoneFilter};
     use crate::system::GrappaBuilder;
     use std::collections::BTreeMap;
     use std::time::{Duration, Instant};
@@ -300,6 +297,56 @@ mod tests {
         assert!(ev.stale(&moved, buffer));
         // Asking changes nothing.
         assert!(ev.stale(&moved, buffer));
+    }
+
+    /// A wrap under a live list demotes it instead of trusting its image
+    /// bits: an atom that drifts across the x = 0 face and is wrapped to
+    /// the top of the box gets, bit for bit, the forces of the same list
+    /// with every bit cleared — not the raw difference to partners a box
+    /// length away.
+    #[test]
+    fn a_wrap_under_a_live_list_clears_its_image_bits() {
+        let sys = GrappaBuilder::new(1500).seed(54).build();
+        let frame = Frame::fully_periodic(&sys.pbc);
+        let (n, buffer) = (sys.n_atoms(), 0.1);
+        let filter = ZoneFilter::whole_system(&sys);
+        let params = NonbondedParams::new(0.7);
+        let round = |ev: &mut NbEvaluator, pos: &[Vec3]| {
+            let mut f = vec![Vec3::ZERO; n];
+            let (kinds, clock) = (&sys.kinds, &mut ());
+            let r = ev.compute(
+                &frame, pos, kinds, n, 0.8, buffer, &filter, &params, true, &mut f, clock,
+            );
+            (r, f)
+        };
+        let set_bits = |ev: &NbEvaluator| {
+            let cl = ev.list().unwrap();
+            let bits = cl.local.unshifted.iter().chain(&cl.halo.unshifted);
+            bits.filter(|&&b| b).count()
+        };
+        let x = |i: &usize| sys.positions[*i].x;
+        let a = (0..n).min_by(|i, j| x(i).total_cmp(&x(j))).unwrap();
+        assert!(x(&a) + 0.01 < 0.5 * buffer, "atom {a} at x = {}", x(&a));
+        let mut wrapped = sys.positions.clone();
+        wrapped[a] = sys.pbc.wrap(wrapped[a] - Vec3::new(x(&a) + 0.01, 0.0, 0.0));
+        assert!(wrapped[a].x > 0.5 * sys.pbc.lengths().x);
+
+        let mut live = NbEvaluator::default();
+        round(&mut live, &sys.positions);
+        assert!(set_bits(&live) > 0);
+        let mut cleared = NbEvaluator::default();
+        round(&mut cleared, &sys.positions);
+        cleared.list.as_mut().unwrap().clear_image_bits();
+
+        let (r_live, f_live) = round(&mut live, &wrapped);
+        let (r_cleared, f_cleared) = round(&mut cleared, &wrapped);
+        assert_eq!(r_live.0.to_bits(), r_cleared.0.to_bits());
+        assert_eq!(r_live.1.to_bits(), r_cleared.1.to_bits());
+        assert_forces_bitwise(&f_live, &f_cleared, &format!("atom {a} wrapped"));
+        // Demoted, not rebuilt: the list still holds its build coordinates.
+        assert_eq!(set_bits(&live), 0);
+        let built_at = &live.list().unwrap().staleness;
+        assert_eq!(built_at.verdict(&sys.positions, buffer), Verdict::Holds);
     }
 
     /// The threaded-equivalence argument in miniature: a round evaluated

@@ -1,6 +1,6 @@
 //! Verlet pair lists with a buffer, and the two pieces every list in this
 //! crate is made of: the `CellGrid` neighbour search and the
-//! [`Staleness`] rebuild state.
+//! [`Staleness`] rebuild state with its [`Verdict`].
 //!
 //! The list is built over a *local* coordinate array (for domain
 //! decomposition: home atoms followed by pre-shifted halo copies; for a
@@ -64,6 +64,18 @@ pub struct Staleness {
     ref_positions: Vec<Vec3>,
 }
 
+/// What [`Staleness::verdict`] finds at new coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// No atom moved more than `buffer / 2` since the build, none wrapped.
+    Holds,
+    /// Some raw move exceeds `buffer / 2`, no minimum-image move does: a
+    /// periodic wrap. The pairs still hold; the image bits do not.
+    Wrapped,
+    /// Some minimum-image move exceeds `buffer / 2`, or the length differs.
+    Stale,
+}
+
 impl Staleness {
     pub(crate) fn new(frame: &Frame, positions: &[Vec3], r_list: f32) -> Staleness {
         Staleness {
@@ -73,19 +85,33 @@ impl Staleness {
         }
     }
 
-    /// True if any atom has moved more than `buffer / 2` since the list was
-    /// built, meaning an unlisted pair could now be inside the cutoff. The
-    /// scan exits on the first offending atom. A coordinate array of
-    /// another length is always stale: a list says nothing about atoms it
-    /// was not built over. Asking changes nothing, so every caller gets the
-    /// same verdict however far its atoms move between calls.
-    pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
+    /// The Verlet-buffer check: one scan that tells a wrap from a move. Per
+    /// atom it takes the raw move from the build position, and the minimum
+    /// image only when that exceeds `buffer / 2`. The minimum image is never
+    /// longer (in `f32` too: rounding is monotone), so `Stale` is exactly a
+    /// move past `buffer / 2` under the frame metric; the scan exits at the
+    /// first one. Another length is stale: a list says nothing about atoms
+    /// it was not built over. Asking changes nothing.
+    pub fn verdict(&self, positions: &[Vec3], buffer: f32) -> Verdict {
+        if positions.len() != self.ref_positions.len() {
+            return Verdict::Stale;
+        }
         let lim2 = (0.5 * buffer) * (0.5 * buffer);
-        positions.len() != self.ref_positions.len()
-            || positions
-                .iter()
-                .zip(&self.ref_positions)
-                .any(|(p, q)| self.frame.dist2(*p, *q) > lim2)
+        let mut verdict = Verdict::Holds;
+        for (p, q) in positions.iter().zip(&self.ref_positions) {
+            if (*p - *q).norm2() > lim2 {
+                if self.frame.dist2(*p, *q) > lim2 {
+                    return Verdict::Stale;
+                }
+                verdict = Verdict::Wrapped;
+            }
+        }
+        verdict
+    }
+
+    /// [`Verdict::Stale`]: an unlisted pair could now be inside the cutoff.
+    pub fn needs_rebuild(&self, positions: &[Vec3], buffer: f32) -> bool {
+        self.verdict(positions, buffer) == Verdict::Stale
     }
 }
 
@@ -845,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn wrapping_finds_cross_boundary_pairs() {
+    fn periodic_search_finds_cross_boundary_pairs() {
         let pbc = PbcBox::cubic(5.0);
         let positions = vec![Vec3::new(0.1, 2.0, 2.0), Vec3::new(4.9, 2.0, 2.0)];
         let all = |_: usize, _: usize| true;
@@ -1054,6 +1080,52 @@ mod tests {
         longer.push(longer[0]);
         assert!(pl.needs_rebuild(&longer, 0.2));
         assert!(pl.needs_rebuild(&sys.positions[1..], 0.2));
+    }
+
+    #[test]
+    fn verdict_tells_a_wrap_from_a_move() {
+        let sys = GrappaBuilder::new(300).seed(5).build();
+        let l = sys.pbc.lengths();
+        let buffer = 0.2;
+        let moved = |edits: &[(usize, Vec3)]| {
+            let mut p = sys.positions.clone();
+            for &(i, d) in edits {
+                p[i] += d;
+            }
+            p
+        };
+        let (x, y) = (Vec3::new(l.x, 0.0, 0.0), Vec3::new(0.0, l.y, 0.0));
+        let step = Vec3::new(0.15, 0.0, 0.0); // > buffer / 2
+        let nudge = Vec3::new(0.0, 0.05, 0.0); // < buffer / 2
+        let mut longer = sys.positions.clone();
+        longer.push(longer[0]);
+        use Verdict::{Holds, Stale, Wrapped};
+        // (case, positions, verdict fully periodic, verdict under [2,1,1])
+        let rows = [
+            ("unmoved", moved(&[]), Holds, Holds),
+            ("nudged", moved(&[(5, nudge)]), Holds, Holds),
+            ("wrapped in x", moved(&[(5, -x)]), Wrapped, Stale),
+            ("wrap+nudge", moved(&[(5, y + nudge)]), Wrapped, Wrapped),
+            ("two wrapped", moved(&[(5, -y), (9, y)]), Wrapped, Wrapped),
+            ("moved", moved(&[(5, step)]), Stale, Stale),
+            ("wrap, move", moved(&[(5, -y), (9, step)]), Stale, Stale),
+            ("move, wrap", moved(&[(5, step), (9, -y)]), Stale, Stale),
+            ("one atom more", longer, Stale, Stale),
+            ("one atom fewer", sys.positions[1..].to_vec(), Stale, Stale),
+        ];
+        let frames = [
+            ("fully periodic", Frame::fully_periodic(&sys.pbc)),
+            ("[2,1,1]", Frame::for_decomposition(&sys.pbc, [2, 1, 1])),
+        ];
+        for (case, positions, periodic, decomposed) in rows {
+            for ((label, frame), want) in frames.iter().zip([periodic, decomposed]) {
+                let staleness = Staleness::new(frame, &sys.positions, 0.9);
+                let got = staleness.verdict(&positions, buffer);
+                assert_eq!(got, want, "{case}, {label}");
+                let stale = staleness.needs_rebuild(&positions, buffer);
+                assert_eq!(stale, want == Stale, "{case}, {label}");
+            }
+        }
     }
 
     #[test]
