@@ -75,7 +75,7 @@ pub fn proxy_pinning() -> Vec<AblationRow> {
 /// work, so removing them does not shorten the critical path. This matches
 /// the paper's framing: graph capture is *compatible* with the NVSHMEM
 /// exchange (§5.3) and pays off in launch-bound settings (single-GPU /
-/// sync-heavy steps, [15]), not in the halo-exchange-bound ones studied.
+/// sync-heavy steps, \[15\]), not in the halo-exchange-bound ones studied.
 pub fn cuda_graphs() -> Vec<AblationRow> {
     let machine = MachineModel::gb200_nvl72();
     let grid = grid_for(45_000, 32, None);

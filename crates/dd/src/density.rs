@@ -9,35 +9,9 @@
 
 use crate::bounds::DdBounds;
 use crate::grid::DdGrid;
+use crate::plan::{pulse_counts, PlanError};
 use halox_md::Vec3;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Why the analytic model cannot price a configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadModelError {
-    /// The thinnest cell along `dim` needs a forwarding chain at least as
-    /// long as the cell count — no valid decomposition exists, so there is
-    /// nothing to price (mirrors [`crate::plan::PlanError::PulsesExceedGrid`]).
-    PulsesExceedGrid {
-        dim: usize,
-        pulses: usize,
-        cells: usize,
-    },
-}
-
-impl fmt::Display for WorkloadModelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkloadModelError::PulsesExceedGrid { dim, pulses, cells } => write!(
-                f,
-                "dim {dim}: {pulses} pulses over {cells} cells is not decomposable"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for WorkloadModelError {}
 
 /// Expected communication sizes for one pulse, from zone geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -106,7 +80,7 @@ impl WorkloadModel {
     /// Expected per-pulse sizes in global pulse order, assuming uniform
     /// cells. Dimensions whose domains are thinner than `r_comm` get as many
     /// forwarding pulses as the chain needs (GROMACS' multi-neighbour
-    /// communication); a chain longer than the grid panics — use
+    /// communication); a geometry the plan refuses panics — use
     /// [`WorkloadModel::try_pulse_sizes_with`] for a typed error.
     pub fn pulse_sizes(&self) -> Vec<PulseSizeModel> {
         self.try_pulse_sizes_with(&DdBounds::uniform(&self.grid))
@@ -122,27 +96,17 @@ impl WorkloadModel {
     /// above (the right direction for admission pricing). Cross-section
     /// factors use the mean cell length (exactly `box / dims`), which is the
     /// expectation over ranks for a homogeneous system under any boundary
-    /// placement. Infeasible geometry (chain at least as long as the grid)
-    /// is a typed [`WorkloadModelError`] instead of a silent mis-price.
+    /// placement. Pulse counts and feasibility are the plan's own
+    /// ([`pulse_counts`]): a geometry the plan refuses is its typed
+    /// [`PlanError`] instead of a silent mis-price.
     pub fn try_pulse_sizes_with(
         &self,
         bounds: &DdBounds,
-    ) -> Result<Vec<PulseSizeModel>, WorkloadModelError> {
+    ) -> Result<Vec<PulseSizeModel>, PlanError> {
         let l = self.domain_lengths();
         let rc = self.r_comm as f64;
         let dims = self.grid.comm_dims();
-        let mut min_l = [0f64; 3];
-        for &d in &dims {
-            min_l[d] = bounds.min_cell_len(d, self.box_lengths[d]) as f64;
-            let np = (rc / min_l[d]).ceil().max(1.0) as usize;
-            if np >= self.grid.dims[d] {
-                return Err(WorkloadModelError::PulsesExceedGrid {
-                    dim: d,
-                    pulses: np,
-                    cells: self.grid.dims[d],
-                });
-            }
-        }
+        let pulses = pulse_counts(&self.grid, bounds, self.box_lengths, self.r_comm, None)?;
         let mut out = Vec::new();
         let mut gid = 0;
         for (i, &d) in dims.iter().enumerate() {
@@ -169,9 +133,8 @@ impl WorkloadModel {
             // from the receiving boundary: the first pulse is the only one
             // carrying independent (home) data, every later pulse is all
             // forwarded.
-            let ld = min_l[d];
-            let np = (rc / ld).ceil().max(1.0) as usize;
-            for k in 0..np {
+            let ld = bounds.min_cell_len(d, self.box_lengths[d]) as f64;
+            for k in 0..pulses[d] {
                 let t = (rc - k as f64 * ld).min(ld);
                 let v_total = t * cs_total;
                 let dep_fraction = if k == 0 {
@@ -450,7 +413,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                WorkloadModelError::PulsesExceedGrid {
+                PlanError::PulsesExceedGrid {
                     dim: 0,
                     cells: 4,
                     ..

@@ -2,11 +2,14 @@
 //!
 //! GROMACS chooses the DD grid from the box shape and rank count
 //! (`dd_choose_grid`); the paper's runs span 1D (4-8 GPUs) to 3D (32+ GPUs)
-//! decompositions. We implement a cost-based chooser — exact eighth-shell
-//! halo volume per candidate factorization plus a per-pulse latency penalty —
-//! and, like `mdrun -dd`, an explicit override used by the figure harnesses
-//! to pin the exact grids the paper reports.
+//! decompositions. We implement a cost-based chooser — the analytic model's
+//! eighth-shell halo per candidate factorization, at the plan's pulse
+//! counts, plus a per-pulse latency penalty — and, like `mdrun -dd`, an
+//! explicit override used by the figure harnesses to pin the exact grids the
+//! paper reports.
 
+use crate::bounds::DdBounds;
+use crate::density::WorkloadModel;
 use halox_md::Vec3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -18,8 +21,9 @@ pub enum GridError {
     /// `GridOptions::force_grid` names a factorization whose rank product
     /// disagrees with the requested rank count.
     ForcedMismatch { forced: [usize; 3], n_ranks: usize },
-    /// Every factorization of `n_ranks` produces at least one decomposed
-    /// domain thinner than `r_comm`; no feasible decomposition exists.
+    /// Every factorization of `n_ranks` needs more than `max_pulses` pulses
+    /// in some dimension, or is a geometry the plan refuses; no feasible
+    /// decomposition exists.
     Infeasible { n_ranks: usize, box_lengths: Vec3 },
 }
 
@@ -118,15 +122,16 @@ impl DdGrid {
     }
 }
 
+/// Latency penalty per forwarding pulse, in "equivalent halo atoms": the
+/// per-pulse launch/latency overhead that makes GROMACS prefer fewer
+/// communication phases at small scale.
+const PULSE_PENALTY_ATOMS: f64 = 1200.0;
+
 /// Options for [`choose_grid`].
 #[derive(Debug, Clone)]
 pub struct GridOptions {
     /// Halo communication distance (cutoff + Verlet buffer), nm.
     pub r_comm: f32,
-    /// Latency penalty per decomposed dimension, expressed in "equivalent
-    /// halo atoms"; mirrors the per-pulse launch/latency overheads that make
-    /// GROMACS prefer fewer communication phases at small scale.
-    pub pulse_penalty_atoms: f64,
     /// Atom number density used to convert zone volumes to atom counts.
     pub density: f64,
     /// Explicit grid override (like `mdrun -dd x y z`); must match n_ranks.
@@ -134,8 +139,8 @@ pub struct GridOptions {
     /// Maximum forwarding pulses per dimension a candidate grid may need.
     /// The default of 1 keeps the chooser in the paper's single-pulse
     /// regime; raising it admits thin-cell grids whose halos arrive via
-    /// multi-pulse forwarding (each extra pulse also pays
-    /// `pulse_penalty_atoms`).
+    /// multi-pulse forwarding (each extra pulse also pays the per-pulse
+    /// latency penalty).
     pub max_pulses: usize,
 }
 
@@ -143,49 +148,11 @@ impl Default for GridOptions {
     fn default() -> Self {
         GridOptions {
             r_comm: 1.05,
-            pulse_penalty_atoms: 1200.0,
             density: halox_md::GRAPPA_ATOM_DENSITY,
             force_grid: None,
             max_pulses: 1,
         }
     }
-}
-
-/// Estimated per-rank halo atoms for a grid on a box: the sum of the exact
-/// eighth-shell pulse-zone volumes (including forwarded corner extensions)
-/// times the density. Returns None if any decomposed domain needs more than
-/// `opts.max_pulses` forwarding pulses (default 1, as in all paper
-/// configurations) or a pulse chain as long as the grid itself.
-pub fn halo_atoms_estimate(grid: &DdGrid, box_lengths: Vec3, opts: &GridOptions) -> Option<f64> {
-    let l = grid.domain_lengths(box_lengths);
-    let rc = opts.r_comm as f64;
-    let dims = grid.comm_dims();
-    for &d in &dims {
-        let np = (rc / l[d] as f64).ceil().max(1.0) as usize;
-        if np > opts.max_pulses || np >= grid.dims[d] {
-            return None;
-        }
-    }
-    // Pulse volume for the i-th communicated dim:
-    //   rc * prod_{earlier dims} (l + rc) * prod_{later dims} l
-    let mut vol = 0.0;
-    for (i, &d) in dims.iter().enumerate() {
-        let mut v = rc;
-        for (j, &e) in dims.iter().enumerate() {
-            if e == d {
-                continue;
-            }
-            v *= if j < i { l[e] as f64 + rc } else { l[e] as f64 };
-        }
-        // Non-decomposed dims span the whole box.
-        for e in 0..3 {
-            if !dims.contains(&e) {
-                v *= l[e] as f64;
-            }
-        }
-        vol += v;
-    }
-    Some(vol * opts.density)
 }
 
 /// Enumerate all factorizations of `n` into [nx, ny, nz].
@@ -206,10 +173,33 @@ pub fn factorizations(n: usize) -> Vec<[usize; 3]> {
     out
 }
 
-/// Choose a DD grid for `n_ranks` on a box, minimizing estimated halo atoms
-/// plus a per-dimension pulse penalty. Returns [`GridError::Infeasible`] if
-/// no feasible grid exists (all factorizations produce domains thinner than
-/// `r_comm`) and [`GridError::ForcedMismatch`] for a bad override.
+/// What the chooser weighs for one grid: the analytic model's halo atoms
+/// per rank and its pulse count. `None` for a grid the plan refuses or one
+/// needing more than `opts.max_pulses` pulses in a dimension. (`n_atoms`
+/// only scales per-rank figures; the halo needs the density alone.)
+fn candidate(grid: DdGrid, box_lengths: Vec3, opts: &GridOptions) -> Option<(f64, usize)> {
+    let model = WorkloadModel {
+        n_atoms: 0,
+        density: opts.density,
+        r_comm: opts.r_comm,
+        grid,
+        box_lengths,
+    };
+    let sizes = model.try_pulse_sizes_with(&DdBounds::uniform(&grid)).ok()?;
+    let pulses_in = |d| sizes.iter().filter(|p| p.dim == d).count();
+    if (0..3).any(|d| pulses_in(d) > opts.max_pulses) {
+        return None;
+    }
+    Some((sizes.iter().map(|p| p.send_atoms).sum(), sizes.len()))
+}
+
+/// Choose a DD grid for `n_ranks` on a box, minimizing the analytic model's
+/// halo atoms ([`WorkloadModel`]) plus a per-pulse latency penalty. Every
+/// pick builds with [`crate::try_build_partition`] within
+/// `opts.max_pulses` pulses per dimension. Returns [`GridError::Infeasible`]
+/// if no feasible grid exists (every factorization needs more pulses than
+/// allowed, or is a geometry the plan refuses) and
+/// [`GridError::ForcedMismatch`] for a bad override.
 pub fn try_choose_grid(
     n_ranks: usize,
     box_lengths: Vec3,
@@ -226,21 +216,10 @@ pub fn try_choose_grid(
     let mut best: Option<(f64, DdGrid)> = None;
     for dims in factorizations(n_ranks) {
         let g = DdGrid::new(dims);
-        let Some(halo) = halo_atoms_estimate(&g, box_lengths, opts) else {
+        let Some((halo, pulses)) = candidate(g, box_lengths, opts) else {
             continue;
         };
-        // Latency penalty per *pulse*: a thin dim needing k forwarding
-        // pulses costs k serialized communication steps (equals
-        // n_decomposed in the default single-pulse regime).
-        let total_pulses: usize = g
-            .comm_dims()
-            .iter()
-            .map(|&d| {
-                let ld = box_lengths[d] as f64 / g.dims[d] as f64;
-                ((opts.r_comm as f64 / ld).ceil().max(1.0)) as usize
-            })
-            .sum();
-        let cost = halo + opts.pulse_penalty_atoms * total_pulses as f64;
+        let cost = halo + PULSE_PENALTY_ATOMS * pulses as f64;
         let better = match &best {
             None => true,
             Some((c, bg)) => {
@@ -268,6 +247,17 @@ pub fn choose_grid(n_ranks: usize, box_lengths: Vec3, opts: &GridOptions) -> DdG
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The analytic model of a grid at the chooser's density and radius.
+    fn model(grid: &DdGrid, box_lengths: Vec3, opts: &GridOptions) -> WorkloadModel {
+        WorkloadModel {
+            n_atoms: 0,
+            density: opts.density,
+            r_comm: opts.r_comm,
+            grid: *grid,
+            box_lengths,
+        }
+    }
 
     #[test]
     fn rank_coord_round_trip() {
@@ -366,7 +356,7 @@ mod tests {
     fn infeasible_thin_domains_rejected() {
         let opts = GridOptions::default();
         // 32 ranks on a small box: 32x1x1 would give 0.24 nm domains.
-        let est = halo_atoms_estimate(&DdGrid::new([32, 1, 1]), Vec3::splat(7.66), &opts);
+        let est = candidate(DdGrid::new([32, 1, 1]), Vec3::splat(7.66), &opts);
         assert!(est.is_none());
     }
 
@@ -376,12 +366,13 @@ mod tests {
         // pulses — rejected by default, admitted when opted in.
         let g = DdGrid::new([8, 1, 1]);
         let box_l = Vec3::splat(8.0);
-        assert!(halo_atoms_estimate(&g, box_l, &GridOptions::default()).is_none());
+        assert!(candidate(g, box_l, &GridOptions::default()).is_none());
         let opts = GridOptions {
             max_pulses: 2,
             ..Default::default()
         };
-        let est = halo_atoms_estimate(&g, box_l, &opts).unwrap();
+        let (est, pulses) = candidate(g, box_l, &opts).unwrap();
+        assert_eq!(pulses, 2);
         // Total slab depth is still rc regardless of pulse count.
         assert!((est - 1.05 * 8.0 * 8.0 * 100.0).abs() < 1e-3, "{est}");
         // But a chain as long as the grid stays infeasible even opted-in.
@@ -389,12 +380,12 @@ mod tests {
             max_pulses: 8,
             ..Default::default()
         };
-        assert!(halo_atoms_estimate(&DdGrid::new([8, 1, 1]), Vec3::splat(1.0), &opts).is_none());
+        assert!(candidate(DdGrid::new([8, 1, 1]), Vec3::splat(1.0), &opts).is_none());
         // And the chooser pays the per-pulse penalty: with relaxation on,
         // 8 ranks on the thin box prefer a 2D split over a 2-pulse 1D one
         // only when the extra halo beats the extra pulse latency.
         let chosen = choose_grid(8, box_l, &opts);
-        let est_chosen = halo_atoms_estimate(&chosen, box_l, &opts).unwrap();
+        let (est_chosen, _) = candidate(chosen, box_l, &opts).unwrap();
         assert!(est_chosen.is_finite());
     }
 
@@ -406,7 +397,7 @@ mod tests {
             ..Default::default()
         };
         let g = DdGrid::new([4, 1, 1]);
-        let est = halo_atoms_estimate(&g, Vec3::splat(8.0), &opts).unwrap();
+        let est = model(&g, Vec3::splat(8.0), &opts).halo_atoms_per_rank();
         // Single pulse in x: rc * Ly * Lz * rho = 1 * 8 * 8 * 100.
         assert!((est - 6400.0).abs() < 1e-6, "{est}");
     }
@@ -420,12 +411,105 @@ mod tests {
         };
         let g = DdGrid::new([2, 2, 2]);
         let l = 4.0f32; // domain edge
-        let est = halo_atoms_estimate(&g, Vec3::splat(8.0), &opts).unwrap();
+        let est = model(&g, Vec3::splat(8.0), &opts).halo_atoms_per_rank();
         // z pulse: rc*lx*ly = 16; y: rc*lx*(lz+rc) = 20; x: rc*(ly+rc)*(lz+rc) = 25.
         let expect = (l as f64) * (l as f64)
             + (l as f64) * (l as f64 + 1.0)
             + (l as f64 + 1.0) * (l as f64 + 1.0);
         assert!((est - expect).abs() < 1e-6, "{est} vs {expect}");
+    }
+
+    /// A grappa-density system in a box of `lengths`: the grappa cube of the
+    /// same volume, stretched per dimension.
+    fn system_in(lengths: Vec3) -> halox_md::System {
+        let n = (lengths.x * lengths.y * lengths.z * 100.0).round() as usize;
+        let mut sys = halox_md::GrappaBuilder::new(n).seed(7).build();
+        let edge = sys.pbc.lengths();
+        for p in &mut sys.positions {
+            *p = Vec3::new(
+                p.x * lengths.x / edge.x,
+                p.y * lengths.y / edge.y,
+                p.z * lengths.z / edge.z,
+            );
+        }
+        sys.pbc = halox_md::PbcBox::new(lengths);
+        sys
+    }
+
+    #[test]
+    fn every_pick_builds_within_max_pulses() {
+        use crate::plan::{try_build_partition, PlanError};
+        use std::collections::HashMap;
+        // Boxes whose cells fit r_comm exactly at some rank count, where f32
+        // decides between one pulse and two.
+        let boxes = [
+            (Vec3::splat(3.0), 1.0), // the 2 700-atom grappa cube
+            (Vec3::new(3.0, 3.0, 1.5), 1.0),
+            (Vec3::splat(4.0), 1.0),
+            (Vec3::splat(3.15), 1.05),
+            (Vec3::new(2.4, 4.8, 2.4), 0.8),
+        ];
+        let systems: Vec<_> = boxes.iter().map(|&(box_l, _)| system_in(box_l)).collect();
+        let ranks = (1..=12).chain([16, 18, 24, 27]);
+        let mut built: HashMap<(usize, [usize; 3]), Result<[usize; 3], PlanError>> = HashMap::new();
+        let mut picks = 0;
+        for n_ranks in ranks {
+            for (b, &(box_l, r_comm)) in boxes.iter().enumerate() {
+                let sys = &systems[b];
+                for max_pulses in 1..=3 {
+                    let opts = GridOptions {
+                        r_comm,
+                        density: sys.density(),
+                        max_pulses,
+                        ..Default::default()
+                    };
+                    let Ok(grid) = try_choose_grid(n_ranks, box_l, &opts) else {
+                        continue;
+                    };
+                    let pulses = built.entry((b, grid.dims)).or_insert_with(|| {
+                        let part = try_build_partition(sys, &grid, r_comm)?;
+                        let mut pulses = [0; 3];
+                        for &(d, n) in &part.layout.per_dim {
+                            pulses[d] = n;
+                        }
+                        Ok(pulses)
+                    });
+                    let pulses = pulses.as_ref().unwrap_or_else(|e| {
+                        panic!(
+                            "{n_ranks} ranks on {box_l:?}: {:?} does not build: {e}",
+                            grid.dims
+                        )
+                    });
+                    assert!(
+                        pulses.iter().all(|&n| n <= max_pulses),
+                        "{n_ranks} ranks on {box_l:?}, max_pulses {max_pulses}: {:?} builds {pulses:?}",
+                        grid.dims
+                    );
+                    picks += 1;
+                }
+            }
+        }
+        assert!(picks > 100, "only {picks} picks");
+        // The 2 700-atom cube's three 1.0 nm cells are 0.99999994 nm in f32:
+        // two pulses, so one-pulse grids do not exist for 3 ranks...
+        let cube = Vec3::splat(3.0);
+        let one = GridOptions {
+            r_comm: 1.0,
+            ..Default::default()
+        };
+        assert!(try_choose_grid(3, cube, &one).is_err());
+        let two = GridOptions {
+            max_pulses: 2,
+            ..one.clone()
+        };
+        assert_eq!(try_choose_grid(3, cube, &two).unwrap().dims, [3, 1, 1]);
+        // ...and 27 ranks on 3 x 3 x 1.5 nm have no grid the plan builds:
+        // three z cells need three pulses, one z cell is under 2 r_comm.
+        let slab = Vec3::new(3.0, 3.0, 1.5);
+        assert!(matches!(
+            try_choose_grid(27, slab, &two),
+            Err(GridError::Infeasible { n_ranks: 27, .. })
+        ));
     }
 
     #[test]

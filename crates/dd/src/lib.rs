@@ -15,7 +15,9 @@
 //!   assignment, plus *serial reference* coordinate/force exchanges that
 //!   define the semantics every concurrent backend must reproduce;
 //! * [`density`] — analytic halo-size model for systems too large to
-//!   materialize (validated against exact plans).
+//!   materialize (validated against exact plans), at the plan's own pulse
+//!   counts ([`plan::pulse_counts`]); the grid chooser and the service's
+//!   admission estimate price halos with it.
 //!
 //! ```
 //! use halox_dd::{build_partition, DdGrid};
@@ -43,13 +45,11 @@ pub mod plan;
 pub mod pulse;
 
 pub use bounds::{BoundsError, DdBounds};
-pub use density::{grappa_box, PulseSizeModel, WorkloadModel, WorkloadModelError};
-pub use grid::{
-    choose_grid, factorizations, halo_atoms_estimate, try_choose_grid, DdGrid, GridError,
-    GridOptions,
-};
+pub use density::{grappa_box, PulseSizeModel, WorkloadModel};
+pub use grid::{choose_grid, factorizations, try_choose_grid, DdGrid, GridError, GridOptions};
 pub use plan::{
-    build_partition, reference_coordinate_exchange, reference_force_exchange, try_build_partition,
-    try_build_partition_with, DdPartition, Displacement, HaloEntry, PlanError, RankPlan,
+    build_partition, pulse_counts, reference_coordinate_exchange, reference_force_exchange,
+    try_build_partition, try_build_partition_with, DdPartition, Displacement, HaloEntry, PlanError,
+    RankPlan,
 };
-pub use pulse::{PulseData, PulseLayout};
+pub use pulse::{pulses_needed, PulseData, PulseLayout};

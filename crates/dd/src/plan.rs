@@ -10,7 +10,7 @@
 
 use crate::bounds::DdBounds;
 use crate::grid::DdGrid;
-use crate::pulse::{PulseData, PulseLayout};
+use crate::pulse::{pulses_needed, PulseData, PulseLayout};
 use halox_md::pairlist::ZoneFilter;
 use halox_md::topology::{Angle, Bond};
 use halox_md::{System, Vec3};
@@ -54,8 +54,8 @@ impl fmt::Display for PlanError {
             ),
             PlanError::PulsesExceedGrid { dim, pulses, cells } => write!(
                 f,
-                "dim {dim}: {pulses} pulses over {cells} cells would wrap the torus; \
-                 cells are thinner than r_comm allows"
+                "dim {dim}: {pulses} pulses over {cells} cells is not decomposable: \
+                 the chain would wrap the torus; cells are thinner than r_comm allows"
             ),
             PlanError::BoxTooNarrow {
                 dim,
@@ -184,6 +184,45 @@ pub fn try_build_partition(
     try_build_partition_with(system, grid, &DdBounds::uniform(grid), r_comm, None)
 }
 
+/// The plan's halo geometry for `grid` under `bounds` on a box of `box_l`:
+/// pulses per dimension ([`pulses_needed`] over each decomposed dimension's
+/// thinnest cell, raised to `min_pulses`; 1 elsewhere), or the geometry
+/// error the plan would return. A chain must stay shorter than the cell
+/// count ([`PlanError::PulsesExceedGrid`]), and a periodic non-decomposed
+/// dimension must be longer than `2 · r_comm` ([`PlanError::BoxTooNarrow`]).
+/// The analytic model and the grid chooser price grids through it, so they
+/// accept exactly the geometries the plan builds.
+pub fn pulse_counts(
+    grid: &DdGrid,
+    bounds: &DdBounds,
+    box_l: Vec3,
+    r_comm: f32,
+    min_pulses: Option<[usize; 3]>,
+) -> Result<[usize; 3], PlanError> {
+    for d in (0..3).filter(|&d| grid.dims[d] == 1) {
+        if r_comm >= 0.5 * box_l[d] {
+            return Err(PlanError::BoxTooNarrow {
+                dim: d,
+                box_len: box_l[d],
+                r_comm,
+            });
+        }
+    }
+    let mut pulses = [1usize; 3];
+    for d in grid.comm_dims() {
+        pulses[d] = pulses_needed(r_comm, bounds.min_cell_len(d, box_l[d]))
+            .max(min_pulses.map_or(1, |m| m[d]));
+        if pulses[d] >= grid.dims[d] {
+            return Err(PlanError::PulsesExceedGrid {
+                dim: d,
+                pulses: pulses[d],
+                cells: grid.dims[d],
+            });
+        }
+    }
+    Ok(pulses)
+}
+
 /// Build the decomposition with explicit cell boundaries and (optionally) a
 /// pinned minimum pulse count per dimension.
 ///
@@ -210,28 +249,8 @@ pub fn try_build_partition_with(
     let n_ranks = grid.n_ranks();
     let box_l = system.pbc.lengths();
     let comm_dims = grid.comm_dims();
-    for d in (0..3).filter(|&d| grid.dims[d] == 1) {
-        if r_comm >= 0.5 * box_l[d] {
-            return Err(PlanError::BoxTooNarrow {
-                dim: d,
-                box_len: box_l[d],
-                r_comm,
-            });
-        }
-    }
-    let mut pulse_counts = [1usize; 3];
-    for &d in &comm_dims {
-        let needed = (r_comm / bounds.min_cell_len(d, box_l[d])).ceil() as usize;
-        pulse_counts[d] = needed.max(1).max(min_pulses.map_or(1, |m| m[d]));
-        if pulse_counts[d] >= grid.dims[d] {
-            return Err(PlanError::PulsesExceedGrid {
-                dim: d,
-                pulses: pulse_counts[d],
-                cells: grid.dims[d],
-            });
-        }
-    }
-    let layout = PulseLayout::with_pulses(&comm_dims, pulse_counts);
+    let pulses = pulse_counts(grid, bounds, box_l, r_comm, min_pulses)?;
+    let layout = PulseLayout::with_pulses(&comm_dims, pulses);
 
     // --- 1. Home assignment ------------------------------------------------
     let mut owner_coords = Vec::with_capacity(system.n_atoms());

@@ -65,6 +65,17 @@ impl PulseData {
     }
 }
 
+/// Forwarding pulses a decomposed dimension needs: `⌈r_comm / min_cell⌉`
+/// in f32, at least 1 (paper Algorithm 1). `min_cell` is the dimension's
+/// *thinnest* cell ([`crate::DdBounds::min_cell_len`]): every rank's halo
+/// must arrive by forwarding across the narrowest cells. This is the only
+/// pulse-count rule — the plan, the analytic model, the grid chooser and
+/// the DLB pins all call it, so an exact fit (a cell of `r_comm` that f32
+/// rounds to just under it) needs the same two pulses everywhere.
+pub fn pulses_needed(r_comm: f32, min_cell: f32) -> usize {
+    ((r_comm / min_cell).ceil() as usize).max(1)
+}
+
 /// The phase/pulse layout shared by all ranks: which dims are decomposed and
 /// how many pulses each has, in global order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,22 +85,6 @@ pub struct PulseLayout {
 }
 
 impl PulseLayout {
-    /// Compute the layout for a grid: dims with >1 domains, z -> y -> x, with
-    /// `ceil(r_comm / domain_len)` pulses per dim. `domain_lengths` must be
-    /// the *thinnest* cell per dimension when boundaries are non-uniform —
-    /// every rank's halo must still arrive through forwarding across the
-    /// narrowest cells. Feasibility against the grid (a pulse chain may not
-    /// wrap past the sender) is checked by the partition planner.
-    pub fn new(comm_dims: &[usize], domain_lengths: Vec3, r_comm: f32) -> Self {
-        let mut per_dim = Vec::new();
-        for &d in comm_dims {
-            let l = domain_lengths[d];
-            let np = (r_comm / l).ceil() as usize;
-            per_dim.push((d, np.max(1)));
-        }
-        PulseLayout { per_dim }
-    }
-
     /// Layout with explicit per-dimension pulse counts (indexed by dim).
     /// Used to pin the slot layout for a whole run: DLB moves boundaries
     /// between rebuilds, but the signal-slot count baked into the world must
@@ -122,30 +117,63 @@ impl PulseLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DdBounds, DdGrid};
 
     #[test]
-    fn layout_orders_z_y_x() {
-        let layout = PulseLayout::new(&[2, 1, 0], Vec3::splat(2.0), 1.0);
-        assert_eq!(layout.per_dim, vec![(2, 1), (1, 1), (0, 1)]);
-        assert_eq!(layout.total_pulses(), 3);
-        let ids: Vec<_> = layout.iter().collect();
-        assert_eq!(ids, vec![(0, 2, 0), (1, 1, 0), (2, 0, 0)]);
-    }
-
-    #[test]
-    fn thin_domains_get_two_pulses() {
-        let layout = PulseLayout::new(&[0], Vec3::new(0.8, 9.0, 9.0), 1.0);
-        assert_eq!(layout.per_dim, vec![(0, 2)]);
-        let ids: Vec<_> = layout.iter().collect();
-        assert_eq!(ids, vec![(0, 0, 0), (1, 0, 1)]);
-    }
-
-    #[test]
-    fn very_thin_domains_get_three_pulses() {
-        let layout = PulseLayout::new(&[0], Vec3::new(0.4, 9.0, 9.0), 1.0);
-        assert_eq!(layout.per_dim, vec![(0, 3)]);
-        let ids: Vec<_> = layout.iter().collect();
-        assert_eq!(ids, vec![(0, 0, 0), (1, 0, 1), (2, 0, 2)]);
+    fn pulses_needed_table() {
+        type Row = (
+            &'static [usize],
+            Vec3,
+            f32,
+            Vec<(usize, usize)>,
+            Vec<(usize, usize, usize)>,
+        );
+        // (comm dims, thinnest cell per dim, r_comm, per-dim layout, ids)
+        let rows: [Row; 3] = [
+            // One pulse per dim, in z -> y -> x order.
+            (
+                &[2, 1, 0],
+                Vec3::splat(2.0),
+                1.0,
+                vec![(2, 1), (1, 1), (0, 1)],
+                vec![(0, 2, 0), (1, 1, 0), (2, 0, 0)],
+            ),
+            // Thin domains get two pulses...
+            (
+                &[0],
+                Vec3::new(0.8, 9.0, 9.0),
+                1.0,
+                vec![(0, 2)],
+                vec![(0, 0, 0), (1, 0, 1)],
+            ),
+            // ...and very thin ones three.
+            (
+                &[0],
+                Vec3::new(0.4, 9.0, 9.0),
+                1.0,
+                vec![(0, 3)],
+                vec![(0, 0, 0), (1, 0, 1), (2, 0, 2)],
+            ),
+        ];
+        for (dims, cells, r_comm, per_dim, ids) in rows {
+            let mut pulses = [1; 3];
+            for &d in dims {
+                pulses[d] = pulses_needed(r_comm, cells[d]);
+            }
+            let layout = PulseLayout::with_pulses(dims, pulses);
+            assert_eq!(layout.per_dim, per_dim);
+            assert_eq!(layout.total_pulses(), ids.len());
+            assert_eq!(layout.iter().collect::<Vec<_>>(), ids);
+        }
+        // Floored at one pulse however thick the cell.
+        assert_eq!(pulses_needed(0.0, 2.0), 1);
+        // An exact fit is decided in f32: a 1.0 nm cell needs one pulse,
+        // but the thinnest of three uniform cells on a 3.0 nm box rounds
+        // to just under 1.0 nm and needs two.
+        assert_eq!(pulses_needed(1.0, 1.0), 1);
+        let thinnest = DdBounds::uniform(&DdGrid::new([3, 1, 1])).min_cell_len(0, 3.0);
+        assert_eq!(thinnest, 0.999_999_94);
+        assert_eq!(pulses_needed(1.0, thinnest), 2);
     }
 
     #[test]

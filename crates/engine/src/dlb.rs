@@ -18,7 +18,7 @@
 //! matter where the boundaries wander.
 
 use crate::config::DlbMode;
-use halox_dd::{DdBounds, DdGrid};
+use halox_dd::{pulses_needed, DdBounds, DdGrid};
 use halox_md::Vec3;
 
 /// Fraction of the relative slab imbalance converted into a boundary move
@@ -29,8 +29,8 @@ const GAIN: f64 = 0.5;
 /// cell — keeps a single noisy segment from folding a cell.
 const MAX_MOVE: f32 = 0.25;
 /// Safety margin over the exact `r_comm / pulses` minimum cell length, so
-/// float fuzz in `ceil(r_comm / cell_len)` can never push the needed pulse
-/// count past the pinned one.
+/// float fuzz in [`pulses_needed`] can never push the needed pulse count
+/// past the pinned one.
 const MIN_CELL_MARGIN: f32 = 1.0625;
 
 /// Owns the movable cell boundaries and applies bounded deterministic
@@ -46,8 +46,9 @@ pub struct DlbController {
     dims: [usize; 3],
     box_len: [f32; 3],
     r_comm: f32,
-    /// Per-dimension pulse counts computed from the *uniform* decomposition
-    /// at construction and held fixed for the run (see module docs).
+    /// Per-dimension pulse counts the plan needs for the *uniform*
+    /// decomposition (its own rule, [`pulses_needed`]), computed at
+    /// construction and held fixed for the run (see module docs).
     pinned: [usize; 3],
     /// Completed boundary updates (diagnostics).
     pub updates: usize,
@@ -56,15 +57,13 @@ pub struct DlbController {
 impl DlbController {
     pub fn new(grid: &DdGrid, box_lengths: Vec3, r_comm: f32) -> Self {
         let box_len = [box_lengths.x, box_lengths.y, box_lengths.z];
+        let bounds = DdBounds::uniform(grid);
         let mut pinned = [1usize; 3];
-        for d in 0..3 {
-            if grid.dims[d] > 1 {
-                let cell = box_len[d] / grid.dims[d] as f32;
-                pinned[d] = ((r_comm / cell).ceil() as usize).max(1);
-            }
+        for d in grid.comm_dims() {
+            pinned[d] = pulses_needed(r_comm, bounds.min_cell_len(d, box_len[d]));
         }
         DlbController {
-            bounds: DdBounds::uniform(grid),
+            bounds,
             dims: grid.dims,
             box_len,
             r_comm,
@@ -208,6 +207,19 @@ mod tests {
         assert_eq!(c.pinned_pulses(), [2, 1, 1]);
         assert_eq!(c.min_pulses(DlbMode::Off), None);
         assert_eq!(c.min_pulses(DlbMode::Counter), Some([2, 1, 1]));
+    }
+
+    #[test]
+    fn pinned_pulses_are_the_plans_at_an_exact_fit() {
+        // Three 1.0 nm cells at r_comm 1.0: the thinnest is 0.99999994 nm
+        // in f32, so the plan builds two pulses and DLB pins two.
+        let grid = DdGrid::new([3, 1, 1]);
+        let c = DlbController::new(&grid, Vec3::splat(3.0), 1.0);
+        assert_eq!(c.pinned_pulses(), [2, 1, 1]);
+        let sys = halox_md::GrappaBuilder::new(2_700).seed(3).build();
+        assert_eq!(sys.pbc.lengths(), Vec3::splat(3.0));
+        let part = halox_dd::build_partition(&sys, &grid, 1.0);
+        assert_eq!(part.layout.per_dim, vec![(0, 2)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The domain-decomposed MD engine: multi-PE time stepping over a halo
 //! exchange backend.
 //!
-//! This module is the run loop around the step program of [`crate::step`]
+//! This module is the run loop around the step program of `crate::step`
 //! (the GPU-resident step skeleton of the paper's Algorithm 2): every
 //! `nstlist` steps the decomposition is rebuilt centrally (the role of
 //! GROMACS' neighbour-search / DD repartition step), each rank runs the

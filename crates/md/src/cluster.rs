@@ -1,5 +1,5 @@
 //! Cluster-pair non-bonded kernels (the NBNXM scheme of Páll & Hess 2013,
-//! the paper's reference [40]).
+//! the paper's reference \[40\]).
 //!
 //! GROMACS' GPU/SIMD kernels do not iterate atom pairs: atoms are sorted
 //! into spatial *clusters* of M=4, the pair list pairs clusters, and the
@@ -150,10 +150,10 @@ pub struct ClusterPairList {
     /// even if a mask bug ever enabled one).
     pub lane_charges: Vec<f32>,
     /// LJ rows per (cluster `c`, i-kind `k`) at `AtomKind::COUNT * c + k`:
-    /// `[c6, c12]` of kind `k` against each of `c`'s four lanes, from
-    /// [`lj_coefficients`] (padded lanes take lane kind 0; their mask bits
-    /// are clear). One row load per tile row replaces a gather and a
-    /// transpose in the kernel.
+    /// `[c6, c12]` of kind `k` against each of `c`'s four lanes, from the
+    /// tables [`crate::NonbondedParams`] holds (padded lanes take lane kind
+    /// 0; their mask bits are clear). One row load per tile row replaces a
+    /// gather and a transpose in the kernel.
     pub lj_rows: Vec<[[f32; CLUSTER]; 2]>,
     /// Axis-aligned bounding-box centre / half-extent per cluster (raw
     /// coordinates; conservative across a periodic wrap).

@@ -544,7 +544,7 @@ pub trait PairFilter {
     fn keeps(&self, i: usize, j: usize) -> bool;
 
     /// The same relation over the clusters of `lane_atoms` (four lanes per
-    /// cluster, short ones padded with [`PAD`](crate::cluster::PAD)), for
+    /// cluster, short ones padded with [`PAD`]), for
     /// the cluster list's mask bake.
     fn tiles<'a>(&'a self, lane_atoms: &'a [u32]) -> impl TileFilter + 'a;
 }

@@ -11,7 +11,7 @@
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
-/// Non-bonded atom type. Indexes into [`Topology::lj_params`].
+/// Non-bonded atom type. Indexes into [`lj_table`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AtomKind {
     /// Water oxygen.

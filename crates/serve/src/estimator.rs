@@ -8,6 +8,7 @@
 //! [`MachineModel`] kernel/link costs the timing plane validates against
 //! the paper's figures.
 
+use halox_dd::{DdBounds, DdGrid, PlanError, WorkloadModel};
 use halox_gpusim::MachineModel;
 use halox_md::System;
 
@@ -39,36 +40,34 @@ impl AdmissionEstimator {
     /// Predict one rank's step time for `system` decomposed over `grid`
     /// with halo radius `r_comm`, and the whole-job total over `steps`.
     ///
-    /// The halo population is estimated geometrically: each decomposed
-    /// dimension's cell is dilated by `2 * r_comm`, and the volume excess
-    /// over the home cell — times the local atom density — is the halo
-    /// atom count feeding the non-local kernel and wire-payload costs.
+    /// The halo population is the analytic model's eighth-shell zones at
+    /// the system's density ([`WorkloadModel`], the plan's own pulse
+    /// counts): the halo atom count feeding the non-local kernel and
+    /// wire-payload costs. A geometry the plan would refuse is its typed
+    /// [`PlanError`].
     pub fn predict(
         &self,
         system: &System,
         grid: [usize; 3],
         r_comm: f32,
         steps: usize,
-    ) -> Prediction {
-        let n_ranks = grid.iter().product::<usize>().max(1);
-        let n_local = system.n_atoms() as f64 / n_ranks as f64;
-        let lengths = system.pbc.lengths();
-        let box_dims = [lengths.x as f64, lengths.y as f64, lengths.z as f64];
-        let r = r_comm as f64;
-        let mut cell_vol = 1.0;
-        let mut dilated_vol = 1.0;
-        let mut comm_dims = 0;
-        for d in 0..3 {
-            let cell = box_dims[d] / grid[d] as f64;
-            cell_vol *= cell;
-            if grid[d] > 1 {
-                dilated_vol *= cell + 2.0 * r;
-                comm_dims += 1;
-            } else {
-                dilated_vol *= cell;
-            }
-        }
-        let halo = n_local * (dilated_vol / cell_vol - 1.0).max(0.0);
+    ) -> Result<Prediction, PlanError> {
+        let grid = DdGrid::new(grid);
+        let model = WorkloadModel {
+            n_atoms: system.n_atoms(),
+            density: system.density(),
+            r_comm,
+            grid,
+            box_lengths: system.pbc.lengths(),
+        };
+        let halo: f64 = model
+            .try_pulse_sizes_with(&DdBounds::uniform(&grid))?
+            .iter()
+            .map(|p| p.send_atoms)
+            .sum();
+        let n_ranks = grid.n_ranks();
+        let n_local = model.atoms_per_rank();
+        let comm_dims = grid.n_decomposed();
         let m = &self.machine;
         let compute_ns = (m.nb_local_ns(n_local)
             + m.nb_nonlocal_ns(halo)
@@ -88,11 +87,11 @@ impl AdmissionEstimator {
             0.0
         };
         let step_ns = (compute_ns * m.sm_slowdown(comm_dims) + wire_ns).round() as u64;
-        Prediction {
+        Ok(Prediction {
             n_ranks,
             step_ns,
             total_ms: step_ns as f64 * steps as f64 / 1e6,
-        }
+        })
     }
 }
 
@@ -112,10 +111,10 @@ mod tests {
         let est = AdmissionEstimator::default();
         let small = GrappaBuilder::new(3_000).seed(1).build();
         let large = GrappaBuilder::new(24_000).seed(1).build();
-        let ps = est.predict(&small, [2, 2, 1], 0.8, 100);
-        let pl = est.predict(&large, [2, 2, 1], 0.8, 100);
+        let ps = est.predict(&small, [2, 2, 1], 0.8, 100).expect("feasible");
+        let pl = est.predict(&large, [2, 2, 1], 0.8, 100).expect("feasible");
         assert!(pl.step_ns > ps.step_ns, "{} !> {}", pl.step_ns, ps.step_ns);
-        let longer = est.predict(&small, [2, 2, 1], 0.8, 1000);
+        let longer = est.predict(&small, [2, 2, 1], 0.8, 1000).expect("feasible");
         assert!(longer.total_ms > ps.total_ms);
         assert_eq!(longer.step_ns, ps.step_ns);
     }
@@ -126,8 +125,8 @@ mod tests {
         // Large system: per-atom work dwarfs the fixed kernel/halo costs,
         // so decomposing is predicted faster per step...
         let large = GrappaBuilder::new(48_000).seed(2).build();
-        let serial = est.predict(&large, [1, 1, 1], 0.8, 10);
-        let split = est.predict(&large, [2, 2, 1], 0.8, 10);
+        let serial = est.predict(&large, [1, 1, 1], 0.8, 10).expect("feasible");
+        let split = est.predict(&large, [2, 2, 1], 0.8, 10).expect("feasible");
         assert_eq!(serial.n_ranks, 1);
         assert_eq!(split.n_ranks, 4);
         assert!(split.step_ns < serial.step_ns);
@@ -135,8 +134,8 @@ mod tests {
         // the estimator prices the split *slower* — the signal admission
         // bin-packing exists to exploit.
         let small = GrappaBuilder::new(3_000).seed(2).build();
-        let serial = est.predict(&small, [1, 1, 1], 0.8, 10);
-        let split = est.predict(&small, [2, 2, 1], 0.8, 10);
+        let serial = est.predict(&small, [1, 1, 1], 0.8, 10).expect("feasible");
+        let split = est.predict(&small, [2, 2, 1], 0.8, 10).expect("feasible");
         assert!(split.step_ns > serial.step_ns);
     }
 }

@@ -269,9 +269,10 @@ impl JobService {
     /// accepted job WILL reach a terminal state — `Done`, or `Failed` only
     /// past the reschedule backstop.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
-        let prediction =
-            self.estimator
-                .predict(&spec.system, spec.grid, spec.config.r_comm(), spec.steps);
+        let prediction = self
+            .estimator
+            .predict(&spec.system, spec.grid, spec.config.r_comm(), spec.steps)
+            .map_err(|e| AdmissionError::Infeasible(EngineError::PlanFailed(e)))?;
         if let Some(max_ms) = self.cfg.max_predicted_ms {
             if prediction.total_ms > max_ms {
                 return Err(AdmissionError::PredictedTooLong {
@@ -424,7 +425,7 @@ fn finish_dispatch(shared: &Shared, requeue: Option<QueuedJob>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halox_engine::{EngineConfig, ExchangeBackend};
+    use halox_engine::{EngineConfig, ExchangeBackend, PlanError};
     use halox_md::{GrappaBuilder, MinimizeOptions};
     use halox_shmem::WorldBackend;
 
@@ -485,6 +486,40 @@ mod tests {
         let stats = svc.pool_stats();
         assert!(stats.built <= 2, "pool must cap world builds: {stats:?}");
         assert!(stats.reused >= 1, "worlds must recycle: {stats:?}");
+    }
+
+    #[test]
+    fn a_grid_the_plan_refuses_is_infeasible_at_admission() {
+        // 8 ranks along x of a box 3 nm long in x: 0.375 nm cells at
+        // r_comm 2.8 need an 8-pulse chain over 8 cells (y and z, at 6 nm,
+        // clear the half-box rule). Admission prices the same geometry the
+        // plan builds, so it refuses the job with the plan's typed error.
+        let mut sys = GrappaBuilder::new(2_700).seed(5).build();
+        sys.pbc = halox_md::PbcBox::new(halox_md::Vec3::new(3.0, 6.0, 6.0));
+        let mut job = spec("thin", &sys, 10, Priority::Normal);
+        job.grid = [8, 1, 1];
+        job.config.cutoff = 2.7;
+        job.config.buffer = 0.1;
+        let refused = PlanError::PulsesExceedGrid {
+            dim: 0,
+            pulses: 8,
+            cells: 8,
+        };
+        let est = AdmissionEstimator::default();
+        let err = est
+            .predict(&job.system, job.grid, job.config.r_comm(), job.steps)
+            .unwrap_err();
+        assert_eq!(err, refused);
+        let svc = JobService::new(ServeConfig {
+            pool_worlds: 1,
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let err = svc.submit(job).expect_err("an 8-pulse chain over 8 cells");
+        assert!(
+            matches!(&err, AdmissionError::Infeasible(EngineError::PlanFailed(e)) if *e == refused),
+            "{err}"
+        );
     }
 
     #[test]

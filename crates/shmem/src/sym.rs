@@ -2,8 +2,8 @@
 //!
 //! NVSHMEM requires collective symmetric allocation — every PE allocates the
 //! same buffer at the same (virtual) offset, and any PE can address any
-//! peer's copy ([`SymVec3::set`]/[`get`] ≙ `nvshmem_ptr` direct access over
-//! NVLink). A symmetric buffer here is one [`Slots`] mapping holding every
+//! peer's copy ([`SymVec3::set`]/[`get`](SymVec3::get) ≙ `nvshmem_ptr`
+//! direct access over NVLink). A symmetric buffer here is one [`Slots`] mapping holding every
 //! PE's segment of relaxed `AtomicU32` words: every remote access is a
 //! relaxed atomic on the word, and ordering/visibility come exclusively from
 //! the signal protocol (release store after data, acquire wait before reads)

@@ -16,7 +16,7 @@
 //! - [`chrome`] — export to Chrome trace JSON (`chrome://tracing`,
 //!   Perfetto) with per-pulse spans, signal flow arrows and proxy-depth
 //!   counters, plus per-step counter summaries.
-//! - [`check`] — a post-hoc protocol checker that rebuilds happens-before
+//! - [`check`](mod@check) — a post-hoc protocol checker that rebuilds happens-before
 //!   from the recorded release/acquire edges with vector clocks and
 //!   flags sigVal regressions, unpaired waits, and symmetric-region
 //!   reuse races (the class of bug where step N+1 overwrites a force

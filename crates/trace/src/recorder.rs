@@ -13,7 +13,7 @@
 //!
 //! # Sequence-order soundness
 //!
-//! The checker ([`crate::check`]) replays events in slot (`seq`) order and
+//! The checker ([`crate::check()`]) replays events in slot (`seq`) order and
 //! treats that order as consistent with the runtime's happens-before
 //! relation. That holds because slot indices come from a single atomic
 //! counter, whose modification order respects happens-before, *provided
