@@ -10,7 +10,8 @@
 //! * prints per-step signal counters (sets / proxied sets / waits / wait
 //!   latency);
 //! * replays both event streams through the signal-protocol checker and
-//!   reports any release/acquire or region-reuse violations.
+//!   reports any release/acquire or region-reuse violations; any violation
+//!   exits 1 (after the export, so the trace is there to read).
 //!
 //! This complements `halox-bench trace`, which exports the *timing-plane*
 //! schedule simulation; `ftrace` shows what the functional threads actually
@@ -36,7 +37,8 @@ pub fn record_run(backend: ExchangeBackend, gpus_per_node: Option<usize>, steps:
     rec.drain()
 }
 
-fn print_summary(label: &str, trace: &Trace) {
+/// Print the per-step counters and the checker's report; true when clean.
+fn print_summary(label: &str, trace: &Trace) -> bool {
     println!("\n== ftrace: {label} ==");
     println!(
         "{} events recorded ({} dropped)",
@@ -59,20 +61,26 @@ fn print_summary(label: &str, trace: &Trace) {
     }
     let report = check(trace);
     println!("protocol checker: {report}");
+    report.is_clean()
 }
 
-/// The `ftrace` subcommand: record, summarize, check, export.
+/// The `ftrace` subcommand: record, summarize, check, export; exit 1 when
+/// either trace breaks the signal protocol.
 pub fn run(results: &Path) {
     // Fused exchange over a mixed topology: 2 GPUs per node, so half the
     // edges are NVLink gets and half go through the IB proxy.
     let fused = record_run(ExchangeBackend::NvshmemFused, Some(2), 20);
-    print_summary("NVSHMEM fused, islands(4,2), 20 steps", &fused);
+    let fused_clean = print_summary("NVSHMEM fused, islands(4,2), 20 steps", &fused);
 
     // Thread-MPI on one NVLink island: direct copies, no proxy traffic.
     let tmpi = record_run(ExchangeBackend::ThreadMpi, None, 20);
-    print_summary("thread-MPI, all-NVLink, 20 steps", &tmpi);
+    let tmpi_clean = print_summary("thread-MPI, all-NVLink, 20 steps", &tmpi);
 
     println!();
     crate::report::write_json(&results.join("ftrace.json"), &chrome_trace(&fused))
         .expect("write ftrace.json");
+    if !(fused_clean && tmpi_clean) {
+        eprintln!("signal-protocol violations: see the checker reports above");
+        std::process::exit(1);
+    }
 }

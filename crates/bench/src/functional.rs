@@ -1,71 +1,13 @@
-//! The functional-plane engine matrix: run the *real* multi-threaded engine
-//! over the three backends and report each row's final energy (the
-//! backends must agree; wall-clock numbers come from the perf ledger), plus
-//! schedule-trace export for visualization.
+//! Four timing-plane views of one simulated step beyond the figures: the
+//! Chrome trace of the NVSHMEM schedule (`trace`), its critical-path
+//! attribution (`critical-path`), a terminal Gantt chart (`gantt`) and a
+//! one-off scaling point (`sweep`). None of them runs the engine.
 
 use crate::figures::R_COMM;
 use halox_core::sched::{self, Backend, ScheduleInput};
 use halox_dd::{DdGrid, WorkloadModel};
-use halox_engine::{Engine, EngineConfig, ExchangeBackend};
 use halox_gpusim::MachineModel;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
-
-/// One functional-engine run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FunctionalRow {
-    pub atoms: usize,
-    pub grid: [usize; 3],
-    pub backend: &'static str,
-    pub steps: usize,
-    pub final_energy: f64,
-}
-
-/// Run a small matrix of real engine configurations (threads, signals, the
-/// works) and collect each run's final energy.
-pub fn run_matrix() -> Vec<FunctionalRow> {
-    let mut rows = Vec::new();
-    let base = crate::relaxed_system(6_000, 99, 250.0);
-    let steps = 20;
-    for dims in [[2usize, 1, 1], [2, 2, 1], [2, 2, 2]] {
-        for backend in [
-            ExchangeBackend::Mpi,
-            ExchangeBackend::ThreadMpi,
-            ExchangeBackend::NvshmemFused,
-        ] {
-            let mut cfg = EngineConfig::new(backend);
-            cfg.nstlist = 10;
-            let mut engine = Engine::new(base.clone(), DdGrid::new(dims), cfg);
-            let stats = engine.run(steps);
-            rows.push(FunctionalRow {
-                atoms: base.n_atoms(),
-                grid: dims,
-                backend: backend.label(),
-                steps,
-                final_energy: stats.energies.last().map(|e| e.total()).unwrap_or(f64::NAN),
-            });
-        }
-    }
-    rows
-}
-
-pub fn print_table(rows: &[FunctionalRow]) {
-    println!("\n== Functional engine (real threads + signals; backends must agree) ==");
-    println!(
-        "{:>7} {:>8} {:>8} {:>7} {:>14}",
-        "atoms", "grid", "backend", "steps", "E_total"
-    );
-    for r in rows {
-        println!(
-            "{:>7} {:>8} {:>8} {:>7} {:>14.1}",
-            r.atoms,
-            format!("{}x{}x{}", r.grid[0], r.grid[1], r.grid[2]),
-            r.backend,
-            r.steps,
-            r.final_energy
-        );
-    }
-}
 
 /// Export a Chrome trace of the simulated NVSHMEM step schedule (Fig 2
 /// anatomy) for the paper's intra-node headline configuration.
@@ -186,23 +128,6 @@ pub fn print_sweep(atoms: usize, nodes: usize, machine_name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn functional_matrix_backends_agree_on_energy() {
-        let rows = run_matrix();
-        assert_eq!(rows.len(), 9);
-        for dims_chunk in rows.chunks(3) {
-            let e0 = dims_chunk[0].final_energy;
-            for r in dims_chunk {
-                assert!(
-                    ((r.final_energy - e0) / e0.abs().max(1.0)).abs() < 1e-4,
-                    "backends disagree on {:?}: {} vs {e0}",
-                    r.grid,
-                    r.final_energy
-                );
-            }
-        }
-    }
 
     #[test]
     fn trace_export_writes_valid_json() {

@@ -2,13 +2,15 @@
 //!
 //! Two jobs, nothing else: reproduce the paper's figures on the timing plane
 //! (one function per figure 3-8, ablations, `validate`) and soak the
-//! functional plane for correctness (`ftrace`, `chaos`, `soak`, `serve`).
+//! functional plane for correctness (`ftrace`, `soak`, `serve`). Sweeps the
+//! test suite already asserts — fault plans (`tests/chaos_engine.rs`),
+//! backend agreement (`tests/functional_equivalence.rs`) — are not repeated
+//! here.
 //! The `halox-bench` binary prints tables and writes CSV / JSON under
 //! `results/`. Wall-clock numbers are not measured here: the perf ledger
 //! (`benchmarks/`, see its README) owns every timing.
 
 pub mod ablation;
-pub mod chaos;
 pub mod chart;
 pub mod figures;
 pub mod ftrace;

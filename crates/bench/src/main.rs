@@ -1,14 +1,14 @@
 //! `halox-bench` — regenerate the paper's figures on the timing simulator
-//! and soak the functional plane for correctness. It times nothing: see
+//! (`fig3`…`fig8`, `ablation`, `validate` and four views of one simulated
+//! step) and soak the functional plane for correctness (`ftrace`, `serve`,
+//! `soak`; each exits 1 on a failed check). It times nothing: see
 //! `benchmarks/README.md` for the perf ledger.
 
-use halox_bench::{
-    ablation, chaos, chart, figures, ftrace, functional, report, serve, soak, validate,
-};
+use halox_bench::{ablation, chart, figures, ftrace, functional, report, serve, soak, validate};
 use std::path::Path;
 
 /// Every subcommand, in the order the usage text lists them.
-const SUBCOMMANDS: [&str; 18] = [
+const SUBCOMMANDS: [&str; 16] = [
     "all",
     "fig3",
     "fig4",
@@ -17,14 +17,12 @@ const SUBCOMMANDS: [&str; 18] = [
     "fig7",
     "fig8",
     "ablation",
-    "functional",
     "validate",
     "critical-path",
     "gantt",
     "sweep",
     "trace",
     "ftrace",
-    "chaos",
     "serve",
     "soak",
 ];
@@ -112,11 +110,6 @@ fn main() {
                 report::write_csv(&results.join(format!("ablation_{name}.csv")), &rows).unwrap();
             }
         }
-        "functional" => {
-            let rows = functional::run_matrix();
-            functional::print_table(&rows);
-            report::write_csv(&results.join("functional.csv"), &rows).unwrap();
-        }
         "validate" => {
             let checks = validate::run_all();
             let ok = print_and_save(&checks, results);
@@ -148,11 +141,6 @@ fn main() {
         "ftrace" => {
             ftrace::run(results);
         }
-        "chaos" => {
-            // halox-bench chaos [seed]
-            let seed: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
-            chaos::run(results, seed);
-        }
         "serve" => {
             // halox-bench serve [jobs] [pool_worlds] — multi-job service
             // load (PE substrate via HALOX_BACKEND, like the test suite).
@@ -183,7 +171,6 @@ fn main() {
             "fig7",
             "fig8",
             "ablation",
-            "functional",
             "critical-path",
             "trace",
             "ftrace",

@@ -208,16 +208,10 @@ impl std::error::Error for ExchangeError {}
 //
 // Exchange outcomes cross a process boundary under the procs world backend
 // (a PE's `Result<_, ExchangeError>` is its result frame), so every error
-// shape needs a byte-level encoding. `&'static str` fields decode through a
-// small leak-intern: errors are rare, the string set is tiny and fixed.
+// shape needs a byte-level encoding. `&'static str` fields decode through the
+// wire's one intern pool.
 
 use halox_shmem::wire::{Wire, WireError, WireReader};
-
-fn leak_str(s: String) -> &'static str {
-    // Decode-side only; the handful of distinct backend/collective labels
-    // makes the leak bounded in practice.
-    Box::leak(s.into_boxed_str())
-}
 
 impl Wire for ExchangePhase {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -288,7 +282,7 @@ impl Wire for ExchangeError {
                 1u8.encode(out);
                 rank.encode(out);
                 peer.encode(out);
-                backend.to_string().encode(out);
+                backend.encode(out);
             }
             ExchangeError::SizeMismatch {
                 rank,
@@ -309,7 +303,7 @@ impl Wire for ExchangeError {
             } => {
                 3u8.encode(out);
                 rank.encode(out);
-                what.to_string().encode(out);
+                what.encode(out);
                 waited_ms.encode(out);
             }
             ExchangeError::PeDied { rank, peer, detail } => {
@@ -327,7 +321,7 @@ impl Wire for ExchangeError {
             1 => ExchangeError::Unreachable {
                 rank: usize::decode(r)?,
                 peer: usize::decode(r)?,
-                backend: leak_str(String::decode(r)?),
+                backend: <&'static str>::decode(r)?,
             },
             2 => ExchangeError::SizeMismatch {
                 rank: usize::decode(r)?,
@@ -337,7 +331,7 @@ impl Wire for ExchangeError {
             },
             3 => ExchangeError::CollectiveTimeout {
                 rank: usize::decode(r)?,
-                what: leak_str(String::decode(r)?),
+                what: <&'static str>::decode(r)?,
                 waited_ms: u64::decode(r)?,
             },
             4 => ExchangeError::PeDied {
@@ -466,5 +460,26 @@ mod tests {
             assert_eq!(format!("{e}"), format!("{decoded}"));
             assert_eq!(e.suspect_peer(), decoded.suspect_peer());
         }
+    }
+
+    #[test]
+    fn decoded_labels_are_interned_not_leaked_per_frame() {
+        let bytes = ExchangeError::CollectiveTimeout {
+            rank: 1,
+            what: "allreduce-sum(kinetic)",
+            waited_ms: 12,
+        }
+        .to_bytes();
+        let what = |e: ExchangeError| match e {
+            ExchangeError::CollectiveTimeout { what, .. } => what,
+            other => panic!("decoded {other}"),
+        };
+        let first = what(ExchangeError::from_bytes(&bytes).expect("decode"));
+        let second = what(ExchangeError::from_bytes(&bytes).expect("decode"));
+        assert_eq!(first, "allreduce-sum(kinetic)");
+        assert!(
+            std::ptr::eq(first, second),
+            "each decode leaked its own copy"
+        );
     }
 }

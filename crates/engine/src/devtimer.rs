@@ -10,7 +10,6 @@
 use halox_md::nb::PhaseClock;
 use halox_shmem::{Wire, WireError, WireReader};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Named phase accumulator.
@@ -102,25 +101,6 @@ impl PhaseClock for PhaseTimer {
     }
 }
 
-/// Intern pool for phase names decoded off the wire. `PhaseTimer` keys are
-/// `&'static str` (phase names are compile-time literals on the encoding
-/// side), so a name arriving from another process is leaked exactly once
-/// and reused by every later decode — the set of phase names is small and
-/// fixed, so the leak is bounded.
-fn intern(name: String) -> &'static str {
-    static POOL: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut pool = POOL
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    if let Some(&s) = pool.get(&name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-    pool.insert(name, leaked);
-    leaked
-}
-
 /// Wire encoding so per-rank timers can cross the process boundary of the
 /// `procs` world backend (entry count, then `(name, total, count)` in name
 /// order — the `BTreeMap` iteration order, so encoding is deterministic).
@@ -128,7 +108,7 @@ impl Wire for PhaseTimer {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.acc.len() as u64).encode(out);
         for (&k, &(d, n)) in &self.acc {
-            k.to_string().encode(out);
+            k.encode(out);
             d.encode(out);
             n.encode(out);
         }
@@ -138,10 +118,10 @@ impl Wire for PhaseTimer {
         let len = u64::decode(r)? as usize;
         let mut acc = BTreeMap::new();
         for _ in 0..len {
-            let k = String::decode(r)?;
+            let k = <&'static str>::decode(r)?;
             let d = Duration::decode(r)?;
             let n = u64::decode(r)?;
-            acc.insert(intern(k), (d, n));
+            acc.insert(k, (d, n));
         }
         Ok(PhaseTimer { acc })
     }

@@ -1692,7 +1692,12 @@ mod tests {
             cfg.checkpoint = ckpt;
             cfg
         };
-        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), mk_cfg(None));
+        // The fault-free reference runs serially: it never waits, so the
+        // 150 ms deadline cannot fail it on a busy host, and serial ≡
+        // threaded bitwise (DESIGN.md §3.3).
+        let mut ref_cfg = mk_cfg(None);
+        ref_cfg.run_mode = RunMode::Serial;
+        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), ref_cfg);
         let ref_stats = reference.run(40);
 
         let mut ckpt = CheckpointConfig::in_dir(&dir);

@@ -9,6 +9,8 @@
 //! backends interchangeable at every call site.
 
 use halox_md::{Angle, AtomKind, Bond, EnergyReport, PbcBox, System, Vec3};
+use std::collections::BTreeSet;
+use std::sync::{Mutex, OnceLock};
 
 /// A decode failure: the byte stream did not match the expected shape.
 ///
@@ -198,6 +200,32 @@ impl Wire for String {
         let n = usize::decode(r)?;
         let b = r.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|e| WireError::malformed(format!("bad utf8: {e}")))
+    }
+}
+
+/// Labels that are `&'static str` on the encoding side (phase names,
+/// backend and collective labels). A decoded label is leaked once into an
+/// intern pool and every later decode of the same text returns that same
+/// pointer, so the leak is bounded by the set of distinct labels, not by
+/// the number of frames. Same bytes as `String`.
+impl Wire for &'static str {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+        let name = String::decode(r)?;
+        let mut pool = POOL
+            .get_or_init(|| Mutex::new(BTreeSet::new()))
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        if let Some(&s) = pool.get(name.as_str()) {
+            return Ok(s);
+        }
+        let leaked: &'static str = Box::leak(name.into_boxed_str());
+        pool.insert(leaked);
+        Ok(leaked)
     }
 }
 

@@ -74,6 +74,9 @@ fn backends_agree_on_3d_grid() {
     let b = run(&sys, [2, 2, 2], ExchangeBackend::NvshmemFused, Some(2), 8);
     let dev = max_deviation(&a, &b);
     assert!(dev < 2e-4, "backend deviation {dev} nm");
+    let c = run(&sys, [2, 2, 2], ExchangeBackend::ThreadMpi, None, 8);
+    let dev = max_deviation(&a, &c);
+    assert!(dev < 2e-4, "thread-MPI deviation {dev} nm");
 }
 
 #[test]
