@@ -7,10 +7,9 @@
 //! different configuration with a typed error.
 //!
 //! Segment boundaries are the only sound snapshot points, and they make
-//! positions + velocities a *complete* state: both integrators recompute
-//! forces from coordinates at the start of every segment (velocity Verlet
-//! bootstraps its force cache per segment; leapfrog state is just `x, v`),
-//! and a failed segment never gathers into the engine's `System`
+//! positions + velocities a *complete* state: leapfrog's state is just
+//! `x, v` (every step computes its forces from its own coordinates), and a
+//! failed segment never gathers into the engine's `System`
 //! (PR 2's retry contract). A resume therefore replays the identical
 //! per-segment schedule an uninterrupted run would have executed, which is
 //! what makes checkpoint-kill-resume **bitwise equal** to never crashing —
@@ -31,7 +30,7 @@
 //! [`CheckpointError`], and [`Checkpoint::latest_valid`] skips corrupt
 //! files and falls back to the previous checkpoint, counting the skips.
 
-use crate::config::{EngineConfig, Integrator};
+use crate::config::EngineConfig;
 use halox_dd::DdBounds;
 use halox_md::{EnergyReport, System};
 use halox_shmem::{crc32, Wire, WireError, WireReader};
@@ -50,7 +49,10 @@ pub const MAGIC: [u8; 4] = *b"HXCK";
 /// step from 0), not one per step — same layout, different invariant, so
 /// a v2 file is refused rather than resumed with a history of the wrong
 /// shape.
-pub const VERSION: u8 = 3;
+/// v4: the fingerprint lost its `kernel` and `integrator` labels — one
+/// kernel and one integrator remain — so every v3 file, a scalar-kernel or
+/// velocity-Verlet one included, is refused by version.
+pub const VERSION: u8 = 4;
 
 /// Why a checkpoint could not be read, written, or resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +120,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// The configuration a checkpoint was taken under. Resuming under a
-/// different transport, kernel, integrator, time step, cutoff, thermostat,
+/// different transport, time step, cutoff, thermostat, DLB mode,
 /// topology, or PE grid would change the physics (or the bitwise
 /// schedule), so [`ConfigFingerprint::check`] rejects it with a typed
 /// [`CheckpointError::Mismatch`]. Float parameters are fingerprinted as
@@ -127,8 +129,9 @@ impl std::error::Error for CheckpointError {}
 /// Deliberately *not* fingerprinted: `run_mode` and `world_backend` (the
 /// execution substrate — serial/threaded/procs are bitwise identical, so
 /// cross-executor resume is legal and tested), `nb_overlap` and
-/// `link_delay_us` (wall-clock-only knobs), and the watchdog/chaos policy
-/// (failure handling does not alter completed segments).
+/// `link_delay_us` (wall-clock-only knobs), `nb_kernel` (one variant, read
+/// by nothing), and the watchdog/chaos policy (failure handling does not
+/// alter completed segments).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigFingerprint {
     /// DD grid (PE count = product).
@@ -136,11 +139,6 @@ pub struct ConfigFingerprint {
     pub n_atoms: usize,
     /// Primary transport label (`ExchangeBackend::label`).
     pub transport: String,
-    /// Non-bonded kernel label: always `"cluster"`, the one kernel. A file
-    /// from a run on the retired scalar kernel says `"scalar"` and is
-    /// refused.
-    pub kernel: String,
-    pub integrator: String,
     pub topology_gpus_per_node: Option<usize>,
     /// Dynamic-load-balancing mode label: a `counter`-balanced trajectory
     /// resumed with DLB off (or vice versa) would shift different
@@ -154,21 +152,12 @@ pub struct ConfigFingerprint {
     pub thermostat_bits: Option<(u64, u64)>,
 }
 
-fn integrator_label(i: Integrator) -> &'static str {
-    match i {
-        Integrator::Leapfrog => "leapfrog",
-        Integrator::VelocityVerlet => "velocity-verlet",
-    }
-}
-
 impl ConfigFingerprint {
     pub fn of(cfg: &EngineConfig, grid: [usize; 3], n_atoms: usize) -> Self {
         ConfigFingerprint {
             grid: (grid[0], grid[1], grid[2]),
             n_atoms,
             transport: cfg.backend.label().to_string(),
-            kernel: "cluster".to_string(),
-            integrator: integrator_label(cfg.integrator).to_string(),
             topology_gpus_per_node: cfg.topology_gpus_per_node,
             dlb: cfg.dlb.label().to_string(),
             nstlist: cfg.nstlist,
@@ -203,8 +192,6 @@ impl ConfigFingerprint {
         diff("grid", &self.grid, &expected.grid)?;
         diff("n_atoms", &self.n_atoms, &expected.n_atoms)?;
         diff("transport", &self.transport, &expected.transport)?;
-        diff("kernel", &self.kernel, &expected.kernel)?;
-        diff("integrator", &self.integrator, &expected.integrator)?;
         diff(
             "topology_gpus_per_node",
             &self.topology_gpus_per_node,
@@ -229,8 +216,6 @@ impl Wire for ConfigFingerprint {
         self.grid.encode(out);
         self.n_atoms.encode(out);
         self.transport.encode(out);
-        self.kernel.encode(out);
-        self.integrator.encode(out);
         self.topology_gpus_per_node.encode(out);
         self.dlb.encode(out);
         self.nstlist.encode(out);
@@ -244,8 +229,6 @@ impl Wire for ConfigFingerprint {
             grid: Wire::decode(r)?,
             n_atoms: usize::decode(r)?,
             transport: String::decode(r)?,
-            kernel: String::decode(r)?,
-            integrator: String::decode(r)?,
             topology_gpus_per_node: Wire::decode(r)?,
             dlb: String::decode(r)?,
             nstlist: usize::decode(r)?,
@@ -714,14 +697,18 @@ mod tests {
 
     #[test]
     fn v2_file_is_refused_as_bad_version() {
-        // Same body layout as v3, one energy per step: an intact v2 file is
-        // an older format, never a history to reinterpret.
+        // One energy per step: an intact v2 file is an older format, never
+        // a history to reinterpret. A v3 file carries the kernel and
+        // integrator labels (a scalar-kernel run's among them): refused by
+        // its version byte before any field is read.
         let mut ck = sample_checkpoint();
         ck.energies = vec![EnergyReport::default(); ck.step as usize];
-        assert_eq!(
-            Checkpoint::from_file_bytes(&framed_as(2, &ck)),
-            Err(CheckpointError::BadVersion(2))
-        );
+        for old in [2, 3] {
+            assert_eq!(
+                Checkpoint::from_file_bytes(&framed_as(old, &ck)),
+                Err(CheckpointError::BadVersion(old))
+            );
+        }
         assert!(Checkpoint::from_file_bytes(&framed_as(VERSION, &ck)).is_ok());
     }
 
@@ -747,8 +734,8 @@ mod tests {
             ("one short", one_short),
             ("nstlist 0", no_nstlist),
         ] {
-            // A CRC-valid v3 file decodes; resuming from it is refused with
-            // a typed decode error, never a panic.
+            // A CRC-valid file of this version decodes; resuming from it is
+            // refused with a typed decode error, never a panic.
             let back = Checkpoint::from_file_bytes(&ck.file_bytes()).expect(label);
             let err = Engine::resume_from_checkpoint(back, sample_config()).expect_err(label);
             assert!(
@@ -760,7 +747,6 @@ mod tests {
 
     #[test]
     fn fingerprint_rejects_mismatched_config_with_field_name() {
-        use crate::runner::{Engine, EngineError};
         let cfg = sample_config();
         let fp = ConfigFingerprint::of(&cfg, [2, 2, 1], 90);
         assert_eq!(fp.check(&fp.clone()), Ok(()));
@@ -803,23 +789,6 @@ mod tests {
                 }
             ),
             "{e}"
-        );
-
-        // A run on the retired scalar kernel wrote `"scalar"`, a label no
-        // config produces any more: a resume from its file is refused.
-        let mut ck = sample_checkpoint();
-        ck.fingerprint.kernel = "scalar".into();
-        let back = Checkpoint::from_file_bytes(&ck.file_bytes()).expect("decodes");
-        let err = Engine::resume_from_checkpoint(back, sample_config()).expect_err("resumed");
-        assert!(
-            matches!(
-                err,
-                EngineError::Checkpoint(CheckpointError::Mismatch {
-                    field: "kernel",
-                    ..
-                })
-            ),
-            "{err}"
         );
     }
 

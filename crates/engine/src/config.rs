@@ -89,17 +89,6 @@ impl DlbMode {
     }
 }
 
-/// Time-stepping scheme (GROMACS `integrator = md` vs `md-vv`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Integrator {
-    /// Leapfrog (GROMACS default): velocities at half steps.
-    Leapfrog,
-    /// Velocity Verlet: positions and velocities synchronous; needs forces
-    /// both before and after the position update, i.e. one extra force
-    /// computation per segment.
-    VelocityVerlet,
-}
-
 /// Weak-coupling thermostat parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Thermostat {
@@ -224,7 +213,6 @@ pub struct EngineConfig {
     /// normally avoids, which is why GROMACS couples only every nsttcouple
     /// steps; we apply it per step for simplicity).
     pub thermostat: Option<Thermostat>,
-    pub integrator: Integrator,
     /// Functional-plane event recorder. When set, every segment's world is
     /// built with the recorder attached and the exchange paths emit
     /// signal/region/span events into it (see `halox-trace`); the caller
@@ -261,7 +249,6 @@ impl EngineConfig {
             link_delay_us: 0,
             topology_gpus_per_node: None,
             thermostat: None,
-            integrator: Integrator::Leapfrog,
             trace: None,
             world_backend: WorldBackend::from_env(),
             watchdog: WatchdogConfig::default(),

@@ -3,9 +3,9 @@
 //! Runs real multi-PE molecular dynamics over the functional halo-exchange
 //! backends (fused NVSHMEM-style or serialized MPI-style): one thread per DD
 //! rank, eighth-shell zone-pair force computation on home+halo copies,
-//! leapfrog or velocity-Verlet integration of home atoms, and central
-//! repartitioning at neighbour-search boundaries. Correctness is
-//! established against the single-rank [`halox_md::ReferenceSimulation`].
+//! leapfrog integration of home atoms, and central repartitioning at
+//! neighbour-search boundaries. Correctness is established against the
+//! single-rank [`halox_md::ReferenceSimulation`].
 
 pub mod checkpoint;
 pub mod config;
@@ -17,8 +17,8 @@ mod step;
 
 pub use checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint, StatsSnapshot};
 pub use config::{
-    CheckpointConfig, DlbMode, EngineConfig, ExchangeBackend, Integrator, NbKernel, RunMode,
-    Thermostat, WatchdogConfig,
+    CheckpointConfig, DlbMode, EngineConfig, ExchangeBackend, NbKernel, RunMode, Thermostat,
+    WatchdogConfig,
 };
 pub use devtimer::PhaseTimer;
 pub use dlb::DlbController;

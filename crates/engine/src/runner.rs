@@ -1071,32 +1071,6 @@ mod tests {
     }
 
     #[test]
-    fn velocity_verlet_conserves_energy_and_matches_backends() {
-        use crate::config::Integrator;
-        let sys = relaxed_system(3000, 84);
-        let run_vv = |backend: ExchangeBackend| {
-            let mut cfg = EngineConfig::new(backend);
-            cfg.nstlist = 10;
-            cfg.integrator = Integrator::VelocityVerlet;
-            let mut engine = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), cfg);
-            let stats = engine.run(20);
-            (engine.system, stats)
-        };
-        let (a, stats) = run_vv(ExchangeBackend::NvshmemFused);
-        let (b, _) = run_vv(ExchangeBackend::Mpi);
-        let mut max_err = 0.0f32;
-        for (pa, pb) in a.positions.iter().zip(&b.positions) {
-            max_err = max_err.max(sys.pbc.dist2(*pa, *pb).sqrt());
-        }
-        assert!(max_err < 2e-4, "vv backend deviation {max_err} nm");
-        // Synchronous energies stay bounded.
-        let e0 = stats.energies[0].total();
-        for e in &stats.energies {
-            assert!(((e.total() - e0) / e0.abs().max(1.0)).abs() < 0.3);
-        }
-    }
-
-    #[test]
     fn symmetric_buffers_reused_across_segments() {
         let sys = relaxed_system(3000, 83);
         let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
@@ -1167,33 +1141,25 @@ mod tests {
 
     #[test]
     fn energy_steps_are_absolute_multiples_of_nstlist() {
-        use crate::config::Integrator;
         // 7 + 8 steps at nstlist 5 run segments [0,5) [5,7) [7,12) [12,15):
         // energies are still steps 0, 5 and 10 — the last one mid-segment.
         // Steps 0 and 5 open a segment on the same inputs as in an aligned
         // 15-step run, so those two entries are that run's bit for bit.
         let sys = relaxed_system(1500, 58);
-        for integrator in [Integrator::Leapfrog, Integrator::VelocityVerlet] {
-            let engine = || {
-                let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
-                cfg.nstlist = 5;
-                cfg.run_mode = RunMode::Serial;
-                cfg.integrator = integrator;
-                Engine::new(sys.clone(), DdGrid::new([2, 1, 1]), cfg)
-            };
-            let mut cut = engine();
-            assert_eq!(cut.run(7).energies.len(), 2, "{integrator:?}");
-            let stats = cut.run(8);
-            assert_eq!(stats.steps, 15);
-            assert_eq!(stats.energies.len(), 3, "{integrator:?}");
-            assert!(stats.energies.iter().all(|e| e.total().is_finite()));
-            let aligned = engine().run(15);
-            assert_energies_bitwise(
-                &format!("{integrator:?}"),
-                &aligned.energies[..2],
-                &stats.energies[..2],
-            );
-        }
+        let engine = || {
+            let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+            cfg.nstlist = 5;
+            cfg.run_mode = RunMode::Serial;
+            Engine::new(sys.clone(), DdGrid::new([2, 1, 1]), cfg)
+        };
+        let mut cut = engine();
+        assert_eq!(cut.run(7).energies.len(), 2);
+        let stats = cut.run(8);
+        assert_eq!(stats.steps, 15);
+        assert_eq!(stats.energies.len(), 3);
+        assert!(stats.energies.iter().all(|e| e.total().is_finite()));
+        let aligned = engine().run(15);
+        assert_energies_bitwise("leapfrog", &aligned.energies[..2], &stats.energies[..2]);
     }
 
     #[test]
@@ -1234,44 +1200,36 @@ mod tests {
 
     #[test]
     fn both_executors_time_the_same_phases() {
-        use crate::config::{Integrator, RunMode};
+        use crate::config::RunMode;
         // Each phase exists once in the step program, so both executors
         // report the same phase names (the overlap window adds
         // `pack_overlap` on a PE) and, for the per-round phases, one
-        // invocation per rank per force round.
+        // invocation per rank per force round: one round per step.
         let sys = relaxed_system(1500, 93);
         let (steps, nstlist, ranks) = (10, 5, 2);
-        for integrator in [Integrator::Leapfrog, Integrator::VelocityVerlet] {
-            let phases = |mode: RunMode| {
-                let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
-                cfg.nstlist = nstlist;
-                cfg.run_mode = mode;
-                cfg.integrator = integrator;
-                let mut engine = Engine::new(sys.clone(), DdGrid::new([ranks, 1, 1]), cfg);
-                engine.run(steps).phases
-            };
-            let (serial, threaded) = (phases(RunMode::Serial), phases(RunMode::Threaded));
-            let names = |t: &PhaseTimer| -> Vec<&str> {
-                let all = t.iter().map(|(name, _, _)| name);
-                all.filter(|&name| name != "pack_overlap").collect()
-            };
-            assert_eq!(names(&serial), names(&threaded), "{integrator:?}");
-            let count = |t: &PhaseTimer, phase: &str| {
-                let found = t.iter().find(|(name, _, _)| *name == phase);
-                found.map_or(0, |(_, _, n)| n as usize)
-            };
-            // Velocity Verlet bootstraps each segment with one more round.
-            let rounds = match integrator {
-                Integrator::Leapfrog => steps,
-                Integrator::VelocityVerlet => steps + steps / nstlist,
-            };
-            for phase in ["halo_x", "nb_halo", "bonded", "halo_f"] {
-                assert_eq!(count(&serial, phase), ranks * rounds, "{phase}");
-                assert_eq!(count(&threaded, phase), ranks * rounds, "{phase}");
-            }
-            assert!(count(&serial, "integrate") >= ranks * steps);
-            assert_eq!(count(&serial, "integrate"), count(&threaded, "integrate"));
+        let phases = |mode: RunMode| {
+            let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
+            cfg.nstlist = nstlist;
+            cfg.run_mode = mode;
+            let mut engine = Engine::new(sys.clone(), DdGrid::new([ranks, 1, 1]), cfg);
+            engine.run(steps).phases
+        };
+        let (serial, threaded) = (phases(RunMode::Serial), phases(RunMode::Threaded));
+        let names = |t: &PhaseTimer| -> Vec<&str> {
+            let all = t.iter().map(|(name, _, _)| name);
+            all.filter(|&name| name != "pack_overlap").collect()
+        };
+        assert_eq!(names(&serial), names(&threaded));
+        let count = |t: &PhaseTimer, phase: &str| {
+            let found = t.iter().find(|(name, _, _)| *name == phase);
+            found.map_or(0, |(_, _, n)| n as usize)
+        };
+        for phase in ["halo_x", "nb_halo", "bonded", "halo_f"] {
+            assert_eq!(count(&serial, phase), ranks * steps, "{phase}");
+            assert_eq!(count(&threaded, phase), ranks * steps, "{phase}");
         }
+        assert!(count(&serial, "integrate") >= ranks * steps);
+        assert_eq!(count(&serial, "integrate"), count(&threaded, "integrate"));
     }
 
     #[test]

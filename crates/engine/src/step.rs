@@ -3,15 +3,15 @@
 //! under which only the exchange is swapped.
 //!
 //! [`run_segment`] advances whatever ranks it is given (one on a PE, all of
-//! them under the serial driver) through the same force round and the same
-//! integrator sequence; the two executors differ only in their
+//! them under the serial driver) through the same leapfrog step — one force
+//! round per step; the two executors differ only in their
 //! [`Transport`]: how halos and the kinetic-energy sum travel. Everything
 //! else — list staleness decision, tile order, bonded terms, which steps
 //! compute energy and virial, DLB work units, thermostat — is shared by
 //! construction, so what the equivalence suites prove is exactly the
 //! transports (DESIGN.md §3.3).
 
-use crate::config::{EngineConfig, ExchangeBackend, Integrator};
+use crate::config::{EngineConfig, ExchangeBackend};
 use crate::devtimer::PhaseTimer;
 use halox_core::{exec, CommContext, ExchangeError, FusedBuffers, Watchdog};
 use halox_dd::{reference_coordinate_exchange, reference_force_exchange, DdPartition, RankPlan};
@@ -244,30 +244,11 @@ pub(crate) fn run_segment<T: Transport>(
     steps: usize,
 ) -> Result<Vec<RankResult>, ExchangeError> {
     let mut seg = Segment::new(&part.ranks[ranks], part.grid.dims, system, cfg, steps);
-    let energy_step = |k: usize| is_energy_step(first_step + k, cfg.nstlist);
-    match cfg.integrator {
-        Integrator::Leapfrog => {
-            for k in 0..steps {
-                seg.force_round(transport, energy_step(k))?;
-                seg.close_step(transport, energy_step(k))?;
-                seg.integrate(integrate::leapfrog_step);
-            }
-        }
-        Integrator::VelocityVerlet => {
-            // Bootstrap: forces at the segment's initial coordinates (the
-            // step's own round below supplies its energies).
-            seg.force_round(transport, false)?;
-            for k in 0..steps {
-                seg.integrate(integrate::velocity_verlet_start);
-                seg.force_round(transport, energy_step(k))?;
-                seg.integrate(|_, v, f, inv_mass, dt| {
-                    integrate::velocity_verlet_finish(v, f, inv_mass, dt)
-                });
-                // Positions and velocities are synchronous: this records
-                // the proper conserved energy of the step.
-                seg.close_step(transport, energy_step(k))?;
-            }
-        }
+    for k in 0..steps {
+        let energy = is_energy_step(first_step + k, cfg.nstlist);
+        seg.force_round(transport, energy)?;
+        seg.close_step(transport, energy)?;
+        seg.integrate();
     }
     Ok(seg.finish())
 }
@@ -341,9 +322,9 @@ impl<'a> Segment<'a> {
         }
     }
 
-    /// Exchange + force-computation round shared by both integrators. With
-    /// `energy` false only forces are computed: the force-only kernel, no
-    /// bonded virials, `step_energy` untouched.
+    /// One step's exchange + force-computation round. With `energy` false
+    /// only forces are computed: the force-only kernel, no bonded virials,
+    /// `step_energy` untouched.
     fn force_round<T: Transport>(
         &mut self,
         transport: &T,
@@ -472,15 +453,16 @@ impl<'a> Segment<'a> {
         Ok(())
     }
 
-    /// Apply one integrator update `(home positions, velocities, home
-    /// forces, inverse masses, dt)` to every rank.
-    fn integrate(&mut self, update: impl Fn(&mut [Vec3], &mut [Vec3], &[Vec3], &[f32], f32)) {
+    /// Advance every rank's home atoms by one leapfrog step.
+    fn integrate(&mut self) {
         for (r, (plan, rank)) in self.plans.iter().zip(&mut self.ranks).enumerate() {
             let n = plan.n_home;
             let (pos, forces) = (&mut self.positions[r][..n], &self.forces[r][..n]);
             let (vel, inv_mass, dt) = (&mut rank.velocities, &plan.inv_mass[..n], self.cfg.dt_ps);
             let timer = &mut rank.phases;
-            timer.time("integrate", || update(pos, vel, forces, inv_mass, dt));
+            timer.time("integrate", || {
+                integrate::leapfrog_step(pos, vel, forces, inv_mass, dt)
+            });
         }
     }
 

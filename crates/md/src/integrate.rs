@@ -28,38 +28,6 @@ pub fn leapfrog_step(
     }
 }
 
-/// Velocity-Verlet, first half: `v += f/m dt/2; x += v dt`. Call
-/// [`velocity_verlet_finish`] with the *new* forces to complete the step.
-/// GROMACS offers this as `integrator = md-vv`; it keeps positions and
-/// velocities synchronous (unlike leapfrog's half-step offset).
-pub fn velocity_verlet_start(
-    positions: &mut [Vec3],
-    velocities: &mut [Vec3],
-    forces: &[Vec3],
-    inv_mass: &[f32],
-    dt: f32,
-) {
-    assert_eq!(positions.len(), velocities.len());
-    assert_eq!(positions.len(), forces.len());
-    for i in 0..positions.len() {
-        velocities[i] += forces[i] * (inv_mass[i] * 0.5 * dt);
-        positions[i] += velocities[i] * dt;
-    }
-}
-
-/// Velocity-Verlet, second half: `v += f_new/m dt/2`.
-pub fn velocity_verlet_finish(
-    velocities: &mut [Vec3],
-    new_forces: &[Vec3],
-    inv_mass: &[f32],
-    dt: f32,
-) {
-    assert_eq!(velocities.len(), new_forces.len());
-    for i in 0..velocities.len() {
-        velocities[i] += new_forces[i] * (inv_mass[i] * 0.5 * dt);
-    }
-}
-
 /// Berendsen-style weak-coupling velocity scaling toward `t_ref` with
 /// coupling time `tau` (ps). Returns the applied scale factor.
 ///
@@ -165,39 +133,6 @@ mod tests {
         // Naive velocity reversal of leapfrog carries a half-step offset,
         // so reversal is approximate at O(dt).
         assert!((x[0] - x0).norm() < 5e-3, "{:?} vs {:?}", x[0], x0);
-    }
-
-    #[test]
-    fn velocity_verlet_harmonic_oscillator_conserves_energy() {
-        let k = 100.0f32;
-        let mut x = vec![Vec3::new(0.1, 0.0, 0.0)];
-        let mut v = vec![Vec3::ZERO];
-        let im = vec![1.0];
-        let dt = 0.001f32;
-        let e0 = 0.5 * k * 0.01;
-        let mut f = vec![x[0] * -k];
-        let mut worst: f32 = 0.0;
-        for _ in 0..10_000 {
-            velocity_verlet_start(&mut x, &mut v, &f, &im, dt);
-            f = vec![x[0] * -k];
-            velocity_verlet_finish(&mut v, &f, &im, dt);
-            let e = 0.5 * k * x[0].norm2() + 0.5 * v[0].norm2();
-            worst = worst.max((e - e0).abs() / e0);
-        }
-        assert!(worst < 0.01, "vv energy error {worst}");
-    }
-
-    #[test]
-    fn velocity_verlet_positions_synchronous_with_velocities() {
-        // Free particle: after one vv step, v unchanged and x advanced v dt.
-        let mut x = vec![Vec3::ZERO];
-        let mut v = vec![Vec3::new(1.0, 0.0, 0.0)];
-        let f = vec![Vec3::ZERO];
-        let im = vec![1.0];
-        velocity_verlet_start(&mut x, &mut v, &f, &im, 0.01);
-        velocity_verlet_finish(&mut v, &f, &im, 0.01);
-        assert!((x[0].x - 0.01).abs() < 1e-7);
-        assert_eq!(v[0].x, 1.0);
     }
 
     #[test]

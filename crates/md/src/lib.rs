@@ -28,7 +28,6 @@ pub mod simd4;
 pub mod soa;
 pub mod system;
 pub mod topology;
-pub mod trajectory;
 pub mod vec3;
 
 pub use analysis::{MsdTracker, Rdf};
@@ -45,7 +44,6 @@ pub use pbc::PbcBox;
 pub use soa::{SoaCoords, SoaForces};
 pub use system::{GrappaBuilder, SkewProfile, SkewedBuilder, System, GRAPPA_ATOM_DENSITY, KB};
 pub use topology::{Angle, AtomKind, Bond, LjParams, MoleculeTemplate};
-pub use trajectory::{read_xyz_frame, write_xyz_frame, TrajectoryWriter};
 pub use vec3::{DVec3, Vec3};
 
 use nb::NbEvaluator;

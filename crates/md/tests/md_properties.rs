@@ -1,17 +1,14 @@
 //! Property tests of the MD substrate: PBC invariants, pair-search
-//! completeness under the DD-frame metric, cluster-kernel equivalence, and
-//! trajectory round trips.
+//! completeness under the DD-frame metric, and cluster-kernel equivalence.
 
 use halox_md::cluster::{ClusterPairList, NbPartition};
 use halox_md::forces::{compute_nonbonded, NonbondedParams};
 use halox_md::nb::NbEvaluator;
 use halox_md::pairlist::{brute_force_pairs, eighth_shell_rule, PairFilter, ZoneFilter};
-use halox_md::trajectory::{read_xyz_frame, write_xyz_frame};
 use halox_md::{AtomKind, Frame, GrappaBuilder, PairList, PbcBox, Vec3, CLUSTER};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::BufReader;
 
 fn vec3() -> impl Strategy<Value = Vec3> {
     (-20.0f32..20.0, -20.0f32..20.0, -20.0f32..20.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -306,17 +303,6 @@ proptest! {
                     .iter()
                     .all(|&cj| (cj as usize >= cl.n_home_clusters) == is_halo));
             }
-        }
-    }
-
-    #[test]
-    fn xyz_round_trip_preserves_frame(seed in 0u64..10_000, atoms in 30usize..300) {
-        let sys = GrappaBuilder::new(atoms).seed(seed).build();
-        let text = write_xyz_frame(&sys.pbc, &sys.kinds, &sys.positions, "Time=1");
-        let frame = read_xyz_frame(&mut BufReader::new(text.as_bytes())).unwrap().unwrap();
-        prop_assert_eq!(frame.kinds, sys.kinds);
-        for (a, b) in frame.positions.iter().zip(&sys.positions) {
-            prop_assert!((*a - *b).norm() < 1e-4);
         }
     }
 }

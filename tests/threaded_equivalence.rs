@@ -1,21 +1,19 @@
 //! Concurrency stress suite for the two executors (DESIGN.md §3.3): the
 //! threaded per-PE runner must produce trajectories **bitwise identical**
 //! to the serial reference driver — same positions, velocities and every
-//! energy term to the last bit — across transports, topologies and
-//! integrators, with the global-collective thermostat enabled (the
-//! schedule-sensitive path). Under chaos the threaded executor must never
-//! deadlock: every run ends inside the watchdog ladder as completed,
-//! retried or downgraded, and a peer that dies mid-collective surfaces a
-//! bounded `CollectiveTimeout` error instead of a hang.
+//! energy term to the last bit — across transports and topologies, with
+//! the global-collective thermostat enabled (the schedule-sensitive path).
+//! Under chaos the threaded executor must never deadlock: every run ends
+//! inside the watchdog ladder as completed, retried or downgraded, and a
+//! peer that dies mid-collective surfaces a bounded `CollectiveTimeout`
+//! error instead of a hang.
 //!
 //! CI runs this file with `--test-threads=1` so each case owns the host's
 //! cores; `HALOX_CHAOS_SEED` selects the fault-plan seed as in the chaos
 //! suite.
 
 use halox::dd::DdGrid;
-use halox::engine::{
-    Engine, EngineConfig, ExchangeBackend, Integrator, RunMode, RunStats, Thermostat,
-};
+use halox::engine::{Engine, EngineConfig, ExchangeBackend, RunMode, RunStats, Thermostat};
 use halox::md::minimize::{steepest_descent, MinimizeOptions};
 use halox::md::{GrappaBuilder, System};
 use halox::shmem::{FaultKind, FaultPlan};
@@ -124,31 +122,6 @@ fn overlap_choice_stays_bitwise_between_executors() {
     let off = run(&sys, [2, 2, 1], mk(RunMode::Threaded, false), steps);
     assert_bitwise("overlap-on", &serial, &on);
     assert_bitwise("overlap-off", &serial, &off);
-}
-
-#[test]
-fn threaded_matches_serial_bitwise_velocity_verlet() {
-    // Velocity Verlet runs an extra force round per segment with its own
-    // signal sequencing (two-sided: its own message tags); it must stay
-    // bitwise-deterministic too, on every transport.
-    let sys = relaxed_system(402, 2400);
-    let mk = |backend, gpus, mode| {
-        let mut cfg = config(backend, gpus, mode);
-        cfg.integrator = Integrator::VelocityVerlet;
-        cfg
-    };
-    let fused = ExchangeBackend::NvshmemFused;
-    let serial = run(&sys, [2, 2, 1], mk(fused, Some(2), RunMode::Serial), 8);
-    for (backend, gpus) in [
-        (fused, Some(2)),
-        (ExchangeBackend::ThreadMpi, None), // single NVLink island only
-        (ExchangeBackend::Mpi, None),
-    ] {
-        let threaded = run(&sys, [2, 2, 1], mk(backend, gpus, RunMode::Threaded), 8);
-        let label = format!("velocity-verlet {backend:?}");
-        assert_bitwise(&label, &serial, &threaded);
-        assert!(threaded.1.downgrades.is_empty(), "{label}: no downgrade");
-    }
 }
 
 #[test]
