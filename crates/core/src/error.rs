@@ -211,138 +211,34 @@ impl std::error::Error for ExchangeError {}
 // shape needs a byte-level encoding. `&'static str` fields decode through the
 // wire's one intern pool.
 
-use halox_shmem::wire::{Wire, WireError, WireReader};
+halox_shmem::wire_codec!(enum ExchangePhase {
+    0 => CoordAckFence,
+    1 => CoordDep,
+    2 => CoordArrival,
+    3 => ForceData,
+    4 => ForceAckFence,
+});
 
-impl Wire for ExchangePhase {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            ExchangePhase::CoordAckFence => 0,
-            ExchangePhase::CoordDep => 1,
-            ExchangePhase::CoordArrival => 2,
-            ExchangePhase::ForceData => 3,
-            ExchangePhase::ForceAckFence => 4,
-        };
-        tag.encode(out);
-    }
+halox_shmem::wire_codec!(struct StallReport {
+    rank,
+    phase,
+    pulse,
+    slot,
+    expected,
+    observed,
+    suspect_peer,
+    waited_ms,
+    slot_snapshot,
+    trace_tail,
+});
 
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ExchangePhase::CoordAckFence,
-            1 => ExchangePhase::CoordDep,
-            2 => ExchangePhase::CoordArrival,
-            3 => ExchangePhase::ForceData,
-            4 => ExchangePhase::ForceAckFence,
-            t => return Err(WireError::malformed(format!("bad ExchangePhase tag {t}"))),
-        })
-    }
-}
-
-impl Wire for StallReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rank.encode(out);
-        self.phase.encode(out);
-        self.pulse.encode(out);
-        self.slot.encode(out);
-        self.expected.encode(out);
-        self.observed.encode(out);
-        self.suspect_peer.encode(out);
-        self.waited_ms.encode(out);
-        self.slot_snapshot.encode(out);
-        self.trace_tail.encode(out);
-    }
-
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(StallReport {
-            rank: usize::decode(r)?,
-            phase: ExchangePhase::decode(r)?,
-            pulse: usize::decode(r)?,
-            slot: usize::decode(r)?,
-            expected: u64::decode(r)?,
-            observed: u64::decode(r)?,
-            suspect_peer: Option::<usize>::decode(r)?,
-            waited_ms: u64::decode(r)?,
-            slot_snapshot: Vec::<u64>::decode(r)?,
-            trace_tail: Vec::<String>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for ExchangeError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ExchangeError::Stall(report) => {
-                0u8.encode(out);
-                report.as_ref().encode(out);
-            }
-            ExchangeError::Unreachable {
-                rank,
-                peer,
-                backend,
-            } => {
-                1u8.encode(out);
-                rank.encode(out);
-                peer.encode(out);
-                backend.encode(out);
-            }
-            ExchangeError::SizeMismatch {
-                rank,
-                pulse,
-                expected,
-                got,
-            } => {
-                2u8.encode(out);
-                rank.encode(out);
-                pulse.encode(out);
-                expected.encode(out);
-                got.encode(out);
-            }
-            ExchangeError::CollectiveTimeout {
-                rank,
-                what,
-                waited_ms,
-            } => {
-                3u8.encode(out);
-                rank.encode(out);
-                what.encode(out);
-                waited_ms.encode(out);
-            }
-            ExchangeError::PeDied { rank, peer, detail } => {
-                4u8.encode(out);
-                rank.encode(out);
-                peer.encode(out);
-                detail.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ExchangeError::Stall(Box::new(StallReport::decode(r)?)),
-            1 => ExchangeError::Unreachable {
-                rank: usize::decode(r)?,
-                peer: usize::decode(r)?,
-                backend: <&'static str>::decode(r)?,
-            },
-            2 => ExchangeError::SizeMismatch {
-                rank: usize::decode(r)?,
-                pulse: usize::decode(r)?,
-                expected: usize::decode(r)?,
-                got: usize::decode(r)?,
-            },
-            3 => ExchangeError::CollectiveTimeout {
-                rank: usize::decode(r)?,
-                what: <&'static str>::decode(r)?,
-                waited_ms: u64::decode(r)?,
-            },
-            4 => ExchangeError::PeDied {
-                rank: usize::decode(r)?,
-                peer: usize::decode(r)?,
-                detail: String::decode(r)?,
-            },
-            t => return Err(WireError::malformed(format!("bad ExchangeError tag {t}"))),
-        })
-    }
-}
+halox_shmem::wire_codec!(enum ExchangeError {
+    0 => Stall(report),
+    1 => Unreachable { rank, peer, backend },
+    2 => SizeMismatch { rank, pulse, expected, got },
+    3 => CollectiveTimeout { rank, what, waited_ms },
+    4 => PeDied { rank, peer, detail },
+});
 
 /// Watchdog policy for exchange waits: one deadline applied per wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,6 +267,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halox_shmem::Wire;
 
     #[test]
     fn stall_report_display_names_the_suspect() {

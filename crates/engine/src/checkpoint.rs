@@ -211,34 +211,18 @@ impl ConfigFingerprint {
     }
 }
 
-impl Wire for ConfigFingerprint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.grid.encode(out);
-        self.n_atoms.encode(out);
-        self.transport.encode(out);
-        self.topology_gpus_per_node.encode(out);
-        self.dlb.encode(out);
-        self.nstlist.encode(out);
-        self.dt_bits.encode(out);
-        self.cutoff_bits.encode(out);
-        self.buffer_bits.encode(out);
-        self.thermostat_bits.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ConfigFingerprint {
-            grid: Wire::decode(r)?,
-            n_atoms: usize::decode(r)?,
-            transport: String::decode(r)?,
-            topology_gpus_per_node: Wire::decode(r)?,
-            dlb: String::decode(r)?,
-            nstlist: usize::decode(r)?,
-            dt_bits: u32::decode(r)?,
-            cutoff_bits: u32::decode(r)?,
-            buffer_bits: u32::decode(r)?,
-            thermostat_bits: Wire::decode(r)?,
-        })
-    }
-}
+halox_shmem::wire_codec!(struct ConfigFingerprint {
+    grid,
+    n_atoms,
+    transport,
+    topology_gpus_per_node,
+    dlb,
+    nstlist,
+    dt_bits,
+    cutoff_bits,
+    buffer_bits,
+    thermostat_bits,
+});
 
 /// Cumulative `RunStats` counters carried across resumes, so a trajectory
 /// interrupted N times still reports its total retries/recoveries. The
@@ -254,26 +238,14 @@ pub struct StatsSnapshot {
     pub checkpoints_written: usize,
 }
 
-impl Wire for StatsSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.retries.encode(out);
-        self.degraded_steps.encode(out);
-        self.repromotions.encode(out);
-        self.recoveries.encode(out);
-        self.rewound_steps.encode(out);
-        self.checkpoints_written.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StatsSnapshot {
-            retries: usize::decode(r)?,
-            degraded_steps: usize::decode(r)?,
-            repromotions: usize::decode(r)?,
-            recoveries: usize::decode(r)?,
-            rewound_steps: usize::decode(r)?,
-            checkpoints_written: usize::decode(r)?,
-        })
-    }
-}
+halox_shmem::wire_codec!(struct StatsSnapshot {
+    retries,
+    degraded_steps,
+    repromotions,
+    recoveries,
+    rewound_steps,
+    checkpoints_written,
+});
 
 /// One durable snapshot of a run at a segment boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,26 +290,14 @@ fn decode_bounds(r: &mut WireReader<'_>) -> Result<DdBounds, WireError> {
     Ok(DdBounds { fracs })
 }
 
-impl Wire for Checkpoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.fingerprint.encode(out);
-        self.step.encode(out);
-        self.system.encode(out);
-        self.energies.encode(out);
-        self.stats.encode(out);
-        encode_bounds(&self.bounds, out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Checkpoint {
-            fingerprint: ConfigFingerprint::decode(r)?,
-            step: u64::decode(r)?,
-            system: System::decode(r)?,
-            energies: Vec::decode(r)?,
-            stats: StatsSnapshot::decode(r)?,
-            bounds: decode_bounds(r)?,
-        })
-    }
-}
+halox_shmem::wire_codec!(struct Checkpoint {
+    fingerprint,
+    step,
+    system,
+    energies,
+    stats,
+    bounds with (encode_bounds, decode_bounds),
+});
 
 impl Checkpoint {
     /// Canonical file name for a snapshot at `step`; zero-padded so
@@ -651,6 +611,213 @@ mod tests {
                 bytes.len()
             );
         }
+    }
+
+    /// Check `v`'s wire bytes — they decode and re-encode to themselves,
+    /// and every strict prefix is a typed error, never `Trailing` — and
+    /// return their CRC32 for pinning.
+    fn wire_crc<T: Wire>(what: &'static str, v: &T) -> (&'static str, u32) {
+        let bytes = v.to_bytes();
+        let back = T::from_bytes(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(back.to_bytes(), bytes, "{what}: re-encoding differs");
+        for cut in 0..bytes.len() {
+            match T::from_bytes(&bytes[..cut]) {
+                Ok(_) => panic!("{what}: strict prefix {cut}/{} decoded", bytes.len()),
+                Err(WireError::Trailing { .. }) => {
+                    panic!("{what}: prefix {cut}/{} reported Trailing", bytes.len())
+                }
+                Err(_) => {}
+            }
+        }
+        (what, crc32(&bytes))
+    }
+
+    /// A small checkpoint built from literals only, so its bytes depend on
+    /// the wire format and nothing else.
+    fn literal_checkpoint() -> Checkpoint {
+        use halox_md::{Angle, AtomKind, Bond, PbcBox, Vec3};
+        Checkpoint {
+            fingerprint: ConfigFingerprint {
+                grid: (2, 1, 1),
+                n_atoms: 3,
+                transport: "nvshmem-fused".into(),
+                topology_gpus_per_node: Some(4),
+                dlb: "counter".into(),
+                nstlist: 5,
+                dt_bits: 0.002f32.to_bits(),
+                cutoff_bits: 0.9f32.to_bits(),
+                buffer_bits: 0.1f32.to_bits(),
+                thermostat_bits: Some((300.0f64.to_bits(), 0.1f64.to_bits())),
+            },
+            step: 7,
+            system: System {
+                pbc: PbcBox::new(Vec3::new(3.0, 4.0, 5.0)),
+                positions: vec![
+                    Vec3::new(0.1, 0.2, 0.3),
+                    Vec3::new(1.0, 1.5, 2.0),
+                    Vec3::new(2.5, 0.0, 4.75),
+                ],
+                velocities: vec![
+                    Vec3::new(-0.3, 0.0, 0.7),
+                    Vec3::new(0.0, -0.0, 4.5),
+                    Vec3::new(1.25, -2.0, 0.5),
+                ],
+                kinds: vec![AtomKind::Oh, AtomKind::Ch2, AtomKind::Ch3],
+                inv_mass: vec![0.0625, 0.0714, 0.0667],
+                bonds: vec![Bond {
+                    i: 0,
+                    j: 1,
+                    r0: 0.143,
+                    k: 267_776.0,
+                }],
+                angles: vec![Angle {
+                    i: 0,
+                    j: 1,
+                    k_atom: 2,
+                    theta0: 1.9,
+                    k: 520.0,
+                }],
+                molecule_of: vec![0, 0, 0],
+                exclusions: vec![vec![1, 2], vec![0, 2], vec![0, 1]],
+            },
+            energies: vec![
+                EnergyReport {
+                    nonbonded: -12.5,
+                    bonds: 0.25,
+                    angles: 0.125,
+                    kinetic: 7.0,
+                    virial: -3.5,
+                },
+                EnergyReport::default(),
+            ],
+            stats: StatsSnapshot {
+                retries: 2,
+                degraded_steps: 5,
+                repromotions: 1,
+                recoveries: 1,
+                rewound_steps: 5,
+                checkpoints_written: 3,
+            },
+            bounds: DdBounds {
+                fracs: [vec![0.0, 0.4375, 1.0], vec![0.0, 1.0], vec![0.0, 1.0]],
+            },
+        }
+    }
+
+    /// The byte layout of every type whose encoding is a field list, pinned
+    /// by CRC32: a reordered, inserted or retyped field fails here. Such a
+    /// change to a checkpointed type also needs a [`VERSION`] bump.
+    #[test]
+    fn every_wire_format_is_pinned() {
+        use crate::devtimer::PhaseTimer;
+        use crate::step::RankResult;
+        use halox_core::{ExchangeError, ExchangePhase, StallReport};
+        use halox_md::{AtomKind, Vec3};
+        use std::time::Duration;
+
+        let ck = literal_checkpoint();
+        let stall = StallReport {
+            rank: 2,
+            phase: ExchangePhase::ForceAckFence,
+            pulse: 1,
+            slot: 5,
+            expected: 7,
+            observed: 6,
+            suspect_peer: Some(3),
+            waited_ms: 120,
+            slot_snapshot: vec![7, 7, 6, 0],
+            trace_tail: vec!["ev1".into(), "ev2".into()],
+        };
+        let errors = vec![
+            ExchangeError::Stall(Box::new(stall.clone())),
+            ExchangeError::Unreachable {
+                rank: 0,
+                peer: 4,
+                backend: "thread-MPI",
+            },
+            ExchangeError::SizeMismatch {
+                rank: 1,
+                pulse: 0,
+                expected: 10,
+                got: 3,
+            },
+            ExchangeError::CollectiveTimeout {
+                rank: 1,
+                what: "allreduce-sum(kinetic)",
+                waited_ms: 12,
+            },
+            ExchangeError::PeDied {
+                rank: 0,
+                peer: 2,
+                detail: "killed by signal 9".into(),
+            },
+        ];
+        let mut phases = PhaseTimer::new();
+        phases.add("nb_local", Duration::from_micros(1500));
+        phases.add("pack", Duration::from_nanos(250));
+        phases.add("pack", Duration::from_nanos(750));
+        let rank = RankResult {
+            positions: ck.system.positions.clone(),
+            velocities: ck.system.velocities.clone(),
+            energies: ck.energies.clone(),
+            phases,
+            work: 123_456,
+        };
+        // A whole file's CRC32, footer included, is the same residue for
+        // every file: pin the CRC of what precedes the footer.
+        let file = ck.file_bytes();
+        let got = vec![
+            wire_crc("Vec3", &Vec3::new(1.0, -2.5, 3.25)),
+            wire_crc("EnergyReport", &ck.energies[0]),
+            wire_crc(
+                "AtomKind",
+                &vec![
+                    AtomKind::Ow,
+                    AtomKind::Hw,
+                    AtomKind::Ch3,
+                    AtomKind::Ch2,
+                    AtomKind::Oh,
+                ],
+            ),
+            wire_crc("Bond", &ck.system.bonds[0]),
+            wire_crc("Angle", &ck.system.angles[0]),
+            wire_crc("System", &ck.system),
+            wire_crc(
+                "ExchangePhase",
+                &vec![
+                    ExchangePhase::CoordAckFence,
+                    ExchangePhase::CoordDep,
+                    ExchangePhase::CoordArrival,
+                    ExchangePhase::ForceData,
+                    ExchangePhase::ForceAckFence,
+                ],
+            ),
+            wire_crc("StallReport", &stall),
+            wire_crc("ExchangeError", &errors),
+            wire_crc("ConfigFingerprint", &ck.fingerprint),
+            wire_crc("StatsSnapshot", &ck.stats),
+            wire_crc("Checkpoint", &ck),
+            wire_crc("RankResult", &rank),
+            ("file_bytes", crc32(&file[..file.len() - 4])),
+        ];
+        let pinned = vec![
+            ("Vec3", 0x4E86_3144),
+            ("EnergyReport", 0xD92A_C330),
+            ("AtomKind", 0x8523_D140),
+            ("Bond", 0xE0E0_9F9A),
+            ("Angle", 0x2CBF_DC39),
+            ("System", 0x1970_FA72),
+            ("ExchangePhase", 0x8523_D140),
+            ("StallReport", 0xAC11_D35E),
+            ("ExchangeError", 0xAF78_34FC),
+            ("ConfigFingerprint", 0xEC10_E6BB),
+            ("StatsSnapshot", 0x7207_01CD),
+            ("Checkpoint", 0xF202_11FD),
+            ("RankResult", 0xD6A7_F1B4),
+            ("file_bytes", 0xF053_58E3),
+        ];
+        assert_eq!(got, pinned);
+        assert_eq!(VERSION, 4);
     }
 
     #[test]

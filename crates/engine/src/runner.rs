@@ -1323,7 +1323,11 @@ mod tests {
         let sys = relaxed_system(3000, 90);
         let mut cfg = EngineConfig::new(ExchangeBackend::NvshmemFused);
         cfg.nstlist = 2;
-        cfg.watchdog.deadline = std::time::Duration::from_millis(100);
+        // The dropped signal is rank 0's first force-ready signal: rank 1's
+        // force-data wait and rank 0's ack fence then hold with nothing left
+        // to raise either slot, so a 1 s deadline detects the same stall,
+        // later, and no clean round after re-promotion comes near it.
+        cfg.watchdog.deadline = std::time::Duration::from_secs(1);
         cfg.watchdog.max_retries = 0; // stall → immediate downgrade
         cfg.watchdog.repromote_after = 1;
         cfg.chaos = Some(FaultPlan {

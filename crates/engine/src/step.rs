@@ -18,7 +18,7 @@ use halox_dd::{reference_coordinate_exchange, reference_force_exchange, DdPartit
 use halox_md::forces::{angle_virial, bond_virial, compute_angles, compute_bonds, NonbondedParams};
 use halox_md::nb::{NbEvaluator, PhaseClock};
 use halox_md::{integrate, EnergyReport, Frame, System, Vec3};
-use halox_shmem::{Pe, TwoSidedComm, Wire, WireError, WireReader};
+use halox_shmem::{Pe, TwoSidedComm};
 use halox_trace::{record_opt, span_opt, Payload, Recorder, Region};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -37,27 +37,14 @@ pub(crate) struct RankResult {
     pub work: u64,
 }
 
-/// Wire encoding so rank results can cross the process boundary of the
-/// `procs` world backend (fields in declaration order).
-impl Wire for RankResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.positions.encode(out);
-        self.velocities.encode(out);
-        self.energies.encode(out);
-        self.phases.encode(out);
-        self.work.encode(out);
-    }
-
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(RankResult {
-            positions: Wire::decode(r)?,
-            velocities: Wire::decode(r)?,
-            energies: Wire::decode(r)?,
-            phases: Wire::decode(r)?,
-            work: u64::decode(r)?,
-        })
-    }
-}
+// Rank results cross the process boundary of the `procs` world backend.
+halox_shmem::wire_codec!(struct RankResult {
+    positions,
+    velocities,
+    energies,
+    phases,
+    work,
+});
 
 /// How halos and the kinetic-energy sum travel between the ranks of one
 /// [`run_segment`] call. The slices are that call's per-rank state, in rank
@@ -474,5 +461,46 @@ impl<'a> Segment<'a> {
             rank.positions = pos;
         }
         self.ranks
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use halox_shmem::Wire;
+
+    #[test]
+    fn rank_result_round_trips_the_wire() {
+        let v = |x: f32| Vec3::new(x, -0.0, f32::from_bits(0x7fc0_1234));
+        let mut phases = PhaseTimer::new();
+        phases.add("nb_local", Duration::from_micros(1500));
+        phases.add("pack", Duration::from_nanos(250));
+        let rank = RankResult {
+            positions: vec![v(0.5), v(1.25)],
+            velocities: vec![v(-3.0)],
+            energies: vec![EnergyReport {
+                nonbonded: -12.5,
+                bonds: 0.25,
+                angles: 0.125,
+                kinetic: 7.0,
+                virial: -3.5,
+            }],
+            phases,
+            work: 123_456,
+        };
+        let back = RankResult::from_bytes(&rank.to_bytes()).expect("round trip");
+        let bits = |xs: &[Vec3]| -> Vec<[u32; 3]> {
+            xs.iter()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&back.positions), bits(&rank.positions));
+        assert_eq!(bits(&back.velocities), bits(&rank.velocities));
+        assert_eq!(back.energies, rank.energies);
+        assert_eq!(
+            back.phases.iter().collect::<Vec<_>>(),
+            rank.phases.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(back.work, rank.work);
     }
 }

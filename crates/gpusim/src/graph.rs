@@ -171,11 +171,7 @@ impl TaskGraph {
             start[i] = s;
             end[i] = s + self.ops[i].duration;
         }
-        Timeline {
-            start,
-            end,
-            labels: self.ops.iter().map(|o| o.label.clone()).collect(),
-        }
+        Timeline { start, end }
     }
 }
 
@@ -184,7 +180,6 @@ impl TaskGraph {
 pub struct Timeline {
     start: Vec<Time>,
     end: Vec<Time>,
-    labels: Vec<String>,
 }
 
 impl Timeline {
@@ -203,34 +198,6 @@ impl Timeline {
     /// Latest end over all ops (makespan).
     pub fn makespan(&self) -> Time {
         self.end.iter().copied().max().unwrap_or(0)
-    }
-
-    /// `(min start, max end)` over ops whose label starts with `prefix`.
-    /// None if no op matches.
-    pub fn span_of_prefix(&self, prefix: &str) -> Option<(Time, Time)> {
-        let mut lo = Time::MAX;
-        let mut hi = 0;
-        let mut any = false;
-        for (i, l) in self.labels.iter().enumerate() {
-            if l.starts_with(prefix) {
-                lo = lo.min(self.start[i]);
-                hi = hi.max(self.end[i]);
-                any = true;
-            }
-        }
-        any.then_some((lo, hi))
-    }
-
-    /// End time of the single op with this exact label (panics if absent or
-    /// ambiguous labels are fine — last match wins deterministically).
-    pub fn end_of_label(&self, label: &str) -> Option<Time> {
-        let mut found = None;
-        for (i, l) in self.labels.iter().enumerate() {
-            if l == label {
-                found = Some(self.end[i]);
-            }
-        }
-        found
     }
 }
 
@@ -326,18 +293,6 @@ mod tests {
         g.dep(a, b, 0);
         g.dep(b, a, 0);
         let _ = g.run();
-    }
-
-    #[test]
-    fn span_of_prefix_aggregates() {
-        let mut g = TaskGraph::new();
-        let a = g.add("nl:pack", Resource::Cpu(0), 10);
-        let b = g.add("nl:wire", Resource::Cpu(0), 20);
-        let _c = g.add("other", Resource::Cpu(0), 5);
-        g.dep(b, a, 0);
-        let t = g.run();
-        assert_eq!(t.span_of_prefix("nl:"), Some((0, 30)));
-        assert_eq!(t.span_of_prefix("nope"), None);
     }
 
     #[test]

@@ -165,31 +165,9 @@ impl MachineModel {
 
     // --- Chainable overrides for custom what-if machines. ---
 
-    pub fn with_name(mut self, name: &str) -> Self {
-        self.name = name.into();
-        self
-    }
-
     pub fn with_gpus_per_node(mut self, n: usize) -> Self {
         assert!(n >= 1);
         self.gpus_per_node = n;
-        self
-    }
-
-    pub fn with_nvlink(mut self, gbps: f64, latency_ns: u64) -> Self {
-        self.nvlink_gbps = gbps;
-        self.nvlink_latency_ns = latency_ns;
-        self
-    }
-
-    pub fn with_ib(mut self, gbps: f64, latency_ns: u64) -> Self {
-        self.ib_gbps = gbps;
-        self.ib_latency_ns = latency_ns;
-        self
-    }
-
-    pub fn with_proxy_contention(mut self, factor: f64) -> Self {
-        self.proxy_contention = factor;
         self
     }
 
@@ -280,17 +258,9 @@ mod tests {
 
     #[test]
     fn builder_overrides_compose() {
-        let m = MachineModel::eos()
-            .with_name("custom")
-            .with_gpus_per_node(2)
-            .with_nvlink(600.0, 300)
-            .with_ib(100.0, 5_000)
-            .with_proxy_contention(2.0);
-        assert_eq!(m.name, "custom");
+        let m = MachineModel::eos().with_gpus_per_node(2);
         assert!(m.nvlink_reachable(0, 1));
         assert!(!m.nvlink_reachable(1, 2));
-        assert_eq!(m.wire_ns(0, 1, 600.0), 1);
-        assert_eq!(m.proxy_service_ns(), 5_000);
     }
 
     #[test]

@@ -71,10 +71,6 @@ impl DriftTracker {
         self.samples.push((time_ps, total_energy));
     }
 
-    pub fn n_samples(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Least-squares drift slope in kJ/mol/ps, or None with < 2 samples.
     pub fn drift_per_ps(&self) -> Option<f64> {
         if self.samples.len() < 2 {

@@ -57,13 +57,6 @@ impl SoaCoords {
         }
     }
 
-    /// Convert back to AoS (index-preserving, bitwise).
-    pub fn to_aos(&self) -> Vec<Vec3> {
-        (0..self.len())
-            .map(|i| Vec3::new(self.x[i], self.y[i], self.z[i]))
-            .collect()
-    }
-
     #[inline]
     pub fn set(&mut self, i: usize, p: Vec3) {
         self.x[i] = p.x;
@@ -131,7 +124,7 @@ mod tests {
             })
             .collect();
         let soa = SoaCoords::from_aos(&aos);
-        let back = soa.to_aos();
+        let back: Vec<Vec3> = (0..soa.len()).map(|i| soa.get(i)).collect();
         assert_eq!(aos.len(), back.len());
         for (a, b) in aos.iter().zip(&back) {
             assert_eq!(a.x.to_bits(), b.x.to_bits());

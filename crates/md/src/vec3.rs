@@ -132,16 +132,6 @@ impl DVec3 {
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
     }
-
-    /// Narrow to single precision.
-    #[inline(always)]
-    pub fn to_vec3(self) -> Vec3 {
-        Vec3 {
-            x: self.x as f32,
-            y: self.y as f32,
-            z: self.z as f32,
-        }
-    }
 }
 
 macro_rules! impl_vec_ops {
@@ -313,7 +303,7 @@ mod tests {
     fn precision_conversions() {
         let v = Vec3::new(1.5, -2.25, 3.125);
         let d = v.to_dvec();
-        assert_eq!(d.to_vec3(), v);
+        assert_eq!(d, DVec3::new(1.5, -2.25, 3.125));
     }
 
     #[test]

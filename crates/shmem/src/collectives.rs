@@ -138,15 +138,6 @@ impl Collectives {
         Some(total)
     }
 
-    /// Deadline-bounded [`Collectives::allreduce_max`].
-    pub fn allreduce_max_deadline(&self, pe: usize, my: f64, deadline: Instant) -> Option<f64> {
-        self.slots[pe].store(my, Ordering::Relaxed);
-        self.barrier.wait_deadline(deadline).ok()?;
-        let total = self.reduce_max();
-        self.barrier.wait_deadline(deadline).ok()?;
-        Some(total)
-    }
-
     fn reduce_sum(&self) -> f64 {
         let mut total = 0.0;
         for s in self.slots.iter() {
@@ -252,7 +243,6 @@ mod tests {
                 s.spawn(move || {
                     let d = Instant::now() + Duration::from_secs(5);
                     assert_eq!(c.allreduce_sum_deadline(pe, 1.0, d), Some(3.0));
-                    assert_eq!(c.allreduce_max_deadline(pe, pe as f64, d), Some(2.0));
                 });
             }
         });

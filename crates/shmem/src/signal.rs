@@ -68,14 +68,6 @@ impl SignalSet {
         self.slots[slot].fetch_max(val, Ordering::AcqRel);
     }
 
-    /// Relaxed store for notifications with no preceding data writes (the
-    /// first pulse of the force send in the paper). The paper's
-    /// `system_relaxed_store`.
-    #[inline]
-    pub fn relaxed_store(&self, slot: usize, val: u64) {
-        self.slots[slot].store(val, Ordering::Relaxed);
-    }
-
     /// Spin until the slot reaches at least `val`, with acquire ordering —
     /// the paper's `acquire_wait(signal == sigVal)`. Values are monotone, so
     /// `>=` is the robust comparison. Returns the value actually observed

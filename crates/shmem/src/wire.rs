@@ -124,6 +124,88 @@ pub trait Wire: Sized {
     }
 }
 
+/// Implement [`Wire`] for a struct or an enum from one list, whose order
+/// is the byte format: `encode` and `decode` both expand from it, so they
+/// cannot disagree, and the compiler rejects a list that misses a field or
+/// a variant.
+///
+/// - `struct T { a, b }`: the fields, in that order.
+/// - `enum T { 0 => A, 1 => B(x, y), 2 => C { a, b } }`: one tag byte, then
+///   the variant's fields in the order named (tuple fields are bound to the
+///   names given). Any other tag decodes to `Malformed("bad T tag {t}")`.
+/// - A struct field whose type has no `Wire` impl names its codec:
+///   `f with (encode_f, decode_f)`, taking `(&F, &mut Vec<u8>)` and
+///   `&mut WireReader` respectively.
+///
+/// ```
+/// use halox_shmem::{wire_codec, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Probe { rank: usize, ns: u64 }
+/// wire_codec!(struct Probe { rank, ns });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Event { Idle, Wait(u32), Done { rank: usize } }
+/// wire_codec!(enum Event { 0 => Idle, 1 => Wait(slot), 2 => Done { rank } });
+///
+/// let p = Probe { rank: 3, ns: 7 };
+/// assert_eq!(Probe::from_bytes(&p.to_bytes()), Ok(p));
+/// assert_eq!(Event::Wait(5).to_bytes(), [1, 5, 0, 0, 0]);
+/// assert!(Event::from_bytes(&[9]).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_codec {
+    (struct $T:ident { $($f:ident $(with ($enc:path, $dec:path))?),+ $(,)? }) => {
+        impl $crate::wire::Wire for $T {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::wire_codec!(@encode out, &self.$f $(, $enc)?);)+
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                ::std::result::Result::Ok($T {
+                    $($f: $crate::wire_codec!(@decode r $(, $dec)?),)+
+                })
+            }
+        }
+    };
+    (enum $T:ident {
+        $($tag:literal => $V:ident $(($($t:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Wire for $T {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $($T::$V $(($($t),+))? $({ $($f),+ })? => {
+                        out.push($tag);
+                        $($($crate::wire::Wire::encode($t, out);)+)?
+                        $($($crate::wire::Wire::encode($f, out);)+)?
+                    })+
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                ::std::result::Result::Ok(match <u8 as $crate::wire::Wire>::decode(r)? {
+                    $($tag => {
+                        $($(let $t = $crate::wire::Wire::decode(r)?;)+)?
+                        $($(let $f = $crate::wire::Wire::decode(r)?;)+)?
+                        $T::$V $(($($t),+))? $({ $($f),+ })?
+                    })+
+                    t => {
+                        return ::std::result::Result::Err($crate::wire::WireError::malformed(
+                            ::std::format!("bad {} tag {t}", ::std::stringify!($T)),
+                        ))
+                    }
+                })
+            }
+        }
+    };
+    (@encode $out:ident, $v:expr) => { $crate::wire::Wire::encode($v, $out) };
+    (@encode $out:ident, $v:expr, $enc:path) => { $enc($v, $out) };
+    (@decode $r:ident) => { $crate::wire::Wire::decode($r)? };
+    (@decode $r:ident, $dec:path) => { $dec($r)? };
+}
+
 macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
@@ -247,6 +329,15 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_ref().encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Box::new(T::decode(r)?))
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -321,87 +412,11 @@ impl Wire for std::time::Duration {
 // halox-md types: implemented here (this crate depends on halox-md, the
 // reverse is not true) so every crate above gets them for free.
 
-impl Wire for Vec3 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.x.encode(out);
-        self.y.encode(out);
-        self.z.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Vec3::new(f32::decode(r)?, f32::decode(r)?, f32::decode(r)?))
-    }
-}
-
-impl Wire for EnergyReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.nonbonded.encode(out);
-        self.bonds.encode(out);
-        self.angles.encode(out);
-        self.kinetic.encode(out);
-        self.virial.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EnergyReport {
-            nonbonded: f64::decode(r)?,
-            bonds: f64::decode(r)?,
-            angles: f64::decode(r)?,
-            kinetic: f64::decode(r)?,
-            virial: f64::decode(r)?,
-        })
-    }
-}
-
-impl Wire for AtomKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.index() as u8);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(AtomKind::Ow),
-            1 => Ok(AtomKind::Hw),
-            2 => Ok(AtomKind::Ch3),
-            3 => Ok(AtomKind::Ch2),
-            4 => Ok(AtomKind::Oh),
-            t => Err(WireError::malformed(format!("bad AtomKind tag {t}"))),
-        }
-    }
-}
-
-impl Wire for Bond {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.i.encode(out);
-        self.j.encode(out);
-        self.r0.encode(out);
-        self.k.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Bond {
-            i: u32::decode(r)?,
-            j: u32::decode(r)?,
-            r0: f32::decode(r)?,
-            k: f32::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Angle {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.i.encode(out);
-        self.j.encode(out);
-        self.k_atom.encode(out);
-        self.theta0.encode(out);
-        self.k.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Angle {
-            i: u32::decode(r)?,
-            j: u32::decode(r)?,
-            k_atom: u32::decode(r)?,
-            theta0: f32::decode(r)?,
-            k: f32::decode(r)?,
-        })
-    }
-}
+wire_codec!(struct Vec3 { x, y, z });
+wire_codec!(struct EnergyReport { nonbonded, bonds, angles, kinetic, virial });
+wire_codec!(enum AtomKind { 0 => Ow, 1 => Hw, 2 => Ch3, 3 => Ch2, 4 => Oh });
+wire_codec!(struct Bond { i, j, r0, k });
+wire_codec!(struct Angle { i, j, k_atom, theta0, k });
 
 impl Wire for PbcBox {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -418,32 +433,17 @@ impl Wire for PbcBox {
     }
 }
 
-impl Wire for System {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pbc.encode(out);
-        self.positions.encode(out);
-        self.velocities.encode(out);
-        self.kinds.encode(out);
-        self.inv_mass.encode(out);
-        self.bonds.encode(out);
-        self.angles.encode(out);
-        self.molecule_of.encode(out);
-        self.exclusions.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(System {
-            pbc: PbcBox::decode(r)?,
-            positions: Vec::decode(r)?,
-            velocities: Vec::decode(r)?,
-            kinds: Vec::decode(r)?,
-            inv_mass: Vec::decode(r)?,
-            bonds: Vec::decode(r)?,
-            angles: Vec::decode(r)?,
-            molecule_of: Vec::decode(r)?,
-            exclusions: Vec::decode(r)?,
-        })
-    }
-}
+wire_codec!(struct System {
+    pbc,
+    positions,
+    velocities,
+    kinds,
+    inv_mass,
+    bonds,
+    angles,
+    molecule_of,
+    exclusions,
+});
 
 #[cfg(test)]
 mod tests {

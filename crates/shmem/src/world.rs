@@ -1054,12 +1054,6 @@ impl<'w> Pe<'w> {
         self.link.submit(d, proxied, enqueued_us);
     }
 
-    /// Direct put: relaxed stores into the peer's segment. Use only inside
-    /// an NVLink island, or when a separate signal orders visibility.
-    pub fn put_vec3(&self, buf: &SymVec3, dst_pe: usize, offset: usize, src: &[Vec3]) {
-        buf.write_slice(dst_pe, offset, src);
-    }
-
     /// Put-with-signal, non-blocking-interface: over NVLink this is direct
     /// stores + a release signal (the paper's TMA store + `st.release.sys`
     /// notification); across the network it stages the payload and hands it
@@ -1348,7 +1342,7 @@ mod tests {
         let b = &buf;
         w.run(|pe| {
             if pe.id == 0 {
-                pe.put_vec3(b, 0, 0, &[Vec3::splat(1.0)]); // warm-up direct
+                b.write_slice(0, 0, &[Vec3::splat(1.0)]); // warm-up direct
                 pe.put_vec3_signal_nbi(b, 1, 0, &[Vec3::splat(9.0)], 0, 1);
                 pe.quiet();
             }

@@ -91,12 +91,12 @@ fn threaded_matches_serial_bitwise_across_transports() {
         (ExchangeBackend::Mpi, None),
     ];
     for (backend, gpus) in scenarios {
-        let threaded = run(
-            &sys,
-            [2, 2, 1],
-            config(backend, gpus, RunMode::Threaded),
-            steps,
-        );
+        let mut cfg = config(backend, gpus, RunMode::Threaded);
+        // No faults are injected here, so the deadline is purely a hang
+        // backstop: under the suite's tight default a loaded host can skew
+        // one clean wait past it, and the run retries.
+        cfg.watchdog.deadline = Duration::from_secs(2);
+        let threaded = run(&sys, [2, 2, 1], cfg, steps);
         let label = format!("{:?}/gpus_per_node={gpus:?}", backend);
         assert_bitwise(&label, &serial, &threaded);
         assert_eq!(threaded.1.retries, 0, "{label}: clean run must not retry");
