@@ -34,7 +34,7 @@
 
 use crate::shared;
 use crate::signal::SignalSet;
-use crate::sym::{store_vec3s, SymVec3};
+use crate::sym::store_vec3s;
 use halox_md::Vec3;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -223,23 +223,14 @@ pub enum OpKind {
 
 /// A transport delivery as a PE submits it to its proxy, so it can be held
 /// for reordering and replayed later. NVLink ops (when chaos is attached)
-/// and network ops reduce to this one form.
+/// and network ops reduce to this one form, on either link.
 #[derive(Clone)]
 pub enum Delivery {
+    /// A put (+ optional fused signal). The target is a symmetric segment
+    /// *name* (`SymVec3::seg_addr`: base address + word count), resolved
+    /// against the live mappings at the moment of the write, because a
+    /// delivery held for reordering can outlive its target.
     Put {
-        buf: SymVec3,
-        dst_pe: usize,
-        offset: usize,
-        payload: Vec<Vec3>,
-        signal: Option<(usize, u64)>,
-    },
-    /// A put whose target arrived over the socket proxy as a raw symmetric
-    /// segment name (base address + word count). Only a name: the words —
-    /// the same physical memory `Delivery::Put` would address through its
-    /// `SymVec3` handle — are resolved against the live mappings at the
-    /// moment of the write, because a delivery held for reordering can
-    /// outlive its target.
-    PutRaw {
         addr: usize,
         words: usize,
         dst_pe: usize,
@@ -254,10 +245,15 @@ pub enum Delivery {
     },
 }
 
+crate::wire_codec!(enum Delivery {
+    0 => Put { dst_pe, offset, addr, words, signal, payload },
+    1 => Signal { dst_pe, slot, val },
+});
+
 impl Delivery {
     pub fn op_kind(&self) -> OpKind {
         match self {
-            Delivery::Put { .. } | Delivery::PutRaw { .. } => OpKind::Put,
+            Delivery::Put { .. } => OpKind::Put,
             Delivery::Signal { .. } => OpKind::Signal,
         }
     }
@@ -267,28 +263,20 @@ impl Delivery {
     /// payload's place in the segment it is stored to. Checked where a
     /// delivery enters the route — at the issuing PE, and again where a
     /// frame from another process is decoded — so [`Delivery::apply`] can
-    /// index without looking. (Whether a raw segment *name* is live is a
+    /// index without looking. (Whether a segment *name* is live is a
     /// separate question, answered when the delivery is applied.)
     pub fn in_bounds(&self, signals: &[Arc<SignalSet>]) -> bool {
-        let fits = |offset: &usize, payload: &Vec<Vec3>, len: usize| {
-            (offset.checked_add(payload.len())).is_some_and(|end| end <= len)
-        };
         let (dst_pe, signal) = match self {
             Delivery::Put {
-                buf,
-                dst_pe,
-                offset,
-                payload,
-                signal,
-            } if *dst_pe < buf.npes() && fits(offset, payload, buf.len()) => (*dst_pe, *signal),
-            Delivery::PutRaw {
                 words,
                 dst_pe,
                 offset,
                 payload,
                 signal,
                 ..
-            } if fits(offset, payload, words / 3) => (*dst_pe, *signal),
+            } if (offset.checked_add(payload.len())).is_some_and(|end| end <= words / 3) => {
+                (*dst_pe, *signal)
+            }
             Delivery::Signal { dst_pe, slot, val } => (*dst_pe, Some((*slot, *val))),
             _ => return false,
         };
@@ -299,21 +287,11 @@ impl Delivery {
 
     /// Apply this delivery to the destination PE's memory and signal set.
     /// `drop_signal` swallows the signal component (lost-doorbell faults).
-    /// False for a raw put whose target is not (or no longer) live: it lands
+    /// False for a put whose target is not (or no longer) live: it lands
     /// nowhere, signal included.
     pub fn apply(self, signals: &[Arc<SignalSet>], drop_signal: bool) -> bool {
         let (dst_pe, signal) = match self {
             Delivery::Put {
-                buf,
-                dst_pe,
-                offset,
-                payload,
-                signal,
-            } => {
-                buf.write_slice(dst_pe, offset, &payload);
-                (dst_pe, signal)
-            }
-            Delivery::PutRaw {
                 addr,
                 words,
                 dst_pe,

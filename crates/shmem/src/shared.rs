@@ -61,7 +61,7 @@ mod ffi {
 static IN_FORKED_PE: AtomicBool = AtomicBool::new(false);
 
 /// The live mappings of this process: base address → bytes of cells.
-/// Written by [`Slots::alloc`] and `Drop`, read only by the socket proxy
+/// Written by [`Slots::alloc`] and `Drop`, read only by the PEs' proxies
 /// ([`with_live_words`]). Never locked inside a forked PE — the fork may
 /// have snapshotted it while another thread held it.
 static LIVE: RwLock<BTreeMap<usize, usize>> = RwLock::new(BTreeMap::new());
@@ -211,9 +211,9 @@ impl<T> std::fmt::Debug for Slots<T> {
 /// Resolve a symmetric word segment from its cross-process name (base
 /// address + word count) and run `f` on it. `None` means the range does
 /// not lie inside one *live* symmetric mapping — never was one, or its
-/// owner dropped it — and the socket proxy rejects such puts instead of
-/// scribbling on arbitrary memory. The mapping cannot be dropped while `f`
-/// runs. Parent side only.
+/// owner dropped it — and a proxy rejects such puts instead of scribbling
+/// on arbitrary memory. The mapping cannot be dropped while `f` runs.
+/// Never inside a forked PE.
 pub fn with_live_words<R>(
     addr: usize,
     words: usize,

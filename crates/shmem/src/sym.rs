@@ -70,9 +70,9 @@ impl SymVec3 {
         self.seg(pe).as_chunks().0
     }
 
-    /// Cross-process name of PE `pe`'s segment: (base address, word count).
-    /// The socket proxy validates it against the live mappings before
-    /// writing through it.
+    /// Cross-process name of PE `pe`'s segment: (base address, word count)
+    /// — how a put names its target on either link. The proxy validates it
+    /// against the live mappings before writing through it.
     pub fn seg_addr(&self, pe: usize) -> (usize, usize) {
         let s = self.seg(pe);
         (s.as_ptr() as usize, s.len())

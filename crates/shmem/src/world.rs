@@ -29,11 +29,12 @@
 //!
 //! The backend chooses how PEs are launched and what carries the link, and
 //! nothing else. Threads: the link is a channel of `ProxyCmd`s. Procs:
-//! the same commands are framed over a Unix domain socket to the parent
-//! (real kernel-mediated I/O, the IBRC analog), which also carries the PE's
-//! result frame; the parent reaps every child with `waitpid`. A frame is
-//! input from another process, so it is validated when decoded and a PE
-//! whose frame does not check out is cut off ([`PeFailure::Died`]).
+//! the same commands cross a Unix domain socket to the parent as their
+//! declared `Wire` bytes (real kernel-mediated I/O, the IBRC analog), the
+//! last one being the PE's result; the parent reaps every child with
+//! `waitpid`. A frame is input from another process, so it is validated
+//! when decoded and a PE whose frame does not check out is cut off
+//! ([`PeFailure::Died`]).
 //! Symmetric memory (signal slots, collective deposit slots, barriers,
 //! `SymVec3` segments) and the trace recorder are fork-shared mappings on
 //! both, so anything made before a run is visible to that run's PEs. See
@@ -45,7 +46,7 @@ use crate::collectives::Collectives;
 use crate::shared;
 use crate::signal::SignalSet;
 use crate::sym::SymVec3;
-use crate::wire::{Wire, WireReader};
+use crate::wire::Wire;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use halox_md::Vec3;
 use halox_trace::{Payload, Recorder, DRIVER_PE};
@@ -210,7 +211,8 @@ pub struct ProxyConfig {
     pub random_delay: Option<(u64, u64)>,
 }
 
-/// What a PE sends down its link.
+/// What a PE sends down its link: values on a thread's channel, their
+/// declared bytes on a forked PE's socket.
 enum ProxyCmd {
     /// A staged delivery: a put (+ optional signal on the destination PE's
     /// signal set) or a pure remote signal.
@@ -219,14 +221,25 @@ enum ProxyCmd {
         /// Genuinely network-proxied, as opposed to an NVLink op that only
         /// takes this route to face the chaos engine.
         proxied: bool,
-        /// Recorder timestamp at enqueue (0 when tracing is off); lets the
-        /// proxy report time-in-queue. A socket link stamps it when the
-        /// frame is read — time in the kernel's buffer is not visible.
+        /// Recorder timestamp at the issuing PE's submit (0 when tracing is
+        /// off); lets the proxy report time-in-queue, a socket's included —
+        /// a forked PE's recorder shares the parent's origin.
         enqueued_us: u64,
     },
     /// Completion fence: ack when everything sent before has been applied.
     Flush,
+    /// A forked PE's last command: its `Wire`-encoded result.
+    Returned(Vec<u8>),
+    /// A forked PE's last command: it panicked with this message.
+    Panicked(String),
 }
+
+crate::wire_codec!(enum ProxyCmd {
+    0 => Deliver { d, proxied, enqueued_us },
+    1 => Flush,
+    2 => Returned(result),
+    3 => Panicked(msg),
+});
 
 /// The stress knobs of a [`ProxyConfig`], paid once per network-proxied
 /// delivery.
@@ -518,14 +531,10 @@ impl ShmemWorld {
                 .enumerate()
                 .map(|(id, sock)| {
                     let mut end = SockEnd {
-                        world: self,
+                        signals: &self.signals,
                         sock: Some(sock),
-                        last: None,
                     };
-                    scope.spawn(move || {
-                        serve(self, id, &mut end);
-                        end.outcome()
-                    })
+                    scope.spawn(move || outcome(serve(self, id, &mut end)))
                 })
                 .collect();
             handles
@@ -591,7 +600,8 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 /// delivered immediately, keeping at most one op in flight per PE.
 /// Returns `true` when the source PE's link must be severed: the decision
 /// was [`Decision::Kill`] (the delivery was swallowed and the PE is now
-/// dead), or the delivery named a target that is not live.
+/// dead), or a delivery it landed — this one, a displaced one or a
+/// flushed one — named a target that is not live.
 fn chaos_deliver(
     chaos: &ChaosEngine,
     signals: &[Arc<SignalSet>],
@@ -599,7 +609,7 @@ fn chaos_deliver(
     d: Delivery,
 ) -> bool {
     let decision = chaos.decide(src_pe, d.op_kind());
-    let landed = match decision {
+    let mut landed = match decision {
         Decision::Deliver => d.apply(signals, false),
         Decision::DropSignal => d.apply(signals, true),
         Decision::Drop | Decision::Kill => true,
@@ -608,14 +618,13 @@ fn chaos_deliver(
             d.apply(signals, false)
         }
         Decision::Hold => {
-            if let Some(displaced) = chaos.hold(src_pe, d) {
-                displaced.apply(signals, false);
-            }
-            return false; // the held op flushes on the *next* operation
+            // The held op flushes on the *next* operation.
+            let displaced = chaos.hold(src_pe, d);
+            return displaced.is_some_and(|displaced| !displaced.apply(signals, false));
         }
     };
     if let Some(held) = chaos.take_held(src_pe) {
-        held.apply(signals, false);
+        landed &= held.apply(signals, false);
     }
     decision == Decision::Kill || !landed
 }
@@ -638,8 +647,8 @@ fn deliver(
 
 /// The proxy's end of one PE's link.
 trait ProxyEnd {
-    /// The next command, or `None` once the PE is done with its proxy: it
-    /// returned, died, or was severed.
+    /// The next command, or `None` once the link is closed: a PE thread
+    /// returned, or a PE died or was severed.
     fn recv(&mut self) -> Option<ProxyCmd>;
     /// Commands waiting behind the one just received, where the link can
     /// tell.
@@ -656,8 +665,9 @@ trait ProxyEnd {
 
 /// One PE's proxy, on either backend: serve the link until the PE is done.
 /// Everything the PE submits is landed here, in order, through the single
-/// [`deliver`] choke point.
-fn serve(world: &ShmemWorld, pe: usize, end: &mut impl ProxyEnd) {
+/// [`deliver`] choke point. Returns the command that ended the stream, if
+/// one did: a forked PE's result or panic.
+fn serve(world: &ShmemWorld, pe: usize, end: &mut impl ProxyEnd) -> Option<ProxyCmd> {
     let trace = world.trace.as_deref();
     let mut delays = ProxyDelays::new(world.proxy_config, (pe as u64) << 32);
     while let Some(cmd) = end.recv() {
@@ -691,8 +701,10 @@ fn serve(world: &ShmemWorld, pe: usize, end: &mut impl ProxyEnd) {
             // before the flush has been applied: the ack *is* the quiet()
             // completion.
             ProxyCmd::Flush => end.ack_flush(),
+            last => return Some(last),
         }
     }
+    None
 }
 
 /// Proxy end of a thread PE's channel link.
@@ -718,37 +730,27 @@ impl ProxyEnd for ChanEnd {
 }
 
 // ---------------------------------------------------------------------------
-// Socket frame protocol (procs backend). One frame = [tag u8][len u64 LE]
-// [body]; bodies are `Wire`-encoded field sequences. See DESIGN.md §3.5.
+// Socket frames (procs backend): `[len u64 LE]` then one `ProxyCmd`'s
+// declared bytes. See DESIGN.md §3.5.
 // ---------------------------------------------------------------------------
 
-/// Put (+ optional signal): child → parent.
-const TAG_PUT: u8 = 1;
-/// Pure signal: child → parent.
-const TAG_SIGNAL: u8 = 2;
-/// Completion fence; parent answers with one [`FLUSH_ACK`] byte.
-const TAG_FLUSH: u8 = 3;
-/// Final frame: the PE's `Wire`-encoded result.
-const TAG_RESULT_OK: u8 = 4;
-/// Final frame: the PE panicked; body is the panic message.
-const TAG_RESULT_PANIC: u8 = 5;
-/// The single byte answering a [`TAG_FLUSH`] frame.
+/// The single byte answering a [`ProxyCmd::Flush`] frame.
 const FLUSH_ACK: u8 = 0xA5;
-/// Upper bound on a frame body — a corrupt length must not OOM the parent.
+/// Upper bound on a frame — a corrupt length must not OOM the parent.
 const MAX_FRAME: u64 = 1 << 28;
 
-fn write_frame(w: &mut impl Write, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let mut hdr = [0u8; 9];
-    hdr[0] = tag;
-    hdr[1..9].copy_from_slice(&(body.len() as u64).to_le_bytes());
-    w.write_all(&hdr)?;
-    w.write_all(body)
+fn write_frame(w: &mut impl Write, cmd: &ProxyCmd) -> std::io::Result<()> {
+    let mut frame = vec![0u8; 8];
+    cmd.encode(&mut frame);
+    let len = (frame.len() - 8) as u64;
+    frame[..8].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&frame)
 }
 
-fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut hdr = [0u8; 9];
-    r.read_exact(&mut hdr)?;
-    let len = u64::from_le_bytes(hdr[1..9].try_into().unwrap());
+fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    let mut len = [0u8; 8];
+    r.read_exact(&mut len)?;
+    let len = u64::from_le_bytes(len);
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -757,119 +759,38 @@ fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    Ok((hdr[0], body))
+    Ok(body)
 }
 
-/// Encode a delivery as the put/signal frame [`decode_delivery`] reads. A
-/// put names its target segment by raw address: the cross-process name of a
-/// fork-shared mapping.
-fn encode_delivery(d: &Delivery, proxied: bool) -> (u8, Vec<u8>) {
-    let mut body = Vec::new();
-    let (addr, words, dst_pe, offset, payload, signal) = match d {
-        Delivery::Signal { dst_pe, slot, val } => {
-            dst_pe.encode(&mut body);
-            slot.encode(&mut body);
-            val.encode(&mut body);
-            proxied.encode(&mut body);
-            return (TAG_SIGNAL, body);
-        }
-        Delivery::Put {
-            buf,
-            dst_pe,
-            offset,
-            payload,
-            signal,
-        } => {
-            let (addr, words) = buf.seg_addr(*dst_pe);
-            (addr, words, dst_pe, offset, payload, signal)
-        }
-        Delivery::PutRaw {
-            addr,
-            words,
-            dst_pe,
-            offset,
-            payload,
-            signal,
-        } => (*addr, *words, dst_pe, offset, payload, signal),
-    };
-    body.reserve(64 + payload.len() * 12);
-    dst_pe.encode(&mut body);
-    offset.encode(&mut body);
-    addr.encode(&mut body);
-    words.encode(&mut body);
-    signal.encode(&mut body);
-    proxied.encode(&mut body);
-    payload.encode(&mut body);
-    (TAG_PUT, body)
-}
-
-/// Decode a put/signal frame body into the delivery it asks for, plus
-/// whether it was genuinely network-proxied. The frame is input from another
-/// process: `None` for a body that does not decode and for a delivery that
+/// Decode a frame from another process into the command it carries. `None`
+/// for bytes that are not exactly one command and for a delivery that
 /// names a PE, a signal slot or a segment range the world does not have.
-/// The segment name itself — a raw address — is validated against the live
-/// mappings when the delivery is applied.
-fn decode_delivery(tag: u8, body: &[u8], signals: &[Arc<SignalSet>]) -> Option<(Delivery, bool)> {
-    let r = &mut WireReader::new(body);
-    let dst_pe = usize::decode(r).ok()?;
-    let (d, proxied) = if tag == TAG_SIGNAL {
-        let (slot, val) = (usize::decode(r).ok()?, u64::decode(r).ok()?);
-        (
-            Delivery::Signal { dst_pe, slot, val },
-            bool::decode(r).ok()?,
-        )
-    } else {
-        let offset = usize::decode(r).ok()?;
-        let (addr, words) = (usize::decode(r).ok()?, usize::decode(r).ok()?);
-        let signal = Option::<(usize, u64)>::decode(r).ok()?;
-        let proxied = bool::decode(r).ok()?;
-        let payload = Vec::<Vec3>::decode(r).ok()?;
-        let d = Delivery::PutRaw {
-            addr,
-            words,
-            dst_pe,
-            offset,
-            payload,
-            signal,
-        };
-        (d, proxied)
-    };
-    d.in_bounds(signals).then_some((d, proxied))
+/// The segment name itself is validated against the live mappings when
+/// the delivery is applied.
+fn decode_cmd(frame: &[u8], signals: &[Arc<SignalSet>]) -> Option<ProxyCmd> {
+    ProxyCmd::from_bytes(frame).ok().filter(|cmd| match cmd {
+        ProxyCmd::Deliver { d, .. } => d.in_bounds(signals),
+        _ => true,
+    })
 }
 
-/// Proxy end of a forked PE's socket link, in the parent. The socket also
-/// carries the PE's final (result) frame, kept here for [`SockEnd::outcome`].
+/// Proxy end of a forked PE's socket link, in the parent.
 struct SockEnd<'w> {
-    world: &'w ShmemWorld,
+    signals: &'w [Arc<SignalSet>],
     /// `None` once severed: closing our end is what kills the child — Rust
     /// ignores SIGPIPE, so its next write errors → panic → `_exit`.
     sock: Option<UnixStream>,
-    /// The frame that ended the command stream, if one did.
-    last: Option<(u8, Vec<u8>)>,
 }
 
 impl ProxyEnd for SockEnd<'_> {
     fn recv(&mut self) -> Option<ProxyCmd> {
-        // EOF without a result frame: the child died.
-        let (tag, body) = read_frame(self.sock.as_mut()?).ok()?;
-        match tag {
-            TAG_FLUSH => Some(ProxyCmd::Flush),
-            TAG_PUT | TAG_SIGNAL => {
-                let Some((d, proxied)) = decode_delivery(tag, &body, &self.world.signals) else {
-                    self.sever();
-                    return None;
-                };
-                Some(ProxyCmd::Deliver {
-                    d,
-                    proxied,
-                    enqueued_us: self.world.trace.as_ref().map_or(0, |t| t.now_us()),
-                })
-            }
-            _ => {
-                self.last = Some((tag, body));
-                None
-            }
+        // EOF before the PE's last command: the child died.
+        let frame = read_frame(self.sock.as_mut()?).ok()?;
+        let cmd = decode_cmd(&frame, self.signals);
+        if cmd.is_none() {
+            self.sever();
         }
+        cmd
     }
 
     fn backlog(&self) -> Option<u32> {
@@ -887,84 +808,63 @@ impl ProxyEnd for SockEnd<'_> {
     }
 }
 
-impl SockEnd<'_> {
-    /// What the PE reported: its result, `Err(Some(msg))` for a panic it
-    /// caught and framed, `Err(None)` when it died (or was severed, or sent
-    /// a frame no PE sends) without a result.
-    fn outcome<R: Wire>(self) -> Result<R, Option<String>> {
-        match self.last {
-            Some((TAG_RESULT_OK, body)) => {
-                R::from_bytes(&body).map_err(|e| Some(format!("PE result decode failed: {e}")))
-            }
-            Some((TAG_RESULT_PANIC, body)) => {
-                Err(Some(String::from_bytes(&body).unwrap_or_else(|_| {
-                    "<undecodable panic message>".to_string()
-                })))
-            }
-            _ => Err(None),
+/// What a forked PE reported, given the command that ended its stream: its
+/// result, `Err(Some(msg))` for a panic it caught and sent, `Err(None)` when
+/// it died (or was severed) without either.
+fn outcome<R: Wire>(last: Option<ProxyCmd>) -> Result<R, Option<String>> {
+    match last {
+        Some(ProxyCmd::Returned(bytes)) => {
+            R::from_bytes(&bytes).map_err(|e| Some(format!("PE result decode failed: {e}")))
         }
+        Some(ProxyCmd::Panicked(msg)) => Err(Some(msg)),
+        _ => Err(None),
     }
 }
 
-/// Child-process body for one PE: run `f` under `catch_unwind` and report
-/// the outcome as the final frame on the socket. Runs inside the fork —
-/// only symmetric atomics, the socket, and plain malloc are touched.
+/// Child-process body for one PE: run `f` under `catch_unwind` and send the
+/// outcome as the last command on the socket. Runs inside the fork — only
+/// symmetric atomics, the socket, and plain malloc are touched.
 fn child_main<R, F>(world: &ShmemWorld, id: usize, sock: UnixStream, f: &F)
 where
     R: Wire,
     F: Fn(&Pe) -> R,
 {
-    let link = PeLink::Proc(ProcLink {
-        sock: Mutex::new(sock),
-    });
-    let pe = Pe { id, world, link };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pe)));
-    let PeLink::Proc(pl) = &pe.link else {
+    let pe = Pe {
+        id,
+        world,
+        link: PeLink::Proc(Mutex::new(sock)),
+    };
+    let last = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pe))) {
+        Ok(r) => ProxyCmd::Returned(r.to_bytes()),
+        Err(p) => ProxyCmd::Panicked(panic_message(p)),
+    };
+    let PeLink::Proc(sock) = &pe.link else {
         unreachable!()
     };
-    let mut sock = pl.sock.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = match result {
-        Ok(r) => write_frame(&mut *sock, TAG_RESULT_OK, &r.to_bytes()),
-        Err(p) => write_frame(&mut *sock, TAG_RESULT_PANIC, &panic_message(p).to_bytes()),
-    };
+    // A severed PE has nobody left to tell.
+    let _ = write_frame(&mut *sock.lock().unwrap_or_else(|p| p.into_inner()), &last);
 }
 
 /// A PE's end of its link to its proxy: a channel to the in-process proxy
-/// thread, or a framed Unix socket to the parent. Two operations, and the
-/// only place a PE knows which backend launched it.
+/// thread, or a Unix socket to the parent. Two operations, and the only
+/// place a PE knows which backend launched it.
 enum PeLink {
     Thread {
         tx: Sender<ProxyCmd>,
         ack: Receiver<()>,
     },
-    Proc(ProcLink),
-}
-
-struct ProcLink {
-    sock: Mutex<UnixStream>,
-}
-
-impl ProcLink {
-    fn send(&self, tag: u8, body: &[u8]) {
-        let mut sock = self.sock.lock().unwrap_or_else(|p| p.into_inner());
-        write_frame(&mut *sock, tag, body).expect("proxy gone");
-    }
+    /// Locked per command, and across a flush and its ack.
+    Proc(Mutex<UnixStream>),
 }
 
 impl PeLink {
-    /// Hand a delivery to the proxy. Panics (a PE failure) if it is gone.
-    fn submit(&self, d: Delivery, proxied: bool, enqueued_us: u64) {
+    /// Hand a command to the proxy. Panics (a PE failure) if it is gone.
+    fn send(&self, cmd: ProxyCmd) {
         match self {
-            PeLink::Thread { tx, .. } => tx
-                .send(ProxyCmd::Deliver {
-                    d,
-                    proxied,
-                    enqueued_us,
-                })
-                .expect("proxy gone"),
-            PeLink::Proc(pl) => {
-                let (tag, body) = encode_delivery(&d, proxied);
-                pl.send(tag, &body);
+            PeLink::Thread { tx, .. } => tx.send(cmd).expect("proxy gone"),
+            PeLink::Proc(sock) => {
+                let mut sock = sock.lock().unwrap_or_else(|p| p.into_inner());
+                write_frame(&mut *sock, &cmd).expect("proxy gone");
             }
         }
     }
@@ -977,9 +877,9 @@ impl PeLink {
                 tx.send(ProxyCmd::Flush).expect("proxy gone");
                 ack.recv().expect("proxy gone");
             }
-            PeLink::Proc(pl) => {
-                let mut sock = pl.sock.lock().unwrap_or_else(|p| p.into_inner());
-                write_frame(&mut *sock, TAG_FLUSH, &[]).expect("proxy gone");
+            PeLink::Proc(sock) => {
+                let mut sock = sock.lock().unwrap_or_else(|p| p.into_inner());
+                write_frame(&mut *sock, &ProxyCmd::Flush).expect("proxy gone");
                 let mut ack = [0u8; 1];
                 sock.read_exact(&mut ack).expect("proxy gone");
                 assert_eq!(ack[0], FLUSH_ACK, "corrupt flush ack");
@@ -1051,7 +951,11 @@ impl<'w> Pe<'w> {
             self.id
         );
         let enqueued_us = self.trace().map_or(0, |t| t.now_us());
-        self.link.submit(d, proxied, enqueued_us);
+        self.link.send(ProxyCmd::Deliver {
+            d,
+            proxied,
+            enqueued_us,
+        });
     }
 
     /// Put-with-signal, non-blocking-interface: over NVLink this is direct
@@ -1069,9 +973,12 @@ impl<'w> Pe<'w> {
     ) {
         match self.route(dst_pe, slot, val) {
             Some(proxied) => {
-                // The one payload copy: the proxy's staging buffer.
+                // The one payload copy: the proxy's staging buffer. The
+                // target travels as its segment name.
+                let (addr, words) = buf.seg_addr(dst_pe);
                 let d = Delivery::Put {
-                    buf: buf.clone(),
+                    addr,
+                    words,
                     dst_pe,
                     offset,
                     payload: src.to_vec(),
@@ -1243,6 +1150,7 @@ mod tests {
     use super::*;
     use crate::chaos::{FaultKind, FaultOp, FaultPlan, FaultRule};
     use crate::shared::Slots;
+    use crate::wire::WireError;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -1875,31 +1783,42 @@ mod tests {
         assert!(Slots::<AtomicU64>::alloc(8).is_ok());
     }
 
-    #[test]
-    fn proxied_put_naming_a_dropped_buffer_is_rejected() {
-        // 12 MiB a segment (never touched): larger than any one mapping a
-        // concurrently running test makes, so nothing can revive the name.
+    /// A put to PE 1, slot 0, naming a segment that is no longer live.
+    /// 12 MiB a segment (never touched): larger than any one mapping a
+    /// concurrently running test makes, so nothing can revive the name.
+    fn put_to_a_dropped_segment() -> Delivery {
         let dead = SymVec3::alloc(2, 1 << 20);
         let (addr, words) = dead.seg_addr(1);
         drop(dead);
+        Delivery::Put {
+            addr,
+            words,
+            dst_pe: 1,
+            offset: 0,
+            payload: vec![Vec3::splat(9.0)],
+            signal: Some((0, 1)),
+        }
+    }
+
+    /// `d` as a network-proxied command, untraced.
+    fn proxied(d: Delivery) -> ProxyCmd {
+        ProxyCmd::Deliver {
+            d,
+            proxied: true,
+            enqueued_us: 0,
+        }
+    }
+
+    #[test]
+    fn proxied_put_naming_a_dropped_buffer_is_rejected() {
+        let put = put_to_a_dropped_segment();
         let w = procs_world(Topology::islands(2, 1), 1);
         let err = w
             .try_run(|pe| {
                 if pe.id == 0 {
-                    // A put frame as `frame_put` would encode it, but for a
+                    // A put as `Pe::submit` would send it, but for a
                     // segment name that is no longer live.
-                    let PeLink::Proc(pl) = &pe.link else {
-                        unreachable!("procs world")
-                    };
-                    let mut body = Vec::new();
-                    1usize.encode(&mut body); // dst_pe
-                    0usize.encode(&mut body); // offset
-                    addr.encode(&mut body);
-                    words.encode(&mut body);
-                    Some((0usize, 1u64)).encode(&mut body);
-                    true.encode(&mut body); // proxied
-                    vec![Vec3::splat(9.0)].encode(&mut body);
-                    pl.send(TAG_PUT, &body);
+                    pe.link.send(proxied(put.clone()));
                 }
                 pe.id as u64
             })
@@ -1908,6 +1827,133 @@ mod tests {
         assert_eq!(err.failures[0].0, 0);
         assert!(matches!(err.failures[0].1, PeFailure::Died { .. }), "{err}");
         assert_eq!(w.signal_set(1).peek(0), 0, "a rejected put signals nobody");
+    }
+
+    #[test]
+    fn reordered_put_naming_a_dropped_buffer_severs_its_pe() {
+        // The held put lands only when pe0's next delivery flushes it; a
+        // dead name must sever pe0 then, as it does without the reorder.
+        let put = put_to_a_dropped_segment();
+        let chaos = Arc::new(ChaosEngine::new(
+            one_shot_plan(0, FaultOp::Put, FaultKind::ReorderNext),
+            2,
+        ));
+        let w = procs_world(Topology::islands(2, 1), 1).with_chaos(Arc::clone(&chaos));
+        let err = w
+            .try_run(|pe| {
+                if pe.id == 0 {
+                    pe.link.send(proxied(put.clone())); // held
+                    pe.signal(1, 0, 1); // delivered, then flushes the held put
+                    pe.quiet();
+                }
+                pe.id as u64
+            })
+            .expect_err("the flushed put names no live segment");
+        assert_eq!(chaos.report().reorders, 1);
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert!(
+            matches!(err.failures[0], (0, PeFailure::Died { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn proxy_queue_time_counts_from_the_issuing_pe() {
+        // Three puts queue behind a 2 ms proxy delay each, so the last one
+        // waits about 6 ms from its submit to its landing — socket included
+        // on the procs backend. A lower bound only: a slow host passes.
+        for backend in [WorldBackend::Threads, WorldBackend::Procs] {
+            let rec = Arc::new(Recorder::with_capacity(256));
+            let w = ShmemWorld::new_with_backend(backend, Topology::islands(2, 1), 1)
+                .with_proxy_config(ProxyConfig {
+                    injected_delay: Some(Duration::from_millis(2)),
+                    ..Default::default()
+                })
+                .with_trace(Arc::clone(&rec));
+            let buf = SymVec3::alloc(2, 3);
+            let b = &buf;
+            w.run(|pe| {
+                if pe.id == 0 {
+                    for i in 0..3 {
+                        pe.put_vec3_signal_nbi(b, 1, i, &[Vec3::splat(1.0)], 0, i as u64 + 1);
+                    }
+                    pe.quiet();
+                }
+            });
+            let trace = rec.drain();
+            let queued = trace.events.iter().filter_map(|e| match e.payload {
+                Payload::ProxyService { queued_us, .. } => Some(queued_us),
+                _ => None,
+            });
+            let longest = queued.max().expect("the proxy serviced the puts");
+            assert!(longest >= 4_000, "{}: {longest} us", backend.label());
+        }
+    }
+
+    /// CRC32 of `cmd`'s declared bytes, after checking that they decode to
+    /// a command that re-encodes to the same bytes and that every strict
+    /// prefix is a typed error, never `Trailing`.
+    fn wire_crc(what: &'static str, cmd: &ProxyCmd) -> (&'static str, u32) {
+        let bytes = cmd.to_bytes();
+        let back = ProxyCmd::from_bytes(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(back.to_bytes(), bytes, "{what}: re-encoding differs");
+        for cut in 0..bytes.len() {
+            match ProxyCmd::from_bytes(&bytes[..cut]) {
+                Ok(_) => panic!("{what}: strict prefix {cut}/{} decoded", bytes.len()),
+                Err(WireError::Trailing { .. }) => {
+                    panic!("{what}: prefix {cut}/{} reported Trailing", bytes.len())
+                }
+                Err(_) => {}
+            }
+        }
+        (what, crate::wire::crc32(&bytes))
+    }
+
+    /// The socket's byte layout, pinned by CRC32 like the checkpoint
+    /// formats: a reordered, inserted or retyped field of `ProxyCmd` or
+    /// `Delivery` fails here.
+    #[test]
+    fn every_socket_command_is_pinned() {
+        let put = |signal, proxied| ProxyCmd::Deliver {
+            d: Delivery::Put {
+                addr: 0x7f3a_5c00_1000,
+                words: 96,
+                dst_pe: 1,
+                offset: 2,
+                payload: vec![Vec3::new(1.0, -2.5, 3.25), Vec3::splat(0.5)],
+                signal,
+            },
+            proxied,
+            enqueued_us: 1_234,
+        };
+        let got = vec![
+            wire_crc("put + signal", &put(Some((3, 7)), true)),
+            wire_crc("put", &put(None, false)),
+            wire_crc(
+                "signal",
+                &ProxyCmd::Deliver {
+                    d: Delivery::Signal {
+                        dst_pe: 2,
+                        slot: 5,
+                        val: 9,
+                    },
+                    proxied: true,
+                    enqueued_us: 55,
+                },
+            ),
+            wire_crc("flush", &ProxyCmd::Flush),
+            wire_crc("returned", &ProxyCmd::Returned(42u64.to_bytes())),
+            wire_crc("panicked", &ProxyCmd::Panicked("PE 1 gave up".into())),
+        ];
+        let pinned = vec![
+            ("put + signal", 0xE4E7_A0B6),
+            ("put", 0x8A0A_BEEA),
+            ("signal", 0xE76C_37E8),
+            ("flush", 0xA505_DF1B),
+            ("returned", 0x0676_80AB),
+            ("panicked", 0x30FA_2690),
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]
@@ -1962,15 +2008,11 @@ mod tests {
         let err = w
             .try_run(|pe| {
                 if pe.id == 0 {
-                    let PeLink::Proc(pl) = &pe.link else {
-                        unreachable!("procs world")
-                    };
-                    let mut body = Vec::new();
-                    1usize.encode(&mut body); // dst_pe
-                    7usize.encode(&mut body); // slot
-                    1u64.encode(&mut body);
-                    true.encode(&mut body); // proxied
-                    pl.send(TAG_SIGNAL, &body);
+                    pe.link.send(proxied(Delivery::Signal {
+                        dst_pe: 1,
+                        slot: 7,
+                        val: 1,
+                    }));
                     pe.quiet();
                 }
                 pe.id as u64
@@ -1985,8 +2027,8 @@ mod tests {
 
     #[test]
     fn garbage_frames_never_panic_the_decoder_or_the_apply() {
-        // A frame body is bytes from another process. Whatever they are,
-        // `decode_delivery` + `Delivery::apply` return; nothing indexes out
+        // A frame is bytes from another process. Whatever they are,
+        // `decode_cmd` + `Delivery::apply` return; nothing indexes out
         // of range. Three generators: raw noise; frames whose fields are
         // drawn from in-range, just-out-of-range and huge values, some cut
         // short; and such frames with a noise tail (segment names stay this
@@ -2003,30 +2045,36 @@ mod tests {
         };
         let mut landed = 0;
         for round in 0..20_000u64 {
-            let tag = if rng() % 2 == 0 { TAG_PUT } else { TAG_SIGNAL };
-            let mut body = Vec::new();
             let wild = |r: u64| match r % 4 {
                 0 => (r >> 8) as usize % 4,
                 1 => (r >> 8) as usize % 64,
                 2 => usize::MAX - (r >> 8) as usize % 4,
                 _ => (r >> 8) as usize,
             };
+            let mut body = Vec::new();
             if round % 3 != 0 {
-                wild(rng()).encode(&mut body); // dst_pe
-                if tag == TAG_SIGNAL {
-                    wild(rng()).encode(&mut body); // slot
-                    rng().encode(&mut body);
-                    (rng() % 2 == 0).encode(&mut body);
+                let d = if rng() % 2 == 0 {
+                    Delivery::Signal {
+                        dst_pe: wild(rng()),
+                        slot: wild(rng()),
+                        val: rng(),
+                    }
                 } else {
-                    wild(rng()).encode(&mut body); // offset
-                    [addr, 0, 8][rng() as usize % 3].encode(&mut body);
-                    [words, wild(rng())][rng() as usize % 2].encode(&mut body);
-                    (rng() % 2 == 0)
-                        .then(|| (wild(rng()), rng()))
-                        .encode(&mut body);
-                    (rng() % 2 == 0).encode(&mut body);
-                    vec![Vec3::splat(1.0); rng() as usize % 6].encode(&mut body);
-                }
+                    Delivery::Put {
+                        dst_pe: wild(rng()),
+                        offset: wild(rng()),
+                        addr: [addr, 0, 8][rng() as usize % 3],
+                        words: [words, wild(rng())][rng() as usize % 2],
+                        signal: (rng() % 2 == 0).then(|| (wild(rng()), rng())),
+                        payload: vec![Vec3::splat(1.0); rng() as usize % 6],
+                    }
+                };
+                let cmd = ProxyCmd::Deliver {
+                    d,
+                    proxied: rng() % 2 == 0,
+                    enqueued_us: rng(),
+                };
+                cmd.encode(&mut body);
             }
             if round % 3 != 1 {
                 // Noise: the whole body, or a tail behind a whole frame...
@@ -2035,7 +2083,7 @@ mod tests {
                 // ...or a frame cut short.
                 body.truncate(rng() as usize % (body.len() + 1));
             }
-            if let Some((d, _)) = decode_delivery(tag, &body, &w.signals) {
+            if let Some(ProxyCmd::Deliver { d, .. }) = decode_cmd(&body, &w.signals) {
                 landed += d.apply(&w.signals, false) as u32;
             }
         }

@@ -108,8 +108,9 @@ pub enum Payload {
     /// Proxy queue depth sampled by the proxy thread when it dequeued a
     /// command (commands still waiting behind it).
     ProxyDepth { depth: u32 },
-    /// The proxy serviced one command; `queued_us` is the time the
-    /// command spent in the queue plus injected network delay.
+    /// The proxy serviced one command; `queued_us` runs from the issuing
+    /// PE's submit to the landing: time in the link (a forked PE's socket
+    /// included), injected network delay and the apply.
     ProxyService { kind: &'static str, queued_us: u64 },
     /// The recording PE wrote `owner`'s `region` words `[lo, hi)`.
     RegionWrite {
