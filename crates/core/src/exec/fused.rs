@@ -426,8 +426,8 @@ mod tests {
         topo: Topology,
         proxy: ProxyConfig,
     ) {
-        let world = ShmemWorld::new(topo, CommContext::slots_needed(part.total_pulses()))
-            .with_proxy_config(proxy);
+        let mut world = ShmemWorld::new(topo, CommContext::slots_needed(part.total_pulses()));
+        world.set_proxy_config(proxy);
         let bufs = FusedBuffers::alloc(part.n_ranks(), &ctxs[0]);
 
         let mut expect: Vec<Vec<Vec3>> = part
@@ -471,8 +471,8 @@ mod tests {
         topo: Topology,
         proxy: ProxyConfig,
     ) {
-        let world = ShmemWorld::new(topo, CommContext::slots_needed(part.total_pulses()))
-            .with_proxy_config(proxy);
+        let mut world = ShmemWorld::new(topo, CommContext::slots_needed(part.total_pulses()));
+        world.set_proxy_config(proxy);
         let bufs = FusedBuffers::alloc(part.n_ranks(), &ctxs[0]);
         let init: Vec<Vec<Vec3>> = part
             .ranks
@@ -625,11 +625,11 @@ mod tests {
         let (part, ctxs) = setup(12000, [2, 2, 2], 51);
         assert_eq!(part.total_pulses(), 3);
         let rec = Arc::new(Recorder::with_capacity(1 << 12));
-        let world = ShmemWorld::new(
+        let mut world = ShmemWorld::new(
             Topology::all_nvlink(part.n_ranks()),
             CommContext::slots_needed(part.total_pulses()),
-        )
-        .with_trace(rec.clone());
+        );
+        world.set_trace(Some(rec.clone()));
         let bufs = FusedBuffers::alloc(part.n_ranks(), &ctxs[0]);
         let (b, c, wd) = (&bufs, &ctxs, Watchdog::default());
         world.run(|pe| {

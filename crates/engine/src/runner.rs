@@ -1575,7 +1575,11 @@ mod tests {
             cfg.checkpoint = ckpt;
             cfg
         };
-        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), mk_cfg(None));
+        // The fault-free reference runs serially (never waits, so the
+        // 150 ms deadline cannot fail it; serial ≡ threaded, DESIGN.md §3.3).
+        let mut ref_cfg = mk_cfg(None);
+        ref_cfg.run_mode = RunMode::Serial;
+        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), ref_cfg);
         let ref_stats = reference.run(10);
 
         let mut cfg = mk_cfg(Some(CheckpointConfig::in_dir(&dir)));
@@ -1721,7 +1725,11 @@ mod tests {
             cfg.checkpoint = ckpt;
             cfg
         };
-        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), mk_cfg(None));
+        // The fault-free reference runs serially (never waits, so the
+        // 150 ms deadline cannot fail it; serial ≡ threaded, DESIGN.md §3.3).
+        let mut ref_cfg = mk_cfg(None);
+        ref_cfg.run_mode = RunMode::Serial;
+        let mut reference = Engine::new(sys.clone(), DdGrid::new([2, 2, 1]), ref_cfg);
         let ref_stats = reference.run(30);
 
         let mut ckpt = CheckpointConfig::in_dir(&dir);

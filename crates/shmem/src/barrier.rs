@@ -1,28 +1,23 @@
-//! A sense-reversing spin barrier (no OS blocking), used for
-//! `shmem_barrier_all` and step synchronization in the functional runtime.
+//! A sense-reversing barrier, the one rendezvous of a world: `barrier_all`
+//! and both barriers of the all-reduce wait on it.
 
 use crate::shared::Slots;
+use crate::signal::wait_until;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// A barrier round failed to complete before its deadline. The barrier is
-/// poisoned from this point on (the timed-out participant's arrival is
-/// already registered) — abandon the world, don't reuse it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierTimeout;
 
 /// Reusable barrier for a fixed number of participants. The two cells
 /// (arrival count, generation) live in `Slots` storage so forked PEs
 /// rendezvous on the same physical words as PE threads do.
 #[derive(Debug)]
-pub struct SenseBarrier {
+pub(crate) struct SenseBarrier {
     n: usize,
     /// `cells[0]` = arrival count, `cells[1]` = generation.
     cells: Slots<AtomicUsize>,
 }
 
 impl SenseBarrier {
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n >= 1);
         SenseBarrier {
             n,
@@ -40,14 +35,16 @@ impl SenseBarrier {
         &self.cells[1]
     }
 
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
-    /// Block (spin) until all `n` participants have arrived. Returns true
-    /// for exactly one participant per round (the last arriver), like
-    /// `std::sync::Barrier`'s leader flag.
-    pub fn wait(&self) -> bool {
+    /// Block until all `n` participants have arrived, walking the signal
+    /// wait ladder. `None` if a `Some` deadline passed first (`None` waits
+    /// without a bound).
+    ///
+    /// A timed-out participant has already registered its arrival, so the
+    /// barrier is poisoned afterwards: this is strictly an abandon-on-error
+    /// exit (a stalled peer expires every *other* PE's collective too,
+    /// instead of hanging the world — DESIGN.md §3.2 "every wait is bounded
+    /// or acked").
+    pub(crate) fn wait(&self, deadline: Option<Instant>) -> Option<()> {
         let gen = self.generation().load(Ordering::Acquire);
         let arrived = self.count().fetch_add(1, Ordering::AcqRel) + 1;
         if arrived == self.n {
@@ -55,54 +52,11 @@ impl SenseBarrier {
             // Release so that waiters observing the new generation also
             // observe everything written before any participant arrived.
             self.generation().fetch_add(1, Ordering::Release);
-            true
-        } else {
-            let mut spins = 0u32;
-            while self.generation().load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            false
+            return Some(());
         }
-    }
-
-    /// Deadline-bounded [`SenseBarrier::wait`]: `Err(BarrierTimeout)` if
-    /// the round did not complete by `deadline`. The clock is checked only
-    /// past the spin bound, so a barrier that completes promptly never
-    /// reads it.
-    ///
-    /// A timed-out participant has already registered its arrival, so the
-    /// barrier must be considered poisoned afterwards: this is strictly an
-    /// abandon-on-error primitive (the collectives layer uses it so a
-    /// stalled peer expires every *other* PE's collective too, instead of
-    /// hanging the world — DESIGN.md §3.2 "every wait is bounded or
-    /// acked").
-    pub fn wait_deadline(&self, deadline: Instant) -> Result<bool, BarrierTimeout> {
-        let gen = self.generation().load(Ordering::Acquire);
-        let arrived = self.count().fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.n {
-            self.count().store(0, Ordering::Relaxed);
-            self.generation().fetch_add(1, Ordering::Release);
-            Ok(true)
-        } else {
-            let mut spins = 0u32;
-            while self.generation().load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    if Instant::now() >= deadline {
-                        return Err(BarrierTimeout);
-                    }
-                    std::thread::yield_now();
-                }
-            }
-            Ok(false)
-        }
+        wait_until(deadline, || {
+            (self.generation().load(Ordering::Acquire) != gen).then_some(())
+        })
     }
 }
 
@@ -110,41 +64,23 @@ impl SenseBarrier {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::time::Duration;
 
     #[test]
     fn single_participant_never_blocks() {
         let b = SenseBarrier::new(1);
-        assert!(b.wait());
-        assert!(b.wait());
-    }
-
-    #[test]
-    fn exactly_one_leader_per_round() {
-        let b = SenseBarrier::new(4);
-        let leaders = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        if b.wait() {
-                            leaders.fetch_add(1, Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Relaxed), 100);
+        assert!(b.wait(None).is_some());
+        assert!(b.wait(None).is_some());
     }
 
     #[test]
     fn wait_deadline_completes_when_all_arrive() {
-        use std::time::{Duration, Instant};
         let b = SenseBarrier::new(3);
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        b.wait_deadline(Instant::now() + Duration::from_secs(5))
+                        b.wait(Some(Instant::now() + Duration::from_secs(5)))
                             .expect("all participants present: must not expire");
                     }
                 });
@@ -154,10 +90,9 @@ mod tests {
 
     #[test]
     fn wait_deadline_expires_on_missing_participant() {
-        use std::time::{Duration, Instant};
         let b = SenseBarrier::new(2);
         let t0 = Instant::now();
-        assert!(b.wait_deadline(t0 + Duration::from_millis(30)).is_err());
+        assert!(b.wait(Some(t0 + Duration::from_millis(30))).is_none());
         assert!(t0.elapsed() >= Duration::from_millis(30));
     }
 
@@ -175,7 +110,7 @@ mod tests {
                 s.spawn(|| {
                     for (phase, _) in phase_counts.iter().enumerate() {
                         phase_counts[phase].fetch_add(1, Relaxed);
-                        b.wait();
+                        b.wait(None);
                         // After the barrier, everyone must have bumped.
                         assert_eq!(phase_counts[phase].load(Relaxed), 3);
                     }

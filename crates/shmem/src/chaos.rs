@@ -375,7 +375,7 @@ struct Stats {
 }
 
 /// Runtime state of one [`FaultPlan`] over the PEs of a world. Create once
-/// per run (or per engine) and attach via `ShmemWorld::with_chaos`; op
+/// per run (or per engine) and attach via `ShmemWorld::set_chaos`; op
 /// counters persist across worlds so trigger positions are stable over a
 /// whole multi-segment run.
 pub struct ChaosEngine {

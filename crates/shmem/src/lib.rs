@@ -11,8 +11,8 @@
 //! loads (§5.2).
 //!
 //! Also provided: a two-sided message fabric ([`twosided`]) as the GPU-aware
-//! MPI stand-in for the baseline halo exchange, and a sense-reversing
-//! barrier.
+//! MPI stand-in for the baseline halo exchange, and one sense-reversing
+//! barrier per world behind `barrier_all` and the all-reduce.
 //!
 //! ```
 //! use halox_shmem::{ShmemWorld, SymVec3, Topology};
@@ -35,9 +35,8 @@
 // Index-based loops across parallel arrays are the dominant idiom in these
 // kernels; clippy's iterator rewrites obscure the cross-array indexing.
 #![allow(clippy::needless_range_loop)]
-pub mod barrier;
+mod barrier;
 pub mod chaos;
-pub mod collectives;
 pub mod pool;
 pub mod shared;
 pub mod signal;
@@ -46,9 +45,7 @@ pub mod twosided;
 pub mod wire;
 pub mod world;
 
-pub use barrier::{BarrierTimeout, SenseBarrier};
 pub use chaos::{ChaosEngine, ChaosReport, FaultKind, FaultOp, FaultPlan, FaultRule};
-pub use collectives::{AtomicF64, Collectives};
 pub use pool::{PoolStats, WorldKey, WorldLease, WorldPool};
 pub use shared::{Slots, SymAllocError};
 pub use signal::SignalSet;

@@ -122,7 +122,6 @@ unsafe impl Zeroable for AtomicU32 {}
 unsafe impl Zeroable for AtomicU64 {}
 unsafe impl Zeroable for AtomicUsize {}
 unsafe impl Zeroable for crossbeam::utils::CachePadded<AtomicU64> {}
-unsafe impl Zeroable for crate::collectives::AtomicF64 {}
 
 /// An owned array of symmetric cells: one fork-shared mapping, visible at
 /// the same address in every PE forked while it lives, given back to the

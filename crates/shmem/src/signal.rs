@@ -3,8 +3,9 @@
 //! The paper's fused kernels notify receivers with `st.release.sys.global`
 //! (after data writes) or `st.relaxed.sys.global` (when nothing needs
 //! flushing), and consumers spin with acquire loads. [`SignalSet`] provides
-//! exactly those three operations on a cache-padded `AtomicU64` array, one
-//! slot per pulse (coordinate and force exchanges use disjoint slots).
+//! the release (as a monotone `fetch_max`) and the acquire wait on a
+//! cache-padded `AtomicU64` array, one slot per pulse (coordinate and force
+//! exchanges use disjoint slots).
 //!
 //! Signal values are monotonically increasing per step (`sigVal` in the
 //! paper's `CommContext`), so slots never need resetting between steps.
@@ -42,20 +43,6 @@ impl SignalSet {
         self.slots.len()
     }
 
-    /// Release-store: makes all prior (relaxed) data writes visible to any
-    /// thread that acquire-reads `val` from this slot. The paper's
-    /// `system_release_store`.
-    ///
-    /// Only safe when this thread is the *sole* writer of the slot for the
-    /// current step — a plain store can move the value backwards if another
-    /// sender raced a larger value in first. Delivery paths where two
-    /// senders can target one slot (direct NVLink store racing a proxied IB
-    /// signal) must use [`SignalSet::release_max`] instead.
-    #[inline]
-    pub fn release_store(&self, slot: usize, val: u64) {
-        self.slots[slot].store(val, Ordering::Release);
-    }
-
     /// Monotone release: advance the slot to at least `val` without ever
     /// regressing it (`fetch_max`). With `AcqRel` ordering the RMW both
     /// publishes this thread's prior writes and joins the slot's existing
@@ -68,32 +55,36 @@ impl SignalSet {
         self.slots[slot].fetch_max(val, Ordering::AcqRel);
     }
 
-    /// Spin until the slot reaches at least `val`, with acquire ordering —
+    /// Wait until the slot reaches at least `val`, with acquire ordering —
     /// the paper's `acquire_wait(signal == sigVal)`. Values are monotone, so
-    /// `>=` is the robust comparison. Returns the value actually observed
-    /// (>= `val`), which protocol tracing records to pair the acquire with
-    /// the releases it synchronised with.
+    /// `>=` is the robust comparison.
     ///
-    /// Escalates spin → yield → parked sleep, so a waiter stuck behind a
-    /// stalled producer stops burning a core instead of spinning forever.
+    /// Returns `Ok(observed)` (>= `val`), which protocol tracing records to
+    /// pair the acquire with the releases it synchronised with, or — once a
+    /// `Some` deadline has passed with the slot still below `val` —
+    /// `Err(last_observed)`, the stale value a `StallReport`'s
+    /// expected-vs-observed diagnosis needs. `None` waits without a bound.
     #[inline]
-    pub fn acquire_wait(&self, slot: usize, val: u64) -> u64 {
-        let mut rounds = 0u32;
-        loop {
-            let observed = self.slots[slot].load(Ordering::Acquire);
-            if observed >= val {
-                return observed;
-            }
-            rounds += 1;
-            Self::backoff(rounds);
-        }
+    pub fn acquire_wait(
+        &self,
+        slot: usize,
+        val: u64,
+        deadline: Option<Instant>,
+    ) -> Result<u64, u64> {
+        let mut observed = 0;
+        wait_until(deadline, || {
+            observed = self.slots[slot].load(Ordering::Acquire);
+            (observed >= val).then_some(observed)
+        })
+        .ok_or(observed)
     }
 
     /// One step of the spin → yield → sleep escalation ladder, for the
     /// `rounds`-th consecutive unsatisfied probe. Returns true once the spin
     /// rung is exhausted — the point from which a bounded wait consults its
-    /// clock. Waits that poll several slots at once (the fused exchange's
-    /// pulse scheduler) walk the same ladder between sweeps.
+    /// clock. Every blocking wait in the runtime walks this ladder:
+    /// [`SignalSet::acquire_wait`], the world barrier, the two-sided rings'
+    /// idle rounds, and the fused exchange's pulse scheduler between sweeps.
     #[inline]
     pub fn backoff(rounds: u32) -> bool {
         if rounds < SPIN_BOUND {
@@ -108,55 +99,12 @@ impl SignalSet {
         rounds >= SPIN_BOUND
     }
 
-    /// Non-blocking acquire probe.
-    #[inline]
-    pub fn try_acquire(&self, slot: usize, val: u64) -> bool {
-        self.probe(slot, val).is_some()
-    }
-
-    /// [`SignalSet::try_acquire`] returning the value the acquire load saw.
+    /// Non-blocking acquire probe: the value the acquire load saw, if it
+    /// reached `val`.
     #[inline]
     pub(crate) fn probe(&self, slot: usize, val: u64) -> Option<u64> {
         let observed = self.slots[slot].load(Ordering::Acquire);
         (observed >= val).then_some(observed)
-    }
-
-    /// Acquire-wait with a deadline; returns false on timeout. Used by
-    /// debugging harnesses to turn protocol deadlocks into diagnosable
-    /// failures instead of hangs.
-    pub fn acquire_wait_timeout(&self, slot: usize, val: u64, timeout: Duration) -> bool {
-        self.acquire_wait_deadline(slot, val, Instant::now() + timeout)
-            .is_ok()
-    }
-
-    /// The watchdog wait: acquire-wait until `deadline`.
-    ///
-    /// Returns `Ok(observed)` on success (same contract as
-    /// [`SignalSet::acquire_wait`]) or `Err(last_observed)` when the
-    /// deadline expires with the slot still below `val` — the stale value
-    /// feeds a `StallReport`'s expected-vs-observed diagnosis. The deadline
-    /// is only consulted once the spin bound is exhausted, so a satisfied
-    /// wait (the fault-free hot path) never touches the clock; a wait that
-    /// does escalate follows the same spin → yield → sleep ladder as
-    /// [`SignalSet::acquire_wait`].
-    pub fn acquire_wait_deadline(
-        &self,
-        slot: usize,
-        val: u64,
-        deadline: Instant,
-    ) -> Result<u64, u64> {
-        let mut rounds = 0u32;
-        loop {
-            let observed = self.slots[slot].load(Ordering::Acquire);
-            if observed >= val {
-                return Ok(observed);
-            }
-            rounds += 1;
-            if rounds >= SPIN_BOUND && Instant::now() >= deadline {
-                return Err(observed);
-            }
-            Self::backoff(rounds);
-        }
     }
 
     /// Current value (relaxed; diagnostics only).
@@ -173,26 +121,53 @@ impl SignalSet {
     }
 }
 
+/// The one blocking wait: probe `ready` until it yields a value, walking
+/// [`SignalSet::backoff`] between probes. `None` once a `Some` deadline has
+/// passed. The clock is read only past the spin rung, so a wait that is
+/// satisfied promptly (the fault-free hot path) never touches it.
+#[inline]
+pub(crate) fn wait_until<T>(
+    deadline: Option<Instant>,
+    mut ready: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    let mut rounds = 0u32;
+    loop {
+        if let Some(v) = ready() {
+            return Some(v);
+        }
+        rounds += 1;
+        if rounds >= SPIN_BOUND && deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        SignalSet::backoff(rounds);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
+    /// A deadline `ms` from now.
+    fn within(ms: u64) -> Option<Instant> {
+        Some(Instant::now() + Duration::from_millis(ms))
+    }
+
     #[test]
     fn wait_returns_when_signalled() {
         let s = SignalSet::new(2);
-        s.release_store(1, 7);
-        s.acquire_wait(1, 7); // must not hang
-        assert!(s.try_acquire(1, 7));
-        assert!(!s.try_acquire(0, 1));
+        s.release_max(1, 7);
+        s.acquire_wait(1, 7, None).unwrap(); // must not hang
+        assert!(s.probe(1, 7).is_some());
+        assert!(s.probe(0, 1).is_none());
     }
 
     #[test]
     fn monotone_comparison_accepts_larger_values() {
         let s = SignalSet::new(1);
-        s.release_store(0, 10);
-        s.acquire_wait(0, 3);
-        assert!(s.try_acquire(0, 10));
+        s.release_max(0, 10);
+        s.acquire_wait(0, 3, None).unwrap();
+        assert!(s.probe(0, 10).is_some());
     }
 
     #[test]
@@ -205,10 +180,10 @@ mod tests {
             std::thread::scope(|sc| {
                 sc.spawn(|| {
                     data.store(round as u32, Relaxed);
-                    sig.release_store(0, round);
+                    sig.release_max(0, round);
                 });
                 sc.spawn(|| {
-                    sig.acquire_wait(0, round);
+                    sig.acquire_wait(0, round, None).unwrap();
                     assert_eq!(data.load(Relaxed), round as u32);
                 });
             });
@@ -221,12 +196,12 @@ mod tests {
         std::thread::scope(|sc| {
             sc.spawn(|| {
                 for slot in 0..8 {
-                    sig.release_store(slot, (slot + 1) as u64);
+                    sig.release_max(slot, (slot + 1) as u64);
                 }
             });
             sc.spawn(|| {
                 for slot in (0..8).rev() {
-                    sig.acquire_wait(slot, (slot + 1) as u64);
+                    sig.acquire_wait(slot, (slot + 1) as u64, None).unwrap();
                 }
             });
         });
@@ -235,9 +210,9 @@ mod tests {
     #[test]
     fn timeout_wait_reports_missing_signal() {
         let s = SignalSet::new(1);
-        assert!(!s.acquire_wait_timeout(0, 1, std::time::Duration::from_millis(5)));
-        s.release_store(0, 1);
-        assert!(s.acquire_wait_timeout(0, 1, std::time::Duration::from_millis(5)));
+        assert!(s.acquire_wait(0, 1, within(5)).is_err());
+        s.release_max(0, 1);
+        assert!(s.acquire_wait(0, 1, within(5)).is_ok());
     }
 
     #[test]
@@ -271,7 +246,7 @@ mod tests {
                     sig.release_max(0, 2);
                 });
                 sc.spawn(|| {
-                    let obs = sig.acquire_wait(0, 2);
+                    let obs = sig.acquire_wait(0, 2, None).unwrap();
                     assert!(obs >= 2);
                     // value 2's sender data must be visible ...
                     assert_eq!(b.load(Relaxed), 22);
@@ -287,14 +262,14 @@ mod tests {
     #[test]
     fn acquire_wait_returns_observed_value() {
         let s = SignalSet::new(1);
-        s.release_store(0, 10);
-        assert_eq!(s.acquire_wait(0, 3), 10);
+        s.release_max(0, 10);
+        assert_eq!(s.acquire_wait(0, 3, None), Ok(10));
     }
 
     #[test]
     fn reset_clears() {
         let s = SignalSet::new(3);
-        s.release_store(2, 5);
+        s.release_max(2, 5);
         s.reset();
         assert_eq!(s.peek(2), 0);
     }
@@ -304,16 +279,16 @@ mod tests {
         // A satisfied slot must succeed even with a zero timeout — the
         // deadline is only consulted when the wait actually blocks.
         let s = SignalSet::new(1);
-        s.release_store(0, 3);
-        assert!(s.acquire_wait_timeout(0, 3, Duration::from_secs(0)));
-        assert!(s.acquire_wait_timeout(0, 1, Duration::from_secs(0)));
+        s.release_max(0, 3);
+        assert!(s.acquire_wait(0, 3, within(0)).is_ok());
+        assert!(s.acquire_wait(0, 1, within(0)).is_ok());
     }
 
     #[test]
     fn timeout_wait_zero_timeout_unsatisfied_returns_fast() {
         let s = SignalSet::new(1);
         let t0 = Instant::now();
-        assert!(!s.acquire_wait_timeout(0, 1, Duration::from_secs(0)));
+        assert!(s.acquire_wait(0, 1, within(0)).is_err());
         // Must return promptly (spin bound only), not sleep-escalate.
         assert!(t0.elapsed() < Duration::from_millis(100));
     }
@@ -321,14 +296,12 @@ mod tests {
     #[test]
     fn deadline_wait_reports_last_observed_value() {
         let s = SignalSet::new(1);
-        s.release_store(0, 4);
+        s.release_max(0, 4);
         // Expecting 9, slot stuck at 4: the Err carries the stale value for
         // the stall report's expected-vs-observed diagnosis.
-        let r = s.acquire_wait_deadline(0, 9, Instant::now() + Duration::from_millis(5));
-        assert_eq!(r, Err(4));
-        // Success returns the observed value like acquire_wait.
-        let r = s.acquire_wait_deadline(0, 2, Instant::now() + Duration::from_millis(5));
-        assert_eq!(r, Ok(4));
+        assert_eq!(s.acquire_wait(0, 9, within(5)), Err(4));
+        // Success returns the observed value.
+        assert_eq!(s.acquire_wait(0, 2, within(5)), Ok(4));
     }
 
     #[test]
@@ -341,15 +314,15 @@ mod tests {
             std::thread::scope(|sc| {
                 sc.spawn(|| {
                     std::thread::sleep(Duration::from_micros(500));
-                    s.release_store(0, 1);
+                    s.release_max(0, 1);
                 });
                 let deadline = Instant::now() + Duration::from_micros(500);
-                match s.acquire_wait_deadline(0, 1, deadline) {
+                match s.acquire_wait(0, 1, Some(deadline)) {
                     Ok(v) => assert!(v >= 1),
                     Err(v) => assert!(v < 1),
                 }
                 // The signal is (eventually) there; a bounded retry sees it.
-                assert!(s.acquire_wait_timeout(0, 1, Duration::from_secs(5)));
+                assert!(s.acquire_wait(0, 1, within(5_000)).is_ok());
             });
         }
     }
@@ -362,9 +335,9 @@ mod tests {
         std::thread::scope(|sc| {
             sc.spawn(|| {
                 std::thread::sleep(Duration::from_millis(30));
-                s.release_store(0, 1);
+                s.release_max(0, 1);
             });
-            assert_eq!(s.acquire_wait(0, 1), 1);
+            assert_eq!(s.acquire_wait(0, 1, None), Ok(1));
         });
     }
 }

@@ -19,6 +19,7 @@
 //! never a hang.
 
 use crate::shared::{Slots, Zeroable};
+use crate::signal::SignalSet;
 use halox_md::Vec3;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -139,7 +140,9 @@ impl TwoSidedComm {
     ) -> Vec<Vec3> {
         let (mut sent, mut sending) = (0, outgoing.is_some());
         let (mut got, mut receiving) = (Vec::new(), incoming.is_some());
-        let mut deadline = None;
+        // Idle rounds walk the wait ladder; any chunk moved restarts it and
+        // disarms the no-progress deadline.
+        let (mut idle, mut deadline) = (0u32, None);
         while sending || receiving {
             let mut moved = false;
             if let Some((dst, tag, data)) = outgoing.filter(|_| sending) {
@@ -158,16 +161,19 @@ impl TwoSidedComm {
                 }
             }
             if moved {
-                deadline = None;
-            } else if Instant::now() > *deadline.get_or_insert_with(|| Instant::now() + RING_WAIT) {
+                (idle, deadline) = (0, None);
+                continue;
+            }
+            idle += 1;
+            if SignalSet::backoff(idle)
+                && Instant::now() > *deadline.get_or_insert_with(|| Instant::now() + RING_WAIT)
+            {
                 panic!(
                     "two-sided exchange timed out: PE {me} moved nothing for {RING_WAIT:?} \
                      (send {outgoing:?} pending: {sending}, recv {incoming:?} pending: \
                      {receiving}; peer dead?)",
                     outgoing = outgoing.map(|(dst, tag, _)| (dst, tag)),
                 );
-            } else {
-                std::thread::yield_now();
             }
         }
         got

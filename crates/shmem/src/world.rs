@@ -35,14 +35,13 @@
 //! `waitpid`. A frame is input from another process, so it is validated
 //! when decoded and a PE whose frame does not check out is cut off
 //! ([`PeFailure::Died`]).
-//! Symmetric memory (signal slots, collective deposit slots, barriers,
+//! Symmetric memory (signal slots, the barrier and all-reduce deposit slots,
 //! `SymVec3` segments) and the trace recorder are fork-shared mappings on
 //! both, so anything made before a run is visible to that run's PEs. See
 //! DESIGN.md §3.2 and §3.5.
 
 use crate::barrier::SenseBarrier;
 use crate::chaos::{ChaosEngine, Decision, Delivery, OpKind};
-use crate::collectives::Collectives;
 use crate::shared;
 use crate::signal::SignalSet;
 use crate::sym::SymVec3;
@@ -52,8 +51,9 @@ use halox_md::Vec3;
 use halox_trace::{Payload, Recorder, DRIVER_PE};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which execution substrate hosts the PEs of a world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -273,8 +273,11 @@ pub struct ShmemWorld {
     pub topology: Topology,
     backend: WorldBackend,
     signals: Vec<Arc<SignalSet>>,
+    /// The one rendezvous: `barrier_all` and the all-reduce share it, and
+    /// SPMD call order keeps its generation in step on every PE.
     barrier: SenseBarrier,
-    collectives: Collectives,
+    /// One all-reduce deposit per PE, as `f64` bits.
+    deposits: shared::Slots<AtomicU64>,
     proxy_config: ProxyConfig,
     trace: Option<Arc<Recorder>>,
     chaos: Option<Arc<ChaosEngine>>,
@@ -300,7 +303,7 @@ impl ShmemWorld {
             .collect();
         ShmemWorld {
             barrier: SenseBarrier::new(topology.npes),
-            collectives: Collectives::new(topology.npes),
+            deposits: shared::Slots::alloc(topology.npes).unwrap_or_else(|e| panic!("{e}")),
             signals,
             topology,
             backend,
@@ -315,37 +318,9 @@ impl ShmemWorld {
         self.backend
     }
 
-    pub fn with_proxy_config(mut self, cfg: ProxyConfig) -> Self {
-        self.proxy_config = cfg;
-        self
-    }
-
-    /// Attach a chaos engine: every delivery — NVLink *and* network — is
-    /// submitted to its source PE's proxy and faces the engine's fault
-    /// decision there before it lands. With no engine attached (the
-    /// default) the direct path stays store-and-signal with zero extra work.
-    pub fn with_chaos(mut self, chaos: Arc<ChaosEngine>) -> Self {
-        assert_eq!(
-            chaos.npes(),
-            self.topology.npes,
-            "chaos engine sized for a different world"
-        );
-        self.chaos = Some(chaos);
-        self
-    }
-
     /// The attached chaos engine, if any.
     pub fn chaos(&self) -> Option<&Arc<ChaosEngine>> {
         self.chaos.as_ref()
-    }
-
-    /// Attach a functional-plane event recorder: signal sets/waits,
-    /// barriers and proxy service get recorded for `halox-trace`'s Chrome
-    /// export and protocol checker. Tracing is off (zero-cost `None`
-    /// checks) unless this is called.
-    pub fn with_trace(mut self, rec: Arc<Recorder>) -> Self {
-        self.trace = Some(rec);
-        self
     }
 
     /// The attached recorder, if any.
@@ -353,15 +328,18 @@ impl ShmemWorld {
         self.trace.as_deref()
     }
 
-    /// In-place form of [`ShmemWorld::with_proxy_config`], for worlds that
-    /// outlive a single owner (pool leases re-attach per run).
+    /// Set the proxy's stress delays (in place, so pool leases can
+    /// re-attach per run).
     pub fn set_proxy_config(&mut self, cfg: ProxyConfig) {
         self.proxy_config = cfg;
     }
 
-    /// In-place form of [`ShmemWorld::with_chaos`]; `None` detaches. A
-    /// leased world must not carry a previous tenant's fault plan into the
-    /// next run, so the pool clears this on return.
+    /// Attach a chaos engine; `None` detaches. With one attached every
+    /// delivery — NVLink *and* network — is submitted to its source PE's
+    /// proxy and faces the engine's fault decision there before it lands.
+    /// With none (the default) the direct path stays store-and-signal with
+    /// zero extra work. A leased world must not carry a previous tenant's
+    /// fault plan into the next run, so the pool clears this on return.
     pub fn set_chaos(&mut self, chaos: Option<Arc<ChaosEngine>>) {
         if let Some(c) = &chaos {
             assert_eq!(
@@ -373,7 +351,10 @@ impl ShmemWorld {
         self.chaos = chaos;
     }
 
-    /// In-place form of [`ShmemWorld::with_trace`]; `None` detaches.
+    /// Attach a functional-plane event recorder; `None` detaches. Signal
+    /// sets/waits, barriers and proxy service get recorded for
+    /// `halox-trace`'s Chrome export and protocol checker. Tracing is off
+    /// (zero-cost `None` checks) unless a recorder is attached.
     pub fn set_trace(&mut self, rec: Option<Arc<Recorder>>) {
         self.trace = rec;
     }
@@ -1043,7 +1024,7 @@ impl<'w> Pe<'w> {
 
     /// Acquire-wait on one of *my* signal slots.
     pub fn wait_signal(&self, slot: usize, val: u64) {
-        let _ = self.traced_wait(slot, val, |s| Ok(s.acquire_wait(slot, val)));
+        let _ = self.traced_wait(slot, val, |s| s.acquire_wait(slot, val, None));
     }
 
     /// Watchdog acquire-wait on one of *my* slots: blocks until `val` or
@@ -1055,9 +1036,9 @@ impl<'w> Pe<'w> {
         &self,
         slot: usize,
         val: u64,
-        deadline: std::time::Instant,
+        deadline: Instant,
     ) -> Result<u64, u64> {
-        self.traced_wait(slot, val, |s| s.acquire_wait_deadline(slot, val, deadline))
+        self.traced_wait(slot, val, |s| s.acquire_wait(slot, val, Some(deadline)))
     }
 
     /// Non-blocking probe of one of my slots. A successful probe is a
@@ -1110,38 +1091,43 @@ impl<'w> Pe<'w> {
 
     /// `shmem_barrier_all`.
     pub fn barrier_all(&self) {
-        self.rendezvous(|| self.world.barrier.wait(), |_| true);
+        self.rendezvous(|| self.world.barrier.wait(None), |_| true);
     }
 
-    /// Sum all-reduce across all PEs (every PE must participate). The
-    /// reduction is performed in PE index order on every PE, so the result
-    /// is bitwise identical across PEs, runs and thread schedules.
+    /// The one all-reduce: deposit `v`, rendezvous, fold every deposit in PE
+    /// index order from `0.0`, rendezvous again so nobody deposits the next
+    /// round before everyone has read this one. Every PE computes the same
+    /// fold, so the total is bitwise identical across PEs, runs and
+    /// schedules. The barrier's `AcqRel` arrival chain and `Release`
+    /// generation bump order the relaxed deposits before the fold's loads.
+    /// `None` if a `Some` deadline passed first.
+    fn allreduce(&self, v: f64, deadline: Option<Instant>) -> Option<f64> {
+        let w = &self.world;
+        let fold = || {
+            w.deposits[self.id].store(v.to_bits(), Ordering::Relaxed);
+            w.barrier.wait(deadline)?;
+            let total = w.deposits.iter().fold(0.0, |acc, d| {
+                acc + f64::from_bits(d.load(Ordering::Relaxed))
+            });
+            w.barrier.wait(deadline)?;
+            Some(total)
+        };
+        self.rendezvous(fold, Option::is_some)
+    }
+
+    /// Sum all-reduce across all PEs (every PE must participate).
     pub fn allreduce_sum(&self, v: f64) -> f64 {
-        self.rendezvous(
-            || self.world.collectives.allreduce_sum(self.id, v),
-            |_| true,
-        )
-    }
-
-    /// Max all-reduce across all PEs.
-    pub fn allreduce_max(&self, v: f64) -> f64 {
-        self.rendezvous(
-            || self.world.collectives.allreduce_max(self.id, v),
-            |_| true,
-        )
+        self.allreduce(v, None)
+            .expect("an unbounded all-reduce cannot expire")
     }
 
     /// Deadline-bounded [`Pe::allreduce_sum`]: `None` if the world did not
     /// complete the collective in time (a peer crashed or stalled — every
-    /// surviving PE's wait expires instead of hanging). The world's
-    /// collective state is poisoned afterwards; callers must abandon the
-    /// run, as with an expired exchange wait.
-    pub fn allreduce_sum_deadline(&self, v: f64, deadline: std::time::Instant) -> Option<f64> {
-        let c = &self.world.collectives;
-        self.rendezvous(
-            || c.allreduce_sum_deadline(self.id, v, deadline),
-            Option::is_some,
-        )
+    /// surviving PE's wait expires instead of hanging). The world's barrier
+    /// is poisoned afterwards; callers must abandon the run, as with an
+    /// expired exchange wait.
+    pub fn allreduce_sum_deadline(&self, v: f64, deadline: Instant) -> Option<f64> {
+        self.allreduce(v, Some(deadline))
     }
 }
 
@@ -1242,7 +1228,8 @@ mod tests {
     fn quiet_fences_proxied_puts() {
         // With an injected proxy delay, data must still be there after
         // quiet() + a peer barrier.
-        let w = ShmemWorld::new(Topology::islands(2, 1), 1).with_proxy_config(ProxyConfig {
+        let mut w = ShmemWorld::new(Topology::islands(2, 1), 1);
+        w.set_proxy_config(ProxyConfig {
             injected_delay: Some(Duration::from_millis(5)),
             ..Default::default()
         });
@@ -1280,9 +1267,114 @@ mod tests {
         w.run(|pe| {
             let total = pe.allreduce_sum(pe.id as f64);
             assert_eq!(total, 6.0);
-            let m = pe.allreduce_max(pe.id as f64);
-            assert_eq!(m, 3.0);
         });
+    }
+
+    #[test]
+    fn allreduce_sum_over_pes() {
+        let w = ShmemWorld::new(Topology::all_nvlink(4), 1);
+        w.run(|pe| {
+            for round in 0..50 {
+                let total = pe.allreduce_sum((pe.id + 1) as f64 * (round + 1) as f64);
+                assert_eq!(total, 10.0 * (round + 1) as f64, "round {round}");
+            }
+        });
+    }
+
+    #[test]
+    fn allreduce_sum_is_bitwise_deterministic_across_schedules() {
+        // Values chosen so that summation order changes the last ulp:
+        // (a + b) + c != a + (b + c) for these. The per-slot reduction must
+        // return the PE-index-order sum on every PE, every round, no matter
+        // how PEs interleave — jitter injected to vary arrival order.
+        let vals = [1e16, 1.0, -1e16, 3.0];
+        let expected = vals.iter().fold(0.0f64, |acc, v| acc + v); // index order
+        let w = ShmemWorld::new(Topology::all_nvlink(4), 1);
+        for trial in 0..30 {
+            w.run(|pe| {
+                if (pe.id + trial) % 2 == 0 {
+                    std::thread::sleep(Duration::from_micros(
+                        ((pe.id * 37 + trial * 13) % 90) as u64,
+                    ));
+                }
+                let total = pe.allreduce_sum(vals[pe.id]);
+                assert_eq!(
+                    total.to_bits(),
+                    expected.to_bits(),
+                    "trial {trial}: {total} vs {expected}"
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn allreduce_deadline_completes_when_all_participate() {
+        let w = ShmemWorld::new(Topology::all_nvlink(3), 1);
+        w.run(|pe| {
+            let d = Instant::now() + Duration::from_secs(5);
+            assert_eq!(pe.allreduce_sum_deadline(1.0, d), Some(3.0));
+        });
+    }
+
+    #[test]
+    fn allreduce_deadline_expires_on_absent_peer() {
+        // PE 1 returns without joining: PE 0's bounded collective must
+        // expire instead of spinning forever.
+        let w = ShmemWorld::new(Topology::all_nvlink(2), 1);
+        let out = w.run(|pe| {
+            let d = Instant::now() + Duration::from_millis(30);
+            (pe.id == 0).then(|| pe.allreduce_sum_deadline(1.0, d))
+        });
+        assert_eq!(out[0], Some(None));
+    }
+
+    #[test]
+    fn barrier_and_allreduce_share_one_rendezvous_on_both_backends() {
+        // 3 PEs alternate barrier_all, allreduce_sum and
+        // allreduce_sum_deadline on one world, so all three walk the same
+        // barrier generations. Every fifth round one PE sleeps 25 ms before
+        // its call: the others wait past the yield rung into sleeps and must
+        // still come out in step, with the PE-order fold bit for bit.
+        const ROUNDS: u64 = 50;
+        let contribution = |round: u64, pe: usize| 1e16 * (pe as f64 - 1.0) + (round + 1) as f64;
+        let fold = |round: u64| (0..3).fold(0.0f64, |acc, pe| acc + contribution(round, pe));
+        for backend in [WorldBackend::Threads, WorldBackend::Procs] {
+            let w = ShmemWorld::new_with_backend(backend, Topology::all_nvlink(3), 1);
+            let t0 = Instant::now();
+            let deadline = t0 + Duration::from_secs(5);
+            let sums = w.run(|pe| {
+                let mut sums = Vec::new();
+                for round in 0..ROUNDS {
+                    if round % 5 == 0 && pe.id == (round / 5) as usize % 3 {
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    let v = contribution(round, pe.id);
+                    match round % 3 {
+                        0 => pe.barrier_all(),
+                        1 => sums.push(pe.allreduce_sum(v).to_bits()),
+                        _ => sums.push(
+                            pe.allreduce_sum_deadline(v, deadline)
+                                .expect("every PE joins: must not expire")
+                                .to_bits(),
+                        ),
+                    }
+                }
+                sums
+            });
+            let elapsed = t0.elapsed();
+            let expected: Vec<u64> = (0..ROUNDS)
+                .filter(|r| r % 3 != 0)
+                .map(|r| fold(r).to_bits())
+                .collect();
+            for (pe, got) in sums.iter().enumerate() {
+                assert_eq!(got, &expected, "{} pe {pe}", backend.label());
+            }
+            assert!(
+                elapsed < (deadline - t0) / 2,
+                "{}: {elapsed:?} for {ROUNDS} rounds",
+                backend.label()
+            );
+        }
     }
 
     #[test]
@@ -1341,7 +1433,8 @@ mod tests {
         // its (randomly delayed) proxy. The slot must never move backwards
         // — a late-arriving proxied value below the current one has to be
         // absorbed, not stored (release_max delivery).
-        let w = ShmemWorld::new(Topology::islands(4, 2), 1).with_proxy_config(ProxyConfig {
+        let mut w = ShmemWorld::new(Topology::islands(4, 2), 1);
+        w.set_proxy_config(ProxyConfig {
             random_delay: Some((0xfeed_beef, 300)),
             ..Default::default()
         });
@@ -1372,7 +1465,8 @@ mod tests {
     #[test]
     fn attached_recorder_captures_signal_edges_and_checks_clean() {
         let rec = Arc::new(Recorder::new());
-        let w = ShmemWorld::new(Topology::islands(2, 1), 1).with_trace(Arc::clone(&rec));
+        let mut w = ShmemWorld::new(Topology::islands(2, 1), 1);
+        w.set_trace(Some(Arc::clone(&rec)));
         let buf = SymVec3::alloc(2, 4);
         let b = &buf;
         w.run(|pe| {
@@ -1429,7 +1523,8 @@ mod tests {
             one_shot_plan(0, FaultOp::Put, FaultKind::DropSignalOnce),
             2,
         ));
-        let w = ShmemWorld::new(Topology::all_nvlink(2), 1).with_chaos(Arc::clone(&chaos));
+        let mut w = ShmemWorld::new(Topology::all_nvlink(2), 1);
+        w.set_chaos(Some(Arc::clone(&chaos)));
         let buf = SymVec3::alloc(2, 1);
         let b = &buf;
         w.run(|pe| {
@@ -1457,7 +1552,8 @@ mod tests {
             one_shot_plan(0, FaultOp::Any, FaultKind::CrashPe),
             2,
         ));
-        let w = ShmemWorld::new(Topology::islands(2, 1), 1).with_chaos(Arc::clone(&chaos));
+        let mut w = ShmemWorld::new(Topology::islands(2, 1), 1);
+        w.set_chaos(Some(Arc::clone(&chaos)));
         let buf = SymVec3::alloc(2, 1);
         let b = &buf;
         w.run(|pe| {
@@ -1490,7 +1586,8 @@ mod tests {
             one_shot_plan(0, FaultOp::Signal, FaultKind::ReorderNext),
             2,
         ));
-        let w = ShmemWorld::new(Topology::all_nvlink(2), 2).with_chaos(Arc::clone(&chaos));
+        let mut w = ShmemWorld::new(Topology::all_nvlink(2), 2);
+        w.set_chaos(Some(Arc::clone(&chaos)));
         w.run(|pe| {
             if pe.id == 0 {
                 pe.signal(1, 0, 1); // held
@@ -1540,7 +1637,7 @@ mod tests {
     fn chaos_world_mismatched_sizes_rejected() {
         let chaos = Arc::new(ChaosEngine::new(FaultPlan::quiescent(), 4));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ShmemWorld::new(Topology::all_nvlink(2), 1).with_chaos(chaos)
+            ShmemWorld::new(Topology::all_nvlink(2), 1).set_chaos(Some(chaos))
         }));
         assert!(result.is_err());
     }
@@ -1612,13 +1709,11 @@ mod tests {
         let sums = w.run(|pe| {
             pe.barrier_all();
             let total = pe.allreduce_sum(pe.id as f64 + 1.0);
-            let m = pe.allreduce_max(pe.id as f64);
             pe.barrier_all();
-            (total, m)
+            total
         });
-        for (total, m) in sums {
+        for total in sums {
             assert_eq!(total, 10.0);
-            assert_eq!(m, 3.0);
         }
     }
 
@@ -1674,7 +1769,8 @@ mod tests {
             one_shot_plan(0, FaultOp::Put, FaultKind::DropSignalOnce),
             2,
         ));
-        let w = procs_world(Topology::all_nvlink(2), 1).with_chaos(Arc::clone(&chaos));
+        let mut w = procs_world(Topology::all_nvlink(2), 1);
+        w.set_chaos(Some(Arc::clone(&chaos)));
         let buf = SymVec3::alloc(2, 1);
         let b = &buf;
         w.run(|pe| {
@@ -1702,7 +1798,8 @@ mod tests {
         // edges, the parent-side proxy's service event and the driver's
         // world boundary land in one log, in an order the checker accepts.
         let rec = Arc::new(Recorder::with_capacity(256));
-        let w = procs_world(Topology::islands(2, 1), 1).with_trace(Arc::clone(&rec));
+        let mut w = procs_world(Topology::islands(2, 1), 1);
+        w.set_trace(Some(Arc::clone(&rec)));
         let buf = SymVec3::alloc(2, 1);
         let b = &buf;
         w.run(|pe| {
@@ -1838,7 +1935,8 @@ mod tests {
             one_shot_plan(0, FaultOp::Put, FaultKind::ReorderNext),
             2,
         ));
-        let w = procs_world(Topology::islands(2, 1), 1).with_chaos(Arc::clone(&chaos));
+        let mut w = procs_world(Topology::islands(2, 1), 1);
+        w.set_chaos(Some(Arc::clone(&chaos)));
         let err = w
             .try_run(|pe| {
                 if pe.id == 0 {
@@ -1864,12 +1962,12 @@ mod tests {
         // on the procs backend. A lower bound only: a slow host passes.
         for backend in [WorldBackend::Threads, WorldBackend::Procs] {
             let rec = Arc::new(Recorder::with_capacity(256));
-            let w = ShmemWorld::new_with_backend(backend, Topology::islands(2, 1), 1)
-                .with_proxy_config(ProxyConfig {
-                    injected_delay: Some(Duration::from_millis(2)),
-                    ..Default::default()
-                })
-                .with_trace(Arc::clone(&rec));
+            let mut w = ShmemWorld::new_with_backend(backend, Topology::islands(2, 1), 1);
+            w.set_proxy_config(ProxyConfig {
+                injected_delay: Some(Duration::from_millis(2)),
+                ..Default::default()
+            });
+            w.set_trace(Some(Arc::clone(&rec)));
             let buf = SymVec3::alloc(2, 3);
             let b = &buf;
             w.run(|pe| {

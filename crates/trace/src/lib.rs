@@ -24,7 +24,7 @@
 //!
 //! Tracing is opt-in and plumbing-based — there is no global collector.
 //! A driver that wants a trace builds an `Arc<Recorder>`, hands it to
-//! `ShmemWorld::with_trace` (and `EngineConfig::trace`), runs, then
+//! `ShmemWorld::set_trace` (and `EngineConfig::trace`), runs, then
 //! calls [`Recorder::drain`] once the world has joined.
 
 pub mod check;

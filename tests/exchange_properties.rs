@@ -132,11 +132,11 @@ proptest! {
         let grid = DdGrid::new([2, 2, 1]);
         let part = build_partition(&sys, &grid, 0.8);
         let ctxs = build_contexts(&part);
-        let world = halox::shmem::ShmemWorld::new(
+        let mut world = halox::shmem::ShmemWorld::new(
             Topology::islands(part.n_ranks(), 1), // everything crosses "IB"
             CommContext::slots_needed(part.total_pulses()),
-        )
-        .with_proxy_config(ProxyConfig {
+        );
+        world.set_proxy_config(ProxyConfig {
             injected_delay: None,
             random_delay: Some((seed.wrapping_mul(0x9E3779B9) | 1, max_delay_us)),
         });

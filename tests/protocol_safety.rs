@@ -64,10 +64,10 @@ fn step_forces(part: &DdPartition, step: u64) -> Vec<Vec<Vec3>> {
 /// Drive `steps` force-only exchange rounds on `world`, checking every rank
 /// against the serial reference each step, then replay the recorded events
 /// through the protocol checker.
-fn force_only_loop(part: &DdPartition, world: ShmemWorld, steps: u64, jitter_max_us: u64) {
+fn force_only_loop(part: &DdPartition, mut world: ShmemWorld, steps: u64, jitter_max_us: u64) {
     let ctxs = build_contexts(part);
     let rec = Arc::new(Recorder::new());
-    let world = world.with_trace(Arc::clone(&rec));
+    world.set_trace(Some(Arc::clone(&rec)));
     let bufs = FusedBuffers::alloc(part.n_ranks(), &ctxs[0]);
 
     // Per-step inputs and expected outputs, precomputed serially.
@@ -148,11 +148,11 @@ fn force_only_loop_nvlink_survives_adversarial_jitter() {
 #[test]
 fn force_only_loop_ib_survives_random_proxy_delay() {
     let (_sys, part) = test_partition(212);
-    let world = ShmemWorld::new(
+    let mut world = ShmemWorld::new(
         Topology::islands(part.n_ranks(), 1),
         CommContext::slots_needed(part.total_pulses()),
-    )
-    .with_proxy_config(ProxyConfig {
+    );
+    world.set_proxy_config(ProxyConfig {
         random_delay: Some((0xc0ff_ee11, 500)),
         ..ProxyConfig::default()
     });
@@ -198,7 +198,8 @@ fn engine_trace_is_checker_clean_on_both_transports() {
 #[test]
 fn checker_flags_unfenced_cross_step_reuse() {
     let rec = Arc::new(Recorder::new());
-    let world = ShmemWorld::new(Topology::all_nvlink(2), 1).with_trace(Arc::clone(&rec));
+    let mut world = ShmemWorld::new(Topology::all_nvlink(2), 1);
+    world.set_trace(Some(Arc::clone(&rec)));
     world.run(|pe| {
         if pe.id == 0 {
             record_opt(
