@@ -35,4 +35,4 @@ pub mod sched;
 pub use ctx::{build_contexts, CommContext};
 pub use error::{ExchangeError, ExchangePhase, StallReport, Watchdog};
 pub use exec::{fused_comm_unpack_f, fused_pack_comm_x, wait_coordinate_arrivals, FusedBuffers};
-pub use sched::{simulate, Backend, PulseSpec, ScheduleInput, ScheduleRun, StepMetrics};
+pub use sched::{simulate, Backend, ScheduleInput, ScheduleRun, StepMetrics};

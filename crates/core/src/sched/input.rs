@@ -1,19 +1,8 @@
 //! Inputs to the timing-plane schedule builders.
 
-use halox_dd::{DdGrid, WorkloadModel};
+use halox_dd::{DdGrid, PulseSizeModel, WorkloadModel};
 use halox_gpusim::MachineModel;
 use serde::{Deserialize, Serialize};
-
-/// Per-pulse communication size (uniform across ranks for the homogeneous
-/// grappa workload).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PulseSpec {
-    pub dim: usize,
-    /// Atoms sent per rank in this pulse.
-    pub send_atoms: f64,
-    /// Fraction of sent atoms forwarded from earlier pulses (depOffset).
-    pub dep_fraction: f64,
-}
 
 /// A complete timing scenario: machine, decomposition, workload sizes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -21,7 +10,10 @@ pub struct ScheduleInput {
     pub machine: MachineModel,
     pub grid: DdGrid,
     pub atoms_per_rank: f64,
-    pub pulses: Vec<PulseSpec>,
+    /// Per-pulse sizes in global pulse order (uniform across ranks for the
+    /// homogeneous grappa workload), as [`WorkloadModel::pulse_sizes`]
+    /// returns them.
+    pub pulses: Vec<PulseSizeModel>,
     /// Schedule §5.4: dedicated low-priority prune stream + medium-priority
     /// update stream (on in all paper results; ablation toggles it).
     pub prune_stream_opt: bool,
@@ -35,20 +27,11 @@ pub struct ScheduleInput {
 impl ScheduleInput {
     /// Build from an analytic workload model on a machine.
     pub fn from_workload(machine: MachineModel, model: &WorkloadModel) -> Self {
-        let pulses = model
-            .pulse_sizes()
-            .iter()
-            .map(|p| PulseSpec {
-                dim: p.dim,
-                send_atoms: p.send_atoms,
-                dep_fraction: p.dep_fraction,
-            })
-            .collect();
         ScheduleInput {
             machine,
             grid: model.grid,
             atoms_per_rank: model.atoms_per_rank(),
-            pulses,
+            pulses: model.pulse_sizes(),
             prune_stream_opt: true,
             cuda_graphs: false,
         }
@@ -71,17 +54,6 @@ impl ScheduleInput {
     /// The up neighbour (receive source) of `rank` for pulse `p`.
     pub fn recv_rank(&self, rank: usize, p: usize) -> usize {
         self.grid.up_neighbor(rank, self.pulses[p].dim)
-    }
-
-    /// Earlier pulses whose arrivals gate pulse `p`'s dependent pack: all
-    /// preceding pulses (the conservative `firstDependentPulse` chain the
-    /// paper's Algorithm 4 walks).
-    pub fn dep_pulses(&self, p: usize) -> std::ops::Range<usize> {
-        if self.pulses[p].dep_fraction > 0.0 {
-            0..p
-        } else {
-            0..0
-        }
     }
 }
 
@@ -111,12 +83,5 @@ mod tests {
         let r = 0;
         assert_eq!(inp.send_rank(r, 0), inp.grid.down_neighbor(r, 1));
         assert_eq!(inp.recv_rank(r, 1), inp.grid.up_neighbor(r, 0));
-    }
-
-    #[test]
-    fn dep_ranges() {
-        let inp = input();
-        assert_eq!(inp.dep_pulses(0), 0..0);
-        assert_eq!(inp.dep_pulses(1), 0..1);
     }
 }

@@ -14,7 +14,7 @@ mod nvshmem;
 mod step;
 mod tmpi;
 
-pub use input::{PulseSpec, ScheduleInput};
+pub use input::ScheduleInput;
 pub use metrics::{ScheduleRun, StepMetrics};
 
 /// Which halo-exchange implementation a schedule models.

@@ -9,6 +9,7 @@
 
 use super::input::ScheduleInput;
 use super::step::{Builder, Exchange, Kernel, KERNELS};
+use halox_dd::forwards_from;
 use halox_gpusim::{streams, OpId, Resource, Time};
 
 pub(super) struct Nvshmem;
@@ -56,8 +57,8 @@ impl Exchange for Nvshmem {
             b.dep(pack_ind, xstart);
             let pack_dep = b.on_lane(format_args!("xpack_dep{p}"), pack_ns(dep_atoms));
             b.dep(pack_dep, xstart);
-            for k in input.dep_pulses(p) {
-                // Wait on my own arrival of the forwarded pulses.
+            for k in forwards_from(p, |q| input.pulses[q].dim) {
+                // Wait on my own arrival of the pulses it forwards from.
                 b.dep(pack_dep, arrivals[k]);
             }
             if m.nvlink_reachable(r, dst) {
@@ -264,6 +265,72 @@ mod tests {
         let nvs = build(Backend::Nvshmem, &input, 6).metrics(2);
         let mpi = build(Backend::Mpi, &input, 6).metrics(2);
         assert!(nvs.time_per_step_ns < mpi.time_per_step_ns);
+    }
+
+    #[test]
+    fn one_forwarding_rule_on_both_planes() {
+        use halox_dd::{build_partition, forwards_from};
+        use halox_md::GrappaBuilder;
+        use std::collections::BTreeSet;
+        let r_comm = 0.8;
+        for seed in [11, 29] {
+            let sys = GrappaBuilder::new(3_000).seed(seed).build();
+            for dims in [[8, 1, 1], [4, 2, 1], [4, 4, 1], [4, 2, 2], [2, 2, 2]] {
+                let grid = DdGrid::new(dims);
+                let part = build_partition(&sys, &grid, r_comm);
+                let pulse_dims: Vec<usize> = part.layout.iter().map(|(_, d, _)| d).collect();
+                let rule =
+                    |p: usize| -> BTreeSet<usize> { forwards_from(p, |q| pulse_dims[q]).collect() };
+                // The functional plane: each rank's emergent dependencies
+                // stay within the rule, and together they fill it.
+                for p in 0..pulse_dims.len() {
+                    let mut union = BTreeSet::new();
+                    for r in &part.ranks {
+                        let deps: BTreeSet<usize> =
+                            r.pulses[p].dep_pulses.iter().copied().collect();
+                        assert!(
+                            deps.is_subset(&rule(p)),
+                            "{dims:?} rank {} pulse {p}",
+                            r.rank
+                        );
+                        union.extend(deps);
+                    }
+                    assert_eq!(union, rule(p), "{dims:?} seed {seed} pulse {p}");
+                }
+                // The timing plane, on the same grid and box: exactly the
+                // rule's `xpack_dep{p}` <- `xarrive{k}` edges on every rank.
+                let model = WorkloadModel {
+                    n_atoms: sys.n_atoms(),
+                    density: sys.density(),
+                    r_comm,
+                    grid,
+                    box_lengths: sys.pbc.lengths(),
+                };
+                let input = ScheduleInput::from_workload(MachineModel::dgx_h100(), &model);
+                let model_dims: Vec<usize> = input.pulses.iter().map(|p| p.dim).collect();
+                assert_eq!(model_dims, pulse_dims, "{dims:?}");
+                let g = &build(Backend::Nvshmem, &input, 1).graph;
+                let name = |op| g.label(op).rsplit(':').next().unwrap();
+                let mut edges = vec![BTreeSet::new(); grid.n_ranks()];
+                for op in (0..g.n_ops()).map(halox_gpusim::OpId) {
+                    let Some(p) = name(op).strip_prefix("xpack_dep") else {
+                        continue;
+                    };
+                    let rank: usize = g.label(op).split(':').nth(2).unwrap().parse().unwrap();
+                    for &(on, _) in g.deps_of(op) {
+                        if let Some(k) = name(on).strip_prefix("xarrive") {
+                            edges[rank].insert((p.parse::<usize>().unwrap(), k.parse().unwrap()));
+                        }
+                    }
+                }
+                let want: BTreeSet<(usize, usize)> = (0..pulse_dims.len())
+                    .flat_map(|p| rule(p).into_iter().map(move |k| (p, k)))
+                    .collect();
+                for (rank, got) in edges.iter().enumerate() {
+                    assert_eq!(got, &want, "{dims:?} seed {seed} rank {rank}");
+                }
+            }
+        }
     }
 
     #[test]

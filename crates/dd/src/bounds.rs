@@ -115,12 +115,6 @@ impl DdBounds {
         self.fracs[d][i + 1] * box_len
     }
 
-    /// Length of cell `i` in dimension `d`, in nm.
-    #[inline]
-    pub fn cell_len(&self, d: usize, i: usize, box_len: f32) -> f32 {
-        self.cell_hi(d, i, box_len) - self.cell_lo(d, i, box_len)
-    }
-
     /// Thinnest cell in dimension `d`, in nm. Drives the pulse count.
     pub fn min_cell_len(&self, d: usize, box_len: f32) -> f32 {
         let f = &self.fracs[d];

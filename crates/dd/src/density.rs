@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 /// Expected communication sizes for one pulse, from zone geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PulseSizeModel {
-    pub global_id: usize,
     pub dim: usize,
     /// Expected atoms sent per rank in this pulse.
     pub send_atoms: f64,
@@ -108,7 +107,6 @@ impl WorkloadModel {
         let dims = self.grid.comm_dims();
         let pulses = pulse_counts(&self.grid, bounds, self.box_lengths, self.r_comm, None)?;
         let mut out = Vec::new();
-        let mut gid = 0;
         for (i, &d) in dims.iter().enumerate() {
             // Cross-section factor: dims already fully processed are
             // extended by rc (their total halo depth); later dims span the
@@ -143,12 +141,10 @@ impl WorkloadModel {
                     1.0
                 };
                 out.push(PulseSizeModel {
-                    global_id: gid,
                     dim: d,
                     send_atoms: v_total * self.density,
                     dep_fraction,
                 });
-                gid += 1;
             }
         }
         Ok(out)
@@ -157,13 +153,6 @@ impl WorkloadModel {
     /// Expected halo atoms received per rank (sum over pulses).
     pub fn halo_atoms_per_rank(&self) -> f64 {
         self.pulse_sizes().iter().map(|p| p.send_atoms).sum()
-    }
-
-    /// Expected non-local pair-interaction work relative to local work:
-    /// approximates the non-local non-bonded kernel cost as proportional to
-    /// the halo atom count times the pair-search shell overlap.
-    pub fn nonlocal_work_fraction(&self) -> f64 {
-        self.halo_atoms_per_rank() / self.atoms_per_rank()
     }
 }
 
@@ -443,7 +432,8 @@ mod tests {
         let small = WorkloadModel::cubic(100_000, 100.0, 1.0, g);
         let large = WorkloadModel::cubic(1_000_000, 100.0, 1.0, g);
         assert!(
-            large.nonlocal_work_fraction() < small.nonlocal_work_fraction(),
+            large.halo_atoms_per_rank() / large.atoms_per_rank()
+                < small.halo_atoms_per_rank() / small.atoms_per_rank(),
             "relative halo must shrink with domain size"
         );
     }

@@ -49,7 +49,6 @@ pub use density::{grappa_box, PulseSizeModel, WorkloadModel};
 pub use grid::{choose_grid, factorizations, try_choose_grid, DdGrid, GridError, GridOptions};
 pub use plan::{
     build_partition, pulse_counts, reference_coordinate_exchange, reference_force_exchange,
-    try_build_partition, try_build_partition_with, DdPartition, Displacement, HaloEntry, PlanError,
-    RankPlan,
+    try_build_partition, try_build_partition_with, DdPartition, Displacement, PlanError, RankPlan,
 };
-pub use pulse::{pulses_needed, PulseData, PulseLayout};
+pub use pulse::{forwards_from, pulses_needed, PulseData, PulseLayout};

@@ -14,7 +14,6 @@ use crate::pulse::{pulses_needed, PulseData, PulseLayout};
 use halox_md::pairlist::ZoneFilter;
 use halox_md::topology::{Angle, Bond};
 use halox_md::{System, Vec3};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why plan construction failed. The eighth-shell bonded assignment requires
@@ -72,13 +71,6 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// One received halo atom: who it is and which pulse delivered it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HaloEntry {
-    pub global_id: u32,
-    pub origin_pulse: usize,
-}
-
 /// Per-local-atom up-displacement: how many domains "up" in each dimension a
 /// copy travelled to reach this rank (home atoms: `[0, 0, 0]`). Two local
 /// copies interact on this rank iff their displacement supports are disjoint
@@ -94,8 +86,6 @@ pub struct RankPlan {
     pub n_home: usize,
     /// Global ids of all local atoms (home then halo, in arrival order).
     pub global_ids: Vec<u32>,
-    /// Halo bookkeeping (parallel to `global_ids[n_home..]`).
-    pub halo: Vec<HaloEntry>,
     /// Pulse metadata in global pulse order `[z.., y.., x..]`.
     pub pulses: Vec<PulseData>,
     /// DD-frame positions at build time (home wrapped; halo shifted).
@@ -113,10 +103,6 @@ pub struct RankPlan {
     /// Bonded terms assigned to this rank, with local indices.
     pub bonds: Vec<Bond>,
     pub angles: Vec<Angle>,
-    /// Domain bounds in the primary cell.
-    pub domain_lo: Vec3,
-    pub domain_hi: Vec3,
-    global_to_local: HashMap<u32, u32>,
 }
 
 impl RankPlan {
@@ -126,11 +112,6 @@ impl RankPlan {
 
     pub fn n_halo(&self) -> usize {
         self.n_local() - self.n_home
-    }
-
-    /// Local index of a global atom id, if present on this rank.
-    pub fn local_index(&self, global: u32) -> Option<u32> {
-        self.global_to_local.get(&global).copied()
     }
 }
 
@@ -297,7 +278,7 @@ pub fn try_build_partition_with(
     let n_home: Vec<usize> = states.iter().map(|s| s.ids.len()).collect();
 
     // --- 2. Pulse construction (global order z, y, x) ----------------------
-    for (pulse_gid, dim, pulse_in_dim) in layout.iter() {
+    for (pulse_gid, dim, _) in layout.iter() {
         // Build all sends for this pulse first.
         struct Send {
             index: Vec<u32>,
@@ -363,7 +344,9 @@ pub fn try_build_partition_with(
                 states[r].sent[i as usize][dim] = true;
             }
         }
-        // Deliver: each receiver B takes its up-neighbour's payload.
+        // Deliver: each receiver B takes its up-neighbour's payload. The up
+        // neighbour is a bijection on a decomposed dimension, so every
+        // payload has exactly one receiver and moves there.
         let mut recv_offset = vec![0usize; n_ranks];
         let mut recv_count = vec![0usize; n_ranks];
         for b in 0..n_ranks {
@@ -371,9 +354,9 @@ pub fn try_build_partition_with(
             recv_offset[b] = states[b].ids.len();
             recv_count[b] = sends[u].payload_ids.len();
             let (ids, pos, disp) = (
-                sends[u].payload_ids.clone(),
-                sends[u].payload_pos.clone(),
-                sends[u].payload_disp.clone(),
+                std::mem::take(&mut sends[u].payload_ids),
+                std::mem::take(&mut sends[u].payload_pos),
+                std::mem::take(&mut sends[u].payload_disp),
             );
             let st = &mut states[b];
             for ((id, p), d) in ids.into_iter().zip(pos).zip(disp) {
@@ -385,18 +368,16 @@ pub fn try_build_partition_with(
             }
         }
         // Record PulseData per rank.
-        for r in 0..n_ranks {
-            let send = &sends[r];
+        for (r, send) in sends.into_iter().enumerate() {
             let down = grid.down_neighbor(r, dim);
             states[r].pulses.push(PulseData {
                 global_id: pulse_gid,
                 dim,
-                pulse_in_dim,
                 send_rank: down,
                 recv_rank: grid.up_neighbor(r, dim),
-                send_index: send.index.clone(),
+                send_index: send.index,
                 dep_offset: send.dep_offset,
-                dep_pulses: send.dep_pulses.clone(),
+                dep_pulses: send.dep_pulses,
                 recv_count: recv_count[r],
                 recv_offset: recv_offset[r],
                 remote_recv_offset: recv_offset[down],
@@ -467,56 +448,44 @@ pub fn try_build_partition_with(
     // Scratch of `pair_filter`, all `NONE` between ranks.
     let mut first_copy = vec![NONE; system.n_atoms()];
     for (r, st) in states.into_iter().enumerate() {
-        let mut global_to_local = HashMap::with_capacity(st.ids.len());
-        for (i, &g) in st.ids.iter().enumerate() {
-            // Bonded terms resolve to the first copy (home, or the earliest
-            // arrival); the pair filter below sees every copy.
-            global_to_local.entry(g).or_insert(i as u32);
-        }
         let pair_filter = pair_filter(system, &st.ids, &st.disp, &mut first_copy);
-        let halo: Vec<HaloEntry> = st.ids[n_home[r]..]
+        // Bonded terms resolve to the first copy (home, or the earliest
+        // arrival), threaded through the same scratch; the pair filter
+        // above sees every copy.
+        for (i, &g) in st.ids.iter().enumerate().rev() {
+            first_copy[g as usize] = i as u32;
+        }
+        let local = |g: u32| first_copy[g as usize];
+        let bonds = rank_bonds[r]
             .iter()
-            .zip(&st.origin[n_home[r]..])
-            .map(|(&g, o)| HaloEntry {
-                global_id: g,
-                origin_pulse: o.expect("halo entry without origin"),
+            .map(|b| Bond {
+                i: local(b.i),
+                j: local(b.j),
+                ..*b
             })
             .collect();
+        let angles = rank_angles[r]
+            .iter()
+            .map(|a| Angle {
+                i: local(a.i),
+                j: local(a.j),
+                k_atom: local(a.k_atom),
+                ..*a
+            })
+            .collect();
+        for &g in &st.ids {
+            first_copy[g as usize] = NONE;
+        }
         let kinds: Vec<_> = st.ids.iter().map(|&g| system.kinds[g as usize]).collect();
         let inv_mass: Vec<_> = st
             .ids
             .iter()
             .map(|&g| system.inv_mass[g as usize])
             .collect();
-        let map_bond = |b: &Bond| Bond {
-            i: global_to_local[&b.i],
-            j: global_to_local[&b.j],
-            ..*b
-        };
-        let map_angle = |a: &Angle| Angle {
-            i: global_to_local[&a.i],
-            j: global_to_local[&a.j],
-            k_atom: global_to_local[&a.k_atom],
-            ..*a
-        };
-        let bonds = rank_bonds[r].iter().map(map_bond).collect();
-        let angles = rank_angles[r].iter().map(map_angle).collect();
-        let c = grid.coords_of(r);
-        let domain_lo = Vec3::new(
-            bounds.cell_lo(0, c[0], box_l.x),
-            bounds.cell_lo(1, c[1], box_l.y),
-            bounds.cell_lo(2, c[2], box_l.z),
-        );
-        let domain_hi = Vec3::new(
-            bounds.cell_hi(0, c[0], box_l.x),
-            bounds.cell_hi(1, c[1], box_l.y),
-            bounds.cell_hi(2, c[2], box_l.z),
-        );
         ranks.push(RankPlan {
             rank: r,
             n_home: n_home[r],
             global_ids: st.ids,
-            halo,
             pulses: st.pulses,
             build_positions: st.pos,
             kinds,
@@ -525,9 +494,6 @@ pub fn try_build_partition_with(
             pair_filter,
             bonds,
             angles,
-            domain_lo,
-            domain_hi,
-            global_to_local,
         });
     }
 
@@ -544,7 +510,7 @@ const NONE: u32 = u32::MAX;
 
 /// One rank's pair rule as data: the zone bits of `disp` and, per local
 /// atom, **every** local copy of every atom the topology excludes it from
-/// pairing with — `global_to_local` knows first copies only.
+/// pairing with, not only the first copy bonded terms resolve to.
 ///
 /// `first` is scratch over all global atoms, all `NONE` on entry and on
 /// return; the copies of one global atom are chained through it and a
@@ -635,9 +601,40 @@ mod tests {
     use super::*;
     use crate::grid::DdGrid;
     use halox_md::GrappaBuilder;
+    use std::collections::HashMap;
 
     fn test_system(n: usize) -> System {
         GrappaBuilder::new(n).seed(101).build()
+    }
+
+    /// Rank `r`'s domain `[lo, hi)` in the primary cell, from the
+    /// partition's cell bounds.
+    fn domain(part: &DdPartition, r: &RankPlan, box_l: Vec3) -> (Vec3, Vec3) {
+        let c = part.grid.coords_of(r.rank);
+        let (mut lo, mut hi) = (Vec3::ZERO, Vec3::ZERO);
+        for d in 0..3 {
+            lo[d] = part.bounds.cell_lo(d, c[d], box_l[d]);
+            hi[d] = part.bounds.cell_hi(d, c[d], box_l[d]);
+        }
+        (lo, hi)
+    }
+
+    /// `(local index, pulse that delivered it)` for every halo atom of `r`,
+    /// from the pulses' receive ranges.
+    fn arrivals(r: &RankPlan) -> impl Iterator<Item = (usize, usize)> + '_ {
+        r.pulses.iter().flat_map(|pd| {
+            (pd.recv_offset..pd.recv_offset + pd.recv_count).map(move |i| (i, pd.global_id))
+        })
+    }
+
+    /// Global id → first local copy on `r` (home, or the earliest
+    /// arrival), from `global_ids`.
+    fn first_copies(r: &RankPlan) -> HashMap<u32, u32> {
+        let mut local = HashMap::new();
+        for (i, &g) in r.global_ids.iter().enumerate() {
+            local.entry(g).or_insert(i as u32);
+        }
+        local
     }
 
     #[test]
@@ -688,7 +685,7 @@ mod tests {
         use halox_md::pairlist::PairFilter;
         // Atoms 0-1-2 are one molecule. On this rank atom 1 is present
         // three times (home, and two forwarded copies) and atom 2 twice;
-        // `global_to_local` would only ever name locals 1 and 2.
+        // a first-copy map would only ever name locals 1 and 2.
         let sys = test_system(30);
         assert!(sys.is_excluded(0, 1) && sys.is_excluded(1, 2) && !sys.is_excluded(0, 3));
         let ids = [0, 1, 2, 3, 1, 2, 7, 1];
@@ -738,15 +735,16 @@ mod tests {
         let grid = DdGrid::new([2, 2, 1]);
         let part = build_partition(&sys, &grid, 0.8);
         for r in &part.ranks {
+            let (lo, hi) = domain(&part, r, sys.pbc.lengths());
             for i in 0..r.n_home {
                 let p = r.build_positions[i];
                 for d in 0..3 {
                     assert!(
-                        p[d] >= r.domain_lo[d] - 1e-4 && p[d] < r.domain_hi[d] + 1e-4,
+                        p[d] >= lo[d] - 1e-4 && p[d] < hi[d] + 1e-4,
                         "rank {} atom {i} at {p:?} outside [{:?}, {:?})",
                         r.rank,
-                        r.domain_lo,
-                        r.domain_hi
+                        lo,
+                        hi
                     );
                 }
             }
@@ -759,6 +757,7 @@ mod tests {
         let grid = DdGrid::new([2, 2, 2]);
         let part = build_partition(&sys, &grid, 0.8);
         for r in &part.ranks {
+            let origins: HashMap<usize, usize> = arrivals(r).collect();
             for pd in &r.pulses {
                 for &i in pd.independent() {
                     assert!(
@@ -771,7 +770,7 @@ mod tests {
                         (i as usize) >= r.n_home,
                         "dependent entry must be forwarded"
                     );
-                    let origin = r.halo[i as usize - r.n_home].origin_pulse;
+                    let origin = origins[&(i as usize)];
                     assert!(pd.dep_pulses.contains(&origin));
                     assert!(origin < pd.global_id, "dependency must be an earlier pulse");
                 }
@@ -853,6 +852,7 @@ mod tests {
         let grid = DdGrid::new([2, 2, 1]);
         let r_comm = 0.8;
         let part = build_partition(&sys, &grid, r_comm);
+        let locals: Vec<_> = part.ranks.iter().map(first_copies).collect();
         let frame = Frame::for_decomposition(&sys.pbc, grid.dims);
         let n = sys.n_atoms();
         let mut checked = 0;
@@ -866,8 +866,8 @@ mod tests {
                 // within reach under the rank's DD-frame metric, and the
                 // eighth-shell zone rule admits it.
                 let mut count = 0;
-                for r in &part.ranks {
-                    let (Some(li), Some(lj)) = (r.local_index(i as u32), r.local_index(j as u32))
+                for (r, local) in part.ranks.iter().zip(&locals) {
+                    let (Some(&li), Some(&lj)) = (local.get(&(i as u32)), local.get(&(j as u32)))
                     else {
                         continue;
                     };
@@ -899,6 +899,7 @@ mod tests {
         let sys = test_system(6000);
         let grid = DdGrid::new([2, 2, 1]);
         let part = build_partition(&sys, &grid, 0.8);
+        let locals: Vec<_> = part.ranks.iter().map(first_copies).collect();
         let n = sys.n_atoms();
         let mut found = false;
         'outer: for i in 0..n {
@@ -906,8 +907,8 @@ mod tests {
                 if sys.pbc.dist2(sys.positions[i], sys.positions[j]) >= 0.64 {
                     continue;
                 }
-                for r in &part.ranks {
-                    let (Some(li), Some(lj)) = (r.local_index(i as u32), r.local_index(j as u32))
+                for (r, local) in part.ranks.iter().zip(&locals) {
+                    let (Some(&li), Some(&lj)) = (local.get(&(i as u32)), local.get(&(j as u32)))
                     else {
                         continue;
                     };
@@ -934,9 +935,9 @@ mod tests {
             for i in 0..r.n_home {
                 assert_eq!(r.displacement[i], [0; 3]);
             }
-            for (k, h) in r.halo.iter().enumerate() {
-                let d = r.displacement[r.n_home + k];
-                let pulse_dim = r.pulses[h.origin_pulse].dim;
+            for (i, origin) in arrivals(r) {
+                let d = r.displacement[i];
+                let pulse_dim = r.pulses[origin].dim;
                 assert!(
                     d[pulse_dim] >= 1,
                     "halo entry displacement must include its arrival dim"
@@ -1020,8 +1021,8 @@ mod tests {
         // Count halo copies per global atom.
         let mut copies = vec![0u32; sys.n_atoms()];
         for r in &part.ranks {
-            for h in &r.halo {
-                copies[h.global_id as usize] += 1;
+            for &g in &r.global_ids[r.n_home..] {
+                copies[g as usize] += 1;
             }
         }
         reference_force_exchange(&part, &mut forces);
@@ -1105,14 +1106,16 @@ mod tests {
         assert_eq!(part.bounds, bounds);
         // Home atoms respect the shifted domains.
         for r in &part.ranks {
+            let (lo, hi) = domain(&part, r, sys.pbc.lengths());
             for i in 0..r.n_home {
                 let p = r.build_positions[i];
                 for d in 0..3 {
-                    assert!(p[d] >= r.domain_lo[d] - 1e-4 && p[d] < r.domain_hi[d] + 1e-4);
+                    assert!(p[d] >= lo[d] - 1e-4 && p[d] < hi[d] + 1e-4);
                 }
             }
         }
         // And the pair-coverage invariant still holds exactly.
+        let locals: Vec<_> = part.ranks.iter().map(first_copies).collect();
         let frame = Frame::for_decomposition(&sys.pbc, grid.dims);
         let n = sys.n_atoms();
         let mut checked = 0;
@@ -1122,8 +1125,8 @@ mod tests {
                     continue;
                 }
                 let mut count = 0;
-                for r in &part.ranks {
-                    let (Some(li), Some(lj)) = (r.local_index(i as u32), r.local_index(j as u32))
+                for (r, local) in part.ranks.iter().zip(&locals) {
+                    let (Some(&li), Some(&lj)) = (local.get(&(i as u32)), local.get(&(j as u32)))
                     else {
                         continue;
                     };
@@ -1142,7 +1145,7 @@ mod tests {
     }
 
     #[test]
-    fn min_pulses_override_pads_with_empty_pulses() {
+    fn pinned_pulse_floor_pads_with_empty_pulses() {
         use crate::bounds::DdBounds;
         // One pulse suffices, but the engine pins two for slot stability.
         let sys = test_system(3000);

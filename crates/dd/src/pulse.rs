@@ -9,6 +9,7 @@
 
 use halox_md::Vec3;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Metadata for one halo-exchange pulse on one rank.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -17,9 +18,6 @@ pub struct PulseData {
     pub global_id: usize,
     /// Dimension this pulse communicates along (0 = x, 1 = y, 2 = z).
     pub dim: usize,
-    /// 0 for the first pulse of a dimension, k for the (k+1)-th-neighbour
-    /// pulse of a multi-pulse dimension.
-    pub pulse_in_dim: usize,
     /// Rank coordinates are sent to (the down neighbour).
     pub send_rank: usize,
     /// Rank coordinates are received from (the up neighbour).
@@ -32,8 +30,9 @@ pub struct PulseData {
     /// Boundary between independent (home) and dependent (forwarded) entries.
     pub dep_offset: usize,
     /// Global ids of the earlier pulses the dependent entries came from
-    /// (ascending). The fused kernel acquire-waits on these signals before
-    /// packing the dependent range (`firstDependentPulse` chain).
+    /// (ascending), always within [`forwards_from`]. The fused kernel
+    /// acquire-waits on these signals before packing the dependent range
+    /// (`firstDependentPulse` chain).
     pub dep_pulses: Vec<usize>,
     /// Number of atoms this rank receives in this pulse.
     pub recv_count: usize,
@@ -76,6 +75,22 @@ pub fn pulses_needed(r_comm: f32, min_cell: f32) -> usize {
     ((r_comm / min_cell).ceil() as usize).max(1)
 }
 
+/// The forwarding rule (paper Algorithm 4): the earlier pulses whose
+/// arrivals pulse `p`'s dependent entries can come from, given each pulse's
+/// dimension. The first pulse of a dimension forwards from every earlier
+/// pulse. Pulse k > 0 of a dimension forwards only from pulse `p − 1`: every
+/// earlier arrival inside its send slab went out in an earlier pulse of the
+/// same dimension, and an atom is sent once per dimension. The plan's
+/// emergent [`PulseData::dep_pulses`] stay within it, and the timing plane
+/// gates dependent packs on exactly it.
+pub fn forwards_from(p: usize, dim_of: impl Fn(usize) -> usize) -> Range<usize> {
+    if p > 0 && dim_of(p - 1) == dim_of(p) {
+        p - 1..p
+    } else {
+        0..p
+    }
+}
+
 /// The phase/pulse layout shared by all ranks: which dims are decomposed and
 /// how many pulses each has, in global order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,7 +115,7 @@ impl PulseLayout {
         self.per_dim.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Iterate `(global_id, dim, pulse_in_dim)`.
+    /// Iterate `(global_id, dim, k)`, k counting the pulses of `dim`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         let mut gid = 0;
         self.per_dim
@@ -186,11 +201,27 @@ mod tests {
     }
 
     #[test]
+    fn forwarding_rule() {
+        // Each pulse's dimension, in global pulse order.
+        let rule = |dims: &[usize]| {
+            (0..dims.len())
+                .map(|p| forwards_from(p, |q| dims[q]))
+                .collect::<Vec<_>>()
+        };
+        // y then x, one pulse each: x forwards from y.
+        assert_eq!(rule(&[1, 0]), [0..0, 0..1]);
+        // Three x pulses: each later pulse forwards from the one before.
+        assert_eq!(rule(&[0, 0, 0]), [0..0, 0..1, 1..2]);
+        // Two y pulses, then two x pulses: x's first pulse forwards from
+        // both y pulses, its second only from its first.
+        assert_eq!(rule(&[1, 1, 0, 0]), [0..0, 0..1, 0..2, 2..3]);
+    }
+
+    #[test]
     fn pulse_slices() {
         let p = PulseData {
             global_id: 0,
             dim: 2,
-            pulse_in_dim: 0,
             send_rank: 1,
             recv_rank: 2,
             send_index: vec![0, 1, 2, 7, 9],

@@ -17,7 +17,6 @@
 //! with it the `WorldKey` of pooled worlds — never changes mid-run no
 //! matter where the boundaries wander.
 
-use crate::config::DlbMode;
 use halox_dd::{pulses_needed, DdBounds, DdGrid};
 use halox_md::Vec3;
 
@@ -73,16 +72,11 @@ impl DlbController {
     }
 
     /// The pulse counts pinned at construction — passed as `min_pulses`
-    /// when DLB is active so padding pulses keep the slot layout fixed
-    /// while boundaries move.
+    /// into every partition build, so padding pulses keep the slot layout
+    /// fixed while boundaries move. With DLB off the bounds stay uniform
+    /// and the pins are exactly the counts the geometry decides.
     pub fn pinned_pulses(&self) -> [usize; 3] {
         self.pinned
-    }
-
-    /// `min_pulses` argument for `try_build_partition_with`: pinned counts
-    /// when DLB is on, `None` (geometry decides per segment) when off.
-    pub fn min_pulses(&self, mode: DlbMode) -> Option<[usize; 3]> {
-        (mode != DlbMode::Off).then_some(self.pinned)
     }
 
     /// Smallest legal fractional cell length in dimension `d`: the pinned
@@ -205,8 +199,6 @@ mod tests {
         assert_eq!(c.pinned_pulses(), [1, 1, 1]);
         let c = DlbController::new(&grid4(), Vec3::splat(8.0), 2.5);
         assert_eq!(c.pinned_pulses(), [2, 1, 1]);
-        assert_eq!(c.min_pulses(DlbMode::Off), None);
-        assert_eq!(c.min_pulses(DlbMode::Counter), Some([2, 1, 1]));
     }
 
     #[test]

@@ -304,14 +304,6 @@ impl Engine {
         &self.dlb.bounds
     }
 
-    /// `min_pulses` for partition builds: pinned when DLB is active so the
-    /// slot layout survives boundary drift, `None` (pure geometry) when
-    /// off — which keeps DLB-off runs byte-identical to the pre-DLB
-    /// engine.
-    fn min_pulses(&self) -> Option<[usize; 3]> {
-        self.dlb.min_pulses(self.config.dlb)
-    }
-
     /// Build an engine with an automatically chosen DD grid for `n_ranks`,
     /// surfacing an infeasible decomposition as a typed configuration-time
     /// error — the message carries the rank count and box — instead of a
@@ -485,7 +477,7 @@ impl Engine {
             &self.grid,
             &self.dlb.bounds,
             self.config.r_comm(),
-            self.min_pulses(),
+            Some(self.dlb.pinned_pulses()),
         )
         .map_err(EngineError::PlanFailed)?;
         Ok(WorldKey {
@@ -756,7 +748,7 @@ impl Engine {
             &self.grid,
             &self.dlb.bounds,
             cfg.r_comm(),
-            self.min_pulses(),
+            Some(self.dlb.pinned_pulses()),
         )
         .map_err(SegmentFailure::Plan)?;
         let n_ranks = part.n_ranks();

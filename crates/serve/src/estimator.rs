@@ -75,14 +75,17 @@ impl AdmissionEstimator {
             + m.pack_work_ns(halo)
             + m.other_ns(n_local)) as f64;
         // Coordinate + force halos each cross the slowest link the
-        // decomposition touches once per step (Gbit/s == bits/ns).
-        let gbps = if n_ranks > m.gpus_per_node && !m.multi_node_nvlink {
-            m.ib_gbps
-        } else {
-            m.nvlink_gbps
-        };
+        // decomposition touches once per step: ranks 0 and n − 1 sit on
+        // different nodes exactly when any two do. Only an IB put goes
+        // through the proxy; NVLink puts are TMA stores.
         let wire_ns = if comm_dims > 0 {
-            2.0 * m.payload_bytes(halo) * 8.0 / gbps + m.proxy_service_ns() as f64
+            let (a, b) = (0, n_ranks - 1);
+            let proxy = if m.nvlink_reachable(a, b) {
+                0
+            } else {
+                m.proxy_service_ns()
+            };
+            (2 * m.wire_ns(a, b, m.payload_bytes(halo)) + proxy) as f64
         } else {
             0.0
         };
@@ -117,6 +120,45 @@ mod tests {
         let longer = est.predict(&small, [2, 2, 1], 0.8, 1000).expect("feasible");
         assert!(longer.total_ms > ps.total_ms);
         assert_eq!(longer.step_ns, ps.step_ns);
+    }
+
+    /// `est`'s price minus the price on the same machine with free links
+    /// and a free proxy: the wire term alone.
+    fn wire_term(est: &AdmissionEstimator, system: &System, grid: [usize; 3]) -> u64 {
+        let mut free = est.machine().clone();
+        free.nvlink_gbps = f64::INFINITY;
+        free.ib_gbps = f64::INFINITY;
+        free.proxy_overhead_ns = 0;
+        let free = AdmissionEstimator::new(free);
+        let step = |e: &AdmissionEstimator| e.predict(system, grid, 0.8, 1).unwrap().step_ns;
+        step(est) - step(&free)
+    }
+
+    #[test]
+    fn wire_term_is_the_machines_wire_time() {
+        let sys = GrappaBuilder::new(3_000).seed(4).build();
+        let grid = [2, 1, 1];
+        let model = WorkloadModel {
+            n_atoms: sys.n_atoms(),
+            density: sys.density(),
+            r_comm: 0.8,
+            grid: DdGrid::new(grid),
+            box_lengths: sys.pbc.lengths(),
+        };
+        let halo: f64 = model.pulse_sizes().iter().map(|p| p.send_atoms).sum();
+        // All NVLink: two halo payloads over the link, no proxy.
+        let nvlink = AdmissionEstimator::new(MachineModel::dgx_h100());
+        let m = nvlink.machine();
+        let bytes = m.payload_bytes(halo);
+        assert_eq!(wire_term(&nvlink, &sys, grid), 2 * m.wire_ns(0, 1, bytes));
+        // One GPU per node: the halo crosses IB through the proxy.
+        let ib = AdmissionEstimator::new(MachineModel::eos().with_gpus_per_node(1));
+        let m = ib.machine();
+        assert!(!m.nvlink_reachable(0, 1));
+        assert_eq!(
+            wire_term(&ib, &sys, grid),
+            2 * m.wire_ns(0, 1, bytes) + m.proxy_service_ns()
+        );
     }
 
     #[test]
