@@ -255,14 +255,29 @@ pub fn try_build_partition_with(
         sent: Vec<[bool; 3]>,
         pulses: Vec<PulseData>,
     }
-    let mut states: Vec<RankState> = (0..n_ranks)
-        .map(|_| RankState {
-            ids: vec![],
-            pos: vec![],
-            origin: vec![],
-            disp: vec![],
-            sent: vec![],
-            pulses: vec![],
+    // Sized for the home atoms plus the halo a uniform density brings in:
+    // the slab of width `r_comm` on each decomposed face, so the arrivals
+    // rarely grow the per-atom vectors.
+    let mut homes = vec![0usize; n_ranks];
+    for &c in &owner_coords {
+        homes[grid.rank_of(c)] += 1;
+    }
+    let halo_growth: f32 = comm_dims
+        .iter()
+        .map(|&d| 1.0 + r_comm / bounds.min_cell_len(d, box_l[d]))
+        .product();
+    let mut states: Vec<RankState> = homes
+        .iter()
+        .map(|&n| {
+            let cap = (n as f32 * halo_growth) as usize + 16;
+            RankState {
+                ids: Vec::with_capacity(cap),
+                pos: Vec::with_capacity(cap),
+                origin: Vec::with_capacity(cap),
+                disp: Vec::with_capacity(cap),
+                sent: Vec::with_capacity(cap),
+                pulses: Vec::with_capacity(layout.total_pulses()),
+            }
         })
         .collect();
 
@@ -390,16 +405,22 @@ pub fn try_build_partition_with(
     // A term goes to the rank at the component-wise "down" coordinate of its
     // atoms' owners; eighth-shell forwarding guarantees that rank holds every
     // atom of the term (molecule extent << r_comm).
+    // A term has at most three atoms, so its distinct owners per dimension
+    // fit a fixed array: sorted and deduplicated in place, no allocation.
     let resolve_rank = |atom_ids: &[u32]| -> Result<usize, PlanError> {
         let mut coords = [0usize; 3];
         for d in 0..3 {
-            let mut vals: Vec<usize> = atom_ids
-                .iter()
-                .map(|&a| owner_coords[a as usize][d])
-                .collect();
-            vals.sort_unstable();
-            vals.dedup();
-            coords[d] = match vals.len() {
+            let mut vals = [0usize; 3];
+            let mut n = 0;
+            for &a in atom_ids {
+                let v = owner_coords[a as usize][d];
+                if !vals[..n].contains(&v) {
+                    vals[n] = v;
+                    n += 1;
+                }
+            }
+            vals[..n].sort_unstable();
+            coords[d] = match n {
                 1 => vals[0],
                 2 => {
                     // Use geometry to find which owner is "down" (periodic).
@@ -1207,5 +1228,212 @@ mod tests {
                 assert!((*got - *want).norm() < 1e-6);
             }
         }
+    }
+
+    /// FNV-1a over little-endian words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Fnv {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn word(&mut self, w: u64) {
+            self.bytes(&w.to_le_bytes());
+        }
+
+        /// A length, then the items: no two sequences share a stream.
+        fn words<T: Copy>(&mut self, items: &[T], w: impl Fn(T) -> u64) {
+            self.word(items.len() as u64);
+            for &x in items {
+                self.word(w(x));
+            }
+        }
+    }
+
+    fn rank_plan_digest(h: &mut Fnv, r: &RankPlan) {
+        h.word(r.rank as u64);
+        h.word(r.n_home as u64);
+        h.words(&r.global_ids, u64::from);
+        h.word(r.pulses.len() as u64);
+        for pd in &r.pulses {
+            for w in [pd.global_id, pd.dim, pd.send_rank, pd.recv_rank] {
+                h.word(w as u64);
+            }
+            h.words(&pd.send_index, u64::from);
+            h.word(pd.dep_offset as u64);
+            h.words(&pd.dep_pulses, |p| p as u64);
+            for w in [pd.recv_count, pd.recv_offset, pd.remote_recv_offset] {
+                h.word(w as u64);
+            }
+            h.words(&[pd.shift.x, pd.shift.y, pd.shift.z], |x| {
+                u64::from(x.to_bits())
+            });
+        }
+        h.words(&r.displacement, |d| {
+            u64::from(u32::from_le_bytes([d[0], d[1], d[2], 0]))
+        });
+        h.words(&r.bonds, |b| {
+            let mut e = Fnv::new();
+            e.words(&[b.i, b.j, b.r0.to_bits(), b.k.to_bits()], u64::from);
+            e.0
+        });
+        h.words(&r.angles, |a| {
+            let mut e = Fnv::new();
+            let w = [a.i, a.j, a.k_atom, a.theta0.to_bits(), a.k.to_bits()];
+            e.words(&w, u64::from);
+            e.0
+        });
+        for i in 0..r.n_local() {
+            h.words(r.pair_filter.excluded(i), u64::from);
+        }
+    }
+
+    fn list_digest(h: &mut Fnv, list: &halox_md::ClusterPairList) {
+        h.words(&list.lane_atoms, u64::from);
+        for part in [&list.local, &list.halo] {
+            h.words(&part.i_clusters, u64::from);
+            h.words(&part.starts, u64::from);
+            h.words(&part.j_clusters, u64::from);
+            h.words(&part.masks, u64::from);
+            h.words(&part.unshifted, u64::from);
+        }
+    }
+
+    /// Every plan field the exchange and the lists read, and every rank's
+    /// cluster-pair list, pinned bit for bit: unminimised grappa systems of
+    /// 1 500, 6 000 and 9 000 atoms, two seeds each, on three grids and
+    /// one DLB-shifted geometry, plus the 9 000-atom whole-system list. A
+    /// faster partition or pair search must reproduce these literals.
+    #[test]
+    fn partition_and_list_digests_are_pinned() {
+        use halox_md::pairlist::ZoneFilter;
+        use halox_md::{ClusterPairList, Frame};
+        let r_comm = 0.8;
+        let shifted = {
+            let grid = DdGrid::new([2, 2, 1]);
+            let mut bounds = DdBounds::uniform(&grid);
+            bounds.shift_boundary(0, 1, 0.07, 0.2);
+            bounds.shift_boundary(1, 1, -0.05, 0.2);
+            (grid, bounds)
+        };
+        let geometries: Vec<(DdGrid, DdBounds)> = [[2, 1, 1], [2, 2, 1], [2, 2, 2]]
+            .map(DdGrid::new)
+            .into_iter()
+            .map(|g| (g, DdBounds::uniform(&g)))
+            .chain([shifted])
+            .collect();
+        let pinned: [(usize, u64, [u64; 4]); 6] = [
+            (
+                1_500,
+                11,
+                [
+                    0x5f6b55906a231c58,
+                    0xf823dfe7801510dd,
+                    0x69fd54da46032cab,
+                    0xc6a8506e2f340b15,
+                ],
+            ),
+            (
+                1_500,
+                29,
+                [
+                    0x2bd3a2b23639f387,
+                    0xe9f6cbb8526a4937,
+                    0x364211d293f8d3f9,
+                    0x9edbc6490f8463bd,
+                ],
+            ),
+            (
+                6_000,
+                11,
+                [
+                    0xfde93ffc2e9513f1,
+                    0x3070716aceac5074,
+                    0xbbc7ebe245c91d14,
+                    0xa68b19ae5873d7e8,
+                ],
+            ),
+            (
+                6_000,
+                29,
+                [
+                    0x2ec6edb2bfce6e65,
+                    0x3e6c79514fe0d806,
+                    0x31bdb0767f5385c7,
+                    0xb7982529ffdd615b,
+                ],
+            ),
+            (
+                9_000,
+                11,
+                [
+                    0x54ccffb9ee0a2f5e,
+                    0xf832ac4bbf23123f,
+                    0xaeffba54056cd9af,
+                    0x9cee17a33276ef07,
+                ],
+            ),
+            (
+                9_000,
+                29,
+                [
+                    0x3af1566e65287d5c,
+                    0xe2e0ad555478928d,
+                    0xa940ba60be9fd9b0,
+                    0x6f5894fa4e4aeef0,
+                ],
+            ),
+        ];
+        let mut got = Vec::new();
+        for &(n, seed, _) in &pinned {
+            let sys = GrappaBuilder::new(n).seed(seed).build();
+            let digests = geometries.iter().map(|(grid, bounds)| {
+                let part = try_build_partition_with(&sys, grid, bounds, r_comm, None)
+                    .unwrap_or_else(|e| panic!("{n} atoms, seed {seed}, {grid:?}: {e}"));
+                let frame = Frame::for_decomposition(&sys.pbc, grid.dims);
+                let mut h = Fnv::new();
+                for r in &part.ranks {
+                    rank_plan_digest(&mut h, r);
+                    let pos = &r.build_positions;
+                    let filter = &r.pair_filter;
+                    let list =
+                        ClusterPairList::build(&frame, pos, &r.kinds, r.n_home, r_comm, filter);
+                    list_digest(&mut h, &list);
+                }
+                h.0
+            });
+            got.push((n, seed, digests.collect::<Vec<_>>()));
+        }
+        let sys = GrappaBuilder::new(9_000).seed(11).build();
+        let whole = ZoneFilter::new(&vec![[0; 3]; sys.n_atoms()], |i, row| {
+            row.extend_from_slice(&sys.exclusions[i])
+        });
+        let frame = Frame::fully_periodic(&sys.pbc);
+        let (pos, n) = (&sys.positions, sys.n_atoms());
+        let list = ClusterPairList::build(&frame, pos, &sys.kinds, n, r_comm, &whole);
+        let mut h = Fnv::new();
+        list_digest(&mut h, &list);
+        let whole_digest = h.0;
+
+        let shown = |rows: &[(usize, u64, Vec<u64>)]| {
+            rows.iter()
+                .map(|(n, s, d)| format!("({n}, {s}, {d:#018x?})"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let want: Vec<_> = pinned.iter().map(|&(n, s, d)| (n, s, d.to_vec())).collect();
+        assert_eq!(shown(&got), shown(&want), "partition and list digests");
+        assert_eq!(
+            format!("{whole_digest:#018x}"),
+            "0xd215afbe6d749472",
+            "9 000-atom whole-system list"
+        );
     }
 }

@@ -90,8 +90,9 @@ impl PhaseTimer {
 }
 
 /// Every phase is timed through this one method: the engine's own and the
-/// ones the non-bonded evaluator books (`pairlist`, `pack`, `pack_overlap`,
-/// `nb_local`, `nb_halo`).
+/// ones the non-bonded evaluator books (`verdict`, `pairlist`, `pack`,
+/// `pack_overlap`, `nb_local`, `nb_halo`). The per-segment `partition` is
+/// booked through `add`, once per rank.
 impl PhaseClock for PhaseTimer {
     fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();

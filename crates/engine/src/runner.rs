@@ -743,6 +743,7 @@ impl Engine {
     ) -> Result<(), SegmentFailure> {
         let mut cfg = self.config.clone();
         cfg.backend = backend;
+        let t0 = Instant::now();
         let part = try_build_partition_with(
             &self.system,
             &self.grid,
@@ -752,6 +753,16 @@ impl Engine {
         )
         .map_err(SegmentFailure::Plan)?;
         let n_ranks = part.n_ranks();
+        // Every rank waits for the partition: one invocation each, whole
+        // on a PE (the PEs wait side by side), in equal shares under the
+        // serial executor, whose ranks' phases add up to its wall time.
+        let built = match cfg.run_mode {
+            RunMode::Serial => t0.elapsed() / n_ranks as u32,
+            RunMode::Threaded => t0.elapsed(),
+        };
+        for _ in 0..n_ranks {
+            self.phases.add("partition", built);
+        }
         let ranks = match cfg.run_mode {
             // Every rank on this thread, phase by phase, over the reference
             // exchanges: no world, and `backend` plays no part.

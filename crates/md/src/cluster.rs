@@ -36,8 +36,10 @@
 //! * the kernel's tile arithmetic is written once (`tile_kernel!`) over a
 //!   *row pack* — a SIMD value carrying the four j-lane terms of one
 //!   ([`F4`]) or two (`F8`, AVX2) tile rows — and instantiated per pack,
-//!   with AVX2 picked at run time, each pack once with and once without
-//!   the energy/virial folds. The list's rebuild state is the
+//!   the two-row pack twice (AVX2, and an EVEX build of the same 8-lane
+//!   operations that has 32 vector registers), the best the host runs
+//!   picked at run time, each once with and once without the
+//!   energy/virial folds. The list's rebuild state is the
 //!   [`Staleness`] it shares with the scalar list.
 //!
 //! Determinism contract: the kernel folds energy/virial as per-i-cluster
@@ -49,9 +51,9 @@
 use crate::forces::nonbonded::{lj_coefficients, NonbondedParams, F_ELEC};
 use crate::frame::Frame;
 use crate::pairlist::{CellGrid, PairFilter, Staleness, TileFilter};
+use crate::simd4::{D2x2, F4};
 #[cfg(target_arch = "x86_64")]
-use crate::simd4::F8;
-use crate::simd4::{D2, F4};
+use crate::simd4::{D4, F8};
 use crate::soa::{SoaCoords, SoaForces};
 use crate::topology::AtomKind;
 use crate::vec3::Vec3;
@@ -215,15 +217,12 @@ impl ClusterPairList {
             }
         }
         let (c6, c12) = lj_coefficients();
-        let lj_rows = lane_kinds
-            .as_chunks::<CLUSTER>()
-            .0
-            .iter()
-            .flat_map(|kj| {
-                (0..AtomKind::COUNT)
-                    .map(move |ki| [c6[ki], c12[ki]].map(|t| kj.map(|k| t[k as usize])))
-            })
-            .collect();
+        let mut lj_rows = Vec::with_capacity(AtomKind::COUNT * lane_atoms.len() / CLUSTER);
+        for kj in lane_kinds.as_chunks::<CLUSTER>().0 {
+            lj_rows.extend(
+                (0..AtomKind::COUNT).map(|ki| [c6[ki], c12[ki]].map(|t| kj.map(|k| t[k as usize]))),
+            );
+        }
 
         // --- Bounding boxes, then the tiles: search, bake, filter — one
         // pass over the i-clusters.
@@ -435,11 +434,14 @@ fn clustering_grids(
 ///
 /// **Search.** A tile with a set mask bit holds two atoms within `r_list`,
 /// so every j-cluster of `ci` owns an atom binned in a cell the clustering
-/// grids reach from `ci`'s bounding box widened by `r_list`. The grids'
-/// cell-sorted order *is* the cluster order — position `p` sits in cluster
-/// `p / CLUSTER` of its grid — so each run of cells the range query yields
-/// is a run of consecutive cluster indices, the chunks straddling its ends
-/// included. Those runs, cut to `cj >= ci` and merged, are swept against
+/// grids reach from `ci`'s bounding box widened by `r_list` — and so from
+/// any box holding it: one range query serves a block of
+/// [`QUERY_BLOCK`] consecutive i-clusters, through their joint box. The
+/// grids' cell-sorted order *is* the cluster order — position `p` sits in
+/// cluster `p / CLUSTER` of its grid — so each run of cells the range
+/// query yields is a run of consecutive cluster indices, the chunks
+/// straddling its ends included. Those runs, joined where they meet and
+/// cut to `cj >= ci`, are swept against
 /// `ci`'s box by cluster index over SoA box arrays, a pack of candidates per
 /// operation, with `bb_gap2`'s own arithmetic, and each pack's hits are
 /// left-packed into the candidate list (`compact`, a table lookup and one
@@ -462,14 +464,15 @@ fn clustering_grids(
 /// for image-free candidates, the kernel's own minimum-image expression
 /// ([`min_image!`]) for the rest, with the image bit
 /// ([`ClusterPairs::unshifted`]) set where no lane with a set bit needed a
-/// correction. Empty tiles are compacted away without a branch, and the
-/// two ascending survivor lists are merged into one row.
+/// correction. Empty tiles are compacted away without a branch.
 ///
-/// **Filter and append.** One [`TileFilter::row`] call per row rejects the
-/// pairs the ownership rule and the exclusions forbid; emptied tiles are
-/// compacted away again, and since survivors ascend in `cj` and home
-/// clusters come first, the row's local tiles are a prefix: each partition
-/// takes its part with one slice copy.
+/// **Filter, merge and append.** One [`TileFilter::row`] call per survivor
+/// list rejects the pairs the ownership rule and the exclusions forbid
+/// (both lists ascend, and a tile's verdict does not depend on its
+/// neighbours); one merge then interleaves the two lists into the row,
+/// dropping what the filter emptied. Since survivors ascend in `cj` and
+/// home clusters come first, the row's local tiles are a prefix: each
+/// partition takes its part with one slice copy.
 struct TileSearch<'a> {
     /// Clustering grids of the home and the halo range, and the first
     /// cluster of each (`[0, n_home_clusters, n_clusters]`).
@@ -493,6 +496,10 @@ struct TileSearch<'a> {
     image: [[f32; 3]; 3],
     r_list: f32,
 }
+
+/// Consecutive i-clusters that share one range query: the cells near
+/// their joint box are a superset of the cells near each member's box.
+const QUERY_BLOCK: usize = 16;
 
 /// Bits `u * CLUSTER + v` with `u < v`, one nibble per row `u` (row 0
 /// lowest): a self-tile lists each pair once.
@@ -560,8 +567,26 @@ impl<'a> TileSearch<'a> {
         }
     }
 
+    /// Centre and half-extent of the box holding every box of `clusters`,
+    /// the form [`CellGrid::for_each_run_near`] takes.
+    fn joint_box(&self, clusters: std::ops::Range<usize>) -> (Vec3, Vec3) {
+        let (lo, hi) = (&self.box_lo, &self.box_hi);
+        let mut l = Vec3::new(f32::INFINITY, f32::INFINITY, f32::INFINITY);
+        let mut h = Vec3::new(f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY);
+        for c in clusters {
+            l = Vec3::new(l.x.min(lo.x[c]), l.y.min(lo.y[c]), l.z.min(lo.z[c]));
+            h = Vec3::new(h.x.max(hi.x[c]), h.y.max(hi.y[c]), h.z.max(hi.z[c]));
+        }
+        ((l + h) * 0.5, (h - l) * 0.5)
+    }
+
     /// Both partitions' tiles, `[local, halo]`.
     fn tiles(&self, filter: &mut impl TileFilter) -> [ClusterPairs; 2] {
+        #[cfg(target_arch = "x86_64")]
+        if has_evex() {
+            // SAFETY: feature presence checked on this exact host above.
+            return unsafe { self.tiles_rows2_evex(filter) };
+        }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: feature presence checked on this exact host above.
@@ -604,7 +629,10 @@ macro_rules! tile_pass {
 
                 let mut local = ClusterPairs::empty();
                 let mut halo = ClusterPairs::empty();
-                let mut runs: Vec<(usize, usize)> = Vec::new();
+                // Per grid, the runs of the last query and the block of
+                // i-clusters it was made for.
+                let mut runs: [Vec<(usize, usize)>; 2] = [Vec::new(), Vec::new()];
+                let mut runs_block = [usize::MAX; 2];
                 // A cluster is a candidate of a row at most once; add room
                 // for a pack's scratch lanes and the merge's sentinel. The
                 // candidate lists are compacted in place into the bake's
@@ -617,7 +645,6 @@ macro_rules! tile_pass {
                 let mut imaged_shifted = vec![0u16; room];
                 let mut row_cj = vec![0u32; room];
                 let mut row_bits = vec![0u16; room];
-                let mut row_shifted = vec![0u16; room];
                 let mut row_un = vec![false; room];
                 for ci in 0..n_clusters {
                     // --- Search: cluster runs the grids reach, swept
@@ -639,18 +666,38 @@ macro_rules! tile_pass {
                             continue;
                         }
                         let first = self.first_cluster[g];
-                        let (center, half) = (self.bb_center[ci], self.bb_half[ci]);
-                        runs.clear();
-                        grid.for_each_run_near(center, half, self.r_list, |lo, hi| {
-                            if lo < hi {
-                                runs.push((first + lo / CLUSTER, first + hi.div_ceil(CLUSTER)));
-                            }
-                        });
-                        // Runs come ascending and overlap where a chunk
-                        // straddles two of them: sweep each cluster once,
-                        // from `ci` up.
+                        let block = ci / QUERY_BLOCK;
+                        if runs_block[g] != block {
+                            // One query for a block of consecutive
+                            // i-clusters, through their joint box.
+                            runs_block[g] = block;
+                            let members =
+                                block * QUERY_BLOCK..((block + 1) * QUERY_BLOCK).min(n_clusters);
+                            let (center, half) = self.joint_box(members.clone());
+                            // A run ending at or below the block's first
+                            // lane holds no cluster from the block up.
+                            let block_lane = CLUSTER * members.start.saturating_sub(first);
+                            let runs = &mut runs[g];
+                            runs.clear();
+                            let r = self.r_list;
+                            grid.for_each_run_near(center, half, r, block_lane, |lo, hi| {
+                                if lo < hi {
+                                    let (lo, hi) =
+                                        (first + lo / CLUSTER, first + hi.div_ceil(CLUSTER));
+                                    // Runs come ascending; one that meets
+                                    // the last (neighbouring columns in
+                                    // reach end to end) extends it, so
+                                    // packs stay full.
+                                    match runs.last_mut() {
+                                        Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+                                        _ => runs.push((lo, hi)),
+                                    }
+                                }
+                            });
+                        }
+                        // Sweep each cluster once, from `ci` up.
                         let mut from = ci;
-                        for &(lo, hi) in &runs {
+                        for &(lo, hi) in &runs[g] {
                             let mut c = lo.max(from);
                             from = from.max(hi);
                             while c < hi {
@@ -748,31 +795,27 @@ macro_rules! tile_pass {
                         kept_imaged += (bits != 0) as usize;
                     }
 
-                    // --- Merge the two ascending lists into the row, each
-                    // ended by a sentinel above every cluster index.
+                    // --- Filter both lists, then merge them into the row
+                    // (each ended by a sentinel above every cluster index),
+                    // dropping what the filter emptied: the home prefix
+                    // goes to `local`, the rest to `halo`.
+                    filter.row(ci, &free[..kept_free], &mut free_bits[..kept_free]);
+                    filter.row(ci, &imaged[..kept_imaged], &mut imaged_bits[..kept_imaged]);
                     free[kept_free] = u32::MAX;
                     imaged[kept_imaged] = u32::MAX;
-                    let n = kept_free + kept_imaged;
                     let (mut a, mut b) = (0, 0);
-                    for t in 0..n {
+                    let (mut kept, mut n_local) = (0, 0);
+                    for _ in 0..kept_free + kept_imaged {
                         let take_free = free[a] < imaged[b];
-                        row_cj[t] = if take_free { free[a] } else { imaged[b] };
-                        row_bits[t] = if take_free { free_bits[a] } else { imaged_bits[b] };
-                        row_shifted[t] = if take_free { 0 } else { imaged_shifted[b] };
+                        let cj = if take_free { free[a] } else { imaged[b] };
+                        let bits = if take_free { free_bits[a] } else { imaged_bits[b] };
+                        let shifted = if take_free { 0 } else { imaged_shifted[b] };
                         a += take_free as usize;
                         b += !take_free as usize;
-                    }
-
-                    // --- Filter the row, drop what it emptied, and append
-                    // the home prefix to `local`, the rest to `halo`.
-                    filter.row(ci, &row_cj[..n], &mut row_bits[..n]);
-                    let (mut kept, mut n_local) = (0, 0);
-                    for t in 0..n {
-                        let (cj, bits) = (row_cj[t], row_bits[t]);
                         row_cj[kept] = cj;
                         row_bits[kept] = bits;
                         // The image bit, of the pairs the filter left.
-                        row_un[kept] = bits & row_shifted[t] == 0;
+                        row_un[kept] = bits & shifted == 0;
                         let live = bits != 0;
                         kept += live as usize;
                         n_local += (live & ((cj as usize) < n_home_clusters)) as usize;
@@ -794,6 +837,24 @@ tile_pass!(
     fn tiles_rows2,
     F8
 );
+tile_pass!(
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512vl")]
+    fn tiles_rows2_evex,
+    F8
+);
+
+/// Whether the host runs the EVEX instantiations of the two-row bodies,
+/// which the dispatchers try before AVX2: the same 8-lane operations,
+/// encoded so they can address 32 vector registers instead of 16 and keep
+/// in registers what the AVX2 build spills (AVX-512F for the encoding, VL
+/// for 256-bit operands). The pack operations stay 8-lane, so the fold
+/// orders and the bits are the AVX2 build's.
+#[cfg(target_arch = "x86_64")]
+fn has_evex() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+}
 
 /// Pick a clustering cell so ~CLUSTER atoms land per cell (tight clusters),
 /// clamped to a sane range.
@@ -824,11 +885,12 @@ fn clustering_cell(positions: &[Vec3], r_list: f32) -> f32 {
 /// The tile arithmetic is written once (`tile_kernel!`) over a *row pack*
 /// — [`F4`] carries one tile row per operation, [`F8`] two — and
 /// instantiated per pack (and again per pack without energies, for
-/// [`compute_nonbonded_cluster_forces`]); on x86_64 hosts with AVX2 the
-/// two-row instantiation is selected at run time. Both perform the same IEEE
-/// operations per lane in the same order and fold in the same order, so the
-/// choice is invisible in the results: bitwise identical, and hence
-/// portable across hosts.
+/// [`compute_nonbonded_cluster_forces`]); on x86_64 hosts the two-row
+/// instantiation is selected at run time, its EVEX build where the host has
+/// AVX-512F and VL, its AVX2 build otherwise (see [`has_evex`]). All
+/// perform the same IEEE operations per lane in the same order and fold in
+/// the same order, so the choice is invisible in the results: bitwise
+/// identical, and hence portable across hosts.
 ///
 /// **No-wrap rule, enforced by the list.** On a tile whose image bit is set
 /// ([`ClusterPairs::unshifted`]) the kernel takes `xi - xj` without the
@@ -854,6 +916,11 @@ pub fn compute_nonbonded_clusters(
     lane_forces: &mut SoaForces,
 ) -> (f64, f64) {
     #[cfg(target_arch = "x86_64")]
+    if has_evex() {
+        // SAFETY: feature presence checked on this exact host above.
+        return unsafe { nb_clusters_rows2_evex(frame, coords, list, which, params, lane_forces) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: feature presence checked on this exact host above.
         return unsafe { nb_clusters_rows2(frame, coords, list, which, params, lane_forces) };
@@ -875,6 +942,12 @@ pub fn compute_nonbonded_cluster_forces(
     lane_forces: &mut SoaForces,
 ) {
     #[cfg(target_arch = "x86_64")]
+    if has_evex() {
+        // SAFETY: feature presence checked on this exact host above.
+        unsafe { nb_forces_rows2_evex(frame, coords, list, which, params, lane_forces) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: feature presence checked on this exact host above.
         unsafe { nb_forces_rows2(frame, coords, list, which, params, lane_forces) };
@@ -884,10 +957,11 @@ pub fn compute_nonbonded_cluster_forces(
 }
 
 /// The kernel body, instantiated as `fn $name` over row pack `$P`, with
-/// (`$energy = true`) or without the energy/virial folds. Without them
-/// `v_lj`, `v_rf` and the packed-f64 partials are dead code and the
-/// function returns `(0.0, 0.0)`; the force expressions are the same
-/// tokens either way.
+/// (`$energy = true`) or without the energy/virial folds, which widen into
+/// four-lane `f64` accumulators of type `$A` (`D2x2` beside `F4`, `D4`
+/// beside `F8`: the same adds lane for lane). Without them `v_lj`, `v_rf`
+/// and the packed-f64 partials are dead code and the function returns
+/// `(0.0, 0.0)`; the force expressions are the same tokens either way.
 ///
 /// The pack body is expanded once per pack index (`$p` in `packs`, `CLUSTER
 /// / ROWS` of them), so the per-pack state (`pxi` … `fzi`) is only ever
@@ -916,7 +990,7 @@ pub fn compute_nonbonded_cluster_forces(
 ///   round-to-nearest).
 macro_rules! tile_kernel {
     (
-        $(#[$attr:meta])* fn $name:ident, $P:ty, energy = $energy:literal,
+        $(#[$attr:meta])* fn $name:ident, $P:ty, acc = $A:ty, energy = $energy:literal,
         packs = [$($p:literal),+]
     ) => {
         $(#[$attr])*
@@ -959,9 +1033,15 @@ macro_rules! tile_kernel {
             let lj = &list.lj_rows.as_chunks::<NK>().0[..n];
             // The LJ shift depends on the cutoff, so the energy flavour lays
             // it out like the list's LJ rows per call (one step in
-            // `nstlist` runs it).
+            // `nstlist` runs it), for this partition's j-clusters only:
+            // home ones for local tiles, halo ones for halo tiles.
+            let j_clusters = match which {
+                NbPartition::Local => list.home_clusters(),
+                NbPartition::Halo => list.halo_clusters(),
+            };
+            let j0 = j_clusters.start;
             let vshift: Vec<[[f32; CLUSTER]; NK]> = if $energy {
-                kinds
+                kinds[j_clusters]
                     .iter()
                     .map(|kj| {
                         core::array::from_fn(|ki| kj.map(|k| params.vshift_lj[ki][k as usize]))
@@ -991,10 +1071,8 @@ macro_rules! tile_kernel {
             // Energy/virial accumulate as packed f64 lane partials (widened
             // from the bitwise per-pair f32 terms) and fold once at the end,
             // in a fixed lane order.
-            let mut e_lo = D2::zero();
-            let mut e_hi = D2::zero();
-            let mut w_lo = D2::zero();
-            let mut w_hi = D2::zero();
+            let mut e = <$A>::zero();
+            let mut w = <$A>::zero();
             for (row, &ci) in part.i_clusters.iter().enumerate() {
                 let ci = ci as usize;
                 let (xi, yi, zi) = (cx[ci], cy[ci], cz[ci]);
@@ -1028,7 +1106,7 @@ macro_rules! tile_kernel {
                     let zj = P::dup(F4::from_array(cz[cj]));
                     let qj = P::dup(F4::from_array(charges[cj]));
                     let ljj = &lj[cj];
-                    let vsj = if $energy { &vshift[cj] } else { &[[0.0; CLUSTER]; NK] };
+                    let vsj = if $energy { &vshift[cj - j0] } else { &[[0.0; CLUSTER]; NK] };
                     let mut fxj = zero4;
                     let mut fyj = zero4;
                     let mut fzj = zero4;
@@ -1103,10 +1181,8 @@ macro_rules! tile_kernel {
                             fzj = fzj - fz.half(h);
                             if $energy {
                                 let (ev, wv) = (ev.half(h), wv.half(h));
-                                e_lo = e_lo + ev.to_f64_lo();
-                                e_hi = e_hi + ev.to_f64_hi();
-                                w_lo = w_lo + wv.to_f64_lo();
-                                w_hi = w_hi + wv.to_f64_hi();
+                                e = e.add_widened(ev);
+                                w = w.add_widened(wv);
                             }
                         }
                     })+
@@ -1126,23 +1202,23 @@ macro_rules! tile_kernel {
                     fz[ci][u] += (fza[0] + fza[1]) + (fza[2] + fza[3]);
                 })+
             }
-            let (ea, eb) = (e_lo.to_array(), e_hi.to_array());
-            let (wa, wb) = (w_lo.to_array(), w_hi.to_array());
+            let (ea, wa) = (e.to_array(), w.to_array());
             (
-                (ea[0] + ea[1]) + (eb[0] + eb[1]),
-                (wa[0] + wa[1]) + (wb[0] + wb[1]),
+                (ea[0] + ea[1]) + (ea[2] + ea[3]),
+                (wa[0] + wa[1]) + (wa[2] + wa[3]),
             )
         }
     };
 }
 
-tile_kernel!(fn nb_clusters_rows1, F4, energy = true, packs = [0, 1, 2, 3]);
-tile_kernel!(fn nb_forces_rows1, F4, energy = false, packs = [0, 1, 2, 3]);
+tile_kernel!(fn nb_clusters_rows1, F4, acc = D2x2, energy = true, packs = [0, 1, 2, 3]);
+tile_kernel!(fn nb_forces_rows1, F4, acc = D2x2, energy = false, packs = [0, 1, 2, 3]);
 tile_kernel!(
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn nb_clusters_rows2,
     F8,
+    acc = D4,
     energy = true,
     packs = [0, 1]
 );
@@ -1151,6 +1227,25 @@ tile_kernel!(
     #[target_feature(enable = "avx2")]
     fn nb_forces_rows2,
     F8,
+    acc = D4,
+    energy = false,
+    packs = [0, 1]
+);
+tile_kernel!(
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512vl")]
+    fn nb_clusters_rows2_evex,
+    F8,
+    acc = D4,
+    energy = true,
+    packs = [0, 1]
+);
+tile_kernel!(
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512vl")]
+    fn nb_forces_rows2_evex,
+    F8,
+    acc = D4,
     energy = false,
     packs = [0, 1]
 );
@@ -1381,8 +1476,8 @@ mod tests {
     }
 
     /// The build's list equals the one-row tile pass (what hosts without
-    /// AVX2 run) called directly, and the two-row pass where this host has
-    /// AVX2.
+    /// AVX2 run) called directly, and the two-row passes the host runs:
+    /// AVX2, and its EVEX build with AVX-512F and VL.
     fn assert_instantiations_agree<F: PairFilter + ?Sized>(
         frame: &Frame,
         positions: &[Vec3],
@@ -1409,6 +1504,11 @@ mod tests {
             // SAFETY: AVX2 presence checked on this host just above.
             let rows2 = unsafe { search.tiles_rows2(&mut filter.tiles(&list.lane_atoms)) };
             assert_eq!(rows2, rows1, "2-row pass");
+            if evex_or_skip("tile pass") {
+                // SAFETY: AVX-512F and VL presence checked by the call above.
+                let evex = unsafe { search.tiles_rows2_evex(&mut filter.tiles(&list.lane_atoms)) };
+                assert_eq!(evex, rows2, "2-row EVEX pass");
+            }
         }
         list
     }
@@ -1416,12 +1516,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Both tile-pass instantiations over the drifted frames of the
-        /// grid-search test, with the closure filter and with the same rule
-        /// as data. `one_d` gives every halo copy the 1-D shape (travelled
-        /// up in x on a `[2,1,1]` frame), whose halo grid all shares a zone
-        /// bit, so the data filter's halo i-clusters skip it; that list is
-        /// held to the all-pairs oracle too.
+        /// Every tile-pass instantiation the host runs, over the drifted
+        /// frames of the grid-search test, with the closure filter and with
+        /// the same rule as data. `one_d` gives every halo copy the 1-D
+        /// shape (travelled up in x on a `[2,1,1]` frame), whose halo grid
+        /// all shares a zone bit, so the data filter's halo i-clusters skip
+        /// it; that list is held to the all-pairs oracle too.
         #[test]
         fn tile_pass_instantiations_agree(
             seed in 0u64..u64::MAX,
@@ -1725,10 +1825,10 @@ mod tests {
 
     #[test]
     fn dispatched_kernel_matches_baseline_body_bitwise() {
-        // The one-row instantiation (called directly, so it is exercised on
-        // AVX2 hosts too), the two-row instantiation where the host has
-        // AVX2, and the runtime dispatcher must be bitwise identical —
-        // forces, energy, and virial.
+        // Every instantiation the host runs — the one-row one, the two-row
+        // AVX2 one, its EVEX build where the host has AVX-512F and VL — and
+        // the runtime dispatchers must be bitwise the one-row body in both
+        // flavours: forces, energy, and virial.
         let sys = GrappaBuilder::new(1200).seed(41).build();
         let frame = Frame::fully_periodic(&sys.pbc);
         let params = NonbondedParams::new(0.7);
@@ -1744,32 +1844,28 @@ mod tests {
         let mut coords = SoaCoords::default();
         list.pack_coords(&sys.positions, &mut coords, 0..list.n_clusters());
 
-        let mut others: Vec<(&str, Kernel)> = vec![("dispatcher", compute_nonbonded_clusters)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence checked on this host just above.
-            others.push(("2-row", |f, c, l, w, p, lf| unsafe {
-                nb_clusters_rows2(f, c, l, w, p, lf)
-            }));
-        }
-        for which in [NbPartition::Local, NbPartition::Halo] {
-            let mut lf_base = SoaForces::default();
-            lf_base.reset(list.n_lanes());
-            let (e_base, w_base) =
-                nb_clusters_rows1(&frame, &coords, &list, which, &params, &mut lf_base);
-            for (name, kernel) in &others {
-                let mut lf = SoaForces::default();
-                lf.reset(list.n_lanes());
-                let (e, w) = kernel(&frame, &coords, &list, which, &params, &mut lf);
-                assert_eq!(e_base.to_bits(), e.to_bits(), "{name} energy ({which:?})");
-                assert_eq!(w_base.to_bits(), w.to_bits(), "{name} virial ({which:?})");
-                for lane in 0..list.n_lanes() {
-                    let a = lf_base.get(lane);
-                    let b = lf.get(lane);
-                    assert_eq!(
-                        [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
-                        [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()],
-                        "{name} lane {lane} ({which:?})"
+        let flavours = kernel_flavours();
+        let (_, base_energy, base_forces) = flavours[0];
+        for (name, energy, forces_only) in &flavours[1..] {
+            let pairs = [
+                ("energy", base_energy, *energy),
+                ("force-only", base_forces, *forces_only),
+            ];
+            for (flavour, base, kernel) in pairs {
+                for which in [NbPartition::Local, NbPartition::Halo] {
+                    let run = |kernel: Kernel| {
+                        let mut lf = SoaForces::default();
+                        lf.reset(list.n_lanes());
+                        let (e, w) = kernel(&frame, &coords, &list, which, &params, &mut lf);
+                        let lanes: Vec<[u32; 3]> = (0..list.n_lanes())
+                            .map(|i| lf.get(i))
+                            .map(|f| [f.x, f.y, f.z].map(f32::to_bits))
+                            .collect();
+                        (e.to_bits(), w.to_bits(), lanes)
+                    };
+                    assert!(
+                        run(base) == run(kernel),
+                        "{name} {flavour} kernel ({which:?}) differs from the 1-row body"
                     );
                 }
             }
@@ -1808,7 +1904,27 @@ mod tests {
                 |f, c, l, w, p, lf| unsafe { nb_forces_rows2(f, c, l, w, p, lf) },
             ));
         }
+        #[cfg(target_arch = "x86_64")]
+        if evex_or_skip("kernel") {
+            // SAFETY: AVX-512F and VL presence checked by the call above.
+            out.push((
+                "2-row EVEX",
+                |f, c, l, w, p, lf| unsafe { nb_clusters_rows2_evex(f, c, l, w, p, lf) },
+                |f, c, l, w, p, lf| unsafe { nb_forces_rows2_evex(f, c, l, w, p, lf) },
+            ));
+        }
         out
+    }
+
+    /// Whether the host runs the EVEX instantiations; where it does not,
+    /// a skip line says what went untested (CI runners may lack AVX-512).
+    #[cfg(target_arch = "x86_64")]
+    fn evex_or_skip(what: &str) -> bool {
+        let has = has_evex();
+        if !has {
+            eprintln!("skip: the EVEX {what} instantiation (no avx512f + avx512vl here)");
+        }
+        has
     }
 
     /// Local then halo partition into one accumulator, as the engine does:

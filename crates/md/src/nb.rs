@@ -39,7 +39,7 @@ use crate::soa::{SoaCoords, SoaForces};
 use crate::topology::AtomKind;
 use crate::vec3::Vec3;
 
-/// Where the evaluator books its phases: `pairlist`, `pack`,
+/// Where the evaluator books its phases: `verdict`, `pairlist`, `pack`,
 /// `pack_overlap`, `nb_local` and `nb_halo`. `()` books nothing.
 pub trait PhaseClock {
     /// Run `f`, booking its time under `phase`.
@@ -143,10 +143,10 @@ impl NbEvaluator {
         forces: &mut [Vec3],
         clock: &mut impl PhaseClock,
     ) -> (f64, f64) {
-        let verdict = match &self.list {
+        let verdict = clock.time("verdict", || match &self.list {
             Some(cl) => cl.staleness.verdict(positions, buffer),
             None => Verdict::Stale,
-        };
+        });
         if verdict != Verdict::Holds {
             // Any overlapped partial was computed against the old list, or
             // through image bits a wrap has broken: discard and recompute.

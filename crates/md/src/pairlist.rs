@@ -421,26 +421,33 @@ impl CellGrid {
     }
 
     /// Visit, as ascending ranges `lo..hi` of positions in `order`
-    /// (possibly empty), every binned point that lies within `r` of the box
-    /// `center ± half` under the grid's metric, and possibly some beyond.
+    /// (possibly empty), every binned point at position `from` or above
+    /// that lies within `r` of the box `center ± half` under the grid's
+    /// metric, and possibly some beyond (below `from` too).
     ///
     /// The range of cells is the box widened by `r`, less the columns of
-    /// cells further than `r` from the box in the xy plane.
+    /// cells further than `r` from the box in the xy plane, and less the
+    /// x-slabs and columns that end at or below `from`.
     pub(crate) fn for_each_run_near(
         &self,
         center: Vec3,
         half: Vec3,
         r: f32,
+        from: usize,
         mut visit: impl FnMut(usize, usize),
     ) {
         let [_, ny, nz] = self.dims;
         let xs = self.cells_near(0, center.x, half.x, r);
         let ys = self.cells_near(1, center.y, half.y, r);
         let zs = self.cells_near(2, center.z, half.z, r).parts;
+        let ends_below = |cell: usize| self.starts[cell] as usize <= from;
         xs.for_each(|x, gx| {
+            if ends_below((x + 1) * ny * nz) {
+                return;
+            }
             ys.for_each(|y, gy| {
-                if gx * gx + gy * gy < r * r {
-                    let row = (x * ny + y) * nz;
+                let row = (x * ny + y) * nz;
+                if !ends_below(row + nz) && gx * gx + gy * gy < r * r {
                     for (z, n, _) in zs {
                         visit(
                             self.starts[row + z] as usize,
@@ -560,7 +567,9 @@ pub trait TileFilter {
 
     /// Clear from `bits[t]` the pairs the filter rejects of tile
     /// `(ci, cj[t])`: bit `CLUSTER * u + v` stands for i-lane `u` × j-lane
-    /// `v`, and is set on real lanes only. `cj` ascends, each `>= ci`.
+    /// `v`, and is set on real lanes only. `cj` ascends, each `>= ci`. A
+    /// row's tiles may come in several calls, each ascending on its own,
+    /// one i-cluster after another.
     fn row(&mut self, ci: usize, cj: &[u32], bits: &mut [u16]);
 }
 
@@ -700,6 +709,7 @@ impl PairFilter for ZoneFilter {
             zone_lanes,
             all_zone,
             excluded: Vec::new(),
+            excluded_row: usize::MAX,
         }
     }
 }
@@ -719,8 +729,10 @@ struct ZoneTiles<'a> {
     zone_lanes: Vec<u16>,
     /// Per cluster, the zone bits all its atoms share.
     all_zone: Vec<u8>,
-    /// The row's `(cj, bits to clear)`, ascending in `cj`.
+    /// The `(cj, bits to clear)` of i-cluster `excluded_row`, ascending in
+    /// `cj`: a row asked about twice (one list at a time) gathers them once.
     excluded: Vec<(u32, u16)>,
+    excluded_row: usize,
 }
 
 /// A 4-bit lane set `n` spread to one bit per tile row: bit `CLUSTER * u`
@@ -739,25 +751,32 @@ impl TileFilter for ZoneTiles<'_> {
         if cj.is_empty() {
             return;
         }
-        self.excluded.clear();
-        for u in 0..CLUSTER {
-            let a = self.lane_atoms[CLUSTER * ci + u];
-            if a == PAD {
-                continue;
-            }
-            for &b in self.filter.excluded(a as usize) {
-                let lane = self.lane_of[b as usize] as usize;
-                // A partner in an earlier cluster is that cluster's entry.
-                if lane / CLUSTER >= ci {
-                    let bit = 1 << (CLUSTER * u + lane % CLUSTER);
-                    self.excluded.push(((lane / CLUSTER) as u32, bit));
+        if self.excluded_row != ci {
+            self.excluded_row = ci;
+            self.excluded.clear();
+            for u in 0..CLUSTER {
+                let a = self.lane_atoms[CLUSTER * ci + u];
+                if a == PAD {
+                    continue;
+                }
+                for &b in self.filter.excluded(a as usize) {
+                    let lane = self.lane_of[b as usize] as usize;
+                    // A partner in an earlier cluster is that cluster's entry.
+                    if lane / CLUSTER >= ci {
+                        let bit = 1 << (CLUSTER * u + lane % CLUSTER);
+                        self.excluded.push(((lane / CLUSTER) as u32, bit));
+                    }
                 }
             }
+            self.excluded.sort_unstable();
         }
-        self.excluded.sort_unstable();
+        // Partners sit in the i-cluster's own cell or next to it, near the
+        // row's start: a forward scan finds them in a few steps.
         let mut t = 0;
         for &(c, bit) in &self.excluded {
-            t += cj[t..].partition_point(|&j| j < c);
+            while cj.get(t).is_some_and(|&j| j < c) {
+                t += 1;
+            }
             if let Some(b) = bits.get_mut(t).filter(|_| cj[t] == c) {
                 *b &= !bit;
             }
@@ -1010,7 +1029,9 @@ mod tests {
         let visited = |x: f32| {
             let mut ids = 0;
             let half = Vec3::new(0.05, 0.05, 0.05);
-            grid.for_each_run_near(Vec3::new(x, 2.0, 1.5), half, 0.5, |lo, hi| ids += hi - lo);
+            grid.for_each_run_near(Vec3::new(x, 2.0, 1.5), half, 0.5, 0, |lo, hi| {
+                ids += hi - lo
+            });
             ids
         };
         for x in [-0.5, 2.6, 1e30, -1e30] {

@@ -515,6 +515,70 @@ impl core::ops::Add for D2 {
     }
 }
 
+/// Four `f64` lanes as two [`D2`] halves: the one-row kernel's
+/// energy/virial accumulator. [`D2x2::add_widened`] widens an [`F4`] and
+/// adds it lane by lane, lanes 0–1 into the first half, 2–3 into the
+/// second.
+#[derive(Clone, Copy)]
+pub struct D2x2([D2; 2]);
+
+impl D2x2 {
+    /// All four lanes zero.
+    #[inline(always)]
+    pub fn zero() -> Self {
+        D2x2([D2::zero(); 2])
+    }
+
+    /// `self + x`, `x` widened to `f64` lane by lane.
+    #[inline(always)]
+    pub fn add_widened(self, x: F4) -> Self {
+        D2x2([self.0[0] + x.to_f64_lo(), self.0[1] + x.to_f64_hi()])
+    }
+
+    #[inline(always)]
+    pub fn to_array(self) -> [f64; 4] {
+        let ([a, b], [c, d]) = (self.0[0].to_array(), self.0[1].to_array());
+        [a, b, c, d]
+    }
+}
+
+/// [`D2x2`] in one AVX register, for the two-row kernels: each lane takes
+/// the same `f64` adds in the same order, in one operation instead of two
+/// (and one widening instead of two and a shuffle).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub struct D4(__m256d);
+
+// Same safety contract as `F8`: callers outside an `avx2`-enabled function
+// must have verified the feature at runtime.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::missing_safety_doc)]
+impl D4 {
+    /// All four lanes zero.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub fn zero() -> Self {
+        D4(_mm256_setzero_pd())
+    }
+
+    /// `self + x`, `x` widened to `f64` lane by lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub fn add_widened(self, x: F4) -> Self {
+        D4(_mm256_add_pd(self.0, _mm256_cvtps_pd(x.0)))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub fn to_array(self) -> [f64; 4] {
+        let mut out = [0.0f64; 4];
+        // SAFETY: `out` is a 32-byte f64x4 destination; storeu is
+        // unaligned.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) };
+        out
+    }
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn lanes(f: impl Fn(usize) -> f32) -> [f32; 4] {
