@@ -103,28 +103,13 @@ pub fn build_contexts(part: &DdPartition) -> Vec<CommContext> {
         .iter()
         .map(|r| {
             // The stage region I target on `recv_rank` is the one *their*
-            // pulse with my global pulse id owns. Resolve the peer's local
-            // position of that pulse — indexing their offset table by my
-            // `global_id` directly is only correct when every rank lists
-            // its pulses densely in global order, which asymmetric
-            // decompositions (different pulse counts per dim) break.
+            // pulse of my pulse's index owns: every rank lists the pulses
+            // of the one global layout, in its order.
             let remote_stage_offset = r
                 .pulses
                 .iter()
-                .map(|p| {
-                    let peer = &part.ranks[p.recv_rank];
-                    let pos = peer
-                        .pulses
-                        .iter()
-                        .position(|q| q.global_id == p.global_id)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "rank {} has no pulse with global id {} (needed by rank {})",
-                                p.recv_rank, p.global_id, r.rank
-                            )
-                        });
-                    offsets[p.recv_rank][pos]
-                })
+                .enumerate()
+                .map(|(p, pd)| offsets[pd.recv_rank][p])
                 .collect();
             CommContext {
                 rank: r.rank,

@@ -4,15 +4,14 @@
 //! The IB force path has two views of one region: the *producer* (rank
 //! `w`, pulse `p`) puts its accumulated forces at
 //! `w.remote_stage_offset[p]` inside the consumer's staging buffer, and
-//! the *consumer* reads its own `stage_offset` at the local position of
-//! the matching pulse. These are computed independently (the producer
-//! resolves the peer's table, the consumer its own prefix sums), so a
-//! mismatch silently corrupts forces. Indexing the peer's table by
-//! `global_id` instead of the peer's local pulse position is exactly such
-//! a bug on decompositions where pulse lists are not dense in global
-//! order — these properties pin the correct cross-reference over grids
-//! with mixed 1- and 2-pulse dimensions, and over DLB-style pinned
-//! layouts where 2–3 pulses per dimension include empty padding pulses.
+//! the *consumer* reads its own `stage_offset` at the same pulse index.
+//! These are computed independently (the producer reads the peer's table,
+//! the consumer its own prefix sums), so a mismatch silently corrupts
+//! forces. Every rank lists the pulses of one global layout in its order,
+//! so the matching pulse is the one at the same index — these properties
+//! pin that cross-reference over grids with mixed 1- and 2-pulse
+//! dimensions, and over DLB-style pinned layouts where 2–3 pulses per
+//! dimension include empty padding pulses.
 
 use halox_core::{build_contexts, CommContext};
 use halox_dd::{build_partition, try_build_partition_with, DdBounds, DdGrid, DdPartition};
@@ -81,14 +80,6 @@ fn build_multipulse(
     (part, ctxs)
 }
 
-/// Local position of the pulse with a given global id on `ctx`.
-fn pos_of(ctx: &CommContext, global_id: usize) -> usize {
-    ctx.pulses
-        .iter()
-        .position(|q| q.global_id == global_id)
-        .unwrap_or_else(|| panic!("rank {} lacks pulse {global_id}", ctx.rank))
-}
-
 /// Producer → consumer: where rank `c` puts forces on its up neighbour
 /// must be where that neighbour expects forces for the atoms it sent in
 /// the matching pulse.
@@ -96,10 +87,9 @@ fn check_stage_layouts(ctxs: &[CommContext]) -> Result<(), TestCaseError> {
     for c in ctxs {
         for (p, pd) in c.pulses.iter().enumerate() {
             let up = &ctxs[pd.recv_rank];
-            let up_pos = pos_of(up, pd.global_id);
             prop_assert_eq!(
                 c.remote_stage_offset[p],
-                up.stage_offset[up_pos],
+                up.stage_offset[p],
                 "rank {} pulse {} stage target vs rank {} local offset",
                 c.rank,
                 p,
@@ -108,8 +98,8 @@ fn check_stage_layouts(ctxs: &[CommContext]) -> Result<(), TestCaseError> {
             // The matching pulse really is the reverse edge, and the
             // payload sizes agree: I return recv_count forces, they
             // sent send_count atoms.
-            prop_assert_eq!(up.pulses[up_pos].send_rank, c.rank);
-            prop_assert_eq!(up.pulses[up_pos].send_count(), pd.recv_count);
+            prop_assert_eq!(up.pulses[p].send_rank, c.rank);
+            prop_assert_eq!(up.pulses[p].send_count(), pd.recv_count);
         }
     }
     Ok(())
@@ -119,12 +109,11 @@ fn check_stage_layouts(ctxs: &[CommContext]) -> Result<(), TestCaseError> {
 /// neighbour must be where that neighbour expects pulse arrivals.
 fn check_remote_recv_offsets(ctxs: &[CommContext]) -> Result<(), TestCaseError> {
     for c in ctxs {
-        for pd in &c.pulses {
+        for (p, pd) in c.pulses.iter().enumerate() {
             let down = &ctxs[pd.send_rank];
-            let down_pos = pos_of(down, pd.global_id);
-            prop_assert_eq!(down.pulses[down_pos].recv_rank, c.rank);
-            prop_assert_eq!(pd.remote_recv_offset, down.pulses[down_pos].recv_offset);
-            prop_assert_eq!(pd.send_count(), down.pulses[down_pos].recv_count);
+            prop_assert_eq!(down.pulses[p].recv_rank, c.rank);
+            prop_assert_eq!(pd.remote_recv_offset, down.pulses[p].recv_offset);
+            prop_assert_eq!(pd.send_count(), down.pulses[p].recv_count);
         }
     }
     Ok(())

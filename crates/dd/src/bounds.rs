@@ -14,6 +14,8 @@
 //! DLB stay inside the bitwise serial≡threaded≡procs contract.
 
 use crate::grid::DdGrid;
+use crate::plan::PlanError;
+use halox_md::Vec3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -115,12 +117,39 @@ impl DdBounds {
         self.fracs[d][i + 1] * box_len
     }
 
-    /// Thinnest cell in dimension `d`, in nm. Drives the pulse count.
+    /// Thinnest cell in dimension `d`, in nm: the analytic model's slab
+    /// thickness and the partition's capacity guess.
     pub fn min_cell_len(&self, d: usize, box_len: f32) -> f32 {
         let f = &self.fracs[d];
         (1..f.len())
             .map(|i| (f[i] - f[i - 1]) * box_len)
             .fold(f32::INFINITY, f32::min)
+    }
+
+    /// Forwarding pulses per dimension for a halo of `r_comm` on a box of
+    /// `box_l` (paper Algorithm 1), read off the plan's send criterion: rank
+    /// `s` sends what lies below `cell_lo(s) + r_comm`, and its pulse `P`
+    /// (from 0) carries atoms of cell `s + P`, lowest at `cell_lo(s + P)`
+    /// plus the box length once the chain wraps (the shift the plan adds).
+    /// A decomposed dimension needs the smallest `P ≥ 1` at which that
+    /// lowest position is not below the send limit on any cell: pulse `P`
+    /// would carry nothing anywhere, pulse `P − 1` an atom on some cell's
+    /// lower edge. A chain as long as the cell count would wrap the torus
+    /// back onto its sender: [`PlanError::PulsesExceedGrid`].
+    pub fn pulses(&self, box_l: Vec3, r_comm: f32) -> Result<[usize; 3], PlanError> {
+        let mut pulses = [1; 3];
+        for d in (0..3).rev().filter(|&d| self.fracs[d].len() > 2) {
+            let (n, len) = (self.fracs[d].len() - 1, box_l[d]);
+            let lowest = |i: usize| self.cell_lo(d, i % n, len) + if i < n { 0.0 } else { len };
+            pulses[d] = (1..n)
+                .find(|&p| (0..n).all(|s| lowest(s + p) >= self.cell_lo(d, s, len) + r_comm))
+                .ok_or(PlanError::PulsesExceedGrid {
+                    dim: d,
+                    pulses: n,
+                    cells: n,
+                })?;
+        }
+        Ok(pulses)
     }
 
     /// Cell index owning wrapped coordinate `w` (in `[0, box_len)`) along

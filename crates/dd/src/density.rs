@@ -89,14 +89,14 @@ impl WorkloadModel {
     /// Expected per-pulse sizes under explicit (possibly non-uniform) cell
     /// boundaries.
     ///
-    /// Pulse counts and per-pulse slab thicknesses come from the *thinnest*
-    /// cell per dimension — the forwarding chain must carry every rank's
-    /// halo across the narrowest cells, so this bounds per-rank traffic from
-    /// above (the right direction for admission pricing). Cross-section
-    /// factors use the mean cell length (exactly `box / dims`), which is the
-    /// expectation over ranks for a homogeneous system under any boundary
-    /// placement. Pulse counts and feasibility are the plan's own
-    /// ([`pulse_counts`]): a geometry the plan refuses is its typed
+    /// Per-pulse slab thicknesses come from the *thinnest* cell per
+    /// dimension — the forwarding chain must carry every rank's halo across
+    /// the narrowest cells, so this bounds per-rank traffic from above (the
+    /// right direction for admission pricing). Cross-section factors use the
+    /// mean cell length (exactly `box / dims`), which is the expectation
+    /// over ranks for a homogeneous system under any boundary placement.
+    /// Pulse counts and feasibility are the plan's own ([`pulse_counts`],
+    /// the send criterion's count): a geometry the plan refuses is its typed
     /// [`PlanError`] instead of a silent mis-price.
     pub fn try_pulse_sizes_with(
         &self,
@@ -397,7 +397,7 @@ mod tests {
         );
         // And an undecomposable geometry is a typed error, not a bad price.
         let mut bad = DdBounds::uniform(&grid);
-        bad.fracs[0] = vec![0.0, 0.02, 0.5, 0.75, 1.0];
+        bad.fracs[0] = vec![0.0, 0.02, 0.04, 0.06, 1.0];
         let err = model.try_pulse_sizes_with(&bad).unwrap_err();
         assert!(
             matches!(

@@ -490,24 +490,27 @@ mod tests {
             }
         }
         assert!(picks > 100, "only {picks} picks");
-        // The 2 700-atom cube's three 1.0 nm cells are 0.99999994 nm in f32:
-        // two pulses, so one-pulse grids do not exist for 3 ranks...
+        // The 2 700-atom cube's three 1.0 nm cells measure 0.99999994 nm in
+        // f32, but the send criterion needs one pulse over them, so 3 ranks
+        // pick [3,1,1] at one pulse...
         let cube = Vec3::splat(3.0);
         let one = GridOptions {
             r_comm: 1.0,
             ..Default::default()
         };
-        assert!(try_choose_grid(3, cube, &one).is_err());
+        assert_eq!(try_choose_grid(3, cube, &one).unwrap().dims, [3, 1, 1]);
+        // ...and 27 ranks on 3 x 3 x 1.5 nm build [3,3,3] only with two z
+        // pulses over its 0.5 nm z cells: at one pulse there is no grid the
+        // plan builds (every other grid leaves a dimension under 2 r_comm
+        // undecomposed or needs three pulses).
+        let slab = Vec3::new(3.0, 3.0, 1.5);
         let two = GridOptions {
             max_pulses: 2,
             ..one.clone()
         };
-        assert_eq!(try_choose_grid(3, cube, &two).unwrap().dims, [3, 1, 1]);
-        // ...and 27 ranks on 3 x 3 x 1.5 nm have no grid the plan builds:
-        // three z cells need three pulses, one z cell is under 2 r_comm.
-        let slab = Vec3::new(3.0, 3.0, 1.5);
+        assert_eq!(try_choose_grid(27, slab, &two).unwrap().dims, [3, 3, 3]);
         assert!(matches!(
-            try_choose_grid(27, slab, &two),
+            try_choose_grid(27, slab, &one),
             Err(GridError::Infeasible { n_ranks: 27, .. })
         ));
     }

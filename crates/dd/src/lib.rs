@@ -51,4 +51,4 @@ pub use plan::{
     build_partition, pulse_counts, reference_coordinate_exchange, reference_force_exchange,
     try_build_partition, try_build_partition_with, DdPartition, Displacement, PlanError, RankPlan,
 };
-pub use pulse::{forwards_from, pulses_needed, PulseData, PulseLayout};
+pub use pulse::{forwards_from, PulseData, PulseLayout};

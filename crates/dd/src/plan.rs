@@ -10,7 +10,7 @@
 
 use crate::bounds::DdBounds;
 use crate::grid::DdGrid;
-use crate::pulse::{pulses_needed, PulseData, PulseLayout};
+use crate::pulse::{PulseData, PulseLayout};
 use halox_md::pairlist::ZoneFilter;
 use halox_md::topology::{Angle, Bond};
 use halox_md::{System, Vec3};
@@ -166,13 +166,14 @@ pub fn try_build_partition(
 }
 
 /// The plan's halo geometry for `grid` under `bounds` on a box of `box_l`:
-/// pulses per dimension ([`pulses_needed`] over each decomposed dimension's
-/// thinnest cell, raised to `min_pulses`; 1 elsewhere), or the geometry
-/// error the plan would return. A chain must stay shorter than the cell
-/// count ([`PlanError::PulsesExceedGrid`]), and a periodic non-decomposed
-/// dimension must be longer than `2 · r_comm` ([`PlanError::BoxTooNarrow`]).
-/// The analytic model and the grid chooser price grids through it, so they
-/// accept exactly the geometries the plan builds.
+/// pulses per dimension (the send criterion's count, [`DdBounds::pulses`],
+/// over each decomposed dimension, raised to `min_pulses`; 1 elsewhere), or
+/// the geometry error the plan would return. A chain must stay shorter than
+/// the cell count ([`PlanError::PulsesExceedGrid`]), and a periodic
+/// non-decomposed dimension must be longer than `2 · r_comm`
+/// ([`PlanError::BoxTooNarrow`]). The analytic model and the grid chooser
+/// price grids through it, so they accept exactly the geometries the plan
+/// builds.
 pub fn pulse_counts(
     grid: &DdGrid,
     bounds: &DdBounds,
@@ -189,10 +190,9 @@ pub fn pulse_counts(
             });
         }
     }
-    let mut pulses = [1usize; 3];
+    let mut pulses = bounds.pulses(box_l, r_comm)?;
     for d in grid.comm_dims() {
-        pulses[d] = pulses_needed(r_comm, bounds.min_cell_len(d, box_l[d]))
-            .max(min_pulses.map_or(1, |m| m[d]));
+        pulses[d] = pulses[d].max(min_pulses.map_or(1, |m| m[d]));
         if pulses[d] >= grid.dims[d] {
             return Err(PlanError::PulsesExceedGrid {
                 dim: d,
@@ -293,7 +293,7 @@ pub fn try_build_partition_with(
     let n_home: Vec<usize> = states.iter().map(|s| s.ids.len()).collect();
 
     // --- 2. Pulse construction (global order z, y, x) ----------------------
-    for (pulse_gid, dim, _) in layout.iter() {
+    for (pulse, dim, _) in layout.iter() {
         // Build all sends for this pulse first.
         struct Send {
             index: Vec<u32>,
@@ -377,7 +377,7 @@ pub fn try_build_partition_with(
             for ((id, p), d) in ids.into_iter().zip(pos).zip(disp) {
                 st.ids.push(id);
                 st.pos.push(p);
-                st.origin.push(Some(pulse_gid));
+                st.origin.push(Some(pulse));
                 st.disp.push(d);
                 st.sent.push([false; 3]);
             }
@@ -386,7 +386,6 @@ pub fn try_build_partition_with(
         for (r, send) in sends.into_iter().enumerate() {
             let down = grid.down_neighbor(r, dim);
             states[r].pulses.push(PulseData {
-                global_id: pulse_gid,
                 dim,
                 send_rank: down,
                 recv_rank: grid.up_neighbor(r, dim),
@@ -621,7 +620,8 @@ pub fn reference_force_exchange(partition: &DdPartition, forces: &mut [Vec<Vec3>
 mod tests {
     use super::*;
     use crate::grid::DdGrid;
-    use halox_md::GrappaBuilder;
+    use halox_md::pairlist::eighth_shell_rule;
+    use halox_md::{Frame, GrappaBuilder};
     use std::collections::HashMap;
 
     fn test_system(n: usize) -> System {
@@ -643,8 +643,8 @@ mod tests {
     /// `(local index, pulse that delivered it)` for every halo atom of `r`,
     /// from the pulses' receive ranges.
     fn arrivals(r: &RankPlan) -> impl Iterator<Item = (usize, usize)> + '_ {
-        r.pulses.iter().flat_map(|pd| {
-            (pd.recv_offset..pd.recv_offset + pd.recv_count).map(move |i| (i, pd.global_id))
+        r.pulses.iter().enumerate().flat_map(|(p, pd)| {
+            (pd.recv_offset..pd.recv_offset + pd.recv_count).map(move |i| (i, p))
         })
     }
 
@@ -656,6 +656,31 @@ mod tests {
             local.entry(g).or_insert(i as u32);
         }
         local
+    }
+
+    /// How many ranks can compute the pair of global atoms `(i, j)`: both
+    /// local (`locals`: each rank's [`first_copies`]), within `r_comm` under
+    /// the DD-frame metric, and admitted by the eighth-shell zone rule.
+    fn ranks_computing(
+        part: &DdPartition,
+        locals: &[HashMap<u32, u32>],
+        frame: &Frame,
+        i: u32,
+        j: u32,
+    ) -> usize {
+        part.ranks
+            .iter()
+            .zip(locals)
+            .filter(|(r, local)| {
+                let (Some(&li), Some(&lj)) = (local.get(&i), local.get(&j)) else {
+                    return false;
+                };
+                let (li, lj) = (li as usize, lj as usize);
+                frame.dist2(r.build_positions[li], r.build_positions[lj])
+                    < part.r_comm * part.r_comm
+                    && eighth_shell_rule(&r.displacement, li, lj)
+            })
+            .count()
     }
 
     #[test]
@@ -779,7 +804,7 @@ mod tests {
         let part = build_partition(&sys, &grid, 0.8);
         for r in &part.ranks {
             let origins: HashMap<usize, usize> = arrivals(r).collect();
-            for pd in &r.pulses {
+            for (p, pd) in r.pulses.iter().enumerate() {
                 for &i in pd.independent() {
                     assert!(
                         (i as usize) < r.n_home,
@@ -793,7 +818,7 @@ mod tests {
                     );
                     let origin = origins[&(i as usize)];
                     assert!(pd.dep_pulses.contains(&origin));
-                    assert!(origin < pd.global_id, "dependency must be an earlier pulse");
+                    assert!(origin < p, "dependency must be an earlier pulse");
                 }
             }
         }
@@ -816,16 +841,16 @@ mod tests {
         let grid = DdGrid::new([2, 2, 2]);
         let part = build_partition(&sys, &grid, 0.8);
         for r in &part.ranks {
-            for pd in &r.pulses {
+            for (p, pd) in r.pulses.iter().enumerate() {
                 let peer = &part.ranks[pd.recv_rank];
-                assert_eq!(pd.recv_count, peer.pulses[pd.global_id].send_count());
+                assert_eq!(pd.recv_count, peer.pulses[p].send_count());
                 assert_eq!(
-                    peer.pulses[pd.global_id].send_rank, r.rank,
+                    peer.pulses[p].send_rank, r.rank,
                     "my up-neighbour's down-neighbour must be me"
                 );
                 // And my send lands where my down neighbour expects it.
                 let down = &part.ranks[pd.send_rank];
-                assert_eq!(pd.remote_recv_offset, down.pulses[pd.global_id].recv_offset);
+                assert_eq!(pd.remote_recv_offset, down.pulses[p].recv_offset);
             }
         }
     }
@@ -867,8 +892,6 @@ mod tests {
         // supports), every global pair within r_comm must be computable on
         // exactly one rank — including corner pairs that materialize only as
         // halo-halo pairs on the component-wise-min rank.
-        use halox_md::pairlist::eighth_shell_rule;
-        use halox_md::Frame;
         let sys = test_system(3000);
         let grid = DdGrid::new([2, 2, 1]);
         let r_comm = 0.8;
@@ -883,22 +906,7 @@ mod tests {
                 if d2 >= r_comm * r_comm {
                     continue;
                 }
-                // A pair is computable on a rank when both copies are local,
-                // within reach under the rank's DD-frame metric, and the
-                // eighth-shell zone rule admits it.
-                let mut count = 0;
-                for (r, local) in part.ranks.iter().zip(&locals) {
-                    let (Some(&li), Some(&lj)) = (local.get(&(i as u32)), local.get(&(j as u32)))
-                    else {
-                        continue;
-                    };
-                    let (li, lj) = (li as usize, lj as usize);
-                    let in_reach =
-                        frame.dist2(r.build_positions[li], r.build_positions[lj]) < r_comm * r_comm;
-                    if in_reach && eighth_shell_rule(&r.displacement, li, lj) {
-                        count += 1;
-                    }
-                }
+                let count = ranks_computing(&part, &locals, &frame, i as u32, j as u32);
                 assert_eq!(
                     count,
                     1,
@@ -916,7 +924,6 @@ mod tests {
         // Demonstrate that the zone-pair (halo-halo) case actually occurs:
         // some pair within r_comm must be computable only with both copies
         // displaced (in different dims) on the computing rank.
-        use halox_md::pairlist::eighth_shell_rule;
         let sys = test_system(6000);
         let grid = DdGrid::new([2, 2, 1]);
         let part = build_partition(&sys, &grid, 0.8);
@@ -1090,12 +1097,12 @@ mod tests {
     #[test]
     fn pulse_chain_longer_than_grid_is_typed_error() {
         use crate::bounds::DdBounds;
-        // A very thin first cell forces 4 pulses over only 3 cells: the
-        // forwarding chain would wrap the torus.
+        // Two thin cells (0.31 nm each) cannot carry r_comm 0.8 in two
+        // pulses, and a third over only 3 cells would wrap the torus.
         let sys = test_system(3000); // edge ~3.1 nm
         let grid = DdGrid::new([3, 1, 1]);
         let mut bounds = DdBounds::uniform(&grid);
-        bounds.fracs[0] = vec![0.0, 0.08, 0.55, 1.0];
+        bounds.fracs[0] = vec![0.0, 0.1, 0.2, 1.0];
         let err = try_build_partition_with(&sys, &grid, &bounds, 0.8, None).unwrap_err();
         assert!(
             matches!(
@@ -1114,8 +1121,6 @@ mod tests {
     #[test]
     fn non_uniform_bounds_build_valid_plans() {
         use crate::bounds::DdBounds;
-        use halox_md::pairlist::eighth_shell_rule;
-        use halox_md::Frame;
         let sys = test_system(3000);
         let grid = DdGrid::new([2, 2, 1]);
         let r_comm = 0.8;
@@ -1145,19 +1150,7 @@ mod tests {
                 if sys.pbc.dist2(sys.positions[i], sys.positions[j]) >= r_comm * r_comm {
                     continue;
                 }
-                let mut count = 0;
-                for (r, local) in part.ranks.iter().zip(&locals) {
-                    let (Some(&li), Some(&lj)) = (local.get(&(i as u32)), local.get(&(j as u32)))
-                    else {
-                        continue;
-                    };
-                    let (li, lj) = (li as usize, lj as usize);
-                    let in_reach =
-                        frame.dist2(r.build_positions[li], r.build_positions[lj]) < r_comm * r_comm;
-                    if in_reach && eighth_shell_rule(&r.displacement, li, lj) {
-                        count += 1;
-                    }
-                }
+                let count = ranks_computing(&part, &locals, &frame, i as u32, j as u32);
                 assert_eq!(count, 1, "pair ({i},{j}) computable on {count} ranks");
                 checked += 1;
             }
@@ -1230,6 +1223,127 @@ mod tests {
         }
     }
 
+    /// Atoms on the line y = z = 2 nm at `xs`, in a box of `box_x` × 4 × 4
+    /// nm, with no topology.
+    fn atoms_on_x(xs: &[f32], box_x: f32) -> System {
+        use halox_md::{AtomKind, PbcBox};
+        let n = xs.len();
+        System {
+            pbc: PbcBox::new(Vec3::new(box_x, 4.0, 4.0)),
+            positions: xs.iter().map(|&x| Vec3::new(x, 2.0, 2.0)).collect(),
+            velocities: vec![Vec3::ZERO; n],
+            kinds: vec![AtomKind::Ow; n],
+            inv_mass: vec![1.0; n],
+            bonds: vec![],
+            angles: vec![],
+            molecule_of: (0..n as u32).collect(),
+            exclusions: vec![vec![]; n],
+        }
+    }
+
+    /// Uniform cells of a box of n · `r_comm` along x, nudged by a few ulp
+    /// either way (n = 2–8, `r_comm` 0.30–1.60 nm in 0.01 steps), with one
+    /// atom on every x cell edge: the geometries where f32 rounding decides
+    /// between two pulse counts. The pulse count is the send criterion's
+    /// own: its last pulse carries an atom on some rank, and a pulse more
+    /// would carry nothing on any.
+    #[test]
+    fn exact_fits_build_no_empty_and_no_missing_pulse() {
+        let (mut built, mut empty_last, mut missing) = (0, Vec::new(), Vec::new());
+        for n in 2..=8usize {
+            let grid = DdGrid::new([n, 1, 1]);
+            let bounds = DdBounds::uniform(&grid);
+            for k in 30..=160 {
+                let r_comm = k as f32 * 0.01;
+                for nudge in -2..=2 {
+                    let fit = n as f32 * r_comm;
+                    let box_x = f32::from_bits(fit.to_bits().wrapping_add_signed(nudge));
+                    let edges: Vec<f32> = (0..n).map(|i| bounds.cell_lo(0, i, box_x)).collect();
+                    let sys = atoms_on_x(&edges, box_x);
+                    let Ok(part) = try_build_partition_with(&sys, &grid, &bounds, r_comm, None)
+                    else {
+                        continue;
+                    };
+                    built += 1;
+                    let pulses = part.total_pulses();
+                    let geometry = (n, k, nudge, pulses);
+                    if part
+                        .ranks
+                        .iter()
+                        .all(|r| r.pulses[pulses - 1].send_count() == 0)
+                    {
+                        empty_last.push(geometry);
+                    }
+                    if pulses + 1 < n {
+                        let more = try_build_partition_with(
+                            &sys,
+                            &grid,
+                            &bounds,
+                            r_comm,
+                            Some([pulses + 1, 1, 1]),
+                        )
+                        .unwrap();
+                        if more.ranks.iter().any(|r| r.pulses[pulses].send_count() > 0) {
+                            missing.push(geometry);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(built > 4_000, "only {built} geometries build");
+        assert!(
+            empty_last.is_empty() && missing.is_empty(),
+            "of {built} geometries (n, k, ulp, pulses), {} build a last pulse that \
+             carries nothing, e.g. {:?}; {} miss a pulse, e.g. {:?}",
+            empty_last.len(),
+            empty_last.first(),
+            missing.len(),
+            missing.first()
+        );
+    }
+
+    #[test]
+    fn pair_two_cells_up_at_an_exact_fit_is_computable_on_one_rank() {
+        // Eight 0.59 nm cells at r_comm 0.59: the pair sits one ulp below
+        // cell 6 and on cell 7's lower edge, 0.5899999 nm apart, and only a
+        // second pulse brings the upper atom to the lower one's rank.
+        let (box_x, r_comm) = (4.72, 0.59);
+        let grid = DdGrid::new([8, 1, 1]);
+        let bounds = DdBounds::uniform(&grid);
+        let below_6 = f32::from_bits(bounds.cell_lo(0, 6, box_x).to_bits() - 1);
+        let edge_7 = bounds.cell_lo(0, 7, box_x);
+        assert_eq!((below_6, edge_7), (3.539_999_7, 4.129_999_6));
+        let sys = atoms_on_x(&[below_6, edge_7], box_x);
+        assert!(sys.pbc.dist2(sys.positions[0], sys.positions[1]) < r_comm * r_comm);
+        let part = build_partition(&sys, &grid, r_comm);
+        let locals: Vec<_> = part.ranks.iter().map(first_copies).collect();
+        let frame = Frame::for_decomposition(&sys.pbc, grid.dims);
+        assert_eq!(ranks_computing(&part, &locals, &frame, 0, 1), 1);
+        assert_eq!(part.layout.per_dim, vec![(0, 2)]);
+    }
+
+    #[test]
+    fn three_one_nm_cells_build_one_pulse_and_the_two_pulse_halos() {
+        // The 2 700-atom grappa cube (3.0 nm) on [3,1,1] at r_comm 1.0:
+        // the thinnest cell measures 0.99999994 nm in f32, yet one pulse
+        // carries the whole halo. Pinned to two, the plan sends nothing in
+        // the second and holds the same atoms in the same order.
+        let grid = DdGrid::new([3, 1, 1]);
+        for seed in [3, 11] {
+            let sys = GrappaBuilder::new(2_700).seed(seed).build();
+            assert_eq!(sys.pbc.lengths(), Vec3::splat(3.0));
+            let one = build_partition(&sys, &grid, 1.0);
+            assert_eq!(one.layout.per_dim, vec![(0, 1)], "seed {seed}");
+            let bounds = DdBounds::uniform(&grid);
+            let two = try_build_partition_with(&sys, &grid, &bounds, 1.0, Some([2, 1, 1])).unwrap();
+            assert_eq!(two.layout.per_dim, vec![(0, 2)]);
+            for (a, b) in one.ranks.iter().zip(&two.ranks) {
+                assert_eq!(a.n_home, b.n_home);
+                assert_eq!(a.global_ids, b.global_ids, "seed {seed}, rank {}", a.rank);
+            }
+        }
+    }
+
     /// FNV-1a over little-endian words.
     struct Fnv(u64);
 
@@ -1262,8 +1376,8 @@ mod tests {
         h.word(r.n_home as u64);
         h.words(&r.global_ids, u64::from);
         h.word(r.pulses.len() as u64);
-        for pd in &r.pulses {
-            for w in [pd.global_id, pd.dim, pd.send_rank, pd.recv_rank] {
+        for (p, pd) in r.pulses.iter().enumerate() {
+            for w in [p, pd.dim, pd.send_rank, pd.recv_rank] {
                 h.word(w as u64);
             }
             h.words(&pd.send_index, u64::from);

@@ -2,10 +2,10 @@
 //! Algorithm 1 `PulseData`.
 //!
 //! A *pulse* is one communication step within a dimension's phase; phases run
-//! z -> y -> x (paper §2.2). Every rank holds one `PulseData` per global
-//! pulse; global pulse ids are identical across ranks because the grid is
-//! regular. Pulse `p` on rank `R` describes both R's *send* (to its down
-//! neighbour) and R's *receive* (from its up neighbour).
+//! z -> y -> x (paper §2.2). Every rank holds one `PulseData` per pulse of
+//! the one global [`PulseLayout`], in its order, so a pulse's index is the
+//! same on every rank. Pulse `p` on rank `R` describes both R's *send* (to
+//! its down neighbour) and R's *receive* (from its up neighbour).
 
 use halox_md::Vec3;
 use serde::{Deserialize, Serialize};
@@ -14,8 +14,6 @@ use std::ops::Range;
 /// Metadata for one halo-exchange pulse on one rank.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PulseData {
-    /// Position in the global pulse order `[z.., y.., x..]`.
-    pub global_id: usize,
     /// Dimension this pulse communicates along (0 = x, 1 = y, 2 = z).
     pub dim: usize,
     /// Rank coordinates are sent to (the down neighbour).
@@ -29,7 +27,7 @@ pub struct PulseData {
     pub send_index: Vec<u32>,
     /// Boundary between independent (home) and dependent (forwarded) entries.
     pub dep_offset: usize,
-    /// Global ids of the earlier pulses the dependent entries came from
+    /// Indices of the earlier pulses the dependent entries came from
     /// (ascending), always within [`forwards_from`]. The fused kernel
     /// acquire-waits on these signals before packing the dependent range
     /// (`firstDependentPulse` chain).
@@ -62,17 +60,6 @@ impl PulseData {
     pub fn dependent(&self) -> &[u32] {
         &self.send_index[self.dep_offset..]
     }
-}
-
-/// Forwarding pulses a decomposed dimension needs: `⌈r_comm / min_cell⌉`
-/// in f32, at least 1 (paper Algorithm 1). `min_cell` is the dimension's
-/// *thinnest* cell ([`crate::DdBounds::min_cell_len`]): every rank's halo
-/// must arrive by forwarding across the narrowest cells. This is the only
-/// pulse-count rule — the plan, the analytic model, the grid chooser and
-/// the DLB pins all call it, so an exact fit (a cell of `r_comm` that f32
-/// rounds to just under it) needs the same two pulses everywhere.
-pub fn pulses_needed(r_comm: f32, min_cell: f32) -> usize {
-    ((r_comm / min_cell).ceil() as usize).max(1)
 }
 
 /// The forwarding rule (paper Algorithm 4): the earlier pulses whose
@@ -115,80 +102,86 @@ impl PulseLayout {
         self.per_dim.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Iterate `(global_id, dim, k)`, k counting the pulses of `dim`.
+    /// Iterate `(pulse index, dim, k)`, k counting the pulses of `dim`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        let mut gid = 0;
         self.per_dim
             .iter()
-            .flat_map(move |&(d, n)| (0..n).map(move |k| (d, k)))
-            .map(move |(d, k)| {
-                let out = (gid, d, k);
-                gid += 1;
-                out
-            })
+            .flat_map(|&(d, n)| (0..n).map(move |k| (d, k)))
+            .enumerate()
+            .map(|(p, (d, k))| (p, d, k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DdBounds, DdGrid};
+    use crate::{DdBounds, DdGrid, PlanError};
 
     #[test]
     fn pulses_needed_table() {
         type Row = (
-            &'static [usize],
-            Vec3,
+            [usize; 3],
+            f32,
             f32,
             Vec<(usize, usize)>,
             Vec<(usize, usize, usize)>,
         );
-        // (comm dims, thinnest cell per dim, r_comm, per-dim layout, ids)
+        // (grid, cubic box, r_comm, per-dim layout, ids)
         let rows: [Row; 3] = [
-            // One pulse per dim, in z -> y -> x order.
+            // 2.0 nm cells: one pulse per dim, in z -> y -> x order.
             (
-                &[2, 1, 0],
-                Vec3::splat(2.0),
+                [2, 2, 2],
+                4.0,
                 1.0,
                 vec![(2, 1), (1, 1), (0, 1)],
                 vec![(0, 2, 0), (1, 1, 0), (2, 0, 0)],
             ),
-            // Thin domains get two pulses...
+            // 0.8 nm cells get two pulses...
             (
-                &[0],
-                Vec3::new(0.8, 9.0, 9.0),
+                [5, 1, 1],
+                4.0,
                 1.0,
                 vec![(0, 2)],
                 vec![(0, 0, 0), (1, 0, 1)],
             ),
-            // ...and very thin ones three.
+            // ...and 0.4 nm ones three.
             (
-                &[0],
-                Vec3::new(0.4, 9.0, 9.0),
+                [10, 1, 1],
+                4.0,
                 1.0,
                 vec![(0, 3)],
                 vec![(0, 0, 0), (1, 0, 1), (2, 0, 2)],
             ),
         ];
-        for (dims, cells, r_comm, per_dim, ids) in rows {
-            let mut pulses = [1; 3];
-            for &d in dims {
-                pulses[d] = pulses_needed(r_comm, cells[d]);
-            }
-            let layout = PulseLayout::with_pulses(dims, pulses);
+        let pulses = |dims: [usize; 3], box_len: f32, r_comm: f32| {
+            DdBounds::uniform(&DdGrid::new(dims)).pulses(Vec3::splat(box_len), r_comm)
+        };
+        for (dims, box_len, r_comm, per_dim, ids) in rows {
+            let comm_dims = DdGrid::new(dims).comm_dims();
+            let layout =
+                PulseLayout::with_pulses(&comm_dims, pulses(dims, box_len, r_comm).unwrap());
             assert_eq!(layout.per_dim, per_dim);
             assert_eq!(layout.total_pulses(), ids.len());
             assert_eq!(layout.iter().collect::<Vec<_>>(), ids);
         }
         // Floored at one pulse however thick the cell.
-        assert_eq!(pulses_needed(0.0, 2.0), 1);
-        // An exact fit is decided in f32: a 1.0 nm cell needs one pulse,
-        // but the thinnest of three uniform cells on a 3.0 nm box rounds
-        // to just under 1.0 nm and needs two.
-        assert_eq!(pulses_needed(1.0, 1.0), 1);
+        assert_eq!(pulses([2, 1, 1], 4.0, 0.0).unwrap(), [1, 1, 1]);
+        // An exact fit is the send criterion's: the thinnest of three
+        // uniform cells on a 3.0 nm box measures just under 1.0 nm in f32,
+        // but each cell's upper edge is not below its lower edge plus 1.0,
+        // so a second pulse would carry nothing and one pulse suffices.
         let thinnest = DdBounds::uniform(&DdGrid::new([3, 1, 1])).min_cell_len(0, 3.0);
         assert_eq!(thinnest, 0.999_999_94);
-        assert_eq!(pulses_needed(1.0, thinnest), 2);
+        assert_eq!(pulses([3, 1, 1], 3.0, 1.0).unwrap(), [1, 1, 1]);
+        // A chain as long as the grid is refused.
+        assert_eq!(
+            pulses([3, 1, 1], 3.0, 2.5).unwrap_err(),
+            PlanError::PulsesExceedGrid {
+                dim: 0,
+                pulses: 3,
+                cells: 3
+            }
+        );
     }
 
     #[test]
@@ -220,7 +213,6 @@ mod tests {
     #[test]
     fn pulse_slices() {
         let p = PulseData {
-            global_id: 0,
             dim: 2,
             send_rank: 1,
             recv_rank: 2,

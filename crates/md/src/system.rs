@@ -16,12 +16,19 @@ use serde::{Deserialize, Serialize};
 /// Boltzmann constant in MD units (kJ/mol/K).
 pub const KB: f32 = 0.008_314_462;
 
-/// Default atom number density of the grappa-like mixture (atoms/nm^3).
+/// Atom number density of the grappa-like mixture (atoms/nm^3).
 /// Water at 300 K has ~33.4 molecules/nm^3 * 3 sites ~= 100 atoms/nm^3.
 pub const GRAPPA_ATOM_DENSITY: f64 = 100.0;
 
 /// Fraction of molecules that are ethanol in the mixture.
 pub const ETHANOL_MOLE_FRACTION: f64 = 0.10;
+
+/// Positional jitter applied to lattice sites, as a fraction of spacing.
+const LATTICE_JITTER: f32 = 0.15;
+
+/// Size of a skewed system's dense region as a fraction of the box: slab
+/// width in x (Interface) or sphere radius (Droplet).
+const DENSE_EXTENT: f64 = 0.25;
 
 /// A fully instantiated particle system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -187,12 +194,8 @@ impl Assembly {
 #[derive(Debug, Clone)]
 pub struct GrappaBuilder {
     target_atoms: usize,
-    density: f64,
-    ethanol_fraction: f64,
     temperature: f32,
     seed: u64,
-    /// Positional jitter applied to lattice sites, as a fraction of spacing.
-    jitter: f32,
 }
 
 impl GrappaBuilder {
@@ -200,24 +203,9 @@ impl GrappaBuilder {
     pub fn new(target_atoms: usize) -> Self {
         GrappaBuilder {
             target_atoms,
-            density: GRAPPA_ATOM_DENSITY,
-            ethanol_fraction: ETHANOL_MOLE_FRACTION,
             temperature: 300.0,
             seed: 0x9E3779B97F4A7C15,
-            jitter: 0.15,
         }
-    }
-
-    pub fn density(mut self, atoms_per_nm3: f64) -> Self {
-        assert!(atoms_per_nm3 > 0.0);
-        self.density = atoms_per_nm3;
-        self
-    }
-
-    pub fn ethanol_fraction(mut self, x: f64) -> Self {
-        assert!((0.0..=1.0).contains(&x));
-        self.ethanol_fraction = x;
-        self
     }
 
     pub fn temperature(mut self, t: f32) -> Self {
@@ -236,10 +224,10 @@ impl GrappaBuilder {
         let ethanol = MoleculeTemplate::ethanol();
         // Both templates have 3 sites, so molecule count is atoms/3.
         let n_mols = (self.target_atoms / 3).max(1);
-        let n_eth = ((n_mols as f64) * self.ethanol_fraction).round() as usize;
+        let n_eth = ((n_mols as f64) * ETHANOL_MOLE_FRACTION).round() as usize;
 
         let n_atoms = n_mols * 3;
-        let volume = n_atoms as f64 / self.density;
+        let volume = n_atoms as f64 / GRAPPA_ATOM_DENSITY;
         let edge = volume.cbrt() as f32;
         let pbc = PbcBox::cubic(edge);
 
@@ -263,9 +251,9 @@ impl GrappaBuilder {
                     let tmpl = if is_eth { &ethanol } else { &water };
 
                     let jit = Vec3::new(
-                        rng.gen_range(-0.5..0.5) * self.jitter * spacing,
-                        rng.gen_range(-0.5..0.5) * self.jitter * spacing,
-                        rng.gen_range(-0.5..0.5) * self.jitter * spacing,
+                        rng.gen_range(-0.5..0.5) * LATTICE_JITTER * spacing,
+                        rng.gen_range(-0.5..0.5) * LATTICE_JITTER * spacing,
+                        rng.gen_range(-0.5..0.5) * LATTICE_JITTER * spacing,
                     );
                     let anchor = Vec3::new(
                         (ix as f32 + 0.5) * spacing,
@@ -306,17 +294,11 @@ pub enum SkewProfile {
 #[derive(Debug, Clone)]
 pub struct SkewedBuilder {
     target_atoms: usize,
-    density: f64,
-    ethanol_fraction: f64,
     temperature: f32,
     seed: u64,
-    jitter: f32,
     profile: SkewProfile,
     /// Fraction of all molecules placed in the dense region.
     dense_share: f64,
-    /// Size of the dense region as a fraction of the box: slab width in x
-    /// (Interface) or sphere radius (Droplet).
-    dense_extent: f64,
 }
 
 impl SkewedBuilder {
@@ -326,14 +308,10 @@ impl SkewedBuilder {
     pub fn new(target_atoms: usize, profile: SkewProfile) -> Self {
         SkewedBuilder {
             target_atoms,
-            density: GRAPPA_ATOM_DENSITY,
-            ethanol_fraction: ETHANOL_MOLE_FRACTION,
             temperature: 300.0,
             seed: 0x9E3779B97F4A7C15,
-            jitter: 0.15,
             profile,
             dense_share: 0.5,
-            dense_extent: 0.25,
         }
     }
 
@@ -354,31 +332,25 @@ impl SkewedBuilder {
         self
     }
 
-    pub fn dense_extent(mut self, extent: f64) -> Self {
-        assert!(extent > 0.0 && extent < 0.5);
-        self.dense_extent = extent;
-        self
-    }
-
     pub fn build(&self) -> System {
         let water = MoleculeTemplate::water();
         let ethanol = MoleculeTemplate::ethanol();
         let n_mols = (self.target_atoms / 3).max(1);
-        let n_eth = ((n_mols as f64) * self.ethanol_fraction).round() as usize;
+        let n_eth = ((n_mols as f64) * ETHANOL_MOLE_FRACTION).round() as usize;
         let n_atoms = n_mols * 3;
-        let edge = (n_atoms as f64 / self.density).cbrt() as f32;
+        let edge = (n_atoms as f64 / GRAPPA_ATOM_DENSITY).cbrt() as f32;
         let pbc = PbcBox::cubic(edge);
 
         let n_dense = ((n_mols as f64) * self.dense_share).round() as usize;
         let n_sparse = n_mols - n_dense;
         let center = Vec3::splat(edge * 0.5);
-        let radius = (self.dense_extent * edge as f64) as f32;
+        let radius = (DENSE_EXTENT * edge as f64) as f32;
 
         // Anchors: dense region first, then the sparse remainder, both on
         // region-fitted lattices enumerated in a fixed order.
         let anchors = match self.profile {
             SkewProfile::Interface => {
-                let split = (self.dense_extent * edge as f64) as f32;
+                let split = (DENSE_EXTENT * edge as f64) as f32;
                 let mut a =
                     lattice_anchors(n_dense, Vec3::ZERO, Vec3::new(split, edge, edge), |_| true);
                 a.extend(lattice_anchors(
@@ -415,7 +387,7 @@ impl SkewedBuilder {
             let tmpl = if is_eth { &ethanol } else { &water };
             // Jitter scaled to the local lattice: use a fixed small
             // displacement so dense-region molecules stay inside it.
-            let jit_scale = self.jitter * 0.3;
+            let jit_scale = LATTICE_JITTER * 0.3;
             let jit = Vec3::new(
                 rng.gen_range(-0.5..0.5) * jit_scale,
                 rng.gen_range(-0.5..0.5) * jit_scale,
@@ -655,13 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn skewed_share_and_extent_configurable() {
+    fn skewed_share_configurable() {
         let sys = SkewedBuilder::new(6000, SkewProfile::Interface)
             .dense_share(0.7)
-            .dense_extent(0.3)
             .seed(12)
             .build();
-        let split = sys.pbc.lengths().x * 0.3;
+        let split = sys.pbc.lengths().x * 0.25;
         let low = sys.positions.iter().filter(|p| p.x < split).count();
         let frac = low as f64 / sys.n_atoms() as f64;
         assert!((frac - 0.7).abs() < 0.03, "low-x fraction {frac}");
